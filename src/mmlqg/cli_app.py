@@ -167,17 +167,20 @@ def cmd_simulate(cfg: dict, cfg_path: str, out: Path, seed, threads: int) -> int
         pop["master_seed"] = seed
     sol = solve_consistency_finite(p, config.parse_fixed_point(cfg))
     pcfg = PopulationConfig(N=pop["N"], num_paths=pop["num_paths"],
-                            master_seed=pop["master_seed"], record_states=True)
+                            master_seed=pop["master_seed"],
+                            record_states=pop["record_states"])
     bundle = simulate_population(p, sol, pcfg)
-    states = bundle.states
-    rows = []
-    for path in range(states.shape[0]):
-        for j in range(states.shape[1]):
-            for agent in range(states.shape[2]):
-                for a in range(states.shape[3]):
-                    rows.append((path, j, agent, a, states[path, j, agent, a]))
-    _write_csv(out / "states.csv", ("path", "node", "agent", "row", "value"),
-               rows)
+    if pcfg.record_states:
+        states = bundle.states
+        rows = []
+        for path in range(states.shape[0]):
+            for j in range(states.shape[1]):
+                for agent in range(states.shape[2]):
+                    for a in range(states.shape[3]):
+                        rows.append((path, j, agent, a,
+                                     states[path, j, agent, a]))
+        _write_csv(out / "states.csv",
+                   ("path", "node", "agent", "row", "value"), rows)
     rows = []
     for path in range(bundle.xbar.shape[0]):
         for j in range(bundle.xbar.shape[1]):

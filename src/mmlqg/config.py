@@ -228,6 +228,7 @@ def _parse_minor(d, grid: TimeGrid, n: int, m: int, path: str) -> MinorTypeParam
 
 def parse_mfg_problem(cfg: dict) -> MmMfgProblem:
     _reject_unknown(cfg, "$", _MFG_KEYS)
+    parse_population(cfg)   # rejects stray population keys for every command
     grid = parse_grid(cfg)
     rho = _scalar(cfg.get("rho", 0.0), "$.rho")
     major = _parse_major(cfg, grid)
@@ -273,14 +274,15 @@ def parse_fixed_point(cfg: dict) -> Optional[FixedPointConfig]:
 def parse_population(cfg: dict) -> dict:
     """Population section: sizes, paths, seed; commands pick what they use."""
     d = _as_dict(cfg.get("population", {}), "$.population")
+    if "Ns" in d:
+        raise SchemaError(
+            "$.population.Ns: population sweeps are not read here; give the "
+            "RMS study sizes as $.study.Ns and the gap sizes as $.nash.Ns")
     _reject_unknown(d, "$.population",
-                    {"N", "Ns", "num_paths", "master_seed", "record_states"})
+                    {"N", "num_paths", "master_seed", "record_states"})
     out = {}
     if "N" in d:
         out["N"] = _integer(d["N"], "$.population.N")
-    if "Ns" in d:
-        out["Ns"] = [_integer(v, "$.population.Ns[%d]" % i)
-                     for i, v in enumerate(_as_list(d["Ns"], "$.population.Ns"))]
     out["num_paths"] = _integer(d.get("num_paths", 1), "$.population.num_paths")
     out["master_seed"] = _integer(d.get("master_seed", 0),
                                   "$.population.master_seed")

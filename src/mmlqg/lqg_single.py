@@ -29,6 +29,7 @@ from .numerics import (
     TimeGrid,
     cumulative_simpson,
     integrate_backward,
+    rk4_backward_indexed,
     rk4_forward_indexed,
     symmetrize,
     trapezoid_weights,
@@ -271,67 +272,81 @@ def _discount_stages(grid: TimeGrid, rho: float) -> np.ndarray:
     return np.exp(-rho * 0.5 * grid.h * q)
 
 
+def _riccati_sweep(A_st, B, Q, N, Rinv, rho, terminal, grid: TimeGrid,
+                   what: str = "Riccati sweep") -> GridFunction:
+    """Backward RK4 sweep of the Riccati ODE on half-step stage tables.
+
+    dPi/dt = rho Pi - Pi A - A'Pi + (Pi B + N) R^{-1} (B'Pi + N') - Q with
+    A_st[q] = A(q h/2) and Rinv = R^{-1}.  Pi is symmetrized after every
+    step; divergence raises RiccatiBlowupError with the last node reached.
+    """
+    As_st = A_st - 0.5 * rho * np.eye(A_st.shape[1])   # rho Pi enters as -rho/2 I
+
+    def stage_rhs(q, P):
+        PA = P @ As_st[q]
+        PBN = P @ B + N
+        return PBN @ Rinv @ PBN.T - PA - PA.T - Q
+
+    try:
+        return rk4_backward_indexed(stage_rhs, terminal, grid, project=symmetrize)
+    except IntegrationDivergedError as exc:
+        raise RiccatiBlowupError(
+            "%s diverged: %s" % (what, exc), node=exc.node, time=exc.time
+        ) from exc
+
+
+def _offset_sweep(A_st, B, N, Rinv, rho, Pi_st, b_st, n_lin, eta, grid: TimeGrid,
+                  what: str = "offset sweep") -> GridFunction:
+    """Backward RK4 sweep of the offset ODE, s(T) = 0, on stage tables.
+
+    ds/dt = (rho I - Acl') s - f with Acl' = (A - B R^{-1} N')' - Pi B R^{-1} B'
+    and f = Pi (b + B R^{-1} n) + N R^{-1} n - eta, both tabulated at every
+    stage before the sweep.
+    """
+    BR = B @ Rinv
+    dim = B.shape[0]
+    # an overflowing Pi is reported by the sweep's finite check, not here
+    with np.errstate(over="ignore", invalid="ignore"):
+        Acl_T = np.swapaxes(A_st - BR @ N.T, 1, 2) - Pi_st @ (BR @ B.T)
+        L_st = rho * np.eye(dim) - Acl_T
+        f_st = Pi_st @ (b_st + BR @ n_lin) + (N @ Rinv @ n_lin - eta)
+
+    def stage_rhs(q, s):
+        return L_st[q] @ s - f_st[q]
+
+    try:
+        return rk4_backward_indexed(stage_rhs, np.zeros((dim, 1)), grid)
+    except IntegrationDivergedError as exc:
+        raise RiccatiBlowupError(
+            "%s diverged: %s" % (what, exc), node=exc.node, time=exc.time
+        ) from exc
+
+
 def solve_finite_horizon(p: LqgProblem) -> LqgSolution:
     """Backward Riccati sweep then offset sweep; assembles gain tables.
 
-    Pi is symmetrized after every step; the offset equation uses the
-    interpolated Pi.  Divergence raises RiccatiBlowupError with the last
-    node reached.
+    Pi is symmetrized after every step; the offset equation reads Pi and b
+    from half-step stage tables.  Divergence raises RiccatiBlowupError with
+    the last node reached.
     """
     rep = validate_convexity(p)
     if not rep.ok:
         raise AssumptionViolationError(
             "convexity assumptions violated: " + rep.summary(), report=rep
         )
-    rinv = spd_solver(p.R)
-
-    A, B, Q, N, rho = p.A, p.B, p.Q, p.N_cross, p.rho
-    Bt, Nt = B.T, N.T
-
-    def riccati_rhs(t, Pi):
-        PBN = Pi @ B + N
-        return rho * Pi - Pi @ A - A.T @ Pi + PBN @ rinv(PBN.T) - Q
-
-    try:
-        Pi = integrate_backward(riccati_rhs, p.Qhat, p.grid, project=symmetrize)
-    except IntegrationDivergedError as exc:
-        raise RiccatiBlowupError(
-            "Riccati sweep diverged: %s" % exc, node=exc.node, time=exc.time
-        ) from exc
-
-    # ds/dt = rho*s - [(A - B R^{-1} N')' - Pi B R^{-1} B'] s
-    #         - Pi (b + B R^{-1} n) - N R^{-1} n + eta
-    AmBRN_T = (A - B @ rinv(Nt)).T
-    BRB = B @ rinv(Bt)
-    BRn = B @ rinv(p.n_lin)
-    NRn = N @ rinv(p.n_lin)
-
-    def offset_rhs(t, s):
-        Pit = Pi.interp(t)
-        return (
-            rho * s
-            - (AmBRN_T - Pit @ BRB) @ s
-            - Pit @ (p.b.interp(t) + BRn)
-            - NRn
-            + p.eta
-        )
-
-    try:
-        s = integrate_backward(offset_rhs, np.zeros((p.n, 1)), p.grid)
-    except IntegrationDivergedError as exc:
-        raise RiccatiBlowupError(
-            "offset sweep diverged: %s" % exc, node=exc.node, time=exc.time
-        ) from exc
-
-    K_vals = np.stack([rinv(Nt + Bt @ Pi.values[j]) for j in range(p.grid.num_nodes)])
-    kff_vals = np.stack(
-        [rinv(Bt @ s.values[j] - p.n_lin) for j in range(p.grid.num_nodes)]
+    Rinv = spd_solver(p.R)(np.eye(p.m))
+    A_st = np.broadcast_to(p.A, (2 * p.grid.num_steps + 1,) + p.A.shape)
+    Pi = _riccati_sweep(A_st, p.B, p.Q, p.N_cross, Rinv, p.rho, p.Qhat, p.grid)
+    s = _offset_sweep(
+        A_st, p.B, p.N_cross, Rinv, p.rho, _stage_values(Pi),
+        _stage_values(p.b), p.n_lin, p.eta, p.grid,
     )
+    RBt = Rinv @ p.B.T
     return LqgSolution(
         Pi=Pi,
         s=s,
-        K=GridFunction(p.grid, K_vals),
-        kff=GridFunction(p.grid, kff_vals),
+        K=GridFunction(p.grid, RBt @ Pi.values + Rinv @ p.N_cross.T),
+        kff=GridFunction(p.grid, RBt @ s.values - Rinv @ p.n_lin),
     )
 
 
@@ -647,11 +662,12 @@ def solve_discounted_are(
     """
     n = A.shape[0]
     rinv = spd_solver(R, what=what)
+    Rinv = rinv(np.eye(B.shape[1]))
     Pi = symmetrize(Pi_init) if Pi_init is not None else np.zeros((n, n))
 
     def rhs(t, P):
         PBN = P @ B + N
-        return rho * P - P @ A - A.T @ P + PBN @ rinv(PBN.T) - Q
+        return rho * P - P @ A - A.T @ P + PBN @ Rinv @ PBN.T - Q
 
     chunk = TimeGrid(5.0, 500)
     stationary = False

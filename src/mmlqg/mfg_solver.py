@@ -1,11 +1,24 @@
 """Consistency fixed point of the major-minor game.
 
 The iteration variable is the closed-loop mean-field triple (Abar, Gbar,
-mbar): given a triple, the major solves its extended LQG problem, each
+mbar): given a triple x, the major solves its extended LQG problem, each
 minor type solves its extended problem against the major's solution, and
-the minors' equilibrium feedback closes the loop into a new triple.  A
-damped Picard scheme drives the triple to the fixed point; the resulting
-Riccati/offset functions define the equilibrium feedback laws.
+the minors' equilibrium feedback closes the loop into a new triple F(x).
+The resulting Riccati/offset functions define the equilibrium feedback
+laws.
+
+One iteration serves the finite-horizon and the stationary problem: Anderson
+acceleration (Walker & Ni 2011) with a memory of ANDERSON_MEMORY past
+iterates on the flattened triple.  Each step is the affine combination
+sum_i alpha_i ((1 - theta) x_i + theta F(x_i)) whose weights (sum 1)
+minimise the combined residual sum_i alpha_i (F(x_i) - x_i) in the least-
+squares sense, with a rank cutoff.  theta is the mixing weight of each
+damped image: with an empty memory the step is the damped Picard step
+(1 - theta) x + theta F(x), which is also what the iteration falls back to,
+after clearing its memory, whenever the residual grows.  The iteration
+stops on the undamped residual max|F(x) - x| < tol, so the returned law x
+and its Riccati data come from the same evaluation and the reported
+residual is exact.
 """
 
 from __future__ import annotations
@@ -18,12 +31,12 @@ import numpy as np
 from .errors import (
     AssumptionViolationError,
     FixedPointError,
-    IntegrationDivergedError,
-    RiccatiBlowupError,
     SchemaError,
 )
 from .lqg_single import (
     FeedbackLaw,
+    _offset_sweep,
+    _riccati_sweep,
     _stage_values,
     hautus_report,
     psd_sqrt,
@@ -43,7 +56,10 @@ from .mfg_model import (
     split_cross_blocks,
     validate_problem,
 )
-from .numerics import GridFunction, rk4_backward_indexed, symmetrize
+from .numerics import GridFunction
+
+ANDERSON_MEMORY = 5    # past iterates each Anderson step combines
+RANK_CUTOFF = 1e-10    # relative singular-value cutoff of the weight fit
 
 
 @dataclass
@@ -98,69 +114,38 @@ class MfgSolution:
     ext_minors: List[ExtendedMinorSystem]
 
 
-def _sweep_riccati(A_st, Bb, Qx, Nx, r_solve, rho, terminal, grid, what):
-    def stage_rhs(q, P):
-        Aq = A_st[q]
-        PBN = P @ Bb + Nx
-        return rho * P - P @ Aq - Aq.T @ P + PBN @ r_solve(PBN.T) - Qx
-
-    try:
-        return rk4_backward_indexed(stage_rhs, terminal, grid, project=symmetrize)
-    except IntegrationDivergedError as exc:
-        raise RiccatiBlowupError(
-            "%s Riccati sweep diverged: %s" % (what, exc), node=exc.node, time=exc.time
-        ) from exc
-
-
-def _sweep_offset(A_st, Bb, Nx, r_solve, rho, Pi_st, M_st, nbar, etabar, grid, what,
-                  s_terminal=None):
-    BRNt = Bb @ r_solve(Nx.T)
-    BRB = Bb @ r_solve(Bb.T)
-    BRn = Bb @ r_solve(nbar)
-    NRn = Nx @ r_solve(nbar)
-    dim = Bb.shape[0]
-
-    def stage_rhs(q, s):
-        Aq = A_st[q]
-        Pq = Pi_st[q]
-        Acl_T = (Aq - BRNt).T - Pq @ BRB
-        return rho * s - Acl_T @ s - Pq @ (M_st[q] + BRn) - NRn + etabar
-
-    term = np.zeros((dim, 1)) if s_terminal is None else s_terminal
-    try:
-        return rk4_backward_indexed(stage_rhs, term, grid)
-    except IntegrationDivergedError as exc:
-        raise RiccatiBlowupError(
-            "%s offset sweep diverged: %s" % (what, exc), node=exc.node, time=exc.time
-        ) from exc
+def _inverse(R: np.ndarray, what: str) -> np.ndarray:
+    """R^{-1}, formed once per solve so sweeps multiply instead of solving."""
+    return spd_solver(R, what=what)(np.eye(R.shape[0]))
 
 
 def _solve_major(p: MmMfgProblem, ext: ExtendedMajorSystem):
-    r_solve = spd_solver(p.major.R0, what="R0")
+    Rinv = _inverse(p.major.R0, "R0")
     A_st = ext.Atilde0.stages(p.grid)
-    Pi0 = _sweep_riccati(
-        A_st, ext.Bb0, ext.Q0ext, ext.N0ext, r_solve, p.rho, ext.G0ext,
-        p.grid, "major",
+    Pi0 = _riccati_sweep(
+        A_st, ext.Bb0, ext.Q0ext, ext.N0ext, Rinv, p.rho, ext.G0ext,
+        p.grid, "major Riccati sweep",
     )
-    M_st = _stage_values(ext.Mtilde0)
-    s0 = _sweep_offset(
-        A_st, ext.Bb0, ext.N0ext, r_solve, p.rho, _stage_values(Pi0), M_st,
-        ext.nbar0, ext.etabar0, p.grid, "major",
+    s0 = _offset_sweep(
+        A_st, ext.Bb0, ext.N0ext, Rinv, p.rho, _stage_values(Pi0),
+        _stage_values(ext.Mtilde0), ext.nbar0, ext.etabar0, p.grid,
+        "major offset sweep",
     )
     return Pi0, s0
 
 
 def _solve_minor(p: MmMfgProblem, ext: ExtendedMinorSystem):
-    r_solve = spd_solver(p.minors[ext.k].Rk, what="R%d" % (ext.k + 1))
+    Rinv = _inverse(p.minors[ext.k].Rk, "R%d" % (ext.k + 1))
     A_st = ext.Atildek.stages(p.grid)
-    Pik = _sweep_riccati(
-        A_st, ext.Bbk, ext.Qkext, ext.Nkext, r_solve, p.rho, ext.Gkext,
-        p.grid, "minor[%d]" % ext.k,
+    what = "minor[%d]" % ext.k
+    Pik = _riccati_sweep(
+        A_st, ext.Bbk, ext.Qkext, ext.Nkext, Rinv, p.rho, ext.Gkext,
+        p.grid, what + " Riccati sweep",
     )
-    M_st = _stage_values(ext.Mtildek)
-    sk = _sweep_offset(
-        A_st, ext.Bbk, ext.Nkext, r_solve, p.rho, _stage_values(Pik), M_st,
-        ext.nbark, ext.etabark, p.grid, "minor[%d]" % ext.k,
+    sk = _offset_sweep(
+        A_st, ext.Bbk, ext.Nkext, Rinv, p.rho, _stage_values(Pik),
+        _stage_values(ext.Mtildek), ext.nbark, ext.etabark, p.grid,
+        what + " offset sweep",
     )
     return Pik, sk
 
@@ -227,20 +212,52 @@ def _initial_law(p: MmMfgProblem) -> MeanFieldLaw:
     return _closure_law(p, ext_minors, zero_P, zero_s)
 
 
-def _law_delta(a: MeanFieldLaw, b: MeanFieldLaw) -> float:
-    return max(
-        float(np.max(np.abs(a.Abar.values - b.Abar.values))),
-        float(np.max(np.abs(a.Gbar.values - b.Gbar.values))),
-        float(np.max(np.abs(a.mbar.values - b.mbar.values))),
-    )
+def _flatten(*arrays) -> np.ndarray:
+    return np.concatenate([a.ravel() for a in arrays])
 
 
-def _blend(prev: MeanFieldLaw, new: MeanFieldLaw, theta: float, grid) -> MeanFieldLaw:
-    w = 1.0 - theta
-    return MeanFieldLaw(
-        Abar=GridFunction(grid, w * prev.Abar.values + theta * new.Abar.values),
-        Gbar=GridFunction(grid, w * prev.Gbar.values + theta * new.Gbar.values),
-        mbar=GridFunction(grid, w * prev.mbar.values + theta * new.mbar.values),
+def _unflatten(x: np.ndarray, shapes) -> list:
+    parts, start = [], 0
+    for shape in shapes:
+        size = int(np.prod(shape))
+        parts.append(x[start:start + size].reshape(shape))
+        start += size
+    return parts
+
+
+def _anderson(evaluate, x: np.ndarray, cfg: FixedPointConfig, what: str):
+    """Anderson-accelerated solution of x = F(x) on a flat vector.
+
+    evaluate(x) returns (F(x), payload).  Returns (payload, history) of
+    the first iterate whose undamped residual max|F(x) - x| is below
+    cfg.tol; history holds that residual for every evaluation.
+    """
+    theta = cfg.theta
+    resids, images = [], []   # F(x_i) - x_i and (1 - theta) x_i + theta F(x_i)
+    history: List[float] = []
+    for _ in range(cfg.max_iters):
+        fx, payload = evaluate(x)
+        f = fx - x
+        res = float(np.max(np.abs(f)))
+        history.append(res)
+        if res < cfg.tol:
+            return payload, history
+        if not np.isfinite(res):
+            break
+        if len(history) > 1 and res > history[-2]:
+            resids, images = [], []   # restart from a plain damped step
+        resids = (resids + [f])[-(ANDERSON_MEMORY + 1):]
+        images = (images + [(1.0 - theta) * x + theta * fx])[-(ANDERSON_MEMORY + 1):]
+        x = images[-1]
+        if len(resids) > 1:
+            # weights alpha = (gamma, 1 - sum gamma) minimise |sum alpha_i f_i|
+            dF = np.stack([r - f for r in resids[:-1]], axis=1)
+            gamma = np.linalg.lstsq(dF, -f, rcond=RANK_CUTOFF)[0]
+            x = x + np.stack([g - x for g in images[:-1]], axis=1) @ gamma
+    raise FixedPointError(
+        "%s did not converge in %d iterations (last residual %.3e)"
+        % (what, len(history), history[-1]),
+        residual_history=history,
     )
 
 
@@ -258,25 +275,40 @@ def _evaluate_map(p: MmMfgProblem, law: MeanFieldLaw):
     return new_law, ext_major, Pi0, s0, ext_minors, Piks, sks
 
 
-def _gain_tables(r_solve, Nx, Bb, Pi: GridFunction, s: GridFunction, nbar, grid):
-    nodes = grid.num_nodes
-    K_vals = np.stack(
-        [r_solve(Nx.T + Bb.T @ Pi.values[j]) for j in range(nodes)]
-    )
-    k_vals = np.stack(
-        [r_solve(nbar - Bb.T @ s.values[j]) for j in range(nodes)]
-    )
+def _gain_tables(Rinv, Nx, Bb, Pi: GridFunction, s: GridFunction, nbar, grid):
+    """u = -K x + k at every node: K = R^{-1}(Nx' + Bb' Pi), k = R^{-1}(nbar - Bb' s)."""
+    RBt = Rinv @ Bb.T
+    K_vals = np.einsum("ab,jbc->jac", RBt, Pi.values) + Rinv @ Nx.T
+    k_vals = Rinv @ nbar - np.einsum("ab,jbc->jac", RBt, s.values)
     return FeedbackLaw(GridFunction(grid, K_vals), GridFunction(grid, k_vals))
 
 
-def solve_consistency_finite(p: MmMfgProblem, cfg: Optional[FixedPointConfig] = None) -> MfgSolution:
-    """Damped Picard iteration on (Abar, Gbar, mbar) to the fixed point.
+def _finite_map(p: MmMfgProblem, law0: MeanFieldLaw):
+    """Consistency map of the finite-horizon problem on flat node tables.
 
-    Each iteration backward-solves the major's extended Riccati/offset
+    Returns (x0, evaluate): x0 flattens law0 and evaluate(x) returns
+    (F(x), (law, ext_major, Pi0, s0, ext_minors, Piks, sks)) with law the
+    MeanFieldLaw that x encodes.
+    """
+    shapes = [gf.values.shape for gf in (law0.Abar, law0.Gbar, law0.mbar)]
+
+    def evaluate(x):
+        law = MeanFieldLaw(*(GridFunction(p.grid, v) for v in _unflatten(x, shapes)))
+        new_law, *rest = _evaluate_map(p, law)
+        return _flatten(new_law.Abar.values, new_law.Gbar.values,
+                        new_law.mbar.values), (law, *rest)
+
+    return _flatten(law0.Abar.values, law0.Gbar.values, law0.mbar.values), evaluate
+
+
+def solve_consistency_finite(p: MmMfgProblem, cfg: Optional[FixedPointConfig] = None) -> MfgSolution:
+    """Anderson-accelerated fixed point of (Abar, Gbar, mbar) on the grid.
+
+    Each evaluation backward-solves the major's extended Riccati/offset
     pair, then every minor type's, then closes the loop through the minor
-    feedback.  Stops when the sup-norm change of the damped iterate drops
-    below tol; the returned solution is one exact evaluation at the final
-    law, so its Riccati data and the law are mutually consistent.
+    feedback.  Stops when the undamped residual max|F(law) - law| drops
+    below tol; the returned Riccati data come from that last evaluation,
+    so they and the returned law are mutually consistent.
     """
     cfg = cfg or FixedPointConfig()
     rep = validate_problem(p)
@@ -285,46 +317,27 @@ def solve_consistency_finite(p: MmMfgProblem, cfg: Optional[FixedPointConfig] = 
             "problem validation failed: " + rep.summary(), report=rep
         )
 
-    law = cfg.initial_law.copy() if cfg.initial_law is not None else _initial_law(p)
-    history: List[float] = []
-    converged = False
-    iterations = 0
-    for _ in range(cfg.max_iters):
-        new_law = _evaluate_map(p, law)[0]
-        res = _law_delta(new_law, law)
-        history.append(res)
-        iterations += 1
-        law = _blend(law, new_law, cfg.theta, p.grid)
-        if cfg.theta * res < cfg.tol:
-            converged = True
-            break
-    if not converged:
-        raise FixedPointError(
-            "consistency iteration did not converge in %d iterations "
-            "(last residual %.3e)" % (cfg.max_iters, history[-1]),
-            residual_history=history,
-        )
+    law0 = cfg.initial_law if cfg.initial_law is not None else _initial_law(p)
+    x0, evaluate = _finite_map(p, law0)
+    payload, history = _anderson(evaluate, x0, cfg, "consistency iteration")
+    law, ext_major, Pi0, s0, ext_minors, Piks, sks = payload
 
-    new_law, ext_major, Pi0, s0, ext_minors, Piks, sks = _evaluate_map(p, law)
-    final_res = _law_delta(new_law, law)
-
-    r0_solve = spd_solver(p.major.R0, what="R0")
     major_law = _gain_tables(
-        r0_solve, ext_major.N0ext, ext_major.Bb0, Pi0, s0, ext_major.nbar0, p.grid
+        _inverse(p.major.R0, "R0"), ext_major.N0ext, ext_major.Bb0, Pi0, s0,
+        ext_major.nbar0, p.grid,
     )
-    minor_laws = []
-    for k, ext in enumerate(ext_minors):
-        rk_solve = spd_solver(p.minors[k].Rk, what="R%d" % (k + 1))
-        minor_laws.append(
-            _gain_tables(rk_solve, ext.Nkext, ext.Bbk, Piks[k], sks[k], ext.nbark, p.grid)
-        )
+    minor_laws = [
+        _gain_tables(_inverse(p.minors[k].Rk, "R%d" % (k + 1)), ext.Nkext,
+                     ext.Bbk, Piks[k], sks[k], ext.nbark, p.grid)
+        for k, ext in enumerate(ext_minors)
+    ]
 
     return MfgSolution(
         Pi0=Pi0, s0=s0, Pik=Piks, sk=sks, mf_law=law,
         major_law=major_law, minor_laws=minor_laws,
         report=FixedPointReport(
-            iterations=iterations, residual_history=history,
-            residual=final_res, converged=True,
+            iterations=len(history), residual_history=history,
+            residual=history[-1], converged=True,
         ),
         problem=p, ext_major=ext_major, ext_minors=ext_minors,
     )
@@ -466,27 +479,16 @@ def _steady_offset(A, Bb, Nx, r_solve, rho, Pi, Mvec, nbar, etabar):
     return np.linalg.solve(rho * np.eye(A.shape[0]) - Acl_T, f)
 
 
-def solve_consistency_infinite(p: MmMfgProblem, cfg: Optional[FixedPointConfig] = None) -> StationaryMfgSolution:
-    """Stationary fixed point: discounted AREs and steady offsets.
+def _stationary_map(p: MmMfgProblem):
+    """Consistency map of the stationary problem on flat constant triples.
 
-    The same Picard loop runs on constant (Abar, Gbar, mbar).  Each
-    extended system must satisfy the Hautus detectability and
-    stabilizability conditions of the shifted drift, and the solved closed
-    loops A - Bb R^{-1} Bb' Pi - (rho/2) I must be asymptotically stable;
-    violations raise assumption errors.
+    Returns (x0, evaluate): x0 is the closure at Pi_k = 0, s_k = 0 and
+    evaluate(x) returns (F(x), ((Abar, Gbar, mbar), ext0, Pi0, s0,
+    ext_minors, Piks, sks)) with (Abar, Gbar, mbar) the triple x encodes.
+    Each ARE solve is warm-started from the previous evaluation's root.
     """
-    cfg = cfg or FixedPointConfig()
-    if p.rho <= 0.0:
-        raise SchemaError("stationary problem requires rho > 0")
-    vrep = validate_problem(p)
-    if not vrep.ok:
-        raise AssumptionViolationError(
-            "problem validation failed: " + vrep.summary(), report=vrep
-        )
     n, m, K = p.n, p.m, p.K
-    d0 = n + n * K
-    d = 2 * n + n * K
-    b0 = _require_constant(p.major.b0, "b0")
+    _require_constant(p.major.b0, "b0")
     bks = [_require_constant(p.minors[k].bk, "minor[%d].bk" % k) for k in range(K)]
 
     mfm = build_mean_field_matrices(p)
@@ -500,27 +502,18 @@ def solve_consistency_infinite(p: MmMfgProblem, cfg: Optional[FixedPointConfig] 
         )
         for k in range(K)
     ]
+    shapes = [(n * K, n * K), (n * K, n), (n * K, 1)]
+    warm = [None] * (K + 1)   # last major and minor ARE roots
 
-    # initial closure at Pi_k = 0, s_k = 0
-    law0 = _initial_law(p)
-    Abar = law0.Abar.values[0]
-    Gbar = law0.Gbar.values[0]
-    mbar = law0.mbar.values[0]
-
-    Pi0_prev = None
-    Pik_prev = [None] * K
-    history: List[float] = []
-    converged = False
-    iterations = 0
-
-    def evaluate(Abar, Gbar, mbar, Pi0_ws, Pik_ws):
+    def evaluate(x):
+        law = Abar, Gbar, mbar = _unflatten(x, shapes)
         carrier = _carrier(p, Abar, Gbar, mbar, mfm.Bbreve)
         ext0 = build_extended_major(p, carrier)
         A0 = ext0.Atilde0.const
         _check_hautus(A0, ext0.Bb0, L0, p.rho, "extended major")
         Pi0 = solve_discounted_are(
             A0, ext0.Bb0, ext0.Q0ext, ext0.N0ext, p.major.R0, p.rho,
-            Pi_init=Pi0_ws if Pi0_ws is not None else ext0.G0ext, what="R0",
+            Pi_init=warm[0] if warm[0] is not None else ext0.G0ext, what="R0",
         )
         M0 = ext0.Mtilde0.values[0]
         s0 = _steady_offset(
@@ -536,7 +529,7 @@ def solve_consistency_infinite(p: MmMfgProblem, cfg: Optional[FixedPointConfig] 
             _check_hautus(Ak, ext.Bbk, Lks[k], p.rho, "extended minor[%d]" % k)
             Pik = solve_discounted_are(
                 Ak, ext.Bbk, ext.Qkext, ext.Nkext, p.minors[k].Rk, p.rho,
-                Pi_init=Pik_ws[k] if Pik_ws[k] is not None else ext.Gkext,
+                Pi_init=warm[k + 1] if warm[k + 1] is not None else ext.Gkext,
                 what="R%d" % (k + 1),
             )
             sk = _steady_offset(
@@ -546,6 +539,7 @@ def solve_consistency_infinite(p: MmMfgProblem, cfg: Optional[FixedPointConfig] 
             ext_minors.append(ext)
             Piks.append(Pik)
             sks.append(sk)
+        warm[:] = [Pi0] + Piks
         # closure rows
         A_new = np.empty((n * K, n * K))
         G_new = np.empty((n * K, n))
@@ -564,42 +558,40 @@ def solve_consistency_infinite(p: MmMfgProblem, cfg: Optional[FixedPointConfig] 
                 + replicate_pi(mn.Fk, p.pi) - BR @ c3
             G_new[rows] = mn.Gk - BR @ c2
             m_new[rows] = bks[k] + BR @ ext_minors[k].nbark - BR @ (Bt @ sks[k][:n])
-        return (A_new, G_new, m_new), ext0, Pi0, s0, ext_minors, Piks, sks
+        return _flatten(A_new, G_new, m_new), (law, ext0, Pi0, s0, ext_minors, Piks, sks)
 
-    for _ in range(cfg.max_iters):
-        (A_new, G_new, m_new), ext0, Pi0, s0, ext_minors, Piks, sks = evaluate(
-            Abar, Gbar, mbar, Pi0_prev, Pik_prev
-        )
-        Pi0_prev, Pik_prev = Pi0, Piks
-        res = max(
-            float(np.max(np.abs(A_new - Abar))),
-            float(np.max(np.abs(G_new - Gbar))),
-            float(np.max(np.abs(m_new - mbar))),
-        )
-        history.append(res)
-        iterations += 1
-        th = cfg.theta
-        Abar = (1 - th) * Abar + th * A_new
-        Gbar = (1 - th) * Gbar + th * G_new
-        mbar = (1 - th) * mbar + th * m_new
-        if th * res < cfg.tol:
-            converged = True
-            break
-    if not converged:
-        raise FixedPointError(
-            "stationary consistency iteration did not converge in %d iterations "
-            "(last residual %.3e)" % (cfg.max_iters, history[-1]),
-            residual_history=history,
-        )
+    law0 = _initial_law(p)
+    x0 = _flatten(law0.Abar.values[0], law0.Gbar.values[0], law0.mbar.values[0])
+    return x0, evaluate
 
-    (A_new, G_new, m_new), ext0, Pi0, s0, ext_minors, Piks, sks = evaluate(
-        Abar, Gbar, mbar, Pi0_prev, Pik_prev
+
+def solve_consistency_infinite(p: MmMfgProblem, cfg: Optional[FixedPointConfig] = None) -> StationaryMfgSolution:
+    """Stationary fixed point: discounted AREs and steady offsets.
+
+    The same Anderson iteration runs on constant (Abar, Gbar, mbar).  Each
+    extended system must satisfy the Hautus detectability and
+    stabilizability conditions of the shifted drift, and the solved closed
+    loops A - Bb R^{-1} Bb' Pi - (rho/2) I must be asymptotically stable;
+    violations raise assumption errors.
+    """
+    cfg = cfg or FixedPointConfig()
+    if p.rho <= 0.0:
+        raise SchemaError("stationary problem requires rho > 0")
+    vrep = validate_problem(p)
+    if not vrep.ok:
+        raise AssumptionViolationError(
+            "problem validation failed: " + vrep.summary(), report=vrep
+        )
+    n, K = p.n, p.K
+    d0 = n + n * K
+    d = 2 * n + n * K
+    x0, evaluate = _stationary_map(p)
+    payload, history = _anderson(
+        evaluate, x0, cfg, "stationary consistency iteration"
     )
-    final_res = max(
-        float(np.max(np.abs(A_new - Abar))),
-        float(np.max(np.abs(G_new - Gbar))),
-        float(np.max(np.abs(m_new - mbar))),
-    )
+    (Abar, Gbar, mbar), ext0, Pi0, s0, ext_minors, Piks, sks = payload
+    r0_solve = spd_solver(p.major.R0, what="R0")
+    rk_solves = [spd_solver(p.minors[k].Rk, what="R%d" % (k + 1)) for k in range(K)]
 
     # closed-loop stability as stated: A - Bb R^{-1} Bb' Pi - (rho/2) I
     A0 = ext0.Atilde0.const
@@ -633,8 +625,8 @@ def solve_consistency_infinite(p: MmMfgProblem, cfg: Optional[FixedPointConfig] 
         major_gain=K0, major_feedforward=k0,
         minor_gains=Kks, minor_feedforwards=kks,
         report=FixedPointReport(
-            iterations=iterations, residual_history=history,
-            residual=final_res, converged=True,
+            iterations=len(history), residual_history=history,
+            residual=history[-1], converged=True,
         ),
         problem=p,
     )

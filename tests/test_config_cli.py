@@ -218,6 +218,35 @@ def test_simulate_seed_reproducibility_and_override(tmp_path):
     assert same != (outs[2] / "states.csv").read_bytes()
 
 
+def test_simulate_record_states_false_skips_states_csv(tmp_path):
+    outs = {}
+    for record in (True, False):
+        cfg = _mfg_cfg(population={"N": 3, "num_paths": 2, "master_seed": 5,
+                                   "record_states": record})
+        cfg["major"]["sigma0"] = [[0.2, 0.0], [0.0, 0.2]]
+        for mn in cfg["minors"]:
+            mn["sigmak"] = [[0.2, 0.0], [0.0, 0.2]]
+        cfg_path = _write(tmp_path, cfg, "cfg_%s.json" % record)
+        outs[record] = tmp_path / ("run_%s" % record)
+        assert _run(["simulate", "--config", cfg_path,
+                     "--out", str(outs[record])]) == 0
+    assert (outs[True] / "states.csv").exists()
+    assert not (outs[False] / "states.csv").exists()
+    for name in ("mean_field.csv", "empirical_mean.csv"):
+        assert (outs[False] / name).read_bytes() == (outs[True] / name).read_bytes()
+
+
+def test_population_ns_rejected_with_pointer(tmp_path, capsys):
+    cfg = _mfg_cfg(population={"N": 3, "Ns": [2, 4]})
+    cfg_path = _write(tmp_path, cfg)
+    for command in ("simulate", "nash-gap", "solve-mfg"):
+        assert _run([command, "--config", cfg_path,
+                     "--out", str(tmp_path / command)]) == 2
+        err = capsys.readouterr().err
+        assert "$.population.Ns" in err
+        assert "$.study.Ns" in err and "$.nash.Ns" in err
+
+
 def test_simulate_writes_convergence_slope(tmp_path):
     cfg = _mfg_cfg(population={"N": 2, "num_paths": 1, "master_seed": 0},
                    study={"Ns": [16, 64], "seeds": [0, 1, 2, 3]})

@@ -184,12 +184,32 @@ def test_damping_invariance():
     assert np.max(np.abs(sol_full.Pi0.values - sol_half.Pi0.values)) < 1e-7
 
 
+def test_default_solve_lands_near_the_fixed_point(coupled):
+    # the undamped stop leaves the default law close to a tight solve
+    p, sol = coupled
+    tight = solve_consistency_finite(p, FixedPointConfig(theta=1.0, tol=1e-13))
+    for name in ("Abar", "Gbar", "mbar"):
+        d = getattr(sol.mf_law, name).values - getattr(tight.mf_law, name).values
+        assert np.max(np.abs(d)) < 1e-8
+    assert sol.report.iterations <= 10
+
+
 def test_warm_start_converges_immediately(coupled):
     p, sol = coupled
     cfg = FixedPointConfig(theta=1.0, initial_law=sol.mf_law)
     resolved = solve_consistency_finite(p, cfg)
     assert resolved.report.iterations <= 5
     assert resolved.report.residual < 1e-8
+
+
+def test_stop_rule_reads_the_undamped_residual():
+    # a small mixing weight shrinks every step; the stop must still see the
+    # full residual max|F(law) - law| of the law it returns
+    p = coupled_toy(M=20)
+    sol = solve_consistency_finite(p, FixedPointConfig(theta=0.1))
+    assert sol.report.converged
+    assert sol.report.residual < 1e-8
+    assert sol.report.residual == sol.report.residual_history[-1]
 
 
 def test_non_convergence_raises_with_history():
