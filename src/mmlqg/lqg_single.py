@@ -2,8 +2,8 @@
 
 Finite horizon: backward Riccati and offset sweeps yielding the optimal
 linear feedback u* = -R^{-1}(N'x - n + B'(Pi x + s)).  Infinite horizon:
-the discounted algebraic Riccati equation solved by long-horizon sweeping
-plus Newton polish.  Also provides exact closed-loop cost evaluation by
+the discounted algebraic Riccati equation solved by the Schur method plus
+Newton polish.  Also provides exact closed-loop cost evaluation by
 moment propagation and a deterministic Gateaux-derivative oracle used to
 certify optimality.
 """
@@ -11,7 +11,7 @@ certify optimality.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Union
+from typing import Callable, List, Optional
 
 import numpy as np
 import scipy.linalg
@@ -28,7 +28,6 @@ from .numerics import (
     GridFunction,
     TimeGrid,
     cumulative_simpson,
-    integrate_backward,
     rk4_backward_indexed,
     rk4_forward_indexed,
     symmetrize,
@@ -320,6 +319,17 @@ def _offset_sweep(A_st, B, N, Rinv, rho, Pi_st, b_st, n_lin, eta, grid: TimeGrid
         raise RiccatiBlowupError(
             "%s diverged: %s" % (what, exc), node=exc.node, time=exc.time
         ) from exc
+
+
+def _steady_offset(A, B, N, Rinv, rho, Pi, b, n_lin, eta) -> np.ndarray:
+    """Stationary point of the offset ODE: (rho I - Acl') s = f.
+
+    Acl' and f as in _offset_sweep, with constant A, Pi and b.
+    """
+    BR = B @ Rinv
+    Acl_T = (A - BR @ N.T).T - Pi @ (BR @ B.T)
+    f = Pi @ (b + BR @ n_lin) + (N @ Rinv @ n_lin - eta)
+    return np.linalg.solve(rho * np.eye(A.shape[0]) - Acl_T, f)
 
 
 def solve_finite_horizon(p: LqgProblem) -> LqgSolution:
@@ -649,44 +659,25 @@ def solve_discounted_are(
     N: np.ndarray,
     R: np.ndarray,
     rho: float,
-    Pi_init: Optional[np.ndarray] = None,
     residual_tol: float = 1e-9,
     what: str = "R",
 ) -> np.ndarray:
     """Stabilizing solution of rho Pi = Pi A + A'Pi - (Pi B+N)R^{-1}(B'Pi+N') + Q.
 
-    Long-horizon backward sweep of the matching differential Riccati
-    equation in chunks until the iterate stops moving, then Newton polish
-    through Lyapunov solves.  Raises AreSolveError when no stabilizing
-    solution emerges.
+    Schur method (Arnold & Laub 1984) on the shifted drift A - (rho/2) I,
+    then Newton-Kleinman polish through Lyapunov solves.  Raises
+    AreSolveError when no stabilizing solution emerges.
     """
     n = A.shape[0]
     rinv = spd_solver(R, what=what)
-    Rinv = rinv(np.eye(B.shape[1]))
-    Pi = symmetrize(Pi_init) if Pi_init is not None else np.zeros((n, n))
-
-    def rhs(t, P):
-        PBN = P @ B + N
-        return rho * P - P @ A - A.T @ P + PBN @ Rinv @ PBN.T - Q
-
-    chunk = TimeGrid(5.0, 500)
-    stationary = False
-    for _ in range(40):  # cap at effective horizon 200
-        try:
-            sweep = integrate_backward(rhs, Pi, chunk, project=symmetrize)
-        except IntegrationDivergedError as exc:
-            raise AreSolveError(
-                "Riccati sweep diverged while seeking the stationary solution: %s" % exc
-            ) from exc
-        Pi_new = sweep.values[0]
-        if float(np.max(np.abs(Pi_new - Pi))) < 1e-12:
-            Pi = Pi_new
-            stationary = True
-            break
-        Pi = Pi_new
-    if not stationary:
-        # the sweep may still be close enough for Newton to finish the job
-        pass
+    try:
+        # no balancing: it breaks down on tiny (e.g. subnormal) weights
+        Pi = scipy.linalg.solve_continuous_are(
+            A - 0.5 * rho * np.eye(n), B, symmetrize(Q), symmetrize(R), s=N,
+            balanced=False,
+        )
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        raise AreSolveError("Schur solve of the Riccati equation failed: %s" % exc) from exc
 
     for _ in range(3):
         F = _are_residual(Pi, A, B, Q, N, rinv, rho)
@@ -745,20 +736,12 @@ def solve_infinite_horizon(p: LqgProblem, tol: float = 1e-9) -> StationarySoluti
         )
 
     Pi = solve_discounted_are(
-        p.A, p.B, p.Q, p.N_cross, p.R, p.rho, Pi_init=p.Qhat, residual_tol=tol
+        p.A, p.B, p.Q, p.N_cross, p.R, p.rho, residual_tol=tol
     )
     rinv = spd_solver(p.R)
     res = float(np.linalg.norm(_are_residual(Pi, p.A, p.B, p.Q, p.N_cross, rinv, p.rho)))
-
-    # steady offset: (rho I - M) s = Pi (b + B R^{-1} n) + N R^{-1} n - eta
-    M_s = (p.A - p.B @ rinv(p.N_cross.T)).T - Pi @ p.B @ rinv(p.B.T)
-    f = (
-        Pi @ (p.b.values[0] + p.B @ rinv(p.n_lin))
-        + p.N_cross @ rinv(p.n_lin)
-        - p.eta
-    )
-    s = np.linalg.solve(p.rho * np.eye(p.n) - M_s, f)
-
+    s = _steady_offset(p.A, p.B, p.N_cross, rinv(np.eye(p.m)), p.rho, Pi,
+                       p.b.values[0], p.n_lin, p.eta)
     K = rinv(p.N_cross.T + p.B.T @ Pi)
     kff = rinv(p.B.T @ s - p.n_lin)
     return StationarySolution(

@@ -12,7 +12,7 @@ state extended by the mean field, and each minor type's state extended by
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Union
+from typing import List, Optional
 
 import numpy as np
 
@@ -176,53 +176,6 @@ def replicate_pi(M: np.ndarray, pi: np.ndarray) -> np.ndarray:
     return np.hstack([float(w) * M for w in pi])
 
 
-class TimeMatrix:
-    """Matrix-valued coefficient: a constant or a closure over grid data.
-
-    Time-varying blocks are kept as closures evaluated by interpolation so
-    the underlying grid functions stay the single source of truth.
-    """
-
-    def __init__(self, shape, const: Optional[np.ndarray] = None,
-                 fn: Optional[Callable[[float], np.ndarray]] = None):
-        self.shape = tuple(shape)
-        self.const = None if const is None else np.asarray(const, dtype=float)
-        self.fn = fn
-        if (self.const is None) == (fn is None):
-            raise SchemaError("TimeMatrix needs exactly one of const or fn")
-        if self.const is not None and self.const.shape != self.shape:
-            raise DimensionGuardError(
-                "TimeMatrix const has shape %s, expected %s"
-                % (self.const.shape, self.shape)
-            )
-
-    @property
-    def is_constant(self) -> bool:
-        return self.const is not None
-
-    def at(self, t: float) -> np.ndarray:
-        if self.const is not None:
-            return self.const
-        out = self.fn(t)
-        if out.shape != self.shape:
-            raise DimensionGuardError(
-                "TimeMatrix closure returned shape %s, expected %s"
-                % (out.shape, self.shape)
-            )
-        return out
-
-    def stages(self, grid: TimeGrid) -> np.ndarray:
-        """Tabulate at half-step stages q = 0..2M (times q*h/2)."""
-        nq = 2 * grid.num_steps + 1
-        if self.const is not None:
-            return np.broadcast_to(self.const, (nq,) + self.shape)
-        out = np.empty((nq,) + self.shape)
-        half = 0.5 * grid.h
-        for q in range(nq):
-            out[q] = self.at(q * half)
-        return out
-
-
 @dataclass
 class MeanFieldMatrices:
     """Open-loop stacked minor dynamics driving the mean field."""
@@ -238,7 +191,7 @@ class MeanFieldMatrices:
 class ExtendedMajorSystem:
     """Major state extended by the mean field (dimension n + nK)."""
 
-    Atilde0: TimeMatrix
+    Atilde0: GridFunction  # (n+nK) x (n+nK) drift
     Bb0: np.ndarray        # (n+nK) x m, control channel [B0; 0]
     Btilde0: np.ndarray    # (n+nK) x mK, minor channels [0; Bbreve]
     Mtilde0: GridFunction  # (n+nK) x 1 drift offset
@@ -265,7 +218,7 @@ class ExtendedMinorSystem:
     """Minor state extended by (major state, mean field): dim 2n + nK."""
 
     k: int
-    Atildek: TimeMatrix
+    Atildek: GridFunction  # (2n+nK) x (2n+nK) drift
     Bbk: np.ndarray        # (2n+nK) x m, [Bk; 0]
     Btildek: np.ndarray    # (2n+nK) x mK
     Mtildek: GridFunction  # (2n+nK) x 1
@@ -294,11 +247,9 @@ def validate_problem(p: MmMfgProblem, tol: float = PSD_BUILD_TOL) -> ValidationR
     pi_ok = np.all(p.pi >= -tol) and abs(float(p.pi.sum()) - 1.0) <= max(tol, 1e-12)
     rep.add("pi is a distribution", bool(pi_ok), "sum %.6g" % float(p.pi.sum()))
 
-    rep.add(
-        "initial means are zero",
-        not np.any(p.init_mean_major) and not np.any(p.init_mean_minor),
-        "nonzero initial mean",
-    )
+    means_zero = not np.any(p.init_mean_major) and not np.any(p.init_mean_minor)
+    rep.add("initial means are zero", means_zero,
+            "" if means_zero else "nonzero initial mean")
     rep.add(
         "initial covariances PSD",
         psd_check(p.init_cov_major, _rel_psd_tol(p.init_cov_major, tol))
@@ -350,17 +301,14 @@ def build_mean_field_matrices(p: MmMfgProblem) -> MeanFieldMatrices:
 
 
 def _mean_field_blocks(p: MmMfgProblem, mf) -> tuple:
-    """(A block, G block, m GridFunction) from raw matrices or a solved law."""
+    """(A block, G block, m GridFunction) from raw matrices or a solved law.
+
+    The A and G blocks are constant matrices or (nodes, rows, cols) tables.
+    """
     if isinstance(mf, MeanFieldMatrices):
-        return TimeMatrix(mf.Abreve.shape, const=mf.Abreve), \
-            TimeMatrix(mf.Gbreve.shape, const=mf.Gbreve), mf.mbreve
+        return mf.Abreve, mf.Gbreve, mf.mbreve
     if hasattr(mf, "Abar") and hasattr(mf, "Gbar") and hasattr(mf, "mbar"):
-        A, G = mf.Abar, mf.Gbar
-        return (
-            TimeMatrix(A.shape, fn=A.interp),
-            TimeMatrix(G.shape, fn=G.interp),
-            mf.mbar,
-        )
+        return mf.Abar.values, mf.Gbar.values, mf.mbar
     raise SchemaError(
         "mean field must be MeanFieldMatrices or carry (Abar, Gbar, mbar)"
     )
@@ -376,17 +324,11 @@ def build_extended_major(p: MmMfgProblem, mf) -> ExtendedMajorSystem:
     d = n + n * K
     mj = p.major
     A_mf, G_mf, m_gf = _mean_field_blocks(p, mf)
-    F0pi = replicate_pi(mj.F0, p.pi)
-
-    if A_mf.is_constant and G_mf.is_constant:
-        top = np.hstack([mj.A0, F0pi])
-        bot = np.hstack([G_mf.const, A_mf.const])
-        Atilde0 = TimeMatrix((d, d), const=np.vstack([top, bot]))
-    else:
-        def fn(t, _top=np.hstack([mj.A0, F0pi])):
-            return np.vstack([_top, np.hstack([G_mf.at(t), A_mf.at(t)])])
-
-        Atilde0 = TimeMatrix((d, d), fn=fn)
+    A = np.empty((p.grid.num_nodes, d, d))
+    A[:, :n] = np.hstack([mj.A0, replicate_pi(mj.F0, p.pi)])
+    A[:, n:, :n] = G_mf
+    A[:, n:, n:] = A_mf
+    Atilde0 = GridFunction(p.grid, A)
 
     Bb0 = np.vstack([mj.B0, np.zeros((n * K, m))])
     mfm = mf if isinstance(mf, MeanFieldMatrices) else build_mean_field_matrices(p)
@@ -437,28 +379,12 @@ def build_extended_minor(
     Bb0 = major_ext.Bb0
     BRN = Bb0 @ r0inv(major_ext.N0ext.T)     # Bb0 R0^{-1} N0ext'
     BRB = Bb0 @ r0inv(Bb0.T)                 # Bb0 R0^{-1} Bb0'
-    A0 = major_ext.Atilde0
 
-    top = np.hstack([mn.Ak, mn.Gk, replicate_pi(mn.Fk, p.pi)])
-
-    if A0.is_constant:
-        base_lr = A0.const - BRN
-
-        def fn(t):
-            lr = base_lr - BRB @ Pi0.interp(t)
-            out = np.zeros((d, d))
-            out[:n] = top
-            out[n:, n:] = lr
-            return out
-    else:
-        def fn(t):
-            lr = A0.at(t) - BRN - BRB @ Pi0.interp(t)
-            out = np.zeros((d, d))
-            out[:n] = top
-            out[n:, n:] = lr
-            return out
-
-    Atildek = TimeMatrix((d, d), fn=fn)
+    A = np.zeros((p.grid.num_nodes, d, d))
+    A[:, :n] = np.hstack([mn.Ak, mn.Gk, replicate_pi(mn.Fk, p.pi)])
+    A[:, n:, n:] = major_ext.Atilde0.values - BRN \
+        - np.einsum("ab,jbc->jac", BRB, Pi0.values)
+    Atildek = GridFunction(p.grid, A)
 
     Bbk = np.vstack([mn.Bk, np.zeros((d0, m))])
     Btildek = np.vstack([np.zeros((n, p.m * K)), major_ext.Btilde0])

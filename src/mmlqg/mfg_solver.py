@@ -38,6 +38,7 @@ from .lqg_single import (
     _offset_sweep,
     _riccati_sweep,
     _stage_values,
+    _steady_offset,
     hautus_report,
     psd_sqrt,
     solve_discounted_are,
@@ -53,7 +54,6 @@ from .mfg_model import (
     build_mean_field_matrices,
     replicate_pi,
     selector,
-    split_cross_blocks,
     validate_problem,
 )
 from .numerics import GridFunction
@@ -121,7 +121,7 @@ def _inverse(R: np.ndarray, what: str) -> np.ndarray:
 
 def _solve_major(p: MmMfgProblem, ext: ExtendedMajorSystem):
     Rinv = _inverse(p.major.R0, "R0")
-    A_st = ext.Atilde0.stages(p.grid)
+    A_st = _stage_values(ext.Atilde0)
     Pi0 = _riccati_sweep(
         A_st, ext.Bb0, ext.Q0ext, ext.N0ext, Rinv, p.rho, ext.G0ext,
         p.grid, "major Riccati sweep",
@@ -136,7 +136,7 @@ def _solve_major(p: MmMfgProblem, ext: ExtendedMajorSystem):
 
 def _solve_minor(p: MmMfgProblem, ext: ExtendedMinorSystem):
     Rinv = _inverse(p.minors[ext.k].Rk, "R%d" % (ext.k + 1))
-    A_st = ext.Atildek.stages(p.grid)
+    A_st = _stage_values(ext.Atildek)
     what = "minor[%d]" % ext.k
     Pik = _riccati_sweep(
         A_st, ext.Bbk, ext.Qkext, ext.Nkext, Rinv, p.rho, ext.Gkext,
@@ -150,66 +150,46 @@ def _solve_minor(p: MmMfgProblem, ext: ExtendedMinorSystem):
     return Pik, sk
 
 
-def _closure_law(p: MmMfgProblem, ext_minors, Piks, sks) -> MeanFieldLaw:
-    """New (Abar, Gbar, mbar) from the minors' equilibrium feedback.
+def _closure_law(p: MmMfgProblem, ext_minors, P_rows, s_rows, mbreve):
+    """New (Abar, Gbar, mbar) tables from the minors' equilibrium feedback.
 
-    Row block k at every node:
-      Abar_k = [A_k - B_k R_k^{-1}(n11' + B_k'Pi11)] e_k + F_k^pi
-               - B_k R_k^{-1}(n31' + B_k'Pi13)
-      Gbar_k = G_k - B_k R_k^{-1}(n21' + B_k'Pi12)
+    P_rows[k] = Pik[:, :n, :] and s_rows[k] = sk[:, :n] are the first block
+    rows of type k's Riccati and offset data, and mbreve the stacked minor
+    drift offsets, all with the same leading node axis (one node for the
+    stationary problem).  With [c1 c2 c3] = Nkext' + B_k' Pik[:n, :], row
+    block k is
+      Abar_k = [A_k - B_k R_k^{-1} c1] e_k + F_k^pi - B_k R_k^{-1} c3
+      Gbar_k = G_k - B_k R_k^{-1} c2
       mbar_k = b_k + B_k R_k^{-1} nbar_k - B_k R_k^{-1} B_k' sk[:n]
     """
-    n, m, K = p.n, p.m, p.K
-    nodes = p.grid.num_nodes
+    n, K = p.n, p.K
+    nodes = P_rows[0].shape[0]
     Abar = np.empty((nodes, n * K, n * K))
     Gbar = np.empty((nodes, n * K, n))
     mbar = np.empty((nodes, n * K, 1))
-    for k in range(K):
-        mn = p.minors[k]
-        r_solve = spd_solver(mn.Rk, what="R%d" % (k + 1))
-        BR = mn.Bk @ r_solve(np.eye(m))
-        n11, n21, n31 = split_cross_blocks(ext_minors[k].Nkext, n, K)
-        e_k = selector(k, n, K)
-        Fkpi = replicate_pi(mn.Fk, p.pi)
-        P = Piks[k].values
-        Pi11 = P[:, :n, :n]
-        Pi12 = P[:, :n, n:2 * n]
-        Pi13 = P[:, :n, 2 * n:]
-        Bt = mn.Bk.T
-        c1 = n11.T[None] + np.einsum("ab,jbc->jac", Bt, Pi11)
-        c2 = n21.T[None] + np.einsum("ab,jbc->jac", Bt, Pi12)
-        c3 = n31.T[None] + np.einsum("ab,jbc->jac", Bt, Pi13)
+    for k, (mn, ext) in enumerate(zip(p.minors, ext_minors)):
+        BR = mn.Bk @ _inverse(mn.Rk, "R%d" % (k + 1))
+        C = BR @ (ext.Nkext.T + mn.Bk.T @ P_rows[k])     # B_k R_k^{-1} [c1 c2 c3]
         rows = slice(k * n, (k + 1) * n)
-        Abar[:, rows, :] = np.einsum(
-            "jab,bc->jac", mn.Ak[None] - np.einsum("ab,jbc->jac", BR, c1), e_k
-        ) + Fkpi[None] - np.einsum("ab,jbc->jac", BR, c3)
-        Gbar[:, rows, :] = mn.Gk[None] - np.einsum("ab,jbc->jac", BR, c2)
-        s_top = sks[k].values[:, :n, :]
-        mbar[:, rows, :] = (
-            mn.bk.values
-            + (BR @ ext_minors[k].nbark)[None]
-            - np.einsum("ab,jbc->jac", BR @ Bt, s_top)
-        )
-    return MeanFieldLaw(
-        Abar=GridFunction(p.grid, Abar),
-        Gbar=GridFunction(p.grid, Gbar),
-        mbar=GridFunction(p.grid, mbar),
-    )
+        Abar[:, rows] = (mn.Ak - C[:, :, :n]) @ selector(k, n, K) \
+            + replicate_pi(mn.Fk, p.pi) - C[:, :, 2 * n:]
+        Gbar[:, rows] = mn.Gk - C[:, :, n:2 * n]
+        mbar[:, rows] = mbreve[:, rows] + BR @ ext.nbark - (BR @ mn.Bk.T) @ s_rows[k]
+    return Abar, Gbar, mbar
 
 
 def _initial_law(p: MmMfgProblem) -> MeanFieldLaw:
     """Closure at Pi_k = 0, s_k = 0 (extended weights still contribute)."""
     mf = build_mean_field_matrices(p)
-    d0 = p.n + p.n * p.K
-    zero_Pi0 = GridFunction.constant(p.grid, np.zeros((d0, d0)))
-    zero_s0 = GridFunction.constant(p.grid, np.zeros((d0, 1)))
-    d = 2 * p.n + p.n * p.K
-    ext_minors = [
-        build_extended_minor(p, k, zero_Pi0, zero_s0, mf) for k in range(p.K)
-    ]
-    zero_P = [GridFunction.constant(p.grid, np.zeros((d, d))) for _ in range(p.K)]
-    zero_s = [GridFunction.constant(p.grid, np.zeros((d, 1))) for _ in range(p.K)]
-    return _closure_law(p, ext_minors, zero_P, zero_s)
+    n, K, nodes = p.n, p.K, p.grid.num_nodes
+    d0 = n + n * K
+    zero_Pi0 = GridFunction.zeros(p.grid, d0, d0)
+    zero_s0 = GridFunction.zeros(p.grid, d0)
+    ext_minors = [build_extended_minor(p, k, zero_Pi0, zero_s0, mf) for k in range(K)]
+    zero_P = [np.zeros((nodes, n, 2 * n + n * K))] * K
+    zero_s = [np.zeros((nodes, n, 1))] * K
+    tables = _closure_law(p, ext_minors, zero_P, zero_s, mf.mbreve.values)
+    return MeanFieldLaw(*(GridFunction(p.grid, v) for v in tables))
 
 
 def _flatten(*arrays) -> np.ndarray:
@@ -261,20 +241,6 @@ def _anderson(evaluate, x: np.ndarray, cfg: FixedPointConfig, what: str):
     )
 
 
-def _evaluate_map(p: MmMfgProblem, law: MeanFieldLaw):
-    """One exact consistency evaluation at the given mean-field law."""
-    ext_major = build_extended_major(p, law)
-    Pi0, s0 = _solve_major(p, ext_major)
-    ext_minors = [build_extended_minor(p, k, Pi0, s0, law) for k in range(p.K)]
-    Piks, sks = [], []
-    for ext in ext_minors:
-        Pik, sk = _solve_minor(p, ext)
-        Piks.append(Pik)
-        sks.append(sk)
-    new_law = _closure_law(p, ext_minors, Piks, sks)
-    return new_law, ext_major, Pi0, s0, ext_minors, Piks, sks
-
-
 def _gain_tables(Rinv, Nx, Bb, Pi: GridFunction, s: GridFunction, nbar, grid):
     """u = -K x + k at every node: K = R^{-1}(Nx' + Bb' Pi), k = R^{-1}(nbar - Bb' s)."""
     RBt = Rinv @ Bb.T
@@ -291,12 +257,19 @@ def _finite_map(p: MmMfgProblem, law0: MeanFieldLaw):
     MeanFieldLaw that x encodes.
     """
     shapes = [gf.values.shape for gf in (law0.Abar, law0.Gbar, law0.mbar)]
+    mbreve = build_mean_field_matrices(p).mbreve.values
 
     def evaluate(x):
         law = MeanFieldLaw(*(GridFunction(p.grid, v) for v in _unflatten(x, shapes)))
-        new_law, *rest = _evaluate_map(p, law)
-        return _flatten(new_law.Abar.values, new_law.Gbar.values,
-                        new_law.mbar.values), (law, *rest)
+        ext_major = build_extended_major(p, law)
+        Pi0, s0 = _solve_major(p, ext_major)
+        ext_minors = [build_extended_minor(p, k, Pi0, s0, law) for k in range(p.K)]
+        Piks, sks = map(list, zip(*(_solve_minor(p, ext) for ext in ext_minors)))
+        fx = _flatten(*_closure_law(
+            p, ext_minors, [P.values[:, :p.n] for P in Piks],
+            [s.values[:, :p.n] for s in sks], mbreve,
+        ))
+        return fx, (law, ext_major, Pi0, s0, ext_minors, Piks, sks)
 
     return _flatten(law0.Abar.values, law0.Gbar.values, law0.mbar.values), evaluate
 
@@ -473,27 +446,22 @@ def _check_hautus(A: np.ndarray, Bb: np.ndarray, L: np.ndarray, rho: float, what
     return rep
 
 
-def _steady_offset(A, Bb, Nx, r_solve, rho, Pi, Mvec, nbar, etabar):
-    Acl_T = (A - Bb @ r_solve(Nx.T)).T - Pi @ Bb @ r_solve(Bb.T)
-    f = Pi @ (Mvec + Bb @ r_solve(nbar)) + Nx @ r_solve(nbar) - etabar
-    return np.linalg.solve(rho * np.eye(A.shape[0]) - Acl_T, f)
-
-
 def _stationary_map(p: MmMfgProblem):
     """Consistency map of the stationary problem on flat constant triples.
 
     Returns (x0, evaluate): x0 is the closure at Pi_k = 0, s_k = 0 and
     evaluate(x) returns (F(x), ((Abar, Gbar, mbar), ext0, Pi0, s0,
     ext_minors, Piks, sks)) with (Abar, Gbar, mbar) the triple x encodes.
-    Each ARE solve is warm-started from the previous evaluation's root.
     """
-    n, m, K = p.n, p.m, p.K
+    n, K = p.n, p.K
     _require_constant(p.major.b0, "b0")
-    bks = [_require_constant(p.minors[k].bk, "minor[%d].bk" % k) for k in range(K)]
+    for k in range(K):
+        _require_constant(p.minors[k].bk, "minor[%d].bk" % k)
 
     mfm = build_mean_field_matrices(p)
-    r0_solve = spd_solver(p.major.R0, what="R0")
-    rk_solves = [spd_solver(p.minors[k].Rk, what="R%d" % (k + 1)) for k in range(K)]
+    mbreve = mfm.mbreve.values[:1]
+    R0inv = _inverse(p.major.R0, "R0")
+    Rkinvs = [_inverse(p.minors[k].Rk, "R%d" % (k + 1)) for k in range(K)]
 
     L0 = psd_sqrt(p.major.Q0) @ np.hstack([np.eye(n), -replicate_pi(p.major.H0, p.pi)])
     Lks = [
@@ -503,62 +471,43 @@ def _stationary_map(p: MmMfgProblem):
         for k in range(K)
     ]
     shapes = [(n * K, n * K), (n * K, n), (n * K, 1)]
-    warm = [None] * (K + 1)   # last major and minor ARE roots
 
     def evaluate(x):
         law = Abar, Gbar, mbar = _unflatten(x, shapes)
         carrier = _carrier(p, Abar, Gbar, mbar, mfm.Bbreve)
         ext0 = build_extended_major(p, carrier)
-        A0 = ext0.Atilde0.const
+        A0 = ext0.Atilde0.values[0]
         _check_hautus(A0, ext0.Bb0, L0, p.rho, "extended major")
         Pi0 = solve_discounted_are(
-            A0, ext0.Bb0, ext0.Q0ext, ext0.N0ext, p.major.R0, p.rho,
-            Pi_init=warm[0] if warm[0] is not None else ext0.G0ext, what="R0",
+            A0, ext0.Bb0, ext0.Q0ext, ext0.N0ext, p.major.R0, p.rho, what="R0",
         )
-        M0 = ext0.Mtilde0.values[0]
         s0 = _steady_offset(
-            A0, ext0.Bb0, ext0.N0ext, r0_solve, p.rho, Pi0, M0,
-            ext0.nbar0, ext0.etabar0,
+            A0, ext0.Bb0, ext0.N0ext, R0inv, p.rho, Pi0,
+            ext0.Mtilde0.values[0], ext0.nbar0, ext0.etabar0,
         )
         Pi0_gf = GridFunction.constant(p.grid, Pi0)
         s0_gf = GridFunction.constant(p.grid, s0)
         ext_minors, Piks, sks = [], [], []
         for k in range(K):
             ext = build_extended_minor(p, k, Pi0_gf, s0_gf, carrier)
-            Ak = ext.Atildek.at(0.0)
+            Ak = ext.Atildek.values[0]
             _check_hautus(Ak, ext.Bbk, Lks[k], p.rho, "extended minor[%d]" % k)
             Pik = solve_discounted_are(
                 Ak, ext.Bbk, ext.Qkext, ext.Nkext, p.minors[k].Rk, p.rho,
-                Pi_init=warm[k + 1] if warm[k + 1] is not None else ext.Gkext,
                 what="R%d" % (k + 1),
             )
             sk = _steady_offset(
-                Ak, ext.Bbk, ext.Nkext, rk_solves[k], p.rho, Pik,
+                Ak, ext.Bbk, ext.Nkext, Rkinvs[k], p.rho, Pik,
                 ext.Mtildek.values[0], ext.nbark, ext.etabark,
             )
             ext_minors.append(ext)
             Piks.append(Pik)
             sks.append(sk)
-        warm[:] = [Pi0] + Piks
-        # closure rows
-        A_new = np.empty((n * K, n * K))
-        G_new = np.empty((n * K, n))
-        m_new = np.empty((n * K, 1))
-        for k in range(K):
-            mn = p.minors[k]
-            BR = mn.Bk @ rk_solves[k](np.eye(m))
-            n11, n21, n31 = split_cross_blocks(ext_minors[k].Nkext, n, K)
-            Bt = mn.Bk.T
-            P = Piks[k]
-            c1 = n11.T + Bt @ P[:n, :n]
-            c2 = n21.T + Bt @ P[:n, n:2 * n]
-            c3 = n31.T + Bt @ P[:n, 2 * n:]
-            rows = slice(k * n, (k + 1) * n)
-            A_new[rows] = (mn.Ak - BR @ c1) @ selector(k, n, K) \
-                + replicate_pi(mn.Fk, p.pi) - BR @ c3
-            G_new[rows] = mn.Gk - BR @ c2
-            m_new[rows] = bks[k] + BR @ ext_minors[k].nbark - BR @ (Bt @ sks[k][:n])
-        return _flatten(A_new, G_new, m_new), (law, ext0, Pi0, s0, ext_minors, Piks, sks)
+        fx = _flatten(*_closure_law(
+            p, ext_minors, [P[None, :n] for P in Piks], [s[None, :n] for s in sks],
+            mbreve,
+        ))
+        return fx, (law, ext0, Pi0, s0, ext_minors, Piks, sks)
 
     law0 = _initial_law(p)
     x0 = _flatten(law0.Abar.values[0], law0.Gbar.values[0], law0.mbar.values[0])
@@ -594,14 +543,14 @@ def solve_consistency_infinite(p: MmMfgProblem, cfg: Optional[FixedPointConfig] 
     rk_solves = [spd_solver(p.minors[k].Rk, what="R%d" % (k + 1)) for k in range(K)]
 
     # closed-loop stability as stated: A - Bb R^{-1} Bb' Pi - (rho/2) I
-    A0 = ext0.Atilde0.const
+    A0 = ext0.Atilde0.values[0]
     C0 = A0 - ext0.Bb0 @ r0_solve(ext0.Bb0.T) @ Pi0 - 0.5 * p.rho * np.eye(d0)
     if np.max(np.linalg.eigvals(C0).real) >= 0:
         raise AssumptionViolationError(
             "extended major closed loop is not asymptotically stable"
         )
     for k in range(K):
-        Ak = ext_minors[k].Atildek.at(0.0)
+        Ak = ext_minors[k].Atildek.values[0]
         Ck = Ak - ext_minors[k].Bbk @ rk_solves[k](ext_minors[k].Bbk.T) @ Piks[k] \
             - 0.5 * p.rho * np.eye(d)
         if np.max(np.linalg.eigvals(Ck).real) >= 0:

@@ -440,7 +440,7 @@ def solve_best_response(js: JointSystem) -> BestResponse:
     M, h = grid.num_steps, grid.h
     rho = p.rho
     D, m = js.D, js.m
-    rinv = spd_solver(js.R, "deviator control weight")
+    Rinv = spd_solver(js.R, "deviator control weight")(np.eye(m))
     W, S, lvec, rvec, cconst = js.W, js.S, js.lvec, js.rvec, js.cconst
     B = js.B_full
     Bt = B.T
@@ -449,13 +449,14 @@ def solve_best_response(js: JointSystem) -> BestResponse:
         Aq = js.A_open(q)
         dq = js.d_open(q)
         PB_S = Pi @ B + S
-        G = rinv(PB_S.T)                 # R^{-1}(B'Pi + S')
+        G = Rinv @ PB_S.T                # R^{-1}(B'Pi + S')
         dPi = rho * Pi - Aq.T @ Pi - Pi @ Aq - W + PB_S @ G
         Bs_r = Bt @ s + rvec
-        ds = rho * s - Aq.T @ s - Pi @ dq - lvec + PB_S @ rinv(Bs_r)
+        RBs_r = Rinv @ Bs_r
+        ds = rho * s - Aq.T @ s - Pi @ dq - lvec + PB_S @ RBs_r
         dv = rho * v - (s.T @ dq).item() - 0.5 * cconst \
             - 0.5 * np.tensordot(Pi, js.Sig2) \
-            + 0.5 * (Bs_r.T @ rinv(Bs_r)).item()
+            + 0.5 * (Bs_r.T @ RBs_r).item()
         return dPi, ds, dv
 
     Pi_nodes = np.empty((M + 1, D, D))
@@ -493,15 +494,15 @@ def solve_best_response(js: JointSystem) -> BestResponse:
     gains = np.empty((nq, m, D))
     ffs = np.empty((nq, m, 1))
     for j in range(M + 1):
-        gains[2 * j] = rinv(Bt @ Pi_nodes[j] + S.T)
-        ffs[2 * j] = rinv(Bt @ s_nodes[j] + rvec)
+        gains[2 * j] = Rinv @ (Bt @ Pi_nodes[j] + S.T)
+        ffs[2 * j] = Rinv @ (Bt @ s_nodes[j] + rvec)
     for j in range(M):
         Pi_mid = 0.5 * (Pi_nodes[j] + Pi_nodes[j + 1]) \
             + (h / 8.0) * (dPi_nodes[j] - dPi_nodes[j + 1])
         s_mid = 0.5 * (s_nodes[j] + s_nodes[j + 1]) \
             + (h / 8.0) * (ds_nodes[j] - ds_nodes[j + 1])
-        gains[2 * j + 1] = rinv(Bt @ Pi_mid + S.T)
-        ffs[2 * j + 1] = rinv(Bt @ s_mid + rvec)
+        gains[2 * j + 1] = Rinv @ (Bt @ Pi_mid + S.T)
+        ffs[2 * j + 1] = Rinv @ (Bt @ s_mid + rvec)
 
     mu0, V0 = js.mu0, js.V0
     cost_value_fn = 0.5 * (np.tensordot(Pi_nodes[0], V0)

@@ -170,6 +170,15 @@ def test_solve_mfg_decoupled_outputs(tmp_path):
     assert (out / "mf_Abar.csv").exists()
 
 
+def test_solve_mfg_summary_passing_checks_carry_no_failure_message(tmp_path):
+    cfg_path = _write(tmp_path, _mfg_cfg())
+    out = tmp_path / "run"
+    assert _run(["solve-mfg", "--config", cfg_path, "--out", str(out)]) == 0
+    checks = json.loads((out / "summary.json").read_text())["assumptions"]["checks"]
+    means = [c for c in checks if c["name"] == "initial means are zero"]
+    assert means == [{"name": "initial means are zero", "passed": True, "detail": ""}]
+
+
 def test_solve_mfg_nondistribution_pi_exits_4(tmp_path, capsys):
     cfg_path = _write(tmp_path, _mfg_cfg(pi=[0.7, 0.7]))
     code = _run(["solve-mfg", "--config", cfg_path,

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from mmlqg.errors import (
     AssumptionViolationError,
@@ -21,6 +23,7 @@ from mmlqg.lqg_single import (
     expected_cost,
     feedback_control,
     gateaux_derivative_det,
+    solve_discounted_are,
     solve_finite_horizon,
     solve_infinite_horizon,
     validate_convexity,
@@ -365,6 +368,44 @@ def test_are_matches_scipy_care():
         a=A_sh, b=p.B, q=p.Q, r=p.R, s=p.N_cross
     )
     assert np.max(np.abs(st.Pi - ref)) < 1e-8
+
+
+def scalar_are_root(a, b, q, N, r, rho):
+    """Stabilizing root of (b^2/r) pi^2 + (2Nb/r - 2a + rho) pi + (N^2/r - q) = 0.
+
+    Returns (root, margin) where the closed loop a - b(b pi + N)/r - rho/2
+    equals -margin/2; the stabilizing root is the larger one.
+    """
+    alpha = b * b / r
+    beta = 2.0 * N * b / r - 2.0 * a + rho
+    gamma = N * N / r - q
+    margin = math.sqrt(max(beta * beta - 4.0 * alpha * gamma, 0.0))
+    if beta > 0:   # the same root, written without cancellation
+        return -2.0 * gamma / (beta + margin), margin
+    return (margin - beta) / (2.0 * alpha), margin
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    a=st.floats(-500.0, 20.0),
+    b=st.floats(0.1, 5.0),
+    q=st.floats(0.0, 10.0),
+    r=st.floats(0.1, 10.0),
+    rho=st.floats(0.0, 5.0),
+    c=st.floats(-1.0, 1.0),
+)
+@example(a=-150.0, b=1.0, q=1.0, r=1.0, rho=0.0, c=0.0)
+@example(a=-500.0, b=1.0, q=1.0, r=1.0, rho=0.0, c=0.0)
+def test_are_scalar_closed_form_stiff(a, b, q, r, rho, c):
+    # N = c sqrt(q r) keeps q - N^2/r >= 0; stiff drifts down to -500
+    N = c * math.sqrt(q * r)
+    root, margin = scalar_are_root(a, b, q, N, r, rho)
+    assume(margin > 1e-3)
+    Pi = solve_discounted_are(
+        np.array([[a]]), np.array([[b]]), np.array([[q]]), np.array([[N]]),
+        np.array([[r]]), rho,
+    )
+    assert abs(Pi[0, 0] - root) <= 1e-9 * max(1.0, abs(root))
 
 
 def test_turnpike_long_horizon():

@@ -73,6 +73,13 @@ def test_validate_rejects_nonzero_initial_mean():
     assert any("means" in c.name and not c.passed for c in rep.checks)
 
 
+def test_validate_passing_mean_check_has_no_failure_detail():
+    rep = validate_problem(coupled_toy(M=20))
+    means = [c for c in rep.checks if c.name == "initial means are zero"]
+    assert len(means) == 1 and means[0].passed
+    assert means[0].detail == ""
+
+
 # --------------------------------------------------------- mean-field blocks
 
 
@@ -127,7 +134,7 @@ def test_extended_major_shapes_and_blocks():
     n, K = p.n, p.K
     d = n + n * K
     assert ext.dim == d
-    A = ext.Atilde0.at(0.0)
+    A = ext.Atilde0.interp(0.0)
     np.testing.assert_array_equal(A[:n, :n], p.major.A0)
     np.testing.assert_array_equal(A[:n, n:], replicate_pi(p.major.F0, p.pi))
     np.testing.assert_array_equal(A[n:, :n], mf.Gbreve)
@@ -160,7 +167,7 @@ def test_extended_major_deterministic():
     a = build_extended_major(p, build_mean_field_matrices(p))
     b = build_extended_major(p, build_mean_field_matrices(p))
     np.testing.assert_array_equal(a.Q0ext, b.Q0ext)
-    np.testing.assert_array_equal(a.Atilde0.at(0.5), b.Atilde0.at(0.5))
+    np.testing.assert_array_equal(a.Atilde0.interp(0.5), b.Atilde0.interp(0.5))
     np.testing.assert_array_equal(a.Mtilde0.values, b.Mtilde0.values)
 
 
@@ -176,9 +183,9 @@ def test_extended_minor_reduces_without_feedback():
     Pi0 = GridFunction.constant(p.grid, np.zeros((d0, d0)))
     s0 = GridFunction.constant(p.grid, np.zeros((d0, 1)))
     ext = build_extended_minor(p, 0, Pi0, s0, mf)
-    A = ext.Atildek.at(0.3)
+    A = ext.Atildek.interp(0.3)
     n = p.n
-    np.testing.assert_allclose(A[n:, n:], ext0.Atilde0.at(0.3), atol=1e-15)
+    np.testing.assert_allclose(A[n:, n:], ext0.Atilde0.interp(0.3), atol=1e-15)
     np.testing.assert_array_equal(A[:n, :n], p.minors[0].Ak)
 
 
@@ -219,7 +226,7 @@ def test_extended_minor_uncoupled_top_right():
     Pi0 = GridFunction.constant(p.grid, np.zeros((d0, d0)))
     s0 = GridFunction.constant(p.grid, np.zeros((d0, 1)))
     ext = build_extended_minor(p, 0, Pi0, s0, mf)
-    A = ext.Atildek.at(0.0)
+    A = ext.Atildek.interp(0.0)
     assert not np.any(A[:p.n, p.n:])
 
 

@@ -150,7 +150,9 @@ def test_aggregation_identity_random_riccati_data():
             raw = rng.normal(scale=0.5, size=(p.grid.num_nodes, d, d))
             Piks.append(GridFunction(p.grid, 0.5 * (raw + np.transpose(raw, (0, 2, 1)))))
             sks.append(GridFunction(p.grid, rng.normal(size=(p.grid.num_nodes, d, 1))))
-        law = _closure_law(p, ext_minors, Piks, sks)
+        law = MeanFieldLaw(*(GridFunction(p.grid, v) for v in _closure_law(
+            p, ext_minors, [P.values[:, :n] for P in Piks],
+            [s.values[:, :n] for s in sks], mf.mbreve.values)))
         for k in range(K):
             mn = p.minors[k]
             Rinv = np.linalg.inv(mn.Rk)
