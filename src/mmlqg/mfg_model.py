@@ -412,30 +412,3 @@ def build_extended_minor(
         etabark=etabark, nbark=nbark,
     )
 
-
-def extract_pi_blocks(Pik: np.ndarray, n: int, K: int):
-    """First block row of the minor Riccati matrix: (11, 12, 13) slices."""
-    d = 2 * n + n * K
-    if Pik.shape != (d, d):
-        raise DimensionGuardError(
-            "Pik has shape %s, expected (%d, %d)" % (Pik.shape, d, d)
-        )
-    return (
-        Pik[:n, :n].copy(),
-        Pik[:n, n:2 * n].copy(),
-        Pik[:n, 2 * n:].copy(),
-    )
-
-
-def split_cross_blocks(Nkext: np.ndarray, n: int, K: int):
-    """Row blocks of the extended cross weight: (11, 21, 31)."""
-    d = 2 * n + n * K
-    if Nkext.shape[0] != d:
-        raise DimensionGuardError(
-            "Nkext has %d rows, expected %d" % (Nkext.shape[0], d)
-        )
-    return (
-        Nkext[:n].copy(),
-        Nkext[n:2 * n].copy(),
-        Nkext[2 * n:].copy(),
-    )

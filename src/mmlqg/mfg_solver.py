@@ -23,7 +23,7 @@ residual is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional
 
 import numpy as np
@@ -56,7 +56,7 @@ from .mfg_model import (
     selector,
     validate_problem,
 )
-from .numerics import GridFunction
+from .numerics import GridFunction, TimeGrid
 
 ANDERSON_MEMORY = 5    # past iterates each Anderson step combines
 RANK_CUTOFF = 1e-10    # relative singular-value cutoff of the weight fit
@@ -178,17 +178,33 @@ def _closure_law(p: MmMfgProblem, ext_minors, P_rows, s_rows, mbreve):
     return Abar, Gbar, mbar
 
 
+def _one_step(p: MmMfgProblem) -> MmMfgProblem:
+    """p on a one-step grid, drifts frozen at t = 0.
+
+    For blocks read at node 0 only, or not at the nodes at all: every
+    table built on it has two nodes instead of M + 1.
+    """
+    return replace(
+        p, grid=TimeGrid(p.grid.t_end, 1),
+        major=replace(p.major, b0=p.major.b0.values[0]),
+        minors=[replace(mn, bk=mn.bk.values[0]) for mn in p.minors],
+    )
+
+
 def _initial_law(p: MmMfgProblem) -> MeanFieldLaw:
     """Closure at Pi_k = 0, s_k = 0 (extended weights still contribute)."""
-    mf = build_mean_field_matrices(p)
     n, K, nodes = p.n, p.K, p.grid.num_nodes
     d0 = n + n * K
-    zero_Pi0 = GridFunction.zeros(p.grid, d0, d0)
-    zero_s0 = GridFunction.zeros(p.grid, d0)
-    ext_minors = [build_extended_minor(p, k, zero_Pi0, zero_s0, mf) for k in range(K)]
+    # the closure reads only the constant weights Nkext and nbark
+    q = _one_step(p)
+    zero_Pi0 = GridFunction.zeros(q.grid, d0, d0)
+    zero_s0 = GridFunction.zeros(q.grid, d0)
+    mfq = build_mean_field_matrices(q)
+    ext_minors = [build_extended_minor(q, k, zero_Pi0, zero_s0, mfq) for k in range(K)]
     zero_P = [np.zeros((nodes, n, 2 * n + n * K))] * K
     zero_s = [np.zeros((nodes, n, 1))] * K
-    tables = _closure_law(p, ext_minors, zero_P, zero_s, mf.mbreve.values)
+    tables = _closure_law(p, ext_minors, zero_P, zero_s,
+                          build_mean_field_matrices(p).mbreve.values)
     return MeanFieldLaw(*(GridFunction(p.grid, v) for v in tables))
 
 
@@ -457,6 +473,8 @@ def _stationary_map(p: MmMfgProblem):
     _require_constant(p.major.b0, "b0")
     for k in range(K):
         _require_constant(p.minors[k].bk, "minor[%d].bk" % k)
+    # every table below is read at node 0 only
+    p = _one_step(p)
 
     mfm = build_mean_field_matrices(p)
     mbreve = mfm.mbreve.values[:1]

@@ -17,18 +17,11 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    DimensionGuardError,
-    DivergedPathError,
-    IntegrationDivergedError,
-    SchemaError,
-)
+from .errors import DivergedPathError, IntegrationDivergedError, SchemaError
 from .lqg_single import _stage_values, psd_sqrt
 from .mfg_model import MmMfgProblem
 from .mfg_solver import MfgSolution, mean_field_step_euler
 from .numerics import GridFunction, symmetrize, trapezoid_weights
-
-JOINT_DIM_LIMIT = 2000
 
 
 @dataclass
@@ -109,14 +102,34 @@ def assign_types(pi, N: int) -> np.ndarray:
 
     Agent i gets the type maximizing pi_k * i - count_k, ties to the lowest
     index; prefixes are stable, so agent draws can be reused across N.
+    With at most two types the rule hands type 0 its rounded share
+    floor(pi_0 i + 1/2) of the first i agents.  That guess is checked
+    against the rule for a block of agents at once, and agents are taken
+    one by one only where floating point makes the two disagree.
     """
     pi = np.asarray(pi, dtype=float)
-    counts = np.zeros(pi.shape[0])
+    K = pi.shape[0]
     out = np.empty(N, dtype=np.int64)
-    for i in range(1, N + 1):
-        k = int(np.argmax(pi * i - counts))
-        out[i - 1] = k
+    counts = np.zeros(K)
+    a = 0
+    while a < N:
+        if K <= 2:
+            i = np.arange(a + 1, min(a + 65536, N) + 1, dtype=float)
+            guess = (np.floor(pi[0] * i + 0.5)
+                     == np.floor(pi[0] * (i - 1.0) + 0.5)).astype(np.int64)
+            picked = guess == np.arange(K)[:, None]
+            before = counts[:, None] + (np.cumsum(picked, axis=1) - picked)
+            ok = np.argmax(pi[:, None] * i - before, axis=0) == guess
+            good = ok.size if ok.all() else int(np.argmin(ok))
+            out[a:a + good] = guess[:good]
+            counts += picked[:, :good].sum(axis=1)
+            a += good
+            if a == N:
+                break
+        k = int(np.argmax(pi * (a + 1) - counts))
+        out[a] = k
         counts[k] += 1.0
+        a += 1
     return out
 
 
@@ -161,10 +174,7 @@ def simulate_population(p: MmMfgProblem, sol: MfgSolution,
     h = grid.h
     sqh = math.sqrt(h)
 
-    type_of = cfg.type_assignment if cfg.type_assignment is not None \
-        else assign_types(p.pi, N)
-    if np.any(type_of < 0) or np.any(type_of >= K):
-        raise SchemaError("type_assignment contains an unknown type index")
+    type_of = _type_of(p, cfg)
     idx = [np.flatnonzero(type_of == k) for k in range(K)]
     counts = np.array([ix.size for ix in idx], dtype=float)
     weights = counts / float(N)
@@ -343,138 +353,163 @@ def finite_cost_monte_carlo(p: MmMfgProblem, bundle: TrajectoryBundle,
                       method="monte_carlo", num_paths=bundle.num_paths)
 
 
-def _sel(D: int, off: int, n: int) -> np.ndarray:
-    S = np.zeros((n, D))
-    S[:, off:off + n] = np.eye(n)
-    return S
+def _type_of(p: MmMfgProblem, cfg: PopulationConfig) -> np.ndarray:
+    type_of = cfg.type_assignment if cfg.type_assignment is not None \
+        else assign_types(p.pi, cfg.N)
+    if np.any(type_of < 0) or np.any(type_of >= p.K):
+        raise SchemaError("type_assignment contains an unknown type index")
+    return type_of
 
 
-class _JointClosedLoop:
-    """Everybody-in-closed-loop joint system on z = (x^1..x^N, x0, xbar)."""
+class ReducedPopulation:
+    """The closed-loop population as one agent sees it, in aggregate form.
 
-    def __init__(self, p: MmMfgProblem, sol: MfgSolution, cfg: PopulationConfig):
+    Agent ids follow the simulator: 0 is the major, 1..N the minors.  The
+    state is y = (x_a, x0, xbar, S_1..S_K), with S_k the average of the
+    c_k minors of type k other than agent a.  Those minors share one
+    closed-loop law and enter every drift and cost only through
+    x^(N) = (x_a + sum_k c_k S_k) / N, so y is Markov on its own: S_k
+    carries noise sigma_k sigma_k' / c_k, starts with covariance
+    Sigma_minor / c_k, and no block starts correlated with another.
+    x_a is left out for the major and S_k when c_k = 0, so D <= 2n + 2nK
+    whatever N.  y is a fixed linear image of the full N-agent state, and
+    that projection commutes with every moment, Riccati and chain step
+    taken on it: costs on y equal costs on the full state up to roundoff,
+    discretization included.
+    """
+
+    def __init__(self, p: MmMfgProblem, sol: MfgSolution, cfg: PopulationConfig,
+                 agent_id: int):
         if sol.problem.grid != p.grid:
             raise SchemaError("solution grid does not match the problem grid")
-        n, m, K, N = p.n, p.m, p.K, cfg.N
-        D = n * (N + 1) + n * K
-        if D > JOINT_DIM_LIMIT:
-            raise DimensionGuardError(
-                "joint state dimension %d exceeds the limit %d" % (D, JOINT_DIM_LIMIT)
-            )
-        self.p, self.sol, self.cfg = p, sol, cfg
-        self.n, self.m, self.K, self.N, self.D = n, m, K, N, D
-        self.type_of = cfg.type_assignment if cfg.type_assignment is not None \
-            else assign_types(p.pi, N)
-        self.idx = [np.flatnonzero(self.type_of == k) for k in range(K)]
-        self.x0_off = n * N
-        self.xb_off = n * (N + 1)
+        if not (0 <= agent_id <= cfg.N):
+            raise SchemaError("agent id out of range")
+        n, K, N = p.n, p.K, cfg.N
+        self.p, self.sol = p, sol
+        self.n, self.m, self.K = n, p.m, K
+        self.agent_id = agent_id
+        type_of = _type_of(p, cfg)
+        self.own_type = None if agent_id == 0 else int(type_of[agent_id - 1])
+        counts = np.bincount(type_of, minlength=K)
+        if self.own_type is not None:
+            counts[self.own_type] -= 1
 
-        self.K0_st = _stage_values(sol.major_law.K)
-        self.k0_st = _stage_values(sol.major_law.k)
-        self.Kk_st = [_stage_values(sol.minor_laws[k].K) for k in range(K)]
-        self.kk_st = [_stage_values(sol.minor_laws[k].k) for k in range(K)]
-        self.Ab_st = _stage_values(sol.mf_law.Abar)
-        self.Gb_st = _stage_values(sol.mf_law.Gbar)
-        self.mb_st = _stage_values(sol.mf_law.mbar)
-        self.b0_st = _stage_values(p.major.b0)
-        self.bk_st = [_stage_values(p.minors[k].bk) for k in range(K)]
+        # the agent's own block comes first: x0 for the major, x_a otherwise
+        self.x0_off = 0 if agent_id == 0 else n
+        self.xb_off = self.x0_off + n
+        off = self.xb_off + n * K
+        self.S_off = []
+        for c in counts:
+            self.S_off.append(off if c else None)
+            off += n if c else 0
+        self.D = off
 
-        base = np.zeros((D, D))
-        for k in range(K):
-            tile = np.tile(p.minors[k].Fk / N, (1, N))
-            for a in self.idx[k]:
-                rows = slice(a * n, (a + 1) * n)
-                base[rows, :n * N] = tile
-                base[rows, rows] += p.minors[k].Ak
-                base[rows, self.x0_off:self.x0_off + n] += p.minors[k].Gk
-        x0r = slice(self.x0_off, self.x0_off + n)
-        base[x0r, :n * N] = np.tile(p.major.F0 / N, (1, N))
-        base[x0r, x0r] += p.major.A0
-        self._base = base
+        self._K0 = _stage_values(sol.major_law.K)
+        self._k0 = _stage_values(sol.major_law.k)
+        self._Kk = [_stage_values(sol.minor_laws[k].K) for k in range(K)]
+        self._kk = [_stage_values(sol.minor_laws[k].k) for k in range(K)]
 
-        Sig2 = np.zeros((D, D))
-        for k in range(K):
-            blk = p.minors[k].sigmak @ p.minors[k].sigmak.T
-            for a in self.idx[k]:
-                rows = slice(a * n, (a + 1) * n)
-                Sig2[rows, rows] = blk
-        Sig2[x0r, x0r] = p.major.sigma0 @ p.major.sigma0.T
-        self.Sig2 = Sig2
+        # x^(N): the agent's own state and c_k S_k, each over N
+        avg = np.zeros((n, self.D))
+        if agent_id:
+            avg[:, :n] = np.eye(n) / N
+        for c, o in zip(counts, self.S_off):
+            if o is not None:
+                avg[:, o:o + n] = np.eye(n) * (c / N)
+        self.avg = avg
 
-        cov0 = cfg.init_cov_major if cfg.init_cov_major is not None else p.init_cov_major
-        covm = cfg.init_cov_minor if cfg.init_cov_minor is not None else p.init_cov_minor
-        V0 = np.zeros((D, D))
-        for a in range(N):
-            rows = slice(a * n, (a + 1) * n)
-            V0[rows, rows] = covm
-        V0[x0r, x0r] = cov0
-        self.V0 = V0
-        mu0 = np.zeros((D, 1))
-        if cfg.xbar0 is not None:
-            mu0[self.xb_off:, 0] = cfg.xbar0
-        self.mu0 = mu0
-
-        # average over all minors, the deviator's own state included
-        self.avg = np.zeros((n, D))
-        for a in range(N):
-            self.avg[:, a * n:(a + 1) * n] = np.eye(n) / N
-
-    def A(self, q: int) -> np.ndarray:
-        n = self.n
-        out = self._base.copy()
-        for k in range(self.K):
-            Kq = self.Kk_st[k][q]
-            Bk = self.p.minors[k].Bk
-            BKx = Bk @ Kq[:, :n]
-            BK0 = Bk @ Kq[:, n:2 * n]
-            BKmf = Bk @ Kq[:, 2 * n:]
-            for a in self.idx[k]:
-                rows = slice(a * n, (a + 1) * n)
-                out[rows, rows] -= BKx
-                out[rows, self.x0_off:self.x0_off + n] -= BK0
-                out[rows, self.xb_off:] -= BKmf
-        x0r = slice(self.x0_off, self.x0_off + n)
-        K0q = self.K0_st[q]
-        B0 = self.p.major.B0
-        out[x0r, x0r] -= B0 @ K0q[:, :n]
-        out[x0r, self.xb_off:] -= B0 @ K0q[:, n:]
-        xbr = slice(self.xb_off, self.D)
-        out[xbr, x0r] = self.Gb_st[q]
-        out[xbr, xbr] = self.Ab_st[q]
-        return out
-
-    def d(self, q: int) -> np.ndarray:
-        n = self.n
-        out = np.zeros((self.D, 1))
-        for k in range(self.K):
-            row = self.bk_st[k][q] + self.p.minors[k].Bk @ self.kk_st[k][q]
-            for a in self.idx[k]:
-                out[a * n:(a + 1) * n] = row
-        out[self.x0_off:self.x0_off + n] = \
-            self.b0_st[q] + self.p.major.B0 @ self.k0_st[q]
-        out[self.xb_off:] = self.mb_st[q]
-        return out
-
-    def agent_cost_geometry(self, agent_id: int):
-        """(C, eta, Q, Ncr, R, Qhat, U) of the agent's deviation cost."""
-        n = self.n
+        x0_sel = self._sel(self.x0_off, n)
+        xb_sel = self._sel(self.xb_off, n * K)
         if agent_id == 0:
-            mj = self.p.major
-            C = _sel(self.D, self.x0_off, n) - mj.H0 @ self.avg
-            U = np.vstack([
-                _sel(self.D, self.x0_off, n),
-                _sel(self.D, self.xb_off, n * self.K),
-            ])
-            return C, mj.eta0, mj.Q0, mj.N0, mj.R0, mj.Qhat0, U
-        mn = self.p.minors[int(self.type_of[agent_id - 1])]
-        own = _sel(self.D, (agent_id - 1) * n, n)
-        C = own - mn.Hk @ _sel(self.D, self.x0_off, n) - mn.Hhatk @ self.avg
-        U = np.vstack([
-            own,
-            _sel(self.D, self.x0_off, n),
-            _sel(self.D, self.xb_off, n * self.K),
-        ])
-        return C, mn.etak, mn.Qk, mn.Nk, mn.Rk, mn.Qhatk, U
+            mj = p.major
+            self.C = x0_sel - mj.H0 @ avg
+            self.eta, self.Q = mj.eta0, mj.Q0
+            self.Ncr, self.R, self.Qhat = mj.N0, mj.R0, mj.Qhat0
+            self.B_own = mj.B0
+            self.U = np.vstack([x0_sel, xb_sel])
+            self.K_st, self.k_st = self._K0, self._k0
+        else:
+            mn = p.minors[self.own_type]
+            own_sel = self._sel(0, n)
+            self.C = own_sel - mn.Hk @ x0_sel - mn.Hhatk @ avg
+            self.eta, self.Q = mn.etak, mn.Qk
+            self.Ncr, self.R, self.Qhat = mn.Nk, mn.Rk, mn.Qhatk
+            self.B_own = mn.Bk
+            self.U = np.vstack([own_sel, x0_sel, xb_sel])
+            self.K_st = self._Kk[self.own_type]
+            self.k_st = self._kk[self.own_type]
+        # terminal weight hits the coupled tracking error C y alone: eta is a
+        # running-cost target only, so the terminal form has no linear part
+        self.terminal = (symmetrize(self.C.T @ self.Qhat @ self.C),
+                         np.zeros((self.D, 1)), 0.0)
+
+        cov0 = cfg.init_cov_major if cfg.init_cov_major is not None \
+            else p.init_cov_major
+        covm = cfg.init_cov_minor if cfg.init_cov_minor is not None \
+            else p.init_cov_minor
+        noise = [(self.x0_off, p.major.sigma0, cov0, 1)]
+        if agent_id:
+            noise.append((0, p.minors[self.own_type].sigmak, covm, 1))
+        noise += [(o, p.minors[k].sigmak, covm, counts[k])
+                  for k, o in enumerate(self.S_off) if o is not None]
+        self.Sig2 = np.zeros((self.D, self.D))
+        self.V0 = np.zeros((self.D, self.D))
+        for o, sig, cov, c in noise:
+            r = slice(o, o + n)
+            self.Sig2[r, r] = sig @ sig.T / c
+            self.V0[r, r] = np.asarray(cov) / c
+        self.mu0 = np.zeros((self.D, 1))
+        if cfg.xbar0 is not None:
+            self.mu0[self.xb_off:self.xb_off + n * K, 0] = cfg.xbar0
+
+    def _sel(self, off: int, width: int) -> np.ndarray:
+        S = np.zeros((width, self.D))
+        S[:, off:off + width] = np.eye(width)
+        return S
+
+    def drift(self, closed: bool):
+        """Stage tables (A, d) of dy = (A y + d) dt, q = 0..2M.
+
+        Every minor average, and the major unless it is the agent, runs on
+        its equilibrium law.  The agent's own rows run on theirs when
+        closed and are left without input otherwise.
+        """
+        p, n, K = self.p, self.n, self.K
+        nq = self._K0.shape[0]
+        A = np.zeros((nq, self.D, self.D))
+        d = np.zeros((nq, self.D, 1))
+        x0 = slice(self.x0_off, self.x0_off + n)
+        xb = slice(self.xb_off, self.xb_off + n * K)
+        minors = [(o, k, True) for k, o in enumerate(self.S_off) if o is not None]
+        if self.agent_id:
+            minors.append((0, self.own_type, closed))
+        for o, k, on_law in minors:
+            mn = p.minors[k]
+            r = slice(o, o + n)
+            A[:, r] += mn.Fk @ self.avg
+            A[:, r, r] += mn.Ak
+            A[:, r, x0] += mn.Gk
+            d[:, r] = _stage_values(mn.bk)
+            if on_law:
+                BK = mn.Bk @ self._Kk[k]
+                A[:, r, r] -= BK[:, :, :n]
+                A[:, r, x0] -= BK[:, :, n:2 * n]
+                A[:, r, xb] -= BK[:, :, 2 * n:]
+                d[:, r] += mn.Bk @ self._kk[k]
+        mj = p.major
+        A[:, x0] += mj.F0 @ self.avg
+        A[:, x0, x0] += mj.A0
+        d[:, x0] = _stage_values(mj.b0)
+        if self.agent_id or closed:
+            BK = mj.B0 @ self._K0
+            A[:, x0, x0] -= BK[:, :, :n]
+            A[:, x0, xb] -= BK[:, :, n:]
+            d[:, x0] += mj.B0 @ self._k0
+        law = self.sol.mf_law
+        A[:, xb, x0] = _stage_values(law.Gbar)
+        A[:, xb, xb] = _stage_values(law.Abar)
+        d[:, xb] = _stage_values(law.mbar)
+        return A, d
 
 
 def discrete_chain_cost(grid, rho, mu0, V0, A_of, d_of, Sig2, node_cost,
@@ -499,7 +534,7 @@ def discrete_chain_cost(grid, rho, mu0, V0, A_of, d_of, Sig2, node_cost,
     for j in range(M):
         W, l, c = node_cost(j)
         S = V + mu @ mu.T
-        J += 0.5 * w[j] * disc[j] * (np.tensordot(W, S) + 2.0 * (l.T @ mu).item() + c)
+        J += 0.5 * w[j] * disc[j] * (np.vdot(W, S) + 2.0 * (l.T @ mu).item() + c)
         P = eye + h * A_of(2 * j)
         mu = P @ mu + h * d_of(2 * j)
         V = symmetrize(P @ V @ P.T + h * Sig2)
@@ -510,36 +545,26 @@ def discrete_chain_cost(grid, rho, mu0, V0, A_of, d_of, Sig2, node_cost,
             )
     W, l, c = node_cost(M)
     S = V + mu @ mu.T
-    J += 0.5 * w[M] * disc[M] * (np.tensordot(W, S) + 2.0 * (l.T @ mu).item() + c)
+    J += 0.5 * w[M] * disc[M] * (np.vdot(W, S) + 2.0 * (l.T @ mu).item() + c)
     W_T, l_T, c_T = term_cost
-    J += 0.5 * disc[M] * (np.tensordot(W_T, S) + 2.0 * (l_T.T @ mu).item() + c_T)
+    J += 0.5 * disc[M] * (np.vdot(W_T, S) + 2.0 * (l_T.T @ mu).item() + c_T)
     return float(J)
 
 
 def expected_cost_exact(p: MmMfgProblem, sol: MfgSolution, cfg: PopulationConfig,
                         agent_id: int) -> CostReport:
-    """Exact expected equilibrium cost by joint moment propagation."""
-    if not (0 <= agent_id <= cfg.N):
-        raise SchemaError("agent_id out of range")
-    js = _JointClosedLoop(p, sol, cfg)
-    C, eta, Q, Ncr, R, Qhat, U = js.agent_cost_geometry(agent_id)
-    if agent_id == 0:
-        K_st, k_st = js.K0_st, js.k0_st
-    else:
-        k = int(js.type_of[agent_id - 1])
-        K_st, k_st = js.Kk_st[k], js.kk_st[k]
+    """Exact expected equilibrium cost by moment recursion on the reduced
+    state, every block, the agent's own included, closed directly."""
+    rs = ReducedPopulation(p, sol, cfg, agent_id)
+    A, d = rs.drift(closed=True)
 
     def node_cost(j):
         q = 2 * j
-        return _deviation_quadratic(C, eta, Q, Ncr, R, -K_st[q] @ U, k_st[q])
+        return _deviation_quadratic(rs.C, rs.eta, rs.Q, rs.Ncr, rs.R,
+                                    -rs.K_st[q] @ rs.U, rs.k_st[q])
 
-    # terminal weight hits the coupled tracking error C z alone: eta is a
-    # running-cost target only, so the terminal form has no linear part
-    W_term = symmetrize(C.T @ Qhat @ C)
-    l_term = np.zeros((C.shape[1], 1))
-    c_term = 0.0
-    J = discrete_chain_cost(p.grid, p.rho, js.mu0, js.V0, js.A, js.d, js.Sig2,
-                            node_cost, (W_term, l_term, c_term))
+    J = discrete_chain_cost(p.grid, p.rho, rs.mu0, rs.V0, A.__getitem__,
+                            d.__getitem__, rs.Sig2, node_cost, rs.terminal)
     return CostReport(agent_id=agent_id, value=J, std_error=0.0,
                       method="moment_recursion", num_paths=0)
 

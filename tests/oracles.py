@@ -1,0 +1,451 @@
+"""Test-only oracles: the dense finite-N joint system and its routes.
+
+nash_gap works on the exact reduced state (x_dev, x0, xbar, S_1..S_K).
+The dense assembly here keeps every agent's state, costs O(N^3) per step
+and serves small N as the reference the reduced system must match.  The
+chain best response and the perturbed-cost route run on either system;
+the block slicers read the minor Riccati and cross-weight blocks.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field
+from typing import Dict, Optional
+
+import numpy as np
+
+from mmlqg.errors import (
+    AssumptionViolationError,
+    DimensionGuardError,
+    RiccatiBlowupError,
+    SchemaError,
+)
+from mmlqg.lqg_single import _stage_values, psd_sqrt
+from mmlqg.mfg_model import MmMfgProblem
+from mmlqg.mfg_solver import MfgSolution
+from mmlqg.nash_gap import _check_convexity, _propagate_cost
+from mmlqg.numerics import symmetrize, trapezoid_weights
+from mmlqg.population_sim import (
+    PopulationConfig,
+    _deviation_quadratic,
+    _stream,
+    assign_types,
+    discrete_chain_cost,
+    simulate_population,
+)
+
+
+@dataclass
+class DenseJointSystem:
+    """Finite-N joint dynamics on z = (x^1..x^N, x0, xbar), dimension
+    n(N+1) + nK, with every agent but the deviator closed.
+
+    The dense counterpart of nash_gap.JointSystem, with the same
+    attributes, so the package's cost and best-response routines run on
+    either.  Agent ids follow the simulator: 0 is the major, 1..N the
+    minors.  The deviator's rows stay uncontrolled; its input enters
+    through B_full, which is zero outside the deviator's own block rows.
+    Drift tables are indexed by half-step stages q = 0..2M and cached:
+    treat them as read-only.  Meant for N <= 8.
+    """
+
+    p: MmMfgProblem
+    sol: MfgSolution
+    cfg: PopulationConfig
+    deviator: int
+
+    def __post_init__(self):
+        p, cfg = self.p, self.cfg
+        if self.sol.problem.grid != p.grid:
+            raise SchemaError("solution grid does not match the problem grid")
+        if not (0 <= self.deviator <= cfg.N):
+            raise SchemaError("deviator id out of range")
+        n, K, N = p.n, p.K, cfg.N
+        self.n, self.m, self.K, self.N = n, p.m, K, N
+        self.D = n * (N + 1) + n * K
+        self.type_of = cfg.type_assignment if cfg.type_assignment is not None \
+            else assign_types(p.pi, N)
+        self.x0_off = n * N
+        self.xb_off = n * (N + 1)
+
+        self._K0 = _stage_values(self.sol.major_law.K)
+        self._k0 = _stage_values(self.sol.major_law.k)
+        self._Kk = [_stage_values(self.sol.minor_laws[k].K) for k in range(K)]
+        self._kk = [_stage_values(self.sol.minor_laws[k].k) for k in range(K)]
+        self._Ab = _stage_values(self.sol.mf_law.Abar)
+        self._Gb = _stage_values(self.sol.mf_law.Gbar)
+        self._mb = _stage_values(self.sol.mf_law.mbar)
+        self._b0 = _stage_values(p.major.b0)
+        self._bk = [_stage_values(p.minors[k].bk) for k in range(K)]
+        self._A_cache: Dict[int, np.ndarray] = {}
+        self._d_cache: Dict[int, np.ndarray] = {}
+
+        # deviator's input matrix: zero outside its own block rows
+        B_full = np.zeros((self.D, self.m))
+        if self.deviator == 0:
+            B_full[self.x0_off:self.x0_off + n] = p.major.B0
+            mj = p.major
+            self.C = self._own(self.x0_off) - mj.H0 @ self._avg()
+            self.eta, self.Q = mj.eta0, mj.Q0
+            self.Ncr, self.R, self.Qhat = mj.N0, mj.R0, mj.Qhat0
+            self.U = np.vstack([self._own(self.x0_off),
+                                self._own(self.xb_off, n * K)])
+        else:
+            row = (self.deviator - 1) * n
+            mn = p.minors[int(self.type_of[self.deviator - 1])]
+            B_full[row:row + n] = mn.Bk
+            self.C = self._own(row) - mn.Hk @ self._own(self.x0_off) \
+                - mn.Hhatk @ self._avg()
+            self.eta, self.Q = mn.etak, mn.Qk
+            self.Ncr, self.R, self.Qhat = mn.Nk, mn.Rk, mn.Qhatk
+            self.U = np.vstack([self._own(row), self._own(self.x0_off),
+                                self._own(self.xb_off, n * K)])
+        self.B_full = B_full
+
+        Sig2 = np.zeros((self.D, self.D))
+        for a in range(N):
+            blk = p.minors[int(self.type_of[a])].sigmak
+            r = slice(a * n, (a + 1) * n)
+            Sig2[r, r] = blk @ blk.T
+        x0r = slice(self.x0_off, self.x0_off + n)
+        Sig2[x0r, x0r] = p.major.sigma0 @ p.major.sigma0.T
+        self.Sig2 = Sig2
+
+        cov0 = cfg.init_cov_major if cfg.init_cov_major is not None \
+            else p.init_cov_major
+        covm = cfg.init_cov_minor if cfg.init_cov_minor is not None \
+            else p.init_cov_minor
+        V0 = np.zeros((self.D, self.D))
+        for a in range(N):
+            r = slice(a * n, (a + 1) * n)
+            V0[r, r] = covm
+        V0[x0r, x0r] = cov0
+        self.V0 = V0
+        mu0 = np.zeros((self.D, 1))
+        if cfg.xbar0 is not None:
+            mu0[self.xb_off:, 0] = cfg.xbar0
+        self.mu0 = mu0
+
+        # z-space quadratic of the deviator's cost, control left free
+        C = self.C
+        self.W = symmetrize(C.T @ self.Q @ C)
+        self.S = C.T @ self.Ncr
+        self.lvec = -C.T @ (self.Q @ self.eta)
+        self.rvec = -self.Ncr.T @ self.eta
+        self.cconst = (self.eta.T @ self.Q @ self.eta).item()
+        # terminal weight applies to the coupled tracking error C z; the
+        # constant target eta is a running-cost object (the backward offset
+        # vanishes at T), so the terminal form carries no linear piece
+        self.W_term = symmetrize(C.T @ self.Qhat @ C)
+        self.l_term = np.zeros((self.D, 1))
+        self.c_term = 0.0
+
+    def _own(self, off: int, width: Optional[int] = None) -> np.ndarray:
+        width = self.n if width is None else width
+        S = np.zeros((width, self.D))
+        S[:, off:off + width] = np.eye(width)
+        return S
+
+    def _avg(self) -> np.ndarray:
+        # every minor, deviator included, carries weight 1/N in x^(N)
+        A = np.zeros((self.n, self.D))
+        for a in range(self.N):
+            A[:, a * self.n:(a + 1) * self.n] = np.eye(self.n) / self.N
+        return A
+
+    def _minor_closed_rows(self, A, a: int, q: int):
+        n, p = self.n, self.p
+        k = int(self.type_of[a])
+        mn = p.minors[k]
+        rows = slice(a * n, (a + 1) * n)
+        Kq = self._Kk[k][q]
+        A[rows, :n * self.N] += np.tile(mn.Fk / self.N, (1, self.N))
+        A[rows, rows] += mn.Ak - mn.Bk @ Kq[:, :n]
+        A[rows, self.x0_off:self.x0_off + n] += mn.Gk - mn.Bk @ Kq[:, n:2 * n]
+        A[rows, self.xb_off:] += -mn.Bk @ Kq[:, 2 * n:]
+
+    def _minor_open_rows(self, A, a: int):
+        n, p = self.n, self.p
+        mn = p.minors[int(self.type_of[a])]
+        rows = slice(a * n, (a + 1) * n)
+        A[rows, :n * self.N] += np.tile(mn.Fk / self.N, (1, self.N))
+        A[rows, rows] += mn.Ak
+        A[rows, self.x0_off:self.x0_off + n] += mn.Gk
+
+    def A_open(self, q: int) -> np.ndarray:
+        """Joint drift matrix with the deviator's rows uncontrolled."""
+        cached = self._A_cache.get(q)
+        if cached is not None:
+            return cached
+        n, p = self.n, self.p
+        A = np.zeros((self.D, self.D))
+        for a in range(self.N):
+            if self.deviator == a + 1:
+                self._minor_open_rows(A, a)
+            else:
+                self._minor_closed_rows(A, a, q)
+        x0r = slice(self.x0_off, self.x0_off + n)
+        A[x0r, :n * self.N] += np.tile(p.major.F0 / self.N, (1, self.N))
+        A[x0r, x0r] += p.major.A0
+        if self.deviator != 0:
+            K0q = self._K0[q]
+            A[x0r, x0r] += -p.major.B0 @ K0q[:, :n]
+            A[x0r, self.xb_off:] += -p.major.B0 @ K0q[:, n:]
+        A[self.xb_off:, x0r] = self._Gb[q]
+        A[self.xb_off:, self.xb_off:] = self._Ab[q]
+        self._A_cache[q] = A
+        return A
+
+    def d_open(self, q: int) -> np.ndarray:
+        cached = self._d_cache.get(q)
+        if cached is not None:
+            return cached
+        n = self.n
+        d = np.zeros((self.D, 1))
+        for a in range(self.N):
+            k = int(self.type_of[a])
+            d[a * n:(a + 1) * n] = self._bk[k][q]
+            if self.deviator != a + 1:
+                d[a * n:(a + 1) * n] += self.p.minors[k].Bk @ self._kk[k][q]
+        d[self.x0_off:self.x0_off + n] = self._b0[q]
+        if self.deviator != 0:
+            d[self.x0_off:self.x0_off + n] += self.p.major.B0 @ self._k0[q]
+        d[self.xb_off:] = self._mb[q]
+        self._d_cache[q] = d
+        return d
+
+    def eq_gain(self, q: int):
+        """Deviator's own equilibrium law lifted to z: u = -Kz @ z + kq."""
+        if self.deviator == 0:
+            return self._K0[q] @ self.U, self._k0[q]
+        k = int(self.type_of[self.deviator - 1])
+        return self._Kk[k][q] @ self.U, self._kk[k][q]
+
+    def A_closed(self, q: int) -> np.ndarray:
+        Kz, _ = self.eq_gain(q)
+        return self.A_open(q) - self.B_full @ Kz
+
+    def d_closed(self, q: int) -> np.ndarray:
+        _, kq = self.eq_gain(q)
+        return self.d_open(q) + self.B_full @ kq
+
+    def undeviated_cost(self) -> float:
+        """Equilibrium cost of the simulated chain through this assembly.
+
+        Must reproduce population_sim.expected_cost_exact; any daylight
+        between the two means the block placement is wrong.
+        """
+
+        def node_cost(j):
+            Kz, kq = self.eq_gain(2 * j)
+            return _deviation_quadratic(self.C, self.eta, self.Q, self.Ncr,
+                                        self.R, -Kz, kq)
+
+        return discrete_chain_cost(
+            self.p.grid, self.p.rho, self.mu0, self.V0,
+            self.A_closed, self.d_closed, self.Sig2, node_cost,
+            (self.W_term, self.l_term, self.c_term),
+        )
+
+    def validation_gap(self, num_paths: int = 1) -> float:
+        """Sup-norm distance between this assembly, simulated with all
+        agents closed, and simulate_population on the same noise."""
+        p, cfg = self.p, self.cfg
+        n, N, M = self.n, self.N, p.grid.num_steps
+        h = p.grid.h
+        sqh = math.sqrt(h)
+        rcfg = PopulationConfig(
+            N=N, master_seed=cfg.master_seed, num_paths=num_paths,
+            type_assignment=np.array(self.type_of),
+            xbar0=cfg.xbar0, init_cov_major=cfg.init_cov_major,
+            init_cov_minor=cfg.init_cov_minor, record_states=True,
+        )
+        bundle = simulate_population(p, self.sol, rcfg)
+        cov0 = cfg.init_cov_major if cfg.init_cov_major is not None \
+            else p.init_cov_major
+        covm = cfg.init_cov_minor if cfg.init_cov_minor is not None \
+            else p.init_cov_minor
+        sqrt0, sqrtm = psd_sqrt(cov0), psd_sqrt(covm)
+        gap = 0.0
+        eye = np.eye(self.D)
+        for path in range(num_paths):
+            z = np.zeros((self.D, 1))
+            for a in range(N):
+                xi = _stream(cfg.master_seed, 1, path, a + 1).standard_normal(n)
+                z[a * n:(a + 1) * n, 0] = sqrtm @ xi
+            xi0 = _stream(cfg.master_seed, 1, path, 0).standard_normal(n)
+            z[self.x0_off:self.x0_off + n, 0] = sqrt0 @ xi0
+            if cfg.xbar0 is not None:
+                z[self.xb_off:, 0] = cfg.xbar0
+            dW0 = _stream(cfg.master_seed, 0, path, 0).standard_normal((M, p.r))
+            dWm = [_stream(cfg.master_seed, 0, path, a + 1).standard_normal((M, p.r))
+                   for a in range(N)]
+            for j in range(M + 1):
+                ref = np.concatenate([
+                    bundle.states[path, j, 1:].reshape(-1),
+                    bundle.states[path, j, 0],
+                    bundle.xbar[path, j],
+                ])
+                gap = max(gap, float(np.max(np.abs(z[:, 0] - ref))))
+                if j == M:
+                    break
+                P = eye + h * self.A_closed(2 * j)
+                z = P @ z + h * self.d_closed(2 * j)
+                for a in range(N):
+                    sig = self.p.minors[int(self.type_of[a])].sigmak
+                    z[a * n:(a + 1) * n, 0] += sqh * (sig @ dWm[a][j])
+                z[self.x0_off:self.x0_off + n, 0] += \
+                    sqh * (self.p.major.sigma0 @ dW0[j])
+        return gap
+
+
+def best_response_perturbed_cost(js, br, eps: float, omega: np.ndarray) -> float:
+    """Exact cost of u = u_br + eps * omega (constant direction omega)."""
+    omega = np.asarray(omega, dtype=float).reshape(js.m, 1)
+    shift = eps * omega
+    B = js.B_full
+
+    def A_of(q):
+        return js.A_open(q) - B @ br.gains[q]
+
+    def d_of(q):
+        return js.d_open(q) + B @ (shift - br.feedforwards[q])
+
+    return _propagate_cost(js, A_of, d_of,
+                           lambda q: -br.gains[q],
+                           lambda q: shift - br.feedforwards[q])
+
+
+@dataclass
+class BestResponseChain:
+    """Exact dynamic-programming optimum of the simulated chain.
+
+    Node-indexed law u_j = -gains[j] z_j - feedforwards[j].  Because the
+    optimization and the cost share the very chain the simulator steps,
+    cost can never exceed the chain cost of the equilibrium law; this
+    pins the gap sign independently of any integrator.
+    """
+
+    gains: np.ndarray            # (M+1, m, D)
+    feedforwards: np.ndarray     # (M+1, m, 1)
+    Pi_terminal: np.ndarray
+    cost: float                  # exact chain cost by moment recursion
+    cost_dp: float               # same value from the backward recursion
+    diagnostics: Dict[str, float] = field(default_factory=dict)
+
+
+def solve_best_response_chain(js) -> BestResponseChain:
+    _check_convexity(js)
+    p = js.p
+    grid = p.grid
+    M, h = grid.num_steps, grid.h
+    w = trapezoid_weights(grid)
+    disc = np.exp(-p.rho * grid.nodes)
+    D, m = js.D, js.m
+    W, S, R = js.W, js.S, js.R
+    lvec, rvec, cconst = js.lvec, js.rvec, js.cconst
+
+    P = disc[M] * js.W_term
+    Pi_terminal = P.copy()
+    q_lin = disc[M] * js.l_term
+    v = 0.5 * disc[M] * js.c_term
+
+    gains = np.empty((M + 1, m, D))
+    ffs = np.empty((M + 1, m, 1))
+
+    # node M: the control there only shapes the final stage cost
+    aM = w[M] * disc[M]
+    FM = np.linalg.solve(R, S.T)
+    fM = np.linalg.solve(R, rvec)
+    gains[M], ffs[M] = FM, fM
+    P = symmetrize(P + aM * (W - S @ FM))
+    q_lin = q_lin + aM * (lvec - S @ fM)
+    v = v + 0.5 * aM * (cconst - (rvec.T @ fM).item())
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(M - 1, -1, -1):
+            a_j = w[j] * disc[j]
+            Ptr = np.eye(D) + h * js.A_open(2 * j)
+            cj = h * js.d_open(2 * j)
+            Bt = h * js.B_full
+            BtP = Bt.T @ P
+            H = a_j * R + BtP @ Bt
+            try:
+                Hc = np.linalg.cholesky(symmetrize(H))
+            except np.linalg.LinAlgError:
+                raise AssumptionViolationError(
+                    "joint control Hessian lost positive definiteness at node "
+                    "%d; the deviation problem is not convex" % j
+                )
+
+            def hsolve(rhs_):
+                return np.linalg.solve(Hc.T, np.linalg.solve(Hc, rhs_))
+
+            Gz = a_j * S.T + BtP @ Ptr
+            g = a_j * rvec + Bt.T @ (P @ cj + q_lin)
+            Fj = hsolve(Gz)
+            fj = hsolve(g)
+            gains[j], ffs[j] = Fj, fj
+
+            Pc_q = P @ cj + q_lin
+            v = v + 0.5 * a_j * cconst + 0.5 * (cj.T @ P @ cj).item() \
+                + (q_lin.T @ cj).item() + 0.5 * h * np.tensordot(P, js.Sig2) \
+                - 0.5 * (g.T @ fj).item()
+            q_lin = a_j * lvec + Ptr.T @ Pc_q - Gz.T @ fj
+            P = symmetrize(a_j * W + Ptr.T @ P @ Ptr - Gz.T @ Fj)
+            if not (np.all(np.isfinite(P)) and np.all(np.isfinite(q_lin))):
+                raise RiccatiBlowupError(
+                    "joint chain recursion diverged at node %d" % j,
+                    node=j, time=grid.nodes[j],
+                )
+
+    mu0, V0 = js.mu0, js.V0
+    cost_dp = 0.5 * (np.tensordot(P, V0) + (mu0.T @ P @ mu0).item()) \
+        + (q_lin.T @ mu0).item() + v
+
+    def A_br(q):
+        return js.A_open(q) - js.B_full @ gains[q // 2]
+
+    def d_br(q):
+        return js.d_open(q) - js.B_full @ ffs[q // 2]
+
+    def node_cost(j):
+        return _deviation_quadratic(js.C, js.eta, js.Q, js.Ncr, js.R,
+                                    -gains[j], -ffs[j])
+
+    cost = discrete_chain_cost(grid, p.rho, mu0, V0, A_br, d_br, js.Sig2,
+                               node_cost, (js.W_term, js.l_term, js.c_term))
+    return BestResponseChain(
+        gains=gains, feedforwards=ffs, Pi_terminal=Pi_terminal,
+        cost=cost, cost_dp=cost_dp,
+        diagnostics={"route_mismatch": abs(cost - cost_dp)},
+    )
+
+
+def extract_pi_blocks(Pik: np.ndarray, n: int, K: int):
+    """First block row of the minor Riccati matrix: (11, 12, 13) slices."""
+    d = 2 * n + n * K
+    if Pik.shape != (d, d):
+        raise DimensionGuardError(
+            "Pik has shape %s, expected (%d, %d)" % (Pik.shape, d, d)
+        )
+    return (
+        Pik[:n, :n].copy(),
+        Pik[:n, n:2 * n].copy(),
+        Pik[:n, 2 * n:].copy(),
+    )
+
+
+def split_cross_blocks(Nkext: np.ndarray, n: int, K: int):
+    """Row blocks of the extended cross weight: (11, 21, 31)."""
+    d = 2 * n + n * K
+    if Nkext.shape[0] != d:
+        raise DimensionGuardError(
+            "Nkext has %d rows, expected %d" % (Nkext.shape[0], d)
+        )
+    return (
+        Nkext[:n].copy(),
+        Nkext[n:2 * n].copy(),
+        Nkext[2 * n:].copy(),
+    )

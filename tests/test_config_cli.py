@@ -312,6 +312,17 @@ def test_nash_gap_threads_do_not_change_bytes(tmp_path):
         (out4 / "summary.json").read_bytes()
 
 
+def test_nash_gap_summary_reports_row_diagnostics(tmp_path):
+    cfg = _mfg_cfg(nash={"Ns": [2, 3]})
+    cfg_path = _write(tmp_path, cfg)
+    out = tmp_path / "run"
+    assert _run(["nash-gap", "--config", cfg_path, "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    for key in ("route_mismatch", "assembly_crosscheck"):
+        assert len(summary[key]) == len(summary["Ns"])
+        assert all(0.0 <= v <= 1e-8 for v in summary[key])
+
+
 # ------------------------------------------------------------------- verify
 
 

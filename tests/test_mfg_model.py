@@ -11,14 +11,13 @@ from mmlqg.mfg_model import (
     build_extended_major,
     build_extended_minor,
     build_mean_field_matrices,
-    extract_pi_blocks,
     replicate_pi,
     selector,
-    split_cross_blocks,
     validate_problem,
 )
 from mmlqg.numerics import GridFunction, TimeGrid
 from mmlqg.toys import coupled_toy, decoupled_toy
+from oracles import extract_pi_blocks, split_cross_blocks
 
 
 def one_type_problem(n=1, **major_over):

@@ -10,11 +10,12 @@ from mmlqg.errors import (
     SchemaError,
 )
 from mmlqg.lqg_single import LqgProblem, solve_finite_horizon, solve_infinite_horizon
-from mmlqg.mfg_model import build_extended_minor, build_mean_field_matrices, selector, replicate_pi, split_cross_blocks
+from mmlqg.mfg_model import build_extended_minor, build_mean_field_matrices, selector, replicate_pi
 from mmlqg.mfg_solver import (
     FixedPointConfig,
     MeanFieldLaw,
     _closure_law,
+    _stationary_map,
     equilibrium_feedback_major,
     equilibrium_feedback_minor,
     mean_field_trajectory,
@@ -332,6 +333,19 @@ def test_stationary_coupled_runs():
     assert sol.report.residual < 1e-7
     assert np.all(np.isfinite(sol.Abar))
     assert np.all(np.isfinite(sol.mbar))
+
+
+def test_stationary_map_reads_one_step_whatever_the_grid():
+    # the stationary problem reads node 0 only, so its extended systems are
+    # built on two nodes and the solution does not depend on M
+    x0, evaluate = _stationary_map(coupled_toy(M=400, rho=4.0))
+    _, (_, ext0, _, _, ext_minors, _, _) = evaluate(x0)
+    assert ext0.Atilde0.values.shape[0] == 2
+    assert all(ext.Atildek.values.shape[0] == 2 for ext in ext_minors)
+    coarse = solve_consistency_infinite(coupled_toy(M=10, rho=4.0))
+    fine = solve_consistency_infinite(coupled_toy(M=400, rho=4.0))
+    for name in ("Pi0", "s0", "Abar", "Gbar", "mbar", "major_gain"):
+        assert np.array_equal(getattr(coarse, name), getattr(fine, name))
 
 
 def test_stationary_requires_positive_rho():

@@ -1,11 +1,11 @@
 import dataclasses
+import time
 
 import numpy as np
 import pytest
 
 from mmlqg.errors import (
     AssumptionViolationError,
-    DimensionGuardError,
     RiccatiBlowupError,
     SchemaError,
 )
@@ -13,16 +13,19 @@ from mmlqg.lqg_single import LqgProblem, solve_finite_horizon
 from mmlqg.mfg_solver import solve_consistency_finite
 from mmlqg.nash_gap import (
     NashGapReport,
-    best_response_perturbed_cost,
     build_joint_closed_loop,
     epsilon_nash_gap,
     equilibrium_cost_ode,
     gap_vs_population,
     solve_best_response,
-    solve_best_response_chain,
 )
 from mmlqg.population_sim import PopulationConfig, assign_types, expected_cost_exact
 from mmlqg.toys import coupled_toy, decoupled_toy
+from oracles import (
+    DenseJointSystem,
+    best_response_perturbed_cost,
+    solve_best_response_chain,
+)
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +62,8 @@ def single_minor():
 
 def test_joint_assembly_matches_population_simulator(coupled):
     p, sol = coupled
-    js = build_joint_closed_loop(p, sol, PopulationConfig(N=6, master_seed=3), 2)
+    js = DenseJointSystem(p=p, sol=sol, cfg=PopulationConfig(N=6, master_seed=3),
+                          deviator=2)
     assert js.validation_gap() < 1e-10
 
 
@@ -67,7 +71,7 @@ def test_deviator_input_matrix_zero_outside_own_rows(coupled):
     p, sol = coupled
     n, N = p.n, 5
     for dev in (0, 2):
-        js = build_joint_closed_loop(p, sol, PopulationConfig(N=N), dev)
+        js = DenseJointSystem(p=p, sol=sol, cfg=PopulationConfig(N=N), deviator=dev)
         off = js.x0_off if dev == 0 else (dev - 1) * n
         mask = np.ones(js.D, dtype=bool)
         mask[off:off + n] = False
@@ -77,7 +81,7 @@ def test_deviator_input_matrix_zero_outside_own_rows(coupled):
 
 def test_single_minor_joint_system_is_block_diagonal(single_minor):
     p, sol = single_minor
-    js = build_joint_closed_loop(p, sol, PopulationConfig(N=1), 1)
+    js = DenseJointSystem(p=p, sol=sol, cfg=PopulationConfig(N=1), deviator=1)
     n = p.n
     blocks = [slice(0, n), slice(n, 2 * n), slice(2 * n, 3 * n)]
     for q in (0, p.grid.num_steps, 2 * p.grid.num_steps):
@@ -86,12 +90,6 @@ def test_single_minor_joint_system_is_block_diagonal(single_minor):
             for j, bj in enumerate(blocks):
                 if i != j:
                     assert np.abs(A[bi, bj]).max() < 1e-12
-
-
-def test_dimension_guard_rejects_huge_populations(coupled):
-    p, sol = coupled
-    with pytest.raises(DimensionGuardError):
-        build_joint_closed_loop(p, sol, PopulationConfig(N=999), 0)
 
 
 def test_grid_mismatch_rejected(coupled):
@@ -115,6 +113,17 @@ def test_undeviated_chain_cost_reproduces_expected_cost(coupled):
         js = build_joint_closed_loop(p, sol, cfg, dev)
         ref = expected_cost_exact(p, sol, cfg, dev).value
         assert abs(js.undeviated_cost() - ref) <= 1e-8
+
+
+def test_reduced_dimension_does_not_grow_with_population(coupled):
+    p, sol = coupled
+    n, K = p.n, p.K
+    # N = 1: the lone minor deviates and no type keeps a non-deviator
+    assert build_joint_closed_loop(p, sol, PopulationConfig(N=1), 1).D == 2 * n + n * K
+    assert build_joint_closed_loop(p, sol, PopulationConfig(N=1), 0).D == 2 * n + n * K
+    for N in (8, 10 ** 6):
+        assert build_joint_closed_loop(p, sol, PopulationConfig(N=N), 0).D == n + 2 * n * K
+        assert build_joint_closed_loop(p, sol, PopulationConfig(N=N), 1).D == 2 * n + 2 * n * K
 
 
 # ----------------------------------------------------------- best response
@@ -269,6 +278,38 @@ def test_gap_table_handles_type_with_no_members(coupled):
     assert empty
     for k in empty:
         assert row.type_gaps[k] == 0.0
+
+
+def test_gap_rows_carry_their_worst_diagnostics(coupled):
+    p, sol = coupled
+    row = gap_vs_population(p, sol, [3]).rows[0]
+    type_of = assign_types(p.pi, 3)
+    devs = [0] + [int(np.flatnonzero(type_of == k)[0]) + 1 for k in range(p.K)]
+    reps = [epsilon_nash_gap(p, sol, PopulationConfig(N=3), d) for d in devs]
+    for key in ("route_mismatch", "assembly_crosscheck"):
+        assert getattr(row, key) == max(r.diagnostics[key] for r in reps)
+        assert getattr(row, key) <= 1e-8
+
+
+def test_gap_rows_at_a_thousand_and_a_million_agents():
+    # the reduced state does not grow with N, so a million agents cost
+    # about what two do, and the gaps keep falling
+    p = coupled_toy(M=25)
+    sol = solve_consistency_finite(p)
+    start = time.perf_counter()
+    gap_vs_population(p, sol, [2])
+    row_time = time.perf_counter() - start
+    start = time.perf_counter()
+    table = gap_vs_population(p, sol, [10 ** 3, 10 ** 6])
+    elapsed = time.perf_counter() - start
+    small, large = table.rows
+    for row in table.rows:
+        assert all(g >= -1e-8 for g in [row.major_gap] + row.type_gaps)
+    assert large.major_gap < small.major_gap
+    for g_small, g_large in zip(small.type_gaps, large.type_gaps):
+        assert g_large < g_small
+    assert elapsed < 6.0 * row_time, \
+        "two rows took %.3fs, one N = 2 row %.3fs" % (elapsed, row_time)
 
 
 def test_equilibrium_cost_routes_agree(coupled):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from mmlqg.errors import (
-    DimensionGuardError,
     DivergedPathError,
     SchemaError,
 )
@@ -250,6 +249,29 @@ def test_type_assignment_tracks_pi_and_is_prefix_stable():
     assert np.array_equal(assign_types(pi, 8), assign_types(pi, 16)[:8])
 
 
+def _assign_types_one_by_one(pi, N):
+    # the rule itself, one agent at a time
+    pi = np.asarray(pi, dtype=float)
+    counts = np.zeros(pi.shape[0])
+    out = np.empty(N, dtype=np.int64)
+    for i in range(1, N + 1):
+        k = int(np.argmax(pi * i - counts))
+        out[i - 1] = k
+        counts[k] += 1.0
+    return out
+
+
+def test_type_assignment_matches_the_one_by_one_rule():
+    rng = np.random.default_rng(0)
+    pis = [[1.0], [0.6, 0.4], [0.5, 0.5], [0.1, 0.9], [1 / 3, 2 / 3],
+           [0.2, 0.3, 0.5], [1 / 3, 1 / 3, 1 / 3]]
+    pis += [rng.dirichlet(np.ones(K)) for K in (2, 2, 3, 4)]
+    for pi in pis:
+        for N in (1, 2, 7, 100, 5000):
+            assert np.array_equal(assign_types(pi, N),
+                                  _assign_types_one_by_one(pi, N)), (pi, N)
+
+
 def test_explicit_type_assignment_respected(coupled):
     p, sol = coupled
     cfg = PopulationConfig(N=3, type_assignment=[1, 1, 0])
@@ -270,18 +292,6 @@ def test_diverged_path_reports_path_and_node(coupled):
         simulate_population(bad, sol, PopulationConfig(N=3, master_seed=0))
     assert exc.value.path == 0
     assert exc.value.node is not None
-
-
-class _DummySol:
-    def __init__(self, p):
-        self.problem = p
-
-
-def test_joint_dimension_guard():
-    p = coupled_toy(M=100)
-    with pytest.raises(DimensionGuardError):
-        # guard fires during assembly, before the solution is touched
-        expected_cost_exact(p, _DummySol(p), PopulationConfig(N=1000), 0)
 
 
 def test_agent_id_and_config_validation(coupled):
