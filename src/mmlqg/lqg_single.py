@@ -11,7 +11,7 @@ certify optimality.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 import numpy as np
 import scipy.linalg
@@ -28,10 +28,13 @@ from .numerics import (
     GridFunction,
     TimeGrid,
     cumulative_simpson,
+    flatten,
     rk4_backward_indexed,
     rk4_forward_indexed,
     symmetrize,
+    symmetrize_leading,
     trapezoid_weights,
+    unflatten,
 )
 
 PSD_TOL = 1e-9  # relative to the largest eigenvalue magnitude
@@ -267,8 +270,7 @@ def _stage_values(gf: GridFunction) -> np.ndarray:
 
 
 def _discount_stages(grid: TimeGrid, rho: float) -> np.ndarray:
-    q = np.arange(2 * grid.num_steps + 1)
-    return np.exp(-rho * 0.5 * grid.h * q)
+    return np.exp(-rho * np.arange(2 * grid.num_steps + 1) * (grid.h / 2.0))
 
 
 def _riccati_sweep(A_st, B, Q, N, Rinv, rho, terminal, grid: TimeGrid,
@@ -366,76 +368,38 @@ def feedback_control(sol: LqgSolution, t: float, x: np.ndarray) -> np.ndarray:
     return -sol.K.interp(t) @ x - sol.kff.interp(t)
 
 
-def closed_loop_cost_moments(
-    grid: TimeGrid,
-    rho: float,
-    x0_mean: np.ndarray,
-    x0_cov: np.ndarray,
-    A_cl: np.ndarray,
-    d: np.ndarray,
-    Sig2: np.ndarray,
-    W: np.ndarray,
-    l_vec: np.ndarray,
-    c: np.ndarray,
-    W_term: np.ndarray,
-    l_term: Optional[np.ndarray] = None,
-    c_term: float = 0.0,
-):
+def closed_loop_cost_moments(grid: TimeGrid, rho: float, x0_mean: np.ndarray,
+                             x0_cov: np.ndarray, A_cl: np.ndarray, d: np.ndarray,
+                             Sig2: np.ndarray, W: np.ndarray, l_vec: np.ndarray,
+                             c: np.ndarray, terminal) -> float:
     """Exact discounted quadratic cost of a linear closed loop.
 
-    Propagates mean and covariance of dx = (A_cl(t) x + d(t)) dt + noise
-    and accumulates J = (1/2) E int e^{-rho t} (x'Wx + 2x'l + c) dt plus the
-    terminal (1/2) e^{-rho T} E(x'W_term x + 2 x'l_term + c_term) in the
-    same RK4 sweep.  All time-varying tables are indexed by half-step
-    stages q = 0..2M at times q*h/2.
-
-    Returns (J, mu nodes array, V nodes array).
+    Propagates the covariance V and mean mu of dx = (A_cl(t) x + d(t)) dt +
+    noise, with Sig2 = sigma sigma', and accumulates the running cost
+    J = (1/2) E int e^{-rho t} (x'Wx + 2x'l + c) dt in the same RK4 sweep,
+    with (V, mu, J) packed into one flat state.  terminal = (W_T, l_T, c_T)
+    adds (1/2) e^{-rho T} E(x'W_T x + 2x'l_T + c_T).  All time-varying
+    tables are indexed by half-step stages q = 0..2M at times q*h/2.
     """
-    M = grid.num_steps
-    h = grid.h
-    disc = _discount_stages(grid, rho)
     n = x0_mean.shape[0]
-    mu = x0_mean.astype(float).reshape(n, 1).copy()
-    V = symmetrize(np.asarray(x0_cov, dtype=float).reshape(n, n)).copy()
-    jc = 0.0
-    mu_out = np.empty((M + 1, n, 1))
-    V_out = np.empty((M + 1, n, n))
-    mu_out[0], V_out[0] = mu, V
+    shapes = [(n, n), (n, 1), ()]
+    disc = _discount_stages(grid, rho)
 
-    def derivs(q, mu_, V_):
+    def stage_rhs(q, Y):
+        V, mu, _ = unflatten(Y, shapes)
         Aq = A_cl[q]
-        dmu = Aq @ mu_ + d[q]
-        AV = Aq @ V_
-        dV = AV + AV.T + Sig2[q]
-        S = V_ + mu_ @ mu_.T
-        rate = 0.5 * disc[q] * (
-            float(np.tensordot(W[q], S)) + 2.0 * float(np.vdot(mu_, l_vec[q])) + float(c[q])
-        )
-        return dmu, dV, rate
+        AV = Aq @ V
+        S = V + mu @ mu.T
+        rate = 0.5 * disc[q] * (np.vdot(W[q], S) + 2.0 * (l_vec[q].T @ mu).item() + c[q])
+        return flatten(AV + AV.T + Sig2[q], Aq @ mu + d[q], rate)
 
-    for j in range(M):
-        q0, qm, q1 = 2 * j, 2 * j + 1, 2 * j + 2
-        k1 = derivs(q0, mu, V)
-        k2 = derivs(qm, mu + 0.5 * h * k1[0], V + 0.5 * h * k1[1])
-        k3 = derivs(qm, mu + 0.5 * h * k2[0], V + 0.5 * h * k2[1])
-        k4 = derivs(q1, mu + h * k3[0], V + h * k3[1])
-        mu = mu + (h / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        V = symmetrize(V + (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]))
-        jc = jc + (h / 6.0) * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-        if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(V)) and np.isfinite(jc)):
-            raise IntegrationDivergedError(
-                "moment propagation produced a non-finite value at node %d" % (j + 1),
-                node=j + 1,
-                time=(j + 1) * h,
-            )
-        mu_out[j + 1], V_out[j + 1] = mu, V
-
-    S_T = V + mu @ mu.T
-    term = float(np.tensordot(W_term, S_T)) + float(c_term)
-    if l_term is not None:
-        term += 2.0 * float(mu.T @ l_term)
-    jc = jc + 0.5 * disc[-1] * term
-    return jc, mu_out, V_out
+    start = flatten(symmetrize(np.reshape(x0_cov, (n, n))), x0_mean, 0.0)
+    sweep = rk4_forward_indexed(stage_rhs, start, grid, project=symmetrize_leading(n))
+    V, mu, J = unflatten(sweep.values[-1], shapes)
+    W_T, l_T, c_T = terminal
+    S = V + mu @ mu.T
+    term = np.vdot(W_T, S) + 2.0 * (mu.T @ l_T).item() + c_T
+    return float(J + 0.5 * disc[-1] * term)
 
 
 def _law_stage_tables(p: LqgProblem, law) -> tuple:
@@ -503,11 +467,10 @@ def expected_cost(p: LqgProblem, law) -> float:
         - 2.0 * np.einsum("qji,jk->qk", k_tab, p.n_lin)[:, 0]
     )
 
-    J, _, _ = closed_loop_cost_moments(
-        p.grid, p.rho, p.x0, np.zeros((p.n, p.n)),
-        A_cl, d, Sig2, W, l_vec, c, p.Qhat,
+    return closed_loop_cost_moments(
+        p.grid, p.rho, p.x0, np.zeros((p.n, p.n)), A_cl, d, Sig2, W, l_vec, c,
+        (p.Qhat, np.zeros((p.n, 1)), 0.0),
     )
-    return float(J)
 
 
 def _open_loop_trajectory(p: LqgProblem, u: GridFunction) -> GridFunction:

@@ -11,7 +11,7 @@ state extended by the mean field, and each minor type's state extended by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -184,7 +184,6 @@ class MeanFieldMatrices:
     Gbreve: np.ndarray     # nK x n, stacked G_k
     Bbreve: np.ndarray     # nK x mK, block-diagonal B_k
     mbreve: GridFunction   # nK x 1, stacked b_k
-    selectors: List[np.ndarray] = field(default_factory=list)
 
 
 @dataclass
@@ -193,7 +192,6 @@ class ExtendedMajorSystem:
 
     Atilde0: GridFunction  # (n+nK) x (n+nK) drift
     Bb0: np.ndarray        # (n+nK) x m, control channel [B0; 0]
-    Btilde0: np.ndarray    # (n+nK) x mK, minor channels [0; Bbreve]
     Mtilde0: GridFunction  # (n+nK) x 1 drift offset
     Sigma0: np.ndarray     # (n+nK) x (n+nK), sigma0 embedded top-left
     G0ext: np.ndarray      # terminal weight
@@ -220,7 +218,6 @@ class ExtendedMinorSystem:
     k: int
     Atildek: GridFunction  # (2n+nK) x (2n+nK) drift
     Bbk: np.ndarray        # (2n+nK) x m, [Bk; 0]
-    Btildek: np.ndarray    # (2n+nK) x mK
     Mtildek: GridFunction  # (2n+nK) x 1
     Sigmak: np.ndarray     # (2n+nK) x (2n+nK)
     Gkext: np.ndarray
@@ -296,7 +293,7 @@ def build_mean_field_matrices(p: MmMfgProblem) -> MeanFieldMatrices:
     mvals = np.concatenate([p.minors[k].bk.values for k in range(K)], axis=1)
     mbreve = GridFunction(p.grid, mvals.reshape(p.grid.num_nodes, n * K, 1))
     return MeanFieldMatrices(
-        Abreve=Abreve, Gbreve=Gbreve, Bbreve=Bbreve, mbreve=mbreve, selectors=sels
+        Abreve=Abreve, Gbreve=Gbreve, Bbreve=Bbreve, mbreve=mbreve
     )
 
 
@@ -331,8 +328,6 @@ def build_extended_major(p: MmMfgProblem, mf) -> ExtendedMajorSystem:
     Atilde0 = GridFunction(p.grid, A)
 
     Bb0 = np.vstack([mj.B0, np.zeros((n * K, m))])
-    mfm = mf if isinstance(mf, MeanFieldMatrices) else build_mean_field_matrices(p)
-    Btilde0 = np.vstack([np.zeros((n, p.m * K)), mfm.Bbreve])
 
     Mvals = np.concatenate([mj.b0.values, m_gf.values], axis=1)
     Mtilde0 = GridFunction(p.grid, Mvals)
@@ -347,7 +342,7 @@ def build_extended_major(p: MmMfgProblem, mf) -> ExtendedMajorSystem:
     etabar0 = T.T @ mj.Q0 @ mj.eta0
     nbar0 = mj.N0.T @ mj.eta0
     return ExtendedMajorSystem(
-        Atilde0=Atilde0, Bb0=Bb0, Btilde0=Btilde0, Mtilde0=Mtilde0,
+        Atilde0=Atilde0, Bb0=Bb0, Mtilde0=Mtilde0,
         Sigma0=Sigma0, G0ext=G0ext, Q0ext=Q0ext, N0ext=N0ext,
         etabar0=etabar0, nbar0=nbar0,
     )
@@ -387,7 +382,6 @@ def build_extended_minor(
     Atildek = GridFunction(p.grid, A)
 
     Bbk = np.vstack([mn.Bk, np.zeros((d0, m))])
-    Btildek = np.vstack([np.zeros((n, p.m * K)), major_ext.Btilde0])
 
     # Mtildek(t) = [b_k; Mtilde0(t) - Bb0 R0^{-1} Bb0' s0(t)]
     shift = np.einsum("ab,jbc->jac", BRB, s0.values)
@@ -407,7 +401,7 @@ def build_extended_minor(
     etabark = S.T @ mn.Qk @ mn.etak
     nbark = mn.Nk.T @ mn.etak
     return ExtendedMinorSystem(
-        k=k, Atildek=Atildek, Bbk=Bbk, Btildek=Btildek, Mtildek=Mtildek,
+        k=k, Atildek=Atildek, Bbk=Bbk, Mtildek=Mtildek,
         Sigmak=Sigmak, Gkext=Gkext, Qkext=Qkext, Nkext=Nkext,
         etabark=etabark, nbark=nbark,
     )

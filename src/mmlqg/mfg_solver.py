@@ -56,7 +56,13 @@ from .mfg_model import (
     selector,
     validate_problem,
 )
-from .numerics import GridFunction, TimeGrid
+from .numerics import (
+    GridFunction,
+    TimeGrid,
+    flatten,
+    rk4_forward_indexed,
+    unflatten,
+)
 
 ANDERSON_MEMORY = 5    # past iterates each Anderson step combines
 RANK_CUTOFF = 1e-10    # relative singular-value cutoff of the weight fit
@@ -208,19 +214,6 @@ def _initial_law(p: MmMfgProblem) -> MeanFieldLaw:
     return MeanFieldLaw(*(GridFunction(p.grid, v) for v in tables))
 
 
-def _flatten(*arrays) -> np.ndarray:
-    return np.concatenate([a.ravel() for a in arrays])
-
-
-def _unflatten(x: np.ndarray, shapes) -> list:
-    parts, start = [], 0
-    for shape in shapes:
-        size = int(np.prod(shape))
-        parts.append(x[start:start + size].reshape(shape))
-        start += size
-    return parts
-
-
 def _anderson(evaluate, x: np.ndarray, cfg: FixedPointConfig, what: str):
     """Anderson-accelerated solution of x = F(x) on a flat vector.
 
@@ -276,18 +269,18 @@ def _finite_map(p: MmMfgProblem, law0: MeanFieldLaw):
     mbreve = build_mean_field_matrices(p).mbreve.values
 
     def evaluate(x):
-        law = MeanFieldLaw(*(GridFunction(p.grid, v) for v in _unflatten(x, shapes)))
+        law = MeanFieldLaw(*(GridFunction(p.grid, v) for v in unflatten(x, shapes)))
         ext_major = build_extended_major(p, law)
         Pi0, s0 = _solve_major(p, ext_major)
         ext_minors = [build_extended_minor(p, k, Pi0, s0, law) for k in range(p.K)]
         Piks, sks = map(list, zip(*(_solve_minor(p, ext) for ext in ext_minors)))
-        fx = _flatten(*_closure_law(
+        fx = flatten(*_closure_law(
             p, ext_minors, [P.values[:, :p.n] for P in Piks],
             [s.values[:, :p.n] for s in sks], mbreve,
         ))
         return fx, (law, ext_major, Pi0, s0, ext_minors, Piks, sks)
 
-    return _flatten(law0.Abar.values, law0.Gbar.values, law0.mbar.values), evaluate
+    return flatten(law0.Abar.values, law0.Gbar.values, law0.mbar.values), evaluate
 
 
 def solve_consistency_finite(p: MmMfgProblem, cfg: Optional[FixedPointConfig] = None) -> MfgSolution:
@@ -344,27 +337,6 @@ def equilibrium_feedback_minor(sol: MfgSolution, k: int, t: float, Xi: np.ndarra
     return sol.minor_laws[k](t, Xi)
 
 
-def mean_field_step(Ab_st, Gb_st, mb_st, j: int, h: float,
-                    xbar, x0_now, x0_next):
-    """One RK4 step of dxbar = Abar xbar + Gbar x0 + mbar over [t_j, t_{j+1}].
-
-    Stage tables are half-step indexed; the driving x0 path enters through
-    its endpoint values with the midpoint taken as their average (exact for
-    a linearly interpolated path).  Batched: xbar (..., nK), x0 (..., n).
-    """
-    x0_mid = 0.5 * (x0_now + x0_next)
-    q0, qm, q1 = 2 * j, 2 * j + 1, 2 * j + 2
-
-    def f(q, xb, x0v):
-        return xb @ Ab_st[q].T + x0v @ Gb_st[q].T + mb_st[q][:, 0]
-
-    k1 = f(q0, xbar, x0_now)
-    k2 = f(qm, xbar + 0.5 * h * k1, x0_mid)
-    k3 = f(qm, xbar + 0.5 * h * k2, x0_mid)
-    k4 = f(q1, xbar + h * k3, x0_next)
-    return xbar + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def mean_field_step_euler(Ab_st, Gb_st, mb_st, j: int, h: float, xbar, x0_now):
     """One explicit Euler step; the step the population simulator takes.
 
@@ -390,26 +362,25 @@ def mean_field_trajectory(sol: MfgSolution, x0_path: GridFunction,
         raise SchemaError("x0_path must be n x 1 on the grid")
     if method not in ("rk4", "euler"):
         raise SchemaError("method must be 'rk4' or 'euler'")
-    x0 = x0_path.values[:, :, 0]
     xb = np.zeros(nK) if xbar0 is None else np.asarray(xbar0, dtype=float).reshape(nK)
     Ab_st = _stage_values(sol.mf_law.Abar)
     Gb_st = _stage_values(sol.mf_law.Gbar)
     mb_st = _stage_values(sol.mf_law.mbar)
-    M = p.grid.num_steps
-    h = p.grid.h
-    out = np.empty((M + 1, nK, 1))
-    out[0] = xb[:, None]
     if method == "euler":
-        vec = xb
-        for j in range(M):
-            vec = mean_field_step_euler(Ab_st, Gb_st, mb_st, j, h, vec, x0[j])
-            out[j + 1] = vec[:, None]
+        x0 = x0_path.values[:, :, 0]
+        out = np.empty((p.grid.num_nodes, nK, 1))
+        out[0] = xb[:, None]
+        for j in range(p.grid.num_steps):
+            xb = mean_field_step_euler(Ab_st, Gb_st, mb_st, j, p.grid.h, xb, x0[j])
+            out[j + 1] = xb[:, None]
         return GridFunction(p.grid, out)
-    row = xb[None, :]
-    for j in range(M):
-        row = mean_field_step(Ab_st, Gb_st, mb_st, j, h, row, x0[j][None, :], x0[j + 1][None, :])
-        out[j + 1] = row[0][:, None]
-    return GridFunction(p.grid, out)
+    # the x0 path is linear between nodes, so its midpoints are node averages
+    x0_st = _stage_values(x0_path)
+
+    def stage_rhs(q, y):
+        return Ab_st[q] @ y + Gb_st[q] @ x0_st[q] + mb_st[q]
+
+    return rk4_forward_indexed(stage_rhs, xb[:, None], p.grid)
 
 
 # ----------------------------------------------------------------- infinite
@@ -442,7 +413,6 @@ def _carrier(p: MmMfgProblem, Abar, Gbar, mbar, Bbreve) -> MeanFieldMatrices:
     return MeanFieldMatrices(
         Abreve=Abar, Gbreve=Gbar, Bbreve=Bbreve,
         mbreve=GridFunction.constant(p.grid, mbar),
-        selectors=[selector(k, p.n, p.K) for k in range(p.K)],
     )
 
 
@@ -491,7 +461,7 @@ def _stationary_map(p: MmMfgProblem):
     shapes = [(n * K, n * K), (n * K, n), (n * K, 1)]
 
     def evaluate(x):
-        law = Abar, Gbar, mbar = _unflatten(x, shapes)
+        law = Abar, Gbar, mbar = unflatten(x, shapes)
         carrier = _carrier(p, Abar, Gbar, mbar, mfm.Bbreve)
         ext0 = build_extended_major(p, carrier)
         A0 = ext0.Atilde0.values[0]
@@ -521,14 +491,14 @@ def _stationary_map(p: MmMfgProblem):
             ext_minors.append(ext)
             Piks.append(Pik)
             sks.append(sk)
-        fx = _flatten(*_closure_law(
+        fx = flatten(*_closure_law(
             p, ext_minors, [P[None, :n] for P in Piks], [s[None, :n] for s in sks],
             mbreve,
         ))
         return fx, (law, ext0, Pi0, s0, ext_minors, Piks, sks)
 
     law0 = _initial_law(p)
-    x0 = _flatten(law0.Abar.values[0], law0.Gbar.values[0], law0.mbar.values[0])
+    x0 = flatten(law0.Abar.values[0], law0.Gbar.values[0], law0.mbar.values[0])
     return x0, evaluate
 
 

@@ -23,7 +23,7 @@ expected_cost_exact, which closes every block directly
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -32,10 +32,16 @@ from .errors import (
     IntegrationDivergedError,
     RiccatiBlowupError,
 )
-from .lqg_single import spd_solver
+from .lqg_single import closed_loop_cost_moments, spd_solver
 from .mfg_model import MmMfgProblem
 from .mfg_solver import MfgSolution
-from .numerics import symmetrize
+from .numerics import (
+    flatten,
+    rk4_backward_indexed,
+    symmetrize,
+    symmetrize_leading,
+    unflatten,
+)
 from .population_sim import (
     PopulationConfig,
     ReducedPopulation,
@@ -132,62 +138,29 @@ def _check_convexity(js: JointSystem):
         )
 
 
-def _propagate_cost(js: JointSystem, A_of: Callable[[int], np.ndarray],
-                    d_of: Callable[[int], np.ndarray],
-                    L_of: Callable[[int], np.ndarray],
-                    uc_of: Callable[[int], np.ndarray]) -> float:
-    """Exact deviator cost of the policy u = L(q) y + uc(q) by moment
-    propagation of the closed loop dy = (A y + d) dt + noise."""
+def _policy_cost(js: JointSystem, L: np.ndarray, uc: np.ndarray) -> float:
+    """Exact deviator cost of the policy u = L[q] y + uc[q] (stage tables).
+
+    The closed loop dy = ((A + B L) y + d + B uc) dt + noise goes through
+    the package's one moment-and-cost propagator.
+    """
     p = js.p
-    grid = p.grid
-    M, h = grid.num_steps, grid.h
-    disc = np.exp(-p.rho * np.arange(2 * M + 1) * (h / 2.0))
-    mu = js.mu0.copy()
-    V = js.V0.copy()
-    jc = 0.0
-    forms = [_deviation_quadratic(js.C, js.eta, js.Q, js.Ncr, js.R, L_of(q), uc_of(q))
-             for q in range(2 * M + 1)]
-
-    def derivs(q, mu_, V_):
-        Aq = A_of(q)
-        dmu = Aq @ mu_ + d_of(q)
-        AV = Aq @ V_
-        dV = AV + AV.T + js.Sig2
-        W, l, c = forms[q]
-        S2 = V_ + mu_ @ mu_.T
-        rate = 0.5 * disc[q] * (np.vdot(W, S2) + 2.0 * (l.T @ mu_).item() + c)
-        return dmu, dV, rate
-
-    for j in range(M):
-        q0, qm, q1 = 2 * j, 2 * j + 1, 2 * j + 2
-        k1 = derivs(q0, mu, V)
-        k2 = derivs(qm, mu + 0.5 * h * k1[0], V + 0.5 * h * k1[1])
-        k3 = derivs(qm, mu + 0.5 * h * k2[0], V + 0.5 * h * k2[1])
-        k4 = derivs(q1, mu + h * k3[0], V + h * k3[1])
-        mu = mu + (h / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        V = symmetrize(V + (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]))
-        jc = jc + (h / 6.0) * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-        if not (np.all(np.isfinite(mu)) and np.isfinite(jc)):
-            raise IntegrationDivergedError(
-                "joint moment propagation produced a non-finite value at node %d"
-                % (j + 1), node=j + 1, time=(j + 1) * h,
-            )
-
-    S2 = V + mu @ mu.T
-    term = np.vdot(js.W_term, S2) + 2.0 * (mu.T @ js.l_term).item() + js.c_term
-    return jc + 0.5 * disc[-1] * term
+    B = js.B_full
+    stages = range(2 * p.grid.num_steps + 1)
+    A = np.array([js.A_open(q) for q in stages]) + B @ L
+    d = np.array([js.d_open(q) for q in stages]) + B @ uc
+    W, l, c = _deviation_quadratic(js.C, js.eta, js.Q, js.Ncr, js.R, L, uc)
+    return closed_loop_cost_moments(
+        p.grid, p.rho, js.mu0, js.V0, A, d, np.broadcast_to(js.Sig2, A.shape),
+        W, l, c, (js.W_term, js.l_term, js.c_term),
+    )
 
 
 def equilibrium_cost_ode(js: JointSystem) -> float:
     """Deviator's cost with everyone, deviator included, on the MFG law."""
-
-    def L_of(q):
-        return -js.eq_gain(q)[0]
-
-    def uc_of(q):
-        return js.eq_gain(q)[1]
-
-    return _propagate_cost(js, js.A_closed, js.d_closed, L_of, uc_of)
+    Kz, kq = map(np.array, zip(*(js.eq_gain(q)
+                                 for q in range(2 * js.p.grid.num_steps + 1))))
+    return _policy_cost(js, -Kz, kq)
 
 
 @dataclass
@@ -232,7 +205,11 @@ def solve_best_response(js: JointSystem) -> BestResponse:
     B = js.B_full
     Bt = B.T
 
-    def rhs(q, Pi, s, v):
+    DD = D * D
+    shapes = [(D, D), (D, 1), ()]
+
+    def rhs(q, Y):
+        Pi, s, v = unflatten(Y, shapes)
         Aq = js.A_open(q)
         dq = js.d_open(q)
         PB_S = Pi @ B + S
@@ -244,37 +221,23 @@ def solve_best_response(js: JointSystem) -> BestResponse:
         dv = rho * v - (s.T @ dq).item() - 0.5 * cconst \
             - 0.5 * np.vdot(Pi, js.Sig2) \
             + 0.5 * (Bs_r.T @ RBs_r).item()
-        return dPi, ds, dv
+        return flatten(dPi, ds, dv)
 
-    Pi_nodes = np.empty((M + 1, D, D))
-    s_nodes = np.empty((M + 1, D, 1))
-    dPi_nodes = np.empty((M + 1, D, D))
-    ds_nodes = np.empty((M + 1, D, 1))
-    Pi = js.W_term.copy()
-    s = js.l_term.copy()
-    v = 0.5 * js.c_term
-    Pi_nodes[M], s_nodes[M] = Pi, s
-
+    # (Pi, s, v) packed; Pi[T], s[T], v[T] are the terminal form's pieces
+    terminal = flatten(js.W_term, js.l_term, 0.5 * js.c_term)
+    try:
+        sweep = rk4_backward_indexed(rhs, terminal, grid, project=symmetrize_leading(D))
+    except IntegrationDivergedError as exc:
+        raise RiccatiBlowupError(
+            "joint backward sweep diverged: %s" % exc, node=exc.node, time=exc.time
+        ) from exc
+    nodes = sweep.values[:, 0]
+    # node derivatives, the k1 of every step, for the Hermite midpoints
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(M - 1, -1, -1):
-            q1, qm, q0 = 2 * j + 2, 2 * j + 1, 2 * j
-            k1 = rhs(q1, Pi, s, v)
-            dPi_nodes[j + 1], ds_nodes[j + 1] = k1[0], k1[1]
-            k2 = rhs(qm, Pi - 0.5 * h * k1[0], s - 0.5 * h * k1[1], v - 0.5 * h * k1[2])
-            k3 = rhs(qm, Pi - 0.5 * h * k2[0], s - 0.5 * h * k2[1], v - 0.5 * h * k2[2])
-            k4 = rhs(q0, Pi - h * k3[0], s - h * k3[1], v - h * k3[2])
-            Pi = symmetrize(Pi - (h / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]))
-            s = s - (h / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-            v = v - (h / 6.0) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-            if not (np.all(np.isfinite(Pi)) and np.all(np.isfinite(s))
-                    and np.isfinite(v)):
-                raise RiccatiBlowupError(
-                    "joint backward sweep diverged at node %d" % j,
-                    node=j, time=grid.nodes[j],
-                )
-            Pi_nodes[j], s_nodes[j] = Pi, s
-        k0 = rhs(0, Pi, s, v)
-        dPi_nodes[0], ds_nodes[0] = k0[0], k0[1]
+        derivs = np.array([rhs(2 * j, nodes[j]) for j in range(M + 1)])
+    Pi_nodes, s_nodes = nodes[:, :DD].reshape(-1, D, D), nodes[:, DD:DD + D, None]
+    dPi_nodes, ds_nodes = derivs[:, :DD].reshape(-1, D, D), derivs[:, DD:DD + D, None]
+    v = nodes[0, -1]
 
     # stage tables: cubic Hermite midpoints keep the forward pass O(h^4)
     nq = 2 * M + 1
@@ -296,14 +259,7 @@ def solve_best_response(js: JointSystem) -> BestResponse:
                            + (mu0.T @ Pi_nodes[0] @ mu0).item()) \
         + (s_nodes[0].T @ mu0).item() + v
 
-    def A_of(q):
-        return js.A_open(q) - B @ gains[q]
-
-    def d_of(q):
-        return js.d_open(q) - B @ ffs[q]
-
-    cost = _propagate_cost(js, A_of, d_of,
-                           lambda q: -gains[q], lambda q: -ffs[q])
+    cost = _policy_cost(js, -gains, -ffs)
     return BestResponse(
         gains=gains, feedforwards=ffs, Pi=Pi_nodes, s=s_nodes,
         cost=cost, cost_value_fn=cost_value_fn,

@@ -1,13 +1,17 @@
 """Deterministic numerical substrate.
 
-Uniform time grids, classic fixed-step RK4 sweeps for matrix-valued ODEs in
-both directions, linear interpolation, and symmetric/PSD utilities.  Every
-solver in the package shares one discretization, so all grids are uniform
-and all sweeps land exactly on the grid nodes.
+Uniform time grids, the classic fixed-step RK4 sweep for matrix-valued ODEs
+in both directions, linear interpolation, and symmetric/PSD utilities.
+Every solver in the package shares one discretization, so all grids are
+uniform and all sweeps land exactly on the grid nodes.  Every RK4 sweep in
+the package steps through the one loop here, _rk4_sweep, with its
+coefficients read from half-step stage tables; a state made of several
+parts travels packed into one contiguous array (flatten / unflatten).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -117,9 +121,9 @@ def interp(gf: GridFunction, t: float) -> np.ndarray:
 
 
 def symmetrize(P: np.ndarray) -> np.ndarray:
-    """Return (P + P^T) / 2."""
+    """Return (P + P^T) / 2, matrix by matrix for a stack."""
     P = np.asarray(P, dtype=float)
-    return 0.5 * (P + P.T)
+    return 0.5 * (P + P.swapaxes(-1, -2))
 
 
 def psd_check(P: np.ndarray, tol: float) -> bool:
@@ -129,6 +133,41 @@ def psd_check(P: np.ndarray, tol: float) -> bool:
         return True
     w = np.linalg.eigvalsh(P)
     return bool(w[0] >= -tol)
+
+
+def flatten(*parts) -> np.ndarray:
+    """One flat array of every part's elements, in order (C order within)."""
+    return np.concatenate(parts, axis=None)
+
+
+def unflatten(x: np.ndarray, shapes) -> list:
+    """Views of consecutive blocks of x's elements, one per shape.
+
+    Inverse of flatten for a contiguous x.  A scalar part, shape (), comes
+    back as a number, not a view: 0-d array arithmetic is slow.
+    """
+    flat = x.reshape(-1)
+    parts, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        parts.append(flat[start:start + size].reshape(shape) if shape else flat[start])
+        start += size
+    return parts
+
+
+def symmetrize_leading(n: int):
+    """Projection that symmetrizes the leading n x n block of a packed state.
+
+    For sweeps of a matrix ODE packed with other parts (see flatten): the
+    state is changed in place and returned.
+    """
+
+    def project(Y):
+        P = unflatten(Y, [(n, n)])[0]
+        P[...] = symmetrize(P)
+        return Y
+
+    return project
 
 
 def _check_finite(Y: np.ndarray, node: int, t: float, what: str):
@@ -141,114 +180,64 @@ def _check_finite(Y: np.ndarray, node: int, t: float, what: str):
         )
 
 
-def integrate_backward(rhs, terminal, grid: TimeGrid, project=None) -> GridFunction:
-    """Classic RK4 sweep of dY/dt = rhs(t, Y) from t_end down to 0.
+def _rk4_sweep(stage_rhs, start, grid: TimeGrid, sign: int, project) -> GridFunction:
+    """The package's one RK4 stepping loop: forward for sign +1, backward for -1.
 
-    terminal is stored at the last node exactly.  project, if given, is
-    applied to the state after every completed step (used to symmetrize
-    Riccati iterates).  A non-finite value at any stage raises
+    stage_rhs(q, Y) is the derivative at time q * h / 2.  start is stored
+    exactly at the first node; project, if given, is applied to the state
+    after every completed step.  A non-finite value raises
     IntegrationDivergedError naming the node.
     """
-    Y = np.atleast_2d(np.asarray(terminal, dtype=float)).copy()
-    h = grid.h
+    Y = np.atleast_2d(np.asarray(start, dtype=float)).copy()
     M = grid.num_steps
+    h = sign * grid.h
+    first = 0 if sign > 0 else M
+    what = "forward integration" if sign > 0 else "backward integration"
     out = np.empty((M + 1,) + Y.shape)
-    out[M] = Y
-    t = grid.t_end
+    out[first] = Y
     # overflow in a diverging sweep is expected; the finite check reports it
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(M - 1, -1, -1):
-            k1 = rhs(t, Y)
-            k2 = rhs(t - 0.5 * h, Y - 0.5 * h * k1)
-            k3 = rhs(t - 0.5 * h, Y - 0.5 * h * k2)
-            k4 = rhs(t - h, Y - h * k3)
-            Y = Y - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if project is not None:
-                Y = project(Y)
-            _check_finite(Y, j, t - h, "backward integration")
-            out[j] = Y
-            t -= h
-    return GridFunction(grid, out)
-
-
-def integrate_forward(rhs, initial, grid: TimeGrid, project=None) -> GridFunction:
-    """Classic RK4 sweep of dY/dt = rhs(t, Y) from 0 up to t_end.
-
-    Mirror of integrate_backward; initial is stored at node 0 exactly.
-    """
-    Y = np.atleast_2d(np.asarray(initial, dtype=float)).copy()
-    h = grid.h
-    M = grid.num_steps
-    out = np.empty((M + 1,) + Y.shape)
-    out[0] = Y
-    t = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(1, M + 1):
-            k1 = rhs(t, Y)
-            k2 = rhs(t + 0.5 * h, Y + 0.5 * h * k1)
-            k3 = rhs(t + 0.5 * h, Y + 0.5 * h * k2)
-            k4 = rhs(t + h, Y + h * k3)
+        for i in range(M):
+            a = first + sign * i
+            b = a + sign
+            k1 = stage_rhs(2 * a, Y)
+            k2 = stage_rhs(a + b, Y + 0.5 * h * k1)
+            k3 = stage_rhs(a + b, Y + 0.5 * h * k2)
+            k4 = stage_rhs(2 * b, Y + h * k3)
             Y = Y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             if project is not None:
                 Y = project(Y)
-            _check_finite(Y, j, t + h, "forward integration")
-            out[j] = Y
-            t += h
+            _check_finite(Y, b, b * grid.h, what)
+            out[b] = Y
     return GridFunction(grid, out)
 
 
 def rk4_backward_indexed(stage_rhs, terminal, grid: TimeGrid, project=None) -> GridFunction:
-    """RK4 backward sweep whose right-hand side is queried by half-step index.
+    """RK4 sweep from t_end down to 0 whose right-hand side is queried by
+    half-step index.
 
     stage_rhs(q, Y) evaluates the derivative at time q * h / 2, so nodes are
     even q and interval midpoints odd q.  Lets callers with tabulated
-    time-varying coefficients avoid interpolation in the hot loop.  Same
-    stepping arithmetic as integrate_backward.
+    time-varying coefficients avoid interpolation in the hot loop.
+    terminal is stored at the last node exactly; project (used to
+    symmetrize Riccati iterates) follows every step.
     """
-    Y = np.atleast_2d(np.asarray(terminal, dtype=float)).copy()
-    h = grid.h
-    M = grid.num_steps
-    out = np.empty((M + 1,) + Y.shape)
-    out[M] = Y
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(M - 1, -1, -1):
-            q1 = 2 * (j + 1)
-            qm = 2 * j + 1
-            q0 = 2 * j
-            k1 = stage_rhs(q1, Y)
-            k2 = stage_rhs(qm, Y - 0.5 * h * k1)
-            k3 = stage_rhs(qm, Y - 0.5 * h * k2)
-            k4 = stage_rhs(q0, Y - h * k3)
-            Y = Y - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if project is not None:
-                Y = project(Y)
-            _check_finite(Y, j, j * h, "backward integration")
-            out[j] = Y
-    return GridFunction(grid, out)
+    return _rk4_sweep(stage_rhs, terminal, grid, -1, project)
 
 
 def rk4_forward_indexed(stage_rhs, initial, grid: TimeGrid, project=None) -> GridFunction:
-    """Forward mirror of rk4_backward_indexed."""
-    Y = np.atleast_2d(np.asarray(initial, dtype=float)).copy()
+    """Forward mirror of rk4_backward_indexed; initial is stored at node 0."""
+    return _rk4_sweep(stage_rhs, initial, grid, 1, project)
+
+
+def integrate_backward(rhs, terminal, grid: TimeGrid, project=None) -> GridFunction:
+    """rk4_backward_indexed with the right-hand side rhs(t, Y) given by time.
+
+    Nothing in the package calls it; the benchmark tracer
+    (perfbench/spans.py) still wraps this name.
+    """
     h = grid.h
-    M = grid.num_steps
-    out = np.empty((M + 1,) + Y.shape)
-    out[0] = Y
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(1, M + 1):
-            q0 = 2 * (j - 1)
-            qm = 2 * j - 1
-            q1 = 2 * j
-            k1 = stage_rhs(q0, Y)
-            k2 = stage_rhs(qm, Y + 0.5 * h * k1)
-            k3 = stage_rhs(qm, Y + 0.5 * h * k2)
-            k4 = stage_rhs(q1, Y + h * k3)
-            Y = Y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if project is not None:
-                Y = project(Y)
-            _check_finite(Y, j, j * h, "forward integration")
-            out[j] = Y
-    return GridFunction(grid, out)
+    return _rk4_sweep(lambda q, Y: rhs(0.5 * q * h, Y), terminal, grid, -1, project)
 
 
 def cumulative_simpson(values: np.ndarray, h: float) -> np.ndarray:

@@ -183,9 +183,7 @@ def simulate_population(p: MmMfgProblem, sol: MfgSolution,
     covm = cfg.init_cov_minor if cfg.init_cov_minor is not None else p.init_cov_minor
     sqrt0 = psd_sqrt(np.asarray(cov0, dtype=float))
     sqrtm = psd_sqrt(np.asarray(covm, dtype=float))
-    xbar_init = np.zeros(n * K) if cfg.xbar0 is None else cfg.xbar0
-    if xbar_init.shape != (n * K,):
-        raise SchemaError("xbar0 must have length n*K")
+    xbar_init = _initial_mean_field(p, cfg)
 
     # node tables for the laws and drifts
     K0v, k0v = sol.major_law.K.values, sol.major_law.k.values
@@ -302,14 +300,16 @@ def _deviation_quadratic(C, eta, Q, Ncr, R, L_u, u_c):
     """Quadratic form (W, l, c) of dev'Q dev + 2 dev'N u + u'R u.
 
     dev = C z - eta and u = L_u z + u_c; the returned pieces satisfy
-    z'Wz + 2 z'l + c for every z.
+    z'Wz + 2 z'l + c for every z.  L_u and u_c may be stage tables, with
+    a leading stage axis, and W, l and c are then tables too.
     """
     CN = C.T @ Ncr
     cross = CN @ L_u
-    W = symmetrize(C.T @ Q @ C + cross + cross.T + L_u.T @ R @ L_u)
-    l = -C.T @ (Q @ eta) + CN @ u_c + L_u.T @ (R @ u_c - Ncr.T @ eta)
-    c = (eta.T @ Q @ eta - 2.0 * eta.T @ Ncr @ u_c + u_c.T @ R @ u_c).item()
-    return W, l, c
+    L_t = np.swapaxes(L_u, -1, -2)
+    W = symmetrize(C.T @ Q @ C + cross + np.swapaxes(cross, -1, -2) + L_t @ R @ L_u)
+    l = -C.T @ (Q @ eta) + CN @ u_c + L_t @ (R @ u_c - Ncr.T @ eta)
+    c = eta.T @ Q @ eta - 2.0 * eta.T @ Ncr @ u_c + np.swapaxes(u_c, -1, -2) @ R @ u_c
+    return W, l, c[..., 0, 0]
 
 
 def finite_cost_monte_carlo(p: MmMfgProblem, bundle: TrajectoryBundle,
@@ -359,6 +359,14 @@ def _type_of(p: MmMfgProblem, cfg: PopulationConfig) -> np.ndarray:
     if np.any(type_of < 0) or np.any(type_of >= p.K):
         raise SchemaError("type_assignment contains an unknown type index")
     return type_of
+
+
+def _initial_mean_field(p: MmMfgProblem, cfg: PopulationConfig) -> np.ndarray:
+    """cfg.xbar0 (zero when unset), checked to have length n*K."""
+    xbar0 = np.zeros(p.n * p.K) if cfg.xbar0 is None else cfg.xbar0
+    if xbar0.shape != (p.n * p.K,):
+        raise SchemaError("xbar0 must have length n*K")
+    return xbar0
 
 
 class ReducedPopulation:
@@ -459,8 +467,7 @@ class ReducedPopulation:
             self.Sig2[r, r] = sig @ sig.T / c
             self.V0[r, r] = np.asarray(cov) / c
         self.mu0 = np.zeros((self.D, 1))
-        if cfg.xbar0 is not None:
-            self.mu0[self.xb_off:self.xb_off + n * K, 0] = cfg.xbar0
+        self.mu0[self.xb_off:self.xb_off + n * K, 0] = _initial_mean_field(p, cfg)
 
     def _sel(self, off: int, width: int) -> np.ndarray:
         S = np.zeros((width, self.D))

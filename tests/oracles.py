@@ -1,5 +1,9 @@
-"""Test-only oracles: the dense finite-N joint system and its routes.
+"""Test-only oracles: time-callback RK4 sweeps, and the dense finite-N
+joint system and its routes.
 
+The package steps every ODE through one stage-indexed RK4 loop; the
+sweeps here take the right-hand side as a function of time and carry
+their own stepping loops, so they are an independent reference for it.
 nash_gap works on the exact reduced state (x_dev, x0, xbar, S_1..S_K).
 The dense assembly here keeps every agent's state, costs O(N^3) per step
 and serves small N as the reference the reduced system must match.  The
@@ -18,14 +22,15 @@ import numpy as np
 from mmlqg.errors import (
     AssumptionViolationError,
     DimensionGuardError,
+    IntegrationDivergedError,
     RiccatiBlowupError,
     SchemaError,
 )
 from mmlqg.lqg_single import _stage_values, psd_sqrt
 from mmlqg.mfg_model import MmMfgProblem
 from mmlqg.mfg_solver import MfgSolution
-from mmlqg.nash_gap import _check_convexity, _propagate_cost
-from mmlqg.numerics import symmetrize, trapezoid_weights
+from mmlqg.nash_gap import _check_convexity, _policy_cost
+from mmlqg.numerics import GridFunction, TimeGrid, symmetrize, trapezoid_weights
 from mmlqg.population_sim import (
     PopulationConfig,
     _deviation_quadratic,
@@ -34,6 +39,70 @@ from mmlqg.population_sim import (
     discrete_chain_cost,
     simulate_population,
 )
+
+
+def _check_finite(Y: np.ndarray, node: int, t: float, what: str):
+    if not np.all(np.isfinite(Y)):
+        raise IntegrationDivergedError(
+            "%s produced a non-finite value at node %d (t = %.12g)"
+            % (what, node, t),
+            node=node,
+            time=t,
+        )
+
+
+def integrate_backward(rhs, terminal, grid: TimeGrid, project=None) -> GridFunction:
+    """Classic RK4 sweep of dY/dt = rhs(t, Y) from t_end down to 0.
+
+    terminal is stored at the last node exactly.  project, if given, is
+    applied to the state after every completed step.  A non-finite value
+    raises IntegrationDivergedError naming the node.
+    """
+    Y = np.atleast_2d(np.asarray(terminal, dtype=float)).copy()
+    h = grid.h
+    M = grid.num_steps
+    out = np.empty((M + 1,) + Y.shape)
+    out[M] = Y
+    t = grid.t_end
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(M - 1, -1, -1):
+            k1 = rhs(t, Y)
+            k2 = rhs(t - 0.5 * h, Y - 0.5 * h * k1)
+            k3 = rhs(t - 0.5 * h, Y - 0.5 * h * k2)
+            k4 = rhs(t - h, Y - h * k3)
+            Y = Y - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if project is not None:
+                Y = project(Y)
+            _check_finite(Y, j, t - h, "backward integration")
+            out[j] = Y
+            t -= h
+    return GridFunction(grid, out)
+
+
+def integrate_forward(rhs, initial, grid: TimeGrid, project=None) -> GridFunction:
+    """Classic RK4 sweep of dY/dt = rhs(t, Y) from 0 up to t_end.
+
+    Mirror of integrate_backward; initial is stored at node 0 exactly.
+    """
+    Y = np.atleast_2d(np.asarray(initial, dtype=float)).copy()
+    h = grid.h
+    M = grid.num_steps
+    out = np.empty((M + 1,) + Y.shape)
+    out[0] = Y
+    t = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(1, M + 1):
+            k1 = rhs(t, Y)
+            k2 = rhs(t + 0.5 * h, Y + 0.5 * h * k1)
+            k3 = rhs(t + 0.5 * h, Y + 0.5 * h * k2)
+            k4 = rhs(t + h, Y + h * k3)
+            Y = Y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if project is not None:
+                Y = project(Y)
+            _check_finite(Y, j, t + h, "forward integration")
+            out[j] = Y
+            t += h
+    return GridFunction(grid, out)
 
 
 @dataclass
@@ -303,18 +372,7 @@ class DenseJointSystem:
 def best_response_perturbed_cost(js, br, eps: float, omega: np.ndarray) -> float:
     """Exact cost of u = u_br + eps * omega (constant direction omega)."""
     omega = np.asarray(omega, dtype=float).reshape(js.m, 1)
-    shift = eps * omega
-    B = js.B_full
-
-    def A_of(q):
-        return js.A_open(q) - B @ br.gains[q]
-
-    def d_of(q):
-        return js.d_open(q) + B @ (shift - br.feedforwards[q])
-
-    return _propagate_cost(js, A_of, d_of,
-                           lambda q: -br.gains[q],
-                           lambda q: shift - br.feedforwards[q])
+    return _policy_cost(js, -br.gains, eps * omega - br.feedforwards)
 
 
 @dataclass

@@ -19,13 +19,12 @@ from mmlqg.mfg_model import MajorParams, MinorTypeParams, MmMfgProblem
 from mmlqg.mfg_solver import (
     FixedPointConfig,
     _finite_map,
-    _flatten,
     _initial_law,
     _stationary_map,
     solve_consistency_finite,
     solve_consistency_infinite,
 )
-from mmlqg.numerics import TimeGrid
+from mmlqg.numerics import TimeGrid, flatten
 
 REF_TOL = 1e-12
 SOLVER_TOL = 1e-10
@@ -131,7 +130,7 @@ def test_finite_solver_matches_picard_reference(g):
         ref, ref_err,
         lambda: solve_consistency_finite(
             p, FixedPointConfig(tol=SOLVER_TOL, max_iters=g["budget"])),
-        lambda sol: (_flatten(sol.mf_law.Abar.values, sol.mf_law.Gbar.values,
+        lambda sol: (flatten(sol.mf_law.Abar.values, sol.mf_law.Gbar.values,
                               sol.mf_law.mbar.values), sol.Pi0.values),
     )
 
@@ -149,5 +148,5 @@ def test_stationary_solver_matches_picard_reference(g, rho):
         ref, ref_err,
         lambda: solve_consistency_infinite(
             p, FixedPointConfig(tol=SOLVER_TOL, max_iters=g["budget"])),
-        lambda sol: (_flatten(sol.Abar, sol.Gbar, sol.mbar), sol.Pi0),
+        lambda sol: (flatten(sol.Abar, sol.Gbar, sol.mbar), sol.Pi0),
     )

@@ -213,6 +213,21 @@ def test_cost_zero_trajectory():
     assert expected_cost(p, law) == pytest.approx(0.0, abs=1e-15)
 
 
+def test_cost_ornstein_uhlenbeck_closed_form():
+    # dx = a x dt + sigma dW, no control: E x^2 = (x0^2 + c) e^{2at} - c with
+    # c = sigma^2 / (2a), so the discounted cost integrates in closed form
+    a, sigma, x0, rho, q, qhat, T = -0.7, 0.4, 1.3, 0.5, 2.0, 0.8, 1.5
+    p = scalar_problem(A=[[a]], B=[[0.0]], sigma=[[sigma]], Q=[[q]],
+                       Qhat=[[qhat]], rho=rho, grid=TimeGrid(T, 400), x0=[[x0]])
+    c = sigma ** 2 / (2.0 * a)
+    running = (x0 ** 2 + c) * math.expm1((2.0 * a - rho) * T) / (2.0 * a - rho) \
+        + c * math.expm1(-rho * T) / rho
+    terminal = math.exp(-rho * T) * ((x0 ** 2 + c) * math.exp(2.0 * a * T) - c)
+    J = 0.5 * q * running + 0.5 * qhat * terminal
+    got = expected_cost(p, GridFunction.zeros(p.grid, 1))
+    assert got == pytest.approx(J, rel=1e-9, abs=0.0)
+
+
 def test_cost_matches_monte_carlo():
     p = rich_scalar_problem(M=400, sigma=0.4)
     sol = solve_finite_horizon(p)

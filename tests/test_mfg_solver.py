@@ -22,8 +22,9 @@ from mmlqg.mfg_solver import (
     solve_consistency_finite,
     solve_consistency_infinite,
 )
-from mmlqg.numerics import GridFunction, integrate_forward
+from mmlqg.numerics import GridFunction
 from mmlqg.toys import coupled_toy, decoupled_toy
+from oracles import integrate_forward
 
 
 def major_standalone(p):

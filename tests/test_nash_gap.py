@@ -106,6 +106,17 @@ def test_deviator_out_of_range_rejected(coupled):
         build_joint_closed_loop(p, sol, PopulationConfig(N=3), 4)
 
 
+@pytest.mark.parametrize("xbar0", [[0.3], [0.3, -0.1, 0.2]])
+def test_wrong_length_xbar0_rejected_by_exact_routes(xbar0):
+    p = coupled_toy(M=20)
+    sol = solve_consistency_finite(p)
+    cfg = PopulationConfig(N=3, xbar0=xbar0)
+    with pytest.raises(SchemaError):
+        expected_cost_exact(p, sol, cfg, 1)
+    with pytest.raises(SchemaError):
+        epsilon_nash_gap(p, sol, cfg, 1)
+
+
 def test_undeviated_chain_cost_reproduces_expected_cost(coupled):
     p, sol = coupled
     cfg = PopulationConfig(N=5, master_seed=0)

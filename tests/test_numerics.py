@@ -1,19 +1,20 @@
 """Grid, interpolation, and RK4 sweep tests against closed-form solutions."""
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mmlqg import numerics
 from mmlqg.errors import IntegrationDivergedError, OutOfRangeError, SchemaError
 from mmlqg.numerics import (
     GridFunction,
     TimeGrid,
     cumulative_simpson,
-    integrate_backward,
-    integrate_forward,
     interp,
     psd_check,
     rk4_backward_indexed,
@@ -21,6 +22,7 @@ from mmlqg.numerics import (
     symmetrize,
     trapezoid_weights,
 )
+from oracles import integrate_backward, integrate_forward
 
 
 def test_grid_nodes():
@@ -118,6 +120,34 @@ def test_indexed_sweeps_match_time_sweeps():
     c = integrate_forward(rhs, np.ones((1, 1)), g)
     d = rk4_forward_indexed(stage_rhs, np.ones((1, 1)), g)
     np.testing.assert_allclose(c.values, d.values, rtol=0, atol=1e-14)
+
+
+def test_time_callback_sweep_matches_oracle():
+    g = TimeGrid(1.5, 60)
+
+    def rhs(t, Y):
+        return -Y + math.sin(t) * np.ones((1, 1))
+
+    a = numerics.integrate_backward(rhs, np.zeros((1, 1)), g)
+    b = integrate_backward(rhs, np.zeros((1, 1)), g)
+    np.testing.assert_allclose(a.values, b.values, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("sweep, node", [(rk4_backward_indexed, 9),
+                                         (rk4_forward_indexed, 1)])
+def test_indexed_sweep_reports_the_first_nonfinite_node(sweep, node):
+    with pytest.raises(IntegrationDivergedError) as exc:
+        sweep(lambda q, Y: Y @ Y * 1e200 + 1e200, np.ones((1, 1)), TimeGrid(1.0, 10))
+    assert exc.value.node == node
+
+
+def test_only_numerics_holds_an_rk4_stepping_loop():
+    # the stage combination k1 + 2 k2 + 2 k3 + k4, however it is spelled
+    stage_sum = re.compile(r"k1\S*\s*\+\s*2(\.0)?\s*\*\s*k2")
+    src = Path(numerics.__file__).parent
+    holders = sorted(f.name for f in src.glob("*.py")
+                     if stage_sum.search(f.read_text()))
+    assert holders == ["numerics.py"]
 
 
 def test_project_hook_applied():
