@@ -141,8 +141,8 @@ def cmd_solve_mfg(cfg: dict, cfg_path: str, out: Path, seed, threads: int) -> in
     _write_csv(out / "residuals.csv", ("iteration", "residual"),
                [(i, r) for i, r in enumerate(sol.report.residual_history)])
     term_gap = max(
-        [float(np.abs(sol.Pi0.values[-1] - sol.ext_major.G0ext).max())]
-        + [float(np.abs(sol.Pik[k].values[-1] - sol.ext_minors[k].Gkext).max())
+        [float(np.abs(sol.Pi0.values[-1] - sol.ext_major.Qhat).max())]
+        + [float(np.abs(sol.Pik[k].values[-1] - sol.ext_minors[k].Qhat).max())
            for k in range(p.K)])
     _write_summary(out, {
         "iterations": sol.report.iterations,

@@ -40,13 +40,19 @@ from .numerics import (
 PSD_TOL = 1e-9  # relative to the largest eigenvalue magnitude
 
 
+def _finite(name: str, v: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(v)):
+        raise SchemaError("%s has a non-finite entry" % name)
+    return v
+
+
 def _as_matrix(name: str, value, rows: int, cols: int) -> np.ndarray:
     m = np.atleast_2d(np.asarray(value, dtype=float))
     if m.shape != (rows, cols):
         raise SchemaError(
             "%s has shape %s, expected (%d, %d)" % (name, m.shape, rows, cols)
         )
-    return m
+    return _finite(name, m)
 
 
 def _as_column(name: str, value, rows: int) -> np.ndarray:
@@ -57,7 +63,15 @@ def _as_column(name: str, value, rows: int) -> np.ndarray:
         raise SchemaError(
             "%s has shape %s, expected (%d, 1)" % (name, v.shape, rows)
         )
-    return v
+    return _finite(name, v)
+
+
+def _as_rate(rho) -> float:
+    """A discount rate: finite and nonnegative."""
+    rho = float(rho)
+    if not 0.0 <= rho < np.inf:
+        raise SchemaError("rho must be finite and nonnegative")
+    return rho
 
 
 def _as_grid_function(name: str, value, grid: TimeGrid, rows: int, cols: int) -> GridFunction:
@@ -74,6 +88,7 @@ def _as_grid_function(name: str, value, grid: TimeGrid, rows: int, cols: int) ->
         raise SchemaError(
             "%s has value shape %s, expected (%d, %d)" % (name, gf.shape, rows, cols)
         )
+    _finite(name, gf.values)
     return gf
 
 
@@ -114,9 +129,7 @@ class LqgProblem:
         self.eta = _as_column("eta", self.eta, n)
         self.n_lin = _as_column("n_lin", self.n_lin, m)
         self.x0 = _as_column("x0", self.x0, n)
-        self.rho = float(self.rho)
-        if self.rho < 0.0:
-            raise SchemaError("rho must be nonnegative")
+        self.rho = _as_rate(self.rho)
         self.b = _as_grid_function("b", self.b, self.grid, n, 1)
         if isinstance(self.sigma, GridFunction):
             self.sigma = _as_grid_function(
@@ -126,7 +139,9 @@ class LqgProblem:
             sig = np.atleast_2d(np.asarray(self.sigma, dtype=float))
             if sig.shape[0] != n:
                 raise SchemaError("sigma must have n rows")
-            self.sigma = GridFunction.constant(self.grid, sig)
+            self.sigma = GridFunction.constant(
+                self.grid, _as_matrix("sigma", sig, n, sig.shape[1])
+            )
 
     @property
     def n(self) -> int:
@@ -597,6 +612,19 @@ def hautus_report(A_shift: np.ndarray, B: np.ndarray, L: np.ndarray, tol: float)
     )
 
 
+def _require_hautus(rep: DetectStabReport, what: str) -> DetectStabReport:
+    """Raise AssumptionViolationError naming the Hautus conditions rep fails;
+    return rep when both hold."""
+    missing = [name for name, ok in (("detectability", rep.detectable),
+                                     ("stabilizability", rep.stabilizable)) if not ok]
+    if missing:
+        raise AssumptionViolationError(
+            "%s fails %s for the shifted drift" % (what, " and ".join(missing)),
+            report=rep,
+        )
+    return rep
+
+
 def psd_sqrt(Q: np.ndarray) -> np.ndarray:
     """Symmetric square root of a PSD matrix (negative rounding clipped)."""
     w, V = np.linalg.eigh(symmetrize(Q))
@@ -687,16 +715,7 @@ def solve_infinite_horizon(p: LqgProblem, tol: float = 1e-9) -> StationarySoluti
         raise AssumptionViolationError(
             "convexity assumptions violated: " + rep.summary(), report=rep
         )
-    ds = detectability_stabilizability(p)
-    if not ds.ok:
-        missing = []
-        if not ds.detectable:
-            missing.append("detectability")
-        if not ds.stabilizable:
-            missing.append("stabilizability")
-        raise AssumptionViolationError(
-            "shifted pair fails " + " and ".join(missing), report=ds
-        )
+    ds = _require_hautus(detectability_stabilizability(p), "LQG system")
 
     Pi = solve_discounted_are(
         p.A, p.B, p.Q, p.N_cross, p.R, p.rho, residual_tol=tol

@@ -22,6 +22,8 @@ from .lqg_single import (
     _as_column,
     _as_grid_function,
     _as_matrix,
+    _as_rate,
+    _finite,
     _min_eig,
     _rel_psd_tol,
     spd_solver,
@@ -119,12 +121,10 @@ class MmMfgProblem:
             mn.etak = _as_column(tag + "etak", mn.etak, n)
             mn.bk = _as_grid_function(tag + "bk", mn.bk, self.grid, n, 1)
 
-        self.pi = np.asarray(self.pi, dtype=float).reshape(-1)
+        self.pi = _finite("pi", np.asarray(self.pi, dtype=float).reshape(-1))
         if self.pi.size != len(self.minors):
             raise SchemaError("pi must have one entry per minor type")
-        self.rho = float(self.rho)
-        if self.rho < 0.0:
-            raise SchemaError("rho must be nonnegative")
+        self.rho = _as_rate(self.rho)
 
         self.init_cov_major = _as_matrix(
             "init_cov_major",
@@ -182,59 +182,42 @@ class MeanFieldMatrices:
 
     Abreve: np.ndarray     # nK x nK, row block k = A_k e_k + F_k^pi
     Gbreve: np.ndarray     # nK x n, stacked G_k
-    Bbreve: np.ndarray     # nK x mK, block-diagonal B_k
     mbreve: GridFunction   # nK x 1, stacked b_k
 
 
 @dataclass
-class ExtendedMajorSystem:
-    """Major state extended by the mean field (dimension n + nK)."""
+class ExtendedSystem:
+    """One agent as a single-agent LQG problem on its extended state.
 
-    Atilde0: GridFunction  # (n+nK) x (n+nK) drift
-    Bb0: np.ndarray        # (n+nK) x m, control channel [B0; 0]
-    Mtilde0: GridFunction  # (n+nK) x 1 drift offset
-    Sigma0: np.ndarray     # (n+nK) x (n+nK), sigma0 embedded top-left
-    G0ext: np.ndarray      # terminal weight
-    Q0ext: np.ndarray      # running weight
-    N0ext: np.ndarray      # (n+nK) x m cross weight
-    etabar0: np.ndarray    # (n+nK) x 1
-    nbar0: np.ndarray      # m x 1
-    dim: int = 0
+    dX = (A(t) X + B u + b(t)) dt with running cost X'QX + 2X'Nu + u'Ru
+    - 2X'eta - 2u'nbar (discounted) and terminal weight Qhat.  The major
+    agent's state is (x0; xbar), dimension n + nK; a minor type's is
+    (x_i; x0; xbar), dimension 2n + nK.  what names the agent in messages.
+    """
 
-    def __post_init__(self):
-        self.dim = self.Bb0.shape[0]
-        for name in ("G0ext", "Q0ext"):
-            W = getattr(self, name)
-            if W.shape != (self.dim, self.dim):
-                raise DimensionGuardError("%s must be %d x %d" % (name, self.dim, self.dim))
-            if not psd_check(W, _rel_psd_tol(W, PSD_BUILD_TOL)):
-                raise SchemaError("%s lost positive semidefiniteness" % name)
-
-
-@dataclass
-class ExtendedMinorSystem:
-    """Minor state extended by (major state, mean field): dim 2n + nK."""
-
-    k: int
-    Atildek: GridFunction  # (2n+nK) x (2n+nK) drift
-    Bbk: np.ndarray        # (2n+nK) x m, [Bk; 0]
-    Mtildek: GridFunction  # (2n+nK) x 1
-    Sigmak: np.ndarray     # (2n+nK) x (2n+nK)
-    Gkext: np.ndarray
-    Qkext: np.ndarray
-    Nkext: np.ndarray      # (2n+nK) x m
-    etabark: np.ndarray    # (2n+nK) x 1
-    nbark: np.ndarray      # m x 1
-    dim: int = 0
+    what: str
+    A: GridFunction        # dim x dim drift
+    B: np.ndarray          # dim x m control channel, [B; 0]
+    b: GridFunction        # dim x 1 drift offset
+    Qhat: np.ndarray       # terminal weight
+    Q: np.ndarray          # running weight
+    N: np.ndarray          # dim x m cross weight
+    R: np.ndarray          # m x m control weight
+    eta: np.ndarray        # dim x 1
+    nbar: np.ndarray       # m x 1
 
     def __post_init__(self):
-        self.dim = self.Bbk.shape[0]
-        for name in ("Gkext", "Qkext"):
+        d = self.dim
+        for name in ("Qhat", "Q"):
             W = getattr(self, name)
-            if W.shape != (self.dim, self.dim):
-                raise DimensionGuardError("%s must be %d x %d" % (name, self.dim, self.dim))
+            if W.shape != (d, d):
+                raise DimensionGuardError("%s %s must be %d x %d" % (self.what, name, d, d))
             if not psd_check(W, _rel_psd_tol(W, PSD_BUILD_TOL)):
-                raise SchemaError("%s lost positive semidefiniteness" % name)
+                raise SchemaError("%s %s lost positive semidefiniteness" % (self.what, name))
+
+    @property
+    def dim(self) -> int:
+        return self.B.shape[0]
 
 
 def validate_problem(p: MmMfgProblem, tol: float = PSD_BUILD_TOL) -> ValidationReport:
@@ -287,14 +270,9 @@ def build_mean_field_matrices(p: MmMfgProblem) -> MeanFieldMatrices:
         [p.minors[k].Ak @ sels[k] + replicate_pi(p.minors[k].Fk, p.pi) for k in range(K)]
     )
     Gbreve = np.vstack([p.minors[k].Gk for k in range(K)])
-    Bbreve = np.zeros((n * K, p.m * K))
-    for k in range(K):
-        Bbreve[k * n:(k + 1) * n, k * p.m:(k + 1) * p.m] = p.minors[k].Bk
     mvals = np.concatenate([p.minors[k].bk.values for k in range(K)], axis=1)
     mbreve = GridFunction(p.grid, mvals.reshape(p.grid.num_nodes, n * K, 1))
-    return MeanFieldMatrices(
-        Abreve=Abreve, Gbreve=Gbreve, Bbreve=Bbreve, mbreve=mbreve
-    )
+    return MeanFieldMatrices(Abreve=Abreve, Gbreve=Gbreve, mbreve=mbreve)
 
 
 def _mean_field_blocks(p: MmMfgProblem, mf) -> tuple:
@@ -311,7 +289,7 @@ def _mean_field_blocks(p: MmMfgProblem, mf) -> tuple:
     )
 
 
-def build_extended_major(p: MmMfgProblem, mf) -> ExtendedMajorSystem:
+def build_extended_major(p: MmMfgProblem, mf) -> ExtendedSystem:
     """Major dynamics and cost on the state (x0; xbar).
 
     Dynamics blocks [[A0, F0^pi], [G, A]] with (A, G, m) taken from the
@@ -325,26 +303,19 @@ def build_extended_major(p: MmMfgProblem, mf) -> ExtendedMajorSystem:
     A[:, :n] = np.hstack([mj.A0, replicate_pi(mj.F0, p.pi)])
     A[:, n:, :n] = G_mf
     A[:, n:, n:] = A_mf
-    Atilde0 = GridFunction(p.grid, A)
-
-    Bb0 = np.vstack([mj.B0, np.zeros((n * K, m))])
-
-    Mvals = np.concatenate([mj.b0.values, m_gf.values], axis=1)
-    Mtilde0 = GridFunction(p.grid, Mvals)
-
-    Sigma0 = np.zeros((d, d))
-    Sigma0[:n, :p.r] = mj.sigma0
-
+    b = np.concatenate([mj.b0.values, m_gf.values], axis=1)
     T = np.hstack([np.eye(n), -replicate_pi(mj.H0, p.pi)])
-    G0ext = symmetrize(T.T @ mj.Qhat0 @ T)
-    Q0ext = symmetrize(T.T @ mj.Q0 @ T)
-    N0ext = T.T @ mj.N0
-    etabar0 = T.T @ mj.Q0 @ mj.eta0
-    nbar0 = mj.N0.T @ mj.eta0
-    return ExtendedMajorSystem(
-        Atilde0=Atilde0, Bb0=Bb0, Mtilde0=Mtilde0,
-        Sigma0=Sigma0, G0ext=G0ext, Q0ext=Q0ext, N0ext=N0ext,
-        etabar0=etabar0, nbar0=nbar0,
+    return ExtendedSystem(
+        what="major",
+        A=GridFunction(p.grid, A),
+        B=np.vstack([mj.B0, np.zeros((n * K, m))]),
+        b=GridFunction(p.grid, b),
+        Qhat=symmetrize(T.T @ mj.Qhat0 @ T),
+        Q=symmetrize(T.T @ mj.Q0 @ T),
+        N=T.T @ mj.N0,
+        R=mj.R0,
+        eta=T.T @ mj.Q0 @ mj.eta0,
+        nbar=mj.N0.T @ mj.eta0,
     )
 
 
@@ -354,7 +325,7 @@ def build_extended_minor(
     Pi0: GridFunction,
     s0: GridFunction,
     mf,
-) -> ExtendedMinorSystem:
+) -> ExtendedSystem:
     """Minor type k's dynamics and cost on the state (x_i; x0; xbar).
 
     The lower-right block is the major's extended closed loop
@@ -369,40 +340,30 @@ def build_extended_minor(
     if s0.shape != (d0, 1):
         raise DimensionGuardError("s0 must be %d x 1 on the grid" % d0)
     mn = p.minors[k]
-    major_ext = build_extended_major(p, mf)
+    major = build_extended_major(p, mf)
     r0inv = spd_solver(p.major.R0, what="R0")
-    Bb0 = major_ext.Bb0
-    BRN = Bb0 @ r0inv(major_ext.N0ext.T)     # Bb0 R0^{-1} N0ext'
-    BRB = Bb0 @ r0inv(Bb0.T)                 # Bb0 R0^{-1} Bb0'
+    BRN = major.B @ r0inv(major.N.T)     # Bb0 R0^{-1} N0ext'
+    BRB = major.B @ r0inv(major.B.T)     # Bb0 R0^{-1} Bb0'
 
     A = np.zeros((p.grid.num_nodes, d, d))
     A[:, :n] = np.hstack([mn.Ak, mn.Gk, replicate_pi(mn.Fk, p.pi)])
-    A[:, n:, n:] = major_ext.Atilde0.values - BRN \
+    A[:, n:, n:] = major.A.values - BRN \
         - np.einsum("ab,jbc->jac", BRB, Pi0.values)
-    Atildek = GridFunction(p.grid, A)
 
-    Bbk = np.vstack([mn.Bk, np.zeros((d0, m))])
-
-    # Mtildek(t) = [b_k; Mtilde0(t) - Bb0 R0^{-1} Bb0' s0(t)]
+    # b(t) = [b_k; Mtilde0(t) - Bb0 R0^{-1} Bb0' s0(t)]
     shift = np.einsum("ab,jbc->jac", BRB, s0.values)
-    Mvals = np.concatenate(
-        [mn.bk.values, major_ext.Mtilde0.values - shift], axis=1
-    )
-    Mtildek = GridFunction(p.grid, Mvals)
-
-    Sigmak = np.zeros((d, d))
-    Sigmak[:n, :p.r] = mn.sigmak
-    Sigmak[n:, n:] = major_ext.Sigma0
+    b = np.concatenate([mn.bk.values, major.b.values - shift], axis=1)
 
     S = np.hstack([np.eye(n), -mn.Hk, -replicate_pi(mn.Hhatk, p.pi)])
-    Gkext = symmetrize(S.T @ mn.Qhatk @ S)
-    Qkext = symmetrize(S.T @ mn.Qk @ S)
-    Nkext = S.T @ mn.Nk
-    etabark = S.T @ mn.Qk @ mn.etak
-    nbark = mn.Nk.T @ mn.etak
-    return ExtendedMinorSystem(
-        k=k, Atildek=Atildek, Bbk=Bbk, Mtildek=Mtildek,
-        Sigmak=Sigmak, Gkext=Gkext, Qkext=Qkext, Nkext=Nkext,
-        etabark=etabark, nbark=nbark,
+    return ExtendedSystem(
+        what="minor[%d]" % k,
+        A=GridFunction(p.grid, A),
+        B=np.vstack([mn.Bk, np.zeros((d0, m))]),
+        b=GridFunction(p.grid, b),
+        Qhat=symmetrize(S.T @ mn.Qhatk @ S),
+        Q=symmetrize(S.T @ mn.Qk @ S),
+        N=S.T @ mn.Nk,
+        R=mn.Rk,
+        eta=S.T @ mn.Qk @ mn.etak,
+        nbar=mn.Nk.T @ mn.etak,
     )
-

@@ -5,7 +5,9 @@ mbar): given a triple x, the major solves its extended LQG problem, each
 minor type solves its extended problem against the major's solution, and
 the minors' equilibrium feedback closes the loop into a new triple F(x).
 The resulting Riccati/offset functions define the equilibrium feedback
-laws.
+laws.  Every agent is one ExtendedSystem, so one map serves both
+horizons; they differ only in the per-agent solver: backward RK4 sweeps
+on the grid, or the discounted ARE and steady offset at node 0.
 
 One iteration serves the finite-horizon and the stationary problem: Anderson
 acceleration (Walker & Ni 2011) with a memory of ANDERSON_MEMORY past
@@ -36,6 +38,7 @@ from .errors import (
 from .lqg_single import (
     FeedbackLaw,
     _offset_sweep,
+    _require_hautus,
     _riccati_sweep,
     _stage_values,
     _steady_offset,
@@ -45,9 +48,7 @@ from .lqg_single import (
     spd_solver,
 )
 from .mfg_model import (
-    ExtendedMajorSystem,
-    ExtendedMinorSystem,
-    MeanFieldMatrices,
+    ExtendedSystem,
     MmMfgProblem,
     build_extended_major,
     build_extended_minor,
@@ -90,8 +91,8 @@ class FixedPointConfig:
     def __post_init__(self):
         if not (0.0 < self.theta <= 1.0):
             raise SchemaError("damping theta must lie in (0, 1]")
-        if self.tol <= 0.0:
-            raise SchemaError("tol must be positive")
+        if not 0.0 < self.tol < np.inf:
+            raise SchemaError("tol must be positive and finite")
         if int(self.max_iters) < 1:
             raise SchemaError("max_iters must be a positive integer")
         self.max_iters = int(self.max_iters)
@@ -116,44 +117,60 @@ class MfgSolution:
     minor_laws: List[FeedbackLaw]
     report: FixedPointReport
     problem: MmMfgProblem
-    ext_major: ExtendedMajorSystem
-    ext_minors: List[ExtendedMinorSystem]
+    ext_major: ExtendedSystem
+    ext_minors: List[ExtendedSystem]
 
 
-def _inverse(R: np.ndarray, what: str) -> np.ndarray:
-    """R^{-1}, formed once per solve so sweeps multiply instead of solving."""
-    return spd_solver(R, what=what)(np.eye(R.shape[0]))
+def _r_inverse(ext: ExtendedSystem) -> np.ndarray:
+    """R^{-1}, formed once per agent solve so sweeps multiply instead of solving."""
+    return spd_solver(ext.R, what=ext.what + " R")(np.eye(ext.R.shape[0]))
 
 
-def _solve_major(p: MmMfgProblem, ext: ExtendedMajorSystem):
-    Rinv = _inverse(p.major.R0, "R0")
-    A_st = _stage_values(ext.Atilde0)
-    Pi0 = _riccati_sweep(
-        A_st, ext.Bb0, ext.Q0ext, ext.N0ext, Rinv, p.rho, ext.G0ext,
-        p.grid, "major Riccati sweep",
+def _sweep_agent(p: MmMfgProblem, ext: ExtendedSystem):
+    """Finite horizon: one agent's backward Riccati sweep, then its offset sweep."""
+    Rinv = _r_inverse(ext)
+    A_st = _stage_values(ext.A)
+    Pi = _riccati_sweep(
+        A_st, ext.B, ext.Q, ext.N, Rinv, p.rho, ext.Qhat, p.grid,
+        ext.what + " Riccati sweep",
     )
-    s0 = _offset_sweep(
-        A_st, ext.Bb0, ext.N0ext, Rinv, p.rho, _stage_values(Pi0),
-        _stage_values(ext.Mtilde0), ext.nbar0, ext.etabar0, p.grid,
-        "major offset sweep",
+    s = _offset_sweep(
+        A_st, ext.B, ext.N, Rinv, p.rho, _stage_values(Pi), _stage_values(ext.b),
+        ext.nbar, ext.eta, p.grid, ext.what + " offset sweep",
     )
-    return Pi0, s0
+    return Pi, s
 
 
-def _solve_minor(p: MmMfgProblem, ext: ExtendedMinorSystem):
-    Rinv = _inverse(p.minors[ext.k].Rk, "R%d" % (ext.k + 1))
-    A_st = _stage_values(ext.Atildek)
-    what = "minor[%d]" % ext.k
-    Pik = _riccati_sweep(
-        A_st, ext.Bbk, ext.Qkext, ext.Nkext, Rinv, p.rho, ext.Gkext,
-        p.grid, what + " Riccati sweep",
-    )
-    sk = _offset_sweep(
-        A_st, ext.Bbk, ext.Nkext, Rinv, p.rho, _stage_values(Pik),
-        _stage_values(ext.Mtildek), ext.nbark, ext.etabark, p.grid,
-        what + " offset sweep",
-    )
-    return Pik, sk
+def _stationary_agent(p: MmMfgProblem):
+    """Infinite horizon: one agent's discounted ARE and steady offset.
+
+    Returns solve_agent(p, ext) for p on a one-step grid, reading node 0.
+    Each extended system must first pass the Hautus tests of its drift
+    shifted by -rho/2.  Their weight factors come from the primitive costs,
+    psd_sqrt(Q0) [I, -H0^pi] and psd_sqrt(Qk) [I, -Hk, -Hhatk^pi], not from
+    the square root of the extended weight: a rounding eigenvalue of 1e-17
+    there has a square root of 3e-9, which blurs the kernel the rank test
+    reads.
+    """
+    n = p.n
+    L = {"major": psd_sqrt(p.major.Q0) @ np.hstack(
+        [np.eye(n), -replicate_pi(p.major.H0, p.pi)])}
+    for k, mn in enumerate(p.minors):
+        L["minor[%d]" % k] = psd_sqrt(mn.Qk) @ np.hstack(
+            [np.eye(n), -mn.Hk, -replicate_pi(mn.Hhatk, p.pi)])
+
+    def solve_agent(p: MmMfgProblem, ext: ExtendedSystem):
+        A = ext.A.values[0]
+        shifted = A - 0.5 * p.rho * np.eye(ext.dim)
+        _require_hautus(hautus_report(shifted, ext.B, L[ext.what], tol=1e-9),
+                        "extended %s system" % ext.what)
+        Pi = solve_discounted_are(A, ext.B, ext.Q, ext.N, ext.R, p.rho,
+                                  what=ext.what + " R")
+        s = _steady_offset(A, ext.B, ext.N, _r_inverse(ext), p.rho, Pi,
+                           ext.b.values[0], ext.nbar, ext.eta)
+        return GridFunction.constant(p.grid, Pi), GridFunction.constant(p.grid, s)
+
+    return solve_agent
 
 
 def _closure_law(p: MmMfgProblem, ext_minors, P_rows, s_rows, mbreve):
@@ -162,8 +179,8 @@ def _closure_law(p: MmMfgProblem, ext_minors, P_rows, s_rows, mbreve):
     P_rows[k] = Pik[:, :n, :] and s_rows[k] = sk[:, :n] are the first block
     rows of type k's Riccati and offset data, and mbreve the stacked minor
     drift offsets, all with the same leading node axis (one node for the
-    stationary problem).  With [c1 c2 c3] = Nkext' + B_k' Pik[:n, :], row
-    block k is
+    stationary problem).  With [c1 c2 c3] = N' + B_k' Pik[:n, :], N the
+    extended cross weight, row block k is
       Abar_k = [A_k - B_k R_k^{-1} c1] e_k + F_k^pi - B_k R_k^{-1} c3
       Gbar_k = G_k - B_k R_k^{-1} c2
       mbar_k = b_k + B_k R_k^{-1} nbar_k - B_k R_k^{-1} B_k' sk[:n]
@@ -174,13 +191,13 @@ def _closure_law(p: MmMfgProblem, ext_minors, P_rows, s_rows, mbreve):
     Gbar = np.empty((nodes, n * K, n))
     mbar = np.empty((nodes, n * K, 1))
     for k, (mn, ext) in enumerate(zip(p.minors, ext_minors)):
-        BR = mn.Bk @ _inverse(mn.Rk, "R%d" % (k + 1))
-        C = BR @ (ext.Nkext.T + mn.Bk.T @ P_rows[k])     # B_k R_k^{-1} [c1 c2 c3]
+        BR = mn.Bk @ _r_inverse(ext)
+        C = BR @ (ext.N.T + mn.Bk.T @ P_rows[k])     # B_k R_k^{-1} [c1 c2 c3]
         rows = slice(k * n, (k + 1) * n)
         Abar[:, rows] = (mn.Ak - C[:, :, :n]) @ selector(k, n, K) \
             + replicate_pi(mn.Fk, p.pi) - C[:, :, 2 * n:]
         Gbar[:, rows] = mn.Gk - C[:, :, n:2 * n]
-        mbar[:, rows] = mbreve[:, rows] + BR @ ext.nbark - (BR @ mn.Bk.T) @ s_rows[k]
+        mbar[:, rows] = mbreve[:, rows] + BR @ ext.nbar - (BR @ mn.Bk.T) @ s_rows[k]
     return Abar, Gbar, mbar
 
 
@@ -201,7 +218,7 @@ def _initial_law(p: MmMfgProblem) -> MeanFieldLaw:
     """Closure at Pi_k = 0, s_k = 0 (extended weights still contribute)."""
     n, K, nodes = p.n, p.K, p.grid.num_nodes
     d0 = n + n * K
-    # the closure reads only the constant weights Nkext and nbark
+    # the closure reads only the constant weights N and nbar
     q = _one_step(p)
     zero_Pi0 = GridFunction.zeros(q.grid, d0, d0)
     zero_s0 = GridFunction.zeros(q.grid, d0)
@@ -212,6 +229,43 @@ def _initial_law(p: MmMfgProblem) -> MeanFieldLaw:
     tables = _closure_law(p, ext_minors, zero_P, zero_s,
                           build_mean_field_matrices(p).mbreve.values)
     return MeanFieldLaw(*(GridFunction(p.grid, v) for v in tables))
+
+
+def _consistency_map(p: MmMfgProblem, law0: MeanFieldLaw, solve_agent, nodes: int):
+    """The consistency map on the law's first `nodes` node tables, flattened.
+
+    solve_agent(p, ext) returns one agent's (Pi, s) on p's grid.  The
+    finite horizon passes _sweep_agent and iterates on every node; the
+    stationary problem, on a one-step grid, passes _stationary_agent and
+    iterates on node 0, which the law repeats at every node.  Returns
+    (x0, evaluate): x0 flattens law0 and evaluate(x) returns (F(x), (law,
+    ext_major, Pi0, s0, ext_minors, Piks, sks)) with law the MeanFieldLaw
+    that x encodes.
+    """
+    gfs = (law0.Abar, law0.Gbar, law0.mbar)
+    if nodes > 1 and any(gf.grid != p.grid for gf in gfs):
+        raise SchemaError("the initial law must be sampled on the problem grid")
+    tables = [gf.values[:nodes] for gf in gfs]
+    shapes = [v.shape for v in tables]
+    full = p.grid.num_nodes
+    mbreve = build_mean_field_matrices(p).mbreve.values[:nodes]
+
+    def evaluate(x):
+        law = MeanFieldLaw(*(
+            GridFunction(p.grid, np.broadcast_to(v, (full,) + v.shape[1:]).copy())
+            for v in unflatten(x, shapes)
+        ))
+        ext_major = build_extended_major(p, law)
+        Pi0, s0 = solve_agent(p, ext_major)
+        ext_minors = [build_extended_minor(p, k, Pi0, s0, law) for k in range(p.K)]
+        Piks, sks = map(list, zip(*(solve_agent(p, ext) for ext in ext_minors)))
+        fx = flatten(*_closure_law(
+            p, ext_minors, [P.values[:nodes, :p.n] for P in Piks],
+            [s.values[:nodes, :p.n] for s in sks], mbreve,
+        ))
+        return fx, (law, ext_major, Pi0, s0, ext_minors, Piks, sks)
+
+    return flatten(*tables), evaluate
 
 
 def _anderson(evaluate, x: np.ndarray, cfg: FixedPointConfig, what: str):
@@ -250,37 +304,41 @@ def _anderson(evaluate, x: np.ndarray, cfg: FixedPointConfig, what: str):
     )
 
 
-def _gain_tables(Rinv, Nx, Bb, Pi: GridFunction, s: GridFunction, nbar, grid):
-    """u = -K x + k at every node: K = R^{-1}(Nx' + Bb' Pi), k = R^{-1}(nbar - Bb' s)."""
-    RBt = Rinv @ Bb.T
-    K_vals = np.einsum("ab,jbc->jac", RBt, Pi.values) + Rinv @ Nx.T
-    k_vals = Rinv @ nbar - np.einsum("ab,jbc->jac", RBt, s.values)
-    return FeedbackLaw(GridFunction(grid, K_vals), GridFunction(grid, k_vals))
+def _gain_tables(ext: ExtendedSystem, Pi: GridFunction, s: GridFunction) -> FeedbackLaw:
+    """u = -K X + k at every node: K = R^{-1}(N' + B' Pi), k = R^{-1}(nbar - B' s)."""
+    Rinv = _r_inverse(ext)
+    RBt = Rinv @ ext.B.T
+    K_vals = np.einsum("ab,jbc->jac", RBt, Pi.values) + Rinv @ ext.N.T
+    k_vals = Rinv @ ext.nbar - np.einsum("ab,jbc->jac", RBt, s.values)
+    return FeedbackLaw(GridFunction(Pi.grid, K_vals), GridFunction(Pi.grid, k_vals))
 
 
-def _finite_map(p: MmMfgProblem, law0: MeanFieldLaw):
-    """Consistency map of the finite-horizon problem on flat node tables.
+def _solve_fixed_point(p: MmMfgProblem, cfg: FixedPointConfig, solve_agent,
+                       nodes: int, what: str) -> MfgSolution:
+    """The driver both horizons share: validate, iterate, tabulate the gains.
 
-    Returns (x0, evaluate): x0 flattens law0 and evaluate(x) returns
-    (F(x), (law, ext_major, Pi0, s0, ext_minors, Piks, sks)) with law the
-    MeanFieldLaw that x encodes.
+    The iteration starts from cfg.initial_law, read at its first `nodes`
+    nodes, or else from the closure at Pi_k = 0, s_k = 0.
     """
-    shapes = [gf.values.shape for gf in (law0.Abar, law0.Gbar, law0.mbar)]
-    mbreve = build_mean_field_matrices(p).mbreve.values
-
-    def evaluate(x):
-        law = MeanFieldLaw(*(GridFunction(p.grid, v) for v in unflatten(x, shapes)))
-        ext_major = build_extended_major(p, law)
-        Pi0, s0 = _solve_major(p, ext_major)
-        ext_minors = [build_extended_minor(p, k, Pi0, s0, law) for k in range(p.K)]
-        Piks, sks = map(list, zip(*(_solve_minor(p, ext) for ext in ext_minors)))
-        fx = flatten(*_closure_law(
-            p, ext_minors, [P.values[:, :p.n] for P in Piks],
-            [s.values[:, :p.n] for s in sks], mbreve,
-        ))
-        return fx, (law, ext_major, Pi0, s0, ext_minors, Piks, sks)
-
-    return flatten(law0.Abar.values, law0.Gbar.values, law0.mbar.values), evaluate
+    rep = validate_problem(p)
+    if not rep.ok:
+        raise AssumptionViolationError(
+            "problem validation failed: " + rep.summary(), report=rep
+        )
+    law0 = cfg.initial_law if cfg.initial_law is not None else _initial_law(p)
+    x0, evaluate = _consistency_map(p, law0, solve_agent, nodes)
+    payload, history = _anderson(evaluate, x0, cfg, what)
+    law, ext_major, Pi0, s0, ext_minors, Piks, sks = payload
+    return MfgSolution(
+        Pi0=Pi0, s0=s0, Pik=Piks, sk=sks, mf_law=law,
+        major_law=_gain_tables(ext_major, Pi0, s0),
+        minor_laws=[_gain_tables(*agent) for agent in zip(ext_minors, Piks, sks)],
+        report=FixedPointReport(
+            iterations=len(history), residual_history=history,
+            residual=history[-1], converged=True,
+        ),
+        problem=p, ext_major=ext_major, ext_minors=ext_minors,
+    )
 
 
 def solve_consistency_finite(p: MmMfgProblem, cfg: Optional[FixedPointConfig] = None) -> MfgSolution:
@@ -292,37 +350,8 @@ def solve_consistency_finite(p: MmMfgProblem, cfg: Optional[FixedPointConfig] = 
     below tol; the returned Riccati data come from that last evaluation,
     so they and the returned law are mutually consistent.
     """
-    cfg = cfg or FixedPointConfig()
-    rep = validate_problem(p)
-    if not rep.ok:
-        raise AssumptionViolationError(
-            "problem validation failed: " + rep.summary(), report=rep
-        )
-
-    law0 = cfg.initial_law if cfg.initial_law is not None else _initial_law(p)
-    x0, evaluate = _finite_map(p, law0)
-    payload, history = _anderson(evaluate, x0, cfg, "consistency iteration")
-    law, ext_major, Pi0, s0, ext_minors, Piks, sks = payload
-
-    major_law = _gain_tables(
-        _inverse(p.major.R0, "R0"), ext_major.N0ext, ext_major.Bb0, Pi0, s0,
-        ext_major.nbar0, p.grid,
-    )
-    minor_laws = [
-        _gain_tables(_inverse(p.minors[k].Rk, "R%d" % (k + 1)), ext.Nkext,
-                     ext.Bbk, Piks[k], sks[k], ext.nbark, p.grid)
-        for k, ext in enumerate(ext_minors)
-    ]
-
-    return MfgSolution(
-        Pi0=Pi0, s0=s0, Pik=Piks, sk=sks, mf_law=law,
-        major_law=major_law, minor_laws=minor_laws,
-        report=FixedPointReport(
-            iterations=len(history), residual_history=history,
-            residual=history[-1], converged=True,
-        ),
-        problem=p, ext_major=ext_major, ext_minors=ext_minors,
-    )
+    return _solve_fixed_point(p, cfg or FixedPointConfig(), _sweep_agent,
+                              p.grid.num_nodes, "consistency iteration")
 
 
 def equilibrium_feedback_major(sol: MfgSolution, t: float, X0: np.ndarray) -> np.ndarray:
@@ -409,161 +438,44 @@ def _require_constant(gf: GridFunction, name: str) -> np.ndarray:
     return gf.values[0]
 
 
-def _carrier(p: MmMfgProblem, Abar, Gbar, mbar, Bbreve) -> MeanFieldMatrices:
-    return MeanFieldMatrices(
-        Abreve=Abar, Gbreve=Gbar, Bbreve=Bbreve,
-        mbreve=GridFunction.constant(p.grid, mbar),
-    )
-
-
-def _check_hautus(A: np.ndarray, Bb: np.ndarray, L: np.ndarray, rho: float, what: str):
-    shifted = A - 0.5 * rho * np.eye(A.shape[0])
-    rep = hautus_report(shifted, Bb, L, tol=1e-9)
-    if not rep.ok:
-        missing = []
-        if not rep.detectable:
-            missing.append("detectability")
-        if not rep.stabilizable:
-            missing.append("stabilizability")
-        raise AssumptionViolationError(
-            "%s system fails %s for the shifted drift" % (what, " and ".join(missing)),
-            report=rep,
-        )
-    return rep
-
-
-def _stationary_map(p: MmMfgProblem):
-    """Consistency map of the stationary problem on flat constant triples.
-
-    Returns (x0, evaluate): x0 is the closure at Pi_k = 0, s_k = 0 and
-    evaluate(x) returns (F(x), ((Abar, Gbar, mbar), ext0, Pi0, s0,
-    ext_minors, Piks, sks)) with (Abar, Gbar, mbar) the triple x encodes.
-    """
-    n, K = p.n, p.K
-    _require_constant(p.major.b0, "b0")
-    for k in range(K):
-        _require_constant(p.minors[k].bk, "minor[%d].bk" % k)
-    # every table below is read at node 0 only
-    p = _one_step(p)
-
-    mfm = build_mean_field_matrices(p)
-    mbreve = mfm.mbreve.values[:1]
-    R0inv = _inverse(p.major.R0, "R0")
-    Rkinvs = [_inverse(p.minors[k].Rk, "R%d" % (k + 1)) for k in range(K)]
-
-    L0 = psd_sqrt(p.major.Q0) @ np.hstack([np.eye(n), -replicate_pi(p.major.H0, p.pi)])
-    Lks = [
-        psd_sqrt(p.minors[k].Qk) @ np.hstack(
-            [np.eye(n), -p.minors[k].Hk, -replicate_pi(p.minors[k].Hhatk, p.pi)]
-        )
-        for k in range(K)
-    ]
-    shapes = [(n * K, n * K), (n * K, n), (n * K, 1)]
-
-    def evaluate(x):
-        law = Abar, Gbar, mbar = unflatten(x, shapes)
-        carrier = _carrier(p, Abar, Gbar, mbar, mfm.Bbreve)
-        ext0 = build_extended_major(p, carrier)
-        A0 = ext0.Atilde0.values[0]
-        _check_hautus(A0, ext0.Bb0, L0, p.rho, "extended major")
-        Pi0 = solve_discounted_are(
-            A0, ext0.Bb0, ext0.Q0ext, ext0.N0ext, p.major.R0, p.rho, what="R0",
-        )
-        s0 = _steady_offset(
-            A0, ext0.Bb0, ext0.N0ext, R0inv, p.rho, Pi0,
-            ext0.Mtilde0.values[0], ext0.nbar0, ext0.etabar0,
-        )
-        Pi0_gf = GridFunction.constant(p.grid, Pi0)
-        s0_gf = GridFunction.constant(p.grid, s0)
-        ext_minors, Piks, sks = [], [], []
-        for k in range(K):
-            ext = build_extended_minor(p, k, Pi0_gf, s0_gf, carrier)
-            Ak = ext.Atildek.values[0]
-            _check_hautus(Ak, ext.Bbk, Lks[k], p.rho, "extended minor[%d]" % k)
-            Pik = solve_discounted_are(
-                Ak, ext.Bbk, ext.Qkext, ext.Nkext, p.minors[k].Rk, p.rho,
-                what="R%d" % (k + 1),
-            )
-            sk = _steady_offset(
-                Ak, ext.Bbk, ext.Nkext, Rkinvs[k], p.rho, Pik,
-                ext.Mtildek.values[0], ext.nbark, ext.etabark,
-            )
-            ext_minors.append(ext)
-            Piks.append(Pik)
-            sks.append(sk)
-        fx = flatten(*_closure_law(
-            p, ext_minors, [P[None, :n] for P in Piks], [s[None, :n] for s in sks],
-            mbreve,
-        ))
-        return fx, (law, ext0, Pi0, s0, ext_minors, Piks, sks)
-
-    law0 = _initial_law(p)
-    x0 = flatten(law0.Abar.values[0], law0.Gbar.values[0], law0.mbar.values[0])
-    return x0, evaluate
-
-
 def solve_consistency_infinite(p: MmMfgProblem, cfg: Optional[FixedPointConfig] = None) -> StationaryMfgSolution:
     """Stationary fixed point: discounted AREs and steady offsets.
 
-    The same Anderson iteration runs on constant (Abar, Gbar, mbar).  Each
-    extended system must satisfy the Hautus detectability and
-    stabilizability conditions of the shifted drift, and the solved closed
-    loops A - Bb R^{-1} Bb' Pi - (rho/2) I must be asymptotically stable;
-    violations raise assumption errors.
+    The same Anderson iteration runs on constant (Abar, Gbar, mbar), a warm
+    start read at its node 0.  Each extended system must satisfy the Hautus
+    detectability and stabilizability conditions of the shifted drift, and
+    the solved closed loops A - Bb R^{-1} Bb' Pi - (rho/2) I must be
+    asymptotically stable; violations raise assumption errors.
     """
     cfg = cfg or FixedPointConfig()
     if p.rho <= 0.0:
         raise SchemaError("stationary problem requires rho > 0")
-    vrep = validate_problem(p)
-    if not vrep.ok:
-        raise AssumptionViolationError(
-            "problem validation failed: " + vrep.summary(), report=vrep
-        )
-    n, K = p.n, p.K
-    d0 = n + n * K
-    d = 2 * n + n * K
-    x0, evaluate = _stationary_map(p)
-    payload, history = _anderson(
-        evaluate, x0, cfg, "stationary consistency iteration"
-    )
-    (Abar, Gbar, mbar), ext0, Pi0, s0, ext_minors, Piks, sks = payload
-    r0_solve = spd_solver(p.major.R0, what="R0")
-    rk_solves = [spd_solver(p.minors[k].Rk, what="R%d" % (k + 1)) for k in range(K)]
+    _require_constant(p.major.b0, "b0")
+    for k in range(p.K):
+        _require_constant(p.minors[k].bk, "minor[%d].bk" % k)
+    # every table of the stationary problem is read at node 0 only
+    q = _one_step(p)
+    sol = _solve_fixed_point(q, cfg, _stationary_agent(q), 1,
+                             "stationary consistency iteration")
 
-    # closed-loop stability as stated: A - Bb R^{-1} Bb' Pi - (rho/2) I
-    A0 = ext0.Atilde0.values[0]
-    C0 = A0 - ext0.Bb0 @ r0_solve(ext0.Bb0.T) @ Pi0 - 0.5 * p.rho * np.eye(d0)
-    if np.max(np.linalg.eigvals(C0).real) >= 0:
-        raise AssumptionViolationError(
-            "extended major closed loop is not asymptotically stable"
-        )
-    for k in range(K):
-        Ak = ext_minors[k].Atildek.values[0]
-        Ck = Ak - ext_minors[k].Bbk @ rk_solves[k](ext_minors[k].Bbk.T) @ Piks[k] \
-            - 0.5 * p.rho * np.eye(d)
-        if np.max(np.linalg.eigvals(Ck).real) >= 0:
+    for ext, Pi in zip([sol.ext_major] + sol.ext_minors, [sol.Pi0] + sol.Pik):
+        Rinv = _r_inverse(ext)
+        C = ext.A.values[0] - ext.B @ Rinv @ ext.B.T @ Pi.values[0] \
+            - 0.5 * p.rho * np.eye(ext.dim)
+        if np.max(np.linalg.eigvals(C).real) >= 0:
             raise AssumptionViolationError(
-                "extended minor[%d] closed loop is not asymptotically stable" % k
+                "extended %s closed loop is not asymptotically stable" % ext.what
             )
 
-    K0 = r0_solve(ext0.N0ext.T + ext0.Bb0.T @ Pi0)
-    k0 = r0_solve(ext0.nbar0 - ext0.Bb0.T @ s0)
-    Kks = [
-        rk_solves[k](ext_minors[k].Nkext.T + ext_minors[k].Bbk.T @ Piks[k])
-        for k in range(K)
-    ]
-    kks = [
-        rk_solves[k](ext_minors[k].nbark - ext_minors[k].Bbk.T @ sks[k])
-        for k in range(K)
-    ]
+    law = sol.mf_law
     return StationaryMfgSolution(
-        Pi0=Pi0, s0=s0, Pik=Piks, sk=sks,
-        Abar=Abar, Gbar=Gbar, mbar=mbar,
-        major_gain=K0, major_feedforward=k0,
-        minor_gains=Kks, minor_feedforwards=kks,
-        report=FixedPointReport(
-            iterations=len(history), residual_history=history,
-            residual=history[-1], converged=True,
-        ),
+        Pi0=sol.Pi0.values[0], s0=sol.s0.values[0],
+        Pik=[P.values[0] for P in sol.Pik], sk=[s.values[0] for s in sol.sk],
+        Abar=law.Abar.values[0], Gbar=law.Gbar.values[0], mbar=law.mbar.values[0],
+        major_gain=sol.major_law.K.values[0],
+        major_feedforward=sol.major_law.k.values[0],
+        minor_gains=[m.K.values[0] for m in sol.minor_laws],
+        minor_feedforwards=[m.k.values[0] for m in sol.minor_laws],
+        report=sol.report,
         problem=p,
     )

@@ -104,11 +104,8 @@ class JointSystem(ReducedPopulation):
         wrong.
         """
 
-        def node_cost(j):
-            Kz, kq = self.eq_gain(2 * j)
-            return _deviation_quadratic(self.C, self.eta, self.Q, self.Ncr,
-                                        self.R, -Kz, kq)
-
+        node_cost = _deviation_quadratic(self.C, self.eta, self.Q, self.Ncr, self.R,
+                                         -self.K_st[::2] @ self.U, self.k_st[::2])
         return discrete_chain_cost(
             self.p.grid, self.p.rho, self.mu0, self.V0,
             self.A_closed, self.d_closed, self.Sig2, node_cost, self.terminal,

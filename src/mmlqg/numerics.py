@@ -33,8 +33,8 @@ class TimeGrid:
     num_steps: int
 
     def __post_init__(self):
-        if not (float(self.t_end) > 0.0):
-            raise SchemaError("TimeGrid.t_end must be positive")
+        if not 0.0 < float(self.t_end) < math.inf:
+            raise SchemaError("TimeGrid.t_end must be positive and finite")
         if int(self.num_steps) < 1:
             raise SchemaError("TimeGrid.num_steps must be a positive integer")
         object.__setattr__(self, "t_end", float(self.t_end))

@@ -524,10 +524,11 @@ def discrete_chain_cost(grid, rho, mu0, V0, A_of, d_of, Sig2, node_cost,
     """Expected cost of the Euler-Maruyama chain, by moment recursion.
 
     The chain is z_{j+1} = (I + h A_j) z_j + h d_j + sqrt(h) noise with
-    stationary covariance Sig2 per unit time; the running cost is the
-    trapezoid sum of discounted quadratic forms at the nodes.  This is
-    the exact expectation of the simulated pathwise cost, so it carries
-    the same O(h) discretization bias and no sampling error.
+    stationary covariance Sig2 per unit time, A_j = A_of(2j) and d_j =
+    d_of(2j); the running cost is the trapezoid sum of the discounted
+    quadratic forms node_cost = (W, l, c), tables over the M + 1 nodes.
+    This is the exact expectation of the simulated pathwise cost, so it
+    carries the same O(h) discretization bias and no sampling error.
     """
     w = trapezoid_weights(grid)
     disc = np.exp(-rho * grid.nodes)
@@ -537,11 +538,11 @@ def discrete_chain_cost(grid, rho, mu0, V0, A_of, d_of, Sig2, node_cost,
     V = V0.copy()
     D = mu.shape[0]
     eye = np.eye(D)
+    W, l, c = node_cost
     J = 0.0
     for j in range(M):
-        W, l, c = node_cost(j)
         S = V + mu @ mu.T
-        J += 0.5 * w[j] * disc[j] * (np.vdot(W, S) + 2.0 * (l.T @ mu).item() + c)
+        J += 0.5 * w[j] * disc[j] * (np.vdot(W[j], S) + 2.0 * (l[j].T @ mu).item() + c[j])
         P = eye + h * A_of(2 * j)
         mu = P @ mu + h * d_of(2 * j)
         V = symmetrize(P @ V @ P.T + h * Sig2)
@@ -550,9 +551,8 @@ def discrete_chain_cost(grid, rho, mu0, V0, A_of, d_of, Sig2, node_cost,
                 "moment recursion diverged at node %d" % (j + 1),
                 node=j + 1, time=grid.nodes[j + 1],
             )
-    W, l, c = node_cost(M)
     S = V + mu @ mu.T
-    J += 0.5 * w[M] * disc[M] * (np.vdot(W, S) + 2.0 * (l.T @ mu).item() + c)
+    J += 0.5 * w[M] * disc[M] * (np.vdot(W[M], S) + 2.0 * (l[M].T @ mu).item() + c[M])
     W_T, l_T, c_T = term_cost
     J += 0.5 * disc[M] * (np.vdot(W_T, S) + 2.0 * (l_T.T @ mu).item() + c_T)
     return float(J)
@@ -565,11 +565,8 @@ def expected_cost_exact(p: MmMfgProblem, sol: MfgSolution, cfg: PopulationConfig
     rs = ReducedPopulation(p, sol, cfg, agent_id)
     A, d = rs.drift(closed=True)
 
-    def node_cost(j):
-        q = 2 * j
-        return _deviation_quadratic(rs.C, rs.eta, rs.Q, rs.Ncr, rs.R,
-                                    -rs.K_st[q] @ rs.U, rs.k_st[q])
-
+    node_cost = _deviation_quadratic(rs.C, rs.eta, rs.Q, rs.Ncr, rs.R,
+                                     -rs.K_st[::2] @ rs.U, rs.k_st[::2])
     J = discrete_chain_cost(p.grid, p.rho, rs.mu0, rs.V0, A.__getitem__,
                             d.__getitem__, rs.Sig2, node_cost, rs.terminal)
     return CostReport(agent_id=agent_id, value=J, std_error=0.0,

@@ -100,10 +100,10 @@ def _suite_euler_equality() -> str:
 def _suite_extended_terminal_conditions() -> str:
     p = FIXTURES["coupled"](M=50)
     sol = solve_consistency_finite(p)
-    if not np.array_equal(sol.Pi0.values[-1], sol.ext_major.G0ext):
+    if not np.array_equal(sol.Pi0.values[-1], sol.ext_major.Qhat):
         raise AssertionError("major terminal Riccati differs from its weight")
     for k, Pik in enumerate(sol.Pik):
-        if not np.array_equal(Pik.values[-1], sol.ext_minors[k].Gkext):
+        if not np.array_equal(Pik.values[-1], sol.ext_minors[k].Qhat):
             raise AssertionError("minor %d terminal Riccati differs" % k)
     offs = [float(np.abs(sol.s0.values[-1]).max())]
     offs += [float(np.abs(sk.values[-1]).max()) for sk in sol.sk]

@@ -306,11 +306,10 @@ class DenseJointSystem:
         between the two means the block placement is wrong.
         """
 
-        def node_cost(j):
-            Kz, kq = self.eq_gain(2 * j)
-            return _deviation_quadratic(self.C, self.eta, self.Q, self.Ncr,
-                                        self.R, -Kz, kq)
-
+        Kz, kq = map(np.array, zip(*(self.eq_gain(2 * j)
+                                     for j in range(self.p.grid.num_nodes))))
+        node_cost = _deviation_quadratic(self.C, self.eta, self.Q, self.Ncr,
+                                         self.R, -Kz, kq)
         return discrete_chain_cost(
             self.p.grid, self.p.rho, self.mu0, self.V0,
             self.A_closed, self.d_closed, self.Sig2, node_cost,
@@ -468,10 +467,7 @@ def solve_best_response_chain(js) -> BestResponseChain:
     def d_br(q):
         return js.d_open(q) - js.B_full @ ffs[q // 2]
 
-    def node_cost(j):
-        return _deviation_quadratic(js.C, js.eta, js.Q, js.Ncr, js.R,
-                                    -gains[j], -ffs[j])
-
+    node_cost = _deviation_quadratic(js.C, js.eta, js.Q, js.Ncr, js.R, -gains, -ffs)
     cost = discrete_chain_cost(grid, p.rho, mu0, V0, A_br, d_br, js.Sig2,
                                node_cost, (js.W_term, js.l_term, js.c_term))
     return BestResponseChain(

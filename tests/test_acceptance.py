@@ -164,9 +164,9 @@ def test_criterion_3_brute_force_optimality():
 
 def test_criterion_4_extended_terminal_conditions(coupled400):
     p, sol, _ = coupled400
-    assert np.array_equal(sol.Pi0.values[-1], sol.ext_major.G0ext)
+    assert np.array_equal(sol.Pi0.values[-1], sol.ext_major.Qhat)
     for k in range(p.K):
-        assert np.array_equal(sol.Pik[k].values[-1], sol.ext_minors[k].Gkext)
+        assert np.array_equal(sol.Pik[k].values[-1], sol.ext_minors[k].Qhat)
     assert np.all(sol.s0.values[-1] == 0.0)
     for k in range(p.K):
         assert np.all(sol.sk[k].values[-1] == 0.0)

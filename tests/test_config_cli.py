@@ -198,6 +198,28 @@ def test_solve_mfg_nonconvergence_exits_3(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("where,token", [
+    (("fixed_point", "tol"), "1e309"),
+    (("major", "Q0", 0, 0), "NaN"),
+    (("major", "R0", 0, 0), "NaN"),
+    (("grid", "T"), "1e309"),
+    (("minors", 1, "bk", 3, 0), "-Infinity"),
+])
+def test_solve_mfg_non_finite_input_exits_2(tmp_path, capsys, where, token):
+    # JSON readers turn 1e309 into inf and accept NaN and Infinity
+    cfg = _mfg_cfg(grid={"T": 1.0, "M": 20}, fixed_point={"tol": 1e-8})
+    cfg["minors"][1]["bk"] = [[0.1, -0.2]] * 21
+    node = cfg
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = "__X__"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg).replace('"__X__"', token))
+    code = _run(["solve-mfg", "--config", str(path), "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert "finite" in capsys.readouterr().err
+
+
 # ----------------------------------------------------------------- simulate
 
 

@@ -18,9 +18,11 @@ from mmlqg.errors import FixedPointError, MmlqgError
 from mmlqg.mfg_model import MajorParams, MinorTypeParams, MmMfgProblem
 from mmlqg.mfg_solver import (
     FixedPointConfig,
-    _finite_map,
+    _consistency_map,
     _initial_law,
-    _stationary_map,
+    _one_step,
+    _stationary_agent,
+    _sweep_agent,
     solve_consistency_finite,
     solve_consistency_infinite,
 )
@@ -63,6 +65,10 @@ def random_game(seed, n, m, K, M, coupling, rho):
     w = rng.uniform(0.2, 1.0, size=K)
     return MmMfgProblem(major=major, minors=minors, pi=w / w.sum(),
                         grid=TimeGrid(1.0, M), rho=rho)
+
+
+def _finite_map(p, law0):
+    return _consistency_map(p, law0, _sweep_agent, p.grid.num_nodes)
 
 
 def picard(x0, evaluate, max_iters):
@@ -140,10 +146,11 @@ def test_finite_solver_matches_picard_reference(g):
 def test_stationary_solver_matches_picard_reference(g, rho):
     # every evaluation solves K + 1 AREs by long sweeps, so few examples
     p = random_game(g["seed"], g["n"], g["m"], g["K"], g["M"], g["coupling"], rho)
-    x0, evaluate = _stationary_map(p)
+    q = _one_step(p)
+    x0, evaluate = _consistency_map(q, _initial_law(q), _stationary_agent(q), 1)
     ref, ref_err = outcome(lambda: picard(x0, evaluate, g["budget"]))
     if ref is not None:
-        ref = (ref[0], ref[1][2])
+        ref = (ref[0], ref[1][2].values[0])
     check_against_reference(
         ref, ref_err,
         lambda: solve_consistency_infinite(

@@ -1,5 +1,7 @@
 """Block-assembly checks for the game model."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from mmlqg.mfg_model import (
     selector,
     validate_problem,
 )
+from mmlqg.mfg_solver import FixedPointConfig
 from mmlqg.numerics import GridFunction, TimeGrid
 from mmlqg.toys import coupled_toy, decoupled_toy
 from oracles import extract_pi_blocks, split_cross_blocks
@@ -102,14 +105,9 @@ def test_mf_block_diagonal_without_coupling():
 def test_mf_shapes_two_types():
     p = coupled_toy(M=20)
     mf = build_mean_field_matrices(p)
-    n, m, K = p.n, p.m, p.K
+    n, K = p.n, p.K
     assert mf.Abreve.shape == (n * K, n * K)
     assert mf.Gbreve.shape == (n * K, n)
-    assert mf.Bbreve.shape == (n * K, m * K)
-    # block diagonal control channels
-    np.testing.assert_array_equal(mf.Bbreve[:n, :m], p.minors[0].Bk)
-    assert not np.any(mf.Bbreve[:n, m:])
-    np.testing.assert_array_equal(mf.Bbreve[n:, m:], p.minors[1].Bk)
 
 
 def test_selector_and_replication():
@@ -133,13 +131,13 @@ def test_extended_major_shapes_and_blocks():
     n, K = p.n, p.K
     d = n + n * K
     assert ext.dim == d
-    A = ext.Atilde0.interp(0.0)
+    A = ext.A.interp(0.0)
     np.testing.assert_array_equal(A[:n, :n], p.major.A0)
     np.testing.assert_array_equal(A[:n, n:], replicate_pi(p.major.F0, p.pi))
     np.testing.assert_array_equal(A[n:, :n], mf.Gbreve)
     np.testing.assert_array_equal(A[n:, n:], mf.Abreve)
-    np.testing.assert_array_equal(ext.Bb0[:n], p.major.B0)
-    assert not np.any(ext.Bb0[n:])
+    np.testing.assert_array_equal(ext.B[:n], p.major.B0)
+    assert not np.any(ext.B[n:])
 
 
 def test_extended_major_weights_no_coupling():
@@ -147,27 +145,27 @@ def test_extended_major_weights_no_coupling():
     p = one_type_problem(n=2, H0=np.zeros((2, 2)), eta0=np.array([[1.0], [2.0]]))
     ext = build_extended_major(p, build_mean_field_matrices(p))
     n = 2
-    np.testing.assert_array_equal(ext.Q0ext[:n, :n], p.major.Q0)
-    assert not np.any(ext.Q0ext[:n, n:])
-    assert not np.any(ext.Q0ext[n:, :])
-    np.testing.assert_array_equal(ext.etabar0[:n], p.major.Q0 @ p.major.eta0)
-    assert not np.any(ext.etabar0[n:])
+    np.testing.assert_array_equal(ext.Q[:n, :n], p.major.Q0)
+    assert not np.any(ext.Q[:n, n:])
+    assert not np.any(ext.Q[n:, :])
+    np.testing.assert_array_equal(ext.eta[:n], p.major.Q0 @ p.major.eta0)
+    assert not np.any(ext.eta[n:])
 
 
 def test_extended_major_weights_psd():
     p = coupled_toy(M=20)
     ext = build_extended_major(p, build_mean_field_matrices(p))
-    assert np.min(np.linalg.eigvalsh(ext.Q0ext)) > -1e-12
-    assert np.min(np.linalg.eigvalsh(ext.G0ext)) > -1e-12
+    assert np.min(np.linalg.eigvalsh(ext.Q)) > -1e-12
+    assert np.min(np.linalg.eigvalsh(ext.Qhat)) > -1e-12
 
 
 def test_extended_major_deterministic():
     p = coupled_toy(M=20)
     a = build_extended_major(p, build_mean_field_matrices(p))
     b = build_extended_major(p, build_mean_field_matrices(p))
-    np.testing.assert_array_equal(a.Q0ext, b.Q0ext)
-    np.testing.assert_array_equal(a.Atilde0.interp(0.5), b.Atilde0.interp(0.5))
-    np.testing.assert_array_equal(a.Mtilde0.values, b.Mtilde0.values)
+    np.testing.assert_array_equal(a.Q, b.Q)
+    np.testing.assert_array_equal(a.A.interp(0.5), b.A.interp(0.5))
+    np.testing.assert_array_equal(a.b.values, b.b.values)
 
 
 # ----------------------------------------------------------- extended minor
@@ -182,9 +180,9 @@ def test_extended_minor_reduces_without_feedback():
     Pi0 = GridFunction.constant(p.grid, np.zeros((d0, d0)))
     s0 = GridFunction.constant(p.grid, np.zeros((d0, 1)))
     ext = build_extended_minor(p, 0, Pi0, s0, mf)
-    A = ext.Atildek.interp(0.3)
+    A = ext.A.interp(0.3)
     n = p.n
-    np.testing.assert_allclose(A[n:, n:], ext0.Atilde0.interp(0.3), atol=1e-15)
+    np.testing.assert_allclose(A[n:, n:], ext0.A.interp(0.3), atol=1e-15)
     np.testing.assert_array_equal(A[:n, :n], p.minors[0].Ak)
 
 
@@ -197,9 +195,9 @@ def test_extended_minor_dimension():
     s0 = GridFunction.constant(p.grid, np.zeros((d0, 1)))
     ext = build_extended_minor(p, 1, Pi0, s0, mf)
     assert ext.dim == 2 * p.n + p.n * p.K
-    assert ext.Bbk.shape == (ext.dim, p.m)
-    np.testing.assert_array_equal(ext.Bbk[:p.n], p.minors[1].Bk)
-    assert not np.any(ext.Bbk[p.n:])
+    assert ext.B.shape == (ext.dim, p.m)
+    np.testing.assert_array_equal(ext.B[:p.n], p.minors[1].Bk)
+    assert not np.any(ext.B[p.n:])
 
 
 def test_extended_minor_offset_carries_s0():
@@ -212,9 +210,9 @@ def test_extended_minor_offset_carries_s0():
     s0 = GridFunction.constant(p.grid, s_vec)
     ext = build_extended_minor(p, 0, Pi0, s0, mf)
     R0 = p.major.R0
-    BRB = ext0.Bb0 @ np.linalg.solve(R0, ext0.Bb0.T)
-    expected = ext0.Mtilde0.values[0] - BRB @ s_vec
-    np.testing.assert_allclose(ext.Mtildek.values[0][p.n:], expected, atol=1e-14)
+    BRB = ext0.B @ np.linalg.solve(R0, ext0.B.T)
+    expected = ext0.b.values[0] - BRB @ s_vec
+    np.testing.assert_allclose(ext.b.values[0][p.n:], expected, atol=1e-14)
 
 
 def test_extended_minor_uncoupled_top_right():
@@ -225,26 +223,8 @@ def test_extended_minor_uncoupled_top_right():
     Pi0 = GridFunction.constant(p.grid, np.zeros((d0, d0)))
     s0 = GridFunction.constant(p.grid, np.zeros((d0, 1)))
     ext = build_extended_minor(p, 0, Pi0, s0, mf)
-    A = ext.Atildek.interp(0.0)
+    A = ext.A.interp(0.0)
     assert not np.any(A[:p.n, p.n:])
-
-
-def test_extended_minor_noise_blocks():
-    p = coupled_toy(M=20)
-    mf = build_mean_field_matrices(p)
-    ext0 = build_extended_major(p, mf)
-    d0 = ext0.dim
-    Pi0 = GridFunction.constant(p.grid, np.zeros((d0, d0)))
-    s0 = GridFunction.constant(p.grid, np.zeros((d0, 1)))
-    ext = build_extended_minor(p, 0, Pi0, s0, mf)
-    SS = ext.Sigmak @ ext.Sigmak.T
-    n = p.n
-    sig = p.minors[0].sigmak
-    np.testing.assert_allclose(SS[:n, :n], sig @ sig.T, atol=1e-15)
-    # minor noise independent of the major block
-    assert not np.any(SS[:n, n:])
-    sig0 = p.major.sigma0
-    np.testing.assert_allclose(SS[n:2 * n, n:2 * n], sig0 @ sig0.T, atol=1e-15)
 
 
 # ------------------------------------------------------------ block slicing
@@ -295,3 +275,33 @@ def test_problem_rejects_shape_mismatch():
             ),
             minors=p.minors, pi=p.pi, grid=p.grid,
         )
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_values_rejected_by_the_shared_validators(bad):
+    p = coupled_toy(M=20)
+    Q0 = p.major.Q0.copy()
+    Q0[0, 1] = bad
+    R0 = np.array([[bad]])
+    eta = np.array([[bad], [0.0]])
+    b_vals = p.minors[0].bk.values.copy()
+    b_vals[7, 1, 0] = bad
+    cases = [
+        dataclasses.replace(p.major, Q0=Q0),
+        dataclasses.replace(p.major, R0=R0),
+        dataclasses.replace(p.major, eta0=eta),
+    ]
+    for major in cases:
+        with pytest.raises(SchemaError, match="non-finite"):
+            dataclasses.replace(p, major=major)
+    bad_minor = dataclasses.replace(p.minors[0], bk=GridFunction(p.grid, b_vals))
+    with pytest.raises(SchemaError, match="non-finite"):
+        dataclasses.replace(p, minors=[bad_minor, p.minors[1]])
+    with pytest.raises(SchemaError):
+        dataclasses.replace(p, pi=[0.5, bad])
+    with pytest.raises(SchemaError):
+        dataclasses.replace(p, rho=bad)
+    with pytest.raises(SchemaError):
+        TimeGrid(bad, 10)
+    with pytest.raises(SchemaError):
+        FixedPointConfig(tol=bad)

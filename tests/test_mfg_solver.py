@@ -1,8 +1,12 @@
+import ast
+import collections
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
 
+from mmlqg import mfg_model, mfg_solver
 from mmlqg.errors import (
     AssumptionViolationError,
     FixedPointError,
@@ -10,19 +14,24 @@ from mmlqg.errors import (
     SchemaError,
 )
 from mmlqg.lqg_single import LqgProblem, solve_finite_horizon, solve_infinite_horizon
-from mmlqg.mfg_model import build_extended_minor, build_mean_field_matrices, selector, replicate_pi
+from mmlqg.mfg_model import (
+    build_extended_major,
+    build_extended_minor,
+    build_mean_field_matrices,
+    replicate_pi,
+    selector,
+)
 from mmlqg.mfg_solver import (
     FixedPointConfig,
     MeanFieldLaw,
     _closure_law,
-    _stationary_map,
     equilibrium_feedback_major,
     equilibrium_feedback_minor,
     mean_field_trajectory,
     solve_consistency_finite,
     solve_consistency_infinite,
 )
-from mmlqg.numerics import GridFunction
+from mmlqg.numerics import GridFunction, TimeGrid
 from mmlqg.toys import coupled_toy, decoupled_toy
 from oracles import integrate_forward
 
@@ -108,10 +117,10 @@ def test_decoupled_major_gain_matches_single_agent(decoupled):
 
 def test_terminal_conditions_stored_exactly(coupled):
     _, sol = coupled
-    assert np.array_equal(sol.Pi0.values[-1], sol.ext_major.G0ext)
+    assert np.array_equal(sol.Pi0.values[-1], sol.ext_major.Qhat)
     assert np.all(sol.s0.values[-1] == 0.0)
     for k, ext in enumerate(sol.ext_minors):
-        assert np.array_equal(sol.Pik[k].values[-1], ext.Gkext)
+        assert np.array_equal(sol.Pik[k].values[-1], ext.Qhat)
         assert np.all(sol.sk[k].values[-1] == 0.0)
 
 
@@ -159,12 +168,12 @@ def test_aggregation_identity_random_riccati_data():
             mn = p.minors[k]
             Rinv = np.linalg.inv(mn.Rk)
             e_k = selector(k, n, K)
-            Bb = ext_minors[k].Bbk
-            Nx = ext_minors[k].Nkext
+            Bb = ext_minors[k].B
+            Nx = ext_minors[k].N
             rows = slice(k * n, (k + 1) * n)
             for j in [0, 3, p.grid.num_steps]:
                 Kfull = Rinv @ (Nx.T + Bb.T @ Piks[k].values[j])
-                kfull = Rinv @ (ext_minors[k].nbark - Bb.T @ sks[k].values[j])
+                kfull = Rinv @ (ext_minors[k].nbar - Bb.T @ sks[k].values[j])
                 c1, c2, c3 = Kfull[:, :n], Kfull[:, n:2 * n], Kfull[:, 2 * n:]
                 A_row = mn.Ak @ e_k + replicate_pi(mn.Fk, p.pi) \
                     - mn.Bk @ (c1 @ e_k + c3)
@@ -204,6 +213,16 @@ def test_warm_start_converges_immediately(coupled):
     resolved = solve_consistency_finite(p, cfg)
     assert resolved.report.iterations <= 5
     assert resolved.report.residual < 1e-8
+
+
+def test_warm_start_on_another_grid_rejected(coupled):
+    p, sol = coupled
+    other = dataclasses.replace(p.major, b0=p.major.b0.values[0])
+    longer = dataclasses.replace(
+        p, grid=TimeGrid(2.0, p.grid.num_steps), major=other,
+        minors=[dataclasses.replace(mn, bk=mn.bk.values[0]) for mn in p.minors])
+    with pytest.raises(SchemaError):
+        solve_consistency_finite(longer, FixedPointConfig(initial_law=sol.mf_law))
 
 
 def test_stop_rule_reads_the_undamped_residual():
@@ -336,15 +355,23 @@ def test_stationary_coupled_runs():
     assert np.all(np.isfinite(sol.mbar))
 
 
-def test_stationary_map_reads_one_step_whatever_the_grid():
+def test_stationary_map_reads_one_step_whatever_the_grid(monkeypatch):
     # the stationary problem reads node 0 only, so its extended systems are
     # built on two nodes and the solution does not depend on M
-    x0, evaluate = _stationary_map(coupled_toy(M=400, rho=4.0))
-    _, (_, ext0, _, _, ext_minors, _, _) = evaluate(x0)
-    assert ext0.Atilde0.values.shape[0] == 2
-    assert all(ext.Atildek.values.shape[0] == 2 for ext in ext_minors)
-    coarse = solve_consistency_infinite(coupled_toy(M=10, rho=4.0))
+    nodes = []
+    for name in ("build_extended_major", "build_extended_minor"):
+        build = getattr(mfg_solver, name)
+
+        def spy(*args, _build=build):
+            ext = _build(*args)
+            nodes.append(ext.A.values.shape[0])
+            return ext
+
+        monkeypatch.setattr(mfg_solver, name, spy)
     fine = solve_consistency_infinite(coupled_toy(M=400, rho=4.0))
+    assert set(nodes) == {2}
+    monkeypatch.undo()
+    coarse = solve_consistency_infinite(coupled_toy(M=10, rho=4.0))
     for name in ("Pi0", "s0", "Abar", "Gbar", "mbar", "major_gain"):
         assert np.array_equal(getattr(coarse, name), getattr(fine, name))
 
@@ -366,3 +393,67 @@ def test_stationary_rejects_uncontrollable_unstable():
     with pytest.raises(AssumptionViolationError) as exc:
         solve_consistency_infinite(bad)
     assert "stabilizability" in str(exc.value)
+
+
+def test_stationary_warm_start_returns_after_one_evaluation():
+    # the shared driver reads the stationary warm start at its node 0
+    p = coupled_toy(M=10, rho=4.0)
+    cold = solve_consistency_infinite(p)
+    law = MeanFieldLaw(*(GridFunction.constant(p.grid, v)
+                         for v in (cold.Abar, cold.Gbar, cold.mbar)))
+    warm = solve_consistency_infinite(p, FixedPointConfig(initial_law=law))
+    assert cold.report.iterations > 1
+    assert warm.report.iterations == 1
+    for name in ("Pi0", "s0", "Abar", "Gbar", "mbar", "major_gain"):
+        assert np.array_equal(getattr(warm, name), getattr(cold, name))
+
+
+def test_long_finite_horizon_matches_the_stationary_solution():
+    # at t = 0 of a horizon 20 discount times long, the finite solution of
+    # a constant-drift game sits on the stationary one: a check of both
+    # per-agent solvers against each other through the one consistency map
+    p = coupled_toy(M=10, rho=4.0)
+    long = dataclasses.replace(
+        p, grid=TimeGrid(5.0, 125),
+        major=dataclasses.replace(p.major, b0=p.major.b0.values[0]),
+        minors=[dataclasses.replace(mn, bk=mn.bk.values[0]) for mn in p.minors],
+    )
+    fin = solve_consistency_finite(long)
+    st = solve_consistency_infinite(long)
+    pairs = [
+        (fin.Pi0, st.Pi0), (fin.s0, st.s0), (fin.mf_law.Abar, st.Abar),
+        (fin.mf_law.Gbar, st.Gbar), (fin.mf_law.mbar, st.mbar),
+        (fin.major_law.K, st.major_gain), (fin.major_law.k, st.major_feedforward),
+    ]
+    for k in range(p.K):
+        pairs += [(fin.Pik[k], st.Pik[k]), (fin.sk[k], st.sk[k]),
+                  (fin.minor_laws[k].K, st.minor_gains[k]),
+                  (fin.minor_laws[k].k, st.minor_feedforwards[k])]
+    for table, stationary in pairs:
+        assert np.max(np.abs(table.values[0] - stationary)) < 1e-7
+
+
+def test_one_agent_type_and_one_call_site_per_agent_solver():
+    # every agent is one ExtendedSystem, and each per-agent numerical
+    # routine is reached from one place in the solver, so no second
+    # per-horizon or per-agent path can creep back
+    classes = [name for name, obj in vars(mfg_model).items()
+               if inspect.isclass(obj) and obj.__module__ == mfg_model.__name__
+               and name.startswith("Extended")]
+    assert classes == ["ExtendedSystem"]
+    p = coupled_toy(M=4)
+    law = mfg_solver._initial_law(p)
+    major = build_extended_major(p, law)
+    d0 = major.dim
+    minor = build_extended_minor(p, 0, GridFunction.zeros(p.grid, d0, d0),
+                                 GridFunction.zeros(p.grid, d0), law)
+    assert type(major) is type(minor) is mfg_model.ExtendedSystem
+
+    tree = ast.parse(inspect.getsource(mfg_solver))
+    calls = collections.Counter(
+        node.func.id for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    )
+    for name in ("_riccati_sweep", "_offset_sweep", "solve_discounted_are",
+                 "_steady_offset"):
+        assert calls[name] == 1, name
