@@ -33,29 +33,35 @@ from .population_sim import (
 )
 
 
-def _fmt(v: float) -> str:
-    return "%.17g" % float(v)
+def _write_csv(path: Path, header, columns):
+    """CSV of equal-length columns, integer ones as %d and the rest as %.17g.
+
+    One format string covers every row and is applied, in one call, to
+    the flat tuple of all cells in row order.
+    """
+    cols = [np.asarray(c) for c in columns]
+    rows = len(cols[0]) if cols else 0
+    line = ",".join("%d" if np.issubdtype(c.dtype, np.integer) else "%.17g"
+                    for c in cols) + "\n"
+    cells = [None] * (rows * len(cols))
+    for i, c in enumerate(cols):
+        cells[i::len(cols)] = c.tolist()
+    with path.open("w") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.write((line * rows) % tuple(cells))
 
 
-def _write_csv(path: Path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(
-            cell if isinstance(cell, str) else
-            (str(cell) if isinstance(cell, (int, np.integer)) else _fmt(cell))
-            for cell in row))
-    path.write_text("\n".join(lines) + "\n")
+def _write_table(path: Path, header, values: np.ndarray):
+    """Long format of an n-d table: per entry its indices, then its value."""
+    values = np.asarray(values, dtype=float)
+    index = np.indices(values.shape).reshape(values.ndim, -1)
+    _write_csv(path, header, list(index) + [values.reshape(-1)])
 
 
-def _write_grid_csv(path: Path, values: np.ndarray):
-    """Long format (node, row, col, value) of a (nodes, r, c) table."""
-    rows = []
-    nodes, r, c = values.shape
-    for j in range(nodes):
-        for a in range(r):
-            for b in range(c):
-                rows.append((j, a, b, values[j, a, b]))
-    _write_csv(path, ("node", "row", "col", "value"), rows)
+def _write_grid_tables(out: Path, tables: dict):
+    """(node, row, col, value) files of (nodes, r, c) tables, by file name."""
+    for name, values in tables.items():
+        _write_table(out / name, ("node", "row", "col", "value"), values)
 
 
 def _write_summary(out: Path, payload: dict):
@@ -103,10 +109,9 @@ def cmd_solve_lqg(cfg: dict, cfg_path: str, out: Path, seed, threads: int) -> in
             "convexity validation failed: %s" % report.summary(), report=report)
     sol = solve_finite_horizon(p)
     J = expected_cost(p, sol)
-    _write_grid_csv(out / "pi.csv", sol.Pi.values)
-    _write_grid_csv(out / "s.csv", sol.s.values)
-    _write_grid_csv(out / "gains.csv", sol.K.values)
-    _write_grid_csv(out / "feedforward.csv", sol.kff.values)
+    _write_grid_tables(out, {"pi.csv": sol.Pi.values, "s.csv": sol.s.values,
+                             "gains.csv": sol.K.values,
+                             "feedforward.csv": sol.kff.values})
     _write_summary(out, {
         "J_star": J,
         "Pi0": sol.Pi.values[0].tolist(),
@@ -127,19 +132,18 @@ def cmd_solve_mfg(cfg: dict, cfg_path: str, out: Path, seed, threads: int) -> in
         raise AssumptionViolationError(
             "assumption validation failed: %s" % report.summary(), report=report)
     sol = solve_consistency_finite(p, config.parse_fixed_point(cfg))
-    _write_grid_csv(out / "pi_major.csv", sol.Pi0.values)
-    _write_grid_csv(out / "s_major.csv", sol.s0.values)
-    _write_grid_csv(out / "gains_major.csv", sol.major_law.K.values)
-    _write_grid_csv(out / "mf_Abar.csv", sol.mf_law.Abar.values)
-    _write_grid_csv(out / "mf_Gbar.csv", sol.mf_law.Gbar.values)
-    _write_grid_csv(out / "mf_mbar.csv", sol.mf_law.mbar.values)
+    tables = {"pi_major.csv": sol.Pi0.values, "s_major.csv": sol.s0.values,
+              "gains_major.csv": sol.major_law.K.values,
+              "mf_Abar.csv": sol.mf_law.Abar.values,
+              "mf_Gbar.csv": sol.mf_law.Gbar.values,
+              "mf_mbar.csv": sol.mf_law.mbar.values}
     for k in range(p.K):
-        _write_grid_csv(out / ("pi_minor%d.csv" % k), sol.Pik[k].values)
-        _write_grid_csv(out / ("s_minor%d.csv" % k), sol.sk[k].values)
-        _write_grid_csv(out / ("gains_minor%d.csv" % k),
-                        sol.minor_laws[k].K.values)
-    _write_csv(out / "residuals.csv", ("iteration", "residual"),
-               [(i, r) for i, r in enumerate(sol.report.residual_history)])
+        tables["pi_minor%d.csv" % k] = sol.Pik[k].values
+        tables["s_minor%d.csv" % k] = sol.sk[k].values
+        tables["gains_minor%d.csv" % k] = sol.minor_laws[k].K.values
+    _write_grid_tables(out, tables)
+    _write_table(out / "residuals.csv", ("iteration", "residual"),
+                 sol.report.residual_history)
     term_gap = max(
         [float(np.abs(sol.Pi0.values[-1] - sol.ext_major.Qhat).max())]
         + [float(np.abs(sol.Pik[k].values[-1] - sol.ext_minors[k].Qhat).max())
@@ -171,29 +175,12 @@ def cmd_simulate(cfg: dict, cfg_path: str, out: Path, seed, threads: int) -> int
                             record_states=pop["record_states"])
     bundle = simulate_population(p, sol, pcfg)
     if pcfg.record_states:
-        states = bundle.states
-        rows = []
-        for path in range(states.shape[0]):
-            for j in range(states.shape[1]):
-                for agent in range(states.shape[2]):
-                    for a in range(states.shape[3]):
-                        rows.append((path, j, agent, a,
-                                     states[path, j, agent, a]))
-        _write_csv(out / "states.csv",
-                   ("path", "node", "agent", "row", "value"), rows)
-    rows = []
-    for path in range(bundle.xbar.shape[0]):
-        for j in range(bundle.xbar.shape[1]):
-            for a in range(bundle.xbar.shape[2]):
-                rows.append((path, j, a, bundle.xbar[path, j, a]))
-    _write_csv(out / "mean_field.csv", ("path", "node", "row", "value"), rows)
-    rows = []
-    for path in range(bundle.empirical_types.shape[0]):
-        for j in range(bundle.empirical_types.shape[1]):
-            for a in range(bundle.empirical_types.shape[2]):
-                rows.append((path, j, a, bundle.empirical_types[path, j, a]))
-    _write_csv(out / "empirical_mean.csv", ("path", "node", "row", "value"),
-               rows)
+        _write_table(out / "states.csv", ("path", "node", "agent", "row", "value"),
+                     bundle.states)
+    _write_table(out / "mean_field.csv", ("path", "node", "row", "value"),
+                 bundle.xbar)
+    _write_table(out / "empirical_mean.csv", ("path", "node", "row", "value"),
+                 bundle.empirical_types)
     summary = {
         "N": pop["N"],
         "num_paths": pop["num_paths"],
@@ -204,7 +191,8 @@ def cmd_simulate(cfg: dict, cfg_path: str, out: Path, seed, threads: int) -> int
     if study is not None:
         result = mean_field_convergence_study(p, sol, study["Ns"],
                                               study["seeds"])
-        _write_csv(out / "convergence.csv", ("N", "rms"), result.rows)
+        _write_csv(out / "convergence.csv", ("N", "rms"),
+                   zip(*result.rows))       # rows to columns
         summary["convergence_slope"] = result.slope
     _write_summary(out, summary)
     _write_manifest(out, "simulate", cfg_path, cfg, pop["master_seed"],
@@ -228,8 +216,8 @@ def cmd_nash_gap(cfg: dict, cfg_path: str, out: Path, seed, threads: int) -> int
     header = (["N", "major_gap"]
               + ["type%d_gap" % k for k in range(p.K)] + ["max_gap"])
     _write_csv(out / "gaps.csv", header,
-               [[row.N, row.major_gap] + list(row.type_gaps) + [row.max_gap]
-                for row in rows])
+               zip(*([row.N, row.major_gap] + list(row.type_gaps) + [row.max_gap]
+                     for row in rows)))
     _write_summary(out, {
         "Ns": [row.N for row in rows],
         "max_gaps": [row.max_gap for row in rows],

@@ -60,6 +60,7 @@ from .mfg_model import (
 from .numerics import (
     GridFunction,
     TimeGrid,
+    _as_count,
     flatten,
     rk4_forward_indexed,
     unflatten,
@@ -93,9 +94,7 @@ class FixedPointConfig:
             raise SchemaError("damping theta must lie in (0, 1]")
         if not 0.0 < self.tol < np.inf:
             raise SchemaError("tol must be positive and finite")
-        if int(self.max_iters) < 1:
-            raise SchemaError("max_iters must be a positive integer")
-        self.max_iters = int(self.max_iters)
+        self.max_iters = _as_count(self.max_iters, "max_iters", 1)
 
 
 @dataclass

@@ -12,6 +12,7 @@ parts travels packed into one contiguous array (flatten / unflatten).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +21,20 @@ from .errors import IntegrationDivergedError, OutOfRangeError, SchemaError
 
 # Snap tolerance for node queries, in units of the step fraction t/h.
 _NODE_SNAP = 1e-9
+
+
+def _as_count(value, name: str, low: int, high=None) -> int:
+    """An integer in [low, high): an int, or a float with an integral value.
+
+    inf, NaN and 2.5 raise SchemaError rather than meet int().
+    """
+    if not (isinstance(value, numbers.Integral) or (
+            isinstance(value, numbers.Real) and math.isfinite(value)
+            and value == int(value))) \
+            or value < low or (high is not None and value >= high):
+        raise SchemaError("%s must be an integer >= %d%s, got %r" % (
+            name, low, "" if high is None else " and < %d" % high, value))
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -35,10 +50,9 @@ class TimeGrid:
     def __post_init__(self):
         if not 0.0 < float(self.t_end) < math.inf:
             raise SchemaError("TimeGrid.t_end must be positive and finite")
-        if int(self.num_steps) < 1:
-            raise SchemaError("TimeGrid.num_steps must be a positive integer")
         object.__setattr__(self, "t_end", float(self.t_end))
-        object.__setattr__(self, "num_steps", int(self.num_steps))
+        object.__setattr__(self, "num_steps",
+                           _as_count(self.num_steps, "TimeGrid.num_steps", 1))
 
     @property
     def h(self) -> float:

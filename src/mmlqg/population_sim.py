@@ -12,6 +12,7 @@ the precise expectation of the Monte Carlo estimate.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -21,7 +22,7 @@ from .errors import DivergedPathError, IntegrationDivergedError, SchemaError
 from .lqg_single import _stage_values, psd_sqrt
 from .mfg_model import MmMfgProblem
 from .mfg_solver import MfgSolution, mean_field_step_euler
-from .numerics import GridFunction, symmetrize, trapezoid_weights
+from .numerics import GridFunction, _as_count, symmetrize, trapezoid_weights
 
 
 @dataclass
@@ -36,15 +37,9 @@ class PopulationConfig:
     record_states: bool = True
 
     def __post_init__(self):
-        if int(self.N) < 1:
-            raise SchemaError("N must be at least 1")
-        self.N = int(self.N)
-        if int(self.num_paths) < 1:
-            raise SchemaError("num_paths must be at least 1")
-        self.num_paths = int(self.num_paths)
-        if not (0 <= int(self.master_seed) < 2 ** 64):
-            raise SchemaError("master_seed must fit in 64 bits")
-        self.master_seed = int(self.master_seed)
+        self.N = _as_count(self.N, "N", 1)
+        self.num_paths = _as_count(self.num_paths, "num_paths", 1)
+        self.master_seed = _as_count(self.master_seed, "master_seed", 0, 2 ** 64)
         if self.type_assignment is not None:
             ta = np.asarray(self.type_assignment, dtype=np.int64)
             if ta.shape != (self.N,):
@@ -133,25 +128,141 @@ def assign_types(pi, N: int) -> np.ndarray:
     return out
 
 
-def _stream(master_seed: int, stream: int, path: int, agent: int) -> np.random.Generator:
-    # counter word 0 is the draw counter; (path, agent) words keep streams disjoint
-    key = np.array([master_seed, stream], dtype=np.uint64)
-    counter = np.array([0, path, agent, 0], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(counter=counter, key=key))
+_local = threading.local()
 
 
-def _type_means(Xm: np.ndarray, idx: List[np.ndarray], counts: np.ndarray,
-                weights: np.ndarray, n: int):
-    K = len(idx)
-    stacked = np.zeros(n * K)
-    glob = np.zeros(n)
-    for k in range(K):
-        if counts[k] == 0:
-            continue
-        mean_k = Xm[idx[k]].sum(axis=0) / counts[k]
-        stacked[k * n:(k + 1) * n] = mean_k
-        glob = glob + weights[k] * mean_k
-    return stacked, glob
+def _draws(master_seed: int, stream: int, path: int, count: int, shape) -> np.ndarray:
+    """Standard normals of agents 0..count-1 on one (stream, path), stacked.
+
+    Row a equals Generator(Philox(counter=[0, path, a, 0], key=[master_seed,
+    stream])).standard_normal(shape) bit for bit: counter word 0 is the
+    draw counter and the (path, agent) words keep streams disjoint.  Rather
+    than build (and seed) a generator per agent, one Philox per thread is
+    reset to each agent's counter and key.  Row a does not depend on count,
+    so a prefix of a longer draw is the draw of fewer agents.
+    """
+    gen = getattr(_local, "gen", None)
+    if gen is None:
+        gen = _local.gen = np.random.Generator(np.random.Philox(0))
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.array([0, path, 0, 0], dtype=np.uint64),
+                  "key": np.array([master_seed, stream], dtype=np.uint64)},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+    counter = state["state"]["counter"]
+    out = np.empty((count,) + tuple(shape))
+    for a in range(count):
+        counter[2] = a
+        gen.bit_generator.state = state
+        gen.standard_normal(out=out[a])
+    return out
+
+
+class _Population:
+    """Closed-loop node tables of one (problem, solution), shared by every
+    path and every population size run on them."""
+
+    def __init__(self, p: MmMfgProblem, sol: MfgSolution, cfg: PopulationConfig):
+        if sol.problem.grid != p.grid:
+            raise SchemaError("solution grid does not match the problem grid")
+        self.p = p
+        K = p.K
+        cov0 = cfg.init_cov_major if cfg.init_cov_major is not None else p.init_cov_major
+        covm = cfg.init_cov_minor if cfg.init_cov_minor is not None else p.init_cov_minor
+        self.sqrt0 = psd_sqrt(np.asarray(cov0, dtype=float))
+        self.sqrtm = psd_sqrt(np.asarray(covm, dtype=float))
+        self.xbar0 = _initial_mean_field(p, cfg)
+        self.K0v, self.k0v = sol.major_law.K.values, sol.major_law.k.values
+        self.Kkv = [sol.minor_laws[k].K.values for k in range(K)]
+        self.kkv = [sol.minor_laws[k].k.values for k in range(K)]
+        self.b0v = p.major.b0.values[:, :, 0]
+        self.bkv = [p.minors[k].bk.values[:, :, 0] for k in range(K)]
+        self.law = [_stage_values(f) for f in
+                    (sol.mf_law.Abar, sol.mf_law.Gbar, sol.mf_law.mbar)]
+
+    def start(self, master_seed: int, path: int, N: int):
+        """Initial states and Brownian increments of the major and minors
+        1..N, in agent order; a prefix of these serves any smaller N."""
+        p = self.p
+        xi = _draws(master_seed, 1, path, N + 1, (p.n,))
+        dW = _draws(master_seed, 0, path, N + 1, (p.grid.num_steps, p.r))
+        Xm = np.empty((N, p.n))
+        for a in range(N):
+            # one product per agent: a batched product may round differently
+            Xm[a] = self.sqrtm @ xi[a + 1]
+        return self.sqrt0 @ xi[0], Xm, dW[0], dW[1:]
+
+    def run_path(self, path: int, type_of: np.ndarray, x0, Xm, dW0, dWm,
+                 emp_types, emp_glob, xbar_out, states=None, controls=None):
+        """One Euler-Maruyama path; writes node j of every output table.
+
+        Minors are stepped sorted by type, stably, so each type is one
+        contiguous slice; states and controls go back to agent order.
+        """
+        p = self.p
+        n, m, K = p.n, p.m, p.K
+        N = type_of.shape[0]
+        M = p.grid.num_steps
+        h = p.grid.h
+        sqh = math.sqrt(h)
+        mj = p.major
+        order = np.argsort(type_of, kind="stable")
+        bounds = np.searchsorted(type_of[order], np.arange(K + 1))
+        live = [(k, slice(bounds[k], bounds[k + 1])) for k in range(K)
+                if bounds[k + 1] > bounds[k]]
+        counts = np.diff(bounds).astype(float)
+        weights = counts / float(N)
+        rows = 1 + order
+        X = Xm[order]
+        dW = dWm[order].transpose(1, 0, 2).copy()     # (M, N, r)
+        xbar = self.xbar0.copy()
+        Ab_st, Gb_st, mb_st = self.law
+        U = np.empty((N, m))
+        # overflow in a diverging path is expected; the finite check reports it
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(M + 1):
+                stacked = np.zeros(n * K)
+                glob = np.zeros(n)
+                for k, sl in live:
+                    mean_k = X[sl].sum(axis=0) / counts[k]
+                    stacked[k * n:(k + 1) * n] = mean_k
+                    glob = glob + weights[k] * mean_k
+                emp_types[j] = stacked
+                emp_glob[j] = glob
+                xbar_out[j] = xbar
+                u0 = self.k0v[j][:, 0] - self.K0v[j] @ np.concatenate([x0, xbar])
+                for k, sl in live:
+                    Xe = np.empty((sl.stop - sl.start, 2 * n + n * K))
+                    Xe[:, :n] = X[sl]
+                    Xe[:, n:2 * n] = x0
+                    Xe[:, 2 * n:] = xbar
+                    U[sl] = Xe @ (-self.Kkv[k][j].T) + self.kkv[k][j][:, 0]
+                if states is not None:
+                    states[j, 0] = x0
+                    states[j, rows] = X
+                    controls[j, 0] = u0
+                    controls[j, rows] = U
+                if j == M:
+                    return
+
+                x0_next = x0 + h * (mj.A0 @ x0 + mj.F0 @ glob + mj.B0 @ u0 + self.b0v[j]) \
+                    + sqh * (mj.sigma0 @ dW0[j])
+                X_next = np.empty_like(X)
+                for k, sl in live:
+                    mn = p.minors[k]
+                    drift = X[sl] @ mn.Ak.T + glob @ mn.Fk.T + x0 @ mn.Gk.T \
+                        + U[sl] @ mn.Bk.T + self.bkv[k][j]
+                    X_next[sl] = X[sl] + h * drift + sqh * (dW[j, sl] @ mn.sigmak.T)
+                xbar = mean_field_step_euler(Ab_st, Gb_st, mb_st, j, h, xbar, x0)
+                x0, X = x0_next, X_next
+                if not (np.isfinite(x0).all() and np.isfinite(X).all()
+                        and np.isfinite(xbar).all()):
+                    raise DivergedPathError(
+                        "simulation diverged on path %d at node %d" % (path, j + 1),
+                        path=path, node=j + 1,
+                    )
 
 
 def simulate_population(p: MmMfgProblem, sol: MfgSolution,
@@ -165,42 +276,11 @@ def simulate_population(p: MmMfgProblem, sol: MfgSolution,
     is independent of scheduling and agent draws are shared across
     different N.
     """
-    if sol.problem.grid != p.grid:
-        raise SchemaError("solution grid does not match the problem grid")
-    n, m, r, K = p.n, p.m, p.r, p.K
+    pop = _Population(p, sol, cfg)
+    n, m, K = p.n, p.m, p.K
     N, P = cfg.N, cfg.num_paths
-    grid = p.grid
-    M = grid.num_steps
-    h = grid.h
-    sqh = math.sqrt(h)
-
+    M = p.grid.num_steps
     type_of = _type_of(p, cfg)
-    idx = [np.flatnonzero(type_of == k) for k in range(K)]
-    counts = np.array([ix.size for ix in idx], dtype=float)
-    weights = counts / float(N)
-
-    cov0 = cfg.init_cov_major if cfg.init_cov_major is not None else p.init_cov_major
-    covm = cfg.init_cov_minor if cfg.init_cov_minor is not None else p.init_cov_minor
-    sqrt0 = psd_sqrt(np.asarray(cov0, dtype=float))
-    sqrtm = psd_sqrt(np.asarray(covm, dtype=float))
-    xbar_init = _initial_mean_field(p, cfg)
-
-    # node tables for the laws and drifts
-    K0v, k0v = sol.major_law.K.values, sol.major_law.k.values
-    Kkv = [sol.minor_laws[k].K.values for k in range(K)]
-    kkv = [sol.minor_laws[k].k.values for k in range(K)]
-    b0v = p.major.b0.values[:, :, 0]
-    bkv = [p.minors[k].bk.values[:, :, 0] for k in range(K)]
-    Ab_st = _stage_values(sol.mf_law.Abar)
-    Gb_st = _stage_values(sol.mf_law.Gbar)
-    mb_st = _stage_values(sol.mf_law.mbar)
-
-    mj = p.major
-    Ak = [p.minors[k].Ak for k in range(K)]
-    Fk = [p.minors[k].Fk for k in range(K)]
-    Gk = [p.minors[k].Gk for k in range(K)]
-    Bk = [p.minors[k].Bk for k in range(K)]
-    sigk = [p.minors[k].sigmak for k in range(K)]
 
     states = np.empty((P, M + 1, N + 1, n)) if cfg.record_states else None
     controls = np.empty((P, M + 1, N + 1, m)) if cfg.record_states else None
@@ -208,66 +288,15 @@ def simulate_population(p: MmMfgProblem, sol: MfgSolution,
     emp_types = np.empty((P, M + 1, n * K))
     emp_glob = np.empty((P, M + 1, n))
 
-    def run_path(path, x0, Xm, dW0, dWm, xbar):
-        for j in range(M + 1):
-            stacked, glob = _type_means(Xm, idx, counts, weights, n)
-            emp_types[path, j] = stacked
-            emp_glob[path, j] = glob
-            xbar_out[path, j] = xbar
-            X0ext = np.concatenate([x0, xbar])
-            u0 = k0v[j][:, 0] - K0v[j] @ X0ext
-            U = np.empty((N, m))
-            for k in range(K):
-                if counts[k] == 0:
-                    continue
-                cnt = idx[k].size
-                Xe = np.empty((cnt, 2 * n + n * K))
-                Xe[:, :n] = Xm[idx[k]]
-                Xe[:, n:2 * n] = x0
-                Xe[:, 2 * n:] = xbar
-                U[idx[k]] = Xe @ (-Kkv[k][j].T) + kkv[k][j][:, 0]
-            if cfg.record_states:
-                states[path, j, 0] = x0
-                states[path, j, 1:] = Xm
-                controls[path, j, 0] = u0
-                controls[path, j, 1:] = U
-            if j == M:
-                return
-
-            x0_next = x0 + h * (mj.A0 @ x0 + mj.F0 @ glob + mj.B0 @ u0 + b0v[j]) \
-                + sqh * (mj.sigma0 @ dW0[j])
-            Xm_next = np.empty_like(Xm)
-            for k in range(K):
-                if counts[k] == 0:
-                    continue
-                ik = idx[k]
-                drift = Xm[ik] @ Ak[k].T + glob @ Fk[k].T + x0 @ Gk[k].T \
-                    + U[ik] @ Bk[k].T + bkv[k][j]
-                Xm_next[ik] = Xm[ik] + h * drift + sqh * (dWm[ik, j] @ sigk[k].T)
-            xbar = mean_field_step_euler(Ab_st, Gb_st, mb_st, j, h, xbar, x0)
-            x0, Xm = x0_next, Xm_next
-            if not (np.all(np.isfinite(x0)) and np.all(np.isfinite(Xm))
-                    and np.all(np.isfinite(xbar))):
-                raise DivergedPathError(
-                    "simulation diverged on path %d at node %d" % (path, j + 1),
-                    path=path, node=j + 1,
-                )
-
-    # overflow in a diverging path is expected; the finite check reports it
-    with np.errstate(over="ignore", invalid="ignore"):
-        for path in range(P):
-            x0 = sqrt0 @ _stream(cfg.master_seed, 1, path, 0).standard_normal(n)
-            Xm = np.empty((N, n))
-            for a in range(N):
-                Xm[a] = sqrtm @ _stream(cfg.master_seed, 1, path, a + 1).standard_normal(n)
-            dW0 = _stream(cfg.master_seed, 0, path, 0).standard_normal((M, r))
-            dWm = np.empty((N, M, r))
-            for a in range(N):
-                dWm[a] = _stream(cfg.master_seed, 0, path, a + 1).standard_normal((M, r))
-            run_path(path, x0, Xm, dW0, dWm, xbar_init.copy())
+    rec = cfg.record_states
+    for path in range(P):
+        x0, Xm, dW0, dWm = pop.start(cfg.master_seed, path, N)
+        pop.run_path(path, type_of, x0, Xm, dW0, dWm, emp_types[path],
+                     emp_glob[path], xbar_out[path],
+                     states[path] if rec else None, controls[path] if rec else None)
 
     return TrajectoryBundle(
-        grid=grid, type_of=type_of, counts=counts.astype(np.int64),
+        grid=p.grid, type_of=type_of, counts=np.bincount(type_of, minlength=K),
         states=states, controls=controls, xbar=xbar_out,
         empirical_types=emp_types, empirical_global=emp_glob, config=cfg,
     )
@@ -584,22 +613,34 @@ def mean_field_convergence_study(p: MmMfgProblem, sol: MfgSolution,
                                  seeds: Sequence[int]) -> ConvergenceStudy:
     """RMS distance between empirical type averages and the mean field.
 
-    One single-path simulation per (N, seed); the counter-based streams
-    make the first N agent draws common across the N sweep.  Returns rows
-    (N, rms) and the slope of log rms against log N.
+    One single-path simulation per (N, seed).  The counter-based streams
+    make the first N agent draws common across the N sweep, so each seed
+    draws once, for the largest N, and every N runs on a prefix.  Returns
+    rows (N, rms) in the order of Ns and the slope of log rms against
+    log N.
     """
-    rows = []
-    for N in Ns:
-        total = 0.0
-        count = 0
-        for seed in seeds:
-            cfg = PopulationConfig(N=int(N), master_seed=int(seed),
-                                   num_paths=1, record_states=False)
-            bundle = simulate_population(p, sol, cfg)
-            dev = bundle.empirical_types[0] - bundle.xbar[0]
-            total += float(np.sum(dev * dev))
-            count += dev.shape[0]
-        rows.append((int(N), math.sqrt(total / count)))
+    Ns = [_as_count(N, "N", 1) for N in Ns]
+    seeds = [_as_count(seed, "master_seed", 0, 2 ** 64) for seed in seeds]
+    if Ns and not seeds:
+        raise SchemaError("the convergence study needs at least one seed")
+    pop = _Population(p, sol, PopulationConfig(N=1))
+    M = p.grid.num_steps
+    nK = p.n * p.K
+    sizes = sorted(set(Ns))
+    types = {N: assign_types(p.pi, N) for N in sizes}
+    total = dict.fromkeys(sizes, 0.0)
+    emp_types, xbar = np.empty((M + 1, nK)), np.empty((M + 1, nK))
+    emp_glob = np.empty((M + 1, p.n))
+    for seed in seeds:
+        x0, Xm, dW0, dWm = pop.start(seed, 0, max(sizes, default=0))
+        for N in sizes:
+            pop.run_path(0, types[N], x0, Xm[:N], dW0, dWm[:N],
+                         emp_types, emp_glob, xbar)
+            dev = emp_types - xbar
+            total[N] += float(np.sum(dev * dev))
+        del x0, Xm, dW0, dWm
+    count = len(seeds) * (M + 1)
+    rows = [(N, math.sqrt(total[N] / count)) for N in Ns]
     logN = np.log([row[0] for row in rows])
     logr = np.log([max(row[1], 1e-300) for row in rows])
     slope = float(np.polyfit(logN, logr, 1)[0]) if len(rows) > 1 else 0.0

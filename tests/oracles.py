@@ -1,14 +1,19 @@
-"""Test-only oracles: time-callback RK4 sweeps, and the dense finite-N
-joint system and its routes.
+"""Test-only oracles: time-callback RK4 sweeps, the dense finite-N joint
+system and its routes, and the slow forms of the simulator's noise and
+of the CSV writer.
 
 The package steps every ODE through one stage-indexed RK4 loop; the
 sweeps here take the right-hand side as a function of time and carry
 their own stepping loops, so they are an independent reference for it.
 nash_gap works on the exact reduced state (x_dev, x0, xbar, S_1..S_K).
 The dense assembly here keeps every agent's state, costs O(N^3) per step
-and serves small N as the reference the reduced system must match.  The
-chain best response and the perturbed-cost route run on either system;
-the block slicers read the minor Riccati and cross-weight blocks.
+and serves small N as the reference the reduced system must match; its
+simulator cross-check steps the population in agent order, the
+reference for the type-sorted simulator.  The chain best response and
+the perturbed-cost route run on either system; the block slicers read
+the minor Riccati and cross-weight blocks.  _stream (a new generator per
+agent) and write_csv_rows (one row at a time) are what the package's
+reused generator and vectorised writer must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -34,11 +39,30 @@ from mmlqg.numerics import GridFunction, TimeGrid, symmetrize, trapezoid_weights
 from mmlqg.population_sim import (
     PopulationConfig,
     _deviation_quadratic,
-    _stream,
     assign_types,
     discrete_chain_cost,
     simulate_population,
 )
+
+
+def _stream(master_seed: int, stream: int, path: int, agent: int) -> np.random.Generator:
+    """A fresh generator for one agent's stream: the definition the
+    simulator's reused generator (population_sim._draws) must reproduce."""
+    # counter word 0 is the draw counter; (path, agent) words keep streams disjoint
+    key = np.array([master_seed, stream], dtype=np.uint64)
+    counter = np.array([0, path, agent, 0], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(counter=counter, key=key))
+
+
+def write_csv_rows(path, header, rows):
+    """The CSV writer the package's vectorised one replaced, row by row:
+    integers by str, every other number as %.17g."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(
+            str(cell) if isinstance(cell, (int, np.integer))
+            else "%.17g" % float(cell) for cell in row))
+    path.write_text("\n".join(lines) + "\n")
 
 
 def _check_finite(Y: np.ndarray, node: int, t: float, what: str):

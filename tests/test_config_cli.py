@@ -6,6 +6,7 @@ import pytest
 
 from mmlqg import cli_app, config, verify
 from mmlqg.errors import SchemaError
+from oracles import write_csv_rows
 
 
 def _lqg_cfg(**extra):
@@ -381,3 +382,27 @@ def test_manifest_carries_config_hash(tmp_path):
     assert manifest["config_sha256"] == config.canonical_hash(cfg)
     assert manifest["command"] == "solve-lqg"
     assert "wall_s" in manifest["timings"]
+
+
+# ---------------------------------------------------------------- writer
+
+_CELLS = [0.0, -0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e300, -1e300,
+          3.0, -7.0, 2.0 ** 53, 0.1, 1.0 / 3.0, -2.5e-7, math.inf, math.nan]
+
+
+@pytest.mark.parametrize("shape", [(14,), (2, 3, 4), (2, 3, 2, 5), (0, 3, 2)])
+def test_table_writer_matches_the_row_loop(tmp_path, shape):
+    values = np.resize(_CELLS, math.prod(shape)).reshape(shape)
+    header = tuple("abcd"[:len(shape)]) + ("value",)
+    cli_app._write_table(tmp_path / "new.csv", header, values)
+    write_csv_rows(tmp_path / "old.csv", header,
+                   [ix + (values[ix],) for ix in np.ndindex(*shape)])
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_column_writer_matches_the_row_loop(tmp_path):
+    rows = [(2, 1e300, -0.0, 0.1), (96, 5e-324, 3.0, -1e300), (10 ** 6, 0.0, math.nan, 7.0)]
+    header = ("N", "major_gap", "type0_gap", "max_gap")
+    cli_app._write_csv(tmp_path / "new.csv", header, zip(*rows))
+    write_csv_rows(tmp_path / "old.csv", header, rows)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()

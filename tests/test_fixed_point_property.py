@@ -144,7 +144,7 @@ def test_finite_solver_matches_picard_reference(g):
 @settings(max_examples=3, **SETTINGS)
 @given(games, st.floats(6.0, 8.0))
 def test_stationary_solver_matches_picard_reference(g, rho):
-    # every evaluation solves K + 1 AREs by long sweeps, so few examples
+    # two fixed points per example, each evaluation K + 1 Schur ARE solves
     p = random_game(g["seed"], g["n"], g["m"], g["K"], g["M"], g["coupling"], rho)
     q = _one_step(p)
     x0, evaluate = _consistency_map(q, _initial_law(q), _stationary_agent(q), 1)

@@ -1,17 +1,26 @@
+import ast
 import dataclasses
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mmlqg import population_sim
 from mmlqg.errors import (
     DivergedPathError,
     SchemaError,
 )
-from mmlqg.mfg_solver import mean_field_trajectory, solve_consistency_finite
-from mmlqg.numerics import GridFunction
+from mmlqg.mfg_solver import (
+    FixedPointConfig,
+    mean_field_trajectory,
+    solve_consistency_finite,
+)
+from mmlqg.numerics import GridFunction, TimeGrid
 from mmlqg.population_sim import (
     CostReport,
     PopulationConfig,
+    _draws,
     assign_types,
     empirical_mean_field,
     expected_cost_exact,
@@ -20,6 +29,7 @@ from mmlqg.population_sim import (
     simulate_population,
 )
 from mmlqg.toys import coupled_toy
+from oracles import DenseJointSystem, _stream
 
 
 @pytest.fixture(scope="module")
@@ -331,3 +341,116 @@ def test_xbar0_override_propagates(coupled):
     cfg = PopulationConfig(N=3, master_seed=0, xbar0=xb0)
     b = simulate_population(p, sol, cfg)
     assert np.array_equal(b.xbar[0, 0], xb0)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 2.5])
+@pytest.mark.parametrize("make", [
+    lambda v: FixedPointConfig(max_iters=v),
+    lambda v: PopulationConfig(N=v),
+    lambda v: PopulationConfig(N=2, num_paths=v),
+    lambda v: PopulationConfig(N=2, master_seed=v),
+    lambda v: TimeGrid(1.0, v),
+], ids=["max_iters", "N", "num_paths", "master_seed", "num_steps"])
+def test_counts_reject_non_finite_and_non_integral_values(make, bad):
+    # int() would raise an untyped error on inf and NaN and truncate 2.5
+    with pytest.raises(SchemaError):
+        make(bad)
+
+
+def test_counts_keep_integral_floats_and_every_64_bit_seed():
+    cfg = PopulationConfig(N=3.0, num_paths=np.int32(2), master_seed=2 ** 64 - 1)
+    assert (cfg.N, cfg.num_paths, cfg.master_seed) == (3, 2, 2 ** 64 - 1)
+    assert type(cfg.N) is int and type(cfg.num_paths) is int
+    assert FixedPointConfig(max_iters=4.0).max_iters == 4
+    with pytest.raises(SchemaError):
+        PopulationConfig(N=2, master_seed=2 ** 64)
+
+
+@pytest.mark.parametrize("shape", [(2,), (7, 3)])
+@pytest.mark.parametrize("seed", [0, 12345, 2 ** 64 - 1])
+@pytest.mark.parametrize("stream", [0, 1])
+def test_draws_equal_a_fresh_generator_per_agent(stream, seed, shape):
+    for path in (0, 3):
+        got = _draws(seed, stream, path, 5, shape)
+        want = np.stack([_stream(seed, stream, path, a).standard_normal(shape)
+                         for a in range(5)])
+        assert got.shape == (5,) + shape
+        assert got.tobytes() == want.tobytes()
+        # a shorter draw is the prefix of a longer one
+        assert _draws(seed, stream, path, 2, shape).tobytes() == got[:2].tobytes()
+
+
+def test_only_draws_builds_a_generator():
+    """A generator per agent must not come back: the one Philox is built
+    in _draws, outside any loop.  verify's fixture seeds one generator."""
+    makers = {"Philox", "Generator", "default_rng", "SeedSequence", "PCG64",
+              "PCG64DXSM", "MT19937", "SFC64", "RandomState"}
+    found = []
+
+    def visit(node, where, loops):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where, loops = node.name, 0
+        elif isinstance(node, (ast.For, ast.While, ast.comprehension)):
+            loops += 1
+        if isinstance(node, ast.Call):
+            fn = node.func
+            name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
+            if name in makers:
+                found.append((where, name, loops))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where, loops)
+
+    src = Path(population_sim.__file__).parent
+    for f in sorted(src.glob("*.py")):
+        visit(ast.parse(f.read_text()), f.stem, 0)
+    assert sorted(found) == [("_draws", "Generator", 0), ("_draws", "Philox", 0),
+                             ("_suite_euler_equality", "default_rng", 0)]
+
+
+@pytest.mark.parametrize("types", [[1, 0, 0, 1, 1, 0], [1, 1, 1]],
+                         ids=["interleaved", "empty_type"])
+def test_type_sorted_stepping_matches_the_agent_order_oracle(coupled, types):
+    p, sol = coupled
+    cfg = PopulationConfig(N=len(types), master_seed=11, num_paths=2,
+                           type_assignment=types)
+    js = DenseJointSystem(p=p, sol=sol, cfg=cfg, deviator=0)
+    assert js.validation_gap(num_paths=2) < 1e-10
+    b = simulate_population(p, sol, cfg)
+    assert np.array_equal(b.counts, np.bincount(types, minlength=p.K))
+    # every recorded control is its own agent's law at its own state
+    for path in range(2):
+        for j in range(p.grid.num_nodes):
+            x0, xbar = b.states[path, j, 0], b.xbar[path, j]
+            law = sol.major_law
+            u0 = law.k.values[j][:, 0] - law.K.values[j] @ np.concatenate([x0, xbar])
+            np.testing.assert_allclose(b.controls[path, j, 0], u0,
+                                       rtol=1e-13, atol=1e-13)
+            for a, k in enumerate(types):
+                law = sol.minor_laws[k]
+                X = np.concatenate([b.states[path, j, 1 + a], x0, xbar])
+                u = law.k.values[j][:, 0] - law.K.values[j] @ X
+                np.testing.assert_allclose(b.controls[path, j, 1 + a], u,
+                                           rtol=1e-13, atol=1e-13)
+    if 0 not in types:
+        assert np.array_equal(b.empirical_types[:, :, :p.n],
+                              np.zeros_like(b.empirical_types[:, :, :p.n]))
+
+
+def test_study_rows_equal_one_simulation_per_size_and_seed(coupled):
+    p, sol = coupled
+    Ns, seeds = [40, 1, 40, 19], [5, 2]
+    study = mean_field_convergence_study(p, sol, Ns, seeds)
+    want = []
+    for N in Ns:
+        total, count = 0.0, 0
+        for seed in seeds:
+            cfg = PopulationConfig(N=N, master_seed=seed, record_states=False)
+            b = simulate_population(p, sol, cfg)
+            dev = b.empirical_types[0] - b.xbar[0]
+            total += float(np.sum(dev * dev))
+            count += dev.shape[0]
+        want.append((N, math.sqrt(total / count)))
+    assert study.rows == want
+    assert mean_field_convergence_study(p, sol, [], [1]).rows == []
+    with pytest.raises(SchemaError):
+        mean_field_convergence_study(p, sol, [4], [])
