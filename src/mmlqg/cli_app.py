@@ -15,12 +15,11 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, config, verify
+from . import __version__, config
 from .errors import AssumptionViolationError, NumericalError, SchemaError
 from .lqg_single import expected_cost, solve_finite_horizon, validate_convexity
 from .mfg_model import validate_problem
@@ -88,6 +87,8 @@ def _parallel_map(fn, items, threads: int):
     items = list(items)
     if threads <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=threads) as ex:
         return list(ex.map(fn, items))
 
@@ -234,6 +235,8 @@ def cmd_nash_gap(cfg: dict, cfg_path: str, out: Path, seed, threads: int) -> int
 
 
 def cmd_verify(out, threads: int) -> int:
+    from . import verify
+
     results = verify.run_suites()
     width = max(len(r.name) for r in results)
     for r in results:

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable, List
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     AreSolveError,
@@ -226,15 +225,23 @@ def _min_eig(P: np.ndarray) -> float:
 
 
 def spd_solver(R: np.ndarray, what: str = "R") -> Callable[[np.ndarray], np.ndarray]:
-    """Return x -> R^{-1} x via Cholesky; failure is an assumption violation."""
+    """Return x -> R^{-1} x, with R^{-1} formed once from a Cholesky factor.
+
+    A non-finite or non-positive-definite R is an assumption violation.
+    """
+    R = symmetrize(R)
+    if not np.all(np.isfinite(R)):
+        raise AssumptionViolationError("%s has non-finite entries" % what)
     try:
-        cf = scipy.linalg.cho_factor(symmetrize(R), lower=True)
-    except scipy.linalg.LinAlgError as exc:
+        L = np.linalg.cholesky(R)
+    except np.linalg.LinAlgError as exc:
         raise AssumptionViolationError(
             "%s is not symmetric positive definite: %s" % (what, exc)
         ) from exc
+    Linv = np.linalg.inv(L)
+    Rinv = symmetrize(Linv.T @ Linv)   # exactly symmetric
     # non-finite inputs must flow through so sweeps can report the node
-    return lambda X: scipy.linalg.cho_solve(cf, X, check_finite=False)
+    return lambda X: Rinv @ X
 
 
 def validate_convexity(p: LqgProblem, tol: float = PSD_TOL) -> ValidationReport:
@@ -519,6 +526,8 @@ def costate_oracle(p: LqgProblem, u: GridFunction) -> CostateOracle:
     T = grid.t_end
     disc = np.exp(-p.rho * grid.nodes)
 
+    import scipy.linalg  # only the oracle and the stationary ARE need scipy
+
     E_fwd = scipy.linalg.expm(p.A.T * h)
     E_bwd = scipy.linalg.expm(-p.A.T * h)
     P_fwd = np.empty((M + 1, p.n, p.n))   # e^{A' t_j}
@@ -659,6 +668,8 @@ def solve_discounted_are(
     then Newton-Kleinman polish through Lyapunov solves.  Raises
     AreSolveError when no stabilizing solution emerges.
     """
+    import scipy.linalg  # only the oracle and the stationary ARE need scipy
+
     n = A.shape[0]
     rinv = spd_solver(R, what=what)
     try:

@@ -19,8 +19,11 @@ import numpy as np
 
 from .errors import IntegrationDivergedError, OutOfRangeError, SchemaError
 
-# Snap tolerance for node queries, in units of the step fraction t/h.
-_NODE_SNAP = 1e-9
+# Snap tolerance for node queries, in units of the step fraction u = t/h:
+# 64 roundings of u, but at least _NODE_SNAP steps.  Snapping moves a value
+# by at most that fraction of its change over one step.
+_NODE_SNAP = 1e-12
+_SNAP_ULPS = 64 * np.finfo(float).eps
 
 
 def _as_count(value, name: str, low: int, high=None) -> int:
@@ -122,12 +125,13 @@ def interp(gf: GridFunction, t: float) -> np.ndarray:
     grid = gf.grid
     h = grid.h
     u = t / h
-    if u < -_NODE_SNAP or u > grid.num_steps + _NODE_SNAP:
+    snap = max(_NODE_SNAP, _SNAP_ULPS * abs(u))
+    if u < -snap or u > grid.num_steps + snap:
         raise OutOfRangeError(
             "time %g outside grid [0, %g]" % (t, grid.t_end)
         )
     j_near = int(round(u))
-    if abs(u - j_near) <= _NODE_SNAP:
+    if abs(u - j_near) <= snap:
         return gf.values[j_near].copy()
     j = int(np.floor(u))
     frac = u - j

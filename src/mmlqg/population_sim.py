@@ -25,6 +25,20 @@ from .mfg_solver import MfgSolution, mean_field_step_euler
 from .numerics import GridFunction, _as_count, symmetrize, trapezoid_weights
 
 
+def _type_indices(values, N: int) -> np.ndarray:
+    """N type indices as int64: integers, or floats with integral values."""
+    try:
+        ta = np.asarray(values)
+    except (TypeError, ValueError, OverflowError) as exc:  # ragged or huge
+        raise SchemaError("type_assignment must be a list of integers") from exc
+    if ta.shape != (N,):
+        raise SchemaError("type_assignment must list one type per agent")
+    if not (ta.dtype.kind in "biu" or ta.dtype.kind == "f" and np.all(
+            np.isfinite(ta) & (ta == np.floor(ta)))):
+        raise SchemaError("type_assignment must list integer type indices")
+    return ta.astype(np.int64, copy=False)
+
+
 @dataclass
 class PopulationConfig:
     N: int
@@ -41,10 +55,7 @@ class PopulationConfig:
         self.num_paths = _as_count(self.num_paths, "num_paths", 1)
         self.master_seed = _as_count(self.master_seed, "master_seed", 0, 2 ** 64)
         if self.type_assignment is not None:
-            ta = np.asarray(self.type_assignment, dtype=np.int64)
-            if ta.shape != (self.N,):
-                raise SchemaError("type_assignment must list one type per agent")
-            self.type_assignment = ta
+            self.type_assignment = _type_indices(self.type_assignment, self.N)
         if self.xbar0 is not None:
             self.xbar0 = np.asarray(self.xbar0, dtype=float).reshape(-1)
 

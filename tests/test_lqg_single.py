@@ -26,6 +26,7 @@ from mmlqg.lqg_single import (
     solve_discounted_are,
     solve_finite_horizon,
     solve_infinite_horizon,
+    spd_solver,
     validate_convexity,
 )
 from mmlqg.numerics import GridFunction, TimeGrid
@@ -92,6 +93,56 @@ def test_convexity_boundary_exact():
     p = scalar_problem(Q=[[1.0]], N_cross=[[1.0]], R=[[1.0]])
     rep = validate_convexity(p, tol=0.0)
     assert rep.ok
+
+
+# ------------------------------------------------------------- R^-1 solver
+
+
+def _spd(seed, m, log_cond):
+    """Random symmetric matrix with eigenvalues from 1 to 10^log_cond."""
+    rng = np.random.default_rng(seed)
+    V, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    w = np.logspace(0.0, log_cond, m)
+    return (V * w) @ V.T, rng
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 6),
+       log_cond=st.floats(0.0, 8.0))
+def test_spd_solver_agrees_with_scipy_cho_solve(seed, m, log_cond):
+    R, rng = _spd(seed, m, log_cond)
+    X = rng.standard_normal((m, 3))
+    ref = scipy.linalg.cho_solve(scipy.linalg.cho_factor(R, lower=True), X)
+    got = spd_solver(R)(X)
+    cond = np.linalg.cond(R)
+    assert np.linalg.norm(got - ref) <= 1e-12 * cond * np.linalg.norm(ref)
+    Rinv = spd_solver(R)(np.eye(m))
+    assert np.array_equal(Rinv, Rinv.T)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 6),
+       neg=st.floats(0.01, 10.0))
+def test_spd_solver_rejects_an_indefinite_matrix(seed, m, neg):
+    R, _ = _spd(seed, m, 2.0)
+    v = R[:, :1] / np.linalg.norm(R[:, :1])
+    R = R - (neg + 200.0) * (v @ v.T)   # v'Rv <= 100, so v'Rv - neg - 200 < 0
+    with pytest.raises(AssumptionViolationError):
+        spd_solver(R)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_spd_solver_rejects_non_finite_weights(bad):
+    # np.linalg.cholesky([[nan]]) returns [[nan]] without complaint
+    with pytest.raises(AssumptionViolationError, match="non-finite"):
+        spd_solver([[bad]])
+    with pytest.raises(AssumptionViolationError, match="non-finite"):
+        spd_solver([[2.0, 0.0], [0.0, bad]])
+
+
+def test_spd_solver_lets_non_finite_right_hand_sides_through():
+    out = spd_solver([[4.0]])(np.array([[math.nan, 8.0]]))
+    assert math.isnan(out[0, 0]) and out[0, 1] == 2.0
 
 
 # ---------------------------------------------------------- finite horizon

@@ -196,6 +196,32 @@ def test_interp_affine_exact(a, b, t):
     assert interp(f, t)[0, 0] == pytest.approx(a * t + b, abs=1e-12)
 
 
+def test_interp_near_a_node_is_not_snapped_beyond_rounding():
+    g = TimeGrid(1.0, 17)
+    f = GridFunction(g, (g.nodes + 1.0)[:, None, None])
+    assert interp(f, 1e-12)[0, 0] == pytest.approx(1.0 + 1e-12, abs=1e-12)
+    assert interp(f, 1.0 - 1e-12)[0, 0] == pytest.approx(2.0 - 1e-12, abs=1e-12)
+
+
+def test_interp_end_of_a_fine_grid_stays_in_range():
+    # at T = 1.29, M = 10^6 the step fraction T / h rounds to M + 1.2e-10
+    g = TimeGrid(1.29, 10 ** 6)
+    assert g.t_end / g.h > g.num_steps
+    f = GridFunction(g, g.nodes[:, None, None])
+    assert interp(f, g.t_end)[0, 0] == g.nodes[-1]
+
+
+def test_interp_at_j_times_h_returns_the_node_bit_for_bit():
+    rng = np.random.default_rng(5)
+    for T, M in ((1.0, 3), (0.3, 17), (7.3, 1000), (1.29, 4097)):
+        g = TimeGrid(T, M)
+        vals = rng.standard_normal((M + 1, 2, 1))
+        f = GridFunction(g, vals)
+        for j in range(M + 1):
+            assert np.array_equal(interp(f, j * g.h), vals[j])
+            assert np.array_equal(interp(f, g.nodes[j]), vals[j])
+
+
 def test_interp_out_of_range():
     g = TimeGrid(1.0, 4)
     f = GridFunction.constant(g, np.eye(2))

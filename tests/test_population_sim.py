@@ -366,6 +366,22 @@ def test_counts_keep_integral_floats_and_every_64_bit_seed():
         PopulationConfig(N=2, master_seed=2 ** 64)
 
 
+@pytest.mark.parametrize("bad", [[0.7, 1.9], [0, math.nan], [0, math.inf],
+                                 [0, "1"], [0, None], [0, [1]]])
+def test_type_assignment_rejects_non_integral_entries(bad):
+    # np.asarray(..., dtype=int64) would truncate 0.7 and raise on NaN
+    with pytest.raises(SchemaError):
+        PopulationConfig(N=2, type_assignment=bad)
+
+
+def test_type_assignment_keeps_integral_floats_and_numpy_integers():
+    cfg = PopulationConfig(N=3, type_assignment=[1.0, np.int32(0), np.uint8(1)])
+    assert cfg.type_assignment.dtype == np.int64
+    assert cfg.type_assignment.tolist() == [1, 0, 1]
+    cfg = PopulationConfig(N=2, type_assignment=np.array([1.0, 0.0]))
+    assert cfg.type_assignment.tolist() == [1, 0]
+
+
 @pytest.mark.parametrize("shape", [(2,), (7, 3)])
 @pytest.mark.parametrize("seed", [0, 12345, 2 ** 64 - 1])
 @pytest.mark.parametrize("stream", [0, 1])
