@@ -1,11 +1,15 @@
 """Single-agent discounted LQG control on a finite or infinite horizon.
 
-Finite horizon: backward Riccati and offset sweeps yielding the optimal
-linear feedback u* = -R^{-1}(N'x - n + B'(Pi x + s)).  Infinite horizon:
-the discounted algebraic Riccati equation solved by the Schur method plus
-Newton polish.  Also provides exact closed-loop cost evaluation by
-moment propagation and a deterministic Gateaux-derivative oracle used to
-certify optimality.
+Every LQG agent, a standalone LqgProblem or a game agent on its extended
+state, is one ExtendedSystem, and this module is the one place that
+checks, solves and tabulates it: the convexity checks on its primitive
+weights, one agent solve per horizon and one gain table.  Finite horizon:
+backward Riccati and offset sweeps yielding the optimal linear feedback
+u* = -R^{-1}(N'x - n + B'(Pi x + s)).  Infinite horizon: the discounted
+algebraic Riccati equation solved by the Schur method plus Newton polish,
+after Hautus tests of the shifted drift.  Also provides exact closed-loop
+cost evaluation by moment propagation and a deterministic Gateaux-
+derivative oracle used to certify optimality.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import numpy as np
 from .errors import (
     AreSolveError,
     AssumptionViolationError,
+    DimensionGuardError,
     IntegrationDivergedError,
     RiccatiBlowupError,
     SchemaError,
@@ -28,6 +33,7 @@ from .numerics import (
     TimeGrid,
     cumulative_simpson,
     flatten,
+    psd_check,
     rk4_backward_indexed,
     rk4_forward_indexed,
     symmetrize,
@@ -150,15 +156,24 @@ class LqgProblem:
     def m(self) -> int:
         return self.B.shape[1]
 
+    def _agent(self) -> "ExtendedSystem":
+        """This problem as the agent record every solver reads."""
+        return ExtendedSystem(
+            what="LQG", A=GridFunction.constant(self.grid, self.A), B=self.B,
+            b=self.b, Qhat=self.Qhat, Q=self.Q, N=self.N_cross, R=self.R,
+            eta=self.eta, nbar=self.n_lin,
+        )
+
 
 @dataclass
 class FeedbackLaw:
-    """Time-varying linear law u(t, x) = -K(t) x + k(t)."""
+    """Time-varying linear law u(t, x) = -K(t) x + k(t); x is read as a column."""
 
     K: GridFunction
     k: GridFunction
 
     def __call__(self, t: float, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float).reshape(-1, 1)
         return -self.K.interp(t) @ x + self.k.interp(t)
 
 
@@ -204,6 +219,12 @@ class ValidationReport:
     def failures(self) -> List[CheckResult]:
         return [c for c in self.checks if not c.passed]
 
+    def require(self):
+        """Raise AssumptionViolationError naming every check unless all pass."""
+        if not self.ok:
+            raise AssumptionViolationError(
+                "validation failed: " + self.summary(), report=self)
+
     def summary(self) -> str:
         return "; ".join(
             "%s: %s%s" % (c.name, "pass" if c.passed else "FAIL",
@@ -244,37 +265,74 @@ def spd_solver(R: np.ndarray, what: str = "R") -> Callable[[np.ndarray], np.ndar
     return lambda X: Rinv @ X
 
 
-def validate_convexity(p: LqgProblem, tol: float = PSD_TOL) -> ValidationReport:
-    """Check Qhat >= 0, R > 0, and Q - N R^{-1} N' >= 0 within tol."""
-    rep = ValidationReport()
+def add_convexity_checks(rep: ValidationReport, label: str, Qhat, Q, N, R,
+                         tol: float) -> None:
+    """Append one agent's convexity checks on its primitive weights.
 
-    r_min = _min_eig(p.R)
-    r_sym = float(np.max(np.abs(p.R - p.R.T))) if p.R.size else 0.0
-    rep.add(
-        "R positive definite",
-        r_sym <= _rel_psd_tol(p.R, tol) and r_min > _rel_psd_tol(p.R, tol),
-        "min eigenvalue %.3e" % r_min,
-    )
-
-    qhat_min = _min_eig(p.Qhat)
-    rep.add(
-        "Qhat PSD",
-        qhat_min >= -_rel_psd_tol(p.Qhat, tol),
-        "min eigenvalue %.3e" % qhat_min,
-    )
-
-    if rep.checks[0].passed:
-        rinv = spd_solver(p.R)
-        S = p.Q - p.N_cross @ rinv(p.N_cross.T)
+    R symmetric positive definite, Q - N R^{-1} N' PSD and Qhat PSD, each
+    within tol relative to the matrix's largest eigenvalue magnitude; label
+    prefixes every check name.
+    """
+    r_min = _min_eig(R)
+    r_tol = _rel_psd_tol(R, tol)
+    r_asym = float(np.max(np.abs(R - R.T))) if R.size else 0.0
+    r_ok = r_asym <= r_tol and r_min > r_tol
+    rep.add(label + "R positive definite", r_ok, "" if r_ok else
+            "min eigenvalue %.3e, asymmetry %.3e" % (r_min, r_asym))
+    if r_ok:
+        S = Q - N @ spd_solver(R)(N.T)
         s_min = _min_eig(S)
-        rep.add(
-            "Q - N R^{-1} N' PSD",
-            s_min >= -_rel_psd_tol(S, tol),
-            "min eigenvalue %.3e" % s_min,
-        )
+        rep.add(label + "Q - N R^{-1} N' PSD", s_min >= -_rel_psd_tol(S, tol),
+                "min eigenvalue %.3e" % s_min)
     else:
-        rep.add("Q - N R^{-1} N' PSD", False, "skipped: R not positive definite")
+        rep.add(label + "Q - N R^{-1} N' PSD", False,
+                "skipped: R not positive definite")
+    q_min = _min_eig(Qhat)
+    rep.add(label + "Qhat PSD", q_min >= -_rel_psd_tol(Qhat, tol),
+            "min eigenvalue %.3e" % q_min)
+
+
+def validate_convexity(p: LqgProblem, tol: float = PSD_TOL) -> ValidationReport:
+    """Check R > 0, Q - N R^{-1} N' >= 0 and Qhat >= 0 within tol."""
+    rep = ValidationReport()
+    add_convexity_checks(rep, "", p.Qhat, p.Q, p.N_cross, p.R, tol)
     return rep
+
+
+@dataclass
+class ExtendedSystem:
+    """One agent as a single-agent LQG problem on its extended state.
+
+    dX = (A(t) X + B u + b(t)) dt with running cost X'QX + 2X'Nu + u'Ru
+    - 2X'eta - 2u'nbar (discounted) and terminal weight Qhat.  A standalone
+    LqgProblem is one on its own state (what "LQG").  The major agent's
+    state is (x0; xbar), dimension n + nK; a minor type's is (x_i; x0;
+    xbar), dimension 2n + nK.  what names the agent in messages.
+    """
+
+    what: str
+    A: GridFunction        # dim x dim drift
+    B: np.ndarray          # dim x m control channel, [B; 0]
+    b: GridFunction        # dim x 1 drift offset
+    Qhat: np.ndarray       # terminal weight
+    Q: np.ndarray          # running weight
+    N: np.ndarray          # dim x m cross weight
+    R: np.ndarray          # m x m control weight
+    eta: np.ndarray        # dim x 1
+    nbar: np.ndarray       # m x 1
+
+    def __post_init__(self):
+        d = self.dim
+        for name in ("Qhat", "Q"):
+            W = getattr(self, name)
+            if W.shape != (d, d):
+                raise DimensionGuardError("%s %s must be %d x %d" % (self.what, name, d, d))
+            if not psd_check(W, _rel_psd_tol(W, PSD_TOL)):
+                raise SchemaError("%s %s lost positive semidefiniteness" % (self.what, name))
+
+    @property
+    def dim(self) -> int:
+        return self.B.shape[0]
 
 
 def _stage_values(gf: GridFunction) -> np.ndarray:
@@ -356,38 +414,48 @@ def _steady_offset(A, B, N, Rinv, rho, Pi, b, n_lin, eta) -> np.ndarray:
     return np.linalg.solve(rho * np.eye(A.shape[0]) - Acl_T, f)
 
 
-def solve_finite_horizon(p: LqgProblem) -> LqgSolution:
-    """Backward Riccati sweep then offset sweep; assembles gain tables.
+def _r_inverse(ext: ExtendedSystem) -> np.ndarray:
+    """R^{-1}, formed once per agent solve so sweeps multiply instead of solving."""
+    return spd_solver(ext.R, what=ext.what + " R")(np.eye(ext.R.shape[0]))
 
-    Pi is symmetrized after every step; the offset equation reads Pi and b
-    from half-step stage tables.  Divergence raises RiccatiBlowupError with
-    the last node reached.
+
+def _solve_agent_finite(ext: ExtendedSystem, rho: float):
+    """Finite horizon: one agent's backward Riccati sweep, then its offset sweep.
+
+    Both run on ext's grid from half-step stage tables; Pi is symmetrized
+    after every step.  Returns (Pi, s); divergence raises
+    RiccatiBlowupError with the last node reached.
     """
-    rep = validate_convexity(p)
-    if not rep.ok:
-        raise AssumptionViolationError(
-            "convexity assumptions violated: " + rep.summary(), report=rep
-        )
-    Rinv = spd_solver(p.R)(np.eye(p.m))
-    A_st = np.broadcast_to(p.A, (2 * p.grid.num_steps + 1,) + p.A.shape)
-    Pi = _riccati_sweep(A_st, p.B, p.Q, p.N_cross, Rinv, p.rho, p.Qhat, p.grid)
+    Rinv = _r_inverse(ext)
+    A_st = _stage_values(ext.A)
+    grid = ext.A.grid
+    Pi = _riccati_sweep(
+        A_st, ext.B, ext.Q, ext.N, Rinv, rho, ext.Qhat, grid,
+        ext.what + " Riccati sweep",
+    )
     s = _offset_sweep(
-        A_st, p.B, p.N_cross, Rinv, p.rho, _stage_values(Pi),
-        _stage_values(p.b), p.n_lin, p.eta, p.grid,
+        A_st, ext.B, ext.N, Rinv, rho, _stage_values(Pi), _stage_values(ext.b),
+        ext.nbar, ext.eta, grid, ext.what + " offset sweep",
     )
-    RBt = Rinv @ p.B.T
-    return LqgSolution(
-        Pi=Pi,
-        s=s,
-        K=GridFunction(p.grid, RBt @ Pi.values + Rinv @ p.N_cross.T),
-        kff=GridFunction(p.grid, RBt @ s.values - Rinv @ p.n_lin),
-    )
+    return Pi, s
 
 
-def feedback_control(sol: LqgSolution, t: float, x: np.ndarray) -> np.ndarray:
-    """u(t, x) = -K(t) x - kff(t)."""
-    x = np.asarray(x, dtype=float).reshape(-1, 1)
-    return -sol.K.interp(t) @ x - sol.kff.interp(t)
+def _gain_tables(ext: ExtendedSystem, Pi: GridFunction, s: GridFunction) -> FeedbackLaw:
+    """u = -K X + k at every node: K = R^{-1}(N' + B' Pi), k = R^{-1}(nbar - B' s)."""
+    Rinv = _r_inverse(ext)
+    RBt = Rinv @ ext.B.T
+    K_vals = np.einsum("ab,jbc->jac", RBt, Pi.values) + Rinv @ ext.N.T
+    k_vals = Rinv @ ext.nbar - np.einsum("ab,jbc->jac", RBt, s.values)
+    return FeedbackLaw(GridFunction(Pi.grid, K_vals), GridFunction(Pi.grid, k_vals))
+
+
+def solve_finite_horizon(p: LqgProblem) -> LqgSolution:
+    """Convexity checks, the finite agent solve, then the gain table."""
+    validate_convexity(p).require()
+    agent = p._agent()
+    Pi, s = _solve_agent_finite(agent, p.rho)
+    law = _gain_tables(agent, Pi, s)
+    return LqgSolution(Pi=Pi, s=s, K=law.K, kff=GridFunction(p.grid, -law.k.values))
 
 
 def closed_loop_cost_moments(grid: TimeGrid, rho: float, x0_mean: np.ndarray,
@@ -703,6 +771,24 @@ def solve_discounted_are(
     return Pi
 
 
+def _solve_agent_stationary(ext: ExtendedSystem, rho: float, L: np.ndarray,
+                            residual_tol: float = 1e-9):
+    """Infinite horizon: one agent's discounted ARE and steady offset at node 0.
+
+    The drift shifted by -rho/2 must first pass the Hautus tests with the
+    weight factor L (L'L the state weight).  Returns (Pi, s, Hautus report).
+    """
+    A = ext.A.values[0]
+    shifted = A - 0.5 * rho * np.eye(ext.dim)
+    rep = _require_hautus(hautus_report(shifted, ext.B, L, tol=1e-9),
+                          "%s system" % ext.what)
+    Pi = solve_discounted_are(A, ext.B, ext.Q, ext.N, ext.R, rho,
+                              residual_tol=residual_tol, what=ext.what + " R")
+    s = _steady_offset(A, ext.B, ext.N, _r_inverse(ext), rho, Pi,
+                       ext.b.values[0], ext.nbar, ext.eta)
+    return Pi, s, rep
+
+
 @dataclass
 class StationarySolution:
     Pi: np.ndarray
@@ -721,22 +807,14 @@ def solve_infinite_horizon(p: LqgProblem, tol: float = 1e-9) -> StationarySoluti
     """
     if not np.all(p.b.values == p.b.values[0]):
         raise SchemaError("infinite-horizon solver requires a constant drift offset b")
-    rep = validate_convexity(p)
-    if not rep.ok:
-        raise AssumptionViolationError(
-            "convexity assumptions violated: " + rep.summary(), report=rep
-        )
-    ds = _require_hautus(detectability_stabilizability(p), "LQG system")
-
-    Pi = solve_discounted_are(
-        p.A, p.B, p.Q, p.N_cross, p.R, p.rho, residual_tol=tol
-    )
-    rinv = spd_solver(p.R)
-    res = float(np.linalg.norm(_are_residual(Pi, p.A, p.B, p.Q, p.N_cross, rinv, p.rho)))
-    s = _steady_offset(p.A, p.B, p.N_cross, rinv(np.eye(p.m)), p.rho, Pi,
-                       p.b.values[0], p.n_lin, p.eta)
-    K = rinv(p.N_cross.T + p.B.T @ Pi)
-    kff = rinv(p.B.T @ s - p.n_lin)
+    validate_convexity(p).require()
+    agent = p._agent()
+    Pi, s, ds = _solve_agent_stationary(agent, p.rho, psd_sqrt(p.Q), tol)
+    res = float(np.linalg.norm(_are_residual(Pi, p.A, p.B, p.Q, p.N_cross,
+                                             spd_solver(p.R), p.rho)))
+    law = _gain_tables(agent, GridFunction.constant(p.grid, Pi),
+                       GridFunction.constant(p.grid, s))
     return StationarySolution(
-        Pi=Pi, s=s, K=K, kff=kff, are_residual=res, report=ds
+        Pi=Pi, s=s, K=law.K.values[0], kff=-law.k.values[0], are_residual=res,
+        report=ds,
     )

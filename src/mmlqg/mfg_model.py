@@ -6,7 +6,9 @@ population limit the average is replaced by the stacked per-type mean
 field; everything the solvers need is an exact block assembly from the
 primitive coefficients: mean-field dynamics matrices, the major agent's
 state extended by the mean field, and each minor type's state extended by
-(major state, mean field).
+(major state, mean field).  Each agent is built as lqg_single's
+ExtendedSystem and its weights are validated by lqg_single's convexity
+check, the same record and check as a standalone LQG problem.
 """
 
 from __future__ import annotations
@@ -18,19 +20,19 @@ import numpy as np
 
 from .errors import DimensionGuardError, SchemaError
 from .lqg_single import (
+    PSD_TOL,
+    ExtendedSystem,
     ValidationReport,
     _as_column,
     _as_grid_function,
     _as_matrix,
     _as_rate,
     _finite,
-    _min_eig,
     _rel_psd_tol,
+    add_convexity_checks,
     spd_solver,
 )
 from .numerics import GridFunction, TimeGrid, psd_check, symmetrize
-
-PSD_BUILD_TOL = 1e-9
 
 
 @dataclass
@@ -185,42 +187,7 @@ class MeanFieldMatrices:
     mbreve: GridFunction   # nK x 1, stacked b_k
 
 
-@dataclass
-class ExtendedSystem:
-    """One agent as a single-agent LQG problem on its extended state.
-
-    dX = (A(t) X + B u + b(t)) dt with running cost X'QX + 2X'Nu + u'Ru
-    - 2X'eta - 2u'nbar (discounted) and terminal weight Qhat.  The major
-    agent's state is (x0; xbar), dimension n + nK; a minor type's is
-    (x_i; x0; xbar), dimension 2n + nK.  what names the agent in messages.
-    """
-
-    what: str
-    A: GridFunction        # dim x dim drift
-    B: np.ndarray          # dim x m control channel, [B; 0]
-    b: GridFunction        # dim x 1 drift offset
-    Qhat: np.ndarray       # terminal weight
-    Q: np.ndarray          # running weight
-    N: np.ndarray          # dim x m cross weight
-    R: np.ndarray          # m x m control weight
-    eta: np.ndarray        # dim x 1
-    nbar: np.ndarray       # m x 1
-
-    def __post_init__(self):
-        d = self.dim
-        for name in ("Qhat", "Q"):
-            W = getattr(self, name)
-            if W.shape != (d, d):
-                raise DimensionGuardError("%s %s must be %d x %d" % (self.what, name, d, d))
-            if not psd_check(W, _rel_psd_tol(W, PSD_BUILD_TOL)):
-                raise SchemaError("%s %s lost positive semidefiniteness" % (self.what, name))
-
-    @property
-    def dim(self) -> int:
-        return self.B.shape[0]
-
-
-def validate_problem(p: MmMfgProblem, tol: float = PSD_BUILD_TOL) -> ValidationReport:
+def validate_problem(p: MmMfgProblem, tol: float = PSD_TOL) -> ValidationReport:
     """Distribution, convexity, and structural checks for the game data."""
     rep = ValidationReport()
 
@@ -236,29 +203,10 @@ def validate_problem(p: MmMfgProblem, tol: float = PSD_BUILD_TOL) -> ValidationR
         and psd_check(p.init_cov_minor, _rel_psd_tol(p.init_cov_minor, tol)),
     )
 
-    def convexity(label, Qhat, Q, N, R):
-        r_min = _min_eig(R)
-        if r_min <= _rel_psd_tol(R, tol):
-            rep.add(label + " R positive definite", False, "min eigenvalue %.3e" % r_min)
-            rep.add(label + " Q - N R^{-1} N' PSD", False, "skipped")
-        else:
-            rep.add(label + " R positive definite", True)
-            S = Q - N @ np.linalg.solve(symmetrize(R), N.T)
-            s_min = _min_eig(S)
-            rep.add(
-                label + " Q - N R^{-1} N' PSD",
-                s_min >= -_rel_psd_tol(S, tol),
-                "min eigenvalue %.3e" % s_min,
-            )
-        q_min = _min_eig(Qhat)
-        rep.add(
-            label + " Qhat PSD", q_min >= -_rel_psd_tol(Qhat, tol),
-            "min eigenvalue %.3e" % q_min,
-        )
-
-    convexity("major", p.major.Qhat0, p.major.Q0, p.major.N0, p.major.R0)
+    add_convexity_checks(rep, "major ", p.major.Qhat0, p.major.Q0, p.major.N0,
+                         p.major.R0, tol)
     for k, mn in enumerate(p.minors):
-        convexity("minor[%d]" % k, mn.Qhatk, mn.Qk, mn.Nk, mn.Rk)
+        add_convexity_checks(rep, "minor[%d] " % k, mn.Qhatk, mn.Qk, mn.Nk, mn.Rk, tol)
     return rep
 
 

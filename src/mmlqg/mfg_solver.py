@@ -5,9 +5,11 @@ mbar): given a triple x, the major solves its extended LQG problem, each
 minor type solves its extended problem against the major's solution, and
 the minors' equilibrium feedback closes the loop into a new triple F(x).
 The resulting Riccati/offset functions define the equilibrium feedback
-laws.  Every agent is one ExtendedSystem, so one map serves both
-horizons; they differ only in the per-agent solver: backward RK4 sweeps
-on the grid, or the discounted ARE and steady offset at node 0.
+laws.  Every agent is one ExtendedSystem, checked, solved and turned into
+a law by the same lqg_single routines as a standalone LQG problem, so one
+map serves both horizons; they differ only in the per-agent solve:
+backward RK4 sweeps on the grid, or the discounted ARE and steady offset
+at node 0.
 
 One iteration serves the finite-horizon and the stationary problem: Anderson
 acceleration (Walker & Ni 2011) with a memory of ANDERSON_MEMORY past
@@ -30,25 +32,18 @@ from typing import List, Optional
 
 import numpy as np
 
-from .errors import (
-    AssumptionViolationError,
-    FixedPointError,
-    SchemaError,
-)
+from .errors import FixedPointError, SchemaError
 from .lqg_single import (
+    ExtendedSystem,
     FeedbackLaw,
-    _offset_sweep,
-    _require_hautus,
-    _riccati_sweep,
+    _gain_tables,
+    _r_inverse,
+    _solve_agent_finite,
+    _solve_agent_stationary,
     _stage_values,
-    _steady_offset,
-    hautus_report,
     psd_sqrt,
-    solve_discounted_are,
-    spd_solver,
 )
 from .mfg_model import (
-    ExtendedSystem,
     MmMfgProblem,
     build_extended_major,
     build_extended_minor,
@@ -120,32 +115,18 @@ class MfgSolution:
     ext_minors: List[ExtendedSystem]
 
 
-def _r_inverse(ext: ExtendedSystem) -> np.ndarray:
-    """R^{-1}, formed once per agent solve so sweeps multiply instead of solving."""
-    return spd_solver(ext.R, what=ext.what + " R")(np.eye(ext.R.shape[0]))
-
-
 def _sweep_agent(p: MmMfgProblem, ext: ExtendedSystem):
-    """Finite horizon: one agent's backward Riccati sweep, then its offset sweep."""
-    Rinv = _r_inverse(ext)
-    A_st = _stage_values(ext.A)
-    Pi = _riccati_sweep(
-        A_st, ext.B, ext.Q, ext.N, Rinv, p.rho, ext.Qhat, p.grid,
-        ext.what + " Riccati sweep",
-    )
-    s = _offset_sweep(
-        A_st, ext.B, ext.N, Rinv, p.rho, _stage_values(Pi), _stage_values(ext.b),
-        ext.nbar, ext.eta, p.grid, ext.what + " offset sweep",
-    )
-    return Pi, s
+    """Finite horizon: one agent's (Pi, s) by the shared finite agent solve."""
+    return _solve_agent_finite(ext, p.rho)
 
 
 def _stationary_agent(p: MmMfgProblem):
     """Infinite horizon: one agent's discounted ARE and steady offset.
 
-    Returns solve_agent(p, ext) for p on a one-step grid, reading node 0.
-    Each extended system must first pass the Hautus tests of its drift
-    shifted by -rho/2.  Their weight factors come from the primitive costs,
+    Returns solve_agent(p, ext) for p on a one-step grid, reading node 0,
+    through the shared stationary agent solve.  Each extended system must
+    first pass the Hautus tests of its drift shifted by -rho/2.  Their
+    weight factors come from the primitive costs,
     psd_sqrt(Q0) [I, -H0^pi] and psd_sqrt(Qk) [I, -Hk, -Hhatk^pi], not from
     the square root of the extended weight: a rounding eigenvalue of 1e-17
     there has a square root of 3e-9, which blurs the kernel the rank test
@@ -159,14 +140,7 @@ def _stationary_agent(p: MmMfgProblem):
             [np.eye(n), -mn.Hk, -replicate_pi(mn.Hhatk, p.pi)])
 
     def solve_agent(p: MmMfgProblem, ext: ExtendedSystem):
-        A = ext.A.values[0]
-        shifted = A - 0.5 * p.rho * np.eye(ext.dim)
-        _require_hautus(hautus_report(shifted, ext.B, L[ext.what], tol=1e-9),
-                        "extended %s system" % ext.what)
-        Pi = solve_discounted_are(A, ext.B, ext.Q, ext.N, ext.R, p.rho,
-                                  what=ext.what + " R")
-        s = _steady_offset(A, ext.B, ext.N, _r_inverse(ext), p.rho, Pi,
-                           ext.b.values[0], ext.nbar, ext.eta)
+        Pi, s, _ = _solve_agent_stationary(ext, p.rho, L[ext.what])
         return GridFunction.constant(p.grid, Pi), GridFunction.constant(p.grid, s)
 
     return solve_agent
@@ -303,15 +277,6 @@ def _anderson(evaluate, x: np.ndarray, cfg: FixedPointConfig, what: str):
     )
 
 
-def _gain_tables(ext: ExtendedSystem, Pi: GridFunction, s: GridFunction) -> FeedbackLaw:
-    """u = -K X + k at every node: K = R^{-1}(N' + B' Pi), k = R^{-1}(nbar - B' s)."""
-    Rinv = _r_inverse(ext)
-    RBt = Rinv @ ext.B.T
-    K_vals = np.einsum("ab,jbc->jac", RBt, Pi.values) + Rinv @ ext.N.T
-    k_vals = Rinv @ ext.nbar - np.einsum("ab,jbc->jac", RBt, s.values)
-    return FeedbackLaw(GridFunction(Pi.grid, K_vals), GridFunction(Pi.grid, k_vals))
-
-
 def _solve_fixed_point(p: MmMfgProblem, cfg: FixedPointConfig, solve_agent,
                        nodes: int, what: str) -> MfgSolution:
     """The driver both horizons share: validate, iterate, tabulate the gains.
@@ -319,11 +284,7 @@ def _solve_fixed_point(p: MmMfgProblem, cfg: FixedPointConfig, solve_agent,
     The iteration starts from cfg.initial_law, read at its first `nodes`
     nodes, or else from the closure at Pi_k = 0, s_k = 0.
     """
-    rep = validate_problem(p)
-    if not rep.ok:
-        raise AssumptionViolationError(
-            "problem validation failed: " + rep.summary(), report=rep
-        )
+    validate_problem(p).require()
     law0 = cfg.initial_law if cfg.initial_law is not None else _initial_law(p)
     x0, evaluate = _consistency_map(p, law0, solve_agent, nodes)
     payload, history = _anderson(evaluate, x0, cfg, what)
@@ -351,18 +312,6 @@ def solve_consistency_finite(p: MmMfgProblem, cfg: Optional[FixedPointConfig] = 
     """
     return _solve_fixed_point(p, cfg or FixedPointConfig(), _sweep_agent,
                               p.grid.num_nodes, "consistency iteration")
-
-
-def equilibrium_feedback_major(sol: MfgSolution, t: float, X0: np.ndarray) -> np.ndarray:
-    """u0*(t) = -R0^{-1}[N0ext' X0 - nbar0 + Bb0'(Pi0 X0 + s0)]."""
-    X0 = np.asarray(X0, dtype=float).reshape(-1, 1)
-    return sol.major_law(t, X0)
-
-
-def equilibrium_feedback_minor(sol: MfgSolution, k: int, t: float, Xi: np.ndarray) -> np.ndarray:
-    """ui*(t) for type k on the extended state (x_i; x0; xbar)."""
-    Xi = np.asarray(Xi, dtype=float).reshape(-1, 1)
-    return sol.minor_laws[k](t, Xi)
 
 
 def mean_field_step_euler(Ab_st, Gb_st, mb_st, j: int, h: float, xbar, x0_now):
@@ -442,9 +391,10 @@ def solve_consistency_infinite(p: MmMfgProblem, cfg: Optional[FixedPointConfig] 
 
     The same Anderson iteration runs on constant (Abar, Gbar, mbar), a warm
     start read at its node 0.  Each extended system must satisfy the Hautus
-    detectability and stabilizability conditions of the shifted drift, and
-    the solved closed loops A - Bb R^{-1} Bb' Pi - (rho/2) I must be
-    asymptotically stable; violations raise assumption errors.
+    detectability and stabilizability conditions of the shifted drift
+    (violations raise assumption errors); the ARE solver accepts only the
+    stabilizing solution, whose closed loop A - B R^{-1}(N' + B' Pi)
+    - (rho/2) I is asymptotically stable.
     """
     cfg = cfg or FixedPointConfig()
     if p.rho <= 0.0:
@@ -456,15 +406,6 @@ def solve_consistency_infinite(p: MmMfgProblem, cfg: Optional[FixedPointConfig] 
     q = _one_step(p)
     sol = _solve_fixed_point(q, cfg, _stationary_agent(q), 1,
                              "stationary consistency iteration")
-
-    for ext, Pi in zip([sol.ext_major] + sol.ext_minors, [sol.Pi0] + sol.Pik):
-        Rinv = _r_inverse(ext)
-        C = ext.A.values[0] - ext.B @ Rinv @ ext.B.T @ Pi.values[0] \
-            - 0.5 * p.rho * np.eye(ext.dim)
-        if np.max(np.linalg.eigvals(C).real) >= 0:
-            raise AssumptionViolationError(
-                "extended %s closed loop is not asymptotically stable" % ext.what
-            )
 
     law = sol.mf_law
     return StationaryMfgSolution(

@@ -46,8 +46,6 @@ class PopulationConfig:
     num_paths: int = 1
     type_assignment: Optional[Sequence[int]] = None
     xbar0: Optional[np.ndarray] = None
-    init_cov_major: Optional[np.ndarray] = None
-    init_cov_minor: Optional[np.ndarray] = None
     record_states: bool = True
 
     def __post_init__(self):
@@ -180,10 +178,8 @@ class _Population:
             raise SchemaError("solution grid does not match the problem grid")
         self.p = p
         K = p.K
-        cov0 = cfg.init_cov_major if cfg.init_cov_major is not None else p.init_cov_major
-        covm = cfg.init_cov_minor if cfg.init_cov_minor is not None else p.init_cov_minor
-        self.sqrt0 = psd_sqrt(np.asarray(cov0, dtype=float))
-        self.sqrtm = psd_sqrt(np.asarray(covm, dtype=float))
+        self.sqrt0 = psd_sqrt(p.init_cov_major)
+        self.sqrtm = psd_sqrt(p.init_cov_minor)
         self.xbar0 = _initial_mean_field(p, cfg)
         self.K0v, self.k0v = sol.major_law.K.values, sol.major_law.k.values
         self.Kkv = [sol.minor_laws[k].K.values for k in range(K)]
@@ -491,11 +487,8 @@ class ReducedPopulation:
         self.terminal = (symmetrize(self.C.T @ self.Qhat @ self.C),
                          np.zeros((self.D, 1)), 0.0)
 
-        cov0 = cfg.init_cov_major if cfg.init_cov_major is not None \
-            else p.init_cov_major
-        covm = cfg.init_cov_minor if cfg.init_cov_minor is not None \
-            else p.init_cov_minor
-        noise = [(self.x0_off, p.major.sigma0, cov0, 1)]
+        covm = p.init_cov_minor
+        noise = [(self.x0_off, p.major.sigma0, p.init_cov_major, 1)]
         if agent_id:
             noise.append((0, p.minors[self.own_type].sigmak, covm, 1))
         noise += [(o, p.minors[k].sigmak, covm, counts[k])
@@ -505,7 +498,7 @@ class ReducedPopulation:
         for o, sig, cov, c in noise:
             r = slice(o, o + n)
             self.Sig2[r, r] = sig @ sig.T / c
-            self.V0[r, r] = np.asarray(cov) / c
+            self.V0[r, r] = cov / c
         self.mu0 = np.zeros((self.D, 1))
         self.mu0[self.xb_off:self.xb_off + n * K, 0] = _initial_mean_field(p, cfg)
 

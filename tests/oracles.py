@@ -205,15 +205,11 @@ class DenseJointSystem:
         Sig2[x0r, x0r] = p.major.sigma0 @ p.major.sigma0.T
         self.Sig2 = Sig2
 
-        cov0 = cfg.init_cov_major if cfg.init_cov_major is not None \
-            else p.init_cov_major
-        covm = cfg.init_cov_minor if cfg.init_cov_minor is not None \
-            else p.init_cov_minor
         V0 = np.zeros((self.D, self.D))
         for a in range(N):
             r = slice(a * n, (a + 1) * n)
-            V0[r, r] = covm
-        V0[x0r, x0r] = cov0
+            V0[r, r] = p.init_cov_minor
+        V0[x0r, x0r] = p.init_cov_major
         self.V0 = V0
         mu0 = np.zeros((self.D, 1))
         if cfg.xbar0 is not None:
@@ -350,15 +346,10 @@ class DenseJointSystem:
         rcfg = PopulationConfig(
             N=N, master_seed=cfg.master_seed, num_paths=num_paths,
             type_assignment=np.array(self.type_of),
-            xbar0=cfg.xbar0, init_cov_major=cfg.init_cov_major,
-            init_cov_minor=cfg.init_cov_minor, record_states=True,
+            xbar0=cfg.xbar0, record_states=True,
         )
         bundle = simulate_population(p, self.sol, rcfg)
-        cov0 = cfg.init_cov_major if cfg.init_cov_major is not None \
-            else p.init_cov_major
-        covm = cfg.init_cov_minor if cfg.init_cov_minor is not None \
-            else p.init_cov_minor
-        sqrt0, sqrtm = psd_sqrt(cov0), psd_sqrt(covm)
+        sqrt0, sqrtm = psd_sqrt(p.init_cov_major), psd_sqrt(p.init_cov_minor)
         gap = 0.0
         eye = np.eye(self.D)
         for path in range(num_paths):

@@ -21,7 +21,6 @@ from mmlqg.lqg_single import (
     costate_oracle,
     detectability_stabilizability,
     expected_cost,
-    feedback_control,
     gateaux_derivative_det,
     solve_discounted_are,
     solve_finite_horizon,
@@ -218,14 +217,14 @@ def _handmade_solution(grid, Pi, s, K, kff):
 def test_feedback_zero_everything():
     g = TimeGrid(1.0, 10)
     sol = _handmade_solution(g, [[0.0]], [[0.0]], [[0.0]], [[0.0]])
-    assert feedback_control(sol, 0.3, [[5.0]]) == pytest.approx(0.0)
+    assert sol.law()(0.3, [[5.0]]) == pytest.approx(0.0)
 
 
 def test_feedback_scalar_arithmetic():
     # Pi=1, B=R=1, N=0, s=0: K = 1, u(x=2) = -2
     g = TimeGrid(1.0, 10)
     sol = _handmade_solution(g, [[1.0]], [[0.0]], [[1.0]], [[0.0]])
-    assert feedback_control(sol, 0.5, [[2.0]])[0, 0] == pytest.approx(-2.0)
+    assert sol.law()(0.5, [[2.0]])[0, 0] == pytest.approx(-2.0)
 
 
 def test_feedback_feedforward_only():
@@ -233,14 +232,14 @@ def test_feedback_feedforward_only():
     g = TimeGrid(1.0, 10)
     n_lin = 0.35
     sol = _handmade_solution(g, [[2.0]], [[0.0]], [[2.0]], [[-n_lin]])
-    assert feedback_control(sol, 0.1, [[0.0]])[0, 0] == pytest.approx(n_lin)
+    assert sol.law()(0.1, [[0.0]])[0, 0] == pytest.approx(n_lin)
 
 
 def test_feedback_out_of_range():
     g = TimeGrid(1.0, 10)
     sol = _handmade_solution(g, [[1.0]], [[0.0]], [[1.0]], [[0.0]])
     with pytest.raises(OutOfRangeError):
-        feedback_control(sol, 1.5, [[1.0]])
+        sol.law()(1.5, [[1.0]])
 
 
 # ------------------------------------------------------------ expected cost

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mmlqg.errors import DimensionGuardError, SchemaError
+from mmlqg.lqg_single import LqgProblem, validate_convexity
 from mmlqg.mfg_model import (
     MajorParams,
     MinorTypeParams,
@@ -73,6 +74,44 @@ def test_validate_rejects_nonzero_initial_mean():
     p.init_mean_minor = np.array([[0.1], [0.0]])
     rep = validate_problem(p)
     assert any("means" in c.name and not c.passed for c in rep.checks)
+
+
+I2 = np.eye(2)
+
+
+@pytest.mark.parametrize("weights, convex", [
+    (dict(), True),
+    (dict(R=[[1.0, 0.5], [0.0, 1.0]]), False),            # asymmetric R
+    (dict(R=[[1.0, 0.0], [0.0, 0.0]]), False),            # singular R
+    (dict(N=1.5 * I2), False),                            # Q - N R^-1 N' < 0
+    (dict(Q=[[1.0, 0.5], [0.5, 0.25]], N=[[1.0, 0.0], [0.5, 0.0]], R=I2),
+     True),                                               # Q = N R^-1 N'
+    (dict(Qhat=[[1.0, 0.0], [0.0, -0.1]]), False),        # indefinite Qhat
+])
+def test_single_agent_and_game_checks_give_one_verdict(weights, convex):
+    # the standalone convexity check and the game's check of its major
+    # read the same primitive weights through one helper
+    w = dict(Qhat=0.5 * I2, Q=I2, N=0.1 * I2, R=[[1.0, 0.1], [0.1, 0.8]])
+    w.update(weights)
+    zero = np.zeros((2, 1))
+    single = LqgProblem(A=0.1 * I2, B=I2, b=zero, sigma=zero, Qhat=w["Qhat"],
+                        Q=w["Q"], N_cross=w["N"], R=w["R"], eta=zero,
+                        n_lin=zero, rho=0.0, grid=TimeGrid(1.0, 4), x0=zero)
+    game = MmMfgProblem(
+        major=MajorParams(A0=0.1 * I2, F0=0 * I2, B0=I2, b0=zero, sigma0=I2,
+                          Qhat0=w["Qhat"], Q0=w["Q"], N0=w["N"], R0=w["R"],
+                          H0=0 * I2, eta0=zero),
+        minors=[MinorTypeParams(Ak=-I2, Fk=0 * I2, Gk=0 * I2, Bk=I2, bk=zero,
+                                sigmak=I2, Qhatk=I2, Qk=I2, Nk=0 * I2, Rk=I2,
+                                Hk=0 * I2, Hhatk=0 * I2, etak=zero)],
+        pi=[1.0], grid=TimeGrid(1.0, 4),
+    )
+    one = validate_convexity(single)
+    both = validate_problem(game)
+    assert one.ok is both.ok is convex
+    major = [(c.name[len("major "):], c.passed) for c in both.checks
+             if c.name.startswith("major ")]
+    assert major == [(c.name, c.passed) for c in one.checks]
 
 
 def test_validate_passing_mean_check_has_no_failure_detail():

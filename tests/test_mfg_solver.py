@@ -1,12 +1,13 @@
 import ast
 import collections
 import dataclasses
-import inspect
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mmlqg import mfg_model, mfg_solver
+import mmlqg
+from mmlqg import lqg_single, mfg_model, mfg_solver
 from mmlqg.errors import (
     AssumptionViolationError,
     FixedPointError,
@@ -25,8 +26,6 @@ from mmlqg.mfg_solver import (
     FixedPointConfig,
     MeanFieldLaw,
     _closure_law,
-    equilibrium_feedback_major,
-    equilibrium_feedback_minor,
     mean_field_trajectory,
     solve_consistency_finite,
     solve_consistency_infinite,
@@ -275,15 +274,15 @@ def test_feedback_evaluators(coupled):
     d0 = p.n + p.n * p.K
     X = np.arange(1.0, d0 + 1.0).reshape(-1, 1)
     Y = np.ones((d0, 1))
-    u_x = equilibrium_feedback_major(sol, t, X)
-    u_xy = equilibrium_feedback_major(sol, t, X + Y)
+    u_x = sol.major_law(t, X)
+    u_xy = sol.major_law(t, X + Y)
     assert u_x.shape == (p.m, 1)
     # affine in the state with slope -K(t)
     assert np.allclose(u_xy - u_x, -sol.major_law.K.interp(t) @ Y, atol=1e-13)
     d = 2 * p.n + p.n * p.K
     Xi = np.linspace(-1.0, 1.0, d).reshape(-1, 1)
     for k in range(p.K):
-        u = equilibrium_feedback_minor(sol, k, t, Xi)
+        u = sol.minor_laws[k](t, Xi)
         assert u.shape == (p.m, 1)
         assert np.all(np.isfinite(u))
 
@@ -434,26 +433,54 @@ def test_long_finite_horizon_matches_the_stationary_solution():
 
 
 def test_one_agent_type_and_one_call_site_per_agent_solver():
-    # every agent is one ExtendedSystem, and each per-agent numerical
-    # routine is reached from one place in the solver, so no second
-    # per-horizon or per-agent path can creep back
-    classes = [name for name, obj in vars(mfg_model).items()
-               if inspect.isclass(obj) and obj.__module__ == mfg_model.__name__
-               and name.startswith("Extended")]
-    assert classes == ["ExtendedSystem"]
+    # every agent, a standalone LQG problem or a game agent, is one
+    # ExtendedSystem, and each per-agent numerical routine is reached from
+    # one place in the package, so no second per-horizon or per-agent path
+    # can creep back
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(Path(mmlqg.__file__).parent.glob("*.py"))}
+    classes = [(module, node.name) for module, tree in trees.items()
+               for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef) and node.name.startswith("Extended")]
+    assert classes == [("lqg_single", "ExtendedSystem")]
     p = coupled_toy(M=4)
     law = mfg_solver._initial_law(p)
     major = build_extended_major(p, law)
     d0 = major.dim
     minor = build_extended_minor(p, 0, GridFunction.zeros(p.grid, d0, d0),
                                  GridFunction.zeros(p.grid, d0), law)
-    assert type(major) is type(minor) is mfg_model.ExtendedSystem
+    single = major_standalone(p)._agent()
+    assert type(major) is type(minor) is type(single) is lqg_single.ExtendedSystem
 
-    tree = ast.parse(inspect.getsource(mfg_solver))
     calls = collections.Counter(
-        node.func.id for node in ast.walk(tree)
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+        for tree in trees.values() for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, (ast.Name, ast.Attribute))
     )
-    for name in ("_riccati_sweep", "_offset_sweep", "solve_discounted_are",
-                 "_steady_offset"):
+    for name in ("_riccati_sweep", "_offset_sweep", "_steady_offset"):
         assert calls[name] == 1, name
+
+
+def test_stationary_cross_weight_game_solves_with_a_stable_closed_loop():
+    # with N0 != 0 the major's closed loop is A - B R^{-1}(N' + B' Pi)
+    # - rho/2; a check that leaves out N' rejected this valid equilibrium
+    rho = 1.0
+    one, zero = [[1.0]], [[0.0]]
+    p = mfg_model.MmMfgProblem(
+        major=mfg_model.MajorParams(
+            A0=[[rho / 2 + 0.5]], F0=zero, B0=one, b0=zero, sigma0=zero,
+            Qhat0=one, Q0=one, N0=one, R0=one, H0=zero, eta0=zero),
+        minors=[mfg_model.MinorTypeParams(
+            Ak=[[-1.0]], Fk=zero, Gk=[[0.1]], Bk=one, bk=zero, sigmak=zero,
+            Qhatk=one, Qk=one, Nk=zero, Rk=one, Hk=zero, Hhatk=zero,
+            etak=zero)],
+        pi=[1.0], grid=TimeGrid(1.0, 4), rho=rho,
+    )
+    sol = solve_consistency_infinite(p)
+    assert np.max(np.abs(sol.Pi0)) < 1e-12
+    assert np.allclose(sol.major_gain, [[1.0, 0.0]], atol=1e-12)
+    A = np.array([[p.major.A0[0, 0], 0.0], [sol.Gbar[0, 0], sol.Abar[0, 0]]])
+    B = np.array([[1.0], [0.0]])
+    closed = A - B @ sol.major_gain - 0.5 * rho * np.eye(2)
+    assert np.max(np.linalg.eigvals(closed).real) < 0

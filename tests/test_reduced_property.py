@@ -10,6 +10,8 @@ with |J| the larger of the two costs for the gap.  Where a coarse grid
 makes the dense sweep fail, the reduced one must fail the same way.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -79,9 +81,10 @@ def test_reduced_system_matches_dense_oracle(g):
     rng = np.random.default_rng(g["seed"] + 2)
     cfg = PopulationConfig(
         N=len(g["types"]), type_assignment=[t % K for t in g["types"]],
-        xbar0=rng.normal(size=n * K), init_cov_major=spd(rng, n),
-        init_cov_minor=spd(rng, n),
+        xbar0=rng.normal(size=n * K),
     )
+    p = dataclasses.replace(p, init_cov_major=spd(rng, n),
+                            init_cov_minor=spd(rng, n))
     for dev in range(cfg.N + 1):
         red = build_joint_closed_loop(p, sol, cfg, dev)
         dense = DenseJointSystem(p=p, sol=sol, cfg=cfg, deviator=dev)
