@@ -104,8 +104,7 @@ def _report_dict(report) -> dict:
 def cmd_solve_lqg(cfg: dict, cfg_path: str, out: Path, seed, threads: int) -> int:
     started = time.monotonic()
     p = config.parse_lqg_problem(cfg)
-    report = validate_convexity(p)
-    report.require()
+    report = validate_convexity(p)  # the solver raises on failure
     sol = solve_finite_horizon(p)
     J = expected_cost(p, sol)
     _write_grid_tables(out, {"pi.csv": sol.Pi.values, "s.csv": sol.s.values,
@@ -126,8 +125,7 @@ def cmd_solve_lqg(cfg: dict, cfg_path: str, out: Path, seed, threads: int) -> in
 def cmd_solve_mfg(cfg: dict, cfg_path: str, out: Path, seed, threads: int) -> int:
     started = time.monotonic()
     p = config.parse_mfg_problem(cfg)
-    report = validate_problem(p)
-    report.require()
+    report = validate_problem(p)  # the solver raises on failure
     sol = solve_consistency_finite(p, config.parse_fixed_point(cfg))
     tables = {"pi_major.csv": sol.Pi0.values, "s_major.csv": sol.s0.values,
               "gains_major.csv": sol.major_law.K.values,

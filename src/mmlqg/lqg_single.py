@@ -156,11 +156,19 @@ class LqgProblem:
     def m(self) -> int:
         return self.B.shape[1]
 
-    def _agent(self) -> "ExtendedSystem":
-        """This problem as the agent record every solver reads."""
+    def _agent(self, stationary: bool = False) -> "ExtendedSystem":
+        """This problem as the agent record every solver reads.
+
+        The stationary record sits on a one-step grid with b frozen at
+        t = 0, since the stationary solve reads node 0 only.
+        """
+        grid, b = self.grid, self.b
+        if stationary:
+            grid = TimeGrid(grid.t_end, 1)
+            b = GridFunction.constant(grid, b.values[0])
         return ExtendedSystem(
-            what="LQG", A=GridFunction.constant(self.grid, self.A), B=self.B,
-            b=self.b, Qhat=self.Qhat, Q=self.Q, N=self.N_cross, R=self.R,
+            what="LQG", A=GridFunction.constant(grid, self.A), B=self.B,
+            b=b, Qhat=self.Qhat, Q=self.Q, N=self.N_cross, R=self.R,
             eta=self.eta, nbar=self.n_lin,
         )
 
@@ -709,12 +717,6 @@ def psd_sqrt(Q: np.ndarray) -> np.ndarray:
     return (V * np.sqrt(w)) @ V.T
 
 
-def detectability_stabilizability(p: LqgProblem, tol: float = 1e-9) -> DetectStabReport:
-    """Check (Q^{1/2}, A - (rho/2) I) detectable and (A - (rho/2) I, B) stabilizable."""
-    A_shift = p.A - 0.5 * p.rho * np.eye(p.n)
-    return hautus_report(A_shift, p.B, psd_sqrt(p.Q), tol)
-
-
 def _are_residual(Pi, A, B, Q, N, R_solve, rho):
     PBN = Pi @ B + N
     return Pi @ A + A.T @ Pi - PBN @ R_solve(PBN.T) + Q - rho * Pi
@@ -808,12 +810,12 @@ def solve_infinite_horizon(p: LqgProblem, tol: float = 1e-9) -> StationarySoluti
     if not np.all(p.b.values == p.b.values[0]):
         raise SchemaError("infinite-horizon solver requires a constant drift offset b")
     validate_convexity(p).require()
-    agent = p._agent()
+    agent = p._agent(stationary=True)
     Pi, s, ds = _solve_agent_stationary(agent, p.rho, psd_sqrt(p.Q), tol)
     res = float(np.linalg.norm(_are_residual(Pi, p.A, p.B, p.Q, p.N_cross,
                                              spd_solver(p.R), p.rho)))
-    law = _gain_tables(agent, GridFunction.constant(p.grid, Pi),
-                       GridFunction.constant(p.grid, s))
+    law = _gain_tables(agent, GridFunction.constant(agent.A.grid, Pi),
+                       GridFunction.constant(agent.A.grid, s))
     return StationarySolution(
         Pi=Pi, s=s, K=law.K.values[0], kff=-law.k.values[0], are_residual=res,
         report=ds,

@@ -19,9 +19,10 @@ from mmlqg.lqg_single import (
     LqgProblem,
     LqgSolution,
     costate_oracle,
-    detectability_stabilizability,
     expected_cost,
     gateaux_derivative_det,
+    hautus_report,
+    psd_sqrt,
     solve_discounted_are,
     solve_finite_horizon,
     solve_infinite_horizon,
@@ -495,22 +496,27 @@ def test_infinite_horizon_rejects_unstabilizable():
 # --------------------------------------------- detectability/stabilizability
 
 
+def shifted_hautus(p):
+    """The Hautus tests solve_infinite_horizon runs: (A - rho/2 I, B, Q^{1/2})."""
+    return hautus_report(p.A - 0.5 * p.rho * np.eye(p.n), p.B, psd_sqrt(p.Q), 1e-9)
+
+
 def test_hautus_stable_drift():
     p = scalar_problem(A=[[-1.0]], B=[[0.0]], Q=[[0.0]])
-    rep = detectability_stabilizability(p)
+    rep = shifted_hautus(p)
     assert rep.ok
     assert rep.stab_modes == []
 
 
 def test_hautus_uncontrollable_unstable():
     p = scalar_problem(A=[[1.0]], B=[[0.0]])
-    rep = detectability_stabilizability(p)
+    rep = shifted_hautus(p)
     assert not rep.stabilizable
     assert rep.detectable
 
 
 def test_hautus_unobservable_unstable():
     p = scalar_problem(A=[[1.0]], Q=[[0.0]], Qhat=[[0.0]])
-    rep = detectability_stabilizability(p)
+    rep = shifted_hautus(p)
     assert not rep.detectable
     assert rep.stabilizable
