@@ -21,8 +21,7 @@ import numpy as np
 
 from . import __version__, config
 from .errors import AssumptionViolationError, NumericalError, SchemaError
-from .lqg_single import expected_cost, solve_finite_horizon, validate_convexity
-from .mfg_model import validate_problem
+from .lqg_single import expected_cost, solve_finite_horizon
 from .mfg_solver import solve_consistency_finite
 from .nash_gap import gap_vs_population
 from .population_sim import (
@@ -104,7 +103,6 @@ def _report_dict(report) -> dict:
 def cmd_solve_lqg(cfg: dict, cfg_path: str, out: Path, seed, threads: int) -> int:
     started = time.monotonic()
     p = config.parse_lqg_problem(cfg)
-    report = validate_convexity(p)  # the solver raises on failure
     sol = solve_finite_horizon(p)
     J = expected_cost(p, sol)
     _write_grid_tables(out, {"pi.csv": sol.Pi.values, "s.csv": sol.s.values,
@@ -114,7 +112,7 @@ def cmd_solve_lqg(cfg: dict, cfg_path: str, out: Path, seed, threads: int) -> in
         "J_star": J,
         "Pi0": sol.Pi.values[0].tolist(),
         "s0": sol.s.values[0].tolist(),
-        "validation": _report_dict(report),
+        "validation": _report_dict(sol.validation),
         "grid": {"T": p.grid.t_end, "M": p.grid.num_steps},
     })
     _write_manifest(out, "solve-lqg", cfg_path, cfg, seed,
@@ -125,7 +123,6 @@ def cmd_solve_lqg(cfg: dict, cfg_path: str, out: Path, seed, threads: int) -> in
 def cmd_solve_mfg(cfg: dict, cfg_path: str, out: Path, seed, threads: int) -> int:
     started = time.monotonic()
     p = config.parse_mfg_problem(cfg)
-    report = validate_problem(p)  # the solver raises on failure
     sol = solve_consistency_finite(p, config.parse_fixed_point(cfg))
     tables = {"pi_major.csv": sol.Pi0.values, "s_major.csv": sol.s0.values,
               "gains_major.csv": sol.major_law.K.values,
@@ -148,7 +145,7 @@ def cmd_solve_mfg(cfg: dict, cfg_path: str, out: Path, seed, threads: int) -> in
         "residual": sol.report.residual,
         "converged": sol.report.converged,
         "terminal_weight_gap": term_gap,
-        "assumptions": _report_dict(report),
+        "assumptions": _report_dict(sol.validation),
         "grid": {"T": p.grid.t_end, "M": p.grid.num_steps},
     })
     _write_manifest(out, "solve-mfg", cfg_path, cfg, seed,

@@ -128,13 +128,6 @@ def parse_grid(cfg: dict) -> TimeGrid:
         raise SchemaError("$.grid: %s" % exc)
 
 
-def parse_kind(cfg: dict) -> str:
-    kind = _require(cfg, "kind", "$")
-    if kind not in ("lqg", "mfg"):
-        raise SchemaError("$.kind: expected 'lqg' or 'mfg', got %r" % (kind,))
-    return kind
-
-
 _LQG_KEYS = {"kind", "grid", "rho", "A", "B", "b", "sigma", "Qhat", "Q",
              "N", "R", "eta", "n", "x0", "population"}
 

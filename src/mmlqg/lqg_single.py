@@ -15,7 +15,7 @@ derivative oracle used to certify optimality.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -191,6 +191,7 @@ class LqgSolution:
     s: GridFunction
     K: GridFunction
     kff: GridFunction
+    validation: Optional[ValidationReport] = None   # the checks the solver ran
 
     def law(self) -> FeedbackLaw:
         """The optimum as u = -Kx + k, with k = -kff."""
@@ -227,11 +228,13 @@ class ValidationReport:
     def failures(self) -> List[CheckResult]:
         return [c for c in self.checks if not c.passed]
 
-    def require(self):
-        """Raise AssumptionViolationError naming every check unless all pass."""
+    def require(self) -> "ValidationReport":
+        """Raise AssumptionViolationError naming every check unless all
+        pass; return the report when they do."""
         if not self.ok:
             raise AssumptionViolationError(
                 "validation failed: " + self.summary(), report=self)
+        return self
 
     def summary(self) -> str:
         return "; ".join(
@@ -459,11 +462,12 @@ def _gain_tables(ext: ExtendedSystem, Pi: GridFunction, s: GridFunction) -> Feed
 
 def solve_finite_horizon(p: LqgProblem) -> LqgSolution:
     """Convexity checks, the finite agent solve, then the gain table."""
-    validate_convexity(p).require()
+    report = validate_convexity(p).require()
     agent = p._agent()
     Pi, s = _solve_agent_finite(agent, p.rho)
     law = _gain_tables(agent, Pi, s)
-    return LqgSolution(Pi=Pi, s=s, K=law.K, kff=GridFunction(p.grid, -law.k.values))
+    return LqgSolution(Pi=Pi, s=s, K=law.K, kff=GridFunction(p.grid, -law.k.values),
+                       validation=report)
 
 
 def closed_loop_cost_moments(grid: TimeGrid, rho: float, x0_mean: np.ndarray,
@@ -530,6 +534,23 @@ def _law_stage_tables(p: LqgProblem, law) -> tuple:
     raise SchemaError("unsupported control law type %r" % type(law).__name__)
 
 
+def _policy_quadratic(Q, N, R, eta, nbar, c0, L, uc):
+    """Running cost of one agent under the affine law u = L X + uc.
+
+    Returns (W, l, c) with X'WX + 2X'l + c = X'QX + 2X'Nu + u'Ru - 2X'eta
+    - 2u'nbar + c0 for every X.  L and uc may be stage tables, with a
+    leading stage axis, and W, l and c are then tables too.  Every exact
+    cost in the package, of one agent or of a finite-N deviator, passes
+    its weights and law through here.
+    """
+    NL = N @ L
+    Lt = np.swapaxes(L, -1, -2)
+    W = symmetrize(Q + NL + np.swapaxes(NL, -1, -2) + Lt @ R @ L)
+    l = N @ uc - eta + Lt @ (R @ uc - nbar)
+    c = c0 - 2.0 * nbar.T @ uc + np.swapaxes(uc, -1, -2) @ R @ uc
+    return W, l, c[..., 0, 0]
+
+
 def expected_cost(p: LqgProblem, law) -> float:
     """Exact J under a linear law u = -Kx + k: no sampling.
 
@@ -537,36 +558,13 @@ def expected_cost(p: LqgProblem, law) -> float:
     running cost is integrated through trace identities.
     """
     K_tab, k_tab = _law_stage_tables(p, law)
-    M = p.grid.num_steps
-    nq = 2 * M + 1
-
-    b_tab = _stage_values(p.b)
     sig_tab = _stage_values(p.sigma)
     Sig2 = np.einsum("qir,qjr->qij", sig_tab, sig_tab)
-
-    A_cl = p.A[None, :, :] - np.einsum("ij,qjk->qik", p.B, K_tab)
-    d = np.einsum("ij,qjk->qik", p.B, k_tab) + b_tab
-
-    # W = Q - N K - K'N' + K'RK ; l = N k - K'R k + K'n - eta ;
-    # c = k'Rk - 2 k'n
-    NK = np.einsum("ij,qjk->qik", p.N_cross, K_tab)
-    RK = np.einsum("ij,qjk->qik", p.R, K_tab)
-    KtRK = np.einsum("qji,qjk->qik", K_tab, RK)
-    W = p.Q[None, :, :] - NK - np.swapaxes(NK, 1, 2) + KtRK
-    Rk = np.einsum("ij,qjk->qik", p.R, k_tab)
-    l_vec = (
-        np.einsum("ij,qjk->qik", p.N_cross, k_tab)
-        - np.einsum("qji,qjk->qik", K_tab, Rk)
-        + np.einsum("qji,jk->qik", K_tab, p.n_lin)
-        - p.eta[None, :, :]
-    )
-    c = (
-        np.einsum("qji,qjk->qk", k_tab, Rk)[:, 0]
-        - 2.0 * np.einsum("qji,jk->qk", k_tab, p.n_lin)[:, 0]
-    )
-
+    W, l, c = _policy_quadratic(p.Q, p.N_cross, p.R, p.eta, p.n_lin, 0.0,
+                                -K_tab, k_tab)
     return closed_loop_cost_moments(
-        p.grid, p.rho, p.x0, np.zeros((p.n, p.n)), A_cl, d, Sig2, W, l_vec, c,
+        p.grid, p.rho, p.x0, np.zeros((p.n, p.n)), p.A - p.B @ K_tab,
+        p.B @ k_tab + _stage_values(p.b), Sig2, W, l, c,
         (p.Qhat, np.zeros((p.n, 1)), 0.0),
     )
 

@@ -71,7 +71,7 @@ class MinorTypeParams:
 class MmMfgProblem:
     """Game data: one major agent, K minor types with fractions pi.
 
-    Initial states are mean zero (enforced) with the given covariances;
+    Initial states have mean zero and the given covariances;
     rho = 0 on the finite horizon, rho > 0 for the stationary problem.
     """
 
@@ -82,8 +82,6 @@ class MmMfgProblem:
     rho: float = 0.0
     init_cov_major: Optional[np.ndarray] = None
     init_cov_minor: Optional[np.ndarray] = None
-    init_mean_major: Optional[np.ndarray] = None
-    init_mean_minor: Optional[np.ndarray] = None
 
     def __post_init__(self):
         mj = self.major
@@ -138,16 +136,6 @@ class MmMfgProblem:
             np.zeros((n, n)) if self.init_cov_minor is None else self.init_cov_minor,
             n, n,
         )
-        self.init_mean_major = _as_column(
-            "init_mean_major",
-            np.zeros((n, 1)) if self.init_mean_major is None else self.init_mean_major,
-            n,
-        )
-        self.init_mean_minor = _as_column(
-            "init_mean_minor",
-            np.zeros((n, 1)) if self.init_mean_minor is None else self.init_mean_minor,
-            n,
-        )
 
     @property
     def n(self) -> int:
@@ -194,9 +182,6 @@ def validate_problem(p: MmMfgProblem, tol: float = PSD_TOL) -> ValidationReport:
     pi_ok = np.all(p.pi >= -tol) and abs(float(p.pi.sum()) - 1.0) <= max(tol, 1e-12)
     rep.add("pi is a distribution", bool(pi_ok), "sum %.6g" % float(p.pi.sum()))
 
-    means_zero = not np.any(p.init_mean_major) and not np.any(p.init_mean_minor)
-    rep.add("initial means are zero", means_zero,
-            "" if means_zero else "nonzero initial mean")
     rep.add(
         "initial covariances PSD",
         psd_check(p.init_cov_major, _rel_psd_tol(p.init_cov_major, tol))

@@ -36,6 +36,7 @@ from .errors import FixedPointError, SchemaError
 from .lqg_single import (
     ExtendedSystem,
     FeedbackLaw,
+    ValidationReport,
     _gain_tables,
     _r_inverse,
     _solve_agent_finite,
@@ -113,6 +114,7 @@ class MfgSolution:
     problem: MmMfgProblem
     ext_major: ExtendedSystem
     ext_minors: List[ExtendedSystem]
+    validation: ValidationReport       # the game checks the solver ran
 
 
 def _sweep_agent(p: MmMfgProblem, ext: ExtendedSystem):
@@ -284,7 +286,7 @@ def _solve_fixed_point(p: MmMfgProblem, cfg: FixedPointConfig, solve_agent,
     The iteration starts from cfg.initial_law, read at its first `nodes`
     nodes, or else from the closure at Pi_k = 0, s_k = 0.
     """
-    validate_problem(p).require()
+    report = validate_problem(p).require()
     law0 = cfg.initial_law if cfg.initial_law is not None else _initial_law(p)
     x0, evaluate = _consistency_map(p, law0, solve_agent, nodes)
     payload, history = _anderson(evaluate, x0, cfg, what)
@@ -298,6 +300,7 @@ def _solve_fixed_point(p: MmMfgProblem, cfg: FixedPointConfig, solve_agent,
             residual=history[-1], converged=True,
         ),
         problem=p, ext_major=ext_major, ext_minors=ext_minors,
+        validation=report,
     )
 
 
@@ -325,32 +328,16 @@ def mean_field_step_euler(Ab_st, Gb_st, mb_st, j: int, h: float, xbar, x0_now):
 
 
 def mean_field_trajectory(sol: MfgSolution, x0_path: GridFunction,
-                          xbar0: Optional[np.ndarray] = None,
-                          method: str = "rk4") -> GridFunction:
-    """Forward mean field driven by a given major-state path.
-
-    method "rk4" is the accurate default; "euler" reproduces, bit for
-    bit, the internal mean-field state of simulate_population when fed
-    the simulated major path.
-    """
+                          xbar0: Optional[np.ndarray] = None) -> GridFunction:
+    """Forward mean field driven by a given major-state path, by RK4."""
     p = sol.problem
     nK = p.n * p.K
     if x0_path.shape != (p.n, 1):
         raise SchemaError("x0_path must be n x 1 on the grid")
-    if method not in ("rk4", "euler"):
-        raise SchemaError("method must be 'rk4' or 'euler'")
     xb = np.zeros(nK) if xbar0 is None else np.asarray(xbar0, dtype=float).reshape(nK)
     Ab_st = _stage_values(sol.mf_law.Abar)
     Gb_st = _stage_values(sol.mf_law.Gbar)
     mb_st = _stage_values(sol.mf_law.mbar)
-    if method == "euler":
-        x0 = x0_path.values[:, :, 0]
-        out = np.empty((p.grid.num_nodes, nK, 1))
-        out[0] = xb[:, None]
-        for j in range(p.grid.num_steps):
-            xb = mean_field_step_euler(Ab_st, Gb_st, mb_st, j, p.grid.h, xb, x0[j])
-            out[j + 1] = xb[:, None]
-        return GridFunction(p.grid, out)
     # the x0 path is linear between nodes, so its midpoints are node averages
     x0_st = _stage_values(x0_path)
 

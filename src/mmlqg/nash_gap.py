@@ -8,14 +8,16 @@ y = (x_dev, x0, xbar, S_1..S_K) of population_sim.ReducedPopulation,
 whose dimension does not grow with N.  The best response solves that
 LQG problem by a backward Riccati/offset sweep, and both the equilibrium
 cost and the best-response cost are evaluated by exact moment
-propagation, so the reported gap carries no sampling noise.  In the
+propagation, so the reported gap carries no sampling noise.  Every cost
+here is one affine policy on stage tables of the reduced system, turned
+into a running quadratic by lqg_single's one policy quadratic.  In the
 uncoupled case the equilibrium law is already optimal and the gap
 collapses to integration roundoff.
 
 Two checks ride along with every gap.  The value-function and moment
 routes of the best response must agree (route_mismatch), and the
-un-deviated chain cost, built from the open deviator rows plus the
-lifted equilibrium gain, must agree with population_sim's
+un-deviated chain cost, built from the open drift tables plus the
+lifted equilibrium gain table, must agree with population_sim's
 expected_cost_exact, which closes every block directly
 (assembly_crosscheck).
 """
@@ -32,7 +34,7 @@ from .errors import (
     IntegrationDivergedError,
     RiccatiBlowupError,
 )
-from .lqg_single import closed_loop_cost_moments, spd_solver
+from .lqg_single import _policy_quadratic, closed_loop_cost_moments, spd_solver
 from .mfg_model import MmMfgProblem
 from .mfg_solver import MfgSolution
 from .numerics import (
@@ -45,7 +47,6 @@ from .numerics import (
 from .population_sim import (
     PopulationConfig,
     ReducedPopulation,
-    _deviation_quadratic,
     assign_types,
     discrete_chain_cost,
     expected_cost_exact,
@@ -55,46 +56,22 @@ from .population_sim import (
 class JointSystem(ReducedPopulation):
     """The deviator's control problem on the reduced state.
 
-    Every agent but the deviator keeps its equilibrium law.  The
-    deviator's rows stay uncontrolled; its input enters through B_full,
-    which is zero outside the deviator's own block rows (the first n).
-    Drift tables are indexed by half-step stages q = 0..2M and shared:
-    treat the returned arrays as read-only.
+    Every agent but the deviator keeps its equilibrium law.  A and d are
+    the stage tables, q = 0..2M, of the drift with the deviator's rows
+    uncontrolled; its input enters through B_full, which is zero outside
+    the deviator's own block rows (the first n).  Kz and k_st tabulate the
+    deviator's own equilibrium law lifted to y, u = -Kz[q] y + k_st[q].
+    The tables are shared: treat them as read-only.
     """
 
     def __init__(self, p: MmMfgProblem, sol: MfgSolution, cfg: PopulationConfig,
                  deviator: int):
         super().__init__(p, sol, cfg, deviator)
         self.deviator = deviator
-        self._A, self._d = self.drift(closed=False)
+        self.A, self.d = self.drift(closed=False)
         self.B_full = np.zeros((self.D, self.m))
         self.B_full[:self.n] = self.B_own
-
-        # y-space quadratic of the deviator's cost, control left free
-        C = self.C
-        self.W = symmetrize(C.T @ self.Q @ C)
-        self.S = C.T @ self.Ncr
-        self.lvec = -C.T @ (self.Q @ self.eta)
-        self.rvec = -self.Ncr.T @ self.eta
-        self.cconst = (self.eta.T @ self.Q @ self.eta).item()
-        self.W_term, self.l_term, self.c_term = self.terminal
-
-    def A_open(self, q: int) -> np.ndarray:
-        """Reduced drift matrix with the deviator's rows uncontrolled."""
-        return self._A[q]
-
-    def d_open(self, q: int) -> np.ndarray:
-        return self._d[q]
-
-    def eq_gain(self, q: int):
-        """Deviator's own equilibrium law lifted to y: u = -Kz @ y + kq."""
-        return self.K_st[q] @ self.U, self.k_st[q]
-
-    def A_closed(self, q: int) -> np.ndarray:
-        return self._A[q] - self.B_full @ self.eq_gain(q)[0]
-
-    def d_closed(self, q: int) -> np.ndarray:
-        return self._d[q] + self.B_full @ self.k_st[q]
+        self.Kz = self.K_st @ self.U
 
     def undeviated_cost(self) -> float:
         """Equilibrium cost of the simulated chain through this assembly.
@@ -103,12 +80,13 @@ class JointSystem(ReducedPopulation):
         between the two means the gain lifting or the input placement is
         wrong.
         """
-
-        node_cost = _deviation_quadratic(self.C, self.eta, self.Q, self.Ncr, self.R,
-                                         -self.K_st[::2] @ self.U, self.k_st[::2])
+        L, uc = -self.Kz[::2], self.k_st[::2]
+        node_cost = _policy_quadratic(self.W, self.S, self.R, self.eta_y,
+                                      self.nbar_y, self.c0, L, uc)
         return discrete_chain_cost(
             self.p.grid, self.p.rho, self.mu0, self.V0,
-            self.A_closed, self.d_closed, self.Sig2, node_cost, self.terminal,
+            self.A[::2] + self.B_full @ L, self.d[::2] + self.B_full @ uc,
+            self.Sig2, node_cost, self.terminal,
         )
 
 
@@ -143,21 +121,17 @@ def _policy_cost(js: JointSystem, L: np.ndarray, uc: np.ndarray) -> float:
     """
     p = js.p
     B = js.B_full
-    stages = range(2 * p.grid.num_steps + 1)
-    A = np.array([js.A_open(q) for q in stages]) + B @ L
-    d = np.array([js.d_open(q) for q in stages]) + B @ uc
-    W, l, c = _deviation_quadratic(js.C, js.eta, js.Q, js.Ncr, js.R, L, uc)
+    A = js.A + B @ L
+    W, l, c = _policy_quadratic(js.W, js.S, js.R, js.eta_y, js.nbar_y, js.c0, L, uc)
     return closed_loop_cost_moments(
-        p.grid, p.rho, js.mu0, js.V0, A, d, np.broadcast_to(js.Sig2, A.shape),
-        W, l, c, (js.W_term, js.l_term, js.c_term),
+        p.grid, p.rho, js.mu0, js.V0, A, js.d + B @ uc,
+        np.broadcast_to(js.Sig2, A.shape), W, l, c, js.terminal,
     )
 
 
 def equilibrium_cost_ode(js: JointSystem) -> float:
     """Deviator's cost with everyone, deviator included, on the MFG law."""
-    Kz, kq = map(np.array, zip(*(js.eq_gain(q)
-                                 for q in range(2 * js.p.grid.num_steps + 1))))
-    return _policy_cost(js, -Kz, kq)
+    return _policy_cost(js, -js.Kz, js.k_st)
 
 
 @dataclass
@@ -177,10 +151,6 @@ class BestResponse:
     cost_value_fn: float         # same value read off the value function at 0
     diagnostics: Dict[str, float] = field(default_factory=dict)
 
-    @property
-    def Pi_terminal(self) -> np.ndarray:
-        return self.Pi[-1]
-
 
 def solve_best_response(js: JointSystem) -> BestResponse:
     """Exact full-information best response in the reduced closed loop.
@@ -198,7 +168,7 @@ def solve_best_response(js: JointSystem) -> BestResponse:
     rho = p.rho
     D, m = js.D, js.m
     Rinv = spd_solver(js.R, "deviator control weight")(np.eye(m))
-    W, S, lvec, rvec, cconst = js.W, js.S, js.lvec, js.rvec, js.cconst
+    W, S, eta_y, nbar_y = js.W, js.S, js.eta_y, js.nbar_y
     B = js.B_full
     Bt = B.T
 
@@ -207,21 +177,22 @@ def solve_best_response(js: JointSystem) -> BestResponse:
 
     def rhs(q, Y):
         Pi, s, v = unflatten(Y, shapes)
-        Aq = js.A_open(q)
-        dq = js.d_open(q)
+        Aq = js.A[q]
+        dq = js.d[q]
         PB_S = Pi @ B + S
         G = Rinv @ PB_S.T                # R^{-1}(B'Pi + S')
         dPi = rho * Pi - Aq.T @ Pi - Pi @ Aq - W + PB_S @ G
-        Bs_r = Bt @ s + rvec
+        Bs_r = Bt @ s - nbar_y
         RBs_r = Rinv @ Bs_r
-        ds = rho * s - Aq.T @ s - Pi @ dq - lvec + PB_S @ RBs_r
-        dv = rho * v - (s.T @ dq).item() - 0.5 * cconst \
+        ds = rho * s - Aq.T @ s - Pi @ dq + eta_y + PB_S @ RBs_r
+        dv = rho * v - (s.T @ dq).item() - 0.5 * js.c0 \
             - 0.5 * np.vdot(Pi, js.Sig2) \
             + 0.5 * (Bs_r.T @ RBs_r).item()
         return flatten(dPi, ds, dv)
 
     # (Pi, s, v) packed; Pi[T], s[T], v[T] are the terminal form's pieces
-    terminal = flatten(js.W_term, js.l_term, 0.5 * js.c_term)
+    W_T, l_T, c_T = js.terminal
+    terminal = flatten(W_T, l_T, 0.5 * c_T)
     try:
         sweep = rk4_backward_indexed(rhs, terminal, grid, project=symmetrize_leading(D))
     except IntegrationDivergedError as exc:
@@ -242,14 +213,14 @@ def solve_best_response(js: JointSystem) -> BestResponse:
     ffs = np.empty((nq, m, 1))
     for j in range(M + 1):
         gains[2 * j] = Rinv @ (Bt @ Pi_nodes[j] + S.T)
-        ffs[2 * j] = Rinv @ (Bt @ s_nodes[j] + rvec)
+        ffs[2 * j] = Rinv @ (Bt @ s_nodes[j] - nbar_y)
     for j in range(M):
         Pi_mid = 0.5 * (Pi_nodes[j] + Pi_nodes[j + 1]) \
             + (h / 8.0) * (dPi_nodes[j] - dPi_nodes[j + 1])
         s_mid = 0.5 * (s_nodes[j] + s_nodes[j + 1]) \
             + (h / 8.0) * (ds_nodes[j] - ds_nodes[j + 1])
         gains[2 * j + 1] = Rinv @ (Bt @ Pi_mid + S.T)
-        ffs[2 * j + 1] = Rinv @ (Bt @ s_mid + rvec)
+        ffs[2 * j + 1] = Rinv @ (Bt @ s_mid - nbar_y)
 
     mu0, V0 = js.mu0, js.V0
     cost_value_fn = 0.5 * (np.vdot(Pi_nodes[0], V0)

@@ -110,9 +110,6 @@ class GridFunction:
     def zeros(cls, grid: TimeGrid, rows: int, cols: int = 1) -> "GridFunction":
         return cls(grid, np.zeros((grid.num_nodes, rows, cols)))
 
-    def is_zero(self) -> bool:
-        return not np.any(self.values)
-
     def interp(self, t: float) -> np.ndarray:
         return interp(self, t)
 

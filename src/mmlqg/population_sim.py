@@ -6,7 +6,9 @@ internal mean-field state, advanced by the matching explicit Euler step
 so that the whole population is one discrete-time linear Gaussian chain.
 Costs come either from Monte Carlo over paths or exactly, by propagating
 the mean and covariance of that same chain, which makes the exact value
-the precise expectation of the Monte Carlo estimate.
+the precise expectation of the Monte Carlo estimate.  The exact route
+reads stage tables of the reduced state (drift, the agent's law) and
+forms its running cost with lqg_single's one policy quadratic.
 """
 
 from __future__ import annotations
@@ -19,10 +21,10 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .errors import DivergedPathError, IntegrationDivergedError, SchemaError
-from .lqg_single import _stage_values, psd_sqrt
+from .lqg_single import _policy_quadratic, _stage_values, psd_sqrt
 from .mfg_model import MmMfgProblem
 from .mfg_solver import MfgSolution, mean_field_step_euler
-from .numerics import GridFunction, _as_count, symmetrize, trapezoid_weights
+from .numerics import _as_count, symmetrize, trapezoid_weights
 
 
 def _type_indices(values, N: int) -> np.ndarray:
@@ -309,45 +311,6 @@ def simulate_population(p: MmMfgProblem, sol: MfgSolution,
     )
 
 
-def empirical_mean_field(bundle: TrajectoryBundle) -> List[GridFunction]:
-    """Per-path stacked per-type averages as nK x 1 grid functions."""
-    P = bundle.num_paths
-    nK = bundle.xbar.shape[2]
-    K = bundle.counts.shape[0]
-    n = nK // K
-    out = []
-    if bundle.states is None:
-        for path in range(P):
-            out.append(GridFunction(bundle.grid, bundle.empirical_types[path][:, :, None]))
-        return out
-    for path in range(P):
-        vals = np.zeros((bundle.grid.num_nodes, nK, 1))
-        minors = bundle.states[path][:, 1:, :]
-        for k in range(K):
-            ix = np.flatnonzero(bundle.type_of == k)
-            if ix.size == 0:
-                continue
-            vals[:, k * n:(k + 1) * n, 0] = minors[:, ix, :].sum(axis=1) / ix.size
-        out.append(GridFunction(bundle.grid, vals))
-    return out
-
-
-def _deviation_quadratic(C, eta, Q, Ncr, R, L_u, u_c):
-    """Quadratic form (W, l, c) of dev'Q dev + 2 dev'N u + u'R u.
-
-    dev = C z - eta and u = L_u z + u_c; the returned pieces satisfy
-    z'Wz + 2 z'l + c for every z.  L_u and u_c may be stage tables, with
-    a leading stage axis, and W, l and c are then tables too.
-    """
-    CN = C.T @ Ncr
-    cross = CN @ L_u
-    L_t = np.swapaxes(L_u, -1, -2)
-    W = symmetrize(C.T @ Q @ C + cross + np.swapaxes(cross, -1, -2) + L_t @ R @ L_u)
-    l = -C.T @ (Q @ eta) + CN @ u_c + L_t @ (R @ u_c - Ncr.T @ eta)
-    c = eta.T @ Q @ eta - 2.0 * eta.T @ Ncr @ u_c + np.swapaxes(u_c, -1, -2) @ R @ u_c
-    return W, l, c[..., 0, 0]
-
-
 def finite_cost_monte_carlo(p: MmMfgProblem, bundle: TrajectoryBundle,
                             agent_id: int) -> CostReport:
     """Pathwise trapezoid cost of one agent, averaged across paths."""
@@ -466,8 +429,8 @@ class ReducedPopulation:
         xb_sel = self._sel(self.xb_off, n * K)
         if agent_id == 0:
             mj = p.major
-            self.C = x0_sel - mj.H0 @ avg
-            self.eta, self.Q = mj.eta0, mj.Q0
+            C = x0_sel - mj.H0 @ avg
+            eta, self.Q = mj.eta0, mj.Q0
             self.Ncr, self.R, self.Qhat = mj.N0, mj.R0, mj.Qhat0
             self.B_own = mj.B0
             self.U = np.vstack([x0_sel, xb_sel])
@@ -475,16 +438,23 @@ class ReducedPopulation:
         else:
             mn = p.minors[self.own_type]
             own_sel = self._sel(0, n)
-            self.C = own_sel - mn.Hk @ x0_sel - mn.Hhatk @ avg
-            self.eta, self.Q = mn.etak, mn.Qk
+            C = own_sel - mn.Hk @ x0_sel - mn.Hhatk @ avg
+            eta, self.Q = mn.etak, mn.Qk
             self.Ncr, self.R, self.Qhat = mn.Nk, mn.Rk, mn.Qhatk
             self.B_own = mn.Bk
             self.U = np.vstack([own_sel, x0_sel, xb_sel])
             self.K_st = self._Kk[self.own_type]
             self.k_st = self._kk[self.own_type]
+        # the running cost tracks C y - eta; in y its weights take
+        # _policy_quadratic's form (W, S, R, eta_y, nbar_y, c0)
+        self.W = symmetrize(C.T @ self.Q @ C)
+        self.S = C.T @ self.Ncr
+        self.eta_y = C.T @ (self.Q @ eta)
+        self.nbar_y = self.Ncr.T @ eta
+        self.c0 = (eta.T @ self.Q @ eta).item()
         # terminal weight hits the coupled tracking error C y alone: eta is a
         # running-cost target only, so the terminal form has no linear part
-        self.terminal = (symmetrize(self.C.T @ self.Qhat @ self.C),
+        self.terminal = (symmetrize(C.T @ self.Qhat @ C),
                          np.zeros((self.D, 1)), 0.0)
 
         covm = p.init_cov_minor
@@ -552,16 +522,16 @@ class ReducedPopulation:
         return A, d
 
 
-def discrete_chain_cost(grid, rho, mu0, V0, A_of, d_of, Sig2, node_cost,
+def discrete_chain_cost(grid, rho, mu0, V0, A, d, Sig2, node_cost,
                         term_cost) -> float:
     """Expected cost of the Euler-Maruyama chain, by moment recursion.
 
-    The chain is z_{j+1} = (I + h A_j) z_j + h d_j + sqrt(h) noise with
-    stationary covariance Sig2 per unit time, A_j = A_of(2j) and d_j =
-    d_of(2j); the running cost is the trapezoid sum of the discounted
-    quadratic forms node_cost = (W, l, c), tables over the M + 1 nodes.
-    This is the exact expectation of the simulated pathwise cost, so it
-    carries the same O(h) discretization bias and no sampling error.
+    The chain is z_{j+1} = (I + h A[j]) z_j + h d[j] + sqrt(h) noise with
+    stationary covariance Sig2 per unit time; the running cost is the
+    trapezoid sum of the discounted quadratic forms node_cost = (W, l, c).
+    A, d, W, l and c are tables over the M + 1 nodes.  This is the exact
+    expectation of the simulated pathwise cost, so it carries the same
+    O(h) discretization bias and no sampling error.
     """
     w = trapezoid_weights(grid)
     disc = np.exp(-rho * grid.nodes)
@@ -576,8 +546,8 @@ def discrete_chain_cost(grid, rho, mu0, V0, A_of, d_of, Sig2, node_cost,
     for j in range(M):
         S = V + mu @ mu.T
         J += 0.5 * w[j] * disc[j] * (np.vdot(W[j], S) + 2.0 * (l[j].T @ mu).item() + c[j])
-        P = eye + h * A_of(2 * j)
-        mu = P @ mu + h * d_of(2 * j)
+        P = eye + h * A[j]
+        mu = P @ mu + h * d[j]
         V = symmetrize(P @ V @ P.T + h * Sig2)
         if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(V))):
             raise IntegrationDivergedError(
@@ -597,11 +567,10 @@ def expected_cost_exact(p: MmMfgProblem, sol: MfgSolution, cfg: PopulationConfig
     state, every block, the agent's own included, closed directly."""
     rs = ReducedPopulation(p, sol, cfg, agent_id)
     A, d = rs.drift(closed=True)
-
-    node_cost = _deviation_quadratic(rs.C, rs.eta, rs.Q, rs.Ncr, rs.R,
-                                     -rs.K_st[::2] @ rs.U, rs.k_st[::2])
-    J = discrete_chain_cost(p.grid, p.rho, rs.mu0, rs.V0, A.__getitem__,
-                            d.__getitem__, rs.Sig2, node_cost, rs.terminal)
+    node_cost = _policy_quadratic(rs.W, rs.S, rs.R, rs.eta_y, rs.nbar_y, rs.c0,
+                                  -rs.K_st[::2] @ rs.U, rs.k_st[::2])
+    J = discrete_chain_cost(p.grid, p.rho, rs.mu0, rs.V0, A[::2], d[::2],
+                            rs.Sig2, node_cost, rs.terminal)
     return CostReport(agent_id=agent_id, value=J, std_error=0.0,
                       method="moment_recursion", num_paths=0)
 

@@ -13,14 +13,16 @@ reference for the type-sorted simulator.  The chain best response and
 the perturbed-cost route run on either system; the block slicers read
 the minor Riccati and cross-weight blocks.  _stream (a new generator per
 agent) and write_csv_rows (one row at a time) are what the package's
-reused generator and vectorised writer must reproduce bit for bit.
+reused generator and vectorised writer must reproduce bit for bit, and
+empirical_mean_field recomputes the simulator's per-type averages from
+its recorded states.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -31,14 +33,14 @@ from mmlqg.errors import (
     RiccatiBlowupError,
     SchemaError,
 )
-from mmlqg.lqg_single import _stage_values, psd_sqrt
+from mmlqg.lqg_single import _policy_quadratic, _stage_values, psd_sqrt
 from mmlqg.mfg_model import MmMfgProblem
 from mmlqg.mfg_solver import MfgSolution
 from mmlqg.nash_gap import _check_convexity, _policy_cost
 from mmlqg.numerics import GridFunction, TimeGrid, symmetrize, trapezoid_weights
 from mmlqg.population_sim import (
     PopulationConfig,
-    _deviation_quadratic,
+    TrajectoryBundle,
     assign_types,
     discrete_chain_cost,
     simulate_population,
@@ -139,8 +141,9 @@ class DenseJointSystem:
     either.  Agent ids follow the simulator: 0 is the major, 1..N the
     minors.  The deviator's rows stay uncontrolled; its input enters
     through B_full, which is zero outside the deviator's own block rows.
-    Drift tables are indexed by half-step stages q = 0..2M and cached:
-    treat them as read-only.  Meant for N <= 8.
+    The open drift (A, d) and the deviator's lifted equilibrium law
+    (Kz, k_st) are tables over half-step stages q = 0..2M, assembled one
+    stage at a time.  Meant for N <= 8.
     """
 
     p: MmMfgProblem
@@ -171,8 +174,6 @@ class DenseJointSystem:
         self._mb = _stage_values(self.sol.mf_law.mbar)
         self._b0 = _stage_values(p.major.b0)
         self._bk = [_stage_values(p.minors[k].bk) for k in range(K)]
-        self._A_cache: Dict[int, np.ndarray] = {}
-        self._d_cache: Dict[int, np.ndarray] = {}
 
         # deviator's input matrix: zero outside its own block rows
         B_full = np.zeros((self.D, self.m))
@@ -216,19 +217,27 @@ class DenseJointSystem:
             mu0[self.xb_off:, 0] = cfg.xbar0
         self.mu0 = mu0
 
-        # z-space quadratic of the deviator's cost, control left free
-        C = self.C
+        # z-space weights of the deviator's cost, control left free
+        C, eta = self.C, self.eta
         self.W = symmetrize(C.T @ self.Q @ C)
         self.S = C.T @ self.Ncr
-        self.lvec = -C.T @ (self.Q @ self.eta)
-        self.rvec = -self.Ncr.T @ self.eta
-        self.cconst = (self.eta.T @ self.Q @ self.eta).item()
+        self.eta_y = C.T @ (self.Q @ eta)
+        self.nbar_y = self.Ncr.T @ eta
+        self.c0 = (eta.T @ self.Q @ eta).item()
         # terminal weight applies to the coupled tracking error C z; the
         # constant target eta is a running-cost object (the backward offset
         # vanishes at T), so the terminal form carries no linear piece
-        self.W_term = symmetrize(C.T @ self.Qhat @ C)
-        self.l_term = np.zeros((self.D, 1))
-        self.c_term = 0.0
+        self.terminal = (symmetrize(C.T @ self.Qhat @ C), np.zeros((self.D, 1)), 0.0)
+
+        stages = range(2 * p.grid.num_steps + 1)
+        self.A = np.array([self._open_drift(q) for q in stages])
+        self.d = np.array([self._open_offset(q) for q in stages])
+        if self.deviator == 0:
+            K_st, self.k_st = self._K0, self._k0
+        else:
+            k = int(self.type_of[self.deviator - 1])
+            K_st, self.k_st = self._Kk[k], self._kk[k]
+        self.Kz = np.array([K_st[q] @ self.U for q in stages])
 
     def _own(self, off: int, width: Optional[int] = None) -> np.ndarray:
         width = self.n if width is None else width
@@ -262,11 +271,8 @@ class DenseJointSystem:
         A[rows, rows] += mn.Ak
         A[rows, self.x0_off:self.x0_off + n] += mn.Gk
 
-    def A_open(self, q: int) -> np.ndarray:
-        """Joint drift matrix with the deviator's rows uncontrolled."""
-        cached = self._A_cache.get(q)
-        if cached is not None:
-            return cached
+    def _open_drift(self, q: int) -> np.ndarray:
+        """Joint drift matrix at stage q with the deviator's rows uncontrolled."""
         n, p = self.n, self.p
         A = np.zeros((self.D, self.D))
         for a in range(self.N):
@@ -283,13 +289,9 @@ class DenseJointSystem:
             A[x0r, self.xb_off:] += -p.major.B0 @ K0q[:, n:]
         A[self.xb_off:, x0r] = self._Gb[q]
         A[self.xb_off:, self.xb_off:] = self._Ab[q]
-        self._A_cache[q] = A
         return A
 
-    def d_open(self, q: int) -> np.ndarray:
-        cached = self._d_cache.get(q)
-        if cached is not None:
-            return cached
+    def _open_offset(self, q: int) -> np.ndarray:
         n = self.n
         d = np.zeros((self.D, 1))
         for a in range(self.N):
@@ -301,23 +303,7 @@ class DenseJointSystem:
         if self.deviator != 0:
             d[self.x0_off:self.x0_off + n] += self.p.major.B0 @ self._k0[q]
         d[self.xb_off:] = self._mb[q]
-        self._d_cache[q] = d
         return d
-
-    def eq_gain(self, q: int):
-        """Deviator's own equilibrium law lifted to z: u = -Kz @ z + kq."""
-        if self.deviator == 0:
-            return self._K0[q] @ self.U, self._k0[q]
-        k = int(self.type_of[self.deviator - 1])
-        return self._Kk[k][q] @ self.U, self._kk[k][q]
-
-    def A_closed(self, q: int) -> np.ndarray:
-        Kz, _ = self.eq_gain(q)
-        return self.A_open(q) - self.B_full @ Kz
-
-    def d_closed(self, q: int) -> np.ndarray:
-        _, kq = self.eq_gain(q)
-        return self.d_open(q) + self.B_full @ kq
 
     def undeviated_cost(self) -> float:
         """Equilibrium cost of the simulated chain through this assembly.
@@ -325,15 +311,13 @@ class DenseJointSystem:
         Must reproduce population_sim.expected_cost_exact; any daylight
         between the two means the block placement is wrong.
         """
-
-        Kz, kq = map(np.array, zip(*(self.eq_gain(2 * j)
-                                     for j in range(self.p.grid.num_nodes))))
-        node_cost = _deviation_quadratic(self.C, self.eta, self.Q, self.Ncr,
-                                         self.R, -Kz, kq)
+        L, uc = -self.Kz[::2], self.k_st[::2]
+        node_cost = _policy_quadratic(self.W, self.S, self.R, self.eta_y,
+                                      self.nbar_y, self.c0, L, uc)
         return discrete_chain_cost(
             self.p.grid, self.p.rho, self.mu0, self.V0,
-            self.A_closed, self.d_closed, self.Sig2, node_cost,
-            (self.W_term, self.l_term, self.c_term),
+            self.A[::2] + self.B_full @ L, self.d[::2] + self.B_full @ uc,
+            self.Sig2, node_cost, self.terminal,
         )
 
     def validation_gap(self, num_paths: int = 1) -> float:
@@ -373,8 +357,9 @@ class DenseJointSystem:
                 gap = max(gap, float(np.max(np.abs(z[:, 0] - ref))))
                 if j == M:
                     break
-                P = eye + h * self.A_closed(2 * j)
-                z = P @ z + h * self.d_closed(2 * j)
+                q = 2 * j
+                P = eye + h * (self.A[q] - self.B_full @ self.Kz[q])
+                z = P @ z + h * (self.d[q] + self.B_full @ self.k_st[q])
                 for a in range(N):
                     sig = self.p.minors[int(self.type_of[a])].sigmak
                     z[a * n:(a + 1) * n, 0] += sqh * (sig @ dWm[a][j])
@@ -401,7 +386,6 @@ class BestResponseChain:
 
     gains: np.ndarray            # (M+1, m, D)
     feedforwards: np.ndarray     # (M+1, m, 1)
-    Pi_terminal: np.ndarray
     cost: float                  # exact chain cost by moment recursion
     cost_dp: float               # same value from the backward recursion
     diagnostics: Dict[str, float] = field(default_factory=dict)
@@ -416,12 +400,12 @@ def solve_best_response_chain(js) -> BestResponseChain:
     disc = np.exp(-p.rho * grid.nodes)
     D, m = js.D, js.m
     W, S, R = js.W, js.S, js.R
-    lvec, rvec, cconst = js.lvec, js.rvec, js.cconst
+    lvec, rvec, cconst = -js.eta_y, -js.nbar_y, js.c0
+    W_T, l_T, c_T = js.terminal
 
-    P = disc[M] * js.W_term
-    Pi_terminal = P.copy()
-    q_lin = disc[M] * js.l_term
-    v = 0.5 * disc[M] * js.c_term
+    P = disc[M] * W_T
+    q_lin = disc[M] * l_T
+    v = 0.5 * disc[M] * c_T
 
     gains = np.empty((M + 1, m, D))
     ffs = np.empty((M + 1, m, 1))
@@ -438,8 +422,8 @@ def solve_best_response_chain(js) -> BestResponseChain:
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(M - 1, -1, -1):
             a_j = w[j] * disc[j]
-            Ptr = np.eye(D) + h * js.A_open(2 * j)
-            cj = h * js.d_open(2 * j)
+            Ptr = np.eye(D) + h * js.A[2 * j]
+            cj = h * js.d[2 * j]
             Bt = h * js.B_full
             BtP = Bt.T @ P
             H = a_j * R + BtP @ Bt
@@ -476,17 +460,12 @@ def solve_best_response_chain(js) -> BestResponseChain:
     cost_dp = 0.5 * (np.tensordot(P, V0) + (mu0.T @ P @ mu0).item()) \
         + (q_lin.T @ mu0).item() + v
 
-    def A_br(q):
-        return js.A_open(q) - js.B_full @ gains[q // 2]
-
-    def d_br(q):
-        return js.d_open(q) - js.B_full @ ffs[q // 2]
-
-    node_cost = _deviation_quadratic(js.C, js.eta, js.Q, js.Ncr, js.R, -gains, -ffs)
-    cost = discrete_chain_cost(grid, p.rho, mu0, V0, A_br, d_br, js.Sig2,
-                               node_cost, (js.W_term, js.l_term, js.c_term))
+    node_cost = _policy_quadratic(W, S, R, js.eta_y, js.nbar_y, cconst, -gains, -ffs)
+    cost = discrete_chain_cost(grid, p.rho, mu0, V0, js.A[::2] - js.B_full @ gains,
+                               js.d[::2] - js.B_full @ ffs, js.Sig2, node_cost,
+                               js.terminal)
     return BestResponseChain(
-        gains=gains, feedforwards=ffs, Pi_terminal=Pi_terminal,
+        gains=gains, feedforwards=ffs,
         cost=cost, cost_dp=cost_dp,
         diagnostics={"route_mismatch": abs(cost - cost_dp)},
     )
@@ -518,3 +497,26 @@ def split_cross_blocks(Nkext: np.ndarray, n: int, K: int):
         Nkext[n:2 * n].copy(),
         Nkext[2 * n:].copy(),
     )
+
+
+def empirical_mean_field(bundle: TrajectoryBundle) -> List[GridFunction]:
+    """Per-path stacked per-type averages as nK x 1 grid functions."""
+    P = bundle.num_paths
+    nK = bundle.xbar.shape[2]
+    K = bundle.counts.shape[0]
+    n = nK // K
+    out = []
+    if bundle.states is None:
+        for path in range(P):
+            out.append(GridFunction(bundle.grid, bundle.empirical_types[path][:, :, None]))
+        return out
+    for path in range(P):
+        vals = np.zeros((bundle.grid.num_nodes, nK, 1))
+        minors = bundle.states[path][:, 1:, :]
+        for k in range(K):
+            ix = np.flatnonzero(bundle.type_of == k)
+            if ix.size == 0:
+                continue
+            vals[:, k * n:(k + 1) * n, 0] = minors[:, ix, :].sum(axis=1) / ix.size
+        out.append(GridFunction(bundle.grid, vals))
+    return out

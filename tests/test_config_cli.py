@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from mmlqg import cli_app, config, verify
+import mmlqg
+from mmlqg import cli_app, config, lqg_single, mfg_model, mfg_solver, verify
 from mmlqg.errors import SchemaError
 from oracles import write_csv_rows
 
@@ -125,6 +126,26 @@ def test_solve_lqg_tanh_summary(tmp_path):
     assert header == "node,row,col,value"
 
 
+@pytest.mark.parametrize("command", ["solve-lqg", "solve-mfg"])
+def test_each_solve_runs_its_validator_once(tmp_path, monkeypatch, command):
+    # the solver's report is the one the summary writes: no second check
+    calls = []
+    for original in (lqg_single.validate_convexity, mfg_model.validate_problem):
+        def counted(*args, _original=original, **kwargs):
+            calls.append(_original.__name__)
+            return _original(*args, **kwargs)
+        for module in (mmlqg, cli_app, lqg_single, mfg_model, mfg_solver):
+            if getattr(module, original.__name__, None) is original:
+                monkeypatch.setattr(module, original.__name__, counted)
+    lqg = command == "solve-lqg"
+    cfg_path = _write(tmp_path, _lqg_cfg() if lqg else _mfg_cfg())
+    out = tmp_path / "run"
+    assert _run([command, "--config", cfg_path, "--out", str(out)]) == 0
+    assert calls == ["validate_convexity" if lqg else "validate_problem"]
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["validation" if lqg else "assumptions"]["passed"]
+
+
 def test_solve_lqg_missing_R_exits_2(tmp_path, capsys):
     cfg = _lqg_cfg()
     del cfg["R"]
@@ -169,15 +190,6 @@ def test_solve_mfg_decoupled_outputs(tmp_path):
     assert summary["converged"]
     assert (out / "pi_minor1.csv").exists()
     assert (out / "mf_Abar.csv").exists()
-
-
-def test_solve_mfg_summary_passing_checks_carry_no_failure_message(tmp_path):
-    cfg_path = _write(tmp_path, _mfg_cfg())
-    out = tmp_path / "run"
-    assert _run(["solve-mfg", "--config", cfg_path, "--out", str(out)]) == 0
-    checks = json.loads((out / "summary.json").read_text())["assumptions"]["checks"]
-    means = [c for c in checks if c["name"] == "initial means are zero"]
-    assert means == [{"name": "initial means are zero", "passed": True, "detail": ""}]
 
 
 def test_solve_mfg_nondistribution_pi_exits_4(tmp_path, capsys):

@@ -18,6 +18,7 @@ from mmlqg.lqg_single import (
     FeedbackLaw,
     LqgProblem,
     LqgSolution,
+    _policy_quadratic,
     costate_oracle,
     expected_cost,
     gateaux_derivative_det,
@@ -244,6 +245,30 @@ def test_feedback_out_of_range():
 
 
 # ------------------------------------------------------------ expected cost
+
+
+def test_policy_quadratic_matches_direct_running_cost():
+    # random stage tables for the law, independent eta, nbar and c0
+    rng = np.random.default_rng(11)
+    n, m, stages = 3, 2, 5
+    F = rng.normal(size=(n, n))
+    Q = F @ F.T
+    N = rng.normal(size=(n, m))
+    G = rng.normal(size=(m, m))
+    R = G @ G.T + np.eye(m)
+    eta, nbar, c0 = rng.normal(size=(n, 1)), rng.normal(size=(m, 1)), 0.7
+    L, uc = rng.normal(size=(stages, m, n)), rng.normal(size=(stages, m, 1))
+    W, l, c = _policy_quadratic(Q, N, R, eta, nbar, c0, L, uc)
+    assert W.shape == (stages, n, n) and l.shape == (stages, n, 1)
+    assert c.shape == (stages,)
+    assert np.array_equal(W, np.swapaxes(W, 1, 2))
+    for q in range(stages):
+        for X in rng.normal(size=(3, n, 1)):
+            u = L[q] @ X + uc[q]
+            direct = (X.T @ Q @ X + 2.0 * X.T @ N @ u + u.T @ R @ u
+                      - 2.0 * X.T @ eta - 2.0 * u.T @ nbar).item() + c0
+            form = (X.T @ W[q] @ X + 2.0 * X.T @ l[q]).item() + c[q]
+            assert form == pytest.approx(direct, rel=1e-12, abs=1e-12)
 
 
 def test_cost_zero_weights():

@@ -69,13 +69,6 @@ def test_validate_rejects_singular_minor_r():
     assert any("minor[1]" in c.name and not c.passed for c in rep.checks)
 
 
-def test_validate_rejects_nonzero_initial_mean():
-    p = coupled_toy(M=20)
-    p.init_mean_minor = np.array([[0.1], [0.0]])
-    rep = validate_problem(p)
-    assert any("means" in c.name and not c.passed for c in rep.checks)
-
-
 I2 = np.eye(2)
 
 
@@ -112,13 +105,6 @@ def test_single_agent_and_game_checks_give_one_verdict(weights, convex):
     major = [(c.name[len("major "):], c.passed) for c in both.checks
              if c.name.startswith("major ")]
     assert major == [(c.name, c.passed) for c in one.checks]
-
-
-def test_validate_passing_mean_check_has_no_failure_detail():
-    rep = validate_problem(coupled_toy(M=20))
-    means = [c for c in rep.checks if c.name == "initial means are zero"]
-    assert len(means) == 1 and means[0].passed
-    assert means[0].detail == ""
 
 
 # --------------------------------------------------------- mean-field blocks

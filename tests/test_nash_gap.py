@@ -1,9 +1,12 @@
+import ast
 import dataclasses
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mmlqg
 from mmlqg.errors import (
     AssumptionViolationError,
     RiccatiBlowupError,
@@ -85,11 +88,27 @@ def test_single_minor_joint_system_is_block_diagonal(single_minor):
     n = p.n
     blocks = [slice(0, n), slice(n, 2 * n), slice(2 * n, 3 * n)]
     for q in (0, p.grid.num_steps, 2 * p.grid.num_steps):
-        A = js.A_closed(q)
+        A = js.A[q] - js.B_full @ js.Kz[q]
         for i, bi in enumerate(blocks):
             for j, bj in enumerate(blocks):
                 if i != j:
                     assert np.abs(A[bi, bj]).max() < 1e-12
+
+
+def test_one_policy_quadratic_and_no_per_stage_joint_methods():
+    # every exact cost forms its quadratic in one place, and the joint
+    # system hands out stage tables, not per-stage callbacks
+    defined, joint = [], set()
+    for f in sorted(Path(mmlqg.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(f.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                defined.append((node.name, f.stem))
+            if isinstance(node, ast.ClassDef) and node.name == "JointSystem":
+                joint = {b.name for b in node.body if isinstance(b, ast.FunctionDef)}
+    names = [name for name, _ in defined]
+    assert [m for name, m in defined if name == "_policy_quadratic"] == ["lqg_single"]
+    assert "_deviation_quadratic" not in names
+    assert joint and not joint & {"A_open", "d_open", "eq_gain", "A_closed", "d_closed"}
 
 
 def test_grid_mismatch_rejected(coupled):
@@ -144,7 +163,7 @@ def test_terminal_riccati_equals_joint_terminal_weight(coupled):
     p, sol = coupled
     js = build_joint_closed_loop(p, sol, PopulationConfig(N=4), 1)
     br = solve_best_response(js)
-    assert np.array_equal(br.Pi_terminal, js.W_term)
+    assert np.array_equal(br.Pi[-1], js.terminal[0])
 
 
 def test_best_response_recovers_standalone_lqg(single_minor):

@@ -11,25 +11,28 @@ from mmlqg.errors import (
     DivergedPathError,
     SchemaError,
 )
+from mmlqg.lqg_single import _stage_values
 from mmlqg.mfg_solver import (
     FixedPointConfig,
+    mean_field_step_euler,
     mean_field_trajectory,
     solve_consistency_finite,
 )
 from mmlqg.numerics import GridFunction, TimeGrid
+from mmlqg.lqg_single import _policy_quadratic
 from mmlqg.population_sim import (
     CostReport,
     PopulationConfig,
     _draws,
     assign_types,
-    empirical_mean_field,
+    discrete_chain_cost,
     expected_cost_exact,
     finite_cost_monte_carlo,
     mean_field_convergence_study,
     simulate_population,
 )
 from mmlqg.toys import coupled_toy
-from oracles import DenseJointSystem, _stream
+from oracles import DenseJointSystem, _stream, empirical_mean_field
 
 
 @pytest.fixture(scope="module")
@@ -95,17 +98,21 @@ def test_internal_mean_field_equals_trajectory_same_integrator(coupled):
     # from the simulated major path with the simulator's own integrator
     p, sol = coupled
     b = simulate_population(p, sol, PopulationConfig(N=6, master_seed=9))
-    x0_path = GridFunction(p.grid, b.states[0][:, 0, :, None])
-    xb = mean_field_trajectory(sol, x0_path, method="euler")
-    assert np.max(np.abs(xb.values[:, :, 0] - b.xbar[0])) == 0.0
+    law = [_stage_values(f) for f in (sol.mf_law.Abar, sol.mf_law.Gbar,
+                                      sol.mf_law.mbar)]
+    xb = np.zeros(p.n * p.K)
+    euler = [xb]
+    for j in range(p.grid.num_steps):
+        xb = mean_field_step_euler(*law, j, p.grid.h, xb, b.states[0][j, 0])
+        euler.append(xb)
+    assert np.max(np.abs(np.array(euler) - b.xbar[0])) == 0.0
 
 
 def test_trajectory_integrators_differ_at_step_scale(coupled):
     p, sol = coupled
     b = simulate_population(p, sol, PopulationConfig(N=6, master_seed=9))
     x0_path = GridFunction(p.grid, b.states[0][:, 0, :, None])
-    d = mean_field_trajectory(sol, x0_path, method="euler").values \
-        - mean_field_trajectory(sol, x0_path, method="rk4").values
+    d = b.xbar[0] - mean_field_trajectory(sol, x0_path).values[:, :, 0]
     gap = np.max(np.abs(d))
     assert 1e-6 < gap < 1e-1
 
@@ -150,6 +157,23 @@ def test_monte_carlo_cost_matches_exact_within_three_se(coupled):
         ex = expected_cost_exact(p, sol, cfg, agent)
         assert mc.std_error > 0.0
         assert abs(mc.value - ex.value) <= 3.0 * mc.std_error
+
+
+def test_chain_cost_on_dense_node_tables_reproduces_expected_cost(coupled):
+    # the dense oracle's node tables, closed on the deviator's own law
+    p, sol = coupled
+    cfg = PopulationConfig(N=4, master_seed=0)
+    for agent in (0, 3):
+        js = DenseJointSystem(p=p, sol=sol, cfg=cfg, deviator=agent)
+        L, uc = -js.Kz[::2], js.k_st[::2]
+        node_cost = _policy_quadratic(js.W, js.S, js.R, js.eta_y, js.nbar_y,
+                                      js.c0, L, uc)
+        J = discrete_chain_cost(p.grid, p.rho, js.mu0, js.V0,
+                                js.A[::2] + js.B_full @ L,
+                                js.d[::2] + js.B_full @ uc, js.Sig2,
+                                node_cost, js.terminal)
+        ref = expected_cost_exact(p, sol, cfg, agent).value
+        assert J == pytest.approx(ref, rel=1e-10, abs=1e-12)
 
 
 def test_same_type_agents_have_equal_exact_cost(coupled):
