@@ -58,6 +58,7 @@ from .numerics import (
     TimeGrid,
     _as_count,
     flatten,
+    matvec_rows,
     rk4_forward_indexed,
     unflatten,
 )
@@ -321,10 +322,12 @@ def mean_field_step_euler(Ab_st, Gb_st, mb_st, j: int, h: float, xbar, x0_now):
     """One explicit Euler step; the step the population simulator takes.
 
     Node-j coefficients only, so the update matches the Euler-Maruyama
-    drift of the simulated agents term for term.  1-D xbar and x0.
+    drift of the simulated agents term for term.  xbar and x0 are rows,
+    one path or a stack of paths, and each row steps on its own.
     """
     q = 2 * j
-    return xbar + h * (Ab_st[q] @ xbar + Gb_st[q] @ x0_now + mb_st[q][:, 0])
+    return xbar + h * (matvec_rows(Ab_st[q], xbar) + matvec_rows(Gb_st[q], x0_now)
+                       + mb_st[q][:, 0])
 
 
 def mean_field_trajectory(sol: MfgSolution, x0_path: GridFunction,

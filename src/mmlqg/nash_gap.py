@@ -34,13 +34,13 @@ from .errors import (
     IntegrationDivergedError,
     RiccatiBlowupError,
 )
-from .lqg_single import _policy_quadratic, closed_loop_cost_moments, spd_solver
+from .lqg_single import (PSD_TOL, ValidationReport, _policy_quadratic,
+                          add_convexity_checks, closed_loop_cost_moments, spd_solver)
 from .mfg_model import MmMfgProblem
 from .mfg_solver import MfgSolution
 from .numerics import (
     flatten,
     rk4_backward_indexed,
-    symmetrize,
     symmetrize_leading,
     unflatten,
 )
@@ -95,24 +95,6 @@ def build_joint_closed_loop(p: MmMfgProblem, sol: MfgSolution,
     return JointSystem(p, sol, cfg, deviator)
 
 
-def _check_convexity(js: JointSystem):
-    try:
-        np.linalg.cholesky(js.R)
-    except np.linalg.LinAlgError:
-        raise AssumptionViolationError(
-            "deviator convexity violated: control weight R is not positive definite"
-        )
-    Seff = js.Q - js.Ncr @ np.linalg.solve(js.R, js.Ncr.T)
-    if float(np.min(np.linalg.eigvalsh(symmetrize(Seff)))) < -1e-10:
-        raise AssumptionViolationError(
-            "deviator convexity violated: Q - N R^-1 N' has a negative eigenvalue"
-        )
-    if float(np.min(np.linalg.eigvalsh(symmetrize(js.Qhat)))) < -1e-10:
-        raise AssumptionViolationError(
-            "deviator convexity violated: terminal weight has a negative eigenvalue"
-        )
-
-
 def _policy_cost(js: JointSystem, L: np.ndarray, uc: np.ndarray) -> float:
     """Exact deviator cost of the policy u = L[q] y + uc[q] (stage tables).
 
@@ -161,7 +143,9 @@ def solve_best_response(js: JointSystem) -> BestResponse:
     moment route must agree; their difference is reported as a
     diagnostic.
     """
-    _check_convexity(js)
+    rep = ValidationReport()
+    add_convexity_checks(rep, "deviator ", js.Qhat, js.Q, js.Ncr, js.R, PSD_TOL)
+    rep.require()
     p = js.p
     grid = p.grid
     M, h = grid.num_steps, grid.h

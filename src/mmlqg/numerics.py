@@ -141,6 +141,12 @@ def symmetrize(P: np.ndarray) -> np.ndarray:
     return 0.5 * (P + P.swapaxes(-1, -2))
 
 
+def matvec_rows(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A x for each row x of a stack (..., L), summed row by row: a BLAS
+    product of the stack may round a row unlike that row alone."""
+    return (x[..., None, :] * A).sum(-1)
+
+
 def psd_check(P: np.ndarray, tol: float) -> bool:
     """True iff the minimum eigenvalue of the symmetrized input is >= -tol."""
     P = symmetrize(np.asarray(P, dtype=float))

@@ -4,6 +4,9 @@ The simulator runs N minor agents plus the major agent under Euler,
 Maruyama on the solver grid.  Every feedback law reads the deterministic
 internal mean-field state, advanced by the matching explicit Euler step
 so that the whole population is one discrete-time linear Gaussian chain.
+One stepper, _Population.advance, moves a stack of paths at once (and,
+for the convergence study, every population size at once), minors sorted
+by type with agents on the last axis; DRAW_BUDGET bounds the noise held.
 Costs come either from Monte Carlo over paths or exactly, by propagating
 the mean and covariance of that same chain, which makes the exact value
 the precise expectation of the Monte Carlo estimate.  The exact route
@@ -24,7 +27,7 @@ from .errors import DivergedPathError, IntegrationDivergedError, SchemaError
 from .lqg_single import _policy_quadratic, _stage_values, psd_sqrt
 from .mfg_model import MmMfgProblem
 from .mfg_solver import MfgSolution, mean_field_step_euler
-from .numerics import _as_count, symmetrize, trapezoid_weights
+from .numerics import _as_count, matvec_rows, symmetrize, trapezoid_weights
 
 
 def _type_indices(values, N: int) -> np.ndarray:
@@ -139,6 +142,10 @@ def assign_types(pi, N: int) -> np.ndarray:
     return out
 
 
+# Bytes of noise terms sampled and held at once: paths (and study seeds)
+# are stepped in stacks of as many as fit, one at least.
+DRAW_BUDGET = 8 * 2 ** 20
+
 _local = threading.local()
 
 
@@ -171,6 +178,22 @@ def _draws(master_seed: int, stream: int, path: int, count: int, shape) -> np.nd
     return out
 
 
+def _cols(A: np.ndarray, X: np.ndarray, out=None) -> np.ndarray:
+    """A X on agents-last stacks X (..., L, N), one column of A at a time,
+    so every agent's value depends on its own column alone."""
+    out = np.multiply(A[:, :1], X[..., :1, :], out=out)
+    for col in range(1, A.shape[1]):
+        out += A[:, col:col + 1] * X[..., col:col + 1, :]
+    return out
+
+
+def _chunks(p: MmMfgProblem, columns: int, total: int):
+    """Ranges [a, b) of total paths whose noise, on 1 + columns agents,
+    fits DRAW_BUDGET; one path at least."""
+    per = max(1, DRAW_BUDGET // (8 * p.grid.num_steps * p.n * (columns + 1)))
+    return [(a, min(a + per, total)) for a in range(0, total, per)]
+
+
 class _Population:
     """Closed-loop node tables of one (problem, solution), shared by every
     path and every population size run on them."""
@@ -179,99 +202,125 @@ class _Population:
         if sol.problem.grid != p.grid:
             raise SchemaError("solution grid does not match the problem grid")
         self.p = p
-        K = p.K
+        n, m, K, laws, mns = p.n, p.m, p.K, sol.minor_laws, p.minors
         self.sqrt0 = psd_sqrt(p.init_cov_major)
         self.sqrtm = psd_sqrt(p.init_cov_minor)
         self.xbar0 = _initial_mean_field(p, cfg)
-        self.K0v, self.k0v = sol.major_law.K.values, sol.major_law.k.values
-        self.Kkv = [sol.minor_laws[k].K.values for k in range(K)]
-        self.kkv = [sol.minor_laws[k].k.values for k in range(K)]
-        self.b0v = p.major.b0.values[:, :, 0]
-        self.bkv = [p.minors[k].bk.values[:, :, 0] for k in range(K)]
+        # rows: the major, then each type; controls are ff - gain (x0, xbar)
+        # per node, but for the minors' own-state part
+        self.ff = np.concatenate([sol.major_law.k.values]
+                                 + [law.k.values for law in laws], axis=1)[..., 0]
+        self.gain = np.concatenate([sol.major_law.K.values]
+                                   + [law.K.values[:, :, n:] for law in laws], axis=1)
+        # drift rows on x0, the empirical average and those control parts
+        self.on_x0 = np.vstack([p.major.A0] + [mn.Gk for mn in mns])
+        self.on_glob = np.vstack([p.major.F0] + [mn.Fk for mn in mns])
+        self.on_v = np.zeros((n * (K + 1), m * (K + 1)))
+        for i, B in enumerate([p.major.B0] + [mn.Bk for mn in mns]):
+            self.on_v[i * n:(i + 1) * n, i * m:(i + 1) * m] = B
+        self.b = np.concatenate([p.major.b0.values]
+                                + [mn.bk.values for mn in mns], axis=1)[..., 0]
+        # per type and node: the gain on a minor's own state, Ak - Bk Kx
+        self.Kx = [law.K.values[:, :, :n] for law in laws]
+        self.closed = [mn.Ak - mn.Bk @ Kx for mn, Kx in zip(mns, self.Kx)]
         self.law = [_stage_values(f) for f in
                     (sol.mf_law.Abar, sol.mf_law.Gbar, sol.mf_law.mbar)]
 
-    def start(self, master_seed: int, path: int, N: int):
-        """Initial states and Brownian increments of the major and minors
-        1..N, in agent order; a prefix of these serves any smaller N."""
+    def sample(self, streams, ids):
+        """Initial states and noise terms sqrt(h) sigma dW of the paths
+        (master_seed, path) in streams: x0 (S, n), noise0 (S, M, n) and, per
+        type on the columns of agent ids[k], X[k] (S, n, C_k) and noise[k]
+        (S, M, n, C_k).  Each value reads its own agent's draws alone."""
         p = self.p
-        xi = _draws(master_seed, 1, path, N + 1, (p.n,))
-        dW = _draws(master_seed, 0, path, N + 1, (p.grid.num_steps, p.r))
-        Xm = np.empty((N, p.n))
-        for a in range(N):
-            # one product per agent: a batched product may round differently
-            Xm[a] = self.sqrtm @ xi[a + 1]
-        return self.sqrt0 @ xi[0], Xm, dW[0], dW[1:]
+        n, M, S = p.n, p.grid.num_steps, len(streams)
+        sqh = math.sqrt(p.grid.h)
+        count = 1 + max(int(ix.max(initial=0)) for ix in ids)
+        x0, noise0 = np.empty((S, n)), np.empty((S, M, n))
+        X = [np.empty((S, n, ix.size)) for ix in ids]
+        noise = [np.empty((S, M, n, ix.size)) for ix in ids]
+        for s, (seed, path) in enumerate(streams):
+            xi = _draws(seed, 1, path, count, (n,))
+            dW = _draws(seed, 0, path, count, (M, p.r))
+            # + 0.0 turns the -0.0 of a zero product into 0.0, and so a state
+            # at rest stays 0.0 whatever the sign of its zero terms
+            x0[s] = matvec_rows(self.sqrt0, xi[0]) + 0.0
+            noise0[s] = sqh * matvec_rows(p.major.sigma0, dW[0])
+            for k, ix in enumerate(ids):
+                X[k][s] = _cols(self.sqrtm, xi[ix].T) + 0.0
+                _cols(p.minors[k].sigmak, dW[ix].transpose(1, 2, 0), out=noise[k][s])
+                noise[k][s] *= sqh
+        return x0, noise0, X, noise
 
-    def run_path(self, path: int, type_of: np.ndarray, x0, Xm, dW0, dWm,
-                 emp_types, emp_glob, xbar_out, states=None, controls=None):
-        """One Euler-Maruyama path; writes node j of every output table.
+    def advance(self, streams, type_of: np.ndarray, sizes, record: bool = False):
+        """Euler-Maruyama runs of the paths (master_seed, path) in streams,
+        stacked, each at every N in sizes with the first N agents of type_of.
 
-        Minors are stepped sorted by type, stably, so each type is one
-        contiguous slice; states and controls go back to agent order.
-        """
+        Type k's minors sit on its columns, N after N, agents last.  Every
+        product is a matvec_rows or _cols, so no (path, N) run depends on
+        the others.  Returns node tables (S, R, M + 1, .) of the type means
+        (zero if a type is empty), their average and the mean field, and if
+        record (x0, u0, X[k], U[k]).  Raises DivergedPathError for the first
+        run, by path then N, to leave the finite range."""
         p = self.p
         n, m, K = p.n, p.m, p.K
-        N = type_of.shape[0]
-        M = p.grid.num_steps
-        h = p.grid.h
-        sqh = math.sqrt(h)
-        mj = p.major
-        order = np.argsort(type_of, kind="stable")
-        bounds = np.searchsorted(type_of[order], np.arange(K + 1))
-        live = [(k, slice(bounds[k], bounds[k + 1])) for k in range(K)
-                if bounds[k + 1] > bounds[k]]
-        counts = np.diff(bounds).astype(float)
-        weights = counts / float(N)
-        rows = 1 + order
-        X = Xm[order]
-        dW = dWm[order].transpose(1, 0, 2).copy()     # (M, N, r)
-        xbar = self.xbar0.copy()
-        Ab_st, Gb_st, mb_st = self.law
-        U = np.empty((N, m))
+        M, h, S, R = p.grid.num_steps, p.grid.h, len(streams), len(sizes)
+        counts = np.array([np.bincount(type_of[:N], minlength=K) for N in sizes])
+        members = [1 + np.flatnonzero(type_of == k) for k in range(K)]
+        ids = [np.concatenate([ix[:c] for c in counts[:, k]]) for k, ix in enumerate(members)]
+        run = [np.repeat(np.arange(R), counts[:, k]) for k in range(K)]
+        x0, noise0, X, noise = self.sample(streams, ids)
+        weights = counts / counts.sum(1, keepdims=True)
+        segs = [(r, k, slice(a - c, a), c) for k in range(K) for r, c, a in zip(
+            range(R), counts[:, k], np.cumsum(counts[:, k])) if c]
+        live = [k for k in range(K) if ids[k].size]
+        x0 = np.repeat(x0[:, None], R, axis=1)
+        xbar = np.tile(self.xbar0, (S, R, 1))
+        emp_types = np.zeros((S, R, M + 1, n * K))
+        emp_glob, xbar_out = np.empty((S, R, M + 1, n)), np.empty((S, R, M + 1, n * K))
+        trace = (np.empty((S, R, M + 1, n)), np.empty((S, R, M + 1, m)),
+                 [np.empty((S, M + 1, n, Xk.shape[-1])) for Xk in X],
+                 [np.empty((S, M + 1, m, Xk.shape[-1])) for Xk in X]) if record else None
+        first_bad = np.full((S, R), M + 1)
         # overflow in a diverging path is expected; the finite check reports it
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(M + 1):
-                stacked = np.zeros(n * K)
-                glob = np.zeros(n)
-                for k, sl in live:
-                    mean_k = X[sl].sum(axis=0) / counts[k]
-                    stacked[k * n:(k + 1) * n] = mean_k
-                    glob = glob + weights[k] * mean_k
-                emp_types[j] = stacked
-                emp_glob[j] = glob
-                xbar_out[j] = xbar
-                u0 = self.k0v[j][:, 0] - self.K0v[j] @ np.concatenate([x0, xbar])
-                for k, sl in live:
-                    Xe = np.empty((sl.stop - sl.start, 2 * n + n * K))
-                    Xe[:, :n] = X[sl]
-                    Xe[:, n:2 * n] = x0
-                    Xe[:, 2 * n:] = xbar
-                    U[sl] = Xe @ (-self.Kkv[k][j].T) + self.kkv[k][j][:, 0]
-                if states is not None:
-                    states[j, 0] = x0
-                    states[j, rows] = X
-                    controls[j, 0] = u0
-                    controls[j, rows] = U
+                for r, k, cols, c in segs:
+                    emp_types[:, r, j, k * n:(k + 1) * n] = X[k][..., cols].sum(-1) / c
+                glob = sum(weights[:, k, None] * emp_types[:, :, j, k * n:(k + 1) * n]
+                           for k in range(K))
+                emp_glob[:, :, j], xbar_out[:, :, j] = glob, xbar
+                v = self.ff[j] - matvec_rows(self.gain[j], np.concatenate([x0, xbar], -1))
+                # every drift but the minors' own-state part, major first
+                drift = matvec_rows(self.on_x0, x0) + matvec_rows(self.on_glob, glob) \
+                    + self.b[j] + matvec_rows(self.on_v, v)
+                if record:
+                    trace[0][:, :, j], trace[1][:, :, j] = x0, v[..., :m]
+                for k in live:
+                    if record:
+                        trace[2][k][:, j] = X[k]
+                        trace[3][k][:, j] = v[:, run[k], m * (k + 1):m * (k + 2)] \
+                            .swapaxes(-1, -2) - _cols(self.Kx[k][j], X[k])
+                    if j < M:
+                        cross = drift[:, run[k], n * (k + 1):n * (k + 2)].swapaxes(-1, -2)
+                        X[k] = X[k] + h * (_cols(self.closed[k][j], X[k]) + cross) \
+                            + noise[k][:, j]
                 if j == M:
-                    return
-
-                x0_next = x0 + h * (mj.A0 @ x0 + mj.F0 @ glob + mj.B0 @ u0 + self.b0v[j]) \
-                    + sqh * (mj.sigma0 @ dW0[j])
-                X_next = np.empty_like(X)
-                for k, sl in live:
-                    mn = p.minors[k]
-                    drift = X[sl] @ mn.Ak.T + glob @ mn.Fk.T + x0 @ mn.Gk.T \
-                        + U[sl] @ mn.Bk.T + self.bkv[k][j]
-                    X_next[sl] = X[sl] + h * drift + sqh * (dW[j, sl] @ mn.sigmak.T)
-                xbar = mean_field_step_euler(Ab_st, Gb_st, mb_st, j, h, xbar, x0)
-                x0, X = x0_next, X_next
-                if not (np.isfinite(x0).all() and np.isfinite(X).all()
-                        and np.isfinite(xbar).all()):
-                    raise DivergedPathError(
-                        "simulation diverged on path %d at node %d" % (path, j + 1),
-                        path=path, node=j + 1,
-                    )
+                    break
+                x0_next = x0 + h * drift[..., :n] + noise0[:, None, j]
+                xbar = mean_field_step_euler(*self.law, j, h, xbar, x0)
+                x0 = x0_next
+                if not (np.isfinite(x0).all() and np.isfinite(xbar).all()
+                        and all(np.isfinite(Xk).all() for Xk in X)):
+                    fine = np.isfinite(x0).all(-1) & np.isfinite(xbar).all(-1)
+                    for r, k, cols, c in segs:
+                        fine[:, r] &= np.isfinite(X[k][..., cols]).all((1, 2))
+                    first_bad[~fine] = np.minimum(first_bad[~fine], j + 1)
+        if (first_bad <= M).any():
+            s, r = np.argwhere(first_bad <= M)[0]
+            path, node = streams[s][1], int(first_bad[s, r])
+            raise DivergedPathError("simulation diverged on path %d at node %d"
+                                    % (path, node), path=path, node=node)
+        return emp_types, emp_glob, xbar_out, trace
 
 
 def simulate_population(p: MmMfgProblem, sol: MfgSolution,
@@ -283,26 +332,31 @@ def simulate_population(p: MmMfgProblem, sol: MfgSolution,
     explicit Euler step on node-j coefficients.  Noise comes from
     counter-based streams keyed by (master_seed, path, agent), so output
     is independent of scheduling and agent draws are shared across
-    different N.
+    different N.  Paths step together in stacks that fit DRAW_BUDGET,
+    minors sorted by type, agents last; no path depends on the stacking.
     """
     pop = _Population(p, sol, cfg)
     n, m, K = p.n, p.m, p.K
     N, P = cfg.N, cfg.num_paths
     M = p.grid.num_steps
     type_of = _type_of(p, cfg)
+    rows = 1 + np.argsort(type_of, kind="stable")   # agent ids, type by type
 
-    states = np.empty((P, M + 1, N + 1, n)) if cfg.record_states else None
-    controls = np.empty((P, M + 1, N + 1, m)) if cfg.record_states else None
+    rec = cfg.record_states
+    states = np.empty((P, M + 1, N + 1, n)) if rec else None
+    controls = np.empty((P, M + 1, N + 1, m)) if rec else None
     xbar_out = np.empty((P, M + 1, n * K))
     emp_types = np.empty((P, M + 1, n * K))
     emp_glob = np.empty((P, M + 1, n))
 
-    rec = cfg.record_states
-    for path in range(P):
-        x0, Xm, dW0, dWm = pop.start(cfg.master_seed, path, N)
-        pop.run_path(path, type_of, x0, Xm, dW0, dWm, emp_types[path],
-                     emp_glob[path], xbar_out[path],
-                     states[path] if rec else None, controls[path] if rec else None)
+    for a, b in _chunks(p, N, P):
+        out = pop.advance([(cfg.master_seed, i) for i in range(a, b)], type_of, [N], rec)
+        emp_types[a:b], emp_glob[a:b], xbar_out[a:b] = (t[:, 0] for t in out[:3])
+        if rec:
+            x0s, u0s, Xs, Us = out[3]
+            states[a:b, :, 0], controls[a:b, :, 0] = x0s[:, 0], u0s[:, 0]
+            states[a:b, :, rows] = np.concatenate(Xs, axis=-1).swapaxes(-1, -2)
+            controls[a:b, :, rows] = np.concatenate(Us, axis=-1).swapaxes(-1, -2)
 
     return TrajectoryBundle(
         grid=p.grid, type_of=type_of, counts=np.bincount(type_of, minlength=K),
@@ -586,32 +640,29 @@ def mean_field_convergence_study(p: MmMfgProblem, sol: MfgSolution,
                                  seeds: Sequence[int]) -> ConvergenceStudy:
     """RMS distance between empirical type averages and the mean field.
 
-    One single-path simulation per (N, seed).  The counter-based streams
-    make the first N agent draws common across the N sweep, so each seed
-    draws once, for the largest N, and every N runs on a prefix.  Returns
-    rows (N, rms) in the order of Ns and the slope of log rms against
-    log N.
+    One single-path simulation per (N, seed), equal to simulate_population's
+    path 0.  The counter-based streams make the first N agent draws common
+    across the N sweep, so each seed draws once, for the largest N, and
+    every N steps in the same pass on a prefix of each type's agents; seeds
+    are stacked as many as fit DRAW_BUDGET.  Returns rows (N, rms) in the
+    order of Ns and the slope of log rms against log N.
     """
     Ns = [_as_count(N, "N", 1) for N in Ns]
     seeds = [_as_count(seed, "master_seed", 0, 2 ** 64) for seed in seeds]
     if Ns and not seeds:
         raise SchemaError("the convergence study needs at least one seed")
+    if not Ns:
+        return ConvergenceStudy(rows=[], slope=0.0)
     pop = _Population(p, sol, PopulationConfig(N=1))
     M = p.grid.num_steps
-    nK = p.n * p.K
     sizes = sorted(set(Ns))
-    types = {N: assign_types(p.pi, N) for N in sizes}
     total = dict.fromkeys(sizes, 0.0)
-    emp_types, xbar = np.empty((M + 1, nK)), np.empty((M + 1, nK))
-    emp_glob = np.empty((M + 1, p.n))
-    for seed in seeds:
-        x0, Xm, dW0, dWm = pop.start(seed, 0, max(sizes, default=0))
-        for N in sizes:
-            pop.run_path(0, types[N], x0, Xm[:N], dW0, dWm[:N],
-                         emp_types, emp_glob, xbar)
-            dev = emp_types - xbar
-            total[N] += float(np.sum(dev * dev))
-        del x0, Xm, dW0, dWm
+    types = assign_types(p.pi, sizes[-1])
+    for a, b in _chunks(p, sum(sizes), len(seeds)):
+        emp_types, _, xbar, _ = pop.advance([(seed, 0) for seed in seeds[a:b]], types, sizes)
+        for dev in emp_types - xbar:          # one seed: (R, M + 1, nK)
+            for N, d in zip(sizes, dev):
+                total[N] += float(np.sum(d * d))
     count = len(seeds) * (M + 1)
     rows = [(N, math.sqrt(total[N] / count)) for N in Ns]
     logN = np.log([row[0] for row in rows])

@@ -33,10 +33,11 @@ from mmlqg.errors import (
     RiccatiBlowupError,
     SchemaError,
 )
-from mmlqg.lqg_single import _policy_quadratic, _stage_values, psd_sqrt
+from mmlqg.lqg_single import (PSD_TOL, ValidationReport, _policy_quadratic,
+                              _stage_values, add_convexity_checks, psd_sqrt)
 from mmlqg.mfg_model import MmMfgProblem
 from mmlqg.mfg_solver import MfgSolution
-from mmlqg.nash_gap import _check_convexity, _policy_cost
+from mmlqg.nash_gap import _policy_cost
 from mmlqg.numerics import GridFunction, TimeGrid, symmetrize, trapezoid_weights
 from mmlqg.population_sim import (
     PopulationConfig,
@@ -392,7 +393,9 @@ class BestResponseChain:
 
 
 def solve_best_response_chain(js) -> BestResponseChain:
-    _check_convexity(js)
+    rep = ValidationReport()
+    add_convexity_checks(rep, "deviator ", js.Qhat, js.Q, js.Ncr, js.R, PSD_TOL)
+    rep.require()
     p = js.p
     grid = p.grid
     M, h = grid.num_steps, grid.h

@@ -228,6 +228,21 @@ def test_indefinite_control_weight_raises(coupled):
         solve_best_response(js)
 
 
+def test_deviator_convexity_uses_the_game_tolerance():
+    # Q - N R^-1 N' has min eigenvalue -5e-10: inside the game check's
+    # relative tolerance, so the deviator check must accept it too
+    p = coupled_toy(M=50)
+    p.minors[0].Nk = np.array([[0.0], [np.sqrt(1.0 + 5e-10)]])
+    sol = solve_consistency_finite(p)
+    assert sol.validation.ok
+    rep = epsilon_nash_gap(p, sol, PopulationConfig(N=3), 1)
+    assert np.isfinite(rep.gap)
+    # a clearly non-convex deviator is still refused (exit 4 in the CLI)
+    p.minors[0].Nk = np.array([[0.0], [1.5]])
+    with pytest.raises(AssumptionViolationError, match="deviator"):
+        epsilon_nash_gap(p, sol, PopulationConfig(N=3), 1)
+
+
 def test_backward_sweep_blowup_is_reported(coupled):
     p, sol = coupled
     js = build_joint_closed_loop(p, sol, PopulationConfig(N=3), 1)

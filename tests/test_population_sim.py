@@ -318,14 +318,79 @@ def test_explicit_type_assignment_respected(coupled):
         PopulationConfig(N=3, type_assignment=[0, 1])
 
 
-def test_diverged_path_reports_path_and_node(coupled):
+def test_diverged_path_reports_path_and_node(coupled, monkeypatch):
     p, sol = coupled
     bad = coupled_toy(M=100)
     bad.major.A0 = np.array([[1e6, 0.0], [0.0, 1e6]])
-    with pytest.raises(DivergedPathError) as exc:
-        simulate_population(bad, sol, PopulationConfig(N=3, master_seed=0))
-    assert exc.value.path == 0
-    assert exc.value.node is not None
+
+    def report(num_paths):
+        with pytest.raises(DivergedPathError) as exc:
+            simulate_population(bad, sol, PopulationConfig(N=3, master_seed=0,
+                                                           num_paths=num_paths))
+        return exc.value.path, exc.value.node
+
+    path, node = report(1)
+    assert path == 0
+    assert node is not None
+    # stacked paths name the same path and node, in one stack or one by one
+    assert report(3) == (path, node)
+    monkeypatch.setattr(population_sim, "DRAW_BUDGET", 1)
+    assert report(3) == (path, node)
+
+
+def test_outputs_do_not_depend_on_how_paths_and_seeds_are_stacked(coupled, monkeypatch):
+    p, sol = coupled
+    cfg = PopulationConfig(N=7, master_seed=3, num_paths=3)
+    fields = ("states", "controls", "xbar", "empirical_types", "empirical_global")
+    assert len(population_sim._chunks(p, 7, 3)) == 1
+    stacked = simulate_population(p, sol, cfg)
+    one = simulate_population(p, sol, dataclasses.replace(cfg, num_paths=1))
+    for f in fields:
+        assert np.array_equal(getattr(one, f)[0], getattr(stacked, f)[0])
+    study = mean_field_convergence_study(p, sol, [16, 64, 256], range(5))
+    # a budget of one byte leaves one path, or one seed, per stack
+    monkeypatch.setattr(population_sim, "DRAW_BUDGET", 1)
+    assert len(population_sim._chunks(p, 7, 3)) == 3
+    single = simulate_population(p, sol, cfg)
+    for f in fields:
+        assert np.array_equal(getattr(single, f), getattr(stacked, f))
+    assert mean_field_convergence_study(p, sol, [16, 64, 256], range(5)).rows == study.rows
+
+
+def test_one_batched_stepper_and_no_loop_over_agents():
+    """Paths and seeds advance through one stepper, called by the simulator
+    and by the study; no Python loop runs over agents but the draws'."""
+    tree = ast.parse(Path(population_sim.__file__).read_text())
+    pop = next(node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "_Population")
+    methods = {node.name for node in pop.body if isinstance(node, ast.FunctionDef)}
+    assert not methods & {"start", "run_path"}
+    callers, agent_loops = [], []
+
+    def over_agents(expr):
+        # a range over an agent count, or an array with an agent axis
+        names = {n.id for n in ast.walk(expr) if isinstance(n, ast.Name)}
+        counts = {n.id for call in ast.walk(expr) if isinstance(call, ast.Call)
+                  and getattr(call.func, "id", None) == "range"
+                  for arg in call.args for n in ast.walk(arg) if isinstance(n, ast.Name)}
+        return bool(counts & {"N", "count"} or names & {"type_of", "ix", "xi", "dW"})
+
+    def visit(node, where):
+        if isinstance(node, ast.FunctionDef):
+            where = node.name
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "advance":
+            callers.append(where)
+        if isinstance(node, (ast.For, ast.comprehension)) and over_agents(node.iter):
+            agent_loops.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, None)
+    assert agent_loops == ["_draws"]
+    for f in Path(population_sim.__file__).parent.glob("*.py"):
+        if f.stem != "population_sim":
+            visit(ast.parse(f.read_text()), None)
+    assert sorted(callers) == ["mean_field_convergence_study", "simulate_population"]
 
 
 def test_agent_id_and_config_validation(coupled):
