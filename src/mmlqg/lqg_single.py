@@ -6,10 +6,12 @@ checks, solves and tabulates it: the convexity checks on its primitive
 weights, one agent solve per horizon and one gain table.  Finite horizon:
 backward Riccati and offset sweeps yielding the optimal linear feedback
 u* = -R^{-1}(N'x - n + B'(Pi x + s)).  Infinite horizon: the discounted
-algebraic Riccati equation solved by the Schur method plus Newton polish,
-after Hautus tests of the shifted drift.  Also provides exact closed-loop
-cost evaluation by moment propagation and a deterministic Gateaux-
-derivative oracle used to certify optimality.
+algebraic Riccati equation solved with numpy alone, by the matrix sign
+function of its Hamiltonian (Byers) plus Newton-Kleinman polish through
+sign-function Lyapunov solves (Roberts), after Hautus tests of the
+shifted drift.  Also provides exact closed-loop cost evaluation by moment
+propagation and a deterministic Gateaux-derivative oracle used to certify
+optimality.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .numerics import (
     GridFunction,
     TimeGrid,
     cumulative_simpson,
+    expm,
     flatten,
     psd_check,
     rk4_backward_indexed,
@@ -600,10 +603,8 @@ def costate_oracle(p: LqgProblem, u: GridFunction) -> CostateOracle:
     T = grid.t_end
     disc = np.exp(-p.rho * grid.nodes)
 
-    import scipy.linalg  # only the oracle and the stationary ARE need scipy
-
-    E_fwd = scipy.linalg.expm(p.A.T * h)
-    E_bwd = scipy.linalg.expm(-p.A.T * h)
+    E_fwd = expm(p.A.T * h)
+    E_bwd = expm(-p.A.T * h)
     P_fwd = np.empty((M + 1, p.n, p.n))   # e^{A' t_j}
     P_bwd = np.empty((M + 1, p.n, p.n))   # e^{-A' t_j}
     P_fwd[0] = np.eye(p.n)
@@ -720,6 +721,33 @@ def _are_residual(Pi, A, B, Q, N, R_solve, rho):
     return Pi @ A + A.T @ Pi - PBN @ R_solve(PBN.T) + Q - rho * Pi
 
 
+def _matrix_sign(Z: np.ndarray) -> np.ndarray:
+    """sign(Z) by the Newton iteration Z <- (Z + Z^{-1}) / 2.
+
+    Each step first scales Z to |det Z| = 1 (Byers 1987), until the
+    relative change falls below 1e-8; one unscaled step then ends the
+    quadratic convergence.  A singular or non-finite iterate, or no
+    convergence in 100 steps, raises AreSolveError.
+    """
+    n = Z.shape[0]
+    scale = True
+    for _ in range(100):
+        if scale:   # a singular Z turns non-finite here
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                Z = Z * np.exp(-np.linalg.slogdet(Z)[1] / n)
+        try:
+            Z_next = 0.5 * (Z + np.linalg.inv(Z))
+        except np.linalg.LinAlgError as exc:
+            raise AreSolveError("matrix sign iteration met a singular matrix") from exc
+        if not np.all(np.isfinite(Z_next)):
+            raise AreSolveError("matrix sign iteration met a singular matrix")
+        if not scale:
+            return Z_next
+        scale = np.linalg.norm(Z_next - Z, 1) > 1e-8 * np.linalg.norm(Z_next, 1)
+        Z = Z_next
+    raise AreSolveError("matrix sign iteration did not converge in 100 steps")
+
+
 def solve_discounted_are(
     A: np.ndarray,
     B: np.ndarray,
@@ -732,22 +760,30 @@ def solve_discounted_are(
 ) -> np.ndarray:
     """Stabilizing solution of rho Pi = Pi A + A'Pi - (Pi B+N)R^{-1}(B'Pi+N') + Q.
 
-    Schur method (Arnold & Laub 1984) on the shifted drift A - (rho/2) I,
-    then Newton-Kleinman polish through Lyapunov solves.  Raises
-    AreSolveError when no stabilizing solution emerges.
+    The cross term and the discount are folded into the drift A - (rho/2) I
+    - B R^{-1} N' and the weight Q - N R^{-1} N'; Pi spans the stable
+    invariant subspace of that problem's Hamiltonian, read off its matrix
+    sign function (Byers 1987).  Up to three Newton-Kleinman steps (Kleinman
+    1968) then polish Pi, each Lyapunov equation A_c'X + X A_c + F = 0
+    solved by sign([[A_c', F], [0, -A_c]]) = [[-I, 2X], [0, I]] (Roberts
+    1980).  Raises AreSolveError when no stabilizing solution emerges.
     """
-    import scipy.linalg  # only the oracle and the stationary ARE need scipy
-
     n = A.shape[0]
     rinv = spd_solver(R, what=what)
+    RiNt = rinv(N.T)
+    A_sh = A - 0.5 * rho * np.eye(n) - B @ RiNt
+    H = np.block([[A_sh, -symmetrize(B @ rinv(B.T))],
+                  [-symmetrize(Q - N @ RiNt), -A_sh.T]])
+    if not np.all(np.isfinite(H)):
+        raise AreSolveError("Hamiltonian of the Riccati equation is not finite")
+    W = _matrix_sign(H)
     try:
-        # no balancing: it breaks down on tiny (e.g. subnormal) weights
-        Pi = scipy.linalg.solve_continuous_are(
-            A - 0.5 * rho * np.eye(n), B, symmetrize(Q), symmetrize(R), s=N,
-            balanced=False,
-        )
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        raise AreSolveError("Schur solve of the Riccati equation failed: %s" % exc) from exc
+        Pi = np.linalg.lstsq(
+            np.vstack([W[:n, n:], W[n:, n:] + np.eye(n)]),
+            -np.vstack([W[:n, :n] + np.eye(n), W[n:, :n]]), rcond=None)[0]
+    except np.linalg.LinAlgError as exc:
+        raise AreSolveError("stable subspace of the Hamiltonian: %s" % exc) from exc
+    Pi = symmetrize(Pi)
 
     for _ in range(3):
         F = _are_residual(Pi, A, B, Q, N, rinv, rho)
@@ -756,8 +792,8 @@ def solve_discounted_are(
         A_c = A - B @ rinv(B.T @ Pi + N.T) - 0.5 * rho * np.eye(n)
         if np.max(np.linalg.eigvals(A_c).real) >= 0:
             break  # Newton step not defined off the stabilizing branch
-        delta = scipy.linalg.solve_continuous_lyapunov(A_c.T, -F)
-        Pi = symmetrize(Pi + delta)
+        S = _matrix_sign(np.block([[A_c.T, F], [np.zeros((n, n)), -A_c]]))
+        Pi = symmetrize(Pi + 0.5 * S[:n, n:])
 
     F = _are_residual(Pi, A, B, Q, N, rinv, rho)
     res = float(np.linalg.norm(F))

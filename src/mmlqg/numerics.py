@@ -141,6 +141,39 @@ def symmetrize(P: np.ndarray) -> np.ndarray:
     return 0.5 * (P + P.swapaxes(-1, -2))
 
 
+# Pade [13/13] coefficients of exp and the 1-norm up to which the
+# approximant is accurate to double precision (Higham 2005, Table 2.3)
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0,
+           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+           960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+
+
+def expm(A: np.ndarray) -> np.ndarray:
+    """Matrix exponential by scaling and squaring (Higham 2005).
+
+    A is scaled by 2^-s until its 1-norm is at most _THETA13, the [13/13]
+    Pade approximant is formed there and squared s times.
+    """
+    norm = float(np.linalg.norm(A, 1))
+    s = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
+    A = A / 2.0 ** s
+    b = _PADE13
+    I = np.eye(A.shape[0])
+    A2 = A @ A
+    A4 = A2 @ A2
+    A6 = A4 @ A2
+    U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
+             + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * I)
+    V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
+         + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * I)
+    E = np.linalg.solve(V - U, V + U)
+    for _ in range(s):
+        E = E @ E
+    return E
+
+
 def matvec_rows(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     """A x for each row x of a stack (..., L), summed row by row: a BLAS
     product of the stack may round a row unlike that row alone."""

@@ -15,7 +15,9 @@ the minor Riccati and cross-weight blocks.  _stream (a new generator per
 agent) and write_csv_rows (one row at a time) are what the package's
 reused generator and vectorised writer must reproduce bit for bit, and
 empirical_mean_field recomputes the simulator's per-type averages from
-its recorded states.
+its recorded states.  schur_are is the discounted ARE solver the
+package's sign-function solver replaced: scipy's Schur method on the
+shifted drift with the same Newton-Kleinman polish and gates.
 """
 
 from __future__ import annotations
@@ -25,16 +27,19 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 import numpy as np
+import scipy.linalg
 
 from mmlqg.errors import (
+    AreSolveError,
     AssumptionViolationError,
     DimensionGuardError,
     IntegrationDivergedError,
     RiccatiBlowupError,
     SchemaError,
 )
-from mmlqg.lqg_single import (PSD_TOL, ValidationReport, _policy_quadratic,
-                              _stage_values, add_convexity_checks, psd_sqrt)
+from mmlqg.lqg_single import (PSD_TOL, ValidationReport, _are_residual,
+                              _policy_quadratic, _stage_values,
+                              add_convexity_checks, psd_sqrt, spd_solver)
 from mmlqg.mfg_model import MmMfgProblem
 from mmlqg.mfg_solver import MfgSolution
 from mmlqg.nash_gap import _policy_cost
@@ -523,3 +528,36 @@ def empirical_mean_field(bundle: TrajectoryBundle) -> List[GridFunction]:
             vals[:, k * n:(k + 1) * n, 0] = minors[:, ix, :].sum(axis=1) / ix.size
         out.append(GridFunction(bundle.grid, vals))
     return out
+
+
+def schur_are(A, B, Q, N, R, rho):
+    """Stabilizing discounted ARE solution by the Schur method (Arnold &
+    Laub 1984) on A - (rho/2) I, then up to three Newton-Kleinman steps
+    through scipy's Lyapunov solver.  Returns (Pi, residual norm); raises
+    AreSolveError where solve_discounted_are's gates would reject Pi.
+    """
+    n = A.shape[0]
+    rinv = spd_solver(R)
+    try:
+        # no balancing: it breaks down on tiny (e.g. subnormal) weights
+        Pi = scipy.linalg.solve_continuous_are(
+            A - 0.5 * rho * np.eye(n), B, symmetrize(Q), symmetrize(R), s=N,
+            balanced=False)
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        raise AreSolveError("Schur solve failed: %s" % exc) from exc
+
+    def closed_loop(Pi):
+        return A - B @ rinv(B.T @ Pi + N.T) - 0.5 * rho * np.eye(n)
+
+    for _ in range(3):
+        F = _are_residual(Pi, A, B, Q, N, rinv, rho)
+        if float(np.linalg.norm(F)) < 1e-13:
+            break
+        A_c = closed_loop(Pi)
+        if np.max(np.linalg.eigvals(A_c).real) >= 0:
+            break
+        Pi = symmetrize(Pi + scipy.linalg.solve_continuous_lyapunov(A_c.T, -F))
+    res = float(np.linalg.norm(_are_residual(Pi, A, B, Q, N, rinv, rho)))
+    if res >= 1e-9 or np.max(np.linalg.eigvals(closed_loop(Pi)).real) >= 0:
+        raise AreSolveError("no stabilizing Schur solution (residual %.3e)" % res)
+    return Pi, res

@@ -1,10 +1,12 @@
-"""scipy stays out of the finite-horizon paths: import and CLI start cost.
+"""scipy stays out of the package: import and CLI start cost.
 
-Only the infinite-horizon ARE (and its Lyapunov polish) and the costate
-oracle need scipy, and they import it when called.  Each check runs in a
-fresh interpreter, since this test process has scipy loaded already.
+The package runs on numpy alone, the stationary ARE and the costate
+oracle included; scipy is a test-only oracle.  Every command and the
+stationary solve run in a fresh interpreter, since this test process has
+scipy loaded already, and no module of the package may import it.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -30,6 +32,9 @@ for command in ("solve-mfg", "simulate", "nash-gap"):
     code = cli_app.main([command, "--config", cfg_path, "--out", str(out / command)])
     assert code == 0, (command, code)
     seen[command] = "scipy" in sys.modules
+code = cli_app.main(["verify", "--out", str(out / "verify")])
+assert code == 0, ("verify", code)
+seen["verify"] = "scipy" in sys.modules
 from mmlqg import coupled_toy, solve_consistency_infinite
 solve_consistency_infinite(coupled_toy(M=4, rho=4.0))
 seen["stationary solve"] = "scipy" in sys.modules
@@ -48,7 +53,7 @@ def _config():
     return cfg
 
 
-def test_scipy_is_loaded_only_by_the_stationary_solver(tmp_path):
+def test_no_command_loads_scipy(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(_config()))
     env = dict(os.environ)
@@ -65,5 +70,18 @@ def test_scipy_is_loaded_only_by_the_stationary_solver(tmp_path):
         "solve-mfg": False,
         "simulate": False,
         "nash-gap": False,
-        "stationary solve": True,
+        "verify": False,
+        "stationary solve": False,
     }
+
+
+def test_no_package_module_imports_scipy():
+    for path in sorted(Path(mmlqg.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(name.split(".")[0] == "scipy" for name in names), path.name
