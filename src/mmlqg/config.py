@@ -1,8 +1,9 @@
 """Strict JSON configuration layer for the command-line tools.
 
-One document describes one problem.  Matrices are row-major nested
-arrays; time-varying drifts may be a constant vector or an array sampled
-at every grid node.  Unknown keys are rejected, and every message
+One document describes one problem.  Its keys are the fields of the
+library records, which own every shape and zero default
+(lqg_single.field_table); this module only checks JSON types and keys
+and builds the records.  Unknown keys are rejected, and every message
 carries a JSON-path location like ``$.major.A0`` so a typo is findable
 without reading this module.
 """
@@ -11,13 +12,11 @@ import hashlib
 import json
 from typing import Optional
 
-import numpy as np
-
 from .errors import SchemaError
-from .lqg_single import LqgProblem
+from .lqg_single import LqgProblem, field_table
 from .mfg_model import MajorParams, MinorTypeParams, MmMfgProblem
 from .mfg_solver import FixedPointConfig
-from .numerics import GridFunction, TimeGrid
+from .numerics import TimeGrid
 
 
 def load_config(path: str) -> dict:
@@ -78,172 +77,71 @@ def _integer(v, path: str) -> int:
     return int(v)
 
 
-def _matrix(v, path: str, rows: Optional[int] = None,
-            cols: Optional[int] = None) -> np.ndarray:
-    try:
-        arr = np.asarray(v, dtype=float)
-    except (TypeError, ValueError):
-        raise SchemaError("%s: expected a rectangular numeric array" % path)
-    if arr.ndim == 0:
-        arr = arr.reshape(1, 1)
-    elif arr.ndim == 1:
-        arr = arr.reshape(-1, 1) if cols == 1 else arr.reshape(1, -1)
-    if arr.ndim != 2:
-        raise SchemaError("%s: expected a 2-d array, got %d-d" % (path, arr.ndim))
-    if rows is not None and arr.shape[0] != rows:
-        raise SchemaError("%s: expected %d rows, got %d" % (path, rows, arr.shape[0]))
-    if cols is not None and arr.shape[1] != cols:
-        raise SchemaError("%s: expected %d columns, got %d" % (path, cols, arr.shape[1]))
-    return arr
-
-
-def _column(v, path: str, n: int) -> np.ndarray:
-    return _matrix(v, path, rows=n, cols=1)
-
-
-def _grid_column(v, path: str, grid: TimeGrid, n: int):
-    """Constant column (flat list of n numbers) or per-node samples."""
-    arr = np.asarray(v, dtype=float)
-    if arr.ndim <= 1:
-        return _column(v, path, n)
-    if arr.ndim == 2:
-        if arr.shape == (n, 1):
-            return arr
-        if arr.shape == (grid.num_nodes, n):
-            return GridFunction(grid, arr[:, :, None])
-        raise SchemaError(
-            "%s: expected shape (%d,) constant or (%d, %d) node samples, got %s"
-            % (path, n, grid.num_nodes, n, arr.shape))
-    raise SchemaError("%s: too many dimensions" % path)
-
-
 def parse_grid(cfg: dict) -> TimeGrid:
     g = _as_dict(_require(cfg, "grid", "$"), "$.grid")
     _reject_unknown(g, "$.grid", {"T", "M"})
     T = _scalar(_require(g, "T", "$.grid"), "$.grid.T")
     M = _integer(_require(g, "M", "$.grid"), "$.grid.M")
+    return _located("$.grid", lambda: TimeGrid(T, M), {"t_end": "T", "num_steps": "M"})
+
+
+def _located(path: str, make, json_names=None):
+    """make(), with a SchemaError placed under the JSON path path.
+
+    An error about one field names path.field, the field renamed by
+    json_names; any other error reads "path: message".
+    """
     try:
-        return TimeGrid(T, M)
+        return make()
     except SchemaError as exc:
-        raise SchemaError("$.grid: %s" % exc)
+        if exc.field is None:
+            raise SchemaError("%s: %s" % (path, exc))
+        name = (json_names or {}).get(exc.field, exc.field)
+        raise SchemaError(exc.detail, field="%s.%s" % (path, name))
 
 
-_LQG_KEYS = {"kind", "grid", "rho", "A", "B", "b", "sigma", "Qhat", "Q",
-             "N", "R", "eta", "n", "x0", "population"}
+def _record(cls, d, path: str, json_names=None, other_keys=(), **given):
+    """cls built from the JSON object d at path and the given arguments.
+
+    The object's keys are cls's shaped fields (field_table), renamed by
+    json_names, plus the given arguments and other_keys, which the
+    caller reads; a required field must be present.  An omitted field
+    takes the record's zero default, so an explicit null is rejected
+    rather than read as one.
+    """
+    d = _as_dict(d, path)
+    json_names = json_names or {}
+    keys = {json_names.get(name, name): (name, required)
+            for name, _, _, required in field_table(cls)}
+    _reject_unknown(d, path, set(keys) | set(given) | set(other_keys))
+    for key, (name, required) in keys.items():
+        if key not in d:
+            if required:
+                raise SchemaError("%s: missing key '%s'" % (path, key))
+        elif d[key] is None:
+            raise SchemaError("%s.%s: expected a number or an array" % (path, key))
+        else:
+            given[name] = d[key]
+    return _located(path, lambda: cls(**given), json_names)
 
 
 def parse_lqg_problem(cfg: dict) -> LqgProblem:
-    _reject_unknown(cfg, "$", _LQG_KEYS)
-    grid = parse_grid(cfg)
-    rho = _scalar(cfg.get("rho", 0.0), "$.rho")
-    A = _matrix(_require(cfg, "A", "$"), "$.A")
-    n = A.shape[0]
-    A = _matrix(A, "$.A", n, n)
-    B = _matrix(_require(cfg, "B", "$"), "$.B", rows=n)
-    m = B.shape[1]
-    Q = _matrix(_require(cfg, "Q", "$"), "$.Q", n, n)
-    R = _matrix(_require(cfg, "R", "$"), "$.R", m, m)
-    Qhat = _matrix(_require(cfg, "Qhat", "$"), "$.Qhat", n, n)
-    N = _matrix(cfg["N"], "$.N", n, m) if "N" in cfg else np.zeros((n, m))
-    eta = _column(cfg["eta"], "$.eta", n) if "eta" in cfg else np.zeros((n, 1))
-    n_lin = _column(cfg["n"], "$.n", m) if "n" in cfg else np.zeros((m, 1))
-    x0 = _column(cfg["x0"], "$.x0", n) if "x0" in cfg else np.zeros((n, 1))
-    b = _grid_column(cfg["b"], "$.b", grid, n) if "b" in cfg else np.zeros((n, 1))
-    sigma = _matrix(cfg["sigma"], "$.sigma", rows=n) if "sigma" in cfg \
-        else np.zeros((n, 1))
-    return LqgProblem(A=A, B=B, b=b, sigma=sigma, Qhat=Qhat, Q=Q, N_cross=N,
-                      R=R, eta=eta, n_lin=n_lin, rho=rho, grid=grid, x0=x0)
-
-
-_MAJOR_KEYS = {"A0", "F0", "B0", "b0", "sigma0", "Qhat0", "Q0", "N0", "R0",
-               "H0", "eta0"}
-_MINOR_KEYS = {"Ak", "Fk", "Gk", "Bk", "bk", "sigmak", "Qhatk", "Qk", "Nk",
-               "Rk", "Hk", "Hhatk", "etak"}
-_MFG_KEYS = {"kind", "grid", "rho", "pi", "major", "minors",
-             "init_cov_major", "init_cov_minor", "fixed_point",
-             "population", "study", "nash"}
-
-
-def _parse_major(cfg: dict, grid: TimeGrid) -> MajorParams:
-    d = _as_dict(_require(cfg, "major", "$"), "$.major")
-    path = "$.major"
-    _reject_unknown(d, path, _MAJOR_KEYS)
-    A0 = _matrix(_require(d, "A0", path), path + ".A0")
-    n = A0.shape[0]
-    A0 = _matrix(A0, path + ".A0", n, n)
-    B0 = _matrix(_require(d, "B0", path), path + ".B0", rows=n)
-    m = B0.shape[1]
-
-    def mat(key, rows, cols):
-        if key in d:
-            return _matrix(d[key], path + "." + key, rows, cols)
-        return np.zeros((rows, cols))
-
-    sigma0 = _matrix(d["sigma0"], path + ".sigma0", rows=n) if "sigma0" in d \
-        else np.zeros((n, 1))
-    b0 = _grid_column(d["b0"], path + ".b0", grid, n) if "b0" in d \
-        else np.zeros((n, 1))
-    return MajorParams(
-        A0=A0, F0=mat("F0", n, n), B0=B0, b0=b0, sigma0=sigma0,
-        Qhat0=_matrix(_require(d, "Qhat0", path), path + ".Qhat0", n, n),
-        Q0=_matrix(_require(d, "Q0", path), path + ".Q0", n, n),
-        N0=mat("N0", n, m),
-        R0=_matrix(_require(d, "R0", path), path + ".R0", m, m),
-        H0=mat("H0", n, n), eta0=mat("eta0", n, 1),
-    )
-
-
-def _parse_minor(d, grid: TimeGrid, n: int, m: int, path: str) -> MinorTypeParams:
-    d = _as_dict(d, path)
-    _reject_unknown(d, path, _MINOR_KEYS)
-
-    def mat(key, rows, cols):
-        if key in d:
-            return _matrix(d[key], path + "." + key, rows, cols)
-        return np.zeros((rows, cols))
-
-    sigmak = _matrix(d["sigmak"], path + ".sigmak", rows=n) if "sigmak" in d \
-        else np.zeros((n, 1))
-    bk = _grid_column(d["bk"], path + ".bk", grid, n) if "bk" in d \
-        else np.zeros((n, 1))
-    return MinorTypeParams(
-        Ak=_matrix(_require(d, "Ak", path), path + ".Ak", n, n),
-        Fk=mat("Fk", n, n), Gk=mat("Gk", n, n),
-        Bk=_matrix(_require(d, "Bk", path), path + ".Bk", n, m),
-        bk=bk, sigmak=sigmak,
-        Qhatk=_matrix(_require(d, "Qhatk", path), path + ".Qhatk", n, n),
-        Qk=_matrix(_require(d, "Qk", path), path + ".Qk", n, n),
-        Nk=mat("Nk", n, m),
-        Rk=_matrix(_require(d, "Rk", path), path + ".Rk", m, m),
-        Hk=mat("Hk", n, n), Hhatk=mat("Hhatk", n, n), etak=mat("etak", n, 1),
-    )
+    return _record(LqgProblem, cfg, "$", {"N_cross": "N", "n_lin": "n"},
+                   {"kind", "population"}, grid=parse_grid(cfg),
+                   rho=_scalar(cfg.get("rho", 0.0), "$.rho"))
 
 
 def parse_mfg_problem(cfg: dict) -> MmMfgProblem:
-    _reject_unknown(cfg, "$", _MFG_KEYS)
     parse_population(cfg)   # rejects stray population keys for every command
-    grid = parse_grid(cfg)
-    rho = _scalar(cfg.get("rho", 0.0), "$.rho")
-    major = _parse_major(cfg, grid)
-    n, m = major.A0.shape[0], major.B0.shape[1]
-    raw_minors = _as_list(_require(cfg, "minors", "$"), "$.minors")
-    if not raw_minors:
-        raise SchemaError("$.minors: at least one minor type is required")
-    minors = [_parse_minor(d, grid, n, m, "$.minors[%d]" % k)
-              for k, d in enumerate(raw_minors)]
-    pi = np.asarray(_as_list(_require(cfg, "pi", "$"), "$.pi"), dtype=float)
-    kwargs = {}
-    if "init_cov_major" in cfg:
-        kwargs["init_cov_major"] = _matrix(cfg["init_cov_major"],
-                                           "$.init_cov_major", n, n)
-    if "init_cov_minor" in cfg:
-        kwargs["init_cov_minor"] = _matrix(cfg["init_cov_minor"],
-                                           "$.init_cov_minor", n, n)
-    try:
-        return MmMfgProblem(major=major, minors=minors, pi=pi, grid=grid,
-                            rho=rho, **kwargs)
-    except SchemaError as exc:
-        raise SchemaError("$: %s" % exc)
+    minors = _as_list(_require(cfg, "minors", "$"), "$.minors")
+    return _record(
+        MmMfgProblem, cfg, "$", other_keys={"kind", "fixed_point", "population",
+                                            "study", "nash"},
+        major=_record(MajorParams, _require(cfg, "major", "$"), "$.major"),
+        minors=[_record(MinorTypeParams, d, "$.minors[%d]" % k)
+                for k, d in enumerate(minors)],
+        pi=_as_list(_require(cfg, "pi", "$"), "$.pi"), grid=parse_grid(cfg),
+        rho=_scalar(cfg.get("rho", 0.0), "$.rho"))
 
 
 def parse_fixed_point(cfg: dict) -> Optional[FixedPointConfig]:
@@ -258,10 +156,7 @@ def parse_fixed_point(cfg: dict) -> Optional[FixedPointConfig]:
         kwargs["tol"] = _scalar(d["tol"], "$.fixed_point.tol")
     if "max_iters" in d:
         kwargs["max_iters"] = _integer(d["max_iters"], "$.fixed_point.max_iters")
-    try:
-        return FixedPointConfig(**kwargs)
-    except SchemaError as exc:
-        raise SchemaError("$.fixed_point: %s" % exc)
+    return _located("$.fixed_point", lambda: FixedPointConfig(**kwargs))
 
 
 def parse_population(cfg: dict) -> dict:

@@ -12,9 +12,16 @@ class MmlqgError(Exception):
 class SchemaError(MmlqgError):
     """Malformed configuration or inconsistent shapes.
 
-    The message names the offending key or field, with a JSON-path style
-    location (``$.major.A0``) when the error comes from a config document.
+    The message names the offending key or field.  An error about one
+    field carries its name in ``field`` (the attribute path, like
+    ``major.A0``) and the bare complaint in ``detail``; the config layer
+    turns the field into a JSON path (``$.major.A0``).
     """
+
+    def __init__(self, message, field=None):
+        super().__init__(message if field is None else "%s: %s" % (field, message))
+        self.field = field
+        self.detail = message
 
 
 class OutOfRangeError(MmlqgError, ValueError):

@@ -16,6 +16,7 @@ optimality.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
@@ -33,6 +34,8 @@ from .errors import (
 from .numerics import (
     GridFunction,
     TimeGrid,
+    _as_array,
+    _as_real,
     cumulative_simpson,
     expm,
     flatten,
@@ -48,56 +51,100 @@ from .numerics import (
 PSD_TOL = 1e-9  # relative to the largest eigenvalue magnitude
 
 
-def _finite(name: str, v: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(v)):
-        raise SchemaError("%s has a non-finite entry" % name)
-    return v
-
-
 def _as_matrix(name: str, value, rows: int, cols: int) -> np.ndarray:
-    m = np.atleast_2d(np.asarray(value, dtype=float))
+    """value as a finite rows x cols array; None is zeros.
+
+    A scalar is 1 x 1, and a flat list is a row, or a column when cols
+    is 1.
+    """
+    if value is None:
+        return np.zeros((rows, cols))
+    m = _as_array(name, value)
+    if m.ndim == 1 and cols == 1:
+        m = m[:, None]
+    m = np.atleast_2d(m)
     if m.shape != (rows, cols):
-        raise SchemaError(
-            "%s has shape %s, expected (%d, %d)" % (name, m.shape, rows, cols)
-        )
-    return _finite(name, m)
-
-
-def _as_column(name: str, value, rows: int) -> np.ndarray:
-    v = np.asarray(value, dtype=float)
-    if v.ndim == 1:
-        v = v[:, None]
-    if v.shape != (rows, 1):
-        raise SchemaError(
-            "%s has shape %s, expected (%d, 1)" % (name, v.shape, rows)
-        )
-    return _finite(name, v)
+        raise SchemaError("expected shape (%d, %d), got %s" % (rows, cols, m.shape),
+                          field=name)
+    return m
 
 
 def _as_rate(rho) -> float:
     """A discount rate: finite and nonnegative."""
-    rho = float(rho)
+    rho = _as_real(rho, "rho")
     if not 0.0 <= rho < np.inf:
-        raise SchemaError("rho must be finite and nonnegative")
+        raise SchemaError("must be finite and nonnegative", field="rho")
     return rho
 
 
-def _as_grid_function(name: str, value, grid: TimeGrid, rows: int, cols: int) -> GridFunction:
+def _as_grid_function(name: str, value, grid: TimeGrid, rows: int, cols: int,
+                      samples: bool = False) -> GridFunction:
+    """value as a finite rows x cols GridFunction on grid.
+
+    A GridFunction must share the grid; anything else is a constant
+    matrix (see _as_matrix) or, with samples, a (nodes, rows) array of
+    one column per grid node.
+    """
     if isinstance(value, GridFunction):
-        gf = value
-        if gf.grid.num_steps != grid.num_steps or gf.grid.t_end != grid.t_end:
-            raise SchemaError("%s is sampled on a different grid" % name)
-    else:
-        v = np.asarray(value, dtype=float)
-        if v.ndim <= 1:
-            v = v.reshape(rows, 1) if v.size == rows else np.atleast_2d(v)
-        gf = GridFunction.constant(grid, v)
-    if gf.shape != (rows, cols):
-        raise SchemaError(
-            "%s has value shape %s, expected (%d, %d)" % (name, gf.shape, rows, cols)
-        )
-    _finite(name, gf.values)
-    return gf
+        if value.grid.num_steps != grid.num_steps or value.grid.t_end != grid.t_end:
+            raise SchemaError("is sampled on a different grid", field=name)
+        if value.shape != (rows, cols):
+            raise SchemaError("expected value shape (%d, %d), got %s"
+                              % (rows, cols, value.shape), field=name)
+        _as_array(name, value.values)
+        return value
+    if value is not None and samples:
+        v = _as_array(name, value)
+        if v.shape == (grid.num_nodes, rows) and v.shape != (rows, 1):
+            return GridFunction(grid, v[:, :, None])
+    return GridFunction.constant(grid, _as_matrix(name, value, rows, cols))
+
+
+def _shaped(rows, cols, required: bool = False):
+    """A record field of shape (rows, cols), each in the dimensions n, m,
+    r or the literal 1; omitted (None) it is zeros of that shape."""
+    return field(default=None, metadata={"shape": (rows, cols), "required": required})
+
+
+def field_table(record) -> tuple:
+    """(name, rows, cols, required) of each shaped field of a record, in
+    declaration order.  The config layer reads its JSON keys here."""
+    return tuple((f.name, *f.metadata["shape"], f.metadata["required"])
+                 for f in dataclasses.fields(record) if "shape" in f.metadata)
+
+
+def _as_fields(record, grid: TimeGrid, prefix: str = "", dims=None) -> dict:
+    """Coerce the shaped fields of record in place; return the dimensions.
+
+    A dimension not in dims is read off the first field that has it (A
+    gives n, B gives m, sigma gives r), and is 1 when that field is
+    omitted.  Fields annotated GridFunction become grid functions on
+    grid, and those of literal width 1 (the drifts) may be given as
+    per-node samples; the others become arrays.  Errors name prefix +
+    field.
+    """
+    dims = dict(dims or {1: 1})
+    time_varying = {f.name for f in dataclasses.fields(record) if f.type == "GridFunction"}
+    for name, rows, cols, required in field_table(record):
+        path, value = prefix + name, getattr(record, name)
+        if value is None and required:
+            raise SchemaError("missing required field", field=path)
+        if rows not in dims or cols not in dims:
+            if value is None:
+                shape = (1, 1)
+            elif isinstance(value, GridFunction):
+                shape = value.shape
+            else:
+                shape = np.atleast_2d(_as_array(path, value)).shape
+            dims.setdefault(rows, shape[0])
+            dims.setdefault(cols, shape[1])
+        if name in time_varying:
+            value = _as_grid_function(path, value, grid, dims[rows], dims[cols],
+                                      samples=cols == 1)
+        else:
+            value = _as_matrix(path, value, dims[rows], dims[cols])
+        setattr(record, name, value)
+    return dims
 
 
 @dataclass
@@ -107,49 +154,29 @@ class LqgProblem:
     dx = (A x + B u + b(t)) dt + sigma(t) dw, with discounted quadratic
     running cost weights (Q, N_cross, R), linear terms (eta, n_lin),
     terminal weight Qhat, discount rate rho, and fixed initial state x0.
+    Shapes are in n = dim x, m = dim u and r = dim w; b may be given as
+    per-node samples.
     """
 
-    A: np.ndarray
-    B: np.ndarray
-    b: GridFunction
-    sigma: GridFunction
-    Qhat: np.ndarray
-    Q: np.ndarray
-    N_cross: np.ndarray
-    R: np.ndarray
-    eta: np.ndarray
-    n_lin: np.ndarray
-    rho: float
-    grid: TimeGrid
-    x0: np.ndarray
+    A: np.ndarray = _shaped("n", "n", required=True)
+    B: np.ndarray = _shaped("n", "m", required=True)
+    b: GridFunction = _shaped("n", 1)
+    sigma: GridFunction = _shaped("n", "r")
+    Qhat: np.ndarray = _shaped("n", "n", required=True)
+    Q: np.ndarray = _shaped("n", "n", required=True)
+    N_cross: np.ndarray = _shaped("n", "m")
+    R: np.ndarray = _shaped("m", "m", required=True)
+    eta: np.ndarray = _shaped("n", 1)
+    n_lin: np.ndarray = _shaped("m", 1)
+    rho: float = 0.0
+    grid: TimeGrid = None
+    x0: np.ndarray = _shaped("n", 1)
 
     def __post_init__(self):
-        A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        n = A.shape[0]
-        self.A = _as_matrix("A", A, n, n)
-        B = np.atleast_2d(np.asarray(self.B, dtype=float))
-        m = B.shape[1]
-        self.B = _as_matrix("B", B, n, m)
-        self.Qhat = _as_matrix("Qhat", self.Qhat, n, n)
-        self.Q = _as_matrix("Q", self.Q, n, n)
-        self.N_cross = _as_matrix("N_cross", self.N_cross, n, m)
-        self.R = _as_matrix("R", self.R, m, m)
-        self.eta = _as_column("eta", self.eta, n)
-        self.n_lin = _as_column("n_lin", self.n_lin, m)
-        self.x0 = _as_column("x0", self.x0, n)
+        if not isinstance(self.grid, TimeGrid):
+            raise SchemaError("expected a TimeGrid", field="grid")
         self.rho = _as_rate(self.rho)
-        self.b = _as_grid_function("b", self.b, self.grid, n, 1)
-        if isinstance(self.sigma, GridFunction):
-            self.sigma = _as_grid_function(
-                "sigma", self.sigma, self.grid, n, self.sigma.shape[1]
-            )
-        else:
-            sig = np.atleast_2d(np.asarray(self.sigma, dtype=float))
-            if sig.shape[0] != n:
-                raise SchemaError("sigma must have n rows")
-            self.sigma = GridFunction.constant(
-                self.grid, _as_matrix("sigma", sig, n, sig.shape[1])
-            )
+        _as_fields(self, self.grid)
 
     @property
     def n(self) -> int:
@@ -190,6 +217,9 @@ class FeedbackLaw:
 
 @dataclass
 class LqgSolution:
+    """Finite-horizon optimum u = -K x - kff: kff is minus the feedforward k
+    of FeedbackLaw (u = -K x + k)."""
+
     Pi: GridFunction
     s: GridFunction
     K: GridFunction
@@ -510,13 +540,9 @@ def closed_loop_cost_moments(grid: TimeGrid, rho: float, x0_mean: np.ndarray,
 def _law_stage_tables(p: LqgProblem, law) -> tuple:
     """Half-step tables (K[q], k[q]) for u = -Kx + k from any accepted law.
 
-    Accepts FeedbackLaw, LqgSolution, an open-loop GridFunction (treated as
-    u(t) with linear interpolation), or a callable t -> u sampled at step
-    midpoints and held constant over each step (exact for piecewise,
-    constant controls aligned with the grid).
+    Accepts FeedbackLaw, LqgSolution or an open-loop GridFunction
+    (treated as u(t) with linear interpolation).
     """
-    M = p.grid.num_steps
-    nq = 2 * M + 1
     if isinstance(law, LqgSolution):
         law = law.law()
     if isinstance(law, FeedbackLaw):
@@ -524,16 +550,7 @@ def _law_stage_tables(p: LqgProblem, law) -> tuple:
     if isinstance(law, GridFunction):
         if law.shape != (p.m, 1):
             raise SchemaError("open-loop control must be m x 1 on the grid")
-        return np.zeros((nq, p.m, p.n)), _stage_values(law)
-    if callable(law):
-        k_tab = np.empty((nq, p.m, 1))
-        h = p.grid.h
-        for j in range(M):
-            uj = np.asarray(law((j + 0.5) * h), dtype=float).reshape(p.m, 1)
-            k_tab[2 * j] = uj
-            k_tab[2 * j + 1] = uj
-            k_tab[2 * j + 2] = uj
-        return np.zeros((nq, p.m, p.n)), k_tab
+        return np.zeros((2 * p.grid.num_steps + 1, p.m, p.n)), _stage_values(law)
     raise SchemaError("unsupported control law type %r" % type(law).__name__)
 
 
@@ -827,6 +844,9 @@ def _solve_agent_stationary(ext: ExtendedSystem, rho: float, L: np.ndarray,
 
 @dataclass
 class StationarySolution:
+    """Stationary optimum u = -K x - kff: kff is minus the feedforward, as
+    in LqgSolution."""
+
     Pi: np.ndarray
     s: np.ndarray
     K: np.ndarray

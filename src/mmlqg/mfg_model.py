@@ -23,48 +23,51 @@ from .lqg_single import (
     PSD_TOL,
     ExtendedSystem,
     ValidationReport,
-    _as_column,
-    _as_grid_function,
-    _as_matrix,
+    _as_fields,
     _as_rate,
-    _finite,
+    _shaped,
     _rel_psd_tol,
     add_convexity_checks,
     spd_solver,
 )
-from .numerics import GridFunction, TimeGrid, psd_check, symmetrize
+from .numerics import GridFunction, TimeGrid, _as_array, psd_check, symmetrize
 
 
 @dataclass
 class MajorParams:
-    A0: np.ndarray
-    F0: np.ndarray
-    B0: np.ndarray
-    b0: GridFunction
-    sigma0: np.ndarray
-    Qhat0: np.ndarray
-    Q0: np.ndarray
-    N0: np.ndarray
-    R0: np.ndarray
-    H0: np.ndarray
-    eta0: np.ndarray
+    """The major agent's coefficients, shaped in n = dim x, m = dim u and
+    r = dim w."""
+
+    A0: np.ndarray = _shaped("n", "n", required=True)
+    F0: np.ndarray = _shaped("n", "n")
+    B0: np.ndarray = _shaped("n", "m", required=True)
+    b0: GridFunction = _shaped("n", 1)
+    sigma0: np.ndarray = _shaped("n", "r")
+    Qhat0: np.ndarray = _shaped("n", "n", required=True)
+    Q0: np.ndarray = _shaped("n", "n", required=True)
+    N0: np.ndarray = _shaped("n", "m")
+    R0: np.ndarray = _shaped("m", "m", required=True)
+    H0: np.ndarray = _shaped("n", "n")
+    eta0: np.ndarray = _shaped("n", 1)
 
 
 @dataclass
 class MinorTypeParams:
-    Ak: np.ndarray
-    Fk: np.ndarray
-    Gk: np.ndarray
-    Bk: np.ndarray
-    bk: GridFunction
-    sigmak: np.ndarray
-    Qhatk: np.ndarray
-    Qk: np.ndarray
-    Nk: np.ndarray
-    Rk: np.ndarray
-    Hk: np.ndarray
-    Hhatk: np.ndarray
-    etak: np.ndarray
+    """One minor type's coefficients, shaped as the major's."""
+
+    Ak: np.ndarray = _shaped("n", "n", required=True)
+    Fk: np.ndarray = _shaped("n", "n")
+    Gk: np.ndarray = _shaped("n", "n")
+    Bk: np.ndarray = _shaped("n", "m", required=True)
+    bk: GridFunction = _shaped("n", 1)
+    sigmak: np.ndarray = _shaped("n", "r")
+    Qhatk: np.ndarray = _shaped("n", "n", required=True)
+    Qk: np.ndarray = _shaped("n", "n", required=True)
+    Nk: np.ndarray = _shaped("n", "m")
+    Rk: np.ndarray = _shaped("m", "m", required=True)
+    Hk: np.ndarray = _shaped("n", "n")
+    Hhatk: np.ndarray = _shaped("n", "n")
+    etak: np.ndarray = _shaped("n", 1)
 
 
 @dataclass
@@ -73,6 +76,9 @@ class MmMfgProblem:
 
     Initial states have mean zero and the given covariances;
     rho = 0 on the finite horizon, rho > 0 for the stationary problem.
+    Every record is coerced to its fields' shapes, with zeros for an
+    omitted optional field; errors name the attribute path, like
+    major.A0 or minors[1].Rk.
     """
 
     major: MajorParams
@@ -80,62 +86,21 @@ class MmMfgProblem:
     pi: np.ndarray
     grid: TimeGrid
     rho: float = 0.0
-    init_cov_major: Optional[np.ndarray] = None
-    init_cov_minor: Optional[np.ndarray] = None
+    init_cov_major: Optional[np.ndarray] = _shaped("n", "n")
+    init_cov_minor: Optional[np.ndarray] = _shaped("n", "n")
 
     def __post_init__(self):
-        mj = self.major
-        A0 = np.atleast_2d(np.asarray(mj.A0, dtype=float))
-        n = A0.shape[0]
-        B0 = np.atleast_2d(np.asarray(mj.B0, dtype=float))
-        m = B0.shape[1]
-        sig0 = np.atleast_2d(np.asarray(mj.sigma0, dtype=float))
-        r = sig0.shape[1]
-        mj.A0 = _as_matrix("A0", A0, n, n)
-        mj.F0 = _as_matrix("F0", mj.F0, n, n)
-        mj.B0 = _as_matrix("B0", B0, n, m)
-        mj.sigma0 = _as_matrix("sigma0", sig0, n, r)
-        mj.Qhat0 = _as_matrix("Qhat0", mj.Qhat0, n, n)
-        mj.Q0 = _as_matrix("Q0", mj.Q0, n, n)
-        mj.N0 = _as_matrix("N0", mj.N0, n, m)
-        mj.R0 = _as_matrix("R0", mj.R0, m, m)
-        mj.H0 = _as_matrix("H0", mj.H0, n, n)
-        mj.eta0 = _as_column("eta0", mj.eta0, n)
-        mj.b0 = _as_grid_function("b0", mj.b0, self.grid, n, 1)
-
+        dims = _as_fields(self.major, self.grid, "major.")
         if not self.minors:
-            raise SchemaError("at least one minor type is required")
+            raise SchemaError("at least one minor type is required", field="minors")
         for k, mn in enumerate(self.minors):
-            tag = "minor[%d]." % k
-            mn.Ak = _as_matrix(tag + "Ak", mn.Ak, n, n)
-            mn.Fk = _as_matrix(tag + "Fk", mn.Fk, n, n)
-            mn.Gk = _as_matrix(tag + "Gk", mn.Gk, n, n)
-            mn.Bk = _as_matrix(tag + "Bk", mn.Bk, n, m)
-            mn.sigmak = _as_matrix(tag + "sigmak", mn.sigmak, n, r)
-            mn.Qhatk = _as_matrix(tag + "Qhatk", mn.Qhatk, n, n)
-            mn.Qk = _as_matrix(tag + "Qk", mn.Qk, n, n)
-            mn.Nk = _as_matrix(tag + "Nk", mn.Nk, n, m)
-            mn.Rk = _as_matrix(tag + "Rk", mn.Rk, m, m)
-            mn.Hk = _as_matrix(tag + "Hk", mn.Hk, n, n)
-            mn.Hhatk = _as_matrix(tag + "Hhatk", mn.Hhatk, n, n)
-            mn.etak = _as_column(tag + "etak", mn.etak, n)
-            mn.bk = _as_grid_function(tag + "bk", mn.bk, self.grid, n, 1)
-
-        self.pi = _finite("pi", np.asarray(self.pi, dtype=float).reshape(-1))
+            _as_fields(mn, self.grid, "minors[%d]." % k, dims)
+        _as_fields(self, self.grid, dims=dims)
+        self.pi = _as_array("pi", self.pi).reshape(-1)
         if self.pi.size != len(self.minors):
-            raise SchemaError("pi must have one entry per minor type")
+            raise SchemaError("expected one entry per minor type, got %d for %d types"
+                              % (self.pi.size, len(self.minors)), field="pi")
         self.rho = _as_rate(self.rho)
-
-        self.init_cov_major = _as_matrix(
-            "init_cov_major",
-            np.zeros((n, n)) if self.init_cov_major is None else self.init_cov_major,
-            n, n,
-        )
-        self.init_cov_minor = _as_matrix(
-            "init_cov_minor",
-            np.zeros((n, n)) if self.init_cov_minor is None else self.init_cov_minor,
-            n, n,
-        )
 
     @property
     def n(self) -> int:

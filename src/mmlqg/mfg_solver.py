@@ -57,6 +57,7 @@ from .numerics import (
     GridFunction,
     TimeGrid,
     _as_count,
+    _as_real,
     flatten,
     matvec_rows,
     rk4_forward_indexed,
@@ -87,10 +88,12 @@ class FixedPointConfig:
     initial_law: Optional[MeanFieldLaw] = None
 
     def __post_init__(self):
-        if not (0.0 < self.theta <= 1.0):
-            raise SchemaError("damping theta must lie in (0, 1]")
+        self.theta = _as_real(self.theta, "theta")
+        if not 0.0 < self.theta <= 1.0:
+            raise SchemaError("damping must lie in (0, 1]", field="theta")
+        self.tol = _as_real(self.tol, "tol")
         if not 0.0 < self.tol < np.inf:
-            raise SchemaError("tol must be positive and finite")
+            raise SchemaError("must be positive and finite", field="tol")
         self.max_iters = _as_count(self.max_iters, "max_iters", 1)
 
 
@@ -355,6 +358,9 @@ def mean_field_trajectory(sol: MfgSolution, x0_path: GridFunction,
 
 @dataclass
 class StationaryMfgSolution:
+    """Stationary equilibrium laws u = -K X + k: the feedforwards are +k,
+    the opposite sign of LqgSolution.kff and BestResponse.feedforwards."""
+
     Pi0: np.ndarray
     s0: np.ndarray
     Pik: List[np.ndarray]

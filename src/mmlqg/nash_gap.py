@@ -120,6 +120,9 @@ def equilibrium_cost_ode(js: JointSystem) -> float:
 class BestResponse:
     """Affine best-response law u = -gains[q] y - feedforwards[q].
 
+    The feedforwards are -k, with the sign of LqgSolution.kff and the
+    opposite of a FeedbackLaw's k.
+
     Gain tables are indexed by half-step stages q = 0..2M like every
     other stage table in the package; Pi and s are node tables from the
     backward sweep, with Pi[-1] the untouched terminal weight.

@@ -35,9 +35,32 @@ def _as_count(value, name: str, low: int, high=None) -> int:
             isinstance(value, numbers.Real) and math.isfinite(value)
             and value == int(value))) \
             or value < low or (high is not None and value >= high):
-        raise SchemaError("%s must be an integer >= %d%s, got %r" % (
-            name, low, "" if high is None else " and < %d" % high, value))
+        raise SchemaError("must be an integer >= %d%s, got %r" % (
+            low, "" if high is None else " and < %d" % high, value), field=name)
     return int(value)
+
+
+def _as_real(value, name: str) -> float:
+    """A real number; a string that is not one, a list or None raise SchemaError."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise SchemaError("expected a real number, got %r" % (value,), field=name)
+
+
+def _as_array(name: str, value) -> np.ndarray:
+    """value as a finite float array of its own shape.
+
+    Non-numeric or ragged input raises SchemaError rather than meet
+    np.asarray's untyped errors.
+    """
+    try:
+        v = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise SchemaError("expected a rectangular numeric array", field=name)
+    if not np.all(np.isfinite(v)):
+        raise SchemaError("has a non-finite entry", field=name)
+    return v
 
 
 @dataclass(frozen=True)
@@ -51,11 +74,12 @@ class TimeGrid:
     num_steps: int
 
     def __post_init__(self):
-        if not 0.0 < float(self.t_end) < math.inf:
-            raise SchemaError("TimeGrid.t_end must be positive and finite")
-        object.__setattr__(self, "t_end", float(self.t_end))
+        t_end = _as_real(self.t_end, "t_end")
+        if not 0.0 < t_end < math.inf:
+            raise SchemaError("must be positive and finite", field="t_end")
+        object.__setattr__(self, "t_end", t_end)
         object.__setattr__(self, "num_steps",
-                           _as_count(self.num_steps, "TimeGrid.num_steps", 1))
+                           _as_count(self.num_steps, "num_steps", 1))
 
     @property
     def h(self) -> float:
@@ -123,7 +147,7 @@ def interp(gf: GridFunction, t: float) -> np.ndarray:
     h = grid.h
     u = t / h
     snap = max(_NODE_SNAP, _SNAP_ULPS * abs(u))
-    if u < -snap or u > grid.num_steps + snap:
+    if not math.isfinite(u) or u < -snap or u > grid.num_steps + snap:
         raise OutOfRangeError(
             "time %g outside grid [0, %g]" % (t, grid.t_end)
         )

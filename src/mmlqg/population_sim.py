@@ -27,7 +27,7 @@ from .errors import DivergedPathError, IntegrationDivergedError, SchemaError
 from .lqg_single import _policy_quadratic, _stage_values, psd_sqrt
 from .mfg_model import MmMfgProblem
 from .mfg_solver import MfgSolution, mean_field_step_euler
-from .numerics import _as_count, matvec_rows, symmetrize, trapezoid_weights
+from .numerics import _as_array, _as_count, matvec_rows, symmetrize, trapezoid_weights
 
 
 def _type_indices(values, N: int) -> np.ndarray:
@@ -60,7 +60,7 @@ class PopulationConfig:
         if self.type_assignment is not None:
             self.type_assignment = _type_indices(self.type_assignment, self.N)
         if self.xbar0 is not None:
-            self.xbar0 = np.asarray(self.xbar0, dtype=float).reshape(-1)
+            self.xbar0 = _as_array("xbar0", self.xbar0).reshape(-1)
 
 
 @dataclass

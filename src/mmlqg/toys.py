@@ -11,16 +11,14 @@ from .numerics import TimeGrid
 def decoupled_toy(M: int = 400, rho: float = 0.0, sigma: float = 0.25) -> MmMfgProblem:
     """Two types with every cross-coupling zeroed.
 
-    F0 = H0 = 0 and F_k = G_k = H_k = Hhat_k = 0, eta = 0: the major and
-    each minor reduce to independent LQG problems, so one evaluation of the
-    consistency map already lands on the fixed point.  Drifts b are kept
-    nonzero so offsets stay exercised.
+    F0 = H0 = 0 and F_k = G_k = H_k = Hhat_k = 0, eta = 0, all left at
+    their zero defaults: the major and each minor reduce to independent LQG
+    problems, so one evaluation of the consistency map already lands on
+    the fixed point.  Drifts b are kept nonzero so offsets stay exercised.
     """
     n = 2
-    Z = np.zeros((n, n))
     major = MajorParams(
         A0=[[0.1, 0.2], [0.0, -0.3]],
-        F0=Z,
         B0=[[1.0], [0.5]],
         b0=np.array([[0.2], [-0.1]]),
         sigma0=sigma * np.eye(n),
@@ -28,13 +26,10 @@ def decoupled_toy(M: int = 400, rho: float = 0.0, sigma: float = 0.25) -> MmMfgP
         Q0=np.eye(n),
         N0=[[0.05], [0.0]],
         R0=[[1.0]],
-        H0=Z,
-        eta0=np.zeros((n, 1)),
     )
     minors = [
         MinorTypeParams(
             Ak=[[-0.2, 0.1], [0.0, -0.4]],
-            Fk=Z, Gk=Z,
             Bk=[[1.0], [0.3]],
             bk=np.array([[0.1], [0.05]]),
             sigmak=sigma * np.eye(n),
@@ -42,12 +37,9 @@ def decoupled_toy(M: int = 400, rho: float = 0.0, sigma: float = 0.25) -> MmMfgP
             Qk=np.eye(n),
             Nk=[[0.0], [0.05]],
             Rk=[[1.0]],
-            Hk=Z, Hhatk=Z,
-            etak=np.zeros((n, 1)),
         ),
         MinorTypeParams(
             Ak=[[0.0, -0.1], [0.2, -0.5]],
-            Fk=Z, Gk=Z,
             Bk=[[0.8], [1.0]],
             bk=np.array([[-0.05], [0.1]]),
             sigmak=sigma * np.eye(n),
@@ -55,8 +47,6 @@ def decoupled_toy(M: int = 400, rho: float = 0.0, sigma: float = 0.25) -> MmMfgP
             Qk=1.2 * np.eye(n),
             Nk=[[0.05], [0.0]],
             Rk=[[1.2]],
-            Hk=Z, Hhatk=Z,
-            etak=np.zeros((n, 1)),
         ),
     ]
     return MmMfgProblem(

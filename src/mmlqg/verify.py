@@ -29,22 +29,18 @@ from .toys import coupled_toy, decoupled_toy
 
 
 def _tanh_problem(M: int = 400) -> LqgProblem:
-    return LqgProblem(
-        A=[[0.0]], B=[[1.0]], b=np.zeros((1, 1)), sigma=np.zeros((1, 1)),
-        Qhat=[[0.0]], Q=[[1.0]], N_cross=np.zeros((1, 1)), R=[[1.0]],
-        eta=np.zeros((1, 1)), n_lin=np.zeros((1, 1)), rho=0.0,
-        grid=TimeGrid(1.0, M), x0=[[1.0]],
-    )
+    return LqgProblem(A=[[0.0]], B=[[1.0]], Qhat=[[0.0]], Q=[[1.0]], R=[[1.0]],
+                      grid=TimeGrid(1.0, M), x0=[[1.0]])
 
 
 def _euler_problem(M: int = 300) -> LqgProblem:
     return LqgProblem(
         A=[[0.2, -0.4], [0.3, 0.1]], B=[[1.0, 0.0], [0.2, 0.8]],
-        b=np.array([[0.1], [-0.2]]), sigma=np.zeros((2, 1)),
+        b=np.array([[0.1], [-0.2]]),
         Qhat=[[0.5, 0.0], [0.0, 1.0]], Q=[[1.0, 0.1], [0.1, 1.5]],
         N_cross=[[0.05, 0.0], [0.0, -0.05]], R=[[1.0, 0.1], [0.1, 0.8]],
         eta=np.array([[0.2], [0.0]]), n_lin=np.array([[0.0], [0.1]]),
-        rho=0.0, grid=TimeGrid(1.0, M), x0=np.array([[1.0], [-0.5]]),
+        grid=TimeGrid(1.0, M), x0=np.array([[1.0], [-0.5]]),
     )
 
 
@@ -124,9 +120,7 @@ def _suite_consistency_fixed_point() -> str:
     mn = p.minors[0]
     standalone = LqgProblem(
         A=mn.Ak, B=mn.Bk, b=mn.bk, sigma=mn.sigmak, Qhat=mn.Qhatk, Q=mn.Qk,
-        N_cross=mn.Nk, R=mn.Rk, eta=np.zeros((p.n, 1)),
-        n_lin=np.zeros((p.m, 1)), rho=p.rho, grid=p.grid,
-        x0=np.zeros((p.n, 1)))
+        N_cross=mn.Nk, R=mn.Rk, rho=p.rho, grid=p.grid)
     lqg = solve_finite_horizon(standalone)
     own = slice(0, p.n)
     gap = float(np.abs(sol.Pik[0].values[:, own, own] - lqg.Pi.values).max())

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,11 @@ import pytest
 import mmlqg
 from mmlqg import cli_app, config, lqg_single, mfg_model, mfg_solver, verify
 from mmlqg.errors import SchemaError
+from mmlqg.lqg_single import LqgProblem, field_table
+from mmlqg.mfg_model import MajorParams, MinorTypeParams, MmMfgProblem
+from mmlqg.mfg_solver import FixedPointConfig
+from mmlqg.numerics import TimeGrid
+from mmlqg.population_sim import PopulationConfig
 from oracles import write_csv_rows
 
 
@@ -110,6 +116,76 @@ def test_canonical_hash_ignores_key_order():
     assert config.canonical_hash(a) == config.canonical_hash(b)
     assert config.canonical_hash(a) != config.canonical_hash(
         {"kind": "lqg", "grid": {"T": 1.0, "M": 5}})
+
+
+_BAD_MATRIX = {"non-numeric": [["x"]], "ragged": [[1.0], [1.0, 2.0]],
+               "wrong-shape": [[1.0], [2.0], [3.0]], "non-finite": [[math.nan]]}
+_BAD_SCALAR = {"non-numeric": "x", "ragged": [[1.0], [1.0, 2.0]],
+               "wrong-shape": [1.0, 2.0], "non-finite": math.nan}
+_SCALARS = {"rho", "t_end", "num_steps", "theta", "tol", "max_iters"}
+_LQG_JSON = {"N_cross": "N", "n_lin": "n"}
+
+# (config kind, record field as the library names it, JSON path or None)
+_FIELDS = (
+    [("lqg", name, "$." + _LQG_JSON.get(name, name))
+     for name, *_ in field_table(LqgProblem)]
+    + [("lqg", "rho", "$.rho")]
+    + [("mfg", "major." + name, "$.major." + name)
+       for name, *_ in field_table(MajorParams)]
+    + [("mfg", "minors[1]." + name, "$.minors[1]." + name)
+       for name, *_ in field_table(MinorTypeParams)]
+    + [("mfg", name, "$." + name)
+       for name in ("pi", "rho", "init_cov_major", "init_cov_minor")]
+    + [("mfg", "t_end", "$.grid.T"), ("mfg", "num_steps", "$.grid.M")]
+    + [("mfg", name, "$.fixed_point." + name)
+       for name in ("theta", "tol", "max_iters")]
+    + [("population", "xbar0", None)]
+)
+
+
+def _put(cfg: dict, json_path: str, value):
+    keys = [int(k) if k.isdigit() else k for k in re.findall(r"\w+", json_path)]
+    for key in keys[:-1]:
+        cfg = cfg.setdefault(key, {}) if isinstance(key, str) else cfg[key]
+    cfg[keys[-1]] = value
+
+
+def _records(cfg: dict):
+    """The library records a config describes, built without mmlqg.config."""
+    grid = TimeGrid(cfg["grid"]["T"], cfg["grid"]["M"])
+    FixedPointConfig(**cfg.get("fixed_point", {}))
+    fields = {k: v for k, v in cfg.items()
+              if k not in ("kind", "grid", "fixed_point")}
+    if cfg["kind"] == "lqg":
+        names = {v: k for k, v in _LQG_JSON.items()}
+        return LqgProblem(grid=grid, **{names.get(k, k): v for k, v in fields.items()})
+    fields["major"] = MajorParams(**fields["major"])
+    fields["minors"] = [MinorTypeParams(**d) for d in fields["minors"]]
+    return MmMfgProblem(grid=grid, **fields)
+
+
+@pytest.mark.parametrize("kind, field, json_path, bad", [
+    pytest.param(kind, field, json_path, bad, id="-".join((kind, field, bad)))
+    for kind, field, json_path in _FIELDS for bad in _BAD_MATRIX
+    if not (field == "xbar0" and bad == "wrong-shape")   # its shape is n*K
+])
+def test_malformed_field_is_a_schema_error_naming_it(tmp_path, capsys, kind,
+                                                     field, json_path, bad):
+    value = (_BAD_SCALAR if field in _SCALARS else _BAD_MATRIX)[bad]
+    if kind == "population":
+        with pytest.raises(SchemaError) as exc:
+            PopulationConfig(N=2, xbar0=value)
+        assert exc.value.field == field
+        return
+    cfg = _lqg_cfg() if kind == "lqg" else _mfg_cfg()
+    _put(cfg, json_path, value)
+    with pytest.raises(SchemaError) as exc:
+        _records(cfg)
+    assert exc.value.field == field
+    code = _run(["solve-" + kind, "--config", _write(tmp_path, cfg),
+                 "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error: %s: " % json_path)
 
 
 # ---------------------------------------------------------------- solve-lqg

@@ -1,20 +1,30 @@
-"""scipy stays out of the package: import and CLI start cost.
+"""Import guards: scipy stays out of the package, numpy out of config.
 
 The package runs on numpy alone, the stationary ARE and the costate
 oracle included; scipy is a test-only oracle.  Every command and the
 stationary solve run in a fresh interpreter, since this test process has
 scipy loaded already, and no module of the package may import it.
+
+The records declare every field's shape and default (field_table), so
+the config layer needs no numpy and names no field itself: its keys are
+the tables'.
 """
 
 import ast
+import dataclasses
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import mmlqg
-from test_config_cli import _mfg_cfg
+from mmlqg import config
+from mmlqg.lqg_single import LqgProblem, field_table
+from mmlqg.mfg_model import MajorParams, MinorTypeParams, MmMfgProblem
+from test_config_cli import _lqg_cfg, _mfg_cfg
 
 SRC = str(Path(mmlqg.__file__).resolve().parent.parent)
 
@@ -75,13 +85,70 @@ def test_no_command_loads_scipy(tmp_path):
     }
 
 
+def _imported_modules(tree) -> set:
+    """Top-level names of the absolute imports in a module's AST."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module)
+    return {name.split(".")[0] for name in names}
+
+
 def test_no_package_module_imports_scipy():
     for path in sorted(Path(mmlqg.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
-            else:
-                continue
-            assert not any(name.split(".")[0] == "scipy" for name in names), path.name
+        assert "scipy" not in _imported_modules(ast.parse(path.read_text())), path.name
+
+
+def _names(record) -> set:
+    return {name for name, *_ in field_table(record)}
+
+
+def test_config_imports_no_numpy_and_names_no_record_field():
+    tree = ast.parse(Path(config.__file__).read_text())
+    assert "numpy" not in _imported_modules(tree)
+    literals = {node.value for node in ast.walk(tree)
+                if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    fields = set().union(*map(_names, (LqgProblem, MajorParams, MinorTypeParams,
+                                       MmMfgProblem)))
+    # only the two LQG renames; every other key comes from the tables
+    assert literals & fields == {"N_cross", "n_lin"}
+
+
+def test_config_sections_accept_exactly_the_record_tables():
+    # every field but the scalars and sub-records is in its record's table
+    def fields(cls, own=()):
+        return {f.name for f in dataclasses.fields(cls)} - set(own)
+
+    assert fields(LqgProblem, ("rho", "grid")) == _names(LqgProblem)
+    assert fields(MajorParams) == _names(MajorParams)
+    assert fields(MinorTypeParams) == _names(MinorTypeParams)
+    assert fields(MmMfgProblem, ("major", "minors", "pi", "grid", "rho")) \
+        == _names(MmMfgProblem)
+
+    def fill(section, record, dims, json_names={}):
+        for name, rows, cols, _ in field_table(record):
+            section[json_names.get(name, name)] = np.full(
+                (dims[rows], dims[cols]), 0.25).tolist()
+
+    def read(record):
+        return [getattr(getattr(record, name), "values", getattr(record, name))
+                for name in _names(record)]
+
+    # every table key is accepted under its JSON name and reaches its field
+    dims = {"n": 1, "m": 1, "r": 1, 1: 1}
+    cfg = _lqg_cfg()
+    fill(cfg, LqgProblem, dims, {"N_cross": "N", "n_lin": "n"})
+    for value in read(config.parse_lqg_problem(cfg)):
+        assert np.all(value == 0.25)
+    dims["n"] = 2
+    cfg = _mfg_cfg()
+    fill(cfg, MmMfgProblem, dims)
+    fill(cfg["major"], MajorParams, dims)
+    for minor in cfg["minors"]:
+        fill(minor, MinorTypeParams, dims)
+    p = config.parse_mfg_problem(cfg)
+    for record in [p, p.major] + p.minors:
+        for value in read(record):
+            assert np.all(value == 0.25)

@@ -330,3 +330,34 @@ def test_non_finite_values_rejected_by_the_shared_validators(bad):
         TimeGrid(bad, 10)
     with pytest.raises(SchemaError):
         FixedPointConfig(tol=bad)
+
+
+def test_records_default_omitted_fields_to_zeros_and_name_missing_ones():
+    grid = TimeGrid(1.0, 4)
+    lqg = dict(A=[[0.1, 0.0], [0.0, 0.2]], B=[[1.0], [0.0]], Q=np.eye(2),
+               R=[[1.0]], Qhat=np.eye(2), grid=grid)
+    p = LqgProblem(**lqg)
+    for name, shape in [("N_cross", (2, 1)), ("eta", (2, 1)), ("n_lin", (1, 1)),
+                        ("x0", (2, 1))]:
+        assert np.array_equal(getattr(p, name), np.zeros(shape)), name
+    assert np.array_equal(p.b.values, np.zeros((5, 2, 1)))
+    assert np.array_equal(p.sigma.values, np.zeros((5, 2, 1)))
+    del lqg["R"]
+    with pytest.raises(SchemaError) as exc:
+        LqgProblem(**lqg)
+    assert exc.value.field == "R"
+
+    g = decoupled_toy(M=4)
+    assert np.array_equal(g.major.F0, np.zeros((2, 2)))
+    assert np.array_equal(g.minors[1].etak, np.zeros((2, 1)))
+    # an omitted noise matrix takes the major's noise width r
+    quiet = dataclasses.replace(g.minors[0], sigmak=None)
+    g2 = dataclasses.replace(g, minors=[quiet, g.minors[1]])
+    assert np.array_equal(g2.minors[0].sigmak, np.zeros((2, g.r)))
+    # a drift may be given as one column per node
+    samples = np.arange(10.0).reshape(5, 2)
+    g3 = dataclasses.replace(g, major=dataclasses.replace(g.major, b0=samples))
+    assert np.array_equal(g3.major.b0.values[:, :, 0], samples)
+    with pytest.raises(SchemaError) as exc:
+        dataclasses.replace(g, minors=[g.minors[0], MinorTypeParams(Ak=np.eye(2))])
+    assert exc.value.field == "minors[1].Bk"

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from mmlqg import numerics
 from mmlqg.errors import IntegrationDivergedError, OutOfRangeError, SchemaError
+from mmlqg.lqg_single import FeedbackLaw
 from mmlqg.numerics import (
     GridFunction,
     TimeGrid,
@@ -229,6 +230,18 @@ def test_interp_out_of_range():
         interp(f, -0.01)
     with pytest.raises(OutOfRangeError):
         interp(f, 1.01)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_interp_non_finite_time_is_out_of_range(t):
+    # int(round(u)) would raise ValueError on NaN and OverflowError on inf
+    g = TimeGrid(1.0, 4)
+    f = GridFunction.constant(g, np.eye(2))
+    law = FeedbackLaw(GridFunction.constant(g, np.eye(2)), GridFunction.zeros(g, 2))
+    for query in (lambda: interp(f, t), lambda: f.interp(t),
+                  lambda: law(t, np.ones(2))):
+        with pytest.raises(OutOfRangeError):
+            query()
 
 
 def test_gridfunction_shape_mismatch():
