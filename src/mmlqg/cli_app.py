@@ -24,6 +24,7 @@ from .errors import AssumptionViolationError, NumericalError, SchemaError
 from .lqg_single import expected_cost, solve_finite_horizon
 from .mfg_solver import solve_consistency_finite
 from .nash_gap import gap_vs_population
+from .numerics import _as_seed
 from .population_sim import (
     PopulationConfig,
     mean_field_convergence_study,
@@ -161,6 +162,7 @@ def cmd_simulate(cfg: dict, cfg_path: str, out: Path, seed, threads: int) -> int
         raise SchemaError("$.population: missing key 'N'")
     if seed is not None:
         pop["master_seed"] = seed
+    study = config.parse_study(cfg)
     sol = solve_consistency_finite(p, config.parse_fixed_point(cfg))
     pcfg = PopulationConfig(N=pop["N"], num_paths=pop["num_paths"],
                             master_seed=pop["master_seed"],
@@ -179,7 +181,6 @@ def cmd_simulate(cfg: dict, cfg_path: str, out: Path, seed, threads: int) -> int
         "master_seed": pop["master_seed"],
         "grid": {"T": p.grid.t_end, "M": p.grid.num_steps},
     }
-    study = config.parse_study(cfg)
     if study is not None:
         result = mean_field_convergence_study(p, sol, study["Ns"],
                                               study["seeds"])
@@ -201,8 +202,7 @@ def cmd_nash_gap(cfg: dict, cfg_path: str, out: Path, seed, threads: int) -> int
     sol = solve_consistency_finite(p, config.parse_fixed_point(cfg))
 
     def one_row(N):
-        return gap_vs_population(p, sol, [N],
-                                 master_seed=nash["master_seed"]).rows[0]
+        return gap_vs_population(p, sol, [N]).rows[0]
 
     rows = _parallel_map(one_row, nash["Ns"], threads)
     header = (["N", "major_gap"]
@@ -290,11 +290,11 @@ def main(argv=None) -> int:
         threads = _threads_from(args)
         if args.command == "verify":
             return cmd_verify(args.out, threads)
+        seed = None if args.seed is None else _as_seed(args.seed, "--seed")
         cfg = config.load_config(args.config)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](cfg, args.config, out,
-                                       getattr(args, "seed", None), threads)
+        return _COMMANDS[args.command](cfg, args.config, out, seed, threads)
     except SchemaError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2

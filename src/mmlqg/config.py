@@ -3,9 +3,11 @@
 One document describes one problem.  Its keys are the fields of the
 library records, which own every shape and zero default
 (lqg_single.field_table); this module only checks JSON types and keys
-and builds the records.  Unknown keys are rejected, and every message
-carries a JSON-path location like ``$.major.A0`` so a typo is findable
-without reading this module.
+and builds the records.  Unknown keys are rejected, sizes and seeds
+of the run sections are range-checked here, with the library's bounds,
+so a bad value stops before any solve, and every message carries a
+JSON-path location like ``$.major.A0`` so a typo is findable without
+reading this module.
 """
 
 import hashlib
@@ -16,7 +18,7 @@ from .errors import SchemaError
 from .lqg_single import LqgProblem, field_table
 from .mfg_model import MajorParams, MinorTypeParams, MmMfgProblem
 from .mfg_solver import FixedPointConfig
-from .numerics import TimeGrid
+from .numerics import TimeGrid, _as_count, _as_seed
 
 
 def load_config(path: str) -> dict:
@@ -75,6 +77,16 @@ def _integer(v, path: str) -> int:
     if isinstance(v, bool) or not isinstance(v, int):
         raise SchemaError("%s: expected an integer" % path)
     return int(v)
+
+
+def _count(v, path: str) -> int:
+    """A size: an integer >= 1, the bound the library records check."""
+    return _as_count(_integer(v, path), path, 1)
+
+
+def _seed(v, path: str) -> int:
+    """A master seed in the library records' range."""
+    return _as_seed(_integer(v, path), path)
 
 
 def parse_grid(cfg: dict) -> TimeGrid:
@@ -170,10 +182,9 @@ def parse_population(cfg: dict) -> dict:
                     {"N", "num_paths", "master_seed", "record_states"})
     out = {}
     if "N" in d:
-        out["N"] = _integer(d["N"], "$.population.N")
-    out["num_paths"] = _integer(d.get("num_paths", 1), "$.population.num_paths")
-    out["master_seed"] = _integer(d.get("master_seed", 0),
-                                  "$.population.master_seed")
+        out["N"] = _count(d["N"], "$.population.N")
+    out["num_paths"] = _count(d.get("num_paths", 1), "$.population.num_paths")
+    out["master_seed"] = _seed(d.get("master_seed", 0), "$.population.master_seed")
     rec = d.get("record_states", True)
     if not isinstance(rec, bool):
         raise SchemaError("$.population.record_states: expected a boolean")
@@ -186,21 +197,21 @@ def parse_study(cfg: dict) -> Optional[dict]:
         return None
     d = _as_dict(cfg["study"], "$.study")
     _reject_unknown(d, "$.study", {"Ns", "seeds"})
-    Ns = [_integer(v, "$.study.Ns[%d]" % i)
+    Ns = [_count(v, "$.study.Ns[%d]" % i)
           for i, v in enumerate(_as_list(_require(d, "Ns", "$.study"),
                                          "$.study.Ns"))]
-    seeds = [_integer(v, "$.study.seeds[%d]" % i)
+    seeds = [_seed(v, "$.study.seeds[%d]" % i)
              for i, v in enumerate(_as_list(_require(d, "seeds", "$.study"),
                                             "$.study.seeds"))]
+    if Ns and not seeds:
+        raise SchemaError("$.study.seeds: the convergence study needs at least one seed")
     return {"Ns": Ns, "seeds": seeds}
 
 
 def parse_nash(cfg: dict) -> dict:
     d = _as_dict(cfg.get("nash", {}), "$.nash")
     _reject_unknown(d, "$.nash", {"Ns", "master_seed"})
-    Ns = [_integer(v, "$.nash.Ns[%d]" % i)
+    Ns = [_count(v, "$.nash.Ns[%d]" % i)
           for i, v in enumerate(_as_list(d.get("Ns", [2, 4, 8, 16, 32]),
                                          "$.nash.Ns"))]
-    return {"Ns": Ns,
-            "master_seed": _integer(d.get("master_seed", 0),
-                                    "$.nash.master_seed")}
+    return {"Ns": Ns, "master_seed": _seed(d.get("master_seed", 0), "$.nash.master_seed")}

@@ -199,7 +199,7 @@ class LqgProblem:
         return ExtendedSystem(
             what="LQG", A=GridFunction.constant(grid, self.A), B=self.B,
             b=b, Qhat=self.Qhat, Q=self.Q, N=self.N_cross, R=self.R,
-            eta=self.eta, nbar=self.n_lin,
+            eta=self.eta, nbar=self.n_lin, Q_factor=psd_sqrt(self.Q),
         )
 
 
@@ -257,9 +257,6 @@ class ValidationReport:
 
     def add(self, name: str, passed: bool, detail: str = ""):
         self.checks.append(CheckResult(name, bool(passed), detail))
-
-    def failures(self) -> List[CheckResult]:
-        return [c for c in self.checks if not c.passed]
 
     def require(self) -> "ValidationReport":
         """Raise AssumptionViolationError naming every check unless all
@@ -352,6 +349,11 @@ class ExtendedSystem:
     LqgProblem is one on its own state (what "LQG").  The major agent's
     state is (x0; xbar), dimension n + nK; a minor type's is (x_i; x0;
     xbar), dimension 2n + nK.  what names the agent in messages.
+
+    The builder forms the Hautus factor Q_factor from the primitive weight
+    (psd_sqrt(Q0) [I, -H0^pi] for the major): a square root of Q itself
+    turns a rounding eigenvalue of 1e-17 into 3e-9, which blurs the
+    kernel the rank test reads.  Rinv = R^{-1} is formed here, once.
     """
 
     what: str
@@ -364,6 +366,8 @@ class ExtendedSystem:
     R: np.ndarray          # m x m control weight
     eta: np.ndarray        # dim x 1
     nbar: np.ndarray       # m x 1
+    Q_factor: np.ndarray   # Q_factor' Q_factor = Q
+    Rinv: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         d = self.dim
@@ -373,6 +377,7 @@ class ExtendedSystem:
                 raise DimensionGuardError("%s %s must be %d x %d" % (self.what, name, d, d))
             if not psd_check(W, _rel_psd_tol(W, PSD_TOL)):
                 raise SchemaError("%s %s lost positive semidefiniteness" % (self.what, name))
+        self.Rinv = spd_solver(self.R, what=self.what + " R")(np.eye(self.R.shape[0]))
 
     @property
     def dim(self) -> int:
@@ -458,11 +463,6 @@ def _steady_offset(A, B, N, Rinv, rho, Pi, b, n_lin, eta) -> np.ndarray:
     return np.linalg.solve(rho * np.eye(A.shape[0]) - Acl_T, f)
 
 
-def _r_inverse(ext: ExtendedSystem) -> np.ndarray:
-    """R^{-1}, formed once per agent solve so sweeps multiply instead of solving."""
-    return spd_solver(ext.R, what=ext.what + " R")(np.eye(ext.R.shape[0]))
-
-
 def _solve_agent_finite(ext: ExtendedSystem, rho: float):
     """Finite horizon: one agent's backward Riccati sweep, then its offset sweep.
 
@@ -470,15 +470,14 @@ def _solve_agent_finite(ext: ExtendedSystem, rho: float):
     after every step.  Returns (Pi, s); divergence raises
     RiccatiBlowupError with the last node reached.
     """
-    Rinv = _r_inverse(ext)
     A_st = _stage_values(ext.A)
     grid = ext.A.grid
     Pi = _riccati_sweep(
-        A_st, ext.B, ext.Q, ext.N, Rinv, rho, ext.Qhat, grid,
+        A_st, ext.B, ext.Q, ext.N, ext.Rinv, rho, ext.Qhat, grid,
         ext.what + " Riccati sweep",
     )
     s = _offset_sweep(
-        A_st, ext.B, ext.N, Rinv, rho, _stage_values(Pi), _stage_values(ext.b),
+        A_st, ext.B, ext.N, ext.Rinv, rho, _stage_values(Pi), _stage_values(ext.b),
         ext.nbar, ext.eta, grid, ext.what + " offset sweep",
     )
     return Pi, s
@@ -486,10 +485,9 @@ def _solve_agent_finite(ext: ExtendedSystem, rho: float):
 
 def _gain_tables(ext: ExtendedSystem, Pi: GridFunction, s: GridFunction) -> FeedbackLaw:
     """u = -K X + k at every node: K = R^{-1}(N' + B' Pi), k = R^{-1}(nbar - B' s)."""
-    Rinv = _r_inverse(ext)
-    RBt = Rinv @ ext.B.T
-    K_vals = np.einsum("ab,jbc->jac", RBt, Pi.values) + Rinv @ ext.N.T
-    k_vals = Rinv @ ext.nbar - np.einsum("ab,jbc->jac", RBt, s.values)
+    RBt = ext.Rinv @ ext.B.T
+    K_vals = np.einsum("ab,jbc->jac", RBt, Pi.values) + ext.Rinv @ ext.N.T
+    k_vals = ext.Rinv @ ext.nbar - np.einsum("ab,jbc->jac", RBt, s.values)
     return FeedbackLaw(GridFunction(Pi.grid, K_vals), GridFunction(Pi.grid, k_vals))
 
 
@@ -824,20 +822,18 @@ def solve_discounted_are(
     return Pi
 
 
-def _solve_agent_stationary(ext: ExtendedSystem, rho: float, L: np.ndarray,
-                            residual_tol: float = 1e-9):
+def _solve_agent_stationary(ext: ExtendedSystem, rho: float):
     """Infinite horizon: one agent's discounted ARE and steady offset at node 0.
 
     The drift shifted by -rho/2 must first pass the Hautus tests with the
-    weight factor L (L'L the state weight).  Returns (Pi, s, Hautus report).
+    record's weight factor.  Returns (Pi, s, Hautus report).
     """
     A = ext.A.values[0]
     shifted = A - 0.5 * rho * np.eye(ext.dim)
-    rep = _require_hautus(hautus_report(shifted, ext.B, L, tol=1e-9),
+    rep = _require_hautus(hautus_report(shifted, ext.B, ext.Q_factor, tol=1e-9),
                           "%s system" % ext.what)
-    Pi = solve_discounted_are(A, ext.B, ext.Q, ext.N, ext.R, rho,
-                              residual_tol=residual_tol, what=ext.what + " R")
-    s = _steady_offset(A, ext.B, ext.N, _r_inverse(ext), rho, Pi,
+    Pi = solve_discounted_are(A, ext.B, ext.Q, ext.N, ext.R, rho, what=ext.what + " R")
+    s = _steady_offset(A, ext.B, ext.N, ext.Rinv, rho, Pi,
                        ext.b.values[0], ext.nbar, ext.eta)
     return Pi, s, rep
 
@@ -855,7 +851,7 @@ class StationarySolution:
     report: DetectStabReport
 
 
-def solve_infinite_horizon(p: LqgProblem, tol: float = 1e-9) -> StationarySolution:
+def solve_infinite_horizon(p: LqgProblem) -> StationarySolution:
     """Discounted ARE and steady offset for constant coefficients.
 
     Requires constant b; detectability and stabilizability of the shifted
@@ -865,7 +861,7 @@ def solve_infinite_horizon(p: LqgProblem, tol: float = 1e-9) -> StationarySoluti
         raise SchemaError("infinite-horizon solver requires a constant drift offset b")
     validate_convexity(p).require()
     agent = p._agent(stationary=True)
-    Pi, s, ds = _solve_agent_stationary(agent, p.rho, psd_sqrt(p.Q), tol)
+    Pi, s, ds = _solve_agent_stationary(agent, p.rho)
     res = float(np.linalg.norm(_are_residual(Pi, p.A, p.B, p.Q, p.N_cross,
                                              spd_solver(p.R), p.rho)))
     law = _gain_tables(agent, GridFunction.constant(agent.A.grid, Pi),

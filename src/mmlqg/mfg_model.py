@@ -1,14 +1,14 @@
-"""Data model for the major-minor game and its derived block matrices.
+"""Data model for the major-minor game and the one assembly of its agents.
 
-A population of minor agents split into K types couples to one major agent
-through the empirical average of the minor states.  In the infinite-
-population limit the average is replaced by the stacked per-type mean
-field; everything the solvers need is an exact block assembly from the
-primitive coefficients: mean-field dynamics matrices, the major agent's
-state extended by the mean field, and each minor type's state extended by
-(major state, mean field).  Each agent is built as lqg_single's
-ExtendedSystem and its weights are validated by lqg_single's convexity
-check, the same record and check as a standalone LQG problem.
+Minor agents of K types couple to one major agent through the average
+minor state; in the infinite-population limit that average is the
+stacked per-type mean field, whose dynamics are a MeanFieldLaw: the open
+loop of the primitive coefficients, or the closed loop of the minors'
+laws.  Each agent is built here as lqg_single's ExtendedSystem, with its
+Hautus weight factor and R^{-1}: the major on (x0; xbar) against a law,
+each minor type on (x_i; x0; xbar) against that major record, so the
+major is built once per law.  Their primitive weights pass lqg_single's
+convexity check, as a standalone LQG problem's do.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .lqg_single import (
     _shaped,
     _rel_psd_tol,
     add_convexity_checks,
-    spd_solver,
+    psd_sqrt,
 )
 from .numerics import GridFunction, TimeGrid, _as_array, psd_check, symmetrize
 
@@ -132,12 +132,12 @@ def replicate_pi(M: np.ndarray, pi: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class MeanFieldMatrices:
-    """Open-loop stacked minor dynamics driving the mean field."""
+class MeanFieldLaw:
+    """Mean-field dynamics dxbar = (Abar xbar + Gbar x0 + mbar) dt."""
 
-    Abreve: np.ndarray     # nK x nK, row block k = A_k e_k + F_k^pi
-    Gbreve: np.ndarray     # nK x n, stacked G_k
-    mbreve: GridFunction   # nK x 1, stacked b_k
+    Abar: GridFunction     # nK x nK
+    Gbar: GridFunction     # nK x n
+    mbar: GridFunction     # nK x 1
 
 
 def validate_problem(p: MmMfgProblem, tol: float = PSD_TOL) -> ValidationReport:
@@ -160,48 +160,35 @@ def validate_problem(p: MmMfgProblem, tol: float = PSD_TOL) -> ValidationReport:
     return rep
 
 
-def build_mean_field_matrices(p: MmMfgProblem) -> MeanFieldMatrices:
-    """Stacked open-loop minor dynamics: row block k is A_k e_k + F_k^pi."""
+def build_mean_field_matrices(p: MmMfgProblem) -> MeanFieldLaw:
+    """The open-loop law: row block k is A_k e_k + F_k^pi, G_k and b_k."""
     n, K = p.n, p.K
-    sels = [selector(k, n, K) for k in range(K)]
     Abreve = np.vstack(
-        [p.minors[k].Ak @ sels[k] + replicate_pi(p.minors[k].Fk, p.pi) for k in range(K)]
+        [mn.Ak @ selector(k, n, K) + replicate_pi(mn.Fk, p.pi)
+         for k, mn in enumerate(p.minors)]
     )
-    Gbreve = np.vstack([p.minors[k].Gk for k in range(K)])
-    mvals = np.concatenate([p.minors[k].bk.values for k in range(K)], axis=1)
-    mbreve = GridFunction(p.grid, mvals.reshape(p.grid.num_nodes, n * K, 1))
-    return MeanFieldMatrices(Abreve=Abreve, Gbreve=Gbreve, mbreve=mbreve)
+    Gbreve = np.vstack([mn.Gk for mn in p.minors])
+    mvals = np.concatenate([mn.bk.values for mn in p.minors], axis=1)
+    return MeanFieldLaw(GridFunction.constant(p.grid, Abreve),
+                        GridFunction.constant(p.grid, Gbreve),
+                        GridFunction(p.grid, mvals))
 
 
-def _mean_field_blocks(p: MmMfgProblem, mf) -> tuple:
-    """(A block, G block, m GridFunction) from raw matrices or a solved law.
+def build_extended_major(p: MmMfgProblem, law: MeanFieldLaw) -> ExtendedSystem:
+    """Major dynamics and cost on the state (x0; xbar) against law.
 
-    The A and G blocks are constant matrices or (nodes, rows, cols) tables.
-    """
-    if isinstance(mf, MeanFieldMatrices):
-        return mf.Abreve, mf.Gbreve, mf.mbreve
-    if hasattr(mf, "Abar") and hasattr(mf, "Gbar") and hasattr(mf, "mbar"):
-        return mf.Abar.values, mf.Gbar.values, mf.mbar
-    raise SchemaError(
-        "mean field must be MeanFieldMatrices or carry (Abar, Gbar, mbar)"
-    )
-
-
-def build_extended_major(p: MmMfgProblem, mf) -> ExtendedSystem:
-    """Major dynamics and cost on the state (x0; xbar).
-
-    Dynamics blocks [[A0, F0^pi], [G, A]] with (A, G, m) taken from the
-    mean field; weights are congruences by [I, -H0^pi].
+    Dynamics blocks [[A0, F0^pi], [Gbar, Abar]] and offset (b0; mbar);
+    weights are congruences by T = [I, -H0^pi], the weight factor
+    psd_sqrt(Q0) T.
     """
     n, m, K = p.n, p.m, p.K
     d = n + n * K
     mj = p.major
-    A_mf, G_mf, m_gf = _mean_field_blocks(p, mf)
     A = np.empty((p.grid.num_nodes, d, d))
     A[:, :n] = np.hstack([mj.A0, replicate_pi(mj.F0, p.pi)])
-    A[:, n:, :n] = G_mf
-    A[:, n:, n:] = A_mf
-    b = np.concatenate([mj.b0.values, m_gf.values], axis=1)
+    A[:, n:, :n] = law.Gbar.values
+    A[:, n:, n:] = law.Abar.values
+    b = np.concatenate([mj.b0.values, law.mbar.values], axis=1)
     T = np.hstack([np.eye(n), -replicate_pi(mj.H0, p.pi)])
     return ExtendedSystem(
         what="major",
@@ -214,34 +201,36 @@ def build_extended_major(p: MmMfgProblem, mf) -> ExtendedSystem:
         R=mj.R0,
         eta=T.T @ mj.Q0 @ mj.eta0,
         nbar=mj.N0.T @ mj.eta0,
+        Q_factor=psd_sqrt(mj.Q0) @ T,
     )
 
 
 def build_extended_minor(
     p: MmMfgProblem,
     k: int,
+    major: ExtendedSystem,
     Pi0: GridFunction,
     s0: GridFunction,
-    mf,
 ) -> ExtendedSystem:
     """Minor type k's dynamics and cost on the state (x_i; x0; xbar).
 
-    The lower-right block is the major's extended closed loop
-    A0ext(t) - Bb0 R0^{-1} N0ext' - Bb0 R0^{-1} Bb0' Pi0(t), and the drift
-    offset picks up -Bb0 R0^{-1} Bb0' s0(t).
+    major is the major's record for the same law and (Pi0, s0) its
+    Riccati solution.  The lower-right block is the major's extended
+    closed loop A0ext(t) - Bb0 R0^{-1} N0ext' - Bb0 R0^{-1} Bb0' Pi0(t),
+    and the drift offset picks up -Bb0 R0^{-1} Bb0' s0(t).  Weights are
+    congruences by S = [I, -Hk, -Hhatk^pi], the weight factor
+    psd_sqrt(Qk) S.
     """
-    n, m, K = p.n, p.m, p.K
-    d0 = n + n * K
-    d = 2 * n + n * K
+    n, m = p.n, p.m
+    d0 = major.dim
+    d = n + d0
     if Pi0.shape != (d0, d0):
         raise DimensionGuardError("Pi0 must be %d x %d on the grid" % (d0, d0))
     if s0.shape != (d0, 1):
         raise DimensionGuardError("s0 must be %d x 1 on the grid" % d0)
     mn = p.minors[k]
-    major = build_extended_major(p, mf)
-    r0inv = spd_solver(p.major.R0, what="R0")
-    BRN = major.B @ r0inv(major.N.T)     # Bb0 R0^{-1} N0ext'
-    BRB = major.B @ r0inv(major.B.T)     # Bb0 R0^{-1} Bb0'
+    BRN = major.B @ (major.Rinv @ major.N.T)     # Bb0 R0^{-1} N0ext'
+    BRB = major.B @ (major.Rinv @ major.B.T)     # Bb0 R0^{-1} Bb0'
 
     A = np.zeros((p.grid.num_nodes, d, d))
     A[:, :n] = np.hstack([mn.Ak, mn.Gk, replicate_pi(mn.Fk, p.pi)])
@@ -264,4 +253,5 @@ def build_extended_minor(
         R=mn.Rk,
         eta=S.T @ mn.Qk @ mn.etak,
         nbar=mn.Nk.T @ mn.etak,
+        Q_factor=psd_sqrt(mn.Qk) @ S,
     )

@@ -5,11 +5,14 @@ mbar): given a triple x, the major solves its extended LQG problem, each
 minor type solves its extended problem against the major's solution, and
 the minors' equilibrium feedback closes the loop into a new triple F(x).
 The resulting Riccati/offset functions define the equilibrium feedback
-laws.  Every agent is one ExtendedSystem, checked, solved and turned into
-a law by the same lqg_single routines as a standalone LQG problem, so one
-map serves both horizons; they differ only in the per-agent solve:
-backward RK4 sweeps on the grid, or the discounted ARE and steady offset
-at node 0.
+laws.  mfg_model assembles every agent, as one ExtendedSystem carrying
+its own Hautus factor and R^{-1}: each evaluation builds the major once,
+against the law x, and each minor type against that major record.  Each
+agent is solved and turned into a law by the same lqg_single routines as
+a standalone LQG problem, and the closure reads only the minors' laws, so
+this module forms no extended weight.  One map serves both horizons; they
+differ only in the per-agent solve: backward RK4 sweeps on the grid, or
+the discounted ARE and steady offset at node 0.
 
 One iteration serves the finite-horizon and the stationary problem: Anderson
 acceleration (Walker & Ni 2011) with a memory of ANDERSON_MEMORY past
@@ -38,13 +41,12 @@ from .lqg_single import (
     FeedbackLaw,
     ValidationReport,
     _gain_tables,
-    _r_inverse,
     _solve_agent_finite,
     _solve_agent_stationary,
     _stage_values,
-    psd_sqrt,
 )
 from .mfg_model import (
+    MeanFieldLaw,
     MmMfgProblem,
     build_extended_major,
     build_extended_minor,
@@ -66,18 +68,6 @@ from .numerics import (
 
 ANDERSON_MEMORY = 5    # past iterates each Anderson step combines
 RANK_CUTOFF = 1e-10    # relative singular-value cutoff of the weight fit
-
-
-@dataclass
-class MeanFieldLaw:
-    """Closed-loop mean-field dynamics dxbar = (Abar xbar + Gbar x0 + mbar) dt."""
-
-    Abar: GridFunction
-    Gbar: GridFunction
-    mbar: GridFunction
-
-    def copy(self) -> "MeanFieldLaw":
-        return MeanFieldLaw(self.Abar.copy(), self.Gbar.copy(), self.mbar.copy())
 
 
 @dataclass
@@ -130,53 +120,38 @@ def _stationary_agent(p: MmMfgProblem):
     """Infinite horizon: one agent's discounted ARE and steady offset.
 
     Returns solve_agent(p, ext) for p on a one-step grid, reading node 0,
-    through the shared stationary agent solve.  Each extended system must
-    first pass the Hautus tests of its drift shifted by -rho/2.  Their
-    weight factors come from the primitive costs,
-    psd_sqrt(Q0) [I, -H0^pi] and psd_sqrt(Qk) [I, -Hk, -Hhatk^pi], not from
-    the square root of the extended weight: a rounding eigenvalue of 1e-17
-    there has a square root of 3e-9, which blurs the kernel the rank test
-    reads.
+    through the shared stationary agent solve, which first runs the
+    Hautus tests on the record's own weight factor.
     """
-    n = p.n
-    L = {"major": psd_sqrt(p.major.Q0) @ np.hstack(
-        [np.eye(n), -replicate_pi(p.major.H0, p.pi)])}
-    for k, mn in enumerate(p.minors):
-        L["minor[%d]" % k] = psd_sqrt(mn.Qk) @ np.hstack(
-            [np.eye(n), -mn.Hk, -replicate_pi(mn.Hhatk, p.pi)])
-
     def solve_agent(p: MmMfgProblem, ext: ExtendedSystem):
-        Pi, s, _ = _solve_agent_stationary(ext, p.rho, L[ext.what])
+        Pi, s, _ = _solve_agent_stationary(ext, p.rho)
         return GridFunction.constant(p.grid, Pi), GridFunction.constant(p.grid, s)
 
     return solve_agent
 
 
-def _closure_law(p: MmMfgProblem, ext_minors, P_rows, s_rows, mbreve):
-    """New (Abar, Gbar, mbar) tables from the minors' equilibrium feedback.
+def _closure_law(p: MmMfgProblem, minor_laws, mbreve, nodes: int):
+    """New (Abar, Gbar, mbar) tables from the minors' equilibrium laws.
 
-    P_rows[k] = Pik[:, :n, :] and s_rows[k] = sk[:, :n] are the first block
-    rows of type k's Riccati and offset data, and mbreve the stacked minor
-    drift offsets, all with the same leading node axis (one node for the
-    stationary problem).  With [c1 c2 c3] = N' + B_k' Pik[:n, :], N the
-    extended cross weight, row block k is
-      Abar_k = [A_k - B_k R_k^{-1} c1] e_k + F_k^pi - B_k R_k^{-1} c3
-      Gbar_k = G_k - B_k R_k^{-1} c2
-      mbar_k = b_k + B_k R_k^{-1} nbar_k - B_k R_k^{-1} B_k' sk[:n]
+    minor_laws[k] is type k's law u = -K X + k on its state (x_i; x0;
+    xbar) and mbreve the stacked minor drift offsets, both read at their
+    first `nodes` nodes.  With [K_own K_x0 K_xbar] the column blocks of
+    K, row block k is
+      Abar_k = (A_k - B_k K_own) e_k + F_k^pi - B_k K_xbar
+      Gbar_k = G_k - B_k K_x0
+      mbar_k = b_k + B_k k
     """
     n, K = p.n, p.K
-    nodes = P_rows[0].shape[0]
     Abar = np.empty((nodes, n * K, n * K))
     Gbar = np.empty((nodes, n * K, n))
     mbar = np.empty((nodes, n * K, 1))
-    for k, (mn, ext) in enumerate(zip(p.minors, ext_minors)):
-        BR = mn.Bk @ _r_inverse(ext)
-        C = BR @ (ext.N.T + mn.Bk.T @ P_rows[k])     # B_k R_k^{-1} [c1 c2 c3]
+    for k, (mn, law) in enumerate(zip(p.minors, minor_laws)):
+        BK = mn.Bk @ law.K.values[:nodes]
         rows = slice(k * n, (k + 1) * n)
-        Abar[:, rows] = (mn.Ak - C[:, :, :n]) @ selector(k, n, K) \
-            + replicate_pi(mn.Fk, p.pi) - C[:, :, 2 * n:]
-        Gbar[:, rows] = mn.Gk - C[:, :, n:2 * n]
-        mbar[:, rows] = mbreve[:, rows] + BR @ ext.nbar - (BR @ mn.Bk.T) @ s_rows[k]
+        Abar[:, rows] = (mn.Ak - BK[:, :, :n]) @ selector(k, n, K) \
+            + replicate_pi(mn.Fk, p.pi) - BK[:, :, 2 * n:]
+        Gbar[:, rows] = mn.Gk - BK[:, :, n:2 * n]
+        mbar[:, rows] = mbreve[:nodes, rows] + mn.Bk @ law.k.values[:nodes]
     return Abar, Gbar, mbar
 
 
@@ -194,19 +169,19 @@ def _one_step(p: MmMfgProblem) -> MmMfgProblem:
 
 
 def _initial_law(p: MmMfgProblem) -> MeanFieldLaw:
-    """Closure at Pi_k = 0, s_k = 0 (extended weights still contribute)."""
-    n, K, nodes = p.n, p.K, p.grid.num_nodes
-    d0 = n + n * K
-    # the closure reads only the constant weights N and nbar
-    q = _one_step(p)
-    zero_Pi0 = GridFunction.zeros(q.grid, d0, d0)
-    zero_s0 = GridFunction.zeros(q.grid, d0)
-    mfq = build_mean_field_matrices(q)
-    ext_minors = [build_extended_minor(q, k, zero_Pi0, zero_s0, mfq) for k in range(K)]
-    zero_P = [np.zeros((nodes, n, 2 * n + n * K))] * K
-    zero_s = [np.zeros((nodes, n, 1))] * K
-    tables = _closure_law(p, ext_minors, zero_P, zero_s,
-                          build_mean_field_matrices(p).mbreve.values)
+    """The closure of the minors' laws at Pi = 0, s = 0 for every agent.
+
+    Those laws read only the constant weights N and nbar, so the agents
+    are built against the open loop.
+    """
+    def zero(d):
+        return GridFunction.zeros(p.grid, d, d), GridFunction.zeros(p.grid, d)
+
+    open_loop = build_mean_field_matrices(p)
+    major = build_extended_major(p, open_loop)
+    minors = [build_extended_minor(p, k, major, *zero(major.dim)) for k in range(p.K)]
+    laws = [_gain_tables(ext, *zero(ext.dim)) for ext in minors]
+    tables = _closure_law(p, laws, open_loop.mbar.values, p.grid.num_nodes)
     return MeanFieldLaw(*(GridFunction(p.grid, v) for v in tables))
 
 
@@ -218,8 +193,8 @@ def _consistency_map(p: MmMfgProblem, law0: MeanFieldLaw, solve_agent, nodes: in
     stationary problem, on a one-step grid, passes _stationary_agent and
     iterates on node 0, which the law repeats at every node.  Returns
     (x0, evaluate): x0 flattens law0 and evaluate(x) returns (F(x), (law,
-    ext_major, Pi0, s0, ext_minors, Piks, sks)) with law the MeanFieldLaw
-    that x encodes.
+    ext_major, Pi0, s0, ext_minors, Piks, sks, minor_laws)) with law the
+    MeanFieldLaw that x encodes.  Each evaluation builds the major once.
     """
     gfs = (law0.Abar, law0.Gbar, law0.mbar)
     if nodes > 1 and any(gf.grid != p.grid for gf in gfs):
@@ -227,7 +202,7 @@ def _consistency_map(p: MmMfgProblem, law0: MeanFieldLaw, solve_agent, nodes: in
     tables = [gf.values[:nodes] for gf in gfs]
     shapes = [v.shape for v in tables]
     full = p.grid.num_nodes
-    mbreve = build_mean_field_matrices(p).mbreve.values[:nodes]
+    mbreve = build_mean_field_matrices(p).mbar.values
 
     def evaluate(x):
         law = MeanFieldLaw(*(
@@ -236,13 +211,11 @@ def _consistency_map(p: MmMfgProblem, law0: MeanFieldLaw, solve_agent, nodes: in
         ))
         ext_major = build_extended_major(p, law)
         Pi0, s0 = solve_agent(p, ext_major)
-        ext_minors = [build_extended_minor(p, k, Pi0, s0, law) for k in range(p.K)]
+        ext_minors = [build_extended_minor(p, k, ext_major, Pi0, s0) for k in range(p.K)]
         Piks, sks = map(list, zip(*(solve_agent(p, ext) for ext in ext_minors)))
-        fx = flatten(*_closure_law(
-            p, ext_minors, [P.values[:nodes, :p.n] for P in Piks],
-            [s.values[:nodes, :p.n] for s in sks], mbreve,
-        ))
-        return fx, (law, ext_major, Pi0, s0, ext_minors, Piks, sks)
+        minor_laws = [_gain_tables(*agent) for agent in zip(ext_minors, Piks, sks)]
+        fx = flatten(*_closure_law(p, minor_laws, mbreve, nodes))
+        return fx, (law, ext_major, Pi0, s0, ext_minors, Piks, sks, minor_laws)
 
     return flatten(*tables), evaluate
 
@@ -294,11 +267,10 @@ def _solve_fixed_point(p: MmMfgProblem, cfg: FixedPointConfig, solve_agent,
     law0 = cfg.initial_law if cfg.initial_law is not None else _initial_law(p)
     x0, evaluate = _consistency_map(p, law0, solve_agent, nodes)
     payload, history = _anderson(evaluate, x0, cfg, what)
-    law, ext_major, Pi0, s0, ext_minors, Piks, sks = payload
+    law, ext_major, Pi0, s0, ext_minors, Piks, sks, minor_laws = payload
     return MfgSolution(
         Pi0=Pi0, s0=s0, Pik=Piks, sk=sks, mf_law=law,
-        major_law=_gain_tables(ext_major, Pi0, s0),
-        minor_laws=[_gain_tables(*agent) for agent in zip(ext_minors, Piks, sks)],
+        major_law=_gain_tables(ext_major, Pi0, s0), minor_laws=minor_laws,
         report=FixedPointReport(
             iterations=len(history), residual_history=history,
             residual=history[-1], converged=True,

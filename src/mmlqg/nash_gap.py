@@ -39,6 +39,7 @@ from .lqg_single import (PSD_TOL, ValidationReport, _policy_quadratic,
 from .mfg_model import MmMfgProblem
 from .mfg_solver import MfgSolution
 from .numerics import (
+    _as_count,
     flatten,
     rk4_backward_indexed,
     symmetrize_leading,
@@ -277,14 +278,15 @@ class GapTable:
     rows: List[GapRow]
 
 
-def gap_vs_population(p: MmMfgProblem, sol: MfgSolution, Ns: Sequence[int],
-                      master_seed: int = 0) -> GapTable:
-    """Worst gap over the major and one deviator per type, for each N."""
+def gap_vs_population(p: MmMfgProblem, sol: MfgSolution, Ns: Sequence[int]) -> GapTable:
+    """Worst gap over the major and one deviator per type, for each N.
+
+    Every gap is an exact moment propagation, so no seed enters.
+    """
     rows = []
-    for N in Ns:
-        type_of = assign_types(p.pi, int(N))
-        cfg = PopulationConfig(N=int(N), master_seed=master_seed,
-                               type_assignment=type_of)
+    for N in [_as_count(N, "Ns[%d]" % i, 1) for i, N in enumerate(Ns)]:
+        type_of = assign_types(p.pi, N)
+        cfg = PopulationConfig(N=N, type_assignment=type_of)
         reports = [epsilon_nash_gap(p, sol, cfg, 0)]
         type_gaps = []
         for k in range(p.K):
@@ -296,7 +298,7 @@ def gap_vs_population(p: MmMfgProblem, sol: MfgSolution, Ns: Sequence[int],
             type_gaps.append(reports[-1].gap)
         major = reports[0].gap
         rows.append(GapRow(
-            N=int(N), major_gap=major, type_gaps=type_gaps,
+            N=N, major_gap=major, type_gaps=type_gaps,
             max_gap=max([major] + type_gaps),
             route_mismatch=max(r.diagnostics["route_mismatch"] for r in reports),
             assembly_crosscheck=max(r.diagnostics["assembly_crosscheck"]

@@ -40,6 +40,11 @@ def _as_count(value, name: str, low: int, high=None) -> int:
     return int(value)
 
 
+def _as_seed(value, name: str) -> int:
+    """A master seed: an integer in [0, 2^64), one Philox key word."""
+    return _as_count(value, name, 0, 2 ** 64)
+
+
 def _as_real(value, name: str) -> float:
     """A real number; a string that is not one, a list or None raise SchemaError."""
     try:
@@ -48,16 +53,18 @@ def _as_real(value, name: str) -> float:
         raise SchemaError("expected a real number, got %r" % (value,), field=name)
 
 
-def _as_array(name: str, value) -> np.ndarray:
-    """value as a finite float array of its own shape.
-
-    Non-numeric or ragged input raises SchemaError rather than meet
-    np.asarray's untyped errors.
-    """
+def _as_floats(name: str, value) -> np.ndarray:
+    """value as a float array of its own shape; non-numeric or ragged input
+    raises SchemaError rather than meet np.asarray's untyped errors."""
     try:
-        v = np.asarray(value, dtype=float)
+        return np.asarray(value, dtype=float)
     except (TypeError, ValueError):
         raise SchemaError("expected a rectangular numeric array", field=name)
+
+
+def _as_array(name: str, value) -> np.ndarray:
+    """value as a finite float array of its own shape (see _as_floats)."""
+    v = _as_floats(name, value)
     if not np.all(np.isfinite(v)):
         raise SchemaError("has a non-finite entry", field=name)
     return v
@@ -106,7 +113,8 @@ class GridFunction:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        # no finiteness check: a diverged table is a numerical failure
+        v = _as_floats("values", self.values)
         if v.ndim == 1:
             v = v[:, None, None]
         elif v.ndim == 2:

@@ -27,7 +27,8 @@ from .errors import DivergedPathError, IntegrationDivergedError, SchemaError
 from .lqg_single import _policy_quadratic, _stage_values, psd_sqrt
 from .mfg_model import MmMfgProblem
 from .mfg_solver import MfgSolution, mean_field_step_euler
-from .numerics import _as_array, _as_count, matvec_rows, symmetrize, trapezoid_weights
+from .numerics import (_as_array, _as_count, _as_seed, matvec_rows, symmetrize,
+                       trapezoid_weights)
 
 
 def _type_indices(values, N: int) -> np.ndarray:
@@ -56,7 +57,7 @@ class PopulationConfig:
     def __post_init__(self):
         self.N = _as_count(self.N, "N", 1)
         self.num_paths = _as_count(self.num_paths, "num_paths", 1)
-        self.master_seed = _as_count(self.master_seed, "master_seed", 0, 2 ** 64)
+        self.master_seed = _as_seed(self.master_seed, "master_seed")
         if self.type_assignment is not None:
             self.type_assignment = _type_indices(self.type_assignment, self.N)
         if self.xbar0 is not None:
@@ -647,10 +648,10 @@ def mean_field_convergence_study(p: MmMfgProblem, sol: MfgSolution,
     are stacked as many as fit DRAW_BUDGET.  Returns rows (N, rms) in the
     order of Ns and the slope of log rms against log N.
     """
-    Ns = [_as_count(N, "N", 1) for N in Ns]
-    seeds = [_as_count(seed, "master_seed", 0, 2 ** 64) for seed in seeds]
+    Ns = [_as_count(N, "Ns[%d]" % i, 1) for i, N in enumerate(Ns)]
+    seeds = [_as_seed(seed, "seeds[%d]" % i) for i, seed in enumerate(seeds)]
     if Ns and not seeds:
-        raise SchemaError("the convergence study needs at least one seed")
+        raise SchemaError("the convergence study needs at least one seed", field="seeds")
     if not Ns:
         return ConvergenceStudy(rows=[], slope=0.0)
     pop = _Population(p, sol, PopulationConfig(N=1))

@@ -2,62 +2,12 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .mfg_model import MajorParams, MinorTypeParams, MmMfgProblem
 from .numerics import TimeGrid
-
-
-def decoupled_toy(M: int = 400, rho: float = 0.0, sigma: float = 0.25) -> MmMfgProblem:
-    """Two types with every cross-coupling zeroed.
-
-    F0 = H0 = 0 and F_k = G_k = H_k = Hhat_k = 0, eta = 0, all left at
-    their zero defaults: the major and each minor reduce to independent LQG
-    problems, so one evaluation of the consistency map already lands on
-    the fixed point.  Drifts b are kept nonzero so offsets stay exercised.
-    """
-    n = 2
-    major = MajorParams(
-        A0=[[0.1, 0.2], [0.0, -0.3]],
-        B0=[[1.0], [0.5]],
-        b0=np.array([[0.2], [-0.1]]),
-        sigma0=sigma * np.eye(n),
-        Qhat0=0.5 * np.eye(n),
-        Q0=np.eye(n),
-        N0=[[0.05], [0.0]],
-        R0=[[1.0]],
-    )
-    minors = [
-        MinorTypeParams(
-            Ak=[[-0.2, 0.1], [0.0, -0.4]],
-            Bk=[[1.0], [0.3]],
-            bk=np.array([[0.1], [0.05]]),
-            sigmak=sigma * np.eye(n),
-            Qhatk=0.4 * np.eye(n),
-            Qk=np.eye(n),
-            Nk=[[0.0], [0.05]],
-            Rk=[[1.0]],
-        ),
-        MinorTypeParams(
-            Ak=[[0.0, -0.1], [0.2, -0.5]],
-            Bk=[[0.8], [1.0]],
-            bk=np.array([[-0.05], [0.1]]),
-            sigmak=sigma * np.eye(n),
-            Qhatk=0.3 * np.eye(n),
-            Qk=1.2 * np.eye(n),
-            Nk=[[0.05], [0.0]],
-            Rk=[[1.2]],
-        ),
-    ]
-    return MmMfgProblem(
-        major=major,
-        minors=minors,
-        pi=[0.6, 0.4],
-        grid=TimeGrid(1.0, M),
-        rho=rho,
-        init_cov_major=0.2 * np.eye(n),
-        init_cov_minor=0.2 * np.eye(n),
-    )
 
 
 def coupled_toy(M: int = 400, rho: float = 0.0, sigma: float = 0.25) -> MmMfgProblem:
@@ -120,4 +70,20 @@ def coupled_toy(M: int = 400, rho: float = 0.0, sigma: float = 0.25) -> MmMfgPro
         rho=rho,
         init_cov_major=0.2 * np.eye(n),
         init_cov_minor=0.2 * np.eye(n),
+    )
+
+
+def decoupled_toy(M: int = 400, rho: float = 0.0, sigma: float = 0.25) -> MmMfgProblem:
+    """coupled_toy with every cross-coupling zeroed.
+
+    F0 = H0 = 0 and F_k = G_k = H_k = Hhat_k = 0, eta = 0, all left at
+    their zero defaults: the major and each minor reduce to independent LQG
+    problems, so one evaluation of the consistency map already lands on
+    the fixed point.  Drifts b are kept nonzero so offsets stay exercised.
+    """
+    p = coupled_toy(M, rho, sigma)
+    return replace(
+        p, major=replace(p.major, F0=None, H0=None, eta0=None),
+        minors=[replace(mn, Fk=None, Gk=None, Hk=None, Hhatk=None, etak=None)
+                for mn in p.minors],
     )

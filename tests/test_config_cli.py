@@ -367,6 +367,34 @@ def test_population_ns_rejected_with_pointer(tmp_path, capsys):
         assert "$.study.Ns" in err and "$.nash.Ns" in err
 
 
+@pytest.mark.parametrize("command, sections, extra, path", [
+    ("simulate", {"population": {"N": 0}}, [], "$.population.N"),
+    ("simulate", {"population": {"N": 2, "num_paths": 0}}, [], "$.population.num_paths"),
+    ("simulate", {"population": {"N": 2, "master_seed": -1}}, [],
+     "$.population.master_seed"),
+    ("simulate", {"population": {"N": 2}, "study": {"Ns": [0], "seeds": [0]}}, [],
+     "$.study.Ns[0]"),
+    ("simulate", {"population": {"N": 2}, "study": {"Ns": [4], "seeds": [-1]}}, [],
+     "$.study.seeds[0]"),
+    ("simulate", {"population": {"N": 2}, "study": {"Ns": [4], "seeds": []}}, [],
+     "$.study.seeds"),
+    ("simulate", {"population": {"N": 2}}, ["--seed", "-1"], "--seed"),
+    ("nash-gap", {"nash": {"Ns": [0]}}, [], "$.nash.Ns[0]"),
+    ("nash-gap", {"nash": {"Ns": [-1]}}, [], "$.nash.Ns[0]"),
+    ("nash-gap", {"nash": {"master_seed": -1}}, [], "$.nash.master_seed"),
+])
+def test_run_section_values_are_checked_before_the_solve(tmp_path, capsys, monkeypatch,
+                                                         command, sections, extra, path):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the fixed point ran before the config was checked")
+
+    monkeypatch.setattr(cli_app, "solve_consistency_finite", no_solve)
+    cfg_path = _write(tmp_path, _mfg_cfg(**sections))
+    assert _run([command, "--config", cfg_path, "--out", str(tmp_path / "out")]
+                + extra) == 2
+    assert path in capsys.readouterr().err
+
+
 def test_simulate_writes_convergence_slope(tmp_path):
     cfg = _mfg_cfg(population={"N": 2, "num_paths": 1, "master_seed": 0},
                    study={"Ns": [16, 64], "seeds": [0, 1, 2, 3]})

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mmlqg.errors import DimensionGuardError, SchemaError
-from mmlqg.lqg_single import LqgProblem, validate_convexity
+from mmlqg.lqg_single import LqgProblem, psd_sqrt, spd_solver, validate_convexity
 from mmlqg.mfg_model import (
     MajorParams,
     MinorTypeParams,
@@ -113,26 +113,26 @@ def test_single_agent_and_game_checks_give_one_verdict(weights, convex):
 def test_mf_single_type_collapses():
     p = one_type_problem(n=2)
     mf = build_mean_field_matrices(p)
-    np.testing.assert_array_equal(mf.Abreve, p.minors[0].Ak + p.minors[0].Fk)
-    np.testing.assert_array_equal(mf.Gbreve, p.minors[0].Gk)
+    np.testing.assert_array_equal(mf.Abar.values[0], p.minors[0].Ak + p.minors[0].Fk)
+    np.testing.assert_array_equal(mf.Gbar.values[0], p.minors[0].Gk)
 
 
 def test_mf_block_diagonal_without_coupling():
     p = decoupled_toy(M=20)
     mf = build_mean_field_matrices(p)
     n = p.n
-    np.testing.assert_array_equal(mf.Abreve[:n, :n], p.minors[0].Ak)
-    np.testing.assert_array_equal(mf.Abreve[n:, n:], p.minors[1].Ak)
-    assert not np.any(mf.Abreve[:n, n:])
-    assert not np.any(mf.Abreve[n:, :n])
+    np.testing.assert_array_equal(mf.Abar.values[0][:n, :n], p.minors[0].Ak)
+    np.testing.assert_array_equal(mf.Abar.values[0][n:, n:], p.minors[1].Ak)
+    assert not np.any(mf.Abar.values[0][:n, n:])
+    assert not np.any(mf.Abar.values[0][n:, :n])
 
 
 def test_mf_shapes_two_types():
     p = coupled_toy(M=20)
     mf = build_mean_field_matrices(p)
     n, K = p.n, p.K
-    assert mf.Abreve.shape == (n * K, n * K)
-    assert mf.Gbreve.shape == (n * K, n)
+    assert mf.Abar.shape == (n * K, n * K)
+    assert mf.Gbar.shape == (n * K, n)
 
 
 def test_selector_and_replication():
@@ -159,8 +159,8 @@ def test_extended_major_shapes_and_blocks():
     A = ext.A.interp(0.0)
     np.testing.assert_array_equal(A[:n, :n], p.major.A0)
     np.testing.assert_array_equal(A[:n, n:], replicate_pi(p.major.F0, p.pi))
-    np.testing.assert_array_equal(A[n:, :n], mf.Gbreve)
-    np.testing.assert_array_equal(A[n:, n:], mf.Abreve)
+    np.testing.assert_array_equal(A[n:, :n], mf.Gbar.values[0])
+    np.testing.assert_array_equal(A[n:, n:], mf.Abar.values[0])
     np.testing.assert_array_equal(ext.B[:n], p.major.B0)
     assert not np.any(ext.B[n:])
 
@@ -204,7 +204,7 @@ def test_extended_minor_reduces_without_feedback():
     d0 = ext0.dim
     Pi0 = GridFunction.constant(p.grid, np.zeros((d0, d0)))
     s0 = GridFunction.constant(p.grid, np.zeros((d0, 1)))
-    ext = build_extended_minor(p, 0, Pi0, s0, mf)
+    ext = build_extended_minor(p, 0, ext0, Pi0, s0)
     A = ext.A.interp(0.3)
     n = p.n
     np.testing.assert_allclose(A[n:, n:], ext0.A.interp(0.3), atol=1e-15)
@@ -218,7 +218,7 @@ def test_extended_minor_dimension():
     d0 = ext0.dim
     Pi0 = GridFunction.constant(p.grid, np.eye(d0))
     s0 = GridFunction.constant(p.grid, np.zeros((d0, 1)))
-    ext = build_extended_minor(p, 1, Pi0, s0, mf)
+    ext = build_extended_minor(p, 1, ext0, Pi0, s0)
     assert ext.dim == 2 * p.n + p.n * p.K
     assert ext.B.shape == (ext.dim, p.m)
     np.testing.assert_array_equal(ext.B[:p.n], p.minors[1].Bk)
@@ -233,7 +233,7 @@ def test_extended_minor_offset_carries_s0():
     Pi0 = GridFunction.constant(p.grid, np.zeros((d0, d0)))
     s_vec = np.arange(1.0, d0 + 1.0).reshape(d0, 1)
     s0 = GridFunction.constant(p.grid, s_vec)
-    ext = build_extended_minor(p, 0, Pi0, s0, mf)
+    ext = build_extended_minor(p, 0, ext0, Pi0, s0)
     R0 = p.major.R0
     BRB = ext0.B @ np.linalg.solve(R0, ext0.B.T)
     expected = ext0.b.values[0] - BRB @ s_vec
@@ -247,9 +247,28 @@ def test_extended_minor_uncoupled_top_right():
     d0 = ext0.dim
     Pi0 = GridFunction.constant(p.grid, np.zeros((d0, d0)))
     s0 = GridFunction.constant(p.grid, np.zeros((d0, 1)))
-    ext = build_extended_minor(p, 0, Pi0, s0, mf)
+    ext = build_extended_minor(p, 0, ext0, Pi0, s0)
     A = ext.A.interp(0.0)
     assert not np.any(A[:p.n, p.n:])
+
+
+def test_each_record_carries_its_hautus_factor_and_r_inverse():
+    # formed once from the primitive weights when the record is built
+    p = coupled_toy(M=4)
+    n = p.n
+    major = build_extended_major(p, build_mean_field_matrices(p))
+    d0 = major.dim
+    minors = [build_extended_minor(p, k, major, GridFunction.zeros(p.grid, d0, d0),
+                                   GridFunction.zeros(p.grid, d0)) for k in range(p.K)]
+    T = np.hstack([np.eye(n), -replicate_pi(p.major.H0, p.pi)])
+    agents = [(major, psd_sqrt(p.major.Q0) @ T, p.major.R0)]
+    for mn, ext in zip(p.minors, minors):
+        S = np.hstack([np.eye(n), -mn.Hk, -replicate_pi(mn.Hhatk, p.pi)])
+        agents.append((ext, psd_sqrt(mn.Qk) @ S, mn.Rk))
+    for ext, factor, R in agents:
+        assert np.array_equal(ext.Q_factor, factor)
+        np.testing.assert_allclose(ext.Q_factor.T @ ext.Q_factor, ext.Q, atol=1e-14)
+        assert np.array_equal(ext.Rinv, spd_solver(R)(np.eye(p.m)))
 
 
 # ------------------------------------------------------------ block slicing

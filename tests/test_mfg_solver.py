@@ -152,7 +152,8 @@ def test_aggregation_identity_random_riccati_data():
     mf = build_mean_field_matrices(p)
     zero_Pi0 = GridFunction.constant(p.grid, np.zeros((n + n * K, n + n * K)))
     zero_s0 = GridFunction.constant(p.grid, np.zeros((n + n * K, 1)))
-    ext_minors = [build_extended_minor(p, k, zero_Pi0, zero_s0, mf) for k in range(K)]
+    major = build_extended_major(p, mf)
+    ext_minors = [build_extended_minor(p, k, major, zero_Pi0, zero_s0) for k in range(K)]
     rng = np.random.default_rng(7)
     for _ in range(3):
         Piks, sks = [], []
@@ -161,8 +162,8 @@ def test_aggregation_identity_random_riccati_data():
             Piks.append(GridFunction(p.grid, 0.5 * (raw + np.transpose(raw, (0, 2, 1)))))
             sks.append(GridFunction(p.grid, rng.normal(size=(p.grid.num_nodes, d, 1))))
         law = MeanFieldLaw(*(GridFunction(p.grid, v) for v in _closure_law(
-            p, ext_minors, [P.values[:, :n] for P in Piks],
-            [s.values[:, :n] for s in sks], mf.mbreve.values)))
+            p, [lqg_single._gain_tables(*agent) for agent in zip(ext_minors, Piks, sks)],
+            mf.mbar.values, p.grid.num_nodes)))
         for k in range(K):
             mn = p.minors[k]
             Rinv = np.linalg.inv(mn.Rk)
@@ -447,8 +448,8 @@ def test_one_agent_type_and_one_call_site_per_agent_solver():
     law = mfg_solver._initial_law(p)
     major = build_extended_major(p, law)
     d0 = major.dim
-    minor = build_extended_minor(p, 0, GridFunction.zeros(p.grid, d0, d0),
-                                 GridFunction.zeros(p.grid, d0), law)
+    minor = build_extended_minor(p, 0, major, GridFunction.zeros(p.grid, d0, d0),
+                                 GridFunction.zeros(p.grid, d0))
     single = major_standalone(p)._agent()
     assert type(major) is type(minor) is type(single) is lqg_single.ExtendedSystem
 
@@ -460,6 +461,37 @@ def test_one_agent_type_and_one_call_site_per_agent_solver():
     )
     for name in ("_riccati_sweep", "_offset_sweep", "_steady_offset"):
         assert calls[name] == 1, name
+
+
+def test_one_evaluation_builds_the_major_once(monkeypatch):
+    # each minor reads the major's record for the same law, not a rebuild
+    calls = []
+    build = mfg_model.build_extended_major
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    for module in (mfg_model, mfg_solver):
+        monkeypatch.setattr(module, "build_extended_major", counted)
+    p = coupled_toy(M=8)
+    x0, evaluate = mfg_solver._consistency_map(
+        p, mfg_solver._initial_law(p), mfg_solver._sweep_agent, p.grid.num_nodes)
+    calls.clear()
+    evaluate(x0)
+    assert len(calls) == 1
+
+
+def test_the_solver_forms_no_extended_weight():
+    # mfg_model alone forms the agents' weights and Hautus factors; the
+    # solver reads the records and the minors' laws it gets back
+    tree = ast.parse(Path(mfg_solver.__file__).read_text())
+    attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not attributes & {"H0", "Hk", "Hhatk", "Q0", "Qk"}
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {alias.name for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert "psd_sqrt" not in names
 
 
 def test_stationary_cross_weight_game_solves_with_a_stable_closed_loop():

@@ -325,6 +325,14 @@ def test_gap_table_handles_type_with_no_members(coupled):
         assert row.type_gaps[k] == 0.0
 
 
+@pytest.mark.parametrize("Ns", [[2.5], [0], [-1], [4, 0]])
+def test_gap_table_rejects_a_size_that_is_not_a_count(decoupled, Ns):
+    # 2.5 ran N = 2 and -1 met np.empty(-1) before the check
+    p, sol = decoupled
+    with pytest.raises(SchemaError, match=r"Ns\[%d\]" % (len(Ns) - 1)):
+        gap_vs_population(p, sol, Ns)
+
+
 def test_gap_rows_carry_their_worst_diagnostics(coupled):
     p, sol = coupled
     row = gap_vs_population(p, sol, [3]).rows[0]

@@ -250,6 +250,18 @@ def test_gridfunction_shape_mismatch():
         GridFunction(g, np.zeros((3, 2, 2)))
 
 
+@pytest.mark.parametrize("values", [[["x"]] * 3, [[1.0, 2.0], [3.0], [4.0, 5.0]]])
+def test_gridfunction_non_numeric_or_ragged_values_are_a_schema_error(values):
+    with pytest.raises(SchemaError, match="values"):
+        GridFunction(TimeGrid(1.0, 2), values)
+
+
+def test_gridfunction_keeps_non_finite_values():
+    # a diverged table is a numerical failure for the solver to report
+    f = GridFunction(TimeGrid(1.0, 2), [math.nan, 1.0, math.inf])
+    assert np.isnan(f.values[0, 0, 0]) and np.isinf(f.values[2, 0, 0])
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(1, 5), st.integers(0, 1000))
 def test_symmetrize_properties(n, seed):
