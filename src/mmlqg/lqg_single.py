@@ -384,13 +384,14 @@ class ExtendedSystem:
         return self.B.shape[0]
 
 
-def _stage_values(gf: GridFunction) -> np.ndarray:
-    """Tabulate a GridFunction at nodes and interval midpoints.
+def _stage_values(nodes) -> np.ndarray:
+    """Tabulate a GridFunction, or a table over its M + 1 nodes, at nodes
+    and interval midpoints: the package's one midpoint rule.
 
     Index q = 0..2M covers time q*h/2; midpoints of a linearly interpolated
     grid function are averages of the adjacent nodes.
     """
-    v = gf.values
+    v = nodes.values if isinstance(nodes, GridFunction) else nodes
     M = v.shape[0] - 1
     out = np.empty((2 * M + 1,) + v.shape[1:])
     out[0::2] = v
@@ -483,11 +484,16 @@ def _solve_agent_finite(ext: ExtendedSystem, rho: float):
     return Pi, s
 
 
+def _gains(Rinv, B, N, nbar, Pi: np.ndarray, s: np.ndarray) -> tuple:
+    """Node tables of u = -K X + k: K = R^{-1}(N' + B' Pi), k = R^{-1}(nbar - B' s)."""
+    RBt = Rinv @ B.T
+    return (np.einsum("ab,jbc->jac", RBt, Pi) + Rinv @ N.T,
+            Rinv @ nbar - np.einsum("ab,jbc->jac", RBt, s))
+
+
 def _gain_tables(ext: ExtendedSystem, Pi: GridFunction, s: GridFunction) -> FeedbackLaw:
-    """u = -K X + k at every node: K = R^{-1}(N' + B' Pi), k = R^{-1}(nbar - B' s)."""
-    RBt = ext.Rinv @ ext.B.T
-    K_vals = np.einsum("ab,jbc->jac", RBt, Pi.values) + ext.Rinv @ ext.N.T
-    k_vals = ext.Rinv @ ext.nbar - np.einsum("ab,jbc->jac", RBt, s.values)
+    """The agent's optimal law u = -K X + k at every node (see _gains)."""
+    K_vals, k_vals = _gains(ext.Rinv, ext.B, ext.N, ext.nbar, Pi.values, s.values)
     return FeedbackLaw(GridFunction(Pi.grid, K_vals), GridFunction(Pi.grid, k_vals))
 
 
@@ -539,16 +545,16 @@ def _law_stage_tables(p: LqgProblem, law) -> tuple:
     """Half-step tables (K[q], k[q]) for u = -Kx + k from any accepted law.
 
     Accepts FeedbackLaw, LqgSolution or an open-loop GridFunction
-    (treated as u(t) with linear interpolation).
+    (treated as u(t) with linear interpolation), each sampled on p's grid.
     """
     if isinstance(law, LqgSolution):
         law = law.law()
     if isinstance(law, FeedbackLaw):
-        return _stage_values(law.K), _stage_values(law.k)
+        return (_stage_values(_as_grid_function("law.K", law.K, p.grid, p.m, p.n)),
+                _stage_values(_as_grid_function("law.k", law.k, p.grid, p.m, 1)))
     if isinstance(law, GridFunction):
-        if law.shape != (p.m, 1):
-            raise SchemaError("open-loop control must be m x 1 on the grid")
-        return np.zeros((2 * p.grid.num_steps + 1, p.m, p.n)), _stage_values(law)
+        return (np.zeros((2 * p.grid.num_steps + 1, p.m, p.n)),
+                _stage_values(_as_grid_function("law", law, p.grid, p.m, 1)))
     raise SchemaError("unsupported control law type %r" % type(law).__name__)
 
 

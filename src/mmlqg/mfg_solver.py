@@ -40,6 +40,8 @@ from .lqg_single import (
     ExtendedSystem,
     FeedbackLaw,
     ValidationReport,
+    _as_grid_function,
+    _as_matrix,
     _gain_tables,
     _solve_agent_finite,
     _solve_agent_stationary,
@@ -293,26 +295,25 @@ def solve_consistency_finite(p: MmMfgProblem, cfg: Optional[FixedPointConfig] = 
                               p.grid.num_nodes, "consistency iteration")
 
 
-def mean_field_step_euler(Ab_st, Gb_st, mb_st, j: int, h: float, xbar, x0_now):
+def mean_field_step_euler(Ab, Gb, mb, j: int, h: float, xbar, x0_now):
     """One explicit Euler step; the step the population simulator takes.
 
-    Node-j coefficients only, so the update matches the Euler-Maruyama
-    drift of the simulated agents term for term.  xbar and x0 are rows,
-    one path or a stack of paths, and each row steps on its own.
+    Ab, Gb and mb are the law's node tables, and the step reads node j
+    alone, so the update matches the Euler-Maruyama drift of the
+    simulated agents term for term.  xbar and x0 are rows, one path or a
+    stack of paths, and each row steps on its own.
     """
-    q = 2 * j
-    return xbar + h * (matvec_rows(Ab_st[q], xbar) + matvec_rows(Gb_st[q], x0_now)
-                       + mb_st[q][:, 0])
+    return xbar + h * (matvec_rows(Ab[j], xbar) + matvec_rows(Gb[j], x0_now)
+                       + mb[j][:, 0])
 
 
 def mean_field_trajectory(sol: MfgSolution, x0_path: GridFunction,
                           xbar0: Optional[np.ndarray] = None) -> GridFunction:
-    """Forward mean field driven by a given major-state path, by RK4."""
+    """Forward mean field from xbar0 (default zero), driven by a major-state
+    path on the solution's grid, by RK4."""
     p = sol.problem
-    nK = p.n * p.K
-    if x0_path.shape != (p.n, 1):
-        raise SchemaError("x0_path must be n x 1 on the grid")
-    xb = np.zeros(nK) if xbar0 is None else np.asarray(xbar0, dtype=float).reshape(nK)
+    x0_path = _as_grid_function("x0_path", x0_path, p.grid, p.n, 1)
+    xb = _as_matrix("xbar0", xbar0, p.n * p.K, 1)
     Ab_st = _stage_values(sol.mf_law.Abar)
     Gb_st = _stage_values(sol.mf_law.Gbar)
     mb_st = _stage_values(sol.mf_law.mbar)
@@ -322,7 +323,7 @@ def mean_field_trajectory(sol: MfgSolution, x0_path: GridFunction,
     def stage_rhs(q, y):
         return Ab_st[q] @ y + Gb_st[q] @ x0_st[q] + mb_st[q]
 
-    return rk4_forward_indexed(stage_rhs, xb[:, None], p.grid)
+    return rk4_forward_indexed(stage_rhs, xb, p.grid)
 
 
 # ----------------------------------------------------------------- infinite

@@ -9,9 +9,10 @@ whose dimension does not grow with N.  The best response solves that
 LQG problem by a backward Riccati/offset sweep, and both the equilibrium
 cost and the best-response cost are evaluated by exact moment
 propagation, so the reported gap carries no sampling noise.  Every cost
-here is one affine policy on stage tables of the reduced system, turned
-into a running quadratic by lqg_single's one policy quadratic.  In the
-uncoupled case the equilibrium law is already optimal and the gap
+here is one affine policy on node or stage tables of the reduced system,
+turned into a running quadratic by lqg_single's one policy quadratic;
+stage tables come from node tables by lqg_single._stage_values alone.
+In the uncoupled case the equilibrium law is already optimal and the gap
 collapses to integration roundoff.
 
 Two checks ride along with every gap.  The value-function and moment
@@ -34,8 +35,9 @@ from .errors import (
     IntegrationDivergedError,
     RiccatiBlowupError,
 )
-from .lqg_single import (PSD_TOL, ValidationReport, _policy_quadratic,
-                          add_convexity_checks, closed_loop_cost_moments, spd_solver)
+from .lqg_single import (PSD_TOL, ValidationReport, _gains, _policy_quadratic,
+                          _stage_values, add_convexity_checks,
+                          closed_loop_cost_moments, spd_solver)
 from .mfg_model import MmMfgProblem
 from .mfg_solver import MfgSolution
 from .numerics import (
@@ -57,22 +59,25 @@ from .population_sim import (
 class JointSystem(ReducedPopulation):
     """The deviator's control problem on the reduced state.
 
-    Every agent but the deviator keeps its equilibrium law.  A and d are
-    the stage tables, q = 0..2M, of the drift with the deviator's rows
-    uncontrolled; its input enters through B_full, which is zero outside
-    the deviator's own block rows (the first n).  Kz and k_st tabulate the
-    deviator's own equilibrium law lifted to y, u = -Kz[q] y + k_st[q].
-    The tables are shared: treat them as read-only.
+    Every agent but the deviator keeps its equilibrium law.  A_nodes and
+    d_nodes tabulate the drift with the deviator's rows uncontrolled; its
+    input enters through B_full, which is zero outside the deviator's own
+    block rows (the first n).  Kz_nodes and k_nodes tabulate the deviator's
+    own equilibrium law lifted to y, u = -Kz_nodes[j] y + k_nodes[j].  A,
+    d, Kz and k_st are those four at the stages q = 0..2M the RK4 sweeps
+    read.  The tables are shared: treat them as read-only.
     """
 
     def __init__(self, p: MmMfgProblem, sol: MfgSolution, cfg: PopulationConfig,
                  deviator: int):
         super().__init__(p, sol, cfg, deviator)
         self.deviator = deviator
-        self.A, self.d = self.drift(closed=False)
+        self.A_nodes, self.d_nodes = self.drift(closed=False)
         self.B_full = np.zeros((self.D, self.m))
         self.B_full[:self.n] = self.B_own
-        self.Kz = self.K_st @ self.U
+        self.Kz_nodes = self.K_nodes @ self.U
+        self.A, self.d, self.Kz, self.k_st = (_stage_values(t) for t in (
+            self.A_nodes, self.d_nodes, self.Kz_nodes, self.k_nodes))
 
     def undeviated_cost(self) -> float:
         """Equilibrium cost of the simulated chain through this assembly.
@@ -81,12 +86,12 @@ class JointSystem(ReducedPopulation):
         between the two means the gain lifting or the input placement is
         wrong.
         """
-        L, uc = -self.Kz[::2], self.k_st[::2]
+        L, uc = -self.Kz_nodes, self.k_nodes
         node_cost = _policy_quadratic(self.W, self.S, self.R, self.eta_y,
                                       self.nbar_y, self.c0, L, uc)
         return discrete_chain_cost(
             self.p.grid, self.p.rho, self.mu0, self.V0,
-            self.A[::2] + self.B_full @ L, self.d[::2] + self.B_full @ uc,
+            self.A_nodes + self.B_full @ L, self.d_nodes + self.B_full @ uc,
             self.Sig2, node_cost, self.terminal,
         )
 
@@ -124,9 +129,10 @@ class BestResponse:
     The feedforwards are -k, with the sign of LqgSolution.kff and the
     opposite of a FeedbackLaw's k.
 
-    Gain tables are indexed by half-step stages q = 0..2M like every
-    other stage table in the package; Pi and s are node tables from the
-    backward sweep, with Pi[-1] the untouched terminal weight.
+    Gain tables are indexed by half-step stages q = 0..2M, formed at the
+    nodes and given their midpoints by _stage_values; Pi and s are node
+    tables from the backward sweep, with Pi[-1] the untouched terminal
+    weight.
     """
 
     gains: np.ndarray            # (2M+1, m, D)
@@ -141,10 +147,11 @@ class BestResponse:
 def solve_best_response(js: JointSystem) -> BestResponse:
     """Exact full-information best response in the reduced closed loop.
 
-    Backward Riccati/offset/value sweep with terminal condition given by
-    the deviator's terminal weight, then the optimal affine law is evaluated
-    forward by moment propagation.  The value-function route and the
-    moment route must agree; their difference is reported as a
+    Backward Riccati/offset/value sweep, packed as (Pi, s, v), with
+    terminal condition given by the deviator's terminal weight; the node
+    gains come from lqg_single._gains, as every agent's do, and the law is
+    evaluated forward by moment propagation.  The value-function route and
+    the moment route must agree; their difference is reported as a
     diagnostic.
     """
     rep = ValidationReport()
@@ -152,7 +159,6 @@ def solve_best_response(js: JointSystem) -> BestResponse:
     rep.require()
     p = js.p
     grid = p.grid
-    M, h = grid.num_steps, grid.h
     rho = p.rho
     D, m = js.D, js.m
     Rinv = spd_solver(js.R, "deviator control weight")(np.eye(m))
@@ -188,27 +194,10 @@ def solve_best_response(js: JointSystem) -> BestResponse:
             "joint backward sweep diverged: %s" % exc, node=exc.node, time=exc.time
         ) from exc
     nodes = sweep.values[:, 0]
-    # node derivatives, the k1 of every step, for the Hermite midpoints
-    with np.errstate(over="ignore", invalid="ignore"):
-        derivs = np.array([rhs(2 * j, nodes[j]) for j in range(M + 1)])
     Pi_nodes, s_nodes = nodes[:, :DD].reshape(-1, D, D), nodes[:, DD:DD + D, None]
-    dPi_nodes, ds_nodes = derivs[:, :DD].reshape(-1, D, D), derivs[:, DD:DD + D, None]
     v = nodes[0, -1]
-
-    # stage tables: cubic Hermite midpoints keep the forward pass O(h^4)
-    nq = 2 * M + 1
-    gains = np.empty((nq, m, D))
-    ffs = np.empty((nq, m, 1))
-    for j in range(M + 1):
-        gains[2 * j] = Rinv @ (Bt @ Pi_nodes[j] + S.T)
-        ffs[2 * j] = Rinv @ (Bt @ s_nodes[j] - nbar_y)
-    for j in range(M):
-        Pi_mid = 0.5 * (Pi_nodes[j] + Pi_nodes[j + 1]) \
-            + (h / 8.0) * (dPi_nodes[j] - dPi_nodes[j + 1])
-        s_mid = 0.5 * (s_nodes[j] + s_nodes[j + 1]) \
-            + (h / 8.0) * (ds_nodes[j] - ds_nodes[j + 1])
-        gains[2 * j + 1] = Rinv @ (Bt @ Pi_mid + S.T)
-        ffs[2 * j + 1] = Rinv @ (Bt @ s_mid - nbar_y)
+    K_nodes, k_nodes = _gains(Rinv, B, S, nbar_y, Pi_nodes, s_nodes)
+    gains, ffs = _stage_values(K_nodes), _stage_values(-k_nodes)
 
     mu0, V0 = js.mu0, js.V0
     cost_value_fn = 0.5 * (np.vdot(Pi_nodes[0], V0)

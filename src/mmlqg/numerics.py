@@ -29,9 +29,9 @@ _SNAP_ULPS = 64 * np.finfo(float).eps
 def _as_count(value, name: str, low: int, high=None) -> int:
     """An integer in [low, high): an int, or a float with an integral value.
 
-    inf, NaN and 2.5 raise SchemaError rather than meet int().
+    inf, NaN, 2.5 and a bool raise SchemaError rather than meet int().
     """
-    if not (isinstance(value, numbers.Integral) or (
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) or (
             isinstance(value, numbers.Real) and math.isfinite(value)
             and value == int(value))) \
             or value < low or (high is not None and value >= high):
@@ -46,11 +46,13 @@ def _as_seed(value, name: str) -> int:
 
 
 def _as_real(value, name: str) -> float:
-    """A real number; a string that is not one, a list or None raise SchemaError."""
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise SchemaError("expected a real number, got %r" % (value,), field=name)
+    """A real number; a bool, a non-numeric string, a list or None raise SchemaError."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise SchemaError("expected a real number, got %r" % (value,), field=name)
 
 
 def _as_floats(name: str, value) -> np.ndarray:

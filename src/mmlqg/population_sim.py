@@ -9,9 +9,10 @@ for the convergence study, every population size at once), minors sorted
 by type with agents on the last axis; DRAW_BUDGET bounds the noise held.
 Costs come either from Monte Carlo over paths or exactly, by propagating
 the mean and covariance of that same chain, which makes the exact value
-the precise expectation of the Monte Carlo estimate.  The exact route
-reads stage tables of the reduced state (drift, the agent's law) and
-forms its running cost with lqg_single's one policy quadratic.
+the precise expectation of the Monte Carlo estimate.  Both routes read
+node tables only: the simulator the laws' tables at node j, the exact
+route the reduced state's drift and the agent's law at the nodes, with
+its running cost formed by lqg_single's one policy quadratic.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .errors import DivergedPathError, IntegrationDivergedError, SchemaError
-from .lqg_single import _policy_quadratic, _stage_values, psd_sqrt
+from .lqg_single import _policy_quadratic, psd_sqrt
 from .mfg_model import MmMfgProblem
 from .mfg_solver import MfgSolution, mean_field_step_euler
 from .numerics import (_as_array, _as_count, _as_seed, matvec_rows, symmetrize,
@@ -224,8 +225,7 @@ class _Population:
         # per type and node: the gain on a minor's own state, Ak - Bk Kx
         self.Kx = [law.K.values[:, :, :n] for law in laws]
         self.closed = [mn.Ak - mn.Bk @ Kx for mn, Kx in zip(mns, self.Kx)]
-        self.law = [_stage_values(f) for f in
-                    (sol.mf_law.Abar, sol.mf_law.Gbar, sol.mf_law.mbar)]
+        self.law = [f.values for f in (sol.mf_law.Abar, sol.mf_law.Gbar, sol.mf_law.mbar)]
 
     def sample(self, streams, ids):
         """Initial states and noise terms sqrt(h) sigma dW of the paths
@@ -466,11 +466,6 @@ class ReducedPopulation:
             off += n if c else 0
         self.D = off
 
-        self._K0 = _stage_values(sol.major_law.K)
-        self._k0 = _stage_values(sol.major_law.k)
-        self._Kk = [_stage_values(sol.minor_laws[k].K) for k in range(K)]
-        self._kk = [_stage_values(sol.minor_laws[k].k) for k in range(K)]
-
         # x^(N): the agent's own state and c_k S_k, each over N
         avg = np.zeros((n, self.D))
         if agent_id:
@@ -489,7 +484,7 @@ class ReducedPopulation:
             self.Ncr, self.R, self.Qhat = mj.N0, mj.R0, mj.Qhat0
             self.B_own = mj.B0
             self.U = np.vstack([x0_sel, xb_sel])
-            self.K_st, self.k_st = self._K0, self._k0
+            law = sol.major_law
         else:
             mn = p.minors[self.own_type]
             own_sel = self._sel(0, n)
@@ -498,8 +493,9 @@ class ReducedPopulation:
             self.Ncr, self.R, self.Qhat = mn.Nk, mn.Rk, mn.Qhatk
             self.B_own = mn.Bk
             self.U = np.vstack([own_sel, x0_sel, xb_sel])
-            self.K_st = self._Kk[self.own_type]
-            self.k_st = self._kk[self.own_type]
+            law = sol.minor_laws[self.own_type]
+        # the agent's own equilibrium law, u = -K_nodes[j] U y + k_nodes[j]
+        self.K_nodes, self.k_nodes = law.K.values, law.k.values
         # the running cost tracks C y - eta; in y its weights take
         # _policy_quadratic's form (W, S, R, eta_y, nbar_y, c0)
         self.W = symmetrize(C.T @ self.Q @ C)
@@ -533,16 +529,17 @@ class ReducedPopulation:
         return S
 
     def drift(self, closed: bool):
-        """Stage tables (A, d) of dy = (A y + d) dt, q = 0..2M.
+        """Node tables (A, d) of dy = (A y + d) dt, j = 0..M.
 
         Every minor average, and the major unless it is the agent, runs on
         its equilibrium law.  The agent's own rows run on theirs when
         closed and are left without input otherwise.
         """
         p, n, K = self.p, self.n, self.K
-        nq = self._K0.shape[0]
-        A = np.zeros((nq, self.D, self.D))
-        d = np.zeros((nq, self.D, 1))
+        laws, law0 = self.sol.minor_laws, self.sol.major_law
+        nodes = p.grid.num_nodes
+        A = np.zeros((nodes, self.D, self.D))
+        d = np.zeros((nodes, self.D, 1))
         x0 = slice(self.x0_off, self.x0_off + n)
         xb = slice(self.xb_off, self.xb_off + n * K)
         minors = [(o, k, True) for k, o in enumerate(self.S_off) if o is not None]
@@ -554,26 +551,26 @@ class ReducedPopulation:
             A[:, r] += mn.Fk @ self.avg
             A[:, r, r] += mn.Ak
             A[:, r, x0] += mn.Gk
-            d[:, r] = _stage_values(mn.bk)
+            d[:, r] = mn.bk.values
             if on_law:
-                BK = mn.Bk @ self._Kk[k]
+                BK = mn.Bk @ laws[k].K.values
                 A[:, r, r] -= BK[:, :, :n]
                 A[:, r, x0] -= BK[:, :, n:2 * n]
                 A[:, r, xb] -= BK[:, :, 2 * n:]
-                d[:, r] += mn.Bk @ self._kk[k]
+                d[:, r] += mn.Bk @ laws[k].k.values
         mj = p.major
         A[:, x0] += mj.F0 @ self.avg
         A[:, x0, x0] += mj.A0
-        d[:, x0] = _stage_values(mj.b0)
+        d[:, x0] = mj.b0.values
         if self.agent_id or closed:
-            BK = mj.B0 @ self._K0
+            BK = mj.B0 @ law0.K.values
             A[:, x0, x0] -= BK[:, :, :n]
             A[:, x0, xb] -= BK[:, :, n:]
-            d[:, x0] += mj.B0 @ self._k0
-        law = self.sol.mf_law
-        A[:, xb, x0] = _stage_values(law.Gbar)
-        A[:, xb, xb] = _stage_values(law.Abar)
-        d[:, xb] = _stage_values(law.mbar)
+            d[:, x0] += mj.B0 @ law0.k.values
+        mf = self.sol.mf_law
+        A[:, xb, x0] = mf.Gbar.values
+        A[:, xb, xb] = mf.Abar.values
+        d[:, xb] = mf.mbar.values
         return A, d
 
 
@@ -623,8 +620,8 @@ def expected_cost_exact(p: MmMfgProblem, sol: MfgSolution, cfg: PopulationConfig
     rs = ReducedPopulation(p, sol, cfg, agent_id)
     A, d = rs.drift(closed=True)
     node_cost = _policy_quadratic(rs.W, rs.S, rs.R, rs.eta_y, rs.nbar_y, rs.c0,
-                                  -rs.K_st[::2] @ rs.U, rs.k_st[::2])
-    J = discrete_chain_cost(p.grid, p.rho, rs.mu0, rs.V0, A[::2], d[::2],
+                                  -rs.K_nodes @ rs.U, rs.k_nodes)
+    J = discrete_chain_cost(p.grid, p.rho, rs.mu0, rs.V0, A, d,
                             rs.Sig2, node_cost, rs.terminal)
     return CostReport(agent_id=agent_id, value=J, std_error=0.0,
                       method="moment_recursion", num_paths=0)

@@ -12,6 +12,7 @@ from mmlqg.errors import (
     AssumptionViolationError,
     OutOfRangeError,
     RiccatiBlowupError,
+    SchemaError,
     UnsupportedOracleError,
 )
 from mmlqg.lqg_single import (
@@ -287,6 +288,31 @@ def test_cost_zero_trajectory():
         GridFunction.constant(p.grid, [[0.0]]),
     )
     assert expected_cost(p, law) == pytest.approx(0.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("grid", [TimeGrid(2.0, 400), TimeGrid(1.0, 200)])
+def test_cost_rejects_a_law_on_another_grid(grid):
+    # same M and another T once returned a cost; another M met a bare
+    # numpy broadcast error
+    p = scalar_problem()
+    gain = GridFunction.constant(grid, [[0.5]])
+    with pytest.raises(SchemaError) as err:
+        expected_cost(p, FeedbackLaw(gain, GridFunction.zeros(p.grid, 1)))
+    assert err.value.field == "law.K"
+    with pytest.raises(SchemaError) as err:
+        expected_cost(p, FeedbackLaw(GridFunction.zeros(p.grid, 1, 1),
+                                     GridFunction.zeros(grid, 1)))
+    assert err.value.field == "law.k"
+    with pytest.raises(SchemaError) as err:
+        expected_cost(p, GridFunction.zeros(grid, 1))
+    assert err.value.field == "law"
+
+
+def test_cost_rejects_an_open_loop_control_of_the_wrong_shape():
+    p = scalar_problem()
+    with pytest.raises(SchemaError) as err:
+        expected_cost(p, GridFunction.zeros(p.grid, 2))
+    assert err.value.field == "law"
 
 
 def test_cost_ornstein_uhlenbeck_closed_form():

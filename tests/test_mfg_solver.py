@@ -316,6 +316,25 @@ def test_mean_field_trajectory_rejects_bad_path(decoupled):
         mean_field_trajectory(sol, bad)
 
 
+@pytest.mark.parametrize("grid", [TimeGrid(1.0, 400), TimeGrid(2.0, 200)])
+def test_mean_field_trajectory_rejects_a_path_on_another_grid(decoupled, grid):
+    # a finer path, or one on another horizon, once returned a trajectory
+    _, sol = decoupled
+    assert grid != sol.problem.grid
+    with pytest.raises(SchemaError) as err:
+        mean_field_trajectory(sol, GridFunction.zeros(grid, sol.problem.n))
+    assert err.value.field == "x0_path"
+
+
+@pytest.mark.parametrize("xbar0", [[0.1, 0.2, 0.3], [0.1, np.nan, 0.3, 0.4]])
+def test_mean_field_trajectory_rejects_a_bad_initial_mean_field(decoupled, xbar0):
+    # the wrong length met a bare reshape error, and NaN diverged (exit 3)
+    p, sol = decoupled
+    with pytest.raises(SchemaError) as err:
+        mean_field_trajectory(sol, GridFunction.zeros(p.grid, p.n), xbar0)
+    assert err.value.field == "xbar0"
+
+
 # ------------------------------------------------------------- stationary
 
 

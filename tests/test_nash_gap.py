@@ -111,6 +111,43 @@ def test_one_policy_quadratic_and_no_per_stage_joint_methods():
     assert joint and not joint & {"A_open", "d_open", "eq_gain", "A_closed", "d_closed"}
 
 
+def test_one_midpoint_rule_and_a_best_response_without_loops():
+    # only _stage_values forms midpoints, so no other code strides stage
+    # tables back to nodes, and the best response's right-hand side runs
+    # only inside its sweep
+    strided, loops = [], None
+    for f in sorted(Path(mmlqg.__file__).parent.glob("*.py")):
+        tree = ast.parse(f.read_text())
+        skip = {id(n) for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                and fn.name == "_stage_values" for n in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Slice) and id(node) not in skip \
+                    and isinstance(node.step, ast.Constant) and node.step.value == 2:
+                strided.append("%s:%d" % (f.name, node.lineno))
+            if isinstance(node, ast.FunctionDef) and node.name == "solve_best_response":
+                loops = [n.lineno for n in ast.walk(node)
+                         if isinstance(n, (ast.For, ast.comprehension))]
+    assert strided == []
+    assert loops == []
+
+
+def test_best_response_midpoints_are_node_means(coupled):
+    p, sol = coupled
+    js = build_joint_closed_loop(p, sol, PopulationConfig(N=4), 2)
+    br = solve_best_response(js)
+    for tab in (br.gains, br.feedforwards):
+        assert tab.shape[0] == 2 * p.grid.num_steps + 1
+        assert np.array_equal(tab[1::2], 0.5 * (tab[:-1:2] + tab[2::2]))
+
+
+def test_route_mismatch_stays_small_at_a_coarse_grid():
+    # linear midpoints of the gains keep the two routes within 5e-9 at M=25
+    p = coupled_toy(M=25)
+    sol = solve_consistency_finite(p)
+    for row in gap_vs_population(p, sol, [2, 96]).rows:
+        assert row.route_mismatch < 5e-9
+
+
 def test_grid_mismatch_rejected(coupled):
     p, _ = coupled
     other = coupled_toy(M=50)
@@ -325,9 +362,9 @@ def test_gap_table_handles_type_with_no_members(coupled):
         assert row.type_gaps[k] == 0.0
 
 
-@pytest.mark.parametrize("Ns", [[2.5], [0], [-1], [4, 0]])
+@pytest.mark.parametrize("Ns", [[2.5], [0], [-1], [4, 0], [True], [4, True]])
 def test_gap_table_rejects_a_size_that_is_not_a_count(decoupled, Ns):
-    # 2.5 ran N = 2 and -1 met np.empty(-1) before the check
+    # 2.5 ran N = 2, -1 met np.empty(-1) before the check and True ran N = 1
     p, sol = decoupled
     with pytest.raises(SchemaError, match=r"Ns\[%d\]" % (len(Ns) - 1)):
         gap_vs_population(p, sol, Ns)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from mmlqg import numerics
 from mmlqg.errors import IntegrationDivergedError, OutOfRangeError, SchemaError
 from mmlqg.lqg_single import FeedbackLaw
+from mmlqg.mfg_solver import FixedPointConfig
 from mmlqg.numerics import (
     GridFunction,
     TimeGrid,
@@ -23,6 +24,7 @@ from mmlqg.numerics import (
     symmetrize,
     trapezoid_weights,
 )
+from mmlqg.population_sim import PopulationConfig
 from oracles import integrate_backward, integrate_forward
 
 
@@ -40,6 +42,22 @@ def test_grid_rejects_bad_args():
         TimeGrid(-1.0, 10)
     with pytest.raises(SchemaError):
         TimeGrid(1.0, 0)
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda: TimeGrid(1.0, True), "num_steps"),
+    (lambda: TimeGrid(True, 10), "t_end"),
+    (lambda: PopulationConfig(N=True), "N"),
+    (lambda: PopulationConfig(N=3, num_paths=True), "num_paths"),
+    (lambda: PopulationConfig(N=3, master_seed=False), "master_seed"),
+    (lambda: FixedPointConfig(max_iters=True), "max_iters"),
+    (lambda: FixedPointConfig(theta=True), "theta"),
+])
+def test_a_bool_is_neither_a_count_nor_a_real(make, name):
+    # int(True) and float(True) are 1, which would run a one-step grid
+    with pytest.raises(SchemaError) as err:
+        make()
+    assert err.value.field == name
 
 
 def test_zero_rhs_stays_constant():

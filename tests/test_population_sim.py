@@ -11,7 +11,6 @@ from mmlqg.errors import (
     DivergedPathError,
     SchemaError,
 )
-from mmlqg.lqg_single import _stage_values
 from mmlqg.mfg_solver import (
     FixedPointConfig,
     mean_field_step_euler,
@@ -98,8 +97,7 @@ def test_internal_mean_field_equals_trajectory_same_integrator(coupled):
     # from the simulated major path with the simulator's own integrator
     p, sol = coupled
     b = simulate_population(p, sol, PopulationConfig(N=6, master_seed=9))
-    law = [_stage_values(f) for f in (sol.mf_law.Abar, sol.mf_law.Gbar,
-                                      sol.mf_law.mbar)]
+    law = [f.values for f in (sol.mf_law.Abar, sol.mf_law.Gbar, sol.mf_law.mbar)]
     xb = np.zeros(p.n * p.K)
     euler = [xb]
     for j in range(p.grid.num_steps):
