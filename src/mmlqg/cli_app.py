@@ -213,7 +213,7 @@ def cmd_nash_gap(cfg: dict, cfg_path: str, out: Path, seed, threads: int) -> int
     _write_summary(out, {
         "Ns": [row.N for row in rows],
         "max_gaps": [row.max_gap for row in rows],
-        "route_mismatch": [row.route_mismatch for row in rows],
+        "identity_mismatch": [row.identity_mismatch for row in rows],
         "assembly_crosscheck": [row.assembly_crosscheck for row in rows],
         "all_nonnegative": bool(all(
             g >= -1e-8 for row in rows

@@ -5,20 +5,23 @@ else keeps the equilibrium feedback.  Non-deviators of one type share
 their law and reach the deviator only through their average, so the
 deviator's problem lives exactly on the reduced state
 y = (x_dev, x0, xbar, S_1..S_K) of population_sim.ReducedPopulation,
-whose dimension does not grow with N.  The best response solves that
-LQG problem by a backward Riccati/offset sweep, and both the equilibrium
-cost and the best-response cost are evaluated by exact moment
-propagation, so the reported gap carries no sampling noise.  Every cost
-here is one affine policy on node or stage tables of the reduced system,
-turned into a running quadratic by lqg_single's one policy quadratic;
-stage tables come from node tables by lqg_single._stage_values alone.
-In the uncoupled case the equilibrium law is already optimal and the gap
-collapses to integration roundoff.
+whose dimension does not grow with N.  There the deviator is one more
+convex single-agent LQG problem: JointSystem._agent() states it as an
+ExtendedSystem, solved by the Riccati/offset sweeps and gain expression
+of every agent (lqg_single._solve_agent_finite, _gain_tables).  Both
+costs come from exact moment propagation, so the gap carries no sampling
+noise.  Every cost here is one affine policy on node or stage tables of
+the reduced system, turned into a running quadratic by lqg_single's one
+policy quadratic; stage tables come from node tables by
+lqg_single._stage_values alone.  In the uncoupled case the equilibrium
+law is already optimal and the gap vanishes.
 
-Two checks ride along with every gap.  The value-function and moment
-routes of the best response must agree (route_mismatch), and the
-un-deviated chain cost, built from the open drift tables plus the
-lifted equilibrium gain table, must agree with population_sim's
+Two checks ride along with every gap.  Completing the square gives
+J(u) - J(u_br) = 1/2 E int e^{-rho t} (u - u_br)' R (u - u_br) dt for
+any policy u; identity_mismatch is the distance of that integral, along
+the equilibrium closed loop, from J_eq - J_br: the time error, second
+order in h.  The un-deviated chain cost, built from the open drift
+tables plus the lifted equilibrium gain table, must agree with
 expected_cost_exact, which closes every block directly
 (assembly_crosscheck).
 """
@@ -30,23 +33,14 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-from .errors import (
-    AssumptionViolationError,
-    IntegrationDivergedError,
-    RiccatiBlowupError,
-)
-from .lqg_single import (PSD_TOL, ValidationReport, _gains, _policy_quadratic,
+from .errors import AssumptionViolationError
+from .lqg_single import (PSD_TOL, ExtendedSystem, ValidationReport,
+                          _gain_tables, _policy_quadratic, _solve_agent_finite,
                           _stage_values, add_convexity_checks,
-                          closed_loop_cost_moments, spd_solver)
+                          closed_loop_cost_moments, psd_sqrt)
 from .mfg_model import MmMfgProblem
 from .mfg_solver import MfgSolution
-from .numerics import (
-    _as_count,
-    flatten,
-    rk4_backward_indexed,
-    symmetrize_leading,
-    unflatten,
-)
+from .numerics import GridFunction, _as_count
 from .population_sim import (
     PopulationConfig,
     ReducedPopulation,
@@ -79,6 +73,17 @@ class JointSystem(ReducedPopulation):
         self.A, self.d, self.Kz, self.k_st = (_stage_values(t) for t in (
             self.A_nodes, self.d_nodes, self.Kz_nodes, self.k_nodes))
 
+    def _agent(self) -> ExtendedSystem:
+        """The deviator as the agent record every solver reads, the same as
+        LqgProblem._agent(): open drift, B_full and its weights on y."""
+        grid = self.p.grid
+        return ExtendedSystem(
+            what="deviator", A=GridFunction(grid, self.A_nodes), B=self.B_full,
+            b=GridFunction(grid, self.d_nodes), Qhat=self.terminal[0], Q=self.W,
+            N=self.S, R=self.R, eta=self.eta_y, nbar=self.nbar_y,
+            Q_factor=psd_sqrt(self.Q) @ self.C,
+        )
+
     def undeviated_cost(self) -> float:
         """Equilibrium cost of the simulated chain through this assembly.
 
@@ -101,20 +106,24 @@ def build_joint_closed_loop(p: MmMfgProblem, sol: MfgSolution,
     return JointSystem(p, sol, cfg, deviator)
 
 
-def _policy_cost(js: JointSystem, L: np.ndarray, uc: np.ndarray) -> float:
-    """Exact deviator cost of the policy u = L[q] y + uc[q] (stage tables).
-
-    The closed loop dy = ((A + B L) y + d + B uc) dt + noise goes through
-    the package's one moment-and-cost propagator.
-    """
+def _closed_loop_cost(js: JointSystem, L: np.ndarray, uc: np.ndarray,
+                      quadratic, terminal) -> float:
+    """Exact cost of the running quadratic (W, l, c) and the terminal form
+    along dy = ((A + B L) y + d + B uc) dt + noise, u = L[q] y + uc[q]
+    (stage tables), by the package's one moment-and-cost propagator."""
     p = js.p
     B = js.B_full
     A = js.A + B @ L
-    W, l, c = _policy_quadratic(js.W, js.S, js.R, js.eta_y, js.nbar_y, js.c0, L, uc)
     return closed_loop_cost_moments(
         p.grid, p.rho, js.mu0, js.V0, A, js.d + B @ uc,
-        np.broadcast_to(js.Sig2, A.shape), W, l, c, js.terminal,
+        np.broadcast_to(js.Sig2, A.shape), *quadratic, terminal,
     )
+
+
+def _policy_cost(js: JointSystem, L: np.ndarray, uc: np.ndarray) -> float:
+    """Exact deviator cost of the policy u = L[q] y + uc[q] (stage tables)."""
+    return _closed_loop_cost(js, L, uc, _policy_quadratic(
+        js.W, js.S, js.R, js.eta_y, js.nbar_y, js.c0, L, uc), js.terminal)
 
 
 def equilibrium_cost_ode(js: JointSystem) -> float:
@@ -126,13 +135,18 @@ def equilibrium_cost_ode(js: JointSystem) -> float:
 class BestResponse:
     """Affine best-response law u = -gains[q] y - feedforwards[q].
 
+    The deviator's ExtendedSystem (JointSystem._agent) goes through
+    lqg_single._solve_agent_finite and _gain_tables, as every agent does.
     The feedforwards are -k, with the sign of LqgSolution.kff and the
-    opposite of a FeedbackLaw's k.
+    opposite of a FeedbackLaw's k.  Gain tables are indexed by half-step
+    stages q = 0..2M, formed at the nodes and given their midpoints by
+    _stage_values; Pi and s are the node tables of the backward sweeps,
+    with Pi[-1] the untouched terminal weight and s[-1] = 0.
 
-    Gain tables are indexed by half-step stages q = 0..2M, formed at the
-    nodes and given their midpoints by _stage_values; Pi and s are node
-    tables from the backward sweep, with Pi[-1] the untouched terminal
-    weight.
+    gap_identity is (1/2) E int e^{-rho t} du' R du dt along the
+    equilibrium closed loop, du = u_eq - u_br(y): completing the square
+    makes it J_eq - cost in continuous time, and on the grid the two
+    differ by the second-order time error.
     """
 
     gains: np.ndarray            # (2M+1, m, D)
@@ -140,75 +154,32 @@ class BestResponse:
     Pi: np.ndarray               # (M+1, D, D)
     s: np.ndarray                # (M+1, D, 1)
     cost: float                  # exact cost by forward moment propagation
-    cost_value_fn: float         # same value read off the value function at 0
-    diagnostics: Dict[str, float] = field(default_factory=dict)
+    gap_identity: float          # the gap by the completing-the-square identity
 
 
 def solve_best_response(js: JointSystem) -> BestResponse:
     """Exact full-information best response in the reduced closed loop.
 
-    Backward Riccati/offset/value sweep, packed as (Pi, s, v), with
-    terminal condition given by the deviator's terminal weight; the node
-    gains come from lqg_single._gains, as every agent's do, and the law is
-    evaluated forward by moment propagation.  The value-function route and
-    the moment route must agree; their difference is reported as a
-    diagnostic.
+    Convexity is screened on the deviator's primitive weights, then its
+    agent record goes through the one finite-horizon agent solve.  The
+    law's cost and gap_identity, the deviation u_eq - u_br = (gains - Kz) y
+    + (k_st + feedforwards) weighted by R, come from moment propagation.
     """
     rep = ValidationReport()
     add_convexity_checks(rep, "deviator ", js.Qhat, js.Q, js.Ncr, js.R, PSD_TOL)
     rep.require()
-    p = js.p
-    grid = p.grid
-    rho = p.rho
-    D, m = js.D, js.m
-    Rinv = spd_solver(js.R, "deviator control weight")(np.eye(m))
-    W, S, eta_y, nbar_y = js.W, js.S, js.eta_y, js.nbar_y
-    B = js.B_full
-    Bt = B.T
-
-    DD = D * D
-    shapes = [(D, D), (D, 1), ()]
-
-    def rhs(q, Y):
-        Pi, s, v = unflatten(Y, shapes)
-        Aq = js.A[q]
-        dq = js.d[q]
-        PB_S = Pi @ B + S
-        G = Rinv @ PB_S.T                # R^{-1}(B'Pi + S')
-        dPi = rho * Pi - Aq.T @ Pi - Pi @ Aq - W + PB_S @ G
-        Bs_r = Bt @ s - nbar_y
-        RBs_r = Rinv @ Bs_r
-        ds = rho * s - Aq.T @ s - Pi @ dq + eta_y + PB_S @ RBs_r
-        dv = rho * v - (s.T @ dq).item() - 0.5 * js.c0 \
-            - 0.5 * np.vdot(Pi, js.Sig2) \
-            + 0.5 * (Bs_r.T @ RBs_r).item()
-        return flatten(dPi, ds, dv)
-
-    # (Pi, s, v) packed; Pi[T], s[T], v[T] are the terminal form's pieces
-    W_T, l_T, c_T = js.terminal
-    terminal = flatten(W_T, l_T, 0.5 * c_T)
-    try:
-        sweep = rk4_backward_indexed(rhs, terminal, grid, project=symmetrize_leading(D))
-    except IntegrationDivergedError as exc:
-        raise RiccatiBlowupError(
-            "joint backward sweep diverged: %s" % exc, node=exc.node, time=exc.time
-        ) from exc
-    nodes = sweep.values[:, 0]
-    Pi_nodes, s_nodes = nodes[:, :DD].reshape(-1, D, D), nodes[:, DD:DD + D, None]
-    v = nodes[0, -1]
-    K_nodes, k_nodes = _gains(Rinv, B, S, nbar_y, Pi_nodes, s_nodes)
-    gains, ffs = _stage_values(K_nodes), _stage_values(-k_nodes)
-
-    mu0, V0 = js.mu0, js.V0
-    cost_value_fn = 0.5 * (np.vdot(Pi_nodes[0], V0)
-                           + (mu0.T @ Pi_nodes[0] @ mu0).item()) \
-        + (s_nodes[0].T @ mu0).item() + v
-
-    cost = _policy_cost(js, -gains, -ffs)
+    agent = js._agent()
+    Pi, s = _solve_agent_finite(agent, js.p.rho)
+    law = _gain_tables(agent, Pi, s)
+    gains, ffs = _stage_values(law.K), _stage_values(-law.k.values)
+    deviation = _policy_quadratic(0.0, np.zeros_like(js.S), js.R, 0.0,
+                                  np.zeros_like(js.nbar_y), 0.0,
+                                  gains - js.Kz, js.k_st + ffs)
+    identity = _closed_loop_cost(js, -js.Kz, js.k_st, deviation, (
+        np.zeros_like(js.W), np.zeros_like(js.eta_y), 0.0))
     return BestResponse(
-        gains=gains, feedforwards=ffs, Pi=Pi_nodes, s=s_nodes,
-        cost=cost, cost_value_fn=cost_value_fn,
-        diagnostics={"route_mismatch": abs(cost - cost_value_fn)},
+        gains=gains, feedforwards=ffs, Pi=Pi.values, s=s.values,
+        cost=_policy_cost(js, -gains, -ffs), gap_identity=identity,
     )
 
 
@@ -243,12 +214,13 @@ def epsilon_nash_gap(p: MmMfgProblem, sol: MfgSolution, cfg: PopulationConfig,
     J_eq = equilibrium_cost_ode(js)
     br = solve_best_response(js)
     chain_ref = expected_cost_exact(p, sol, cfg, deviator).value
-    diag = dict(br.diagnostics)
-    diag["assembly_crosscheck"] = abs(js.undeviated_cost() - chain_ref)
+    gap = J_eq - br.cost
+    diag = {"identity_mismatch": abs(br.gap_identity - gap),
+            "assembly_crosscheck": abs(js.undeviated_cost() - chain_ref)}
     return NashGapReport(
         agent_id=deviator, N=cfg.N,
         J_equilibrium=J_eq, J_best_response=br.cost,
-        gap=J_eq - br.cost, diagnostics=diag,
+        gap=gap, diagnostics=diag,
     )
 
 
@@ -258,7 +230,7 @@ class GapRow:
     major_gap: float
     type_gaps: List[float]
     max_gap: float
-    route_mismatch: float          # worst over the row's deviators
+    identity_mismatch: float       # worst over the row's deviators
     assembly_crosscheck: float     # worst over the row's deviators
 
 
@@ -289,7 +261,8 @@ def gap_vs_population(p: MmMfgProblem, sol: MfgSolution, Ns: Sequence[int]) -> G
         rows.append(GapRow(
             N=N, major_gap=major, type_gaps=type_gaps,
             max_gap=max([major] + type_gaps),
-            route_mismatch=max(r.diagnostics["route_mismatch"] for r in reports),
+            identity_mismatch=max(r.diagnostics["identity_mismatch"]
+                                  for r in reports),
             assembly_crosscheck=max(r.diagnostics["assembly_crosscheck"]
                                     for r in reports),
         ))

@@ -25,7 +25,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .errors import DivergedPathError, IntegrationDivergedError, SchemaError
-from .lqg_single import _policy_quadratic, psd_sqrt
+from .lqg_single import _as_matrix, _policy_quadratic, psd_sqrt
 from .mfg_model import MmMfgProblem
 from .mfg_solver import MfgSolution, mean_field_step_euler
 from .numerics import (_as_array, _as_count, _as_seed, matvec_rows, symmetrize,
@@ -62,7 +62,7 @@ class PopulationConfig:
         if self.type_assignment is not None:
             self.type_assignment = _type_indices(self.type_assignment, self.N)
         if self.xbar0 is not None:
-            self.xbar0 = _as_array("xbar0", self.xbar0).reshape(-1)
+            self.xbar0 = _as_array("xbar0", self.xbar0)
 
 
 @dataclass
@@ -416,11 +416,9 @@ def _type_of(p: MmMfgProblem, cfg: PopulationConfig) -> np.ndarray:
 
 
 def _initial_mean_field(p: MmMfgProblem, cfg: PopulationConfig) -> np.ndarray:
-    """cfg.xbar0 (zero when unset), checked to have length n*K."""
-    xbar0 = np.zeros(p.n * p.K) if cfg.xbar0 is None else cfg.xbar0
-    if xbar0.shape != (p.n * p.K,):
-        raise SchemaError("xbar0 must have length n*K")
-    return xbar0
+    """cfg.xbar0 (zero when unset) as a length n*K vector, read by the
+    rule of mfg_solver.mean_field_trajectory."""
+    return _as_matrix("xbar0", cfg.xbar0, p.n * p.K, 1)[:, 0]
 
 
 class ReducedPopulation:
@@ -498,6 +496,7 @@ class ReducedPopulation:
         self.K_nodes, self.k_nodes = law.K.values, law.k.values
         # the running cost tracks C y - eta; in y its weights take
         # _policy_quadratic's form (W, S, R, eta_y, nbar_y, c0)
+        self.C = C
         self.W = symmetrize(C.T @ self.Q @ C)
         self.S = C.T @ self.Ncr
         self.eta_y = C.T @ (self.Q @ eta)

@@ -37,8 +37,8 @@ from mmlqg.errors import (
     RiccatiBlowupError,
     SchemaError,
 )
-from mmlqg.lqg_single import (PSD_TOL, ValidationReport, _are_residual,
-                              _policy_quadratic, _stage_values,
+from mmlqg.lqg_single import (PSD_TOL, ExtendedSystem, ValidationReport,
+                              _are_residual, _policy_quadratic, _stage_values,
                               add_convexity_checks, psd_sqrt, spd_solver)
 from mmlqg.mfg_model import MmMfgProblem
 from mmlqg.mfg_solver import MfgSolution
@@ -244,6 +244,17 @@ class DenseJointSystem:
             k = int(self.type_of[self.deviator - 1])
             K_st, self.k_st = self._Kk[k], self._kk[k]
         self.Kz = np.array([K_st[q] @ self.U for q in stages])
+
+    def _agent(self) -> ExtendedSystem:
+        """The deviator's agent record, as nash_gap.JointSystem._agent()
+        builds it, from the node tables: the stage tables' even stages."""
+        grid = self.p.grid
+        return ExtendedSystem(
+            what="deviator", A=GridFunction(grid, self.A[::2]), B=self.B_full,
+            b=GridFunction(grid, self.d[::2]), Qhat=self.terminal[0], Q=self.W,
+            N=self.S, R=self.R, eta=self.eta_y, nbar=self.nbar_y,
+            Q_factor=psd_sqrt(self.Q) @ self.C,
+        )
 
     def _own(self, off: int, width: Optional[int] = None) -> np.ndarray:
         width = self.n if width is None else width

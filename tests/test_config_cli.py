@@ -457,9 +457,13 @@ def test_nash_gap_summary_reports_row_diagnostics(tmp_path):
     out = tmp_path / "run"
     assert _run(["nash-gap", "--config", cfg_path, "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
-    for key in ("route_mismatch", "assembly_crosscheck"):
-        assert len(summary[key]) == len(summary["Ns"])
-        assert all(0.0 <= v <= 1e-8 for v in summary[key])
+    p = config.parse_mfg_problem(cfg)
+    sol = mfg_solver.solve_consistency_finite(p, config.parse_fixed_point(cfg))
+    rows = mmlqg.gap_vs_population(p, sol, summary["Ns"]).rows
+    for key in ("identity_mismatch", "assembly_crosscheck"):
+        assert summary[key] == [getattr(row, key) for row in rows]
+        assert all(math.isfinite(v) and v >= 0.0 for v in summary[key])
+    assert all(v <= 1e-8 for v in summary["assembly_crosscheck"])
 
 
 # ------------------------------------------------------------------- verify
