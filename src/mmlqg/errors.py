@@ -36,17 +36,19 @@ class IntegrationDivergedError(NumericalError):
     """Non-finite value produced during an ODE sweep.
 
     Carries the node index and time at which the sweep first left the
-    finite range.
+    finite range and, for a stacked sweep, the index of the member that
+    did (0 otherwise).
     """
 
-    def __init__(self, message, node=None, time=None):
+    def __init__(self, message, node=None, time=None, member=0):
         super().__init__(message)
         self.node = node
         self.time = time
+        self.member = member
 
 
 class RiccatiBlowupError(NumericalError):
-    """Riccati sweep diverged; reports the last finite node."""
+    """Riccati or offset sweep diverged; reports the first non-finite node."""
 
     def __init__(self, message, node=None, time=None):
         super().__init__(message)

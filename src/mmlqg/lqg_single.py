@@ -395,7 +395,8 @@ def _stage_values(nodes) -> np.ndarray:
     M = v.shape[0] - 1
     out = np.empty((2 * M + 1,) + v.shape[1:])
     out[0::2] = v
-    out[1::2] = 0.5 * (v[:-1] + v[1:])
+    mid = np.add(v[:-1], v[1:], out=out[1::2])
+    mid *= 0.5
     return out
 
 
@@ -404,52 +405,69 @@ def _discount_stages(grid: TimeGrid, rho: float) -> np.ndarray:
 
 
 def _riccati_sweep(A_st, B, Q, N, Rinv, rho, terminal, grid: TimeGrid,
-                   what: str = "Riccati sweep") -> GridFunction:
-    """Backward RK4 sweep of the Riccati ODE on half-step stage tables.
+                   whats) -> List[GridFunction]:
+    """Backward RK4 sweep of the Riccati ODE for a stack of agents, on
+    half-step stage tables.
 
     dPi/dt = rho Pi - Pi A - A'Pi + (Pi B + N) R^{-1} (B'Pi + N') - Q with
-    A_st[q] = A(q h/2) and Rinv = R^{-1}.  Pi is symmetrized after every
-    step; divergence raises RiccatiBlowupError with the last node reached.
+    A_st[q] = A(q h/2) and Rinv = R^{-1}.  Every array carries the agent
+    axis in front of its matrix axes (after the stage axis of A_st), and
+    whats[k] names agent k's sweep.  A_st is overwritten.  Pi is
+    symmetrized after every step; divergence raises RiccatiBlowupError
+    naming the lowest-index agent that diverged and its first non-finite
+    node.
     """
-    As_st = A_st - 0.5 * rho * np.eye(A_st.shape[1])   # rho Pi enters as -rho/2 I
+    # rho Pi enters as -rho/2 I
+    As_st = np.subtract(A_st, 0.5 * rho * np.eye(A_st.shape[-1]), out=A_st)
 
     def stage_rhs(q, P):
         PA = P @ As_st[q]
         PBN = P @ B + N
-        return PBN @ Rinv @ PBN.T - PA - PA.T - Q
+        return PBN @ Rinv @ PBN.swapaxes(-1, -2) - PA - PA.swapaxes(-1, -2) - Q
 
-    try:
-        return rk4_backward_indexed(stage_rhs, terminal, grid, project=symmetrize)
-    except IntegrationDivergedError as exc:
-        raise RiccatiBlowupError(
-            "%s diverged: %s" % (what, exc), node=exc.node, time=exc.time
-        ) from exc
+    return _swept(stage_rhs, terminal, grid, symmetrize, whats)
 
 
-def _offset_sweep(A_st, B, N, Rinv, rho, Pi_st, b_st, n_lin, eta, grid: TimeGrid,
-                  what: str = "offset sweep") -> GridFunction:
-    """Backward RK4 sweep of the offset ODE, s(T) = 0, on stage tables.
+def _offset_sweep(A_st, B, N, Rinv, rho, Pis, b_st, n_lin, eta, grid: TimeGrid,
+                  whats) -> List[GridFunction]:
+    """Backward RK4 sweep of the offset ODE, s(T) = 0, for a stack of agents
+    on stage tables (agent axes as in _riccati_sweep).
 
     ds/dt = (rho I - Acl') s - f with Acl' = (A - B R^{-1} N')' - Pi B R^{-1} B'
     and f = Pi (b + B R^{-1} n) + N R^{-1} n - eta, both tabulated at every
-    stage before the sweep.
+    stage before the sweep from the agents' Riccati node tables Pis.
+    rho I - Acl' is formed in A_st's memory, one agent at a time, so only
+    one agent's Pi stage table exists at once.
     """
     BR = B @ Rinv
-    dim = B.shape[0]
+    BRB = BR @ B.swapaxes(-1, -2)
+    bn_st = b_st + BR @ n_lin
+    f_0 = N @ Rinv @ n_lin - eta
+    f_st = np.empty(bn_st.shape)
     # an overflowing Pi is reported by the sweep's finite check, not here
     with np.errstate(over="ignore", invalid="ignore"):
-        Acl_T = np.swapaxes(A_st - BR @ N.T, 1, 2) - Pi_st @ (BR @ B.T)
-        L_st = rho * np.eye(dim) - Acl_T
-        f_st = Pi_st @ (b_st + BR @ n_lin) + (N @ Rinv @ n_lin - eta)
+        L_st = np.subtract(A_st, BR @ N.swapaxes(-1, -2), out=A_st)
+        for k, Pi in enumerate(Pis):
+            Pi_st = _stage_values(Pi)
+            f_st[:, k] = Pi_st @ bn_st[:, k] + f_0[k]
+            Acl_T = np.subtract(L_st[:, k].swapaxes(-1, -2), Pi_st @ BRB[k], out=Pi_st)
+            L_st[:, k] = np.subtract(rho * np.eye(B.shape[-2]), Acl_T, out=Acl_T)
+            del Pi_st, Acl_T   # before the next agent's table is formed
 
     def stage_rhs(q, s):
         return L_st[q] @ s - f_st[q]
 
+    return _swept(stage_rhs, np.zeros(f_st.shape[1:]), grid, None, whats)
+
+
+def _swept(stage_rhs, terminal, grid: TimeGrid, project, whats) -> List[GridFunction]:
+    """One stacked backward sweep; divergence is a RiccatiBlowupError that
+    names the diverged member's sweep."""
     try:
-        return rk4_backward_indexed(stage_rhs, np.zeros((dim, 1)), grid)
+        return rk4_backward_indexed(stage_rhs, terminal, grid, project=project)
     except IntegrationDivergedError as exc:
         raise RiccatiBlowupError(
-            "%s diverged: %s" % (what, exc), node=exc.node, time=exc.time
+            "%s diverged: %s" % (whats[exc.member], exc), node=exc.node, time=exc.time
         ) from exc
 
 
@@ -464,24 +482,36 @@ def _steady_offset(A, B, N, Rinv, rho, Pi, b, n_lin, eta) -> np.ndarray:
     return np.linalg.solve(rho * np.eye(A.shape[0]) - Acl_T, f)
 
 
-def _solve_agent_finite(ext: ExtendedSystem, rho: float):
-    """Finite horizon: one agent's backward Riccati sweep, then its offset sweep.
+def _solve_agent_finite(exts: List[ExtendedSystem], rho: float):
+    """Finite horizon: a stack of agents of one dimension on one grid, as
+    one backward Riccati sweep, then one offset sweep.
 
-    Both run on ext's grid from half-step stage tables; Pi is symmetrized
-    after every step.  Returns (Pi, s); divergence raises
-    RiccatiBlowupError with the last node reached.
+    Both run from half-step stage tables with the agent axis after the
+    stage axis; each sweep gets its own stage table of A and forms its
+    coefficients in place there, so a stack holds no whole-stack
+    temporaries.  Pi is symmetrized after every step.  numpy's stacked @
+    forms one product per agent, so each agent rounds exactly as it does
+    in a one-element stack.  Returns (Pis, ss), one GridFunction of each
+    per agent; divergence raises RiccatiBlowupError naming the
+    lowest-index agent that diverged, at its first non-finite node.
     """
-    A_st = _stage_values(ext.A)
-    grid = ext.A.grid
-    Pi = _riccati_sweep(
-        A_st, ext.B, ext.Q, ext.N, ext.Rinv, rho, ext.Qhat, grid,
-        ext.what + " Riccati sweep",
+    def stacked(name):
+        return np.stack([getattr(ext, name) for ext in exts])
+
+    def stages(name):   # (2M + 1, agents, rows, cols)
+        return _stage_values(np.stack([getattr(ext, name).values for ext in exts], axis=1))
+
+    B, N, Rinv = stacked("B"), stacked("N"), stacked("Rinv")
+    grid = exts[0].A.grid
+    Pis = _riccati_sweep(
+        stages("A"), B, stacked("Q"), N, Rinv, rho, stacked("Qhat"), grid,
+        [ext.what + " Riccati sweep" for ext in exts],
     )
-    s = _offset_sweep(
-        A_st, ext.B, ext.N, ext.Rinv, rho, _stage_values(Pi), _stage_values(ext.b),
-        ext.nbar, ext.eta, grid, ext.what + " offset sweep",
+    ss = _offset_sweep(
+        stages("A"), B, N, Rinv, rho, Pis, stages("b"), stacked("nbar"), stacked("eta"),
+        grid, [ext.what + " offset sweep" for ext in exts],
     )
-    return Pi, s
+    return Pis, ss
 
 
 def _gains(Rinv, B, N, nbar, Pi: np.ndarray, s: np.ndarray) -> tuple:
@@ -501,7 +531,7 @@ def solve_finite_horizon(p: LqgProblem) -> LqgSolution:
     """Convexity checks, the finite agent solve, then the gain table."""
     report = validate_convexity(p).require()
     agent = p._agent()
-    Pi, s = _solve_agent_finite(agent, p.rho)
+    (Pi,), (s,) = _solve_agent_finite([agent], p.rho)
     law = _gain_tables(agent, Pi, s)
     return LqgSolution(Pi=Pi, s=s, K=law.K, kff=GridFunction(p.grid, -law.k.values),
                        validation=report)
@@ -737,9 +767,24 @@ def psd_sqrt(Q: np.ndarray) -> np.ndarray:
     return (V * np.sqrt(w)) @ V.T
 
 
-def _are_residual(Pi, A, B, Q, N, R_solve, rho):
+# The ARE gate's roundoff allowance, in eps times the sum of the norms of
+# the residual's terms (a relative backward error of 2.2e-12).  The sign
+# route reaches 515 on the random problems of tests/test_are.py (n <= 8,
+# ||Pi|| up to 1.5e6), still within 3.3e-10 of scipy's CARE; a wrong root
+# leaves a residual of the order of the terms themselves.
+ARE_ROUNDOFF = 1e4
+
+
+def _are_terms(Pi, A, B, Q, N, R_solve, rho) -> tuple:
+    """The ARE residual's terms Pi A, A'Pi, (Pi B + N) R^{-1} (B'Pi + N'),
+    Q and rho Pi, in the order _are_residual sums them."""
     PBN = Pi @ B + N
-    return Pi @ A + A.T @ Pi - PBN @ R_solve(PBN.T) + Q - rho * Pi
+    return Pi @ A, A.T @ Pi, PBN @ R_solve(PBN.T), Q, rho * Pi
+
+
+def _are_residual(Pi, A, B, Q, N, R_solve, rho):
+    PA, AtP, gain, Q, rP = _are_terms(Pi, A, B, Q, N, R_solve, rho)
+    return PA + AtP - gain + Q - rP
 
 
 def _matrix_sign(Z: np.ndarray) -> np.ndarray:
@@ -787,7 +832,10 @@ def solve_discounted_are(
     sign function (Byers 1987).  Up to three Newton-Kleinman steps (Kleinman
     1968) then polish Pi, each Lyapunov equation A_c'X + X A_c + F = 0
     solved by sign([[A_c', F], [0, -A_c]]) = [[-I, 2X], [0, I]] (Roberts
-    1980).  Raises AreSolveError when no stabilizing solution emerges.
+    1980).  Pi is accepted when its residual norm is below residual_tol or,
+    for large weights, below the roundoff bound ARE_ROUNDOFF eps times the
+    sum of the terms' norms, and its closed loop is stable; otherwise
+    AreSolveError is raised.
     """
     n = A.shape[0]
     rinv = spd_solver(R, what=what)
@@ -816,11 +864,12 @@ def solve_discounted_are(
         S = _matrix_sign(np.block([[A_c.T, F], [np.zeros((n, n)), -A_c]]))
         Pi = symmetrize(Pi + 0.5 * S[:n, n:])
 
-    F = _are_residual(Pi, A, B, Q, N, rinv, rho)
-    res = float(np.linalg.norm(F))
+    terms = _are_terms(Pi, A, B, Q, N, rinv, rho)
+    res = float(np.linalg.norm(_are_residual(Pi, A, B, Q, N, rinv, rho)))
+    roundoff = ARE_ROUNDOFF * np.finfo(float).eps * sum(map(np.linalg.norm, terms))
     A_c = A - B @ rinv(B.T @ Pi + N.T) - 0.5 * rho * np.eye(n)
     stable = bool(np.max(np.linalg.eigvals(A_c).real) < 0)
-    if res >= residual_tol or not stable:
+    if res >= max(residual_tol, roundoff) or not stable:
         raise AreSolveError(
             "no stabilizing Riccati solution found (residual %.3e, closed loop %s)"
             % (res, "stable" if stable else "unstable")

@@ -12,7 +12,10 @@ agent is solved and turned into a law by the same lqg_single routines as
 a standalone LQG problem, and the closure reads only the minors' laws, so
 this module forms no extended weight.  One map serves both horizons; they
 differ only in the per-agent solve: backward RK4 sweeps on the grid, or
-the discounted ARE and steady offset at node 0.
+the discounted ARE and steady offset at node 0.  The K minor types share
+one extended dimension, so the finite horizon sweeps them as one stack:
+an evaluation runs 4 RK4 sweeps for any K, the major's Riccati and offset
+sweeps and then the minors' stacked Riccati and offset sweeps.
 
 One iteration serves the finite-horizon and the stationary problem: Anderson
 acceleration (Walker & Ni 2011) with a memory of ANDERSON_MEMORY past
@@ -113,21 +116,23 @@ class MfgSolution:
     validation: ValidationReport       # the game checks the solver ran
 
 
-def _sweep_agent(p: MmMfgProblem, ext: ExtendedSystem):
-    """Finite horizon: one agent's (Pi, s) by the shared finite agent solve."""
-    return _solve_agent_finite(ext, p.rho)
+def _sweep_agent(p: MmMfgProblem, exts: List[ExtendedSystem]):
+    """Finite horizon: a stack of agents' (Pis, ss) by the shared finite
+    agent solve, one Riccati and one offset sweep for the whole stack."""
+    return _solve_agent_finite(exts, p.rho)
 
 
 def _stationary_agent(p: MmMfgProblem):
-    """Infinite horizon: one agent's discounted ARE and steady offset.
+    """Infinite horizon: each agent's discounted ARE and steady offset.
 
-    Returns solve_agent(p, ext) for p on a one-step grid, reading node 0,
+    Returns solve_agent(p, exts) for p on a one-step grid, reading node 0,
     through the shared stationary agent solve, which first runs the
     Hautus tests on the record's own weight factor.
     """
-    def solve_agent(p: MmMfgProblem, ext: ExtendedSystem):
-        Pi, s, _ = _solve_agent_stationary(ext, p.rho)
-        return GridFunction.constant(p.grid, Pi), GridFunction.constant(p.grid, s)
+    def solve_agent(p: MmMfgProblem, exts: List[ExtendedSystem]):
+        solved = [_solve_agent_stationary(ext, p.rho) for ext in exts]
+        return ([GridFunction.constant(p.grid, Pi) for Pi, _, _ in solved],
+                [GridFunction.constant(p.grid, s) for _, s, _ in solved])
 
     return solve_agent
 
@@ -190,13 +195,16 @@ def _initial_law(p: MmMfgProblem) -> MeanFieldLaw:
 def _consistency_map(p: MmMfgProblem, law0: MeanFieldLaw, solve_agent, nodes: int):
     """The consistency map on the law's first `nodes` node tables, flattened.
 
-    solve_agent(p, ext) returns one agent's (Pi, s) on p's grid.  The
-    finite horizon passes _sweep_agent and iterates on every node; the
-    stationary problem, on a one-step grid, passes _stationary_agent and
-    iterates on node 0, which the law repeats at every node.  Returns
-    (x0, evaluate): x0 flattens law0 and evaluate(x) returns (F(x), (law,
-    ext_major, Pi0, s0, ext_minors, Piks, sks, minor_laws)) with law the
-    MeanFieldLaw that x encodes.  Each evaluation builds the major once.
+    solve_agent(p, exts) returns the lists (Pis, ss) of a stack of agents
+    on p's grid.  The finite horizon passes _sweep_agent and iterates on
+    every node; the stationary problem, on a one-step grid, passes
+    _stationary_agent and iterates on node 0, which the law repeats at
+    every node.  Returns (x0, evaluate): x0 flattens law0 and evaluate(x)
+    returns (F(x), (law, ext_major, Pi0, s0, ext_minors, Piks, sks,
+    minor_laws)) with law the MeanFieldLaw that x encodes.  Each
+    evaluation builds the major once and solves it as a one-element stack,
+    then the K minor types as one stack: 4 backward RK4 sweeps for any K
+    on the finite horizon.
     """
     gfs = (law0.Abar, law0.Gbar, law0.mbar)
     if nodes > 1 and any(gf.grid != p.grid for gf in gfs):
@@ -212,9 +220,9 @@ def _consistency_map(p: MmMfgProblem, law0: MeanFieldLaw, solve_agent, nodes: in
             for v in unflatten(x, shapes)
         ))
         ext_major = build_extended_major(p, law)
-        Pi0, s0 = solve_agent(p, ext_major)
+        (Pi0,), (s0,) = solve_agent(p, [ext_major])
         ext_minors = [build_extended_minor(p, k, ext_major, Pi0, s0) for k in range(p.K)]
-        Piks, sks = map(list, zip(*(solve_agent(p, ext) for ext in ext_minors)))
+        Piks, sks = solve_agent(p, ext_minors)
         minor_laws = [_gain_tables(*agent) for agent in zip(ext_minors, Piks, sks)]
         fx = flatten(*_closure_law(p, minor_laws, mbreve, nodes))
         return fx, (law, ext_major, Pi0, s0, ext_minors, Piks, sks, minor_laws)
@@ -286,10 +294,11 @@ def solve_consistency_finite(p: MmMfgProblem, cfg: Optional[FixedPointConfig] = 
     """Anderson-accelerated fixed point of (Abar, Gbar, mbar) on the grid.
 
     Each evaluation backward-solves the major's extended Riccati/offset
-    pair, then every minor type's, then closes the loop through the minor
-    feedback.  Stops when the undamped residual max|F(law) - law| drops
-    below tol; the returned Riccati data come from that last evaluation,
-    so they and the returned law are mutually consistent.
+    pair, then those of all minor types as one stack, then closes the
+    loop through the minor feedback.  Stops when the undamped residual
+    max|F(law) - law| drops below tol; the returned Riccati data come from
+    that last evaluation, so they and the returned law are mutually
+    consistent.
     """
     return _solve_fixed_point(p, cfg or FixedPointConfig(), _sweep_agent,
                               p.grid.num_nodes, "consistency iteration")

@@ -169,7 +169,7 @@ def solve_best_response(js: JointSystem) -> BestResponse:
     add_convexity_checks(rep, "deviator ", js.Qhat, js.Q, js.Ncr, js.R, PSD_TOL)
     rep.require()
     agent = js._agent()
-    Pi, s = _solve_agent_finite(agent, js.p.rho)
+    (Pi,), (s,) = _solve_agent_finite([agent], js.p.rho)
     law = _gain_tables(agent, Pi, s)
     gains, ffs = _stage_values(law.K), _stage_values(-law.k.values)
     deviation = _policy_quadratic(0.0, np.zeros_like(js.S), js.R, 0.0,

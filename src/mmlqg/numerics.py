@@ -6,7 +6,11 @@ Every solver in the package shares one discretization, so all grids are
 uniform and all sweeps land exactly on the grid nodes.  Every RK4 sweep in
 the package steps through the one loop here, _rk4_sweep, with its
 coefficients read from half-step stage tables; a state made of several
-parts travels packed into one contiguous array (flatten / unflatten).
+parts travels packed into one contiguous array (flatten / unflatten), and
+a stack of independent matrices, such as the minor types' Riccati
+matrices, sweeps as one state with a leading member axis.  Finiteness is
+checked once per sweep, on the finished node table, and a divergence is
+reported at the first non-finite node in sweep order.
 """
 
 from __future__ import annotations
@@ -258,29 +262,25 @@ def symmetrize_leading(n: int):
     return project
 
 
-def _check_finite(Y: np.ndarray, node: int, t: float, what: str):
-    if not np.all(np.isfinite(Y)):
-        raise IntegrationDivergedError(
-            "%s produced a non-finite value at node %d (t = %.12g)"
-            % (what, node, t),
-            node=node,
-            time=t,
-        )
-
-
-def _rk4_sweep(stage_rhs, start, grid: TimeGrid, sign: int, project) -> GridFunction:
+def _rk4_sweep(stage_rhs, start, grid: TimeGrid, sign: int, project):
     """The package's one RK4 stepping loop: forward for sign +1, backward for -1.
 
     stage_rhs(q, Y) is the derivative at time q * h / 2.  start is stored
     exactly at the first node; project, if given, is applied to the state
-    after every completed step.  A non-finite value raises
-    IntegrationDivergedError naming the node.
+    after every completed step.  A state of shape (L, rows, cols) is a
+    stack of L independent members stepped together, and the sweep returns
+    one GridFunction per member; any other state returns one GridFunction.
+
+    Finiteness is checked once, on the node table after the loop.  A
+    non-finite value raises IntegrationDivergedError at the first
+    non-finite node in sweep order, the node a check after every step
+    would stop at; in a stack it names the lowest-index member that left
+    the finite range (member), at that member's own first such node.
     """
     Y = np.atleast_2d(np.asarray(start, dtype=float)).copy()
     M = grid.num_steps
     h = sign * grid.h
     first = 0 if sign > 0 else M
-    what = "forward integration" if sign > 0 else "backward integration"
     out = np.empty((M + 1,) + Y.shape)
     out[first] = Y
     # overflow in a diverging sweep is expected; the finite check reports it
@@ -295,12 +295,24 @@ def _rk4_sweep(stage_rhs, start, grid: TimeGrid, sign: int, project) -> GridFunc
             Y = Y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             if project is not None:
                 Y = project(Y)
-            _check_finite(Y, b, b * grid.h, what)
             out[b] = Y
+    members = Y.shape[0] if Y.ndim == 3 else 1
+    stepped = out[1:] if sign > 0 else out[-2::-1]   # the stepped nodes, in sweep order
+    finite = np.isfinite(stepped).reshape(M, members, -1).all(-1)
+    if not finite.all():
+        member = int(np.argmin(finite.all(0)))
+        b = first + sign * (int(np.argmin(finite[:, member])) + 1)
+        raise IntegrationDivergedError(
+            "%s integration produced a non-finite value at node %d (t = %.12g)"
+            % ("forward" if sign > 0 else "backward", b, b * grid.h),
+            node=b, time=b * grid.h, member=member,
+        )
+    if Y.ndim == 3:
+        return [GridFunction(grid, out[:, k]) for k in range(members)]
     return GridFunction(grid, out)
 
 
-def rk4_backward_indexed(stage_rhs, terminal, grid: TimeGrid, project=None) -> GridFunction:
+def rk4_backward_indexed(stage_rhs, terminal, grid: TimeGrid, project=None):
     """RK4 sweep from t_end down to 0 whose right-hand side is queried by
     half-step index.
 
@@ -308,7 +320,9 @@ def rk4_backward_indexed(stage_rhs, terminal, grid: TimeGrid, project=None) -> G
     even q and interval midpoints odd q.  Lets callers with tabulated
     time-varying coefficients avoid interpolation in the hot loop.
     terminal is stored at the last node exactly; project (used to
-    symmetrize Riccati iterates) follows every step.
+    symmetrize Riccati iterates) follows every step.  A terminal of shape
+    (L, rows, cols) sweeps a stack of L members and returns a list of L
+    GridFunctions (see _rk4_sweep).
     """
     return _rk4_sweep(stage_rhs, terminal, grid, -1, project)
 
