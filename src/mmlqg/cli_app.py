@@ -1,10 +1,10 @@
 """Command-line batch interface.
 
-Subcommands: solve-lqg, solve-mfg, simulate, nash-gap, verify.  Every
-command is a pure function of (config bytes, master seed): numeric
-output files are byte-stable across reruns and across --threads, and
-the wall-clock manifest lives in its own file so the data files can be
-diffed directly.
+Subcommands: solve-lqg, solve-mfg, simulate, nash-gap, verify.  Each
+data command writes data files that are a pure function of (config
+bytes, master seed) and returns the seed it used; `main` times it and,
+only once it succeeds, writes manifest.json, the one file that moves
+between reruns.  --threads is accepted and ignored.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure,
 4 assumption violation.
@@ -12,7 +12,6 @@ Exit codes: 0 success, 2 config error, 3 numerical failure,
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -83,16 +82,6 @@ def _write_manifest(out: Path, command: str, cfg_path: str, cfg: dict,
         json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _parallel_map(fn, items, threads: int):
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, items))
-
-
 def _report_dict(report) -> dict:
     return {
         "passed": report.ok,
@@ -101,8 +90,7 @@ def _report_dict(report) -> dict:
     }
 
 
-def cmd_solve_lqg(cfg: dict, cfg_path: str, out: Path, seed, threads: int) -> int:
-    started = time.monotonic()
+def cmd_solve_lqg(cfg: dict, out: Path, seed):
     p = config.parse_lqg_problem(cfg)
     sol = solve_finite_horizon(p)
     J = expected_cost(p, sol)
@@ -116,13 +104,10 @@ def cmd_solve_lqg(cfg: dict, cfg_path: str, out: Path, seed, threads: int) -> in
         "validation": _report_dict(sol.validation),
         "grid": {"T": p.grid.t_end, "M": p.grid.num_steps},
     })
-    _write_manifest(out, "solve-lqg", cfg_path, cfg, seed,
-                    {"wall_s": time.monotonic() - started})
-    return 0
+    return seed
 
 
-def cmd_solve_mfg(cfg: dict, cfg_path: str, out: Path, seed, threads: int) -> int:
-    started = time.monotonic()
+def cmd_solve_mfg(cfg: dict, out: Path, seed):
     p = config.parse_mfg_problem(cfg)
     sol = solve_consistency_finite(p, config.parse_fixed_point(cfg))
     tables = {"pi_major.csv": sol.Pi0.values, "s_major.csv": sol.s0.values,
@@ -149,13 +134,10 @@ def cmd_solve_mfg(cfg: dict, cfg_path: str, out: Path, seed, threads: int) -> in
         "assumptions": _report_dict(sol.validation),
         "grid": {"T": p.grid.t_end, "M": p.grid.num_steps},
     })
-    _write_manifest(out, "solve-mfg", cfg_path, cfg, seed,
-                    {"wall_s": time.monotonic() - started})
-    return 0
+    return seed
 
 
-def cmd_simulate(cfg: dict, cfg_path: str, out: Path, seed, threads: int) -> int:
-    started = time.monotonic()
+def cmd_simulate(cfg: dict, out: Path, seed):
     p = config.parse_mfg_problem(cfg)
     pop = config.parse_population(cfg)
     if "N" not in pop:
@@ -188,23 +170,17 @@ def cmd_simulate(cfg: dict, cfg_path: str, out: Path, seed, threads: int) -> int
                    zip(*result.rows))       # rows to columns
         summary["convergence_slope"] = result.slope
     _write_summary(out, summary)
-    _write_manifest(out, "simulate", cfg_path, cfg, pop["master_seed"],
-                    {"wall_s": time.monotonic() - started})
-    return 0
+    return pop["master_seed"]
 
 
-def cmd_nash_gap(cfg: dict, cfg_path: str, out: Path, seed, threads: int) -> int:
-    started = time.monotonic()
+def cmd_nash_gap(cfg: dict, out: Path, seed):
     p = config.parse_mfg_problem(cfg)
     nash = config.parse_nash(cfg)
     if seed is not None:
         nash["master_seed"] = seed
     sol = solve_consistency_finite(p, config.parse_fixed_point(cfg))
-
-    def one_row(N):
-        return gap_vs_population(p, sol, [N]).rows[0]
-
-    rows = _parallel_map(one_row, nash["Ns"], threads)
+    # one call per N, so a traced run times every row on its own
+    rows = [gap_vs_population(p, sol, [N]).rows[0] for N in nash["Ns"]]
     header = (["N", "major_gap"]
               + ["type%d_gap" % k for k in range(p.K)] + ["max_gap"])
     _write_csv(out / "gaps.csv", header,
@@ -220,12 +196,10 @@ def cmd_nash_gap(cfg: dict, cfg_path: str, out: Path, seed, threads: int) -> int
             for g in [row.major_gap] + list(row.type_gaps))),
         "master_seed": nash["master_seed"],
     })
-    _write_manifest(out, "nash-gap", cfg_path, cfg, nash["master_seed"],
-                    {"wall_s": time.monotonic() - started})
-    return 0
+    return nash["master_seed"]
 
 
-def cmd_verify(out, threads: int) -> int:
+def cmd_verify(out) -> int:
     from . import verify
 
     results = verify.run_suites()
@@ -247,35 +221,6 @@ def cmd_verify(out, threads: int) -> int:
     return failed
 
 
-def _threads_from(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("MFG_LQG_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise SchemaError("MFG_LQG_THREADS must be an integer, got %r" % env)
-    return 1
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="mmlqg",
-        description="Major-minor LQG mean-field game solver and simulator.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("solve-lqg", "solve-mfg", "simulate", "nash-gap"):
-        sp = sub.add_parser(name)
-        sp.add_argument("--config", required=True)
-        sp.add_argument("--out", required=True)
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--threads", type=int, default=None)
-    sp = sub.add_parser("verify")
-    sp.add_argument("--out", default=None)
-    sp.add_argument("--threads", type=int, default=None)
-    return parser
-
-
 _COMMANDS = {
     "solve-lqg": cmd_solve_lqg,
     "solve-mfg": cmd_solve_mfg,
@@ -284,17 +229,37 @@ _COMMANDS = {
 }
 
 
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="mmlqg",
+        description="Major-minor LQG mean-field game solver and simulator.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in _COMMANDS:
+        sp = sub.add_parser(name)
+        sp.add_argument("--config", required=True)
+        sp.add_argument("--out", required=True)
+        sp.add_argument("--seed", type=int, default=None)
+        sp.add_argument("--threads", type=int, default=None,
+                        help="accepted and ignored; commands run serially")
+    sp = sub.add_parser("verify")
+    sp.add_argument("--out", default=None)
+    return parser
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        threads = _threads_from(args)
         if args.command == "verify":
-            return cmd_verify(args.out, threads)
+            return cmd_verify(args.out)
         seed = None if args.seed is None else _as_seed(args.seed, "--seed")
         cfg = config.load_config(args.config)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](cfg, args.config, out, seed, threads)
+        started = time.monotonic()
+        seed = _COMMANDS[args.command](cfg, out, seed)
+        _write_manifest(out, args.command, args.config, cfg, seed,
+                        {"wall_s": time.monotonic() - started})
+        return 0
     except SchemaError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2

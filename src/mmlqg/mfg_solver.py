@@ -90,6 +90,9 @@ class FixedPointConfig:
         if not 0.0 < self.tol < np.inf:
             raise SchemaError("must be positive and finite", field="tol")
         self.max_iters = _as_count(self.max_iters, "max_iters", 1)
+        if not isinstance(self.initial_law, (MeanFieldLaw, type(None))):
+            raise SchemaError("expected a MeanFieldLaw, got %s" % type(
+                self.initial_law).__name__, field="initial_law")
 
 
 @dataclass

@@ -65,7 +65,6 @@ class JointSystem(ReducedPopulation):
     def __init__(self, p: MmMfgProblem, sol: MfgSolution, cfg: PopulationConfig,
                  deviator: int):
         super().__init__(p, sol, cfg, deviator)
-        self.deviator = deviator
         self.A_nodes, self.d_nodes = self.drift(closed=False)
         self.B_full = np.zeros((self.D, self.m))
         self.B_full[:self.n] = self.B_own
@@ -218,7 +217,7 @@ def epsilon_nash_gap(p: MmMfgProblem, sol: MfgSolution, cfg: PopulationConfig,
     diag = {"identity_mismatch": abs(br.gap_identity - gap),
             "assembly_crosscheck": abs(js.undeviated_cost() - chain_ref)}
     return NashGapReport(
-        agent_id=deviator, N=cfg.N,
+        agent_id=js.agent_id, N=cfg.N,
         J_equilibrium=J_eq, J_best_response=br.cost,
         gap=gap, diagnostics=diag,
     )

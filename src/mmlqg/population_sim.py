@@ -63,6 +63,9 @@ class PopulationConfig:
             self.type_assignment = _type_indices(self.type_assignment, self.N)
         if self.xbar0 is not None:
             self.xbar0 = _as_array("xbar0", self.xbar0)
+        if not isinstance(self.record_states, (bool, np.bool_)):
+            raise SchemaError("expected a boolean, got %r" % (self.record_states,),
+                              field="record_states")
 
 
 @dataclass
@@ -371,8 +374,7 @@ def finite_cost_monte_carlo(p: MmMfgProblem, bundle: TrajectoryBundle,
     """Pathwise trapezoid cost of one agent, averaged across paths."""
     if bundle.states is None or bundle.controls is None:
         raise SchemaError("bundle was recorded without states; rerun with record_states")
-    if not (0 <= agent_id <= bundle.N):
-        raise SchemaError("agent_id out of range")
+    agent_id = _as_count(agent_id, "agent_id", 0, bundle.N + 1)
     grid = bundle.grid
     w = trapezoid_weights(grid)
     disc = np.exp(-p.rho * grid.nodes)
@@ -442,8 +444,7 @@ class ReducedPopulation:
                  agent_id: int):
         if sol.problem.grid != p.grid:
             raise SchemaError("solution grid does not match the problem grid")
-        if not (0 <= agent_id <= cfg.N):
-            raise SchemaError("agent id out of range")
+        agent_id = _as_count(agent_id, "agent_id", 0, cfg.N + 1)
         n, K, N = p.n, p.K, cfg.N
         self.p, self.sol = p, sol
         self.n, self.m, self.K = n, p.m, K
@@ -622,7 +623,7 @@ def expected_cost_exact(p: MmMfgProblem, sol: MfgSolution, cfg: PopulationConfig
                                   -rs.K_nodes @ rs.U, rs.k_nodes)
     J = discrete_chain_cost(p.grid, p.rho, rs.mu0, rs.V0, A, d,
                             rs.Sig2, node_cost, rs.terminal)
-    return CostReport(agent_id=agent_id, value=J, std_error=0.0,
+    return CostReport(agent_id=rs.agent_id, value=J, std_error=0.0,
                       method="moment_recursion", num_paths=0)
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -464,6 +465,55 @@ def test_nash_gap_summary_reports_row_diagnostics(tmp_path):
         assert summary[key] == [getattr(row, key) for row in rows]
         assert all(math.isfinite(v) and v >= 0.0 for v in summary[key])
     assert all(v <= 1e-8 for v in summary["assembly_crosscheck"])
+
+
+def test_no_command_starts_a_thread(tmp_path, monkeypatch):
+    # nash-gap rows are small numpy products under the interpreter lock, so
+    # every command runs on the calling thread whatever --threads says
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda self: started.append(self) or start(self))
+    cfg_path = _write(tmp_path, _mfg_cfg(population={"N": 3, "num_paths": 2},
+                                         nash={"Ns": [2, 3, 4]}))
+    for command in ("nash-gap", "simulate"):
+        assert _run([command, "--config", cfg_path, "--out",
+                     str(tmp_path / command), "--threads", "4"]) == 0
+    assert started == []
+
+
+@pytest.mark.parametrize("argv, seed", [
+    (["simulate"], 5),
+    (["simulate", "--seed", "6"], 6),
+    (["nash-gap"], 7),
+])
+def test_manifest_records_the_seed_the_command_used(tmp_path, argv, seed):
+    cfg_path = _write(tmp_path, _mfg_cfg(population={"N": 3, "master_seed": 5},
+                                         nash={"Ns": [2], "master_seed": 7}))
+    out = tmp_path / "run"
+    assert _run(argv + ["--config", cfg_path, "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == argv[0]
+    assert manifest["master_seed"] == seed
+
+
+def _unconverged_cfg():
+    cfg = _mfg_cfg(fixed_point={"max_iters": 1, "tol": 1e-14})
+    cfg["major"]["F0"] = [[0.3, 0.0], [0.1, 0.2]]
+    return cfg
+
+
+@pytest.mark.parametrize("command, cfg, code", [
+    ("simulate", _mfg_cfg(), 2),            # no population.N
+    ("solve-mfg", _unconverged_cfg(), 3),
+    ("solve-lqg", _lqg_cfg(R=[[-1.0]]), 4),
+])
+def test_failed_command_writes_no_manifest(tmp_path, command, cfg, code):
+    # each failure is raised inside the command, after --out exists
+    out = tmp_path / "run"
+    assert _run([command, "--config", _write(tmp_path, cfg),
+                 "--out", str(out)]) == code
+    assert out.is_dir() and not (out / "manifest.json").exists()
 
 
 # ------------------------------------------------------------------- verify

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import functools
 import time
 from pathlib import Path
 
@@ -22,7 +23,13 @@ from mmlqg.nash_gap import (
     gap_vs_population,
     solve_best_response,
 )
-from mmlqg.population_sim import PopulationConfig, assign_types, expected_cost_exact
+from mmlqg.population_sim import (
+    PopulationConfig,
+    assign_types,
+    expected_cost_exact,
+    finite_cost_monte_carlo,
+    simulate_population,
+)
 from mmlqg.toys import coupled_toy, decoupled_toy
 from oracles import (
     DenseJointSystem,
@@ -167,6 +174,36 @@ def test_deviator_out_of_range_rejected(coupled):
     p, sol = coupled
     with pytest.raises(SchemaError):
         build_joint_closed_loop(p, sol, PopulationConfig(N=3), 4)
+
+
+@pytest.fixture(scope="module")
+def small_population():
+    p = coupled_toy(M=10)
+    sol = solve_consistency_finite(p)
+    cfg = PopulationConfig(N=4, num_paths=2)
+    return p, sol, cfg, simulate_population(p, sol, cfg)
+
+
+_AGENT_ROUTES = {
+    "epsilon_nash_gap": lambda p, sol, cfg, b, a: epsilon_nash_gap(p, sol, cfg, a),
+    "expected_cost_exact": lambda p, sol, cfg, b, a: expected_cost_exact(p, sol, cfg, a),
+    "finite_cost_monte_carlo": lambda p, sol, cfg, b, a: finite_cost_monte_carlo(p, b, a),
+}
+
+
+@pytest.mark.parametrize("route", sorted(_AGENT_ROUTES))
+def test_agent_id_is_read_as_a_count(small_population, route):
+    # an integral float or numpy integer names that agent; a bool, a
+    # fraction, a string, None or an id outside 0..N is a SchemaError
+    run = functools.partial(_AGENT_ROUTES[route], *small_population)
+    ref = run(2)
+    for same in (2.0, np.int64(2)):
+        report = run(same)
+        assert type(report.agent_id) is int and report == ref
+    for bad in (1.5, True, "1", None, -1, 5):
+        with pytest.raises(SchemaError) as err:
+            run(bad)
+        assert err.value.field == "agent_id"
 
 
 @pytest.mark.parametrize("xbar0", [[0.3], [0.3, -0.1, 0.2],
