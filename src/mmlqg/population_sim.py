@@ -7,6 +7,8 @@ so that the whole population is one discrete-time linear Gaussian chain.
 One stepper, _Population.advance, moves a stack of paths at once (and,
 for the convergence study, every population size at once), minors sorted
 by type with agents on the last axis; DRAW_BUDGET bounds the noise held.
+Each (master_seed, stream, path) is one Philox stream, and one call draws
+every agent's block of it (_draws).
 Costs come either from Monte Carlo over paths or exactly, by propagating
 the mean and covariance of that same chain, which makes the exact value
 the precise expectation of the Monte Carlo estimate.  Both routes read
@@ -18,7 +20,6 @@ its running cost formed by lqg_single's one policy quadratic.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -151,36 +152,21 @@ def assign_types(pi, N: int) -> np.ndarray:
 # are stepped in stacks of as many as fit, one at least.
 DRAW_BUDGET = 8 * 2 ** 20
 
-_local = threading.local()
-
 
 def _draws(master_seed: int, stream: int, path: int, count: int, shape) -> np.ndarray:
     """Standard normals of agents 0..count-1 on one (stream, path), stacked.
 
-    Row a equals Generator(Philox(counter=[0, path, a, 0], key=[master_seed,
-    stream])).standard_normal(shape) bit for bit: counter word 0 is the
-    draw counter and the (path, agent) words keep streams disjoint.  Rather
-    than build (and seed) a generator per agent, one Philox per thread is
-    reset to each agent's counter and key.  Row a does not depend on count,
-    so a prefix of a longer draw is the draw of fewer agents.
+    Row a is the a-th consecutive block of shape draws from the one stream
+    Generator(Philox(counter=[0, path, 0, 0], key=[master_seed, stream])):
+    counter word 0 counts the draws, word 1 keeps paths disjoint and the
+    key keeps (seed, stream) pairs apart.  The stream fills in order, so a
+    prefix of a longer draw is the draw of fewer agents.
     """
-    gen = getattr(_local, "gen", None)
-    if gen is None:
-        gen = _local.gen = np.random.Generator(np.random.Philox(0))
-    state = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.array([0, path, 0, 0], dtype=np.uint64),
-                  "key": np.array([master_seed, stream], dtype=np.uint64)},
-        "buffer": np.zeros(4, dtype=np.uint64),
-        "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
-    }
-    counter = state["state"]["counter"]
-    out = np.empty((count,) + tuple(shape))
-    for a in range(count):
-        counter[2] = a
-        gen.bit_generator.state = state
-        gen.standard_normal(out=out[a])
-    return out
+    # uint64 arrays: a plain list holding a seed >= 2^63 would be cast to float
+    counter = np.array([0, path, 0, 0], dtype=np.uint64)
+    key = np.array([master_seed, stream], dtype=np.uint64)
+    gen = np.random.Generator(np.random.Philox(counter=counter, key=key))
+    return gen.standard_normal((count,) + tuple(shape))
 
 
 def _cols(A: np.ndarray, X: np.ndarray, out=None) -> np.ndarray:
@@ -333,11 +319,12 @@ def simulate_population(p: MmMfgProblem, sol: MfgSolution,
 
     Per step: empirical averages and controls are formed at the current
     node, then agents, major and the internal mean field all move by one
-    explicit Euler step on node-j coefficients.  Noise comes from
-    counter-based streams keyed by (master_seed, path, agent), so output
-    is independent of scheduling and agent draws are shared across
-    different N.  Paths step together in stacks that fit DRAW_BUDGET,
-    minors sorted by type, agents last; no path depends on the stacking.
+    explicit Euler step on node-j coefficients.  Noise comes from one
+    counter-based stream per (master_seed, stream, path), agent a taking
+    its a-th consecutive block, so output is independent of scheduling
+    and the first agents' draws are shared across different N.  Paths
+    step together in stacks that fit DRAW_BUDGET, minors sorted by type,
+    agents last; no path depends on the stacking.
     """
     pop = _Population(p, sol, cfg)
     n, m, K = p.n, p.m, p.K
@@ -639,11 +626,13 @@ def mean_field_convergence_study(p: MmMfgProblem, sol: MfgSolution,
     """RMS distance between empirical type averages and the mean field.
 
     One single-path simulation per (N, seed), equal to simulate_population's
-    path 0.  The counter-based streams make the first N agent draws common
-    across the N sweep, so each seed draws once, for the largest N, and
-    every N steps in the same pass on a prefix of each type's agents; seeds
-    are stacked as many as fit DRAW_BUDGET.  Returns rows (N, rms) in the
-    order of Ns and the slope of log rms against log N.
+    path 0.  Agents take consecutive blocks of one stream per seed, so the
+    first N agents' draws are common across the N sweep: each seed draws
+    once, for the largest N, and every N steps in the same pass on a
+    prefix of each type's agents; seeds are stacked as many as fit
+    DRAW_BUDGET.  Returns rows (N, rms) in the order of Ns and the slope
+    of log rms against log N, fitted once per distinct N (0.0 for fewer
+    than two).
     """
     Ns = [_as_count(N, "Ns[%d]" % i, 1) for i, N in enumerate(Ns)]
     seeds = [_as_seed(seed, "seeds[%d]" % i) for i, seed in enumerate(seeds)]
@@ -662,8 +651,9 @@ def mean_field_convergence_study(p: MmMfgProblem, sol: MfgSolution,
             for N, d in zip(sizes, dev):
                 total[N] += float(np.sum(d * d))
     count = len(seeds) * (M + 1)
-    rows = [(N, math.sqrt(total[N] / count)) for N in Ns]
-    logN = np.log([row[0] for row in rows])
-    logr = np.log([max(row[1], 1e-300) for row in rows])
-    slope = float(np.polyfit(logN, logr, 1)[0]) if len(rows) > 1 else 0.0
-    return ConvergenceStudy(rows=rows, slope=slope)
+    rms = {N: math.sqrt(total[N] / count) for N in sizes}
+    slope = 0.0
+    if len(sizes) > 1:
+        logr = np.log([max(rms[N], 1e-300) for N in sizes])
+        slope = float(np.polyfit(np.log(sizes), logr, 1)[0])
+    return ConvergenceStudy(rows=[(N, rms[N]) for N in Ns], slope=slope)

@@ -11,13 +11,14 @@ and serves small N as the reference the reduced system must match; its
 simulator cross-check steps the population in agent order, the
 reference for the type-sorted simulator.  The chain best response and
 the perturbed-cost route run on either system; the block slicers read
-the minor Riccati and cross-weight blocks.  _stream (a new generator per
-agent) and write_csv_rows (one row at a time) are what the package's
-reused generator and vectorised writer must reproduce bit for bit, and
-empirical_mean_field recomputes the simulator's per-type averages from
-its recorded states.  schur_are is the discounted ARE solver the
-package's sign-function solver replaced: scipy's Schur method on the
-shifted drift with the same Newton-Kleinman polish and gates.
+the minor Riccati and cross-weight blocks.  _stream (one generator per
+path, drawn one agent's block at a time) and write_csv_rows (one row at
+a time) are what the package's one-call draws and vectorised writer
+must reproduce bit for bit, and empirical_mean_field recomputes the
+simulator's per-type averages from its recorded states.  schur_are is
+the discounted ARE solver the package's sign-function solver replaced:
+scipy's Schur method on the shifted drift with the same Newton-Kleinman
+polish and gates.
 """
 
 from __future__ import annotations
@@ -53,12 +54,13 @@ from mmlqg.population_sim import (
 )
 
 
-def _stream(master_seed: int, stream: int, path: int, agent: int) -> np.random.Generator:
-    """A fresh generator for one agent's stream: the definition the
-    simulator's reused generator (population_sim._draws) must reproduce."""
-    # counter word 0 is the draw counter; (path, agent) words keep streams disjoint
+def _stream(master_seed: int, stream: int, path: int) -> np.random.Generator:
+    """A fresh generator for one (stream, path): agent a's draws are its
+    a-th consecutive block, the definition population_sim._draws must
+    reproduce."""
+    # counter word 0 is the draw counter; the path word keeps paths disjoint
     key = np.array([master_seed, stream], dtype=np.uint64)
-    counter = np.array([0, path, agent, 0], dtype=np.uint64)
+    counter = np.array([0, path, 0, 0], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(counter=counter, key=key))
 
 
@@ -354,17 +356,17 @@ class DenseJointSystem:
         gap = 0.0
         eye = np.eye(self.D)
         for path in range(num_paths):
+            # agent by agent, in agent order: the major's block, then minors 1..N
             z = np.zeros((self.D, 1))
+            init = _stream(cfg.master_seed, 1, path)
+            z[self.x0_off:self.x0_off + n, 0] = sqrt0 @ init.standard_normal(n)
             for a in range(N):
-                xi = _stream(cfg.master_seed, 1, path, a + 1).standard_normal(n)
-                z[a * n:(a + 1) * n, 0] = sqrtm @ xi
-            xi0 = _stream(cfg.master_seed, 1, path, 0).standard_normal(n)
-            z[self.x0_off:self.x0_off + n, 0] = sqrt0 @ xi0
+                z[a * n:(a + 1) * n, 0] = sqrtm @ init.standard_normal(n)
             if cfg.xbar0 is not None:
                 z[self.xb_off:, 0] = cfg.xbar0
-            dW0 = _stream(cfg.master_seed, 0, path, 0).standard_normal((M, p.r))
-            dWm = [_stream(cfg.master_seed, 0, path, a + 1).standard_normal((M, p.r))
-                   for a in range(N)]
+            incr = _stream(cfg.master_seed, 0, path)
+            dW0 = incr.standard_normal((M, p.r))
+            dWm = [incr.standard_normal((M, p.r)) for _ in range(N)]
             for j in range(M + 1):
                 ref = np.concatenate([
                     bundle.states[path, j, 1:].reshape(-1),

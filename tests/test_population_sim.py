@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -357,7 +358,7 @@ def test_outputs_do_not_depend_on_how_paths_and_seeds_are_stacked(coupled, monke
 
 def test_one_batched_stepper_and_no_loop_over_agents():
     """Paths and seeds advance through one stepper, called by the simulator
-    and by the study; no Python loop runs over agents but the draws'."""
+    and by the study; no Python loop runs over agents, the draws' included."""
     tree = ast.parse(Path(population_sim.__file__).read_text())
     pop = next(node for node in tree.body
                if isinstance(node, ast.ClassDef) and node.name == "_Population")
@@ -384,7 +385,7 @@ def test_one_batched_stepper_and_no_loop_over_agents():
             visit(child, where)
 
     visit(tree, None)
-    assert agent_loops == ["_draws"]
+    assert agent_loops == []
     for f in Path(population_sim.__file__).parent.glob("*.py"):
         if f.stem != "population_sim":
             visit(ast.parse(f.read_text()), None)
@@ -472,15 +473,22 @@ def test_type_assignment_keeps_integral_floats_and_numpy_integers():
 @pytest.mark.parametrize("shape", [(2,), (7, 3)])
 @pytest.mark.parametrize("seed", [0, 12345, 2 ** 64 - 1])
 @pytest.mark.parametrize("stream", [0, 1])
-def test_draws_equal_a_fresh_generator_per_agent(stream, seed, shape):
+def test_draws_are_consecutive_blocks_of_one_stream(stream, seed, shape):
+    rows = {}
     for path in (0, 3):
         got = _draws(seed, stream, path, 5, shape)
-        want = np.stack([_stream(seed, stream, path, a).standard_normal(shape)
-                         for a in range(5)])
+        gen = _stream(seed, stream, path)
+        want = np.stack([gen.standard_normal(shape) for _ in range(5)])
         assert got.shape == (5,) + shape
         assert got.tobytes() == want.tobytes()
         # a shorter draw is the prefix of a longer one
-        assert _draws(seed, stream, path, 2, shape).tobytes() == got[:2].tobytes()
+        for count in (1, 2, 5):
+            assert _draws(seed, stream, path, count, shape).tobytes() \
+                == want[:count].tobytes()
+        rows[path] = got
+    # another path, or the other stream on the same path, draws other rows
+    assert not np.any(rows[0] == rows[3])
+    assert not np.any(rows[0] == _draws(seed, 1 - stream, 0, 5, shape))
 
 
 def test_only_draws_builds_a_generator():
@@ -557,3 +565,17 @@ def test_study_rows_equal_one_simulation_per_size_and_seed(coupled):
     assert mean_field_convergence_study(p, sol, [], [1]).rows == []
     with pytest.raises(SchemaError):
         mean_field_convergence_study(p, sol, [4], [])
+
+
+def test_study_slope_is_fitted_once_per_distinct_size(coupled):
+    """A repeated N neither weights its point twice nor makes the fit
+    rank-deficient: the slope is fitted over the distinct sizes."""
+    p, sol = coupled
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        repeated = mean_field_convergence_study(p, sol, [16, 16, 64, 256], [1, 2])
+        once = mean_field_convergence_study(p, sol, [16, 64, 256], [1, 2])
+        single = mean_field_convergence_study(p, sol, [16, 16], [1, 2])
+    assert repeated.slope == once.slope
+    assert repeated.rows == once.rows[:1] + once.rows
+    assert single.slope == 0.0 and single.rows == once.rows[:1] * 2
