@@ -94,9 +94,10 @@ def cmd_solve_lqg(cfg: dict, out: Path, seed):
     p = config.parse_lqg_problem(cfg)
     sol = solve_finite_horizon(p)
     J = expected_cost(p, sol)
+    # feedforward.csv holds -k: u = -K x - feedforward
     _write_grid_tables(out, {"pi.csv": sol.Pi.values, "s.csv": sol.s.values,
-                             "gains.csv": sol.K.values,
-                             "feedforward.csv": sol.kff.values})
+                             "gains.csv": sol.law.K.values,
+                             "feedforward.csv": -sol.law.k.values})
     _write_summary(out, {
         "J_star": J,
         "Pi0": sol.Pi.values[0].tolist(),

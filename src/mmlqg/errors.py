@@ -65,7 +65,9 @@ class FixedPointError(NumericalError):
 
 
 class AreSolveError(NumericalError):
-    """No stationary Riccati solution found within the horizon cap."""
+    """No stabilizing solution of the discounted algebraic Riccati equation:
+    the matrix sign iteration failed, or the root missed the residual gate
+    or left the closed loop unstable."""
 
 
 class DivergedPathError(NumericalError):
@@ -78,7 +80,8 @@ class DivergedPathError(NumericalError):
 
 
 class DimensionGuardError(SchemaError):
-    """Requested joint-state dimension exceeds the tractability guard."""
+    """A matrix of an agent record has the wrong shape for its state: an
+    ExtendedSystem weight, or the major data build_extended_minor reads."""
 
 
 class UnsupportedOracleError(MmlqgError):

@@ -39,7 +39,7 @@ from .numerics import (
     cumulative_simpson,
     expm,
     flatten,
-    psd_check,
+    psd_margin,
     rk4_backward_indexed,
     rk4_forward_indexed,
     symmetrize,
@@ -211,24 +211,20 @@ class FeedbackLaw:
     k: GridFunction
 
     def __call__(self, t: float, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float).reshape(-1, 1)
-        return -self.K.interp(t) @ x + self.k.interp(t)
+        x, n = _as_array("x", x), self.K.shape[1]
+        if x.size != n:
+            raise SchemaError("expected %d entries, got %d" % (n, x.size), field="x")
+        return -self.K.interp(t) @ x.reshape(n, 1) + self.k.interp(t)
 
 
 @dataclass
 class LqgSolution:
-    """Finite-horizon optimum u = -K x - kff: kff is minus the feedforward k
-    of FeedbackLaw (u = -K x + k)."""
+    """Finite-horizon optimum: value Pi, offset s and the law u = -K x + k."""
 
     Pi: GridFunction
     s: GridFunction
-    K: GridFunction
-    kff: GridFunction
+    law: FeedbackLaw
     validation: Optional[ValidationReport] = None   # the checks the solver ran
-
-    def law(self) -> FeedbackLaw:
-        """The optimum as u = -Kx + k, with k = -kff."""
-        return FeedbackLaw(self.K, GridFunction(self.kff.grid, -self.kff.values))
 
 
 @dataclass
@@ -274,18 +270,6 @@ class ValidationReport:
         )
 
 
-def _rel_psd_tol(P: np.ndarray, tol: float) -> float:
-    w = np.linalg.eigvalsh(symmetrize(P)) if P.size else np.zeros(1)
-    scale = max(1.0, float(np.max(np.abs(w)))) if P.size else 1.0
-    return tol * scale
-
-
-def _min_eig(P: np.ndarray) -> float:
-    if P.size == 0:
-        return 0.0
-    return float(np.linalg.eigvalsh(symmetrize(P))[0])
-
-
 def spd_solver(R: np.ndarray, what: str = "R") -> Callable[[np.ndarray], np.ndarray]:
     """Return x -> R^{-1} x, with R^{-1} formed once from a Cholesky factor.
 
@@ -314,23 +298,21 @@ def add_convexity_checks(rep: ValidationReport, label: str, Qhat, Q, N, R,
     within tol relative to the matrix's largest eigenvalue magnitude; label
     prefixes every check name.
     """
-    r_min = _min_eig(R)
-    r_tol = _rel_psd_tol(R, tol)
+    r_min, r_tol = psd_margin(R, tol)
     r_asym = float(np.max(np.abs(R - R.T))) if R.size else 0.0
     r_ok = r_asym <= r_tol and r_min > r_tol
     rep.add(label + "R positive definite", r_ok, "" if r_ok else
             "min eigenvalue %.3e, asymmetry %.3e" % (r_min, r_asym))
     if r_ok:
         S = Q - N @ spd_solver(R)(N.T)
-        s_min = _min_eig(S)
-        rep.add(label + "Q - N R^{-1} N' PSD", s_min >= -_rel_psd_tol(S, tol),
+        s_min, s_tol = psd_margin(S, tol)
+        rep.add(label + "Q - N R^{-1} N' PSD", s_min >= -s_tol,
                 "min eigenvalue %.3e" % s_min)
     else:
         rep.add(label + "Q - N R^{-1} N' PSD", False,
                 "skipped: R not positive definite")
-    q_min = _min_eig(Qhat)
-    rep.add(label + "Qhat PSD", q_min >= -_rel_psd_tol(Qhat, tol),
-            "min eigenvalue %.3e" % q_min)
+    q_min, q_tol = psd_margin(Qhat, tol)
+    rep.add(label + "Qhat PSD", q_min >= -q_tol, "min eigenvalue %.3e" % q_min)
 
 
 def validate_convexity(p: LqgProblem, tol: float = PSD_TOL) -> ValidationReport:
@@ -375,7 +357,8 @@ class ExtendedSystem:
             W = getattr(self, name)
             if W.shape != (d, d):
                 raise DimensionGuardError("%s %s must be %d x %d" % (self.what, name, d, d))
-            if not psd_check(W, _rel_psd_tol(W, PSD_TOL)):
+            w_min, w_tol = psd_margin(W, PSD_TOL)
+            if not w_min >= -w_tol:
                 raise SchemaError("%s %s lost positive semidefiniteness" % (self.what, name))
         self.Rinv = spd_solver(self.R, what=self.what + " R")(np.eye(self.R.shape[0]))
 
@@ -532,22 +515,20 @@ def solve_finite_horizon(p: LqgProblem) -> LqgSolution:
     report = validate_convexity(p).require()
     agent = p._agent()
     (Pi,), (s,) = _solve_agent_finite([agent], p.rho)
-    law = _gain_tables(agent, Pi, s)
-    return LqgSolution(Pi=Pi, s=s, K=law.K, kff=GridFunction(p.grid, -law.k.values),
-                       validation=report)
+    return LqgSolution(Pi=Pi, s=s, law=_gain_tables(agent, Pi, s), validation=report)
 
 
 def closed_loop_cost_moments(grid: TimeGrid, rho: float, x0_mean: np.ndarray,
                              x0_cov: np.ndarray, A_cl: np.ndarray, d: np.ndarray,
                              Sig2: np.ndarray, W: np.ndarray, l_vec: np.ndarray,
-                             c: np.ndarray, terminal) -> float:
+                             c: np.ndarray, W_T: np.ndarray) -> float:
     """Exact discounted quadratic cost of a linear closed loop.
 
     Propagates the covariance V and mean mu of dx = (A_cl(t) x + d(t)) dt +
     noise, with Sig2 = sigma sigma', and accumulates the running cost
     J = (1/2) E int e^{-rho t} (x'Wx + 2x'l + c) dt in the same RK4 sweep,
-    with (V, mu, J) packed into one flat state.  terminal = (W_T, l_T, c_T)
-    adds (1/2) e^{-rho T} E(x'W_T x + 2x'l_T + c_T).  All time-varying
+    with (V, mu, J) packed into one flat state.  The terminal weight W_T
+    adds (1/2) e^{-rho T} E x'W_T x.  All time-varying
     tables are indexed by half-step stages q = 0..2M at times q*h/2.
     """
     n = x0_mean.shape[0]
@@ -565,10 +546,7 @@ def closed_loop_cost_moments(grid: TimeGrid, rho: float, x0_mean: np.ndarray,
     start = flatten(symmetrize(np.reshape(x0_cov, (n, n))), x0_mean, 0.0)
     sweep = rk4_forward_indexed(stage_rhs, start, grid, project=symmetrize_leading(n))
     V, mu, J = unflatten(sweep.values[-1], shapes)
-    W_T, l_T, c_T = terminal
-    S = V + mu @ mu.T
-    term = np.vdot(W_T, S) + 2.0 * (mu.T @ l_T).item() + c_T
-    return float(J + 0.5 * disc[-1] * term)
+    return float(J + 0.5 * disc[-1] * np.vdot(W_T, V + mu @ mu.T))
 
 
 def _law_stage_tables(p: LqgProblem, law) -> tuple:
@@ -578,7 +556,7 @@ def _law_stage_tables(p: LqgProblem, law) -> tuple:
     (treated as u(t) with linear interpolation), each sampled on p's grid.
     """
     if isinstance(law, LqgSolution):
-        law = law.law()
+        law = law.law
     if isinstance(law, FeedbackLaw):
         return (_stage_values(_as_grid_function("law.K", law.K, p.grid, p.m, p.n)),
                 _stage_values(_as_grid_function("law.k", law.k, p.grid, p.m, 1)))
@@ -588,20 +566,20 @@ def _law_stage_tables(p: LqgProblem, law) -> tuple:
     raise SchemaError("unsupported control law type %r" % type(law).__name__)
 
 
-def _policy_quadratic(Q, N, R, eta, nbar, c0, L, uc):
-    """Running cost of one agent under the affine law u = L X + uc.
+def _policy_quadratic(Q, N, R, eta, nbar, c0, K, k):
+    """Running cost of one agent under the affine law u = -K X + k.
 
     Returns (W, l, c) with X'WX + 2X'l + c = X'QX + 2X'Nu + u'Ru - 2X'eta
-    - 2u'nbar + c0 for every X.  L and uc may be stage tables, with a
+    - 2u'nbar + c0 for every X.  K and k may be stage tables, with a
     leading stage axis, and W, l and c are then tables too.  Every exact
     cost in the package, of one agent or of a finite-N deviator, passes
     its weights and law through here.
     """
-    NL = N @ L
-    Lt = np.swapaxes(L, -1, -2)
-    W = symmetrize(Q + NL + np.swapaxes(NL, -1, -2) + Lt @ R @ L)
-    l = N @ uc - eta + Lt @ (R @ uc - nbar)
-    c = c0 - 2.0 * nbar.T @ uc + np.swapaxes(uc, -1, -2) @ R @ uc
+    NK = N @ K
+    Kt = np.swapaxes(K, -1, -2)
+    W = symmetrize(Q - NK - np.swapaxes(NK, -1, -2) + Kt @ R @ K)
+    l = N @ k - eta - Kt @ (R @ k - nbar)
+    c = c0 - 2.0 * nbar.T @ k + np.swapaxes(k, -1, -2) @ R @ k
     return W, l, c[..., 0, 0]
 
 
@@ -615,11 +593,10 @@ def expected_cost(p: LqgProblem, law) -> float:
     sig_tab = _stage_values(p.sigma)
     Sig2 = np.einsum("qir,qjr->qij", sig_tab, sig_tab)
     W, l, c = _policy_quadratic(p.Q, p.N_cross, p.R, p.eta, p.n_lin, 0.0,
-                                -K_tab, k_tab)
+                                K_tab, k_tab)
     return closed_loop_cost_moments(
         p.grid, p.rho, p.x0, np.zeros((p.n, p.n)), p.A - p.B @ K_tab,
-        p.B @ k_tab + _stage_values(p.b), Sig2, W, l, c,
-        (p.Qhat, np.zeros((p.n, 1)), 0.0),
+        p.B @ k_tab + _stage_values(p.b), Sig2, W, l, c, p.Qhat,
     )
 
 
@@ -895,13 +872,12 @@ def _solve_agent_stationary(ext: ExtendedSystem, rho: float):
 
 @dataclass
 class StationarySolution:
-    """Stationary optimum u = -K x - kff: kff is minus the feedforward, as
-    in LqgSolution."""
+    """Stationary optimum: value Pi, offset s and the law u = -K x + k."""
 
     Pi: np.ndarray
     s: np.ndarray
     K: np.ndarray
-    kff: np.ndarray
+    k: np.ndarray
     are_residual: float
     report: DetectStabReport
 
@@ -922,6 +898,6 @@ def solve_infinite_horizon(p: LqgProblem) -> StationarySolution:
     law = _gain_tables(agent, GridFunction.constant(agent.A.grid, Pi),
                        GridFunction.constant(agent.A.grid, s))
     return StationarySolution(
-        Pi=Pi, s=s, K=law.K.values[0], kff=-law.k.values[0], are_residual=res,
+        Pi=Pi, s=s, K=law.K.values[0], k=law.k.values[0], are_residual=res,
         report=ds,
     )

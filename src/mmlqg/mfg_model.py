@@ -26,11 +26,10 @@ from .lqg_single import (
     _as_fields,
     _as_rate,
     _shaped,
-    _rel_psd_tol,
     add_convexity_checks,
     psd_sqrt,
 )
-from .numerics import GridFunction, TimeGrid, _as_array, psd_check, symmetrize
+from .numerics import GridFunction, TimeGrid, _as_array, psd_margin, symmetrize
 
 
 @dataclass
@@ -147,11 +146,8 @@ def validate_problem(p: MmMfgProblem, tol: float = PSD_TOL) -> ValidationReport:
     pi_ok = np.all(p.pi >= -tol) and abs(float(p.pi.sum()) - 1.0) <= max(tol, 1e-12)
     rep.add("pi is a distribution", bool(pi_ok), "sum %.6g" % float(p.pi.sum()))
 
-    rep.add(
-        "initial covariances PSD",
-        psd_check(p.init_cov_major, _rel_psd_tol(p.init_cov_major, tol))
-        and psd_check(p.init_cov_minor, _rel_psd_tol(p.init_cov_minor, tol)),
-    )
+    margins = [psd_margin(V, tol) for V in (p.init_cov_major, p.init_cov_minor)]
+    rep.add("initial covariances PSD", all(w_min >= -w_tol for w_min, w_tol in margins))
 
     add_convexity_checks(rep, "major ", p.major.Qhat0, p.major.Q0, p.major.N0,
                          p.major.R0, tol)

@@ -343,8 +343,7 @@ def mean_field_trajectory(sol: MfgSolution, x0_path: GridFunction,
 
 @dataclass
 class StationaryMfgSolution:
-    """Stationary equilibrium laws u = -K X + k: the feedforwards are +k,
-    the opposite sign of LqgSolution.kff and BestResponse.feedforwards."""
+    """Stationary equilibrium laws u = -K X + k."""
 
     Pi0: np.ndarray
     s0: np.ndarray
@@ -354,9 +353,9 @@ class StationaryMfgSolution:
     Gbar: np.ndarray
     mbar: np.ndarray
     major_gain: np.ndarray       # K0 with u0 = -K0 X0 + k0
-    major_feedforward: np.ndarray
+    major_feedforward: np.ndarray    # k0
     minor_gains: List[np.ndarray]
-    minor_feedforwards: List[np.ndarray]
+    minor_feedforward: List[np.ndarray]    # k of each type
     report: FixedPointReport
     problem: MmMfgProblem
 
@@ -396,7 +395,7 @@ def solve_consistency_infinite(p: MmMfgProblem, cfg: Optional[FixedPointConfig] 
         major_gain=sol.major_law.K.values[0],
         major_feedforward=sol.major_law.k.values[0],
         minor_gains=[m.K.values[0] for m in sol.minor_laws],
-        minor_feedforwards=[m.k.values[0] for m in sol.minor_laws],
+        minor_feedforward=[m.k.values[0] for m in sol.minor_laws],
         report=sol.report,
         problem=p,
     )

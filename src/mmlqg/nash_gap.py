@@ -34,7 +34,7 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from .errors import AssumptionViolationError
-from .lqg_single import (PSD_TOL, ExtendedSystem, ValidationReport,
+from .lqg_single import (PSD_TOL, ExtendedSystem, FeedbackLaw, ValidationReport,
                           _gain_tables, _policy_quadratic, _solve_agent_finite,
                           _stage_values, add_convexity_checks,
                           closed_loop_cost_moments, psd_sqrt)
@@ -78,7 +78,7 @@ class JointSystem(ReducedPopulation):
         grid = self.p.grid
         return ExtendedSystem(
             what="deviator", A=GridFunction(grid, self.A_nodes), B=self.B_full,
-            b=GridFunction(grid, self.d_nodes), Qhat=self.terminal[0], Q=self.W,
+            b=GridFunction(grid, self.d_nodes), Qhat=self.terminal, Q=self.W,
             N=self.S, R=self.R, eta=self.eta_y, nbar=self.nbar_y,
             Q_factor=psd_sqrt(self.Q) @ self.C,
         )
@@ -90,12 +90,12 @@ class JointSystem(ReducedPopulation):
         between the two means the gain lifting or the input placement is
         wrong.
         """
-        L, uc = -self.Kz_nodes, self.k_nodes
+        K, k = self.Kz_nodes, self.k_nodes
         node_cost = _policy_quadratic(self.W, self.S, self.R, self.eta_y,
-                                      self.nbar_y, self.c0, L, uc)
+                                      self.nbar_y, self.c0, K, k)
         return discrete_chain_cost(
             self.p.grid, self.p.rho, self.mu0, self.V0,
-            self.A_nodes + self.B_full @ L, self.d_nodes + self.B_full @ uc,
+            self.A_nodes - self.B_full @ K, self.d_nodes + self.B_full @ k,
             self.Sig2, node_cost, self.terminal,
         )
 
@@ -105,42 +105,40 @@ def build_joint_closed_loop(p: MmMfgProblem, sol: MfgSolution,
     return JointSystem(p, sol, cfg, deviator)
 
 
-def _closed_loop_cost(js: JointSystem, L: np.ndarray, uc: np.ndarray,
-                      quadratic, terminal) -> float:
-    """Exact cost of the running quadratic (W, l, c) and the terminal form
-    along dy = ((A + B L) y + d + B uc) dt + noise, u = L[q] y + uc[q]
+def _closed_loop_cost(js: JointSystem, K: np.ndarray, k: np.ndarray,
+                      quadratic, W_T) -> float:
+    """Exact cost of the running quadratic (W, l, c) and the terminal weight
+    W_T along dy = ((A - B K) y + d + B k) dt + noise, u = -K[q] y + k[q]
     (stage tables), by the package's one moment-and-cost propagator."""
     p = js.p
     B = js.B_full
-    A = js.A + B @ L
+    A = js.A - B @ K
     return closed_loop_cost_moments(
-        p.grid, p.rho, js.mu0, js.V0, A, js.d + B @ uc,
-        np.broadcast_to(js.Sig2, A.shape), *quadratic, terminal,
+        p.grid, p.rho, js.mu0, js.V0, A, js.d + B @ k,
+        np.broadcast_to(js.Sig2, A.shape), *quadratic, W_T,
     )
 
 
-def _policy_cost(js: JointSystem, L: np.ndarray, uc: np.ndarray) -> float:
-    """Exact deviator cost of the policy u = L[q] y + uc[q] (stage tables)."""
-    return _closed_loop_cost(js, L, uc, _policy_quadratic(
-        js.W, js.S, js.R, js.eta_y, js.nbar_y, js.c0, L, uc), js.terminal)
+def _policy_cost(js: JointSystem, K: np.ndarray, k: np.ndarray) -> float:
+    """Exact deviator cost of the policy u = -K[q] y + k[q] (stage tables)."""
+    return _closed_loop_cost(js, K, k, _policy_quadratic(
+        js.W, js.S, js.R, js.eta_y, js.nbar_y, js.c0, K, k), js.terminal)
 
 
 def equilibrium_cost_ode(js: JointSystem) -> float:
     """Deviator's cost with everyone, deviator included, on the MFG law."""
-    return _policy_cost(js, -js.Kz, js.k_st)
+    return _policy_cost(js, js.Kz, js.k_st)
 
 
 @dataclass
 class BestResponse:
-    """Affine best-response law u = -gains[q] y - feedforwards[q].
+    """Affine best-response law u = -K(t) y + k(t) on the grid's nodes.
 
     The deviator's ExtendedSystem (JointSystem._agent) goes through
-    lqg_single._solve_agent_finite and _gain_tables, as every agent does.
-    The feedforwards are -k, with the sign of LqgSolution.kff and the
-    opposite of a FeedbackLaw's k.  Gain tables are indexed by half-step
-    stages q = 0..2M, formed at the nodes and given their midpoints by
-    _stage_values; Pi and s are the node tables of the backward sweeps,
-    with Pi[-1] the untouched terminal weight and s[-1] = 0.
+    lqg_single._solve_agent_finite and _gain_tables, as every agent does;
+    the costs read the law at the half-step stages q = 0..2M that
+    _stage_values forms.  Pi and s are the node tables of the backward
+    sweeps, with Pi[-1] the untouched terminal weight and s[-1] = 0.
 
     gap_identity is (1/2) E int e^{-rho t} du' R du dt along the
     equilibrium closed loop, du = u_eq - u_br(y): completing the square
@@ -148,8 +146,7 @@ class BestResponse:
     differ by the second-order time error.
     """
 
-    gains: np.ndarray            # (2M+1, m, D)
-    feedforwards: np.ndarray     # (2M+1, m, 1)
+    law: FeedbackLaw
     Pi: np.ndarray               # (M+1, D, D)
     s: np.ndarray                # (M+1, D, 1)
     cost: float                  # exact cost by forward moment propagation
@@ -161,8 +158,8 @@ def solve_best_response(js: JointSystem) -> BestResponse:
 
     Convexity is screened on the deviator's primitive weights, then its
     agent record goes through the one finite-horizon agent solve.  The
-    law's cost and gap_identity, the deviation u_eq - u_br = (gains - Kz) y
-    + (k_st + feedforwards) weighted by R, come from moment propagation.
+    law's cost and gap_identity, the deviation u_eq - u_br = -(Kz - K) y
+    + (k_st - k) weighted by R, come from moment propagation.
     """
     rep = ValidationReport()
     add_convexity_checks(rep, "deviator ", js.Qhat, js.Q, js.Ncr, js.R, PSD_TOL)
@@ -170,16 +167,13 @@ def solve_best_response(js: JointSystem) -> BestResponse:
     agent = js._agent()
     (Pi,), (s,) = _solve_agent_finite([agent], js.p.rho)
     law = _gain_tables(agent, Pi, s)
-    gains, ffs = _stage_values(law.K), _stage_values(-law.k.values)
+    K, k = _stage_values(law.K), _stage_values(law.k)
     deviation = _policy_quadratic(0.0, np.zeros_like(js.S), js.R, 0.0,
                                   np.zeros_like(js.nbar_y), 0.0,
-                                  gains - js.Kz, js.k_st + ffs)
-    identity = _closed_loop_cost(js, -js.Kz, js.k_st, deviation, (
-        np.zeros_like(js.W), np.zeros_like(js.eta_y), 0.0))
-    return BestResponse(
-        gains=gains, feedforwards=ffs, Pi=Pi.values, s=s.values,
-        cost=_policy_cost(js, -gains, -ffs), gap_identity=identity,
-    )
+                                  js.Kz - K, js.k_st - k)
+    identity = _closed_loop_cost(js, js.Kz, js.k_st, deviation, np.zeros_like(js.W))
+    return BestResponse(law=law, Pi=Pi.values, s=s.values,
+                        cost=_policy_cost(js, K, k), gap_identity=identity)
 
 
 @dataclass

@@ -218,13 +218,15 @@ def matvec_rows(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (x[..., None, :] * A).sum(-1)
 
 
-def psd_check(P: np.ndarray, tol: float) -> bool:
-    """True iff the minimum eigenvalue of the symmetrized input is >= -tol."""
-    P = symmetrize(np.asarray(P, dtype=float))
+def psd_margin(P: np.ndarray, tol: float) -> tuple:
+    """(minimum eigenvalue, allowance) of the symmetrized P, from one
+    eigvalsh: P is PSD within tol when the first is >= -allowance, with
+    allowance = tol * max(1, largest eigenvalue magnitude).  An empty P
+    gives (0.0, tol)."""
     if P.size == 0:
-        return True
-    w = np.linalg.eigvalsh(P)
-    return bool(w[0] >= -tol)
+        return 0.0, tol
+    w = np.linalg.eigvalsh(symmetrize(P))
+    return float(w[0]), tol * max(1.0, float(np.max(np.abs(w))))
 
 
 def flatten(*parts) -> np.ndarray:

@@ -491,9 +491,8 @@ class ReducedPopulation:
         self.nbar_y = self.Ncr.T @ eta
         self.c0 = (eta.T @ self.Q @ eta).item()
         # terminal weight hits the coupled tracking error C y alone: eta is a
-        # running-cost target only, so the terminal form has no linear part
-        self.terminal = (symmetrize(C.T @ self.Qhat @ C),
-                         np.zeros((self.D, 1)), 0.0)
+        # running-cost target only, so the terminal cost has no linear part
+        self.terminal = symmetrize(C.T @ self.Qhat @ C)
 
         covm = p.init_cov_minor
         noise = [(self.x0_off, p.major.sigma0, p.init_cov_major, 1)]
@@ -561,14 +560,14 @@ class ReducedPopulation:
         return A, d
 
 
-def discrete_chain_cost(grid, rho, mu0, V0, A, d, Sig2, node_cost,
-                        term_cost) -> float:
+def discrete_chain_cost(grid, rho, mu0, V0, A, d, Sig2, node_cost, W_T) -> float:
     """Expected cost of the Euler-Maruyama chain, by moment recursion.
 
     The chain is z_{j+1} = (I + h A[j]) z_j + h d[j] + sqrt(h) noise with
     stationary covariance Sig2 per unit time; the running cost is the
-    trapezoid sum of the discounted quadratic forms node_cost = (W, l, c).
-    A, d, W, l and c are tables over the M + 1 nodes.  This is the exact
+    trapezoid sum of the discounted quadratic forms node_cost = (W, l, c),
+    and the terminal cost is the discounted form of the weight W_T.  A, d,
+    W, l and c are tables over the M + 1 nodes.  This is the exact
     expectation of the simulated pathwise cost, so it carries the same
     O(h) discretization bias and no sampling error.
     """
@@ -595,8 +594,7 @@ def discrete_chain_cost(grid, rho, mu0, V0, A, d, Sig2, node_cost,
             )
     S = V + mu @ mu.T
     J += 0.5 * w[M] * disc[M] * (np.vdot(W[M], S) + 2.0 * (l[M].T @ mu).item() + c[M])
-    W_T, l_T, c_T = term_cost
-    J += 0.5 * disc[M] * (np.vdot(W_T, S) + 2.0 * (l_T.T @ mu).item() + c_T)
+    J += 0.5 * disc[M] * np.vdot(W_T, S)
     return float(J)
 
 
@@ -607,7 +605,7 @@ def expected_cost_exact(p: MmMfgProblem, sol: MfgSolution, cfg: PopulationConfig
     rs = ReducedPopulation(p, sol, cfg, agent_id)
     A, d = rs.drift(closed=True)
     node_cost = _policy_quadratic(rs.W, rs.S, rs.R, rs.eta_y, rs.nbar_y, rs.c0,
-                                  -rs.K_nodes @ rs.U, rs.k_nodes)
+                                  rs.K_nodes @ rs.U, rs.k_nodes)
     J = discrete_chain_cost(p.grid, p.rho, rs.mu0, rs.V0, A, d,
                             rs.Sig2, node_cost, rs.terminal)
     return CostReport(agent_id=rs.agent_id, value=J, std_error=0.0,

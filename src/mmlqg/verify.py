@@ -54,7 +54,7 @@ FIXTURES: Dict[str, Callable] = {
 
 def _open_loop_optimum(p: LqgProblem):
     sol = solve_finite_horizon(p)
-    law = sol.law()
+    law = sol.law
     Kq = _stage_values(law.K)
     kq = _stage_values(law.k)
     bq = _stage_values(p.b)

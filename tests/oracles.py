@@ -235,7 +235,7 @@ class DenseJointSystem:
         # terminal weight applies to the coupled tracking error C z; the
         # constant target eta is a running-cost object (the backward offset
         # vanishes at T), so the terminal form carries no linear piece
-        self.terminal = (symmetrize(C.T @ self.Qhat @ C), np.zeros((self.D, 1)), 0.0)
+        self.terminal = symmetrize(C.T @ self.Qhat @ C)
 
         stages = range(2 * p.grid.num_steps + 1)
         self.A = np.array([self._open_drift(q) for q in stages])
@@ -253,7 +253,7 @@ class DenseJointSystem:
         grid = self.p.grid
         return ExtendedSystem(
             what="deviator", A=GridFunction(grid, self.A[::2]), B=self.B_full,
-            b=GridFunction(grid, self.d[::2]), Qhat=self.terminal[0], Q=self.W,
+            b=GridFunction(grid, self.d[::2]), Qhat=self.terminal, Q=self.W,
             N=self.S, R=self.R, eta=self.eta_y, nbar=self.nbar_y,
             Q_factor=psd_sqrt(self.Q) @ self.C,
         )
@@ -330,12 +330,12 @@ class DenseJointSystem:
         Must reproduce population_sim.expected_cost_exact; any daylight
         between the two means the block placement is wrong.
         """
-        L, uc = -self.Kz[::2], self.k_st[::2]
+        K, k = self.Kz[::2], self.k_st[::2]
         node_cost = _policy_quadratic(self.W, self.S, self.R, self.eta_y,
-                                      self.nbar_y, self.c0, L, uc)
+                                      self.nbar_y, self.c0, K, k)
         return discrete_chain_cost(
             self.p.grid, self.p.rho, self.mu0, self.V0,
-            self.A[::2] + self.B_full @ L, self.d[::2] + self.B_full @ uc,
+            self.A[::2] - self.B_full @ K, self.d[::2] + self.B_full @ k,
             self.Sig2, node_cost, self.terminal,
         )
 
@@ -390,21 +390,22 @@ class DenseJointSystem:
 def best_response_perturbed_cost(js, br, eps: float, omega: np.ndarray) -> float:
     """Exact cost of u = u_br + eps * omega (constant direction omega)."""
     omega = np.asarray(omega, dtype=float).reshape(js.m, 1)
-    return _policy_cost(js, -br.gains, eps * omega - br.feedforwards)
+    return _policy_cost(js, _stage_values(br.law.K),
+                        _stage_values(br.law.k) + eps * omega)
 
 
 @dataclass
 class BestResponseChain:
     """Exact dynamic-programming optimum of the simulated chain.
 
-    Node-indexed law u_j = -gains[j] z_j - feedforwards[j].  Because the
+    Node-indexed law u_j = -K[j] z_j + k[j].  Because the
     optimization and the cost share the very chain the simulator steps,
     cost can never exceed the chain cost of the equilibrium law; this
     pins the gap sign independently of any integrator.
     """
 
-    gains: np.ndarray            # (M+1, m, D)
-    feedforwards: np.ndarray     # (M+1, m, 1)
+    K: np.ndarray                # (M+1, m, D)
+    k: np.ndarray                # (M+1, m, 1)
     cost: float                  # exact chain cost by moment recursion
     cost_dp: float               # same value from the backward recursion
     diagnostics: Dict[str, float] = field(default_factory=dict)
@@ -422,11 +423,9 @@ def solve_best_response_chain(js) -> BestResponseChain:
     D, m = js.D, js.m
     W, S, R = js.W, js.S, js.R
     lvec, rvec, cconst = -js.eta_y, -js.nbar_y, js.c0
-    W_T, l_T, c_T = js.terminal
-
-    P = disc[M] * W_T
-    q_lin = disc[M] * l_T
-    v = 0.5 * disc[M] * c_T
+    P = disc[M] * js.terminal
+    q_lin = np.zeros((D, 1))
+    v = 0.0
 
     gains = np.empty((M + 1, m, D))
     ffs = np.empty((M + 1, m, 1))
@@ -481,12 +480,12 @@ def solve_best_response_chain(js) -> BestResponseChain:
     cost_dp = 0.5 * (np.tensordot(P, V0) + (mu0.T @ P @ mu0).item()) \
         + (q_lin.T @ mu0).item() + v
 
-    node_cost = _policy_quadratic(W, S, R, js.eta_y, js.nbar_y, cconst, -gains, -ffs)
+    node_cost = _policy_quadratic(W, S, R, js.eta_y, js.nbar_y, cconst, gains, -ffs)
     cost = discrete_chain_cost(grid, p.rho, mu0, V0, js.A[::2] - js.B_full @ gains,
                                js.d[::2] - js.B_full @ ffs, js.Sig2, node_cost,
                                js.terminal)
     return BestResponseChain(
-        gains=gains, feedforwards=ffs,
+        K=gains, k=-ffs,
         cost=cost, cost_dp=cost_dp,
         diagnostics={"route_mismatch": abs(cost - cost_dp)},
     )

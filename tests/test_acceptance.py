@@ -66,7 +66,7 @@ def two_state_problem(M):
 def _resampled_optimum(p, sol):
     # optimal feedback replayed as an open-loop control along its own
     # deterministic trajectory
-    law = sol.law()
+    law = sol.law
     Kq, kq, bq = _stage_values(law.K), _stage_values(law.k), _stage_values(p.b)
 
     def rhs(q, x):
@@ -143,7 +143,7 @@ def test_criterion_3_brute_force_optimality():
     start = time.monotonic()
     p = rich_scalar_problem(M=400)
     sol = solve_finite_horizon(p)
-    J_star = expected_cost(p, sol.law())
+    J_star = expected_cost(p, sol.law)
 
     # piecewise-constant control on 20 equal intervals, nodes take the
     # value of the interval containing them

@@ -223,6 +223,18 @@ def test_each_solve_runs_its_validator_once(tmp_path, monkeypatch, command):
     assert summary["validation" if lqg else "assumptions"]["passed"]
 
 
+def test_solve_lqg_feedforward_file_is_minus_k(tmp_path):
+    # the file keeps its sign, u = -K x - feedforward, while the library's
+    # law is u = -K x + k
+    cfg = _lqg_cfg(b=[[0.3]], N=[[0.1]], eta=[[0.2]], n=[[0.1]])
+    out = tmp_path / "run"
+    assert _run(["solve-lqg", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 0
+    law = lqg_single.solve_finite_horizon(config.parse_lqg_problem(cfg)).law
+    assert np.all(law.k.values != 0.0)
+    cli_app._write_grid_tables(tmp_path, {"minus_k.csv": -law.k.values})
+    assert (out / "feedforward.csv").read_bytes() == (tmp_path / "minus_k.csv").read_bytes()
+
+
 def test_solve_lqg_missing_R_exits_2(tmp_path, capsys):
     cfg = _lqg_cfg()
     del cfg["R"]

@@ -208,41 +208,50 @@ def test_riccati_monotone_in_q():
 # --------------------------------------------------------------- feedback
 
 
-def _handmade_solution(grid, Pi, s, K, kff):
+def _handmade_solution(grid, Pi, s, K, k):
     return LqgSolution(
         Pi=GridFunction.constant(grid, Pi),
         s=GridFunction.constant(grid, s),
-        K=GridFunction.constant(grid, K),
-        kff=GridFunction.constant(grid, kff),
+        law=FeedbackLaw(GridFunction.constant(grid, K), GridFunction.constant(grid, k)),
     )
 
 
 def test_feedback_zero_everything():
     g = TimeGrid(1.0, 10)
     sol = _handmade_solution(g, [[0.0]], [[0.0]], [[0.0]], [[0.0]])
-    assert sol.law()(0.3, [[5.0]]) == pytest.approx(0.0)
+    assert sol.law(0.3, [[5.0]]) == pytest.approx(0.0)
 
 
 def test_feedback_scalar_arithmetic():
     # Pi=1, B=R=1, N=0, s=0: K = 1, u(x=2) = -2
     g = TimeGrid(1.0, 10)
     sol = _handmade_solution(g, [[1.0]], [[0.0]], [[1.0]], [[0.0]])
-    assert sol.law()(0.5, [[2.0]])[0, 0] == pytest.approx(-2.0)
+    assert sol.law(0.5, [[2.0]])[0, 0] == pytest.approx(-2.0)
 
 
 def test_feedback_feedforward_only():
-    # x=0, s=0, N=0: u = R^{-1} n, i.e. kff = -R^{-1} n
+    # x=0, s=0, N=0: u = R^{-1} n, i.e. k = R^{-1} n
     g = TimeGrid(1.0, 10)
     n_lin = 0.35
-    sol = _handmade_solution(g, [[2.0]], [[0.0]], [[2.0]], [[-n_lin]])
-    assert sol.law()(0.1, [[0.0]])[0, 0] == pytest.approx(n_lin)
+    sol = _handmade_solution(g, [[2.0]], [[0.0]], [[2.0]], [[n_lin]])
+    assert sol.law(0.1, [[0.0]])[0, 0] == pytest.approx(n_lin)
+
+
+def test_feedback_rejects_a_malformed_state():
+    g = TimeGrid(1.0, 10)
+    law = FeedbackLaw(GridFunction.constant(g, np.eye(2)), GridFunction.zeros(g, 2))
+    assert law(0.5, [1.0, 2.0]).shape == (2, 1)
+    for bad in ([1.0, 2.0, 3.0], [1.0], "ab", [np.nan, 1.0]):
+        with pytest.raises(SchemaError) as err:
+            law(0.5, bad)
+        assert err.value.field == "x"
 
 
 def test_feedback_out_of_range():
     g = TimeGrid(1.0, 10)
     sol = _handmade_solution(g, [[1.0]], [[0.0]], [[1.0]], [[0.0]])
     with pytest.raises(OutOfRangeError):
-        sol.law()(1.5, [[1.0]])
+        sol.law(1.5, [[1.0]])
 
 
 # ------------------------------------------------------------ expected cost
@@ -258,14 +267,14 @@ def test_policy_quadratic_matches_direct_running_cost():
     G = rng.normal(size=(m, m))
     R = G @ G.T + np.eye(m)
     eta, nbar, c0 = rng.normal(size=(n, 1)), rng.normal(size=(m, 1)), 0.7
-    L, uc = rng.normal(size=(stages, m, n)), rng.normal(size=(stages, m, 1))
-    W, l, c = _policy_quadratic(Q, N, R, eta, nbar, c0, L, uc)
+    K, k = rng.normal(size=(stages, m, n)), rng.normal(size=(stages, m, 1))
+    W, l, c = _policy_quadratic(Q, N, R, eta, nbar, c0, K, k)
     assert W.shape == (stages, n, n) and l.shape == (stages, n, 1)
     assert c.shape == (stages,)
     assert np.array_equal(W, np.swapaxes(W, 1, 2))
     for q in range(stages):
         for X in rng.normal(size=(3, n, 1)):
-            u = L[q] @ X + uc[q]
+            u = -K[q] @ X + k[q]
             direct = (X.T @ Q @ X + 2.0 * X.T @ N @ u + u.T @ R @ u
                       - 2.0 * X.T @ eta - 2.0 * u.T @ nbar).item() + c0
             form = (X.T @ W[q] @ X + 2.0 * X.T @ l[q]).item() + c[q]
@@ -340,8 +349,8 @@ def test_cost_matches_monte_carlo():
     steps, paths = 4000, 30000
     h = p.grid.t_end / steps
     tt = np.linspace(0.0, p.grid.t_end, steps + 1)
-    K = np.array([sol.K.interp(t)[0, 0] for t in tt])
-    kf = np.array([sol.kff.interp(t)[0, 0] for t in tt])
+    K = np.array([sol.law.K.interp(t)[0, 0] for t in tt])
+    k = np.array([sol.law.k.interp(t)[0, 0] for t in tt])
     A, B, bb, sig = p.A[0, 0], p.B[0, 0], p.b.values[0, 0, 0], 0.4
     Q, N, R = p.Q[0, 0], p.N_cross[0, 0], p.R[0, 0]
     eta, nl, rho, Qhat = p.eta[0, 0], p.n_lin[0, 0], p.rho, p.Qhat[0, 0]
@@ -350,7 +359,7 @@ def test_cost_matches_monte_carlo():
     run = np.zeros(paths)
     disc = np.exp(-rho * tt)
     for i in range(steps + 1):
-        u = -K[i] * x - kf[i]
+        u = -K[i] * x + k[i]
         rate = 0.5 * disc[i] * (
             Q * x * x + 2 * N * x * u + R * u * u - 2 * eta * x - 2 * nl * u
         )
@@ -366,7 +375,7 @@ def test_cost_matches_monte_carlo():
 def test_optimal_cost_below_perturbations():
     p = rich_scalar_problem(M=300, sigma=0.3)
     sol = solve_finite_horizon(p)
-    law = sol.law()
+    law = sol.law
     J_star = expected_cost(p, law)
     rng = np.random.default_rng(7)
     omega = GridFunction(
@@ -389,7 +398,7 @@ def test_optimal_cost_below_perturbations():
 def _optimal_open_loop(p, sol):
     # resample the optimal feedback as an open-loop control along its own
     # deterministic trajectory
-    law = sol.law()
+    law = sol.law
     K_t, k_t = law.K.values, law.k.values
     from mmlqg.numerics import rk4_forward_indexed
     from mmlqg.lqg_single import _stage_values
@@ -536,6 +545,9 @@ def test_turnpike_long_horizon():
     sol = solve_finite_horizon(long)
     assert abs(sol.Pi.values[0][0, 0] - st.Pi[0, 0]) < 1e-6
     assert abs(sol.s.values[0][0, 0] - st.s[0, 0]) < 1e-6
+    # both laws read u = -K x + k
+    assert abs(sol.law.K.values[0][0, 0] - st.K[0, 0]) < 1e-6
+    assert abs(sol.law.k.values[0][0, 0] - st.k[0, 0]) < 1e-6
 
 
 def test_infinite_horizon_rejects_unstabilizable():

@@ -99,7 +99,7 @@ def test_decoupled_minor_blocks_are_single_agent(decoupled):
         assert np.all(sol.Pik[k].values[:, :n, n:] == 0.0)
         assert np.max(np.abs(sol.sk[k].values[:, :n, :] - single.s.values)) <= 1e-10
         law = sol.minor_laws[k]
-        single_law = single.law()
+        single_law = single.law
         assert np.max(np.abs(law.K.values[:, :, :n] - single_law.K.values)) <= 1e-10
         assert np.all(law.K.values[:, :, n:] == 0.0)
         assert np.max(np.abs(law.k.values - single_law.k.values)) <= 1e-12
@@ -108,7 +108,7 @@ def test_decoupled_minor_blocks_are_single_agent(decoupled):
 def test_decoupled_major_gain_matches_single_agent(decoupled):
     p, sol = decoupled
     n = p.n
-    single = solve_finite_horizon(major_standalone(p)).law()
+    single = solve_finite_horizon(major_standalone(p)).law
     assert np.max(np.abs(sol.major_law.K.values[:, :, :n] - single.K.values)) <= 1e-10
     assert np.all(sol.major_law.K.values[:, :, n:] == 0.0)
     assert np.max(np.abs(sol.major_law.k.values - single.k.values)) <= 1e-12
@@ -447,7 +447,7 @@ def test_long_finite_horizon_matches_the_stationary_solution():
     for k in range(p.K):
         pairs += [(fin.Pik[k], st.Pik[k]), (fin.sk[k], st.sk[k]),
                   (fin.minor_laws[k].K, st.minor_gains[k]),
-                  (fin.minor_laws[k].k, st.minor_feedforwards[k])]
+                  (fin.minor_laws[k].k, st.minor_feedforward[k])]
     for table, stationary in pairs:
         assert np.max(np.abs(table.values[0] - stationary)) < 1e-7
 

@@ -17,6 +17,7 @@ from mmlqg.lqg_single import LqgProblem, solve_finite_horizon
 from mmlqg.mfg_solver import solve_consistency_finite
 from mmlqg.nash_gap import (
     NashGapReport,
+    _policy_cost,
     build_joint_closed_loop,
     epsilon_nash_gap,
     equilibrium_cost_ode,
@@ -124,6 +125,30 @@ def test_one_policy_quadratic_and_no_per_stage_joint_methods():
     assert joint and not joint & {"A_open", "d_open", "eq_gain", "A_closed", "d_closed"}
 
 
+def test_one_law_convention():
+    # every law the package stores, passes or costs is u = -K x + k: no
+    # name carries the opposite feedforward, and the cost routines take
+    # the law as (K, k)
+    names, params = set(), {}
+    for f in sorted(Path(mmlqg.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(f.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, (ast.arg, ast.keyword)):
+                names.add(node.arg)
+            elif isinstance(node, ast.ClassDef):
+                names.add(node.name)
+            elif isinstance(node, ast.FunctionDef):
+                names.add(node.name)
+                params[node.name] = [a.arg for a in node.args.args]
+    assert not names & {"kff", "feedforwards"}
+    assert params["_policy_quadratic"][-2:] == ["K", "k"]
+    assert params["_closed_loop_cost"][1:3] == ["K", "k"]
+    assert params["_policy_cost"][1:] == ["K", "k"]
+
+
 def test_one_midpoint_rule_and_a_best_response_without_loops():
     # only _stage_values forms midpoints, so no other code strides stage
     # tables back to nodes; the best response has no loop of its own and
@@ -154,12 +179,21 @@ def test_one_midpoint_rule_and_a_best_response_without_loops():
 
 
 def test_best_response_midpoints_are_node_means(coupled):
+    # the best response is a law on the nodes, costed at stages whose
+    # midpoints are node means
     p, sol = coupled
     js = build_joint_closed_loop(p, sol, PopulationConfig(N=4), 2)
     br = solve_best_response(js)
-    for tab in (br.gains, br.feedforwards):
-        assert tab.shape[0] == 2 * p.grid.num_steps + 1
-        assert np.array_equal(tab[1::2], 0.5 * (tab[:-1:2] + tab[2::2]))
+
+    def stages(nodes):
+        tab = np.repeat(nodes, 2, axis=0)[:-1]
+        tab[1::2] = 0.5 * (nodes[:-1] + nodes[1:])
+        return tab
+
+    K, k = br.law.K.values, br.law.k.values
+    assert K.shape == (p.grid.num_nodes, p.m, js.D)
+    assert k.shape == (p.grid.num_nodes, p.m, 1)
+    assert _policy_cost(js, stages(K), stages(k)) == br.cost
 
 
 def test_grid_mismatch_rejected(coupled):
@@ -245,7 +279,7 @@ def test_terminal_riccati_equals_joint_terminal_weight(coupled):
     p, sol = coupled
     js = build_joint_closed_loop(p, sol, PopulationConfig(N=4), 1)
     br = solve_best_response(js)
-    assert np.array_equal(br.Pi[-1], js.terminal[0])
+    assert np.array_equal(br.Pi[-1], js.terminal)
 
 
 def test_best_response_recovers_standalone_lqg(single_minor):
@@ -264,7 +298,7 @@ def test_best_response_recovers_standalone_lqg(single_minor):
     M = p.grid.num_steps
     own = slice(0, p.n)
     worst_K = max(
-        np.abs(br.gains[2 * j][:, own] - lqg.K.values[j]).max()
+        np.abs(br.law.K.values[j][:, own] - lqg.law.K.values[j]).max()
         for j in range(0, M + 1, 5)
     )
     worst_Pi = max(
@@ -274,7 +308,7 @@ def test_best_response_recovers_standalone_lqg(single_minor):
     assert worst_K < 1e-9
     assert worst_Pi < 1e-9
     # off-block feedback must vanish: nothing else enters this agent's cost
-    assert np.abs(br.gains[0][:, p.n:]).max() < 1e-9
+    assert np.abs(br.law.K.values[0][:, p.n:]).max() < 1e-9
 
 
 def test_perturbed_controls_cost_more(coupled):

@@ -18,7 +18,7 @@ from mmlqg.numerics import (
     TimeGrid,
     cumulative_simpson,
     interp,
-    psd_check,
+    psd_margin,
     rk4_backward_indexed,
     rk4_forward_indexed,
     symmetrize,
@@ -304,10 +304,13 @@ def test_symmetrize_properties(n, seed):
 
 
 def test_psd_check_basics():
-    assert psd_check(np.eye(3), 0.0)
-    assert psd_check(np.zeros((2, 2)), 0.0)
-    assert not psd_check(np.diag([1.0, -1.0]), 1e-9)
-    assert psd_check(np.diag([1.0, -1e-12]), 1e-9)
+    def psd(P, tol):
+        w_min, allowance = psd_margin(P, tol)
+        return w_min >= -allowance
+    assert psd(np.eye(3), 0.0)
+    assert psd(np.zeros((2, 2)), 0.0)
+    assert not psd(np.diag([1.0, -1.0]), 1e-9)
+    assert psd(np.diag([1.0, -1e-12]), 1e-9)
 
 
 def test_cumulative_simpson_quadratic_exact():

@@ -164,12 +164,12 @@ def test_chain_cost_on_dense_node_tables_reproduces_expected_cost(coupled):
     cfg = PopulationConfig(N=4, master_seed=0)
     for agent in (0, 3):
         js = DenseJointSystem(p=p, sol=sol, cfg=cfg, deviator=agent)
-        L, uc = -js.Kz[::2], js.k_st[::2]
+        K, k = js.Kz[::2], js.k_st[::2]
         node_cost = _policy_quadratic(js.W, js.S, js.R, js.eta_y, js.nbar_y,
-                                      js.c0, L, uc)
+                                      js.c0, K, k)
         J = discrete_chain_cost(p.grid, p.rho, js.mu0, js.V0,
-                                js.A[::2] + js.B_full @ L,
-                                js.d[::2] + js.B_full @ uc, js.Sig2,
+                                js.A[::2] - js.B_full @ K,
+                                js.d[::2] + js.B_full @ k, js.Sig2,
                                 node_cost, js.terminal)
         ref = expected_cost_exact(p, sol, cfg, agent).value
         assert J == pytest.approx(ref, rel=1e-10, abs=1e-12)
