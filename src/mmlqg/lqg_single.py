@@ -38,14 +38,11 @@ from .numerics import (
     _as_real,
     cumulative_simpson,
     expm,
-    flatten,
     psd_margin,
     rk4_backward_indexed,
     rk4_forward_indexed,
     symmetrize,
-    symmetrize_leading,
     trapezoid_weights,
-    unflatten,
 )
 
 PSD_TOL = 1e-9  # relative to the largest eigenvalue magnitude
@@ -520,33 +517,41 @@ def solve_finite_horizon(p: LqgProblem) -> LqgSolution:
 
 def closed_loop_cost_moments(grid: TimeGrid, rho: float, x0_mean: np.ndarray,
                              x0_cov: np.ndarray, A_cl: np.ndarray, d: np.ndarray,
-                             Sig2: np.ndarray, W: np.ndarray, l_vec: np.ndarray,
-                             c: np.ndarray, W_T: np.ndarray) -> float:
+                             Sig2: np.ndarray, cost, W_T: np.ndarray) -> float:
     """Exact discounted quadratic cost of a linear closed loop.
 
     Propagates the covariance V and mean mu of dx = (A_cl(t) x + d(t)) dt +
     noise, with Sig2 = sigma sigma', and accumulates the running cost
-    J = (1/2) E int e^{-rho t} (x'Wx + 2x'l + c) dt in the same RK4 sweep,
-    with (V, mu, J) packed into one flat state.  The terminal weight W_T
-    adds (1/2) e^{-rho T} E x'W_T x.  All time-varying
-    tables are indexed by half-step stages q = 0..2M at times q*h/2.
+    J = (1/2) E int e^{-rho t} (x'Wx + 2x'l + c) dt, cost = (W, l, c), in
+    the same RK4 sweep of the symmetric bordered matrix [[V, mu], [mu', J]].
+    The terminal weight W_T adds (1/2) e^{-rho T} E x'W_T x.  All
+    time-varying tables are indexed by half-step stages q = 0..2M at times
+    q*h/2.
     """
     n = x0_mean.shape[0]
-    shapes = [(n, n), (n, 1), ()]
+    W, l, c = cost
     disc = _discount_stages(grid, rho)
 
-    def stage_rhs(q, Y):
-        V, mu, _ = unflatten(Y, shapes)
-        Aq = A_cl[q]
-        AV = Aq @ V
-        S = V + mu @ mu.T
-        rate = 0.5 * disc[q] * (np.vdot(W[q], S) + 2.0 * (l_vec[q].T @ mu).item() + c[q])
-        return flatten(AV + AV.T + Sig2[q], Aq @ mu + d[q], rate)
+    def moments(Y):
+        # contiguous copies: a strided view may round a product differently
+        return np.ascontiguousarray(Y[:n, :n]), np.ascontiguousarray(Y[:n, n:])
 
-    start = flatten(symmetrize(np.reshape(x0_cov, (n, n))), x0_mean, 0.0)
-    sweep = rk4_forward_indexed(stage_rhs, start, grid, project=symmetrize_leading(n))
-    V, mu, J = unflatten(sweep.values[-1], shapes)
-    return float(J + 0.5 * disc[-1] * np.vdot(W_T, V + mu @ mu.T))
+    def stage_rhs(q, Y):
+        V, mu = moments(Y)
+        AV = A_cl[q] @ V
+        dY = np.empty((n + 1, n + 1))
+        dY[:n, :n] = AV + AV.T + Sig2[q]
+        dY[:n, n:] = A_cl[q] @ mu + d[q]
+        dY[n:, :n] = dY[:n, n:].T
+        dY[n, n] = 0.5 * disc[q] * (np.vdot(W[q], V + mu @ mu.T)
+                                    + 2.0 * (l[q].T @ mu).item() + c[q])
+        return dY
+
+    start = np.block([[symmetrize(np.reshape(x0_cov, (n, n))), x0_mean],
+                      [x0_mean.T, np.zeros((1, 1))]])
+    Y = rk4_forward_indexed(stage_rhs, start, grid, project=symmetrize).values[-1]
+    V, mu = moments(Y)
+    return float(Y[n, n] + 0.5 * disc[-1] * np.vdot(W_T, V + mu @ mu.T))
 
 
 def _law_stage_tables(p: LqgProblem, law) -> tuple:
@@ -592,11 +597,11 @@ def expected_cost(p: LqgProblem, law) -> float:
     K_tab, k_tab = _law_stage_tables(p, law)
     sig_tab = _stage_values(p.sigma)
     Sig2 = np.einsum("qir,qjr->qij", sig_tab, sig_tab)
-    W, l, c = _policy_quadratic(p.Q, p.N_cross, p.R, p.eta, p.n_lin, 0.0,
-                                K_tab, k_tab)
     return closed_loop_cost_moments(
         p.grid, p.rho, p.x0, np.zeros((p.n, p.n)), p.A - p.B @ K_tab,
-        p.B @ k_tab + _stage_values(p.b), Sig2, W, l, c, p.Qhat,
+        p.B @ k_tab + _stage_values(p.b), Sig2,
+        _policy_quadratic(p.Q, p.N_cross, p.R, p.eta, p.n_lin, 0.0, K_tab, k_tab),
+        p.Qhat,
     )
 
 

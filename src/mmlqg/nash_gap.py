@@ -115,7 +115,7 @@ def _closed_loop_cost(js: JointSystem, K: np.ndarray, k: np.ndarray,
     A = js.A - B @ K
     return closed_loop_cost_moments(
         p.grid, p.rho, js.mu0, js.V0, A, js.d + B @ k,
-        np.broadcast_to(js.Sig2, A.shape), *quadratic, W_T,
+        np.broadcast_to(js.Sig2, A.shape), quadratic, W_T,
     )
 
 

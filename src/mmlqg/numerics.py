@@ -5,12 +5,11 @@ in both directions, linear interpolation, and symmetric/PSD utilities.
 Every solver in the package shares one discretization, so all grids are
 uniform and all sweeps land exactly on the grid nodes.  Every RK4 sweep in
 the package steps through the one loop here, _rk4_sweep, with its
-coefficients read from half-step stage tables; a state made of several
-parts travels packed into one contiguous array (flatten / unflatten), and
-a stack of independent matrices, such as the minor types' Riccati
-matrices, sweeps as one state with a leading member axis.  Finiteness is
-checked once per sweep, on the finished node table, and a divergence is
-reported at the first non-finite node in sweep order.
+coefficients read from half-step stage tables.  Every sweep state is a
+matrix, or a stack of independent matrices, such as the minor types'
+Riccati matrices, swept as one state with a leading member axis.
+Finiteness is checked once per sweep, on the finished node table, and a
+divergence is reported at the first non-finite node in sweep order.
 """
 
 from __future__ import annotations
@@ -237,31 +236,15 @@ def flatten(*parts) -> np.ndarray:
 def unflatten(x: np.ndarray, shapes) -> list:
     """Views of consecutive blocks of x's elements, one per shape.
 
-    Inverse of flatten for a contiguous x.  A scalar part, shape (), comes
-    back as a number, not a view: 0-d array arithmetic is slow.
+    Inverse of flatten for a contiguous x.
     """
     flat = x.reshape(-1)
     parts, start = [], 0
     for shape in shapes:
         size = math.prod(shape)
-        parts.append(flat[start:start + size].reshape(shape) if shape else flat[start])
+        parts.append(flat[start:start + size].reshape(shape))
         start += size
     return parts
-
-
-def symmetrize_leading(n: int):
-    """Projection that symmetrizes the leading n x n block of a packed state.
-
-    For sweeps of a matrix ODE packed with other parts (see flatten): the
-    state is changed in place and returned.
-    """
-
-    def project(Y):
-        P = unflatten(Y, [(n, n)])[0]
-        P[...] = symmetrize(P)
-        return Y
-
-    return project
 
 
 def _rk4_sweep(stage_rhs, start, grid: TimeGrid, sign: int, project):
