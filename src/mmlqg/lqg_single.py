@@ -517,27 +517,23 @@ def solve_finite_horizon(p: LqgProblem) -> LqgSolution:
 
 def closed_loop_cost_moments(grid: TimeGrid, rho: float, x0_mean: np.ndarray,
                              x0_cov: np.ndarray, A_cl: np.ndarray, d: np.ndarray,
-                             Sig2: np.ndarray, cost, W_T: np.ndarray) -> float:
+                             Sig2: np.ndarray, cost: tuple, W_T: np.ndarray) -> float:
     """Exact discounted quadratic cost of a linear closed loop.
 
     Propagates the covariance V and mean mu of dx = (A_cl(t) x + d(t)) dt +
     noise, with Sig2 = sigma sigma', and accumulates the running cost
-    J = (1/2) E int e^{-rho t} (x'Wx + 2x'l + c) dt, cost = (W, l, c), in
-    the same RK4 sweep of the symmetric bordered matrix [[V, mu], [mu', J]].
-    The terminal weight W_T adds (1/2) e^{-rho T} E x'W_T x.  All
-    time-varying tables are indexed by half-step stages q = 0..2M at times
-    q*h/2.
+    J = (1/2) E int e^{-rho t} (x'Wx + 2x'l + c) dt, cost = (W, l, c), in one
+    RK4 sweep of the symmetric bordered matrix [[V, mu], [mu', J]].  The
+    terminal weight W_T adds (1/2) e^{-rho T} E x'W_T x.  All time-varying
+    tables are indexed by half-step stages q = 0..2M at times q*h/2.
     """
     n = x0_mean.shape[0]
     W, l, c = cost
     disc = _discount_stages(grid, rho)
 
-    def moments(Y):
-        # contiguous copies: a strided view may round a product differently
-        return np.ascontiguousarray(Y[:n, :n]), np.ascontiguousarray(Y[:n, n:])
-
     def stage_rhs(q, Y):
-        V, mu = moments(Y)
+        # contiguous copies: a strided view may round a product differently
+        V, mu = Y[:n, :n].copy(), Y[:n, n:].copy()
         AV = A_cl[q] @ V
         dY = np.empty((n + 1, n + 1))
         dY[:n, :n] = AV + AV.T + Sig2[q]
@@ -550,8 +546,7 @@ def closed_loop_cost_moments(grid: TimeGrid, rho: float, x0_mean: np.ndarray,
     start = np.block([[symmetrize(np.reshape(x0_cov, (n, n))), x0_mean],
                       [x0_mean.T, np.zeros((1, 1))]])
     Y = rk4_forward_indexed(stage_rhs, start, grid, project=symmetrize).values[-1]
-    V, mu = moments(Y)
-    return float(Y[n, n] + 0.5 * disc[-1] * np.vdot(W_T, V + mu @ mu.T))
+    return float(Y[n, n] + 0.5 * disc[-1] * np.vdot(W_T, Y[:n, :n] + Y[:n, n:] @ Y[n:, :n]))
 
 
 def _law_stage_tables(p: LqgProblem, law) -> tuple:

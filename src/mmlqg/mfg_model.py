@@ -147,7 +147,8 @@ def validate_problem(p: MmMfgProblem, tol: float = PSD_TOL) -> ValidationReport:
     rep.add("pi is a distribution", bool(pi_ok), "sum %.6g" % float(p.pi.sum()))
 
     margins = [psd_margin(V, tol) for V in (p.init_cov_major, p.init_cov_minor)]
-    rep.add("initial covariances PSD", all(w_min >= -w_tol for w_min, w_tol in margins))
+    rep.add("initial covariances PSD", all(w_min >= -w_tol for w_min, w_tol in margins),
+            "min eigenvalue %.3e" % min(w_min for w_min, _ in margins))
 
     add_convexity_checks(rep, "major ", p.major.Qhat0, p.major.Q0, p.major.N0,
                          p.major.R0, tol)

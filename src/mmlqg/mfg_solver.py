@@ -77,7 +77,7 @@ RANK_CUTOFF = 1e-10    # relative singular-value cutoff of the weight fit
 
 @dataclass
 class FixedPointConfig:
-    theta: float = 0.5
+    theta: float = 1.0
     tol: float = 1e-8
     max_iters: int = 500
     initial_law: Optional[MeanFieldLaw] = None

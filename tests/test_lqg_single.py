@@ -325,18 +325,32 @@ def test_cost_rejects_an_open_loop_control_of_the_wrong_shape():
 
 
 def test_cost_ornstein_uhlenbeck_closed_form():
-    # dx = a x dt + sigma dW, no control: E x^2 = (x0^2 + c) e^{2at} - c with
-    # c = sigma^2 / (2a), so the discounted cost integrates in closed form
+    # dx = (a x + b) dt + sigma dW, no control: the mean is
+    # m = (x0 + beta) e^{at} - beta with beta = b / a, the variance is
+    # c (e^{2at} - 1) with c = sigma^2 / (2a), and the discounted cost of
+    # q E x^2 - 2 eta m integrates in closed form through
+    # E(lam) = int_0^T e^{lam t} dt.  The case b, eta != 0 pins the mean's
+    # row and column of the sweep and the l'mu term.
     a, sigma, x0, rho, q, qhat, T = -0.7, 0.4, 1.3, 0.5, 2.0, 0.8, 1.5
-    p = scalar_problem(A=[[a]], B=[[0.0]], sigma=[[sigma]], Q=[[q]],
-                       Qhat=[[qhat]], rho=rho, grid=TimeGrid(T, 400), x0=[[x0]])
     c = sigma ** 2 / (2.0 * a)
-    running = (x0 ** 2 + c) * math.expm1((2.0 * a - rho) * T) / (2.0 * a - rho) \
-        + c * math.expm1(-rho * T) / rho
-    terminal = math.exp(-rho * T) * ((x0 ** 2 + c) * math.exp(2.0 * a * T) - c)
-    J = 0.5 * q * running + 0.5 * qhat * terminal
-    got = expected_cost(p, GridFunction.zeros(p.grid, 1))
-    assert got == pytest.approx(J, rel=1e-9, abs=0.0)
+
+    def E(lam):
+        return math.expm1(lam * T) / lam
+
+    for b, eta in [(0.0, 0.0), (0.6, 0.9)]:
+        p = scalar_problem(A=[[a]], B=[[0.0]], b=[[b]], sigma=[[sigma]], Q=[[q]],
+                           Qhat=[[qhat]], eta=[[eta]], rho=rho,
+                           grid=TimeGrid(T, 400), x0=[[x0]])
+        beta = b / a
+        z = x0 + beta
+        second = c * (E(2.0 * a - rho) - E(-rho)) + z ** 2 * E(2.0 * a - rho) \
+            - 2.0 * beta * z * E(a - rho) + beta ** 2 * E(-rho)
+        mean = z * E(a - rho) - beta * E(-rho)
+        terminal = math.exp(-rho * T) * (
+            c * math.expm1(2.0 * a * T) + (z * math.exp(a * T) - beta) ** 2)
+        J = 0.5 * (q * second - 2.0 * eta * mean) + 0.5 * qhat * terminal
+        got = expected_cost(p, GridFunction.zeros(p.grid, 1))
+        assert got == pytest.approx(J, rel=1e-9, abs=0.0)
 
 
 def test_cost_matches_monte_carlo():

@@ -69,6 +69,15 @@ def test_validate_rejects_singular_minor_r():
     assert any("minor[1]" in c.name and not c.passed for c in rep.checks)
 
 
+def test_validate_reports_indefinite_initial_covariance():
+    p = coupled_toy(M=20)
+    p.init_cov_minor = np.diag([0.1, -0.25])
+    (check,) = [c for c in validate_problem(p).checks
+                if c.name == "initial covariances PSD"]
+    assert not check.passed
+    assert check.detail == "min eigenvalue -2.500e-01"
+
+
 I2 = np.eye(2)
 
 
