@@ -517,36 +517,42 @@ def solve_finite_horizon(p: LqgProblem) -> LqgSolution:
 
 def closed_loop_cost_moments(grid: TimeGrid, rho: float, x0_mean: np.ndarray,
                              x0_cov: np.ndarray, A_cl: np.ndarray, d: np.ndarray,
-                             Sig2: np.ndarray, cost: tuple, W_T: np.ndarray) -> float:
-    """Exact discounted quadratic cost of a linear closed loop.
+                             Sig2: np.ndarray, costs: list) -> List[float]:
+    """Exact discounted quadratic costs of a linear closed loop, one per
+    entry ((W, l, c), W_T) of costs.
 
     Propagates the covariance V and mean mu of dx = (A_cl(t) x + d(t)) dt +
-    noise, with Sig2 = sigma sigma', and accumulates the running cost
-    J = (1/2) E int e^{-rho t} (x'Wx + 2x'l + c) dt, cost = (W, l, c), in one
-    RK4 sweep of the symmetric bordered matrix [[V, mu], [mu', J]].  The
-    terminal weight W_T adds (1/2) e^{-rho T} E x'W_T x.  All time-varying
-    tables are indexed by half-step stages q = 0..2M at times q*h/2.
+    noise, with Sig2 = sigma sigma', and accumulates each running cost
+    J_i = (1/2) E int e^{-rho t} (x'W_i x + 2x'l_i + c_i) dt in one RK4 sweep
+    of the symmetric bordered matrix [[V, mu, 0], [mu', J_1, 0], [0, 0,
+    diag(J_2, ...)]]; no J feeds back, so each rounds as it does alone.  The
+    terminal weight W_T_i adds (1/2) e^{-rho T} E x'W_T_i x.  All tables are
+    indexed by half-step stages q = 0..2M at times q*h/2.
     """
-    n = x0_mean.shape[0]
-    W, l, c = cost
+    n, L = x0_mean.shape[0], len(costs)
     disc = _discount_stages(grid, rho)
 
     def stage_rhs(q, Y):
         # contiguous copies: a strided view may round a product differently
-        V, mu = Y[:n, :n].copy(), Y[:n, n:].copy()
+        V, mu = Y[:n, :n].copy(), Y[:n, n:n + 1].copy()
         AV = A_cl[q] @ V
-        dY = np.empty((n + 1, n + 1))
+        dY = np.zeros((n + L, n + L))
         dY[:n, :n] = AV + AV.T + Sig2[q]
-        dY[:n, n:] = A_cl[q] @ mu + d[q]
-        dY[n:, :n] = dY[:n, n:].T
-        dY[n, n] = 0.5 * disc[q] * (np.vdot(W[q], V + mu @ mu.T)
-                                    + 2.0 * (l[q].T @ mu).item() + c[q])
+        dY[:n, n:n + 1] = A_cl[q] @ mu + d[q]
+        dY[n:n + 1, :n] = dY[:n, n:n + 1].T
+        second = V + mu @ mu.T
+        for i, ((W, l, c), _) in enumerate(costs, n):
+            dY[i, i] = 0.5 * disc[q] * (np.vdot(W[q], second)
+                                        + 2.0 * (l[q].T @ mu).item() + c[q])
         return dY
 
-    start = np.block([[symmetrize(np.reshape(x0_cov, (n, n))), x0_mean],
-                      [x0_mean.T, np.zeros((1, 1))]])
+    start = np.zeros((n + L, n + L))
+    start[:n, :n] = symmetrize(np.reshape(x0_cov, (n, n)))
+    start[:n, n:n + 1], start[n:n + 1, :n] = x0_mean, x0_mean.T
     Y = rk4_forward_indexed(stage_rhs, start, grid, project=symmetrize).values[-1]
-    return float(Y[n, n] + 0.5 * disc[-1] * np.vdot(W_T, Y[:n, :n] + Y[:n, n:] @ Y[n:, :n]))
+    second = Y[:n, :n] + Y[:n, n:n + 1] @ Y[n:n + 1, :n]
+    return [float(Y[i, i] + 0.5 * disc[-1] * np.vdot(W_T, second))
+            for i, (_, W_T) in enumerate(costs, n)]
 
 
 def _law_stage_tables(p: LqgProblem, law) -> tuple:
@@ -592,12 +598,11 @@ def expected_cost(p: LqgProblem, law) -> float:
     K_tab, k_tab = _law_stage_tables(p, law)
     sig_tab = _stage_values(p.sigma)
     Sig2 = np.einsum("qir,qjr->qij", sig_tab, sig_tab)
+    quadratic = _policy_quadratic(p.Q, p.N_cross, p.R, p.eta, p.n_lin, 0.0, K_tab, k_tab)
     return closed_loop_cost_moments(
         p.grid, p.rho, p.x0, np.zeros((p.n, p.n)), p.A - p.B @ K_tab,
-        p.B @ k_tab + _stage_values(p.b), Sig2,
-        _policy_quadratic(p.Q, p.N_cross, p.R, p.eta, p.n_lin, 0.0, K_tab, k_tab),
-        p.Qhat,
-    )
+        p.B @ k_tab + _stage_values(p.b), Sig2, [(quadratic, p.Qhat)],
+    )[0]
 
 
 def _open_loop_trajectory(p: LqgProblem, u: GridFunction) -> GridFunction:

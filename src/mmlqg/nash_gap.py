@@ -8,28 +8,29 @@ y = (x_dev, x0, xbar, S_1..S_K) of population_sim.ReducedPopulation,
 whose dimension does not grow with N.  There the deviator is one more
 convex single-agent LQG problem: JointSystem._agent() states it as an
 ExtendedSystem, solved by the Riccati/offset sweeps and gain expression
-of every agent (lqg_single._solve_agent_finite, _gain_tables).  Both
-costs come from exact moment propagation, so the gap carries no sampling
-noise.  Every cost here is one affine policy on node or stage tables of
-the reduced system, turned into a running quadratic by lqg_single's one
-policy quadratic; stage tables come from node tables by
-lqg_single._stage_values alone.  In the uncoupled case the equilibrium
-law is already optimal and the gap vanishes.
+of every agent (lqg_single._solve_agent_finite, _gain_tables).  Every
+cost here is one affine policy on stage tables of the reduced system,
+turned into a running quadratic by lqg_single's one policy quadratic
+and costed by exact moment propagation, so the gap carries no sampling
+noise.  A gap builds one reduced record and runs two propagations: the
+best response's closed loop, and the equilibrium closed loop, which
+carries J_eq and the identity below at once.  In the uncoupled case the
+equilibrium law is already optimal and the gap vanishes.
 
 Two checks ride along with every gap.  Completing the square gives
 J(u) - J(u_br) = 1/2 E int e^{-rho t} (u - u_br)' R (u - u_br) dt for
 any policy u; identity_mismatch is the distance of that integral, along
 the equilibrium closed loop, from J_eq - J_br: the time error, second
 order in h.  The un-deviated chain cost, built from the open drift
-tables plus the lifted equilibrium gain table, must agree with
-expected_cost_exact, which closes every block directly
+tables plus the lifted equilibrium gain table, must agree with the chain
+on the record's own closed drift, expected_cost_exact's value
 (assembly_crosscheck).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -41,13 +42,7 @@ from .lqg_single import (PSD_TOL, ExtendedSystem, FeedbackLaw, ValidationReport,
 from .mfg_model import MmMfgProblem
 from .mfg_solver import MfgSolution
 from .numerics import GridFunction, _as_count
-from .population_sim import (
-    PopulationConfig,
-    ReducedPopulation,
-    assign_types,
-    discrete_chain_cost,
-    expected_cost_exact,
-)
+from .population_sim import PopulationConfig, ReducedPopulation, _agent_key, assign_types
 
 
 class JointSystem(ReducedPopulation):
@@ -62,13 +57,11 @@ class JointSystem(ReducedPopulation):
     read.  The tables are shared: treat them as read-only.
     """
 
-    def __init__(self, p: MmMfgProblem, sol: MfgSolution, cfg: PopulationConfig,
-                 deviator: int):
-        super().__init__(p, sol, cfg, deviator)
+    def __init__(self, p: MmMfgProblem, sol: MfgSolution, counts: Sequence[int],
+                 own_type: Optional[int], xbar0: np.ndarray):
+        super().__init__(p, sol, counts, own_type, xbar0)
         self.A_nodes, self.d_nodes = self.drift(closed=False)
-        self.B_full = np.zeros((self.D, self.m))
-        self.B_full[:self.n] = self.B_own
-        self.Kz_nodes = self.K_nodes @ self.U
+        self.B_full = np.vstack([self.B_own, np.zeros((self.D - self.n, self.m))])
         self.A, self.d, self.Kz, self.k_st = (_stage_values(t) for t in (
             self.A_nodes, self.d_nodes, self.Kz_nodes, self.k_nodes))
 
@@ -84,45 +77,42 @@ class JointSystem(ReducedPopulation):
         )
 
     def undeviated_cost(self) -> float:
-        """Equilibrium cost of the simulated chain through this assembly.
+        """Equilibrium cost of the simulated chain through this assembly:
+        the open drift closed by B_full and the lifted gain table.
 
-        Must reproduce population_sim.expected_cost_exact; any daylight
-        between the two means the gain lifting or the input placement is
-        wrong.
+        Must reproduce the chain cost on drift(closed=True), which is
+        expected_cost_exact; any daylight between the two means the gain
+        lifting or the input placement is wrong.
         """
-        K, k = self.Kz_nodes, self.k_nodes
-        node_cost = _policy_quadratic(self.W, self.S, self.R, self.eta_y,
-                                      self.nbar_y, self.c0, K, k)
-        return discrete_chain_cost(
-            self.p.grid, self.p.rho, self.mu0, self.V0,
-            self.A_nodes - self.B_full @ K, self.d_nodes + self.B_full @ k,
-            self.Sig2, node_cost, self.terminal,
-        )
+        return self.chain_cost(self.A_nodes - self.B_full @ self.Kz_nodes,
+                               self.d_nodes + self.B_full @ self.k_nodes)
 
 
 def build_joint_closed_loop(p: MmMfgProblem, sol: MfgSolution,
                             cfg: PopulationConfig, deviator: int) -> JointSystem:
-    return JointSystem(p, sol, cfg, deviator)
+    _, *key = _agent_key(p, cfg, deviator)
+    return JointSystem(p, sol, *key)
 
 
 def _closed_loop_cost(js: JointSystem, K: np.ndarray, k: np.ndarray,
-                      quadratic, W_T) -> float:
-    """Exact cost of the running quadratic (W, l, c) and the terminal weight
-    W_T along dy = ((A - B K) y + d + B k) dt + noise, u = -K[q] y + k[q]
-    (stage tables), by the package's one moment-and-cost propagator."""
+                      extra=()) -> List[float]:
+    """Exact deviator cost of u = -K[q] y + k[q] (stage tables), then the
+    cost of each extra ((W, l, c), W_T), along the one closed loop
+    dy = ((A - B K) y + d + B k) dt + noise, in one propagation by the
+    package's one moment-and-cost propagator."""
     p = js.p
     B = js.B_full
     A = js.A - B @ K
+    own = _policy_quadratic(js.W, js.S, js.R, js.eta_y, js.nbar_y, js.c0, K, k)
     return closed_loop_cost_moments(
         p.grid, p.rho, js.mu0, js.V0, A, js.d + B @ k,
-        np.broadcast_to(js.Sig2, A.shape), quadratic, W_T,
+        np.broadcast_to(js.Sig2, A.shape), [(own, js.terminal), *extra],
     )
 
 
 def _policy_cost(js: JointSystem, K: np.ndarray, k: np.ndarray) -> float:
     """Exact deviator cost of the policy u = -K[q] y + k[q] (stage tables)."""
-    return _closed_loop_cost(js, K, k, _policy_quadratic(
-        js.W, js.S, js.R, js.eta_y, js.nbar_y, js.c0, K, k), js.terminal)
+    return _closed_loop_cost(js, K, k)[0]
 
 
 def equilibrium_cost_ode(js: JointSystem) -> float:
@@ -151,15 +141,18 @@ class BestResponse:
     s: np.ndarray                # (M+1, D, 1)
     cost: float                  # exact cost by forward moment propagation
     gap_identity: float          # the gap by the completing-the-square identity
+    equilibrium_cost: float      # J_eq, equilibrium_cost_ode's value
 
 
 def solve_best_response(js: JointSystem) -> BestResponse:
     """Exact full-information best response in the reduced closed loop.
 
     Convexity is screened on the deviator's primitive weights, then its
-    agent record goes through the one finite-horizon agent solve.  The
-    law's cost and gap_identity, the deviation u_eq - u_br = -(Kz - K) y
-    + (k_st - k) weighted by R, come from moment propagation.
+    agent record goes through the one finite-horizon agent solve.  Two
+    moment propagations follow: the best response's own closed loop for
+    its cost, and the equilibrium closed loop, which carries both J_eq and
+    gap_identity, the deviation u_eq - u_br = -(Kz - K) y + (k_st - k)
+    weighted by R.
     """
     rep = ValidationReport()
     add_convexity_checks(rep, "deviator ", js.Qhat, js.Q, js.Ncr, js.R, PSD_TOL)
@@ -171,9 +164,10 @@ def solve_best_response(js: JointSystem) -> BestResponse:
     deviation = _policy_quadratic(0.0, np.zeros_like(js.S), js.R, 0.0,
                                   np.zeros_like(js.nbar_y), 0.0,
                                   js.Kz - K, js.k_st - k)
-    identity = _closed_loop_cost(js, js.Kz, js.k_st, deviation, np.zeros_like(js.W))
-    return BestResponse(law=law, Pi=Pi.values, s=s.values,
-                        cost=_policy_cost(js, K, k), gap_identity=identity)
+    J_eq, identity = _closed_loop_cost(js, js.Kz, js.k_st,
+                                       [(deviation, np.zeros_like(js.W))])
+    return BestResponse(law=law, Pi=Pi.values, s=s.values, cost=_policy_cost(js, K, k),
+                        gap_identity=identity, equilibrium_cost=J_eq)
 
 
 @dataclass
@@ -200,19 +194,20 @@ def epsilon_nash_gap(p: MmMfgProblem, sol: MfgSolution, cfg: PopulationConfig,
     Both costs come from exact moment propagation of the same reduced
     system, so the gap is free of sampling noise and of discretization
     mismatch between the two sides.  The chain evaluation of the
-    un-deviated system is compared against expected_cost_exact and
-    reported as an assembly cross-check.
+    un-deviated system is compared against the chain on the record's own
+    closed drift, the value of expected_cost_exact, and reported as an
+    assembly cross-check.
     """
-    js = build_joint_closed_loop(p, sol, cfg, deviator)
-    J_eq = equilibrium_cost_ode(js)
+    agent_id = _as_count(deviator, "agent_id", 0, cfg.N + 1)
+    js = build_joint_closed_loop(p, sol, cfg, agent_id)
     br = solve_best_response(js)
-    chain_ref = expected_cost_exact(p, sol, cfg, deviator).value
-    gap = J_eq - br.cost
+    gap = br.equilibrium_cost - br.cost
+    chain_ref = js.chain_cost(*js.drift(closed=True))
     diag = {"identity_mismatch": abs(br.gap_identity - gap),
             "assembly_crosscheck": abs(js.undeviated_cost() - chain_ref)}
     return NashGapReport(
-        agent_id=js.agent_id, N=cfg.N,
-        J_equilibrium=J_eq, J_best_response=br.cost,
+        agent_id=agent_id, N=cfg.N,
+        J_equilibrium=br.equilibrium_cost, J_best_response=br.cost,
         gap=gap, diagnostics=diag,
     )
 
@@ -241,22 +236,13 @@ def gap_vs_population(p: MmMfgProblem, sol: MfgSolution, Ns: Sequence[int]) -> G
     for N in [_as_count(N, "Ns[%d]" % i, 1) for i, N in enumerate(Ns)]:
         type_of = assign_types(p.pi, N)
         cfg = PopulationConfig(N=N, type_assignment=type_of)
-        reports = [epsilon_nash_gap(p, sol, cfg, 0)]
-        type_gaps = []
-        for k in range(p.K):
-            members = np.flatnonzero(type_of == k)
-            if members.size == 0:
-                type_gaps.append(0.0)
-                continue
-            reports.append(epsilon_nash_gap(p, sol, cfg, int(members[0]) + 1))
-            type_gaps.append(reports[-1].gap)
-        major = reports[0].gap
-        rows.append(GapRow(
-            N=N, major_gap=major, type_gaps=type_gaps,
-            max_gap=max([major] + type_gaps),
-            identity_mismatch=max(r.diagnostics["identity_mismatch"]
-                                  for r in reports),
-            assembly_crosscheck=max(r.diagnostics["assembly_crosscheck"]
-                                    for r in reports),
-        ))
+        # the major, then the first member of each type (None if it is empty)
+        ids = [0] + [int(ix[0]) + 1 if ix.size else None
+                     for ix in (np.flatnonzero(type_of == k) for k in range(p.K))]
+        reports = {a: epsilon_nash_gap(p, sol, cfg, a) for a in ids if a is not None}
+        gaps = [0.0 if a is None else reports[a].gap for a in ids]
+        worst = {key: max(r.diagnostics[key] for r in reports.values())
+                 for key in ("identity_mismatch", "assembly_crosscheck")}
+        rows.append(GapRow(N=N, major_gap=gaps[0], type_gaps=gaps[1:],
+                           max_gap=max(gaps), **worst))
     return GapTable(rows=rows)

@@ -190,8 +190,7 @@ class _Population:
     path and every population size run on them."""
 
     def __init__(self, p: MmMfgProblem, sol: MfgSolution, cfg: PopulationConfig):
-        if sol.problem.grid != p.grid:
-            raise SchemaError("solution grid does not match the problem grid")
+        _check_solution(p, sol)
         self.p = p
         n, m, K, laws, mns = p.n, p.m, p.K, sol.minor_laws, p.minors
         self.sqrt0 = psd_sqrt(p.init_cov_major)
@@ -410,40 +409,54 @@ def _initial_mean_field(p: MmMfgProblem, cfg: PopulationConfig) -> np.ndarray:
     return _as_matrix("xbar0", cfg.xbar0, p.n * p.K, 1)[:, 0]
 
 
+def _check_solution(p: MmMfgProblem, sol: MfgSolution):
+    """A solution is run only on a game of its own grid and dimensions."""
+    q = sol.problem
+    if (q.grid, q.n, q.m, q.K) != (p.grid, p.n, p.m, p.K):
+        raise SchemaError("the solution's grid, n, m or K does not match the problem's")
+
+
+def _agent_key(p: MmMfgProblem, cfg: PopulationConfig, agent_id) -> tuple:
+    """agent_id as a count, then its ReducedPopulation key: the other minors'
+    counts per type, the agent's type (None for the major) and xbar0."""
+    agent_id = _as_count(agent_id, "agent_id", 0, cfg.N + 1)
+    type_of = _type_of(p, cfg)
+    own_type = None if agent_id == 0 else int(type_of[agent_id - 1])
+    counts = np.bincount(type_of, minlength=p.K)
+    if own_type is not None:
+        counts[own_type] -= 1
+    return agent_id, counts, own_type, _initial_mean_field(p, cfg)
+
+
 class ReducedPopulation:
     """The closed-loop population as one agent sees it, in aggregate form.
 
-    Agent ids follow the simulator: 0 is the major, 1..N the minors.  The
-    state is y = (x_a, x0, xbar, S_1..S_K), with S_k the average of the
-    c_k minors of type k other than agent a.  Those minors share one
-    closed-loop law and enter every drift and cost only through
-    x^(N) = (x_a + sum_k c_k S_k) / N, so y is Markov on its own: S_k
-    carries noise sigma_k sigma_k' / c_k, starts with covariance
-    Sigma_minor / c_k, and no block starts correlated with another.
-    x_a is left out for the major and S_k when c_k = 0, so D <= 2n + 2nK
-    whatever N.  y is a fixed linear image of the full N-agent state, and
-    that projection commutes with every moment, Riccati and chain step
-    taken on it: costs on y equal costs on the full state up to roundoff,
-    discretization included.
+    Keyed by counts, not agent ids (_agent_key maps one to the other): the
+    agent's type own_type (None for the major), counts[k] = c_k other
+    minors of type k and the initial mean field xbar0.  The state is
+    y = (x_a, x0, xbar, S_1..S_K), with S_k the average of those c_k
+    minors.  They share one closed-loop law and enter every drift and cost
+    only through x^(N) = (x_a + sum_k c_k S_k) / N, so y is Markov on its
+    own: S_k carries noise sigma_k sigma_k' / c_k, starts with covariance
+    Sigma_minor / c_k, and no block starts correlated with another.  x_a
+    is left out for the major and S_k when c_k = 0, so D <= 2n + 2nK and
+    no array grows with N.  y is a fixed linear image of the full N-agent
+    state, and that projection commutes with every moment, Riccati and
+    chain step taken on it: costs on y equal costs on the full state up to
+    roundoff, discretization included.
     """
 
-    def __init__(self, p: MmMfgProblem, sol: MfgSolution, cfg: PopulationConfig,
-                 agent_id: int):
-        if sol.problem.grid != p.grid:
-            raise SchemaError("solution grid does not match the problem grid")
-        agent_id = _as_count(agent_id, "agent_id", 0, cfg.N + 1)
-        n, K, N = p.n, p.K, cfg.N
+    def __init__(self, p: MmMfgProblem, sol: MfgSolution, counts: Sequence[int],
+                 own_type: Optional[int], xbar0: np.ndarray):
+        _check_solution(p, sol)
+        n, K = p.n, p.K
+        N = int(np.sum(counts)) + (own_type is not None)
         self.p, self.sol = p, sol
         self.n, self.m, self.K = n, p.m, K
-        self.agent_id = agent_id
-        type_of = _type_of(p, cfg)
-        self.own_type = None if agent_id == 0 else int(type_of[agent_id - 1])
-        counts = np.bincount(type_of, minlength=K)
-        if self.own_type is not None:
-            counts[self.own_type] -= 1
+        self.own_type = own_type
 
         # the agent's own block comes first: x0 for the major, x_a otherwise
-        self.x0_off = 0 if agent_id == 0 else n
+        self.x0_off = 0 if own_type is None else n
         self.xb_off = self.x0_off + n
         off = self.xb_off + n * K
         self.S_off = []
@@ -454,34 +467,29 @@ class ReducedPopulation:
 
         # x^(N): the agent's own state and c_k S_k, each over N
         avg = np.zeros((n, self.D))
-        if agent_id:
+        if own_type is not None:
             avg[:, :n] = np.eye(n) / N
         for c, o in zip(counts, self.S_off):
             if o is not None:
                 avg[:, o:o + n] = np.eye(n) * (c / N)
         self.avg = avg
 
-        x0_sel = self._sel(self.x0_off, n)
-        xb_sel = self._sel(self.xb_off, n * K)
-        if agent_id == 0:
-            mj = p.major
+        # selectors: rows of the identity; the law reads the leading blocks
+        eye = np.eye(self.D)
+        x0_sel = eye[self.x0_off:self.x0_off + n]
+        if own_type is None:
+            mj, law = p.major, sol.major_law
             C = x0_sel - mj.H0 @ avg
-            eta, self.Q = mj.eta0, mj.Q0
-            self.Ncr, self.R, self.Qhat = mj.N0, mj.R0, mj.Qhat0
-            self.B_own = mj.B0
-            self.U = np.vstack([x0_sel, xb_sel])
-            law = sol.major_law
+            eta, self.Q, self.Ncr, self.R = mj.eta0, mj.Q0, mj.N0, mj.R0
+            self.Qhat, self.B_own = mj.Qhat0, mj.B0
         else:
-            mn = p.minors[self.own_type]
-            own_sel = self._sel(0, n)
-            C = own_sel - mn.Hk @ x0_sel - mn.Hhatk @ avg
-            eta, self.Q = mn.etak, mn.Qk
-            self.Ncr, self.R, self.Qhat = mn.Nk, mn.Rk, mn.Qhatk
-            self.B_own = mn.Bk
-            self.U = np.vstack([own_sel, x0_sel, xb_sel])
-            law = sol.minor_laws[self.own_type]
-        # the agent's own equilibrium law, u = -K_nodes[j] U y + k_nodes[j]
-        self.K_nodes, self.k_nodes = law.K.values, law.k.values
+            mn, law = p.minors[own_type], sol.minor_laws[own_type]
+            C = eye[:n] - mn.Hk @ x0_sel - mn.Hhatk @ avg
+            eta, self.Q, self.Ncr, self.R = mn.etak, mn.Qk, mn.Nk, mn.Rk
+            self.Qhat, self.B_own = mn.Qhatk, mn.Bk
+        # the agent's own equilibrium law lifted to y, u = -Kz_nodes[j] y + k_nodes[j]
+        self.Kz_nodes = law.K.values @ eye[:self.xb_off + n * K]
+        self.k_nodes = law.k.values
         # the running cost tracks C y - eta; in y its weights take
         # _policy_quadratic's form (W, S, R, eta_y, nbar_y, c0)
         self.C = C
@@ -496,8 +504,8 @@ class ReducedPopulation:
 
         covm = p.init_cov_minor
         noise = [(self.x0_off, p.major.sigma0, p.init_cov_major, 1)]
-        if agent_id:
-            noise.append((0, p.minors[self.own_type].sigmak, covm, 1))
+        if own_type is not None:
+            noise.append((0, p.minors[own_type].sigmak, covm, 1))
         noise += [(o, p.minors[k].sigmak, covm, counts[k])
                   for k, o in enumerate(self.S_off) if o is not None]
         self.Sig2 = np.zeros((self.D, self.D))
@@ -507,12 +515,7 @@ class ReducedPopulation:
             self.Sig2[r, r] = sig @ sig.T / c
             self.V0[r, r] = cov / c
         self.mu0 = np.zeros((self.D, 1))
-        self.mu0[self.xb_off:self.xb_off + n * K, 0] = _initial_mean_field(p, cfg)
-
-    def _sel(self, off: int, width: int) -> np.ndarray:
-        S = np.zeros((width, self.D))
-        S[:, off:off + width] = np.eye(width)
-        return S
+        self.mu0[self.xb_off:self.xb_off + n * K, 0] = xbar0
 
     def drift(self, closed: bool):
         """Node tables (A, d) of dy = (A y + d) dt, j = 0..M.
@@ -529,7 +532,7 @@ class ReducedPopulation:
         x0 = slice(self.x0_off, self.x0_off + n)
         xb = slice(self.xb_off, self.xb_off + n * K)
         minors = [(o, k, True) for k, o in enumerate(self.S_off) if o is not None]
-        if self.agent_id:
+        if self.own_type is not None:
             minors.append((0, self.own_type, closed))
         for o, k, on_law in minors:
             mn = p.minors[k]
@@ -548,7 +551,7 @@ class ReducedPopulation:
         A[:, x0] += mj.F0 @ self.avg
         A[:, x0, x0] += mj.A0
         d[:, x0] = mj.b0.values
-        if self.agent_id or closed:
+        if self.own_type is not None or closed:
             BK = mj.B0 @ law0.K.values
             A[:, x0, x0] -= BK[:, :, :n]
             A[:, x0, xb] -= BK[:, :, n:]
@@ -558,6 +561,14 @@ class ReducedPopulation:
         A[:, xb, xb] = mf.Abar.values
         d[:, xb] = mf.mbar.values
         return A, d
+
+    def chain_cost(self, A, d) -> float:
+        """Expected cost of the agent's own equilibrium law on the Euler chain
+        of node drift tables (A, d), by discrete_chain_cost."""
+        node_cost = _policy_quadratic(self.W, self.S, self.R, self.eta_y, self.nbar_y,
+                                      self.c0, self.Kz_nodes, self.k_nodes)
+        return discrete_chain_cost(self.p.grid, self.p.rho, self.mu0, self.V0, A, d,
+                                   self.Sig2, node_cost, self.terminal)
 
 
 def discrete_chain_cost(grid, rho, mu0, V0, A, d, Sig2, node_cost, W_T) -> float:
@@ -602,14 +613,10 @@ def expected_cost_exact(p: MmMfgProblem, sol: MfgSolution, cfg: PopulationConfig
                         agent_id: int) -> CostReport:
     """Exact expected equilibrium cost by moment recursion on the reduced
     state, every block, the agent's own included, closed directly."""
-    rs = ReducedPopulation(p, sol, cfg, agent_id)
-    A, d = rs.drift(closed=True)
-    node_cost = _policy_quadratic(rs.W, rs.S, rs.R, rs.eta_y, rs.nbar_y, rs.c0,
-                                  rs.K_nodes @ rs.U, rs.k_nodes)
-    J = discrete_chain_cost(p.grid, p.rho, rs.mu0, rs.V0, A, d,
-                            rs.Sig2, node_cost, rs.terminal)
-    return CostReport(agent_id=rs.agent_id, value=J, std_error=0.0,
-                      method="moment_recursion", num_paths=0)
+    agent_id, *key = _agent_key(p, cfg, agent_id)
+    rs = ReducedPopulation(p, sol, *key)
+    return CostReport(agent_id=agent_id, value=rs.chain_cost(*rs.drift(closed=True)),
+                      std_error=0.0, method="moment_recursion", num_paths=0)
 
 
 @dataclass

@@ -20,6 +20,7 @@ from mmlqg.lqg_single import (
     LqgProblem,
     LqgSolution,
     _policy_quadratic,
+    closed_loop_cost_moments,
     costate_oracle,
     expected_cost,
     gateaux_derivative_det,
@@ -322,6 +323,33 @@ def test_cost_rejects_an_open_loop_control_of_the_wrong_shape():
     with pytest.raises(SchemaError) as err:
         expected_cost(p, GridFunction.zeros(p.grid, 2))
     assert err.value.field == "law"
+
+
+@pytest.mark.parametrize("D", [1, 12])
+def test_several_costs_in_one_propagation_equal_their_one_cost_calls(D):
+    # each cost's J entry rides the one bordered sweep without feeding back,
+    # so it rounds exactly as in a sweep of its own
+    rng = np.random.default_rng(D)
+    grid = TimeGrid(1.5, 30)
+    stages = 2 * grid.num_steps + 1
+    A = rng.normal(scale=0.4, size=(stages, D, D))
+    d = rng.normal(size=(stages, D, 1))
+    sig = rng.normal(scale=0.3, size=(stages, D, D))
+    mu0, L0 = rng.normal(size=(D, 1)), rng.normal(size=(D, D))
+
+    def quadratic():
+        W = rng.normal(size=(stages, D, D))
+        return (W + W.swapaxes(-1, -2), rng.normal(size=(stages, D, 1)),
+                rng.normal(size=stages))
+
+    W_T = rng.normal(size=(D, D))
+    costs = [(quadratic(), W_T @ W_T.T), (quadratic(), np.zeros((D, D)))]
+    args = (grid, 0.3, mu0, L0 @ L0.T, A, d, sig @ sig.swapaxes(-1, -2))
+    together = closed_loop_cost_moments(*args, costs)
+    alone = [closed_loop_cost_moments(*args, [cost]) for cost in costs]
+    assert len(together) == 2 and all(len(J) == 1 for J in alone)
+    assert together == [J for (J,) in alone]
+    assert together[0] != together[1]
 
 
 def test_cost_ornstein_uhlenbeck_closed_form():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import mmlqg
+from mmlqg import lqg_single, nash_gap, population_sim
 from mmlqg.errors import (
     AssumptionViolationError,
     RiccatiBlowupError,
@@ -204,6 +205,25 @@ def test_grid_mismatch_rejected(coupled):
         build_joint_closed_loop(p, sol50, PopulationConfig(N=3), 0)
 
 
+_SOLUTION_ROUTES = {
+    "epsilon_nash_gap": lambda p, sol: epsilon_nash_gap(p, sol, PopulationConfig(N=3), 1),
+    "expected_cost_exact": lambda p, sol: expected_cost_exact(
+        p, sol, PopulationConfig(N=3), 1),
+    "gap_vs_population": lambda p, sol: gap_vs_population(p, sol, [3]),
+    "simulate_population": lambda p, sol: simulate_population(p, sol, PopulationConfig(N=3)),
+}
+
+
+@pytest.mark.parametrize("route", sorted(_SOLUTION_ROUTES))
+def test_solution_of_another_game_rejected(coupled, single_minor, route):
+    # a solution with another K met a bare numpy broadcast error
+    # ("shapes (26,2,2) (26,2,4)") in every route that runs it
+    (p2, sol2), (p1, sol1) = coupled, single_minor
+    for p, sol in ((p2, sol1), (p1, sol2)):
+        with pytest.raises(SchemaError, match="does not match"):
+            _SOLUTION_ROUTES[route](p, sol)
+
+
 def test_deviator_out_of_range_rejected(coupled):
     p, sol = coupled
     with pytest.raises(SchemaError):
@@ -270,6 +290,32 @@ def test_reduced_dimension_does_not_grow_with_population(coupled):
     for N in (8, 10 ** 6):
         assert build_joint_closed_loop(p, sol, PopulationConfig(N=N), 0).D == n + 2 * n * K
         assert build_joint_closed_loop(p, sol, PopulationConfig(N=N), 1).D == 2 * n + 2 * n * K
+
+
+def test_gap_is_keyed_by_type_counts(coupled):
+    # two assignments with the same counts per type and the deviator in the
+    # same type are one reduced system: the same gap, bit for bit
+    p, sol = coupled
+    types = ([0, 1, 0, 1, 1, 0], [1, 1, 0, 0, 0, 1])
+    for picks in ((0, 0), (1, 3), (2, 1)):
+        reps = [epsilon_nash_gap(p, sol, PopulationConfig(N=6, type_assignment=t), a)
+                for t, a in zip(types, picks)]
+        assert [r.agent_id for r in reps] == list(picks)
+        for r in reps:
+            r.agent_id = None
+        assert reps[0] == reps[1]
+
+
+def test_reduced_record_holds_nothing_that_grows_with_population(coupled):
+    p, sol = coupled
+
+    def shapes(N, dev):
+        js = build_joint_closed_loop(p, sol, PopulationConfig(N=N), dev)
+        return {name: np.shape(v) for name, v in vars(js).items()
+                if isinstance(v, (np.ndarray, list, tuple))}
+
+    for dev in _deviators(p, 8):
+        assert shapes(10 ** 6, dev) == shapes(8, dev)
 
 
 # ----------------------------------------------------------- best response
@@ -459,6 +505,30 @@ def test_gap_rows_carry_their_worst_diagnostics(coupled):
     for key in ("identity_mismatch", "assembly_crosscheck"):
         assert getattr(row, key) == max(r.diagnostics[key] for r in reps)
     assert row.assembly_crosscheck <= 1e-8
+
+
+def test_one_gap_builds_one_record_and_propagates_twice(coupled, monkeypatch):
+    # J_eq and the identity share the equilibrium closed loop's propagation,
+    # and the assembly cross-check reads the deviator's own record
+    p, sol = coupled
+    calls = dict.fromkeys(["forward", "backward", "chain", "record"], 0)
+
+    def counted(key, original):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for key, original in (("forward", lqg_single.rk4_forward_indexed),
+                          ("backward", lqg_single.rk4_backward_indexed),
+                          ("chain", population_sim.discrete_chain_cost)):
+        for module in (lqg_single, population_sim, nash_gap):
+            if getattr(module, original.__name__, None) is original:
+                monkeypatch.setattr(module, original.__name__, counted(key, original))
+    monkeypatch.setattr(population_sim.ReducedPopulation, "__init__", counted(
+        "record", population_sim.ReducedPopulation.__init__))
+    epsilon_nash_gap(p, sol, PopulationConfig(N=8), 1)
+    assert calls == {"forward": 2, "backward": 2, "chain": 2, "record": 1}
 
 
 def test_gap_identity_mismatch_is_second_order_in_time():
