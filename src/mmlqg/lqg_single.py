@@ -755,6 +755,7 @@ def psd_sqrt(Q: np.ndarray) -> np.ndarray:
 # ||Pi|| up to 1.5e6), still within 3.3e-10 of scipy's CARE; a wrong root
 # leaves a residual of the order of the terms themselves.
 ARE_ROUNDOFF = 1e4
+ARE_RESIDUAL_TOL = 1e-9   # the ARE gate's absolute residual allowance
 
 
 def _are_terms(Pi, A, B, Q, N, R_solve, rho) -> tuple:
@@ -803,7 +804,6 @@ def solve_discounted_are(
     N: np.ndarray,
     R: np.ndarray,
     rho: float,
-    residual_tol: float = 1e-9,
     what: str = "R",
 ) -> np.ndarray:
     """Stabilizing solution of rho Pi = Pi A + A'Pi - (Pi B+N)R^{-1}(B'Pi+N') + Q.
@@ -814,7 +814,7 @@ def solve_discounted_are(
     sign function (Byers 1987).  Up to three Newton-Kleinman steps (Kleinman
     1968) then polish Pi, each Lyapunov equation A_c'X + X A_c + F = 0
     solved by sign([[A_c', F], [0, -A_c]]) = [[-I, 2X], [0, I]] (Roberts
-    1980).  Pi is accepted when its residual norm is below residual_tol or,
+    1980).  Pi is accepted when its residual norm is below ARE_RESIDUAL_TOL or,
     for large weights, below the roundoff bound ARE_ROUNDOFF eps times the
     sum of the terms' norms, and its closed loop is stable; otherwise
     AreSolveError is raised.
@@ -851,7 +851,7 @@ def solve_discounted_are(
     roundoff = ARE_ROUNDOFF * np.finfo(float).eps * sum(map(np.linalg.norm, terms))
     A_c = A - B @ rinv(B.T @ Pi + N.T) - 0.5 * rho * np.eye(n)
     stable = bool(np.max(np.linalg.eigvals(A_c).real) < 0)
-    if res >= max(residual_tol, roundoff) or not stable:
+    if res >= max(ARE_RESIDUAL_TOL, roundoff) or not stable:
         raise AreSolveError(
             "no stabilizing Riccati solution found (residual %.3e, closed loop %s)"
             % (res, "stable" if stable else "unstable")

@@ -7,8 +7,10 @@ loop of the primitive coefficients, or the closed loop of the minors'
 laws.  Each agent is built here as lqg_single's ExtendedSystem, with its
 Hautus weight factor and R^{-1}: the major on (x0; xbar) against a law,
 each minor type on (x_i; x0; xbar) against that major record, so the
-major is built once per law.  Their primitive weights pass lqg_single's
-convexity check, as a standalone LQG problem's do.
+major is built once per law.  Each agent's cost tracks C X - eta, and
+lift_tracking alone turns C and the primitive weights into its weights,
+the finite-N deviator's included.  Their primitive weights pass
+lqg_single's convexity check, as a standalone LQG problem's do.
 """
 
 from __future__ import annotations
@@ -139,21 +141,22 @@ class MeanFieldLaw:
     mbar: GridFunction     # nK x 1
 
 
-def validate_problem(p: MmMfgProblem, tol: float = PSD_TOL) -> ValidationReport:
-    """Distribution, convexity, and structural checks for the game data."""
+def validate_problem(p: MmMfgProblem) -> ValidationReport:
+    """Distribution, convexity, and structural checks for the game data,
+    each within PSD_TOL."""
     rep = ValidationReport()
 
-    pi_ok = np.all(p.pi >= -tol) and abs(float(p.pi.sum()) - 1.0) <= max(tol, 1e-12)
+    pi_ok = np.all(p.pi >= -PSD_TOL) and abs(float(p.pi.sum()) - 1.0) <= PSD_TOL
     rep.add("pi is a distribution", bool(pi_ok), "sum %.6g" % float(p.pi.sum()))
 
-    margins = [psd_margin(V, tol) for V in (p.init_cov_major, p.init_cov_minor)]
+    margins = [psd_margin(V, PSD_TOL) for V in (p.init_cov_major, p.init_cov_minor)]
     rep.add("initial covariances PSD", all(w_min >= -w_tol for w_min, w_tol in margins),
             "min eigenvalue %.3e" % min(w_min for w_min, _ in margins))
 
     add_convexity_checks(rep, "major ", p.major.Qhat0, p.major.Q0, p.major.N0,
-                         p.major.R0, tol)
+                         p.major.R0, PSD_TOL)
     for k, mn in enumerate(p.minors):
-        add_convexity_checks(rep, "minor[%d] " % k, mn.Qhatk, mn.Qk, mn.Nk, mn.Rk, tol)
+        add_convexity_checks(rep, "minor[%d] " % k, mn.Qhatk, mn.Qk, mn.Nk, mn.Rk, PSD_TOL)
     return rep
 
 
@@ -171,12 +174,25 @@ def build_mean_field_matrices(p: MmMfgProblem) -> MeanFieldLaw:
                         GridFunction(p.grid, mvals))
 
 
+def lift_tracking(C, Qhat, Q, N, R, eta) -> dict:
+    """The weights of an agent whose running cost tracks C X - eta.
+
+    From the tracking map C and the primitive weights, the ExtendedSystem
+    keywords Qhat = C'Qhat C, Q = C'QC, N = C'N, R, eta = C'Q eta, nbar =
+    N'eta and the Hautus factor psd_sqrt(Q) C.  The terminal weight hits
+    C X alone: eta is a running-cost target, so the terminal cost has no
+    linear part.
+    """
+    return dict(Qhat=symmetrize(C.T @ Qhat @ C), Q=symmetrize(C.T @ Q @ C),
+                N=C.T @ N, R=R, eta=C.T @ Q @ eta, nbar=N.T @ eta,
+                Q_factor=psd_sqrt(Q) @ C)
+
+
 def build_extended_major(p: MmMfgProblem, law: MeanFieldLaw) -> ExtendedSystem:
     """Major dynamics and cost on the state (x0; xbar) against law.
 
     Dynamics blocks [[A0, F0^pi], [Gbar, Abar]] and offset (b0; mbar);
-    weights are congruences by T = [I, -H0^pi], the weight factor
-    psd_sqrt(Q0) T.
+    the weights are the lift of the tracking map T = [I, -H0^pi].
     """
     n, m, K = p.n, p.m, p.K
     d = n + n * K
@@ -188,17 +204,9 @@ def build_extended_major(p: MmMfgProblem, law: MeanFieldLaw) -> ExtendedSystem:
     b = np.concatenate([mj.b0.values, law.mbar.values], axis=1)
     T = np.hstack([np.eye(n), -replicate_pi(mj.H0, p.pi)])
     return ExtendedSystem(
-        what="major",
-        A=GridFunction(p.grid, A),
-        B=np.vstack([mj.B0, np.zeros((n * K, m))]),
-        b=GridFunction(p.grid, b),
-        Qhat=symmetrize(T.T @ mj.Qhat0 @ T),
-        Q=symmetrize(T.T @ mj.Q0 @ T),
-        N=T.T @ mj.N0,
-        R=mj.R0,
-        eta=T.T @ mj.Q0 @ mj.eta0,
-        nbar=mj.N0.T @ mj.eta0,
-        Q_factor=psd_sqrt(mj.Q0) @ T,
+        what="major", A=GridFunction(p.grid, A),
+        B=np.vstack([mj.B0, np.zeros((n * K, m))]), b=GridFunction(p.grid, b),
+        **lift_tracking(T, mj.Qhat0, mj.Q0, mj.N0, mj.R0, mj.eta0),
     )
 
 
@@ -214,9 +222,8 @@ def build_extended_minor(
     major is the major's record for the same law and (Pi0, s0) its
     Riccati solution.  The lower-right block is the major's extended
     closed loop A0ext(t) - Bb0 R0^{-1} N0ext' - Bb0 R0^{-1} Bb0' Pi0(t),
-    and the drift offset picks up -Bb0 R0^{-1} Bb0' s0(t).  Weights are
-    congruences by S = [I, -Hk, -Hhatk^pi], the weight factor
-    psd_sqrt(Qk) S.
+    and the drift offset picks up -Bb0 R0^{-1} Bb0' s0(t).  The weights
+    are the lift of the tracking map S = [I, -Hk, -Hhatk^pi].
     """
     n, m = p.n, p.m
     d0 = major.dim
@@ -240,15 +247,7 @@ def build_extended_minor(
 
     S = np.hstack([np.eye(n), -mn.Hk, -replicate_pi(mn.Hhatk, p.pi)])
     return ExtendedSystem(
-        what="minor[%d]" % k,
-        A=GridFunction(p.grid, A),
-        B=np.vstack([mn.Bk, np.zeros((d0, m))]),
-        b=GridFunction(p.grid, b),
-        Qhat=symmetrize(S.T @ mn.Qhatk @ S),
-        Q=symmetrize(S.T @ mn.Qk @ S),
-        N=S.T @ mn.Nk,
-        R=mn.Rk,
-        eta=S.T @ mn.Qk @ mn.etak,
-        nbar=mn.Nk.T @ mn.etak,
-        Q_factor=psd_sqrt(mn.Qk) @ S,
+        what="minor[%d]" % k, A=GridFunction(p.grid, A),
+        B=np.vstack([mn.Bk, np.zeros((d0, m))]), b=GridFunction(p.grid, b),
+        **lift_tracking(S, mn.Qhatk, mn.Qk, mn.Nk, mn.Rk, mn.etak),
     )

@@ -119,25 +119,12 @@ class MfgSolution:
     validation: ValidationReport       # the game checks the solver ran
 
 
-def _sweep_agent(p: MmMfgProblem, exts: List[ExtendedSystem]):
-    """Finite horizon: a stack of agents' (Pis, ss) by the shared finite
-    agent solve, one Riccati and one offset sweep for the whole stack."""
-    return _solve_agent_finite(exts, p.rho)
-
-
-def _stationary_agent(p: MmMfgProblem):
-    """Infinite horizon: each agent's discounted ARE and steady offset.
-
-    Returns solve_agent(p, exts) for p on a one-step grid, reading node 0,
-    through the shared stationary agent solve, which first runs the
-    Hautus tests on the record's own weight factor.
-    """
-    def solve_agent(p: MmMfgProblem, exts: List[ExtendedSystem]):
-        solved = [_solve_agent_stationary(ext, p.rho) for ext in exts]
-        return ([GridFunction.constant(p.grid, Pi) for Pi, _, _ in solved],
-                [GridFunction.constant(p.grid, s) for _, s, _ in solved])
-
-    return solve_agent
+def _solve_agents_stationary(exts: List[ExtendedSystem], rho: float):
+    """Infinite horizon: each agent's discounted ARE and steady offset at
+    node 0 (Hautus tests first), as constant tables on its own grid."""
+    solved = [(ext.A.grid, _solve_agent_stationary(ext, rho)) for ext in exts]
+    return ([GridFunction.constant(grid, Pi) for grid, (Pi, _, _) in solved],
+            [GridFunction.constant(grid, s) for grid, (_, s, _) in solved])
 
 
 def _closure_law(p: MmMfgProblem, minor_laws, mbreve, nodes: int):
@@ -198,13 +185,13 @@ def _initial_law(p: MmMfgProblem) -> MeanFieldLaw:
 def _consistency_map(p: MmMfgProblem, law0: MeanFieldLaw, solve_agent, nodes: int):
     """The consistency map on the law's first `nodes` node tables, flattened.
 
-    solve_agent(p, exts) returns the lists (Pis, ss) of a stack of agents
-    on p's grid.  The finite horizon passes _sweep_agent and iterates on
-    every node; the stationary problem, on a one-step grid, passes
-    _stationary_agent and iterates on node 0, which the law repeats at
-    every node.  Returns (x0, evaluate): x0 flattens law0 and evaluate(x)
-    returns (F(x), (law, ext_major, Pi0, s0, ext_minors, Piks, sks,
-    minor_laws)) with law the MeanFieldLaw that x encodes.  Each
+    solve_agent(exts, rho) returns the lists (Pis, ss) of a stack of
+    agents on p's grid.  The finite horizon passes _solve_agent_finite and
+    iterates on every node; the stationary problem, on a one-step grid,
+    passes _solve_agents_stationary and iterates on node 0, which the law
+    repeats at every node.  Returns (x0, evaluate): x0 flattens law0 and
+    evaluate(x) returns (F(x), (law, ext_major, Pi0, s0, ext_minors, Piks,
+    sks, minor_laws)) with law the MeanFieldLaw that x encodes.  Each
     evaluation builds the major once and solves it as a one-element stack,
     then the K minor types as one stack: 4 backward RK4 sweeps for any K
     on the finite horizon.
@@ -223,9 +210,9 @@ def _consistency_map(p: MmMfgProblem, law0: MeanFieldLaw, solve_agent, nodes: in
             for v in unflatten(x, shapes)
         ))
         ext_major = build_extended_major(p, law)
-        (Pi0,), (s0,) = solve_agent(p, [ext_major])
+        (Pi0,), (s0,) = solve_agent([ext_major], p.rho)
         ext_minors = [build_extended_minor(p, k, ext_major, Pi0, s0) for k in range(p.K)]
-        Piks, sks = solve_agent(p, ext_minors)
+        Piks, sks = solve_agent(ext_minors, p.rho)
         minor_laws = [_gain_tables(*agent) for agent in zip(ext_minors, Piks, sks)]
         fx = flatten(*_closure_law(p, minor_laws, mbreve, nodes))
         return fx, (law, ext_major, Pi0, s0, ext_minors, Piks, sks, minor_laws)
@@ -303,7 +290,7 @@ def solve_consistency_finite(p: MmMfgProblem, cfg: Optional[FixedPointConfig] = 
     that last evaluation, so they and the returned law are mutually
     consistent.
     """
-    return _solve_fixed_point(p, cfg or FixedPointConfig(), _sweep_agent,
+    return _solve_fixed_point(p, cfg or FixedPointConfig(), _solve_agent_finite,
                               p.grid.num_nodes, "consistency iteration")
 
 
@@ -384,7 +371,7 @@ def solve_consistency_infinite(p: MmMfgProblem, cfg: Optional[FixedPointConfig] 
         _require_constant(p.minors[k].bk, "minor[%d].bk" % k)
     # every table of the stationary problem is read at node 0 only
     q = _one_step(p)
-    sol = _solve_fixed_point(q, cfg, _stationary_agent(q), 1,
+    sol = _solve_fixed_point(q, cfg, _solve_agents_stationary, 1,
                              "stationary consistency iteration")
 
     law = sol.mf_law

@@ -5,16 +5,18 @@ else keeps the equilibrium feedback.  Non-deviators of one type share
 their law and reach the deviator only through their average, so the
 deviator's problem lives exactly on the reduced state
 y = (x_dev, x0, xbar, S_1..S_K) of population_sim.ReducedPopulation,
-whose dimension does not grow with N.  There the deviator is one more
-convex single-agent LQG problem: JointSystem._agent() states it as an
-ExtendedSystem, solved by the Riccati/offset sweeps and gain expression
-of every agent (lqg_single._solve_agent_finite, _gain_tables).  Every
-cost here is one affine policy on stage tables of the reduced system,
-turned into a running quadratic by lqg_single's one policy quadratic
-and costed by exact moment propagation, so the gap carries no sampling
-noise.  A gap builds one reduced record and runs two propagations: the
-best response's closed loop, and the equilibrium closed loop, which
-carries J_eq and the identity below at once.  In the uncoupled case the
+whose dimension does not grow with N (JointSystem names the same
+record).  There the deviator is one more convex single-agent LQG problem,
+built like every agent of the game: mfg_model.lift_tracking forms its
+weights, JointSystem._agent() states it as an ExtendedSystem, and the
+Riccati/offset sweeps and gain expression of every agent solve it
+(lqg_single._solve_agent_finite, _gain_tables).  Every cost here is one
+affine policy on stage tables of the reduced system, turned into a
+running quadratic by lqg_single's one policy quadratic and costed by
+exact moment propagation, so the gap carries no sampling noise.  A gap
+builds one reduced record and runs two propagations: the best
+response's closed loop, and the equilibrium closed loop, which carries
+J_eq and the identity below at once.  In the uncoupled case the
 equilibrium law is already optimal and the gap vanishes.
 
 Two checks ride along with every gap.  Completing the square gives
@@ -30,62 +32,22 @@ on the record's own closed drift, expected_cost_exact's value
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
 from .errors import AssumptionViolationError
-from .lqg_single import (PSD_TOL, ExtendedSystem, FeedbackLaw, ValidationReport,
-                          _gain_tables, _policy_quadratic, _solve_agent_finite,
-                          _stage_values, add_convexity_checks,
-                          closed_loop_cost_moments, psd_sqrt)
+from .lqg_single import (PSD_TOL, FeedbackLaw, ValidationReport, _gain_tables,
+                          _policy_quadratic, _solve_agent_finite, _stage_values,
+                          add_convexity_checks, closed_loop_cost_moments)
 from .mfg_model import MmMfgProblem
 from .mfg_solver import MfgSolution
-from .numerics import GridFunction, _as_count
+from .numerics import _as_count
 from .population_sim import PopulationConfig, ReducedPopulation, _agent_key, assign_types
 
 
-class JointSystem(ReducedPopulation):
-    """The deviator's control problem on the reduced state.
-
-    Every agent but the deviator keeps its equilibrium law.  A_nodes and
-    d_nodes tabulate the drift with the deviator's rows uncontrolled; its
-    input enters through B_full, which is zero outside the deviator's own
-    block rows (the first n).  Kz_nodes and k_nodes tabulate the deviator's
-    own equilibrium law lifted to y, u = -Kz_nodes[j] y + k_nodes[j].  A,
-    d, Kz and k_st are those four at the stages q = 0..2M the RK4 sweeps
-    read.  The tables are shared: treat them as read-only.
-    """
-
-    def __init__(self, p: MmMfgProblem, sol: MfgSolution, counts: Sequence[int],
-                 own_type: Optional[int], xbar0: np.ndarray):
-        super().__init__(p, sol, counts, own_type, xbar0)
-        self.A_nodes, self.d_nodes = self.drift(closed=False)
-        self.B_full = np.vstack([self.B_own, np.zeros((self.D - self.n, self.m))])
-        self.A, self.d, self.Kz, self.k_st = (_stage_values(t) for t in (
-            self.A_nodes, self.d_nodes, self.Kz_nodes, self.k_nodes))
-
-    def _agent(self) -> ExtendedSystem:
-        """The deviator as the agent record every solver reads, the same as
-        LqgProblem._agent(): open drift, B_full and its weights on y."""
-        grid = self.p.grid
-        return ExtendedSystem(
-            what="deviator", A=GridFunction(grid, self.A_nodes), B=self.B_full,
-            b=GridFunction(grid, self.d_nodes), Qhat=self.terminal, Q=self.W,
-            N=self.S, R=self.R, eta=self.eta_y, nbar=self.nbar_y,
-            Q_factor=psd_sqrt(self.Q) @ self.C,
-        )
-
-    def undeviated_cost(self) -> float:
-        """Equilibrium cost of the simulated chain through this assembly:
-        the open drift closed by B_full and the lifted gain table.
-
-        Must reproduce the chain cost on drift(closed=True), which is
-        expected_cost_exact; any daylight between the two means the gain
-        lifting or the input placement is wrong.
-        """
-        return self.chain_cost(self.A_nodes - self.B_full @ self.Kz_nodes,
-                               self.d_nodes + self.B_full @ self.k_nodes)
+# the deviator's record is the reduced population of its own key
+JointSystem = ReducedPopulation
 
 
 def build_joint_closed_loop(p: MmMfgProblem, sol: MfgSolution,
@@ -100,13 +62,13 @@ def _closed_loop_cost(js: JointSystem, K: np.ndarray, k: np.ndarray,
     cost of each extra ((W, l, c), W_T), along the one closed loop
     dy = ((A - B K) y + d + B k) dt + noise, in one propagation by the
     package's one moment-and-cost propagator."""
-    p = js.p
+    p, w = js.p, js.weights
     B = js.B_full
     A = js.A - B @ K
-    own = _policy_quadratic(js.W, js.S, js.R, js.eta_y, js.nbar_y, js.c0, K, k)
+    own = _policy_quadratic(w["Q"], w["N"], w["R"], w["eta"], w["nbar"], js.c0, K, k)
     return closed_loop_cost_moments(
         p.grid, p.rho, js.mu0, js.V0, A, js.d + B @ k,
-        np.broadcast_to(js.Sig2, A.shape), [(own, js.terminal), *extra],
+        np.broadcast_to(js.Sig2, A.shape), [(own, w["Qhat"]), *extra],
     )
 
 
@@ -161,11 +123,12 @@ def solve_best_response(js: JointSystem) -> BestResponse:
     (Pi,), (s,) = _solve_agent_finite([agent], js.p.rho)
     law = _gain_tables(agent, Pi, s)
     K, k = _stage_values(law.K), _stage_values(law.k)
-    deviation = _policy_quadratic(0.0, np.zeros_like(js.S), js.R, 0.0,
-                                  np.zeros_like(js.nbar_y), 0.0,
+    w = js.weights
+    deviation = _policy_quadratic(0.0, np.zeros_like(w["N"]), w["R"], 0.0,
+                                  np.zeros_like(w["nbar"]), 0.0,
                                   js.Kz - K, js.k_st - k)
     J_eq, identity = _closed_loop_cost(js, js.Kz, js.k_st,
-                                       [(deviation, np.zeros_like(js.W))])
+                                       [(deviation, np.zeros_like(w["Q"]))])
     return BestResponse(law=law, Pi=Pi.values, s=s.values, cost=_policy_cost(js, K, k),
                         gap_identity=identity, equilibrium_cost=J_eq)
 

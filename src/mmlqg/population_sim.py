@@ -14,7 +14,9 @@ the mean and covariance of that same chain, which makes the exact value
 the precise expectation of the Monte Carlo estimate.  Both routes read
 node tables only: the simulator the laws' tables at node j, the exact
 route the reduced state's drift and the agent's law at the nodes, with
-its running cost formed by lqg_single's one policy quadratic.
+its running cost formed by lqg_single's one policy quadratic.  One
+record, ReducedPopulation, serves that cost and nash_gap's deviator;
+its agent's weights come from mfg_model.lift_tracking, as every agent's.
 """
 
 from __future__ import annotations
@@ -26,11 +28,12 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .errors import DivergedPathError, IntegrationDivergedError, SchemaError
-from .lqg_single import _as_matrix, _policy_quadratic, psd_sqrt
-from .mfg_model import MmMfgProblem
+from .lqg_single import (ExtendedSystem, _as_matrix, _policy_quadratic, _stage_values,
+                          psd_sqrt)
+from .mfg_model import MmMfgProblem, lift_tracking
 from .mfg_solver import MfgSolution, mean_field_step_euler
-from .numerics import (_as_array, _as_count, _as_seed, matvec_rows, symmetrize,
-                       trapezoid_weights)
+from .numerics import (GridFunction, _as_array, _as_count, _as_seed, matvec_rows,
+                       symmetrize, trapezoid_weights)
 
 
 def _type_indices(values, N: int) -> np.ndarray:
@@ -429,7 +432,9 @@ def _agent_key(p: MmMfgProblem, cfg: PopulationConfig, agent_id) -> tuple:
 
 
 class ReducedPopulation:
-    """The closed-loop population as one agent sees it, in aggregate form.
+    """The closed-loop population as one agent sees it, in aggregate form,
+    and that agent's control problem there: the record of the finite-N
+    deviator (nash_gap.JointSystem names the same class).
 
     Keyed by counts, not agent ids (_agent_key maps one to the other): the
     agent's type own_type (None for the major), counts[k] = c_k other
@@ -444,6 +449,15 @@ class ReducedPopulation:
     state, and that projection commutes with every moment, Riccati and
     chain step taken on it: costs on y equal costs on the full state up to
     roundoff, discretization included.
+
+    The agent's running cost tracks C y - eta, and weights is
+    mfg_model.lift_tracking of C, as for every agent of the game.  A_nodes
+    and d_nodes tabulate the drift with the agent's rows uncontrolled; its
+    input enters through B_full, which is zero outside its own block rows
+    (the first n).  Kz_nodes and k_nodes tabulate the agent's own
+    equilibrium law lifted to y, u = -Kz_nodes[j] y + k_nodes[j].  A, d, Kz
+    and k_st are those four at the stages q = 0..2M the RK4 sweeps read.
+    The tables are shared: treat them as read-only.
     """
 
     def __init__(self, p: MmMfgProblem, sol: MfgSolution, counts: Sequence[int],
@@ -481,26 +495,17 @@ class ReducedPopulation:
             mj, law = p.major, sol.major_law
             C = x0_sel - mj.H0 @ avg
             eta, self.Q, self.Ncr, self.R = mj.eta0, mj.Q0, mj.N0, mj.R0
-            self.Qhat, self.B_own = mj.Qhat0, mj.B0
+            self.Qhat, B_own = mj.Qhat0, mj.B0
         else:
             mn, law = p.minors[own_type], sol.minor_laws[own_type]
             C = eye[:n] - mn.Hk @ x0_sel - mn.Hhatk @ avg
             eta, self.Q, self.Ncr, self.R = mn.etak, mn.Qk, mn.Nk, mn.Rk
-            self.Qhat, self.B_own = mn.Qhatk, mn.Bk
-        # the agent's own equilibrium law lifted to y, u = -Kz_nodes[j] y + k_nodes[j]
+            self.Qhat, B_own = mn.Qhatk, mn.Bk
+        self.C = C
+        self.weights = lift_tracking(C, self.Qhat, self.Q, self.Ncr, self.R, eta)
+        self.c0 = (eta.T @ self.Q @ eta).item()
         self.Kz_nodes = law.K.values @ eye[:self.xb_off + n * K]
         self.k_nodes = law.k.values
-        # the running cost tracks C y - eta; in y its weights take
-        # _policy_quadratic's form (W, S, R, eta_y, nbar_y, c0)
-        self.C = C
-        self.W = symmetrize(C.T @ self.Q @ C)
-        self.S = C.T @ self.Ncr
-        self.eta_y = C.T @ (self.Q @ eta)
-        self.nbar_y = self.Ncr.T @ eta
-        self.c0 = (eta.T @ self.Q @ eta).item()
-        # terminal weight hits the coupled tracking error C y alone: eta is a
-        # running-cost target only, so the terminal cost has no linear part
-        self.terminal = symmetrize(C.T @ self.Qhat @ C)
 
         covm = p.init_cov_minor
         noise = [(self.x0_off, p.major.sigma0, p.init_cov_major, 1)]
@@ -516,6 +521,19 @@ class ReducedPopulation:
             self.V0[r, r] = cov / c
         self.mu0 = np.zeros((self.D, 1))
         self.mu0[self.xb_off:self.xb_off + n * K, 0] = xbar0
+
+        self.A_nodes, self.d_nodes = self.drift(closed=False)
+        self.B_full = np.vstack([B_own, np.zeros((self.D - n, self.m))])
+        self.A, self.d, self.Kz, self.k_st = (_stage_values(t) for t in (
+            self.A_nodes, self.d_nodes, self.Kz_nodes, self.k_nodes))
+
+    def _agent(self) -> ExtendedSystem:
+        """The agent as the record every solver reads, the same as
+        LqgProblem._agent(): open drift, B_full and its lifted weights."""
+        grid = self.p.grid
+        return ExtendedSystem(what="deviator", A=GridFunction(grid, self.A_nodes),
+                              B=self.B_full, b=GridFunction(grid, self.d_nodes),
+                              **self.weights)
 
     def drift(self, closed: bool):
         """Node tables (A, d) of dy = (A y + d) dt, j = 0..M.
@@ -565,10 +583,22 @@ class ReducedPopulation:
     def chain_cost(self, A, d) -> float:
         """Expected cost of the agent's own equilibrium law on the Euler chain
         of node drift tables (A, d), by discrete_chain_cost."""
-        node_cost = _policy_quadratic(self.W, self.S, self.R, self.eta_y, self.nbar_y,
+        w = self.weights
+        node_cost = _policy_quadratic(w["Q"], w["N"], w["R"], w["eta"], w["nbar"],
                                       self.c0, self.Kz_nodes, self.k_nodes)
         return discrete_chain_cost(self.p.grid, self.p.rho, self.mu0, self.V0, A, d,
-                                   self.Sig2, node_cost, self.terminal)
+                                   self.Sig2, node_cost, w["Qhat"])
+
+    def undeviated_cost(self) -> float:
+        """Equilibrium cost of the simulated chain through this assembly:
+        the open drift closed by B_full and the lifted gain table.
+
+        Must reproduce the chain cost on drift(closed=True), which is
+        expected_cost_exact; any daylight between the two means the gain
+        lifting or the input placement is wrong.
+        """
+        return self.chain_cost(self.A_nodes - self.B_full @ self.Kz_nodes,
+                               self.d_nodes + self.B_full @ self.k_nodes)
 
 
 def discrete_chain_cost(grid, rho, mu0, V0, A, d, Sig2, node_cost, W_T) -> float:

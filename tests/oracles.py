@@ -225,17 +225,23 @@ class DenseJointSystem:
             mu0[self.xb_off:, 0] = cfg.xbar0
         self.mu0 = mu0
 
-        # z-space weights of the deviator's cost, control left free
+        # z-space weights of the deviator's cost, control left free, under
+        # the ExtendedSystem names of nash_gap.JointSystem.weights
         C, eta = self.C, self.eta
-        self.W = symmetrize(C.T @ self.Q @ C)
-        self.S = C.T @ self.Ncr
-        self.eta_y = C.T @ (self.Q @ eta)
-        self.nbar_y = self.Ncr.T @ eta
+        self.weights = dict(
+            Q=symmetrize(C.T @ self.Q @ C),
+            N=C.T @ self.Ncr,
+            R=self.R,
+            eta=C.T @ (self.Q @ eta),
+            nbar=self.Ncr.T @ eta,
+            # terminal weight applies to the coupled tracking error C z; the
+            # constant target eta is a running-cost object (the backward
+            # offset vanishes at T), so the terminal form carries no linear
+            # piece
+            Qhat=symmetrize(C.T @ self.Qhat @ C),
+            Q_factor=psd_sqrt(self.Q) @ C,
+        )
         self.c0 = (eta.T @ self.Q @ eta).item()
-        # terminal weight applies to the coupled tracking error C z; the
-        # constant target eta is a running-cost object (the backward offset
-        # vanishes at T), so the terminal form carries no linear piece
-        self.terminal = symmetrize(C.T @ self.Qhat @ C)
 
         stages = range(2 * p.grid.num_steps + 1)
         self.A = np.array([self._open_drift(q) for q in stages])
@@ -253,9 +259,7 @@ class DenseJointSystem:
         grid = self.p.grid
         return ExtendedSystem(
             what="deviator", A=GridFunction(grid, self.A[::2]), B=self.B_full,
-            b=GridFunction(grid, self.d[::2]), Qhat=self.terminal, Q=self.W,
-            N=self.S, R=self.R, eta=self.eta_y, nbar=self.nbar_y,
-            Q_factor=psd_sqrt(self.Q) @ self.C,
+            b=GridFunction(grid, self.d[::2]), **self.weights,
         )
 
     def _own(self, off: int, width: Optional[int] = None) -> np.ndarray:
@@ -331,12 +335,13 @@ class DenseJointSystem:
         between the two means the block placement is wrong.
         """
         K, k = self.Kz[::2], self.k_st[::2]
-        node_cost = _policy_quadratic(self.W, self.S, self.R, self.eta_y,
-                                      self.nbar_y, self.c0, K, k)
+        w = self.weights
+        node_cost = _policy_quadratic(w["Q"], w["N"], w["R"], w["eta"],
+                                      w["nbar"], self.c0, K, k)
         return discrete_chain_cost(
             self.p.grid, self.p.rho, self.mu0, self.V0,
             self.A[::2] - self.B_full @ K, self.d[::2] + self.B_full @ k,
-            self.Sig2, node_cost, self.terminal,
+            self.Sig2, node_cost, w["Qhat"],
         )
 
     def validation_gap(self, num_paths: int = 1) -> float:
@@ -421,9 +426,10 @@ def solve_best_response_chain(js) -> BestResponseChain:
     w = trapezoid_weights(grid)
     disc = np.exp(-p.rho * grid.nodes)
     D, m = js.D, js.m
-    W, S, R = js.W, js.S, js.R
-    lvec, rvec, cconst = -js.eta_y, -js.nbar_y, js.c0
-    P = disc[M] * js.terminal
+    wts = js.weights
+    W, S, R = wts["Q"], wts["N"], wts["R"]
+    lvec, rvec, cconst = -wts["eta"], -wts["nbar"], js.c0
+    P = disc[M] * wts["Qhat"]
     q_lin = np.zeros((D, 1))
     v = 0.0
 
@@ -480,10 +486,10 @@ def solve_best_response_chain(js) -> BestResponseChain:
     cost_dp = 0.5 * (np.tensordot(P, V0) + (mu0.T @ P @ mu0).item()) \
         + (q_lin.T @ mu0).item() + v
 
-    node_cost = _policy_quadratic(W, S, R, js.eta_y, js.nbar_y, cconst, gains, -ffs)
+    node_cost = _policy_quadratic(W, S, R, wts["eta"], wts["nbar"], cconst, gains, -ffs)
     cost = discrete_chain_cost(grid, p.rho, mu0, V0, js.A[::2] - js.B_full @ gains,
                                js.d[::2] - js.B_full @ ffs, js.Sig2, node_cost,
-                               js.terminal)
+                               wts["Qhat"])
     return BestResponseChain(
         K=gains, k=-ffs,
         cost=cost, cost_dp=cost_dp,

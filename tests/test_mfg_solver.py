@@ -495,7 +495,7 @@ def test_one_evaluation_builds_the_major_once(monkeypatch):
         monkeypatch.setattr(module, "build_extended_major", counted)
     p = coupled_toy(M=8)
     x0, evaluate = mfg_solver._consistency_map(
-        p, mfg_solver._initial_law(p), mfg_solver._sweep_agent, p.grid.num_nodes)
+        p, mfg_solver._initial_law(p), lqg_single._solve_agent_finite, p.grid.num_nodes)
     calls.clear()
     evaluate(x0)
     assert len(calls) == 1

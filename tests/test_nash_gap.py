@@ -15,8 +15,10 @@ from mmlqg.errors import (
     SchemaError,
 )
 from mmlqg.lqg_single import LqgProblem, solve_finite_horizon
+from mmlqg.mfg_model import lift_tracking, replicate_pi
 from mmlqg.mfg_solver import solve_consistency_finite
 from mmlqg.nash_gap import (
+    JointSystem,
     NashGapReport,
     _policy_cost,
     build_joint_closed_loop,
@@ -118,12 +120,53 @@ def test_one_policy_quadratic_and_no_per_stage_joint_methods():
         for node in ast.walk(ast.parse(f.read_text())):
             if isinstance(node, ast.FunctionDef):
                 defined.append((node.name, f.stem))
-            if isinstance(node, ast.ClassDef) and node.name == "JointSystem":
+            if isinstance(node, ast.ClassDef) and node.name == "ReducedPopulation":
                 joint = {b.name for b in node.body if isinstance(b, ast.FunctionDef)}
     names = [name for name, _ in defined]
     assert [m for name, m in defined if name == "_policy_quadratic"] == ["lqg_single"]
     assert "_deviation_quadratic" not in names
+    assert JointSystem is population_sim.ReducedPopulation
     assert joint and not joint & {"A_open", "d_open", "eq_gain", "A_closed", "d_closed"}
+
+
+def test_every_agent_takes_its_weights_from_the_one_tracking_lift(coupled):
+    # the major (T = [I, -H0^pi]), each minor type (S = [I, -Hk, -Hhatk^pi])
+    # and the finite-N deviator (its record's C) carry exactly the lift of
+    # their tracking map and primitive weights
+    p, sol = coupled
+    n, mj = p.n, p.major
+    T = np.hstack([np.eye(n), -replicate_pi(mj.H0, p.pi)])
+    agents = [(sol.ext_major, lift_tracking(T, mj.Qhat0, mj.Q0, mj.N0, mj.R0, mj.eta0))]
+    for mn, ext in zip(p.minors, sol.ext_minors):
+        S = np.hstack([np.eye(n), -mn.Hk, -replicate_pi(mn.Hhatk, p.pi)])
+        agents.append((ext, lift_tracking(S, mn.Qhatk, mn.Qk, mn.Nk, mn.Rk, mn.etak)))
+    type_of = assign_types(p.pi, 6)
+    for dev in _deviators(p, 6):
+        js = build_joint_closed_loop(p, sol, PopulationConfig(N=6), dev)
+        eta = mj.eta0 if dev == 0 else p.minors[type_of[dev - 1]].etak
+        agents.append((js._agent(),
+                       lift_tracking(js.C, js.Qhat, js.Q, js.Ncr, js.R, eta)))
+    assert len(agents) == 2 * p.K + 2
+    for ext, lifted in agents:
+        assert set(lifted) == {"Qhat", "Q", "N", "R", "eta", "nbar", "Q_factor"}
+        for name, W in lifted.items():
+            assert np.array_equal(getattr(ext, name), W), (ext.what, name)
+
+
+def test_no_game_agent_forms_its_own_weights():
+    # outside lqg_single, whose standalone problem is its own weights, no
+    # ExtendedSystem is handed a weight by keyword: every agent of the game
+    # gets them from lift_tracking, the deviator's record included
+    weights = {"Qhat", "Q", "N", "R", "eta", "nbar", "Q_factor"}
+    callers = []
+    for f in sorted(Path(mmlqg.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(f.read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "ExtendedSystem":
+                named = {kw.arg for kw in node.keywords}
+                callers.append(f.stem)
+                if f.stem != "lqg_single":
+                    assert None in named and not named & weights, f.stem
+    assert sorted(callers) == ["lqg_single", "mfg_model", "mfg_model", "population_sim"]
 
 
 def test_one_law_convention():
@@ -311,8 +354,9 @@ def test_reduced_record_holds_nothing_that_grows_with_population(coupled):
 
     def shapes(N, dev):
         js = build_joint_closed_loop(p, sol, PopulationConfig(N=N), dev)
-        return {name: np.shape(v) for name, v in vars(js).items()
-                if isinstance(v, (np.ndarray, list, tuple))}
+        arrays = {name: np.shape(v) for name, v in vars(js).items()
+                  if isinstance(v, (np.ndarray, list, tuple))}
+        return {**arrays, **{"weights." + k: np.shape(v) for k, v in js.weights.items()}}
 
     for dev in _deviators(p, 8):
         assert shapes(10 ** 6, dev) == shapes(8, dev)
@@ -325,7 +369,7 @@ def test_terminal_riccati_equals_joint_terminal_weight(coupled):
     p, sol = coupled
     js = build_joint_closed_loop(p, sol, PopulationConfig(N=4), 1)
     br = solve_best_response(js)
-    assert np.array_equal(br.Pi[-1], js.terminal)
+    assert np.array_equal(br.Pi[-1], js.weights["Qhat"])
 
 
 def test_best_response_recovers_standalone_lqg(single_minor):
@@ -409,7 +453,7 @@ def test_backward_sweep_blowup_is_reported(coupled):
     # a concave running weight past the screen on the primitive weights is
     # refused by the agent record's guard (exit 2 in the CLI)
     js = build_joint_closed_loop(p, sol, PopulationConfig(N=3), 1)
-    js.W = -1e6 * np.eye(js.D)
+    js.weights["Q"] = -1e6 * np.eye(js.D)
     with pytest.raises(SchemaError, match="deviator Q"):
         solve_best_response(js)
 

@@ -10,6 +10,7 @@ import pytest
 from mmlqg import population_sim
 from mmlqg.errors import (
     DivergedPathError,
+    IntegrationDivergedError,
     SchemaError,
 )
 from mmlqg.mfg_solver import (
@@ -165,14 +166,42 @@ def test_chain_cost_on_dense_node_tables_reproduces_expected_cost(coupled):
     for agent in (0, 3):
         js = DenseJointSystem(p=p, sol=sol, cfg=cfg, deviator=agent)
         K, k = js.Kz[::2], js.k_st[::2]
-        node_cost = _policy_quadratic(js.W, js.S, js.R, js.eta_y, js.nbar_y,
+        w = js.weights
+        node_cost = _policy_quadratic(w["Q"], w["N"], w["R"], w["eta"], w["nbar"],
                                       js.c0, K, k)
         J = discrete_chain_cost(p.grid, p.rho, js.mu0, js.V0,
                                 js.A[::2] - js.B_full @ K,
                                 js.d[::2] + js.B_full @ k, js.Sig2,
-                                node_cost, js.terminal)
+                                node_cost, w["Qhat"])
         ref = expected_cost_exact(p, sol, cfg, agent).value
         assert J == pytest.approx(ref, rel=1e-10, abs=1e-12)
+
+
+def test_chain_divergence_is_reported_at_its_first_non_finite_node(coupled):
+    # a drift far too fast for h: each Euler step scales the chain's
+    # covariance by about (h 1e100)^2 = 1e196, so V stays finite after the
+    # first step and overflows in the second; the recursion must name
+    # node 2 rather than return garbage
+    p, sol = coupled
+    for agent in (0, 1):
+        _, *key = population_sim._agent_key(p, PopulationConfig(N=4), agent)
+        rs = population_sim.ReducedPopulation(p, sol, *key)
+        A, d = rs.drift(closed=True)
+        with pytest.raises(IntegrationDivergedError,
+                           match="moment recursion diverged at node 2") as exc, \
+                np.errstate(over="ignore", invalid="ignore"):
+            rs.chain_cost(1e100 * A, d)
+        assert type(exc.value) is IntegrationDivergedError
+        assert (exc.value.node, exc.value.time) == (2, p.grid.nodes[2])
+    # the same chain by hand, on one state: mu_1 = 1e99, V_1 = 1e198
+    grid = TimeGrid(1.0, 10)
+    A = np.full((11, 1, 1), 1e100)
+    zeros = np.zeros((11, 1, 1))
+    cost = (zeros, zeros, np.zeros(11))
+    with pytest.raises(IntegrationDivergedError) as exc, np.errstate(over="ignore"):
+        discrete_chain_cost(grid, 0.0, np.ones((1, 1)), np.ones((1, 1)), A, zeros,
+                            np.zeros((1, 1)), cost, np.zeros((1, 1)))
+    assert (exc.value.node, exc.value.time) == (2, grid.nodes[2])
 
 
 def test_same_type_agents_have_equal_exact_cost(coupled):

@@ -23,7 +23,6 @@ from mmlqg.mfg_model import build_extended_major, build_extended_minor
 from mmlqg.mfg_solver import (
     _consistency_map,
     _initial_law,
-    _sweep_agent,
     solve_consistency_finite,
 )
 from mmlqg.numerics import GridFunction, TimeGrid, rk4_backward_indexed
@@ -139,7 +138,8 @@ def test_one_evaluation_makes_four_backward_sweeps(monkeypatch, K):
 
     monkeypatch.setattr(lqg_single, "rk4_backward_indexed", counted)
     p = random_game(7, 2, 1, K, 8, 0.5, 0.0)
-    x0, evaluate = _consistency_map(p, _initial_law(p), _sweep_agent, p.grid.num_nodes)
+    x0, evaluate = _consistency_map(p, _initial_law(p), _solve_agent_finite,
+                                    p.grid.num_nodes)
     sweeps.clear()
     evaluate(x0)
     d0, d = 2 + 2 * K, 4 + 2 * K
