@@ -180,8 +180,7 @@ def cmd_nash_gap(cfg: dict, out: Path, seed):
     if seed is not None:
         nash["master_seed"] = seed
     sol = solve_consistency_finite(p, config.parse_fixed_point(cfg))
-    # one call per N, so a traced run times every row on its own
-    rows = [gap_vs_population(p, sol, [N]).rows[0] for N in nash["Ns"]]
+    rows = gap_vs_population(p, sol, nash["Ns"]).rows
     header = (["N", "major_gap"]
               + ["type%d_gap" % k for k in range(p.K)] + ["max_gap"])
     _write_csv(out / "gaps.csv", header,

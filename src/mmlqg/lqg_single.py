@@ -515,9 +515,15 @@ def solve_finite_horizon(p: LqgProblem) -> LqgSolution:
     return LqgSolution(Pi=Pi, s=s, law=_gain_tables(agent, Pi, s), validation=report)
 
 
+def _dots(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """sum(X * Y) over the last two axes of two stacks of matrices, one
+    BLAS dot per matrix: what np.vdot forms for one matrix, bit for bit."""
+    return (X.reshape(X.shape[:-2] + (1, -1)) @ Y.reshape(Y.shape[:-2] + (-1, 1)))[..., 0, 0]
+
+
 def closed_loop_cost_moments(grid: TimeGrid, rho: float, x0_mean: np.ndarray,
                              x0_cov: np.ndarray, A_cl: np.ndarray, d: np.ndarray,
-                             Sig2: np.ndarray, costs: list) -> List[float]:
+                             Sig2: np.ndarray, costs: list):
     """Exact discounted quadratic costs of a linear closed loop, one per
     entry ((W, l, c), W_T) of costs.
 
@@ -528,31 +534,43 @@ def closed_loop_cost_moments(grid: TimeGrid, rho: float, x0_mean: np.ndarray,
     diag(J_2, ...)]]; no J feeds back, so each rounds as it does alone.  The
     terminal weight W_T_i adds (1/2) e^{-rho T} E x'W_T_i x.  All tables are
     indexed by half-step stages q = 0..2M at times q*h/2.
+
+    An (L, n, 1) x0_mean stacks L loops, each rounded as alone: tables carry
+    a member axis after the stage axis, x0_cov and W_T one in front, and
+    the result is (L, len(costs)).  An (n, 1) x0_mean returns a list.
     """
-    n, L = x0_mean.shape[0], len(costs)
-    disc = _discount_stages(grid, rho)
+    if x0_mean.ndim == 2:   # one closed loop: a one-member stack
+        return closed_loop_cost_moments(
+            grid, rho, x0_mean[None], np.reshape(x0_cov, (1,) + x0_mean.shape[:1] * 2),
+            A_cl[:, None], d[:, None], Sig2[:, None],
+            [((W[:, None], l[:, None], c[:, None]), W_T[None]) for (W, l, c), W_T in costs],
+        )[0].tolist()
+    L, n, _ = x0_mean.shape
+    J = np.arange(n, n + len(costs))       # the J entries on the diagonal
+    half_disc = 0.5 * _discount_stages(grid, rho)
 
     def stage_rhs(q, Y):
         # contiguous copies: a strided view may round a product differently
-        V, mu = Y[:n, :n].copy(), Y[:n, n:n + 1].copy()
+        V, mu = Y[:, :n, :n].copy(), Y[:, :n, n:n + 1].copy()
         AV = A_cl[q] @ V
-        dY = np.zeros((n + L, n + L))
-        dY[:n, :n] = AV + AV.T + Sig2[q]
-        dY[:n, n:n + 1] = A_cl[q] @ mu + d[q]
-        dY[n:n + 1, :n] = dY[:n, n:n + 1].T
-        second = V + mu @ mu.T
+        dY = np.zeros(Y.shape)
+        dY[:, :n, :n] = AV + AV.swapaxes(-1, -2) + Sig2[q]
+        dY[:, :n, n:n + 1] = A_cl[q] @ mu + d[q]
+        dY[:, n:n + 1, :n] = dY[:, :n, n:n + 1].swapaxes(-1, -2)
+        # mu mu' elementwise: the products numpy's @ forms for a column
+        # times a row, up to the sign of a zero
+        second = V + mu * mu.swapaxes(-1, -2)
         for i, ((W, l, c), _) in enumerate(costs, n):
-            dY[i, i] = 0.5 * disc[q] * (np.vdot(W[q], second)
-                                        + 2.0 * (l[q].T @ mu).item() + c[q])
+            dY[:, i, i] = half_disc[q] * (_dots(W[q], second) + 2.0 * _dots(l[q], mu) + c[q])
         return dY
 
-    start = np.zeros((n + L, n + L))
-    start[:n, :n] = symmetrize(np.reshape(x0_cov, (n, n)))
-    start[:n, n:n + 1], start[n:n + 1, :n] = x0_mean, x0_mean.T
-    Y = rk4_forward_indexed(stage_rhs, start, grid, project=symmetrize).values[-1]
-    second = Y[:n, :n] + Y[:n, n:n + 1] @ Y[n:n + 1, :n]
-    return [float(Y[i, i] + 0.5 * disc[-1] * np.vdot(W_T, second))
-            for i, (_, W_T) in enumerate(costs, n)]
+    start = np.zeros((L, n + len(costs), n + len(costs)))
+    start[:, :n, :n] = symmetrize(x0_cov)
+    start[:, :n, n:n + 1], start[:, n:n + 1, :n] = x0_mean, x0_mean.swapaxes(-1, -2)
+    Y = np.stack([member.values[-1] for member in rk4_forward_indexed(
+        stage_rhs, start, grid, project=symmetrize)])
+    second = Y[:, :n, :n] + Y[:, :n, n:n + 1] * Y[:, n:n + 1, :n]
+    return Y[:, J, J] + half_disc[-1] * np.stack([_dots(W_T, second) for _, W_T in costs], 1)
 
 
 def _law_stage_tables(p: LqgProblem, law) -> tuple:
@@ -577,15 +595,20 @@ def _policy_quadratic(Q, N, R, eta, nbar, c0, K, k):
 
     Returns (W, l, c) with X'WX + 2X'l + c = X'QX + 2X'Nu + u'Ru - 2X'eta
     - 2u'nbar + c0 for every X.  K and k may be stage tables, with a
-    leading stage axis, and W, l and c are then tables too.  Every exact
+    leading stage axis, and W, l and c are then tables too (for a stack,
+    weights and c0 carry a member axis in front, tables after).  Every exact
     cost in the package, of one agent or of a finite-N deviator, passes
     its weights and law through here.
     """
     NK = N @ K
     Kt = np.swapaxes(K, -1, -2)
-    W = symmetrize(Q - NK - np.swapaxes(NK, -1, -2) + Kt @ R @ K)
+    W = Q - NK            # summed in place, in the order Q - NK - NK' + K'RK
+    W -= np.swapaxes(NK, -1, -2)
+    del NK
+    W += Kt @ R @ K
+    W = symmetrize(W)
     l = N @ k - eta - Kt @ (R @ k - nbar)
-    c = c0 - 2.0 * nbar.T @ k + np.swapaxes(k, -1, -2) @ R @ k
+    c = c0 - 2.0 * np.swapaxes(nbar, -1, -2) @ k + np.swapaxes(k, -1, -2) @ R @ k
     return W, l, c[..., 0, 0]
 
 

@@ -14,10 +14,12 @@ Riccati/offset sweeps and gain expression of every agent solve it
 affine policy on stage tables of the reduced system, turned into a
 running quadratic by lqg_single's one policy quadratic and costed by
 exact moment propagation, so the gap carries no sampling noise.  A gap
-builds one reduced record and runs two propagations: the best
-response's closed loop, and the equilibrium closed loop, which carries
-J_eq and the identity below at once.  In the uncoupled case the
-equilibrium law is already optimal and the gap vanishes.
+table stacks the records of one dimension D, every N's alike: per stack
+one agent solve, one propagation of the equilibrium closed loops (which
+carry J_eq and the identity below), one of the best responses' loops,
+and one chain recursion of the assembly checks.  A single gap is a
+one-member stack, bit for bit.  In the uncoupled case the equilibrium
+law is already optimal and the gap vanishes.
 
 Two checks ride along with every gap.  Completing the square gives
 J(u) - J(u_br) = 1/2 E int e^{-rho t} (u - u_br)' R (u - u_br) dt for
@@ -32,6 +34,7 @@ on the record's own closed drift, expected_cost_exact's value
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Dict, List, Sequence
 
 import numpy as np
@@ -56,16 +59,29 @@ def build_joint_closed_loop(p: MmMfgProblem, sol: MfgSolution,
     return JointSystem(p, sol, *key)
 
 
+def _stacked(records: Sequence[JointSystem], tables: Sequence[str]) -> SimpleNamespace:
+    """The arrays of records of one dimension D as one record's: the named
+    stage or node tables with a member axis after their first axis,
+    B_full, mu0, V0, Sig2 and the weights with one in front, and c0 as an
+    (L, 1, 1) column.  The cost routines read it as they read one record."""
+    return SimpleNamespace(
+        p=records[0].p, c0=np.reshape([r.c0 for r in records], (-1, 1, 1)),
+        weights={key: np.stack([r.weights[key] for r in records]) for key in records[0].weights},
+        **{name: np.stack([getattr(r, name) for r in records], int(name in tables))
+           for name in [*tables, "B_full", "mu0", "V0", "Sig2"]})
+
+
 def _closed_loop_cost(js: JointSystem, K: np.ndarray, k: np.ndarray,
                       extra=()) -> List[float]:
     """Exact deviator cost of u = -K[q] y + k[q] (stage tables), then the
     cost of each extra ((W, l, c), W_T), along the one closed loop
     dy = ((A - B K) y + d + B k) dt + noise, in one propagation by the
-    package's one moment-and-cost propagator."""
+    package's one moment-and-cost propagator (an (L, costs) array for a
+    stacked record)."""
     p, w = js.p, js.weights
+    own = _policy_quadratic(w["Q"], w["N"], w["R"], w["eta"], w["nbar"], js.c0, K, k)
     B = js.B_full
     A = js.A - B @ K
-    own = _policy_quadratic(w["Q"], w["N"], w["R"], w["eta"], w["nbar"], js.c0, K, k)
     return closed_loop_cost_moments(
         p.grid, p.rho, js.mu0, js.V0, A, js.d + B @ k,
         np.broadcast_to(js.Sig2, A.shape), [(own, w["Qhat"]), *extra],
@@ -106,31 +122,40 @@ class BestResponse:
     equilibrium_cost: float      # J_eq, equilibrium_cost_ode's value
 
 
-def solve_best_response(js: JointSystem) -> BestResponse:
-    """Exact full-information best response in the reduced closed loop.
-
-    Convexity is screened on the deviator's primitive weights, then its
-    agent record goes through the one finite-horizon agent solve.  Two
-    moment propagations follow: the best response's own closed loop for
-    its cost, and the equilibrium closed loop, which carries both J_eq and
-    gap_identity, the deviation u_eq - u_br = -(Kz - K) y + (k_st - k)
-    weighted by R.
-    """
+def _screen(js: JointSystem) -> None:
+    """Convexity of the deviator's primitive weights, its type's or the major's."""
     rep = ValidationReport()
     add_convexity_checks(rep, "deviator ", js.Qhat, js.Q, js.Ncr, js.R, PSD_TOL)
     rep.require()
-    agent = js._agent()
-    (Pi,), (s,) = _solve_agent_finite([agent], js.p.rho)
-    law = _gain_tables(agent, Pi, s)
-    K, k = _stage_values(law.K), _stage_values(law.k)
+
+
+def _best_responses(records: List[JointSystem]) -> List[BestResponse]:
+    """Exact full-information best responses of records of one D: one
+    stacked agent solve, then two stacked moment propagations, the
+    equilibrium closed loops, each carrying both J_eq and gap_identity (the
+    deviation u_eq - u_br = -(Kz - K) y + (k_st - k) weighted by R), and
+    the best responses' own closed loops."""
+    agents = [js._agent() for js in records]
+    Pis, ss = _solve_agent_finite(agents, records[0].p.rho)
+    laws = [_gain_tables(*solved) for solved in zip(agents, Pis, ss)]
+    K = _stage_values(np.stack([law.K.values for law in laws], 1))
+    k = _stage_values(np.stack([law.k.values for law in laws], 1))
+    js = _stacked(records, ("A", "d", "Kz", "k_st"))
     w = js.weights
     deviation = _policy_quadratic(0.0, np.zeros_like(w["N"]), w["R"], 0.0,
-                                  np.zeros_like(w["nbar"]), 0.0,
-                                  js.Kz - K, js.k_st - k)
-    J_eq, identity = _closed_loop_cost(js, js.Kz, js.k_st,
-                                       [(deviation, np.zeros_like(w["Q"]))])
-    return BestResponse(law=law, Pi=Pi.values, s=s.values, cost=_policy_cost(js, K, k),
-                        gap_identity=identity, equilibrium_cost=J_eq)
+                                  np.zeros_like(w["nbar"]), 0.0, js.Kz - K, js.k_st - k)
+    J_eq = _closed_loop_cost(js, js.Kz, js.k_st, [(deviation, np.zeros_like(w["Q"]))])
+    J_br = _closed_loop_cost(js, K, k)[:, 0]
+    return [BestResponse(law, Pi.values, s.values, float(cost), float(identity), float(eq))
+            for law, Pi, s, (eq, identity), cost in zip(laws, Pis, ss, J_eq, J_br)]
+
+
+def solve_best_response(js: JointSystem) -> BestResponse:
+    """Exact full-information best response in the reduced closed loop:
+    convexity is screened on the deviator's primitive weights, then the
+    record runs through _best_responses as a one-member stack."""
+    _screen(js)
+    return _best_responses([js])[0]
 
 
 @dataclass
@@ -150,6 +175,23 @@ class NashGapReport:
             )
 
 
+def _gap_reports(records: List[JointSystem], keys) -> List[NashGapReport]:
+    """Reports of screened records of one D, keyed (N, agent_id): stacked
+    best responses, then one chain recursion of each record's chain on its
+    own closed drift, then of its un-deviated chain (undeviated_cost's)."""
+    L, reports = len(records), []
+    brs = _best_responses(records)
+    js = _stacked(records + records, ("A_nodes", "d_nodes", "Kz_nodes", "k_nodes"))
+    A, d = js.A_nodes - js.B_full @ js.Kz_nodes, js.d_nodes + js.B_full @ js.k_nodes
+    A[:, :L], d[:, :L] = (np.stack(t, 1) for t in zip(*[r.drift(closed=True) for r in records]))
+    J = JointSystem.chain_cost(js, A, d)      # the stack reads as one record
+    for (N, agent_id), br, check in zip(keys, brs, np.abs(J[L:] - J[:L])):
+        gap = br.equilibrium_cost - br.cost
+        reports.append(NashGapReport(agent_id, N, br.equilibrium_cost, br.cost, gap, {
+            "identity_mismatch": abs(br.gap_identity - gap), "assembly_crosscheck": float(check)}))
+    return reports
+
+
 def epsilon_nash_gap(p: MmMfgProblem, sol: MfgSolution, cfg: PopulationConfig,
                      deviator: int) -> NashGapReport:
     """How much one full-information agent can gain over the equilibrium.
@@ -159,20 +201,12 @@ def epsilon_nash_gap(p: MmMfgProblem, sol: MfgSolution, cfg: PopulationConfig,
     mismatch between the two sides.  The chain evaluation of the
     un-deviated system is compared against the chain on the record's own
     closed drift, the value of expected_cost_exact, and reported as an
-    assembly cross-check.
+    assembly cross-check.  The record is a one-member stack of the table.
     """
     agent_id = _as_count(deviator, "agent_id", 0, cfg.N + 1)
     js = build_joint_closed_loop(p, sol, cfg, agent_id)
-    br = solve_best_response(js)
-    gap = br.equilibrium_cost - br.cost
-    chain_ref = js.chain_cost(*js.drift(closed=True))
-    diag = {"identity_mismatch": abs(br.gap_identity - gap),
-            "assembly_crosscheck": abs(js.undeviated_cost() - chain_ref)}
-    return NashGapReport(
-        agent_id=agent_id, N=cfg.N,
-        J_equilibrium=br.equilibrium_cost, J_best_response=br.cost,
-        gap=gap, diagnostics=diag,
-    )
+    _screen(js)
+    return _gap_reports([js], [(cfg.N, agent_id)])[0]
 
 
 @dataclass
@@ -193,18 +227,31 @@ class GapTable:
 def gap_vs_population(p: MmMfgProblem, sol: MfgSolution, Ns: Sequence[int]) -> GapTable:
     """Worst gap over the major and one deviator per type, for each N.
 
-    Every gap is an exact moment propagation, so no seed enters.
+    Every deviator of every N gets its record; each agent kind (the
+    major, a type) is screened for convexity once, and the records run
+    through _gap_reports in one stack per dimension D.  Every gap is an
+    exact moment propagation, so no seed enters.
     """
-    rows = []
-    for N in [_as_count(N, "Ns[%d]" % i, 1) for i, N in enumerate(Ns)]:
+    Ns = [_as_count(N, "Ns[%d]" % i, 1) for i, N in enumerate(Ns)]
+    ids, records, groups, reports, rows = {}, {}, {}, {}, []
+    for N in Ns:
         type_of = assign_types(p.pi, N)
         cfg = PopulationConfig(N=N, type_assignment=type_of)
         # the major, then the first member of each type (None if it is empty)
-        ids = [0] + [int(ix[0]) + 1 if ix.size else None
-                     for ix in (np.flatnonzero(type_of == k) for k in range(p.K))]
-        reports = {a: epsilon_nash_gap(p, sol, cfg, a) for a in ids if a is not None}
-        gaps = [0.0 if a is None else reports[a].gap for a in ids]
-        worst = {key: max(r.diagnostics[key] for r in reports.values())
+        firsts = [int(np.argmax(type_of == k)) for k in range(p.K)]
+        ids[N] = [0] + [a + 1 if type_of[a] == k else None for k, a in enumerate(firsts)]
+        for a in ids[N]:
+            if a is not None and (N, a) not in records:
+                records[N, a] = js = build_joint_closed_loop(p, sol, cfg, a)
+                groups.setdefault(js.D, []).append((N, a))
+    for js in {js.own_type: js for js in records.values()}.values():
+        _screen(js)
+    for keys in groups.values():
+        reports.update(zip(keys, _gap_reports([records.pop(key) for key in keys], keys)))
+    for N in Ns:
+        row = [reports.get((N, a)) for a in ids[N]]
+        gaps = [0.0 if r is None else r.gap for r in row]
+        worst = {key: max(r.diagnostics[key] for r in row if r is not None)
                  for key in ("identity_mismatch", "assembly_crosscheck")}
         rows.append(GapRow(N=N, major_gap=gaps[0], type_gaps=gaps[1:],
                            max_gap=max(gaps), **worst))

@@ -174,8 +174,9 @@ def interp(gf: GridFunction, t: float) -> np.ndarray:
 
 def symmetrize(P: np.ndarray) -> np.ndarray:
     """Return (P + P^T) / 2, matrix by matrix for a stack."""
-    P = np.asarray(P, dtype=float)
-    return 0.5 * (P + P.swapaxes(-1, -2))
+    S = np.add(P, np.swapaxes(P, -1, -2), dtype=float)
+    S *= 0.5
+    return S
 
 
 # Pade [13/13] coefficients of exp and the 1-norm up to which the
@@ -266,8 +267,9 @@ def _rk4_sweep(stage_rhs, start, grid: TimeGrid, sign: int, project):
     M = grid.num_steps
     h = sign * grid.h
     first = 0 if sign > 0 else M
-    out = np.empty((M + 1,) + Y.shape)
-    out[first] = Y
+    # one contiguous node table per member, member axis first
+    out = np.empty((Y.shape[0] if Y.ndim == 3 else 1, M + 1) + Y.shape[-2:])
+    out[:, first] = Y
     # overflow in a diverging sweep is expected; the finite check reports it
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(M):
@@ -280,21 +282,19 @@ def _rk4_sweep(stage_rhs, start, grid: TimeGrid, sign: int, project):
             Y = Y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             if project is not None:
                 Y = project(Y)
-            out[b] = Y
-    members = Y.shape[0] if Y.ndim == 3 else 1
-    stepped = out[1:] if sign > 0 else out[-2::-1]   # the stepped nodes, in sweep order
-    finite = np.isfinite(stepped).reshape(M, members, -1).all(-1)
+            out[:, b] = Y
+    stepped = out[:, 1:] if sign > 0 else out[:, -2::-1]   # the stepped nodes, in sweep order
+    finite = np.isfinite(stepped).reshape(out.shape[0], M, -1).all(-1)
     if not finite.all():
-        member = int(np.argmin(finite.all(0)))
-        b = first + sign * (int(np.argmin(finite[:, member])) + 1)
+        member = int(np.argmin(finite.all(1)))
+        b = first + sign * (int(np.argmin(finite[member])) + 1)
         raise IntegrationDivergedError(
             "%s integration produced a non-finite value at node %d (t = %.12g)"
             % ("forward" if sign > 0 else "backward", b, b * grid.h),
             node=b, time=b * grid.h, member=member,
         )
-    if Y.ndim == 3:
-        return [GridFunction(grid, out[:, k]) for k in range(members)]
-    return GridFunction(grid, out)
+    tables = [GridFunction(grid, values) for values in out]
+    return tables if Y.ndim == 3 else tables[0]
 
 
 def rk4_backward_indexed(stage_rhs, terminal, grid: TimeGrid, project=None):

@@ -28,8 +28,8 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .errors import DivergedPathError, IntegrationDivergedError, SchemaError
-from .lqg_single import (ExtendedSystem, _as_matrix, _policy_quadratic, _stage_values,
-                          psd_sqrt)
+from .lqg_single import (ExtendedSystem, _as_matrix, _dots, _policy_quadratic,
+                          _stage_values, psd_sqrt)
 from .mfg_model import MmMfgProblem, lift_tracking
 from .mfg_solver import MfgSolution, mean_field_step_euler
 from .numerics import (GridFunction, _as_array, _as_count, _as_seed, matvec_rows,
@@ -132,15 +132,17 @@ def assign_types(pi, N: int) -> np.ndarray:
     a = 0
     while a < N:
         if K <= 2:
-            i = np.arange(a + 1, min(a + 65536, N) + 1, dtype=float)
-            guess = (np.floor(pi[0] * i + 0.5)
-                     == np.floor(pi[0] * (i - 1.0) + 0.5)).astype(np.int64)
-            picked = guess == np.arange(K)[:, None]
-            before = counts[:, None] + (np.cumsum(picked, axis=1) - picked)
-            ok = np.argmax(pi[:, None] * i - before, axis=0) == guess
+            i = np.arange(a, min(a + 16384, N) + 1, dtype=float)
+            share = np.floor(pi[0] * i + 0.5)     # type 0's share of the first i agents
+            i, guess = i[1:], share[1:] == share[:-1]
+            ones = np.cumsum(guess) - guess       # type 1's earlier picks in the block
+            # the rule's argmax of the <= 2 scores pi_k i - count_k, ties to type 0
+            zero = pi[0] * i - (counts[0] + (i - (a + 1.0) - ones))
+            ok = guess == (pi[-1] * i - (counts[-1] + ones) > zero) if K == 2 else ~guess
             good = ok.size if ok.all() else int(np.argmin(ok))
             out[a:a + good] = guess[:good]
-            counts += picked[:, :good].sum(axis=1)
+            taken = int(np.count_nonzero(guess[:good]))     # by type 1
+            counts += [good - taken, taken][:K]
             a += good
             if a == N:
                 break
@@ -401,7 +403,7 @@ def finite_cost_monte_carlo(p: MmMfgProblem, bundle: TrajectoryBundle,
 def _type_of(p: MmMfgProblem, cfg: PopulationConfig) -> np.ndarray:
     type_of = cfg.type_assignment if cfg.type_assignment is not None \
         else assign_types(p.pi, cfg.N)
-    if np.any(type_of < 0) or np.any(type_of >= p.K):
+    if type_of.min() < 0 or type_of.max() >= p.K:
         raise SchemaError("type_assignment contains an unknown type index")
     return type_of
 
@@ -456,8 +458,8 @@ class ReducedPopulation:
     input enters through B_full, which is zero outside its own block rows
     (the first n).  Kz_nodes and k_nodes tabulate the agent's own
     equilibrium law lifted to y, u = -Kz_nodes[j] y + k_nodes[j].  A, d, Kz
-    and k_st are those four at the stages q = 0..2M the RK4 sweeps read.
-    The tables are shared: treat them as read-only.
+    and k_st are those four at the stages q = 0..2M the RK4 sweeps read,
+    formed on each read.  The tables are shared: treat them as read-only.
     """
 
     def __init__(self, p: MmMfgProblem, sol: MfgSolution, counts: Sequence[int],
@@ -524,8 +526,12 @@ class ReducedPopulation:
 
         self.A_nodes, self.d_nodes = self.drift(closed=False)
         self.B_full = np.vstack([B_own, np.zeros((self.D - n, self.m))])
-        self.A, self.d, self.Kz, self.k_st = (_stage_values(t) for t in (
-            self.A_nodes, self.d_nodes, self.Kz_nodes, self.k_nodes))
+
+    # the four node tables at the stages, formed where a sweep reads them
+    A = property(lambda self: _stage_values(self.A_nodes))
+    d = property(lambda self: _stage_values(self.d_nodes))
+    Kz = property(lambda self: _stage_values(self.Kz_nodes))
+    k_st = property(lambda self: _stage_values(self.k_nodes))
 
     def _agent(self) -> ExtendedSystem:
         """The agent as the record every solver reads, the same as
@@ -580,7 +586,7 @@ class ReducedPopulation:
         d[:, xb] = mf.mbar.values
         return A, d
 
-    def chain_cost(self, A, d) -> float:
+    def chain_cost(self, A, d):
         """Expected cost of the agent's own equilibrium law on the Euler chain
         of node drift tables (A, d), by discrete_chain_cost."""
         w = self.weights
@@ -601,7 +607,7 @@ class ReducedPopulation:
                                self.d_nodes + self.B_full @ self.k_nodes)
 
 
-def discrete_chain_cost(grid, rho, mu0, V0, A, d, Sig2, node_cost, W_T) -> float:
+def discrete_chain_cost(grid, rho, mu0, V0, A, d, Sig2, node_cost, W_T):
     """Expected cost of the Euler-Maruyama chain, by moment recursion.
 
     The chain is z_{j+1} = (I + h A[j]) z_j + h d[j] + sqrt(h) noise with
@@ -611,32 +617,40 @@ def discrete_chain_cost(grid, rho, mu0, V0, A, d, Sig2, node_cost, W_T) -> float
     W, l and c are tables over the M + 1 nodes.  This is the exact
     expectation of the simulated pathwise cost, so it carries the same
     O(h) discretization bias and no sampling error.
+
+    An (L, D, 1) mu0 stacks L chains, each rounded as alone: tables carry a
+    member axis after the node axis, V0, Sig2 and W_T one in front, and L
+    costs return.  Finiteness is checked once, on the node tables after the
+    loop; a divergence names the lowest-index member that left the finite
+    range, at its first non-finite node.
     """
-    w = trapezoid_weights(grid)
-    disc = np.exp(-rho * grid.nodes)
-    M = grid.num_steps
-    h = grid.h
-    mu = mu0.copy()
-    V = V0.copy()
-    D = mu.shape[0]
-    eye = np.eye(D)
     W, l, c = node_cost
-    J = 0.0
-    for j in range(M):
-        S = V + mu @ mu.T
-        J += 0.5 * w[j] * disc[j] * (np.vdot(W[j], S) + 2.0 * (l[j].T @ mu).item() + c[j])
-        P = eye + h * A[j]
-        mu = P @ mu + h * d[j]
-        V = symmetrize(P @ V @ P.T + h * Sig2)
-        if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(V))):
-            raise IntegrationDivergedError(
-                "moment recursion diverged at node %d" % (j + 1),
-                node=j + 1, time=grid.nodes[j + 1],
-            )
-    S = V + mu @ mu.T
-    J += 0.5 * w[M] * disc[M] * (np.vdot(W[M], S) + 2.0 * (l[M].T @ mu).item() + c[M])
-    J += 0.5 * disc[M] * np.vdot(W_T, S)
-    return float(J)
+    if mu0.ndim == 2:   # one chain: a one-member stack
+        return float(discrete_chain_cost(
+            grid, rho, mu0[None], V0[None], A[:, None], d[:, None], Sig2[None],
+            (W[:, None], l[:, None], c[:, None]), W_T[None])[0])
+    M, h, eye = grid.num_steps, grid.h, np.eye(mu0.shape[1])
+    mu, V = np.empty((M + 1,) + mu0.shape), np.empty((M + 1,) + V0.shape)
+    mu[0], V[0] = mu0, V0
+    # overflow in a diverging chain is expected; the finite check reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(M):
+            P = eye + h * A[j]
+            mu[j + 1] = P @ mu[j] + h * d[j]
+            V[j + 1] = symmetrize(P @ V[j] @ P.swapaxes(-1, -2) + h * Sig2)
+    finite = np.isfinite(mu[1:]).all((2, 3)) & np.isfinite(V[1:]).all((2, 3))
+    if not finite.all():
+        member = int(np.argmin(finite.all(0)))
+        j = int(np.argmin(finite[:, member])) + 1
+        raise IntegrationDivergedError("moment recursion diverged at node %d" % j,
+                                       node=j, time=grid.nodes[j], member=member)
+    disc = np.exp(-rho * grid.nodes)
+    # V + mu mu' in V's memory, mu mu' formed as in closed_loop_cost_moments
+    S = np.add(V, mu * mu.swapaxes(-1, -2), out=V)
+    running = (0.5 * trapezoid_weights(grid) * disc)[:, None] * (
+        _dots(W, S) + 2.0 * _dots(l, mu) + c)
+    # summed node by node, in order
+    return np.add.accumulate(running)[-1] + 0.5 * disc[M] * _dots(W_T, S[M])
 
 
 def expected_cost_exact(p: MmMfgProblem, sol: MfgSolution, cfg: PopulationConfig,

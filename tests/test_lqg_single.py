@@ -352,6 +352,37 @@ def test_several_costs_in_one_propagation_equal_their_one_cost_calls(D):
     assert together[0] != together[1]
 
 
+def test_stacked_closed_loops_round_as_alone():
+    # closed loops of one dimension, stacked on a member axis after the
+    # stage axis, cost bit for bit what each costs in a sweep of its own,
+    # every cost of every member
+    rng = np.random.default_rng(7)
+    D, L = 3, 4
+    grid = TimeGrid(1.5, 30)
+    stages = 2 * grid.num_steps + 1
+
+    def loop():
+        W = rng.normal(size=(2, stages, D, D))
+        W_T, L0 = rng.normal(size=(2, D, D))
+        sig = rng.normal(scale=0.3, size=(stages, D, D))
+        costs = [((W[i] + W[i].swapaxes(-1, -2), rng.normal(size=(stages, D, 1)),
+                   rng.normal(size=stages)), W_T @ W_T.T * i) for i in (0, 1)]
+        return (rng.normal(size=(D, 1)), L0 @ L0.T, rng.normal(scale=0.4, size=(stages, D, D)),
+                rng.normal(size=(stages, D, 1)), sig @ sig.swapaxes(-1, -2), costs)
+
+    loops = [loop() for _ in range(L)]
+    alone = [closed_loop_cost_moments(grid, 0.3, *args) for args in loops]
+    mu0, V0, A, d, Sig2, costs = zip(*loops)
+    together = closed_loop_cost_moments(
+        grid, 0.3, np.stack(mu0), np.stack(V0), np.stack(A, 1), np.stack(d, 1),
+        np.stack(Sig2, 1),
+        [((np.stack([c[i][0][0] for c in costs], 1), np.stack([c[i][0][1] for c in costs], 1),
+           np.stack([c[i][0][2] for c in costs], 1)), np.stack([c[i][1] for c in costs]))
+         for i in (0, 1)])
+    assert together.shape == (L, 2)
+    assert together.tolist() == alone
+
+
 def test_cost_ornstein_uhlenbeck_closed_form():
     # dx = (a x + b) dt + sigma dW, no control: the mean is
     # m = (x0 + beta) e^{at} - beta with beta = b / a, the variance is

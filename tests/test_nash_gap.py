@@ -7,10 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
 import mmlqg
 from mmlqg import lqg_single, nash_gap, population_sim
 from mmlqg.errors import (
     AssumptionViolationError,
+    MmlqgError,
     RiccatiBlowupError,
     SchemaError,
 )
@@ -40,6 +44,7 @@ from oracles import (
     best_response_perturbed_cost,
     solve_best_response_chain,
 )
+from test_fixed_point_property import SETTINGS, random_game
 
 
 @pytest.fixture(scope="module")
@@ -195,10 +200,13 @@ def test_one_law_convention():
 
 def test_one_midpoint_rule_and_a_best_response_without_loops():
     # only _stage_values forms midpoints, so no other code strides stage
-    # tables back to nodes; the best response has no loop of its own and
-    # goes through the one agent solve, so every agent, the deviator
-    # included, runs the same Riccati/offset sweeps
-    strided, loops, calls = [], None, set()
+    # tables back to nodes; the stacked best responses have no loop of
+    # their own and go through the one agent solve, so every agent, the
+    # deviator included, runs the same Riccati/offset sweeps; their
+    # comprehensions only gather the members' records and gain tables and
+    # split the results, and each of the two propagations (the equilibrium
+    # closed loops, the best responses' closed loops) runs on the whole stack
+    strided, loops, calls, gathered = [], None, [], set()
     for f in sorted(Path(mmlqg.__file__).parent.glob("*.py")):
         tree = ast.parse(f.read_text())
         skip = {id(n) for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
@@ -207,11 +215,14 @@ def test_one_midpoint_rule_and_a_best_response_without_loops():
             if isinstance(node, ast.Slice) and id(node) not in skip \
                     and isinstance(node.step, ast.Constant) and node.step.value == 2:
                 strided.append("%s:%d" % (f.name, node.lineno))
-            if isinstance(node, ast.FunctionDef) and node.name == "solve_best_response":
-                loops = [n.lineno for n in ast.walk(node)
-                         if isinstance(n, (ast.For, ast.comprehension))]
-                calls = {n.func.id for n in ast.walk(node)
-                         if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+            if isinstance(node, ast.FunctionDef) and node.name == "_best_responses":
+                loops = [n.lineno for n in ast.walk(node) if isinstance(n, (ast.For, ast.While))]
+                calls = [n.func.id for n in ast.walk(node)
+                         if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)]
+                gathered = {getattr(n.func, "id", getattr(n.func, "attr", None))
+                            for comp in ast.walk(node)
+                            if isinstance(comp, (ast.ListComp, ast.GeneratorExp))
+                            for n in ast.walk(comp) if isinstance(n, ast.Call)}
         if f.stem == "nash_gap":
             names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} \
                 | {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
@@ -219,7 +230,8 @@ def test_one_midpoint_rule_and_a_best_response_without_loops():
             assert not names & {"rk4_backward_indexed", "flatten", "unflatten"}
     assert strided == []
     assert loops == []
-    assert "_solve_agent_finite" in calls
+    assert calls.count("_solve_agent_finite") == 1 and calls.count("_closed_loop_cost") == 2
+    assert gathered <= {"_agent", "_gain_tables", "zip", "BestResponse", "float"}
 
 
 def test_best_response_midpoints_are_node_means(coupled):
@@ -551,10 +563,9 @@ def test_gap_rows_carry_their_worst_diagnostics(coupled):
     assert row.assembly_crosscheck <= 1e-8
 
 
-def test_one_gap_builds_one_record_and_propagates_twice(coupled, monkeypatch):
-    # J_eq and the identity share the equilibrium closed loop's propagation,
-    # and the assembly cross-check reads the deviator's own record
-    p, sol = coupled
+def _count_work(monkeypatch):
+    """Counts of forward and backward RK4 sweeps, chain recursions and
+    reduced records built, from here on."""
     calls = dict.fromkeys(["forward", "backward", "chain", "record"], 0)
 
     def counted(key, original):
@@ -571,8 +582,79 @@ def test_one_gap_builds_one_record_and_propagates_twice(coupled, monkeypatch):
                 monkeypatch.setattr(module, original.__name__, counted(key, original))
     monkeypatch.setattr(population_sim.ReducedPopulation, "__init__", counted(
         "record", population_sim.ReducedPopulation.__init__))
+    return calls
+
+
+def test_one_gap_builds_one_record_and_propagates_twice(coupled, monkeypatch):
+    # a gap is a one-member stack: J_eq and the identity share the
+    # equilibrium closed loop's propagation, and both assembly chains one
+    # chain recursion on the deviator's own record
+    p, sol = coupled
+    calls = _count_work(monkeypatch)
     epsilon_nash_gap(p, sol, PopulationConfig(N=8), 1)
-    assert calls == {"forward": 2, "backward": 2, "chain": 2, "record": 1}
+    assert calls == {"forward": 2, "backward": 2, "chain": 1, "record": 1}
+
+
+def test_a_table_runs_one_stack_per_reduced_dimension(monkeypatch):
+    # the benchmark's nash table: 12 deviators in two groups, D = 10 (the
+    # majors and the N = 2 minors) and D = 12 (the other minors); each
+    # group runs the agent solve's two sweeps, two forward propagations
+    # and one chain recursion, where every deviator ran 4 and 2
+    p = coupled_toy(M=25)
+    sol = solve_consistency_finite(p)
+    calls = _count_work(monkeypatch)
+    gap_vs_population(p, sol, [2, 8, 32, 96])
+    assert calls == {"forward": 4, "backward": 4, "chain": 2, "record": 12}
+
+
+def _assert_rows_are_single_gaps(p, sol, Ns):
+    # every row's gaps and worst diagnostics, from one-member stacks
+    for row in gap_vs_population(p, sol, Ns).rows:
+        type_of = assign_types(p.pi, row.N)
+        cfg = PopulationConfig(N=row.N, type_assignment=type_of)
+        firsts = [0] + [int(ix[0]) + 1 if ix.size else None
+                        for ix in (np.flatnonzero(type_of == k) for k in range(p.K))]
+        reps = [epsilon_nash_gap(p, sol, cfg, a) for a in firsts if a is not None]
+        it = iter(reps)
+        assert [row.major_gap] + row.type_gaps == \
+            [0.0 if a is None else next(it).gap for a in firsts]
+        for key in ("identity_mismatch", "assembly_crosscheck"):
+            assert getattr(row, key) == max(r.diagnostics[key] for r in reps)
+
+
+def test_stacking_changes_no_gap():
+    # numpy's stacked @ forms one product per member, so a deviator's
+    # numbers do not depend on its stack: the table's rows, N = 1 with its
+    # empty type included, equal the one-member stacks of epsilon_nash_gap
+    p = coupled_toy(M=25)
+    sol = solve_consistency_finite(p)
+    _assert_rows_are_single_gaps(p, sol, [1, 2, 8, 32, 96, 10 ** 6])
+
+
+@settings(max_examples=15, **SETTINGS)
+@given(st.fixed_dictionaries({
+    "seed": st.integers(0, 2**31 - 1),
+    "n": st.integers(1, 2),
+    "m": st.integers(1, 2),
+    "K": st.integers(1, 3),
+    "M": st.integers(4, 12),
+    "coupling": st.sampled_from([0.1, 0.5, 1.5]),
+    "Ns": st.lists(st.integers(1, 12), min_size=1, max_size=4),
+}))
+def test_stacking_changes_no_gap_on_random_games(g):
+    p = random_game(g["seed"], g["n"], g["m"], g["K"], g["M"], g["coupling"], 0.0)
+    try:
+        sol = solve_consistency_finite(p)
+    except MmlqgError:
+        assume(False)
+    try:
+        gap_vs_population(p, sol, g["Ns"])
+    except MmlqgError as exc:
+        # a sweep too coarse for the game: a one-member stack fails alike
+        with pytest.raises(type(exc)):
+            _assert_rows_are_single_gaps(p, sol, g["Ns"])
+        return
+    _assert_rows_are_single_gaps(p, sol, g["Ns"])
 
 
 def test_gap_identity_mismatch_is_second_order_in_time():

@@ -204,6 +204,47 @@ def test_chain_divergence_is_reported_at_its_first_non_finite_node(coupled):
     assert (exc.value.node, exc.value.time) == (2, grid.nodes[2])
 
 
+def test_stacked_chains_round_as_alone_and_name_the_first_diverging_member(coupled):
+    # chains of one dimension, stacked on a member axis after the node
+    # axis, cost bit for bit what each costs alone; a divergence names the
+    # lowest-index member that left the finite range, at its own first
+    # non-finite node, after the loop has run every node
+    p, sol = coupled
+    records = []
+    for N, agent in ((4, 1), (4, 2), (7, 1), (30, 2)):
+        _, *key = population_sim._agent_key(p, PopulationConfig(N=N), agent)
+        records.append(population_sim.ReducedPopulation(p, sol, *key))
+    chains = []
+    for rs in records:
+        w = rs.weights
+        cost = _policy_quadratic(w["Q"], w["N"], w["R"], w["eta"], w["nbar"], rs.c0,
+                                 rs.Kz_nodes, rs.k_nodes)
+        chains.append((rs.mu0, rs.V0, *rs.drift(closed=True), rs.Sig2, cost, w["Qhat"]))
+
+    def stacked(chains):
+        mu0, V0, A, d, Sig2, cost, W_T = zip(*chains)
+        return discrete_chain_cost(p.grid, p.rho, np.stack(mu0), np.stack(V0),
+                                   np.stack(A, 1), np.stack(d, 1), np.stack(Sig2),
+                                   [np.stack(t, 1) for t in zip(*cost)], np.stack(W_T))
+
+    alone = [discrete_chain_cost(p.grid, p.rho, mu0, V0, A, d, Sig2, cost, W_T)
+             for mu0, V0, A, d, Sig2, cost, W_T in chains]
+    together = stacked(chains)
+    assert together.shape == (4,) and together.tolist() == alone
+    assert alone == [rs.chain_cost(*rs.drift(closed=True)) for rs in records]
+    # members 1 and 3 diverge: member 3 at node 2, and member 1, its drift
+    # too fast from node 2 on, at node 4 (one step of 1e100 h stays finite)
+    fast = [list(chain) for chain in chains]
+    fast[1][2] = fast[1][2].copy()
+    fast[1][2][2:] *= 1e100
+    fast[3][2] = 1e100 * fast[3][2]
+    with pytest.raises(IntegrationDivergedError,
+                       match="moment recursion diverged at node 4") as exc, \
+            np.errstate(over="ignore", invalid="ignore"):
+        stacked(fast)
+    assert (exc.value.member, exc.value.node, exc.value.time) == (1, 4, p.grid.nodes[4])
+
+
 def test_same_type_agents_have_equal_exact_cost(coupled):
     p, sol = coupled
     cfg = PopulationConfig(N=8, master_seed=0)
