@@ -46,7 +46,6 @@ from .mfg_solver import (
     FixedPointConfig,
     MfgSolution,
     StationaryMfgSolution,
-    mean_field_trajectory,
     solve_consistency_finite,
     solve_consistency_infinite,
 )
@@ -54,13 +53,11 @@ from .population_sim import (
     PopulationConfig,
     TrajectoryBundle,
     expected_cost_exact,
-    finite_cost_monte_carlo,
     mean_field_convergence_study,
     simulate_population,
 )
 from .nash_gap import (
     BestResponse,
-    JointSystem,
     NashGapReport,
     build_joint_closed_loop,
     epsilon_nash_gap,

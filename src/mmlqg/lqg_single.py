@@ -535,16 +535,10 @@ def closed_loop_cost_moments(grid: TimeGrid, rho: float, x0_mean: np.ndarray,
     terminal weight W_T_i adds (1/2) e^{-rho T} E x'W_T_i x.  All tables are
     indexed by half-step stages q = 0..2M at times q*h/2.
 
-    An (L, n, 1) x0_mean stacks L loops, each rounded as alone: tables carry
+    x0_mean (L, n, 1) stacks L loops, each rounded as alone: tables carry
     a member axis after the stage axis, x0_cov and W_T one in front, and
-    the result is (L, len(costs)).  An (n, 1) x0_mean returns a list.
+    the result is (L, len(costs)).  One loop is a one-member stack.
     """
-    if x0_mean.ndim == 2:   # one closed loop: a one-member stack
-        return closed_loop_cost_moments(
-            grid, rho, x0_mean[None], np.reshape(x0_cov, (1,) + x0_mean.shape[:1] * 2),
-            A_cl[:, None], d[:, None], Sig2[:, None],
-            [((W[:, None], l[:, None], c[:, None]), W_T[None]) for (W, l, c), W_T in costs],
-        )[0].tolist()
     L, n, _ = x0_mean.shape
     J = np.arange(n, n + len(costs))       # the J entries on the diagonal
     half_disc = 0.5 * _discount_stages(grid, rho)
@@ -621,11 +615,12 @@ def expected_cost(p: LqgProblem, law) -> float:
     K_tab, k_tab = _law_stage_tables(p, law)
     sig_tab = _stage_values(p.sigma)
     Sig2 = np.einsum("qir,qjr->qij", sig_tab, sig_tab)
-    quadratic = _policy_quadratic(p.Q, p.N_cross, p.R, p.eta, p.n_lin, 0.0, K_tab, k_tab)
-    return closed_loop_cost_moments(
-        p.grid, p.rho, p.x0, np.zeros((p.n, p.n)), p.A - p.B @ K_tab,
-        p.B @ k_tab + _stage_values(p.b), Sig2, [(quadratic, p.Qhat)],
-    )[0]
+    W, l, c = _policy_quadratic(p.Q, p.N_cross, p.R, p.eta, p.n_lin, 0.0, K_tab, k_tab)
+    # the closed loop as a one-member stack
+    return float(closed_loop_cost_moments(
+        p.grid, p.rho, p.x0[None], np.zeros((1, p.n, p.n)), (p.A - p.B @ K_tab)[:, None],
+        (p.B @ k_tab + _stage_values(p.b))[:, None], Sig2[:, None],
+        [((W[:, None], l[:, None], c[:, None]), p.Qhat[None])])[0, 0])
 
 
 def _open_loop_trajectory(p: LqgProblem, u: GridFunction) -> GridFunction:

@@ -43,12 +43,9 @@ from .lqg_single import (
     ExtendedSystem,
     FeedbackLaw,
     ValidationReport,
-    _as_grid_function,
-    _as_matrix,
     _gain_tables,
     _solve_agent_finite,
     _solve_agent_stationary,
-    _stage_values,
 )
 from .mfg_model import (
     MeanFieldLaw,
@@ -67,7 +64,6 @@ from .numerics import (
     _as_real,
     flatten,
     matvec_rows,
-    rk4_forward_indexed,
     unflatten,
 )
 
@@ -80,7 +76,6 @@ class FixedPointConfig:
     theta: float = 1.0
     tol: float = 1e-8
     max_iters: int = 500
-    initial_law: Optional[MeanFieldLaw] = None
 
     def __post_init__(self):
         self.theta = _as_real(self.theta, "theta")
@@ -90,9 +85,6 @@ class FixedPointConfig:
         if not 0.0 < self.tol < np.inf:
             raise SchemaError("must be positive and finite", field="tol")
         self.max_iters = _as_count(self.max_iters, "max_iters", 1)
-        if not isinstance(self.initial_law, (MeanFieldLaw, type(None))):
-            raise SchemaError("expected a MeanFieldLaw, got %s" % type(
-                self.initial_law).__name__, field="initial_law")
 
 
 @dataclass
@@ -196,10 +188,7 @@ def _consistency_map(p: MmMfgProblem, law0: MeanFieldLaw, solve_agent, nodes: in
     then the K minor types as one stack: 4 backward RK4 sweeps for any K
     on the finite horizon.
     """
-    gfs = (law0.Abar, law0.Gbar, law0.mbar)
-    if nodes > 1 and any(gf.grid != p.grid for gf in gfs):
-        raise SchemaError("the initial law must be sampled on the problem grid")
-    tables = [gf.values[:nodes] for gf in gfs]
+    tables = [gf.values[:nodes] for gf in (law0.Abar, law0.Gbar, law0.mbar)]
     shapes = [v.shape for v in tables]
     full = p.grid.num_nodes
     mbreve = build_mean_field_matrices(p).mbar.values
@@ -258,14 +247,10 @@ def _anderson(evaluate, x: np.ndarray, cfg: FixedPointConfig, what: str):
 
 def _solve_fixed_point(p: MmMfgProblem, cfg: FixedPointConfig, solve_agent,
                        nodes: int, what: str) -> MfgSolution:
-    """The driver both horizons share: validate, iterate, tabulate the gains.
-
-    The iteration starts from cfg.initial_law, read at its first `nodes`
-    nodes, or else from the closure at Pi_k = 0, s_k = 0.
-    """
+    """The driver both horizons share: validate, iterate from the closure
+    at Pi_k = 0, s_k = 0 (_initial_law), tabulate the gains."""
     report = validate_problem(p).require()
-    law0 = cfg.initial_law if cfg.initial_law is not None else _initial_law(p)
-    x0, evaluate = _consistency_map(p, law0, solve_agent, nodes)
+    x0, evaluate = _consistency_map(p, _initial_law(p), solve_agent, nodes)
     payload, history = _anderson(evaluate, x0, cfg, what)
     law, ext_major, Pi0, s0, ext_minors, Piks, sks, minor_laws = payload
     return MfgSolution(
@@ -306,25 +291,6 @@ def mean_field_step_euler(Ab, Gb, mb, j: int, h: float, xbar, x0_now):
                        + mb[j][:, 0])
 
 
-def mean_field_trajectory(sol: MfgSolution, x0_path: GridFunction,
-                          xbar0: Optional[np.ndarray] = None) -> GridFunction:
-    """Forward mean field from xbar0 (default zero), driven by a major-state
-    path on the solution's grid, by RK4."""
-    p = sol.problem
-    x0_path = _as_grid_function("x0_path", x0_path, p.grid, p.n, 1)
-    xb = _as_matrix("xbar0", xbar0, p.n * p.K, 1)
-    Ab_st = _stage_values(sol.mf_law.Abar)
-    Gb_st = _stage_values(sol.mf_law.Gbar)
-    mb_st = _stage_values(sol.mf_law.mbar)
-    # the x0 path is linear between nodes, so its midpoints are node averages
-    x0_st = _stage_values(x0_path)
-
-    def stage_rhs(q, y):
-        return Ab_st[q] @ y + Gb_st[q] @ x0_st[q] + mb_st[q]
-
-    return rk4_forward_indexed(stage_rhs, xb, p.grid)
-
-
 # ----------------------------------------------------------------- infinite
 
 
@@ -356,9 +322,9 @@ def _require_constant(gf: GridFunction, name: str) -> np.ndarray:
 def solve_consistency_infinite(p: MmMfgProblem, cfg: Optional[FixedPointConfig] = None) -> StationaryMfgSolution:
     """Stationary fixed point: discounted AREs and steady offsets.
 
-    The same Anderson iteration runs on constant (Abar, Gbar, mbar), a warm
-    start read at its node 0.  Each extended system must satisfy the Hautus
-    detectability and stabilizability conditions of the shifted drift
+    The same Anderson iteration runs on constant (Abar, Gbar, mbar), read
+    at node 0 of a one-step grid.  Each extended system must satisfy the
+    Hautus detectability and stabilizability conditions of the shifted drift
     (violations raise assumption errors); the ARE solver accepts only the
     stabilizing solution, whose closed loop A - B R^{-1}(N' + B' Pi)
     - (rho/2) I is asymptotically stable.

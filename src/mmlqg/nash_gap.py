@@ -5,21 +5,22 @@ else keeps the equilibrium feedback.  Non-deviators of one type share
 their law and reach the deviator only through their average, so the
 deviator's problem lives exactly on the reduced state
 y = (x_dev, x0, xbar, S_1..S_K) of population_sim.ReducedPopulation,
-whose dimension does not grow with N (JointSystem names the same
-record).  There the deviator is one more convex single-agent LQG problem,
-built like every agent of the game: mfg_model.lift_tracking forms its
-weights, JointSystem._agent() states it as an ExtendedSystem, and the
-Riccati/offset sweeps and gain expression of every agent solve it
-(lqg_single._solve_agent_finite, _gain_tables).  Every cost here is one
-affine policy on stage tables of the reduced system, turned into a
-running quadratic by lqg_single's one policy quadratic and costed by
-exact moment propagation, so the gap carries no sampling noise.  A gap
-table stacks the records of one dimension D, every N's alike: per stack
-one agent solve, one propagation of the equilibrium closed loops (which
-carry J_eq and the identity below), one of the best responses' loops,
-and one chain recursion of the assembly checks.  A single gap is a
-one-member stack, bit for bit.  In the uncoupled case the equilibrium
-law is already optimal and the gap vanishes.
+whose dimension does not grow with N.  There the deviator is one more
+convex single-agent LQG problem, built like every agent of the game:
+mfg_model.lift_tracking forms its weights, ReducedPopulation._agent()
+states it as an ExtendedSystem, and the Riccati/offset sweeps and gain
+expression of every agent solve it (lqg_single._solve_agent_finite,
+_gain_tables).  Every cost here is one affine policy on stage tables of
+the reduced system, turned into a running quadratic by lqg_single's one
+policy quadratic and costed by exact moment propagation, so the gap
+carries no sampling noise.  Every cost runs on records of one dimension
+D stacked by population_sim._stacked.  A gap table stacks every N's
+records alike: per stack one agent solve, one propagation of the
+equilibrium closed loops (which carry J_eq and the identity below), one
+of the best responses' loops, and one chain recursion of the assembly
+checks.  A single gap, and equilibrium_cost_ode, run a one-member stack,
+bit for bit.  In the uncoupled case the equilibrium law is already
+optimal and the gap vanishes.
 
 Two checks ride along with every gap.  Completing the square gives
 J(u) - J(u_br) = 1/2 E int e^{-rho t} (u - u_br)' R (u - u_br) dt for
@@ -34,7 +35,6 @@ on the record's own closed drift, expected_cost_exact's value
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 from typing import Dict, List, Sequence
 
 import numpy as np
@@ -46,38 +46,22 @@ from .lqg_single import (PSD_TOL, FeedbackLaw, ValidationReport, _gain_tables,
 from .mfg_model import MmMfgProblem
 from .mfg_solver import MfgSolution
 from .numerics import _as_count
-from .population_sim import PopulationConfig, ReducedPopulation, _agent_key, assign_types
-
-
-# the deviator's record is the reduced population of its own key
-JointSystem = ReducedPopulation
+from .population_sim import (PopulationConfig, ReducedPopulation, _agent_key, _stacked,
+                             assign_types, chain_costs)
 
 
 def build_joint_closed_loop(p: MmMfgProblem, sol: MfgSolution,
-                            cfg: PopulationConfig, deviator: int) -> JointSystem:
+                            cfg: PopulationConfig, deviator: int) -> ReducedPopulation:
     _, *key = _agent_key(p, cfg, deviator)
-    return JointSystem(p, sol, *key)
+    return ReducedPopulation(p, sol, *key)
 
 
-def _stacked(records: Sequence[JointSystem], tables: Sequence[str]) -> SimpleNamespace:
-    """The arrays of records of one dimension D as one record's: the named
-    stage or node tables with a member axis after their first axis,
-    B_full, mu0, V0, Sig2 and the weights with one in front, and c0 as an
-    (L, 1, 1) column.  The cost routines read it as they read one record."""
-    return SimpleNamespace(
-        p=records[0].p, c0=np.reshape([r.c0 for r in records], (-1, 1, 1)),
-        weights={key: np.stack([r.weights[key] for r in records]) for key in records[0].weights},
-        **{name: np.stack([getattr(r, name) for r in records], int(name in tables))
-           for name in [*tables, "B_full", "mu0", "V0", "Sig2"]})
-
-
-def _closed_loop_cost(js: JointSystem, K: np.ndarray, k: np.ndarray,
-                      extra=()) -> List[float]:
-    """Exact deviator cost of u = -K[q] y + k[q] (stage tables), then the
-    cost of each extra ((W, l, c), W_T), along the one closed loop
-    dy = ((A - B K) y + d + B k) dt + noise, in one propagation by the
-    package's one moment-and-cost propagator (an (L, costs) array for a
-    stacked record)."""
+def _closed_loop_cost(js, K: np.ndarray, k: np.ndarray, extra=()) -> np.ndarray:
+    """Exact deviator costs of u = -K[q] y + k[q] (stage tables), then the
+    cost of each extra ((W, l, c), W_T), along the closed loops
+    dy = ((A - B K) y + d + B k) dt + noise of the stacked records js, in
+    one propagation by the package's one moment-and-cost propagator: an
+    (L, costs) array."""
     p, w = js.p, js.weights
     own = _policy_quadratic(w["Q"], w["N"], w["R"], w["eta"], w["nbar"], js.c0, K, k)
     B = js.B_full
@@ -88,21 +72,18 @@ def _closed_loop_cost(js: JointSystem, K: np.ndarray, k: np.ndarray,
     )
 
 
-def _policy_cost(js: JointSystem, K: np.ndarray, k: np.ndarray) -> float:
-    """Exact deviator cost of the policy u = -K[q] y + k[q] (stage tables)."""
-    return _closed_loop_cost(js, K, k)[0]
-
-
-def equilibrium_cost_ode(js: JointSystem) -> float:
-    """Deviator's cost with everyone, deviator included, on the MFG law."""
-    return _policy_cost(js, js.Kz, js.k_st)
+def equilibrium_cost_ode(js: ReducedPopulation) -> float:
+    """Deviator's cost with everyone, deviator included, on the MFG law:
+    the record as a one-member stack."""
+    one = _stacked([js], ("A", "d", "Kz", "k_st"))
+    return float(_closed_loop_cost(one, one.Kz, one.k_st)[0, 0])
 
 
 @dataclass
 class BestResponse:
     """Affine best-response law u = -K(t) y + k(t) on the grid's nodes.
 
-    The deviator's ExtendedSystem (JointSystem._agent) goes through
+    The deviator's ExtendedSystem (ReducedPopulation._agent) goes through
     lqg_single._solve_agent_finite and _gain_tables, as every agent does;
     the costs read the law at the half-step stages q = 0..2M that
     _stage_values forms.  Pi and s are the node tables of the backward
@@ -122,14 +103,14 @@ class BestResponse:
     equilibrium_cost: float      # J_eq, equilibrium_cost_ode's value
 
 
-def _screen(js: JointSystem) -> None:
+def _screen(js: ReducedPopulation) -> None:
     """Convexity of the deviator's primitive weights, its type's or the major's."""
     rep = ValidationReport()
     add_convexity_checks(rep, "deviator ", js.Qhat, js.Q, js.Ncr, js.R, PSD_TOL)
     rep.require()
 
 
-def _best_responses(records: List[JointSystem]) -> List[BestResponse]:
+def _best_responses(records: List[ReducedPopulation]) -> List[BestResponse]:
     """Exact full-information best responses of records of one D: one
     stacked agent solve, then two stacked moment propagations, the
     equilibrium closed loops, each carrying both J_eq and gap_identity (the
@@ -150,7 +131,7 @@ def _best_responses(records: List[JointSystem]) -> List[BestResponse]:
             for law, Pi, s, (eq, identity), cost in zip(laws, Pis, ss, J_eq, J_br)]
 
 
-def solve_best_response(js: JointSystem) -> BestResponse:
+def solve_best_response(js: ReducedPopulation) -> BestResponse:
     """Exact full-information best response in the reduced closed loop:
     convexity is screened on the deviator's primitive weights, then the
     record runs through _best_responses as a one-member stack."""
@@ -175,16 +156,17 @@ class NashGapReport:
             )
 
 
-def _gap_reports(records: List[JointSystem], keys) -> List[NashGapReport]:
+def _gap_reports(records: List[ReducedPopulation], keys) -> List[NashGapReport]:
     """Reports of screened records of one D, keyed (N, agent_id): stacked
     best responses, then one chain recursion of each record's chain on its
-    own closed drift, then of its un-deviated chain (undeviated_cost's)."""
+    own closed drift, then of its un-deviated chain, the open drift closed
+    by B_full and the lifted gain table."""
     L, reports = len(records), []
     brs = _best_responses(records)
     js = _stacked(records + records, ("A_nodes", "d_nodes", "Kz_nodes", "k_nodes"))
     A, d = js.A_nodes - js.B_full @ js.Kz_nodes, js.d_nodes + js.B_full @ js.k_nodes
     A[:, :L], d[:, :L] = (np.stack(t, 1) for t in zip(*[r.drift(closed=True) for r in records]))
-    J = JointSystem.chain_cost(js, A, d)      # the stack reads as one record
+    J = chain_costs(js, A, d)
     for (N, agent_id), br, check in zip(keys, brs, np.abs(J[L:] - J[:L])):
         gap = br.equilibrium_cost - br.cost
         reports.append(NashGapReport(agent_id, N, br.equilibrium_cost, br.cost, gap, {

@@ -9,20 +9,22 @@ for the convergence study, every population size at once), minors sorted
 by type with agents on the last axis; DRAW_BUDGET bounds the noise held.
 Each (master_seed, stream, path) is one Philox stream, and one call draws
 every agent's block of it (_draws).
-Costs come either from Monte Carlo over paths or exactly, by propagating
-the mean and covariance of that same chain, which makes the exact value
-the precise expectation of the Monte Carlo estimate.  Both routes read
-node tables only: the simulator the laws' tables at node j, the exact
-route the reduced state's drift and the agent's law at the nodes, with
-its running cost formed by lqg_single's one policy quadratic.  One
-record, ReducedPopulation, serves that cost and nash_gap's deviator;
-its agent's weights come from mfg_model.lift_tracking, as every agent's.
+Expected costs come exactly, by propagating the mean and covariance of
+that same chain, so each is the precise expectation of the pathwise cost
+of simulated paths.  Like the simulator, which reads the laws' tables at
+node j, the exact route reads node tables only: the reduced state's
+drift and the agent's law at the nodes, with its running cost formed by
+lqg_single's one policy quadratic.  One record, ReducedPopulation, serves
+that cost and nash_gap's deviator; its agent's weights come from
+mfg_model.lift_tracking, as every agent's.  Every exact cost runs on a
+stack of records of one dimension (_stacked), a single one included.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -360,46 +362,6 @@ def simulate_population(p: MmMfgProblem, sol: MfgSolution,
     )
 
 
-def finite_cost_monte_carlo(p: MmMfgProblem, bundle: TrajectoryBundle,
-                            agent_id: int) -> CostReport:
-    """Pathwise trapezoid cost of one agent, averaged across paths."""
-    if bundle.states is None or bundle.controls is None:
-        raise SchemaError("bundle was recorded without states; rerun with record_states")
-    agent_id = _as_count(agent_id, "agent_id", 0, bundle.N + 1)
-    grid = bundle.grid
-    w = trapezoid_weights(grid)
-    disc = np.exp(-p.rho * grid.nodes)
-    x = bundle.states[:, :, agent_id, :]
-    u = bundle.controls[:, :, agent_id, :]
-    xN = bundle.empirical_global
-    x0 = bundle.states[:, :, 0, :]
-    if agent_id == 0:
-        mj = p.major
-        track = x - xN @ mj.H0.T
-        dev = track - mj.eta0[:, 0]
-        Q, Ncr, R, Qhat = mj.Q0, mj.N0, mj.R0, mj.Qhat0
-    else:
-        mn = p.minors[int(bundle.type_of[agent_id - 1])]
-        track = x - x0 @ mn.Hk.T - xN @ mn.Hhatk.T
-        dev = track - mn.etak[:, 0]
-        Q, Ncr, R, Qhat = mn.Qk, mn.Nk, mn.Rk, mn.Qhatk
-    quad = np.einsum("pja,ab,pjb->pj", dev, Q, dev) \
-        + 2.0 * np.einsum("pja,ab,pjb->pj", dev, Ncr, u) \
-        + np.einsum("pja,ab,pjb->pj", u, R, u)
-    run = (quad * disc) @ w
-    # terminal weight applies to the coupled tracking error only; the
-    # constant target eta enters the running cost, matching s(T) = 0
-    term = disc[-1] * np.einsum("pa,ab,pb->p", track[:, -1], Qhat, track[:, -1])
-    J = 0.5 * (run + term)
-    value = float(J.mean())
-    if J.size > 1:
-        se = float(J.std(ddof=1) / math.sqrt(J.size))
-    else:
-        se = 0.0
-    return CostReport(agent_id=agent_id, value=value, std_error=se,
-                      method="monte_carlo", num_paths=bundle.num_paths)
-
-
 def _type_of(p: MmMfgProblem, cfg: PopulationConfig) -> np.ndarray:
     type_of = cfg.type_assignment if cfg.type_assignment is not None \
         else assign_types(p.pi, cfg.N)
@@ -409,8 +371,8 @@ def _type_of(p: MmMfgProblem, cfg: PopulationConfig) -> np.ndarray:
 
 
 def _initial_mean_field(p: MmMfgProblem, cfg: PopulationConfig) -> np.ndarray:
-    """cfg.xbar0 (zero when unset) as a length n*K vector, read by the
-    rule of mfg_solver.mean_field_trajectory."""
+    """cfg.xbar0 (zero when unset) as a length n*K vector; a flat list or
+    an (n*K, 1) column."""
     return _as_matrix("xbar0", cfg.xbar0, p.n * p.K, 1)[:, 0]
 
 
@@ -435,8 +397,8 @@ def _agent_key(p: MmMfgProblem, cfg: PopulationConfig, agent_id) -> tuple:
 
 class ReducedPopulation:
     """The closed-loop population as one agent sees it, in aggregate form,
-    and that agent's control problem there: the record of the finite-N
-    deviator (nash_gap.JointSystem names the same class).
+    and that agent's control problem there: the record of nash_gap's
+    finite-N deviator.
 
     Keyed by counts, not agent ids (_agent_key maps one to the other): the
     agent's type own_type (None for the major), counts[k] = c_k other
@@ -586,25 +548,28 @@ class ReducedPopulation:
         d[:, xb] = mf.mbar.values
         return A, d
 
-    def chain_cost(self, A, d):
-        """Expected cost of the agent's own equilibrium law on the Euler chain
-        of node drift tables (A, d), by discrete_chain_cost."""
-        w = self.weights
-        node_cost = _policy_quadratic(w["Q"], w["N"], w["R"], w["eta"], w["nbar"],
-                                      self.c0, self.Kz_nodes, self.k_nodes)
-        return discrete_chain_cost(self.p.grid, self.p.rho, self.mu0, self.V0, A, d,
-                                   self.Sig2, node_cost, w["Qhat"])
 
-    def undeviated_cost(self) -> float:
-        """Equilibrium cost of the simulated chain through this assembly:
-        the open drift closed by B_full and the lifted gain table.
+def _stacked(records: Sequence[ReducedPopulation], tables: Sequence[str]) -> SimpleNamespace:
+    """The arrays of records of one dimension D as one record's: the named
+    stage or node tables with a member axis after their first axis,
+    B_full, mu0, V0, Sig2 and the weights with one in front, and c0 as an
+    (L, 1, 1) column.  The cost routines read it as they read one record."""
+    return SimpleNamespace(
+        p=records[0].p, c0=np.reshape([r.c0 for r in records], (-1, 1, 1)),
+        weights={key: np.stack([r.weights[key] for r in records]) for key in records[0].weights},
+        **{name: np.stack([getattr(r, name) for r in records], int(name in tables))
+           for name in [*tables, "B_full", "mu0", "V0", "Sig2"]})
 
-        Must reproduce the chain cost on drift(closed=True), which is
-        expected_cost_exact; any daylight between the two means the gain
-        lifting or the input placement is wrong.
-        """
-        return self.chain_cost(self.A_nodes - self.B_full @ self.Kz_nodes,
-                               self.d_nodes + self.B_full @ self.k_nodes)
+
+def chain_costs(js: SimpleNamespace, A, d) -> np.ndarray:
+    """Expected costs of the stacked records' own equilibrium laws on the
+    Euler chains of node drift tables (A, d), by one discrete_chain_cost;
+    js stacks Kz_nodes and k_nodes."""
+    w = js.weights
+    node_cost = _policy_quadratic(w["Q"], w["N"], w["R"], w["eta"], w["nbar"],
+                                  js.c0, js.Kz_nodes, js.k_nodes)
+    return discrete_chain_cost(js.p.grid, js.p.rho, js.mu0, js.V0, A, d,
+                               js.Sig2, node_cost, w["Qhat"])
 
 
 def discrete_chain_cost(grid, rho, mu0, V0, A, d, Sig2, node_cost, W_T):
@@ -618,17 +583,14 @@ def discrete_chain_cost(grid, rho, mu0, V0, A, d, Sig2, node_cost, W_T):
     expectation of the simulated pathwise cost, so it carries the same
     O(h) discretization bias and no sampling error.
 
-    An (L, D, 1) mu0 stacks L chains, each rounded as alone: tables carry a
+    mu0 (L, D, 1) stacks L chains, each rounded as alone: tables carry a
     member axis after the node axis, V0, Sig2 and W_T one in front, and L
-    costs return.  Finiteness is checked once, on the node tables after the
-    loop; a divergence names the lowest-index member that left the finite
-    range, at its first non-finite node.
+    costs return; one chain is a one-member stack.  Finiteness is checked
+    once, on the node tables after the loop; a divergence names the
+    lowest-index member that left the finite range, at its first
+    non-finite node.
     """
     W, l, c = node_cost
-    if mu0.ndim == 2:   # one chain: a one-member stack
-        return float(discrete_chain_cost(
-            grid, rho, mu0[None], V0[None], A[:, None], d[:, None], Sig2[None],
-            (W[:, None], l[:, None], c[:, None]), W_T[None])[0])
     M, h, eye = grid.num_steps, grid.h, np.eye(mu0.shape[1])
     mu, V = np.empty((M + 1,) + mu0.shape), np.empty((M + 1,) + V0.shape)
     mu[0], V[0] = mu0, V0
@@ -659,8 +621,10 @@ def expected_cost_exact(p: MmMfgProblem, sol: MfgSolution, cfg: PopulationConfig
     state, every block, the agent's own included, closed directly."""
     agent_id, *key = _agent_key(p, cfg, agent_id)
     rs = ReducedPopulation(p, sol, *key)
-    return CostReport(agent_id=agent_id, value=rs.chain_cost(*rs.drift(closed=True)),
-                      std_error=0.0, method="moment_recursion", num_paths=0)
+    A, d = rs.drift(closed=True)
+    J = chain_costs(_stacked([rs], ("Kz_nodes", "k_nodes")), A[:, None], d[:, None])
+    return CostReport(agent_id=agent_id, value=float(J[0]), std_error=0.0,
+                      method="moment_recursion", num_paths=0)
 
 
 @dataclass

@@ -1,6 +1,7 @@
 """Test-only oracles: time-callback RK4 sweeps, the dense finite-N joint
-system and its routes, and the slow forms of the simulator's noise and
-of the CSV writer.
+system and its routes, the Monte Carlo cost and the RK4 mean field of
+simulated paths, one-member stacks of the package's cost propagators,
+and the slow forms of the simulator's noise and of the CSV writer.
 
 The package steps every ODE through one stage-indexed RK4 loop; the
 sweeps here take the right-hand side as a function of time and carry
@@ -15,7 +16,14 @@ the minor Riccati and cross-weight blocks.  _stream (one generator per
 path, drawn one agent's block at a time) and write_csv_rows (one row at
 a time) are what the package's one-call draws and vectorised writer
 must reproduce bit for bit, and empirical_mean_field recomputes the
-simulator's per-type averages from its recorded states.  schur_are is
+simulator's per-type averages from its recorded states.
+finite_cost_monte_carlo averages the pathwise cost over simulated paths,
+the estimate whose expectation expected_cost_exact is, and
+mean_field_trajectory integrates the mean field along a major-state path
+by RK4, where the simulator takes Euler steps.  one_loop_costs and
+one_chain_cost run one closed loop or chain through the stacked
+propagators, and undeviated_cost is the assembly check's chain of one
+record, reduced or dense.  schur_are is
 the discounted ARE solver the package's sign-function solver replaced:
 scipy's Schur method on the shifted drift with the same Newton-Kleinman
 polish and gates.
@@ -39,15 +47,19 @@ from mmlqg.errors import (
     SchemaError,
 )
 from mmlqg.lqg_single import (PSD_TOL, ExtendedSystem, ValidationReport,
-                              _are_residual, _policy_quadratic, _stage_values,
-                              add_convexity_checks, psd_sqrt, spd_solver)
+                              _are_residual, _as_grid_function, _as_matrix,
+                              _policy_quadratic, _stage_values, add_convexity_checks,
+                              closed_loop_cost_moments, psd_sqrt, spd_solver)
 from mmlqg.mfg_model import MmMfgProblem
 from mmlqg.mfg_solver import MfgSolution
-from mmlqg.nash_gap import _policy_cost
-from mmlqg.numerics import GridFunction, TimeGrid, symmetrize, trapezoid_weights
+from mmlqg.nash_gap import _closed_loop_cost
+from mmlqg.numerics import (GridFunction, TimeGrid, _as_count, rk4_forward_indexed,
+                            symmetrize, trapezoid_weights)
 from mmlqg.population_sim import (
+    CostReport,
     PopulationConfig,
     TrajectoryBundle,
+    _stacked,
     assign_types,
     discrete_chain_cost,
     simulate_population,
@@ -73,6 +85,100 @@ def write_csv_rows(path, header, rows):
             str(cell) if isinstance(cell, (int, np.integer))
             else "%.17g" % float(cell) for cell in row))
     path.write_text("\n".join(lines) + "\n")
+
+
+def one_loop_costs(grid, rho, x0_mean, x0_cov, A_cl, d, Sig2, costs) -> list:
+    """closed_loop_cost_moments of one closed loop as a one-member stack:
+    the list of its costs."""
+    return closed_loop_cost_moments(
+        grid, rho, x0_mean[None], x0_cov[None], A_cl[:, None], d[:, None], Sig2[:, None],
+        [((W[:, None], l[:, None], c[:, None]), W_T[None]) for (W, l, c), W_T in costs],
+    )[0].tolist()
+
+
+def one_chain_cost(grid, rho, mu0, V0, A, d, Sig2, node_cost, W_T) -> float:
+    """discrete_chain_cost of one chain as a one-member stack."""
+    return float(discrete_chain_cost(
+        grid, rho, mu0[None], V0[None], A[:, None], d[:, None], Sig2[None],
+        tuple(t[:, None] for t in node_cost), W_T[None])[0])
+
+
+def undeviated_cost(js) -> float:
+    """Equilibrium chain cost of one record, reduced or dense, through its
+    assembly: the open drift closed by B_full and the lifted gain table at
+    the nodes.  nash_gap's assembly check compares this chain with the
+    one on the record's own closed drift, expected_cost_exact's."""
+    K, k = js.Kz[::2], js.k_st[::2]
+    w = js.weights
+    node_cost = _policy_quadratic(w["Q"], w["N"], w["R"], w["eta"], w["nbar"], js.c0, K, k)
+    return one_chain_cost(js.p.grid, js.p.rho, js.mu0, js.V0, js.A[::2] - js.B_full @ K,
+                          js.d[::2] + js.B_full @ k, js.Sig2, node_cost, w["Qhat"])
+
+
+def policy_cost(js, K: np.ndarray, k: np.ndarray) -> float:
+    """Exact deviator cost of u = -K[q] y + k[q] (stage tables) on one
+    record, reduced or dense, as a one-member stack."""
+    one = _stacked([js], ("A", "d"))
+    return float(_closed_loop_cost(one, K[:, None], k[:, None])[0, 0])
+
+
+def finite_cost_monte_carlo(p: MmMfgProblem, bundle: TrajectoryBundle,
+                            agent_id: int) -> CostReport:
+    """Pathwise trapezoid cost of one agent, averaged across paths."""
+    if bundle.states is None or bundle.controls is None:
+        raise SchemaError("bundle was recorded without states; rerun with record_states")
+    agent_id = _as_count(agent_id, "agent_id", 0, bundle.N + 1)
+    grid = bundle.grid
+    w = trapezoid_weights(grid)
+    disc = np.exp(-p.rho * grid.nodes)
+    x = bundle.states[:, :, agent_id, :]
+    u = bundle.controls[:, :, agent_id, :]
+    xN = bundle.empirical_global
+    x0 = bundle.states[:, :, 0, :]
+    if agent_id == 0:
+        mj = p.major
+        track = x - xN @ mj.H0.T
+        dev = track - mj.eta0[:, 0]
+        Q, Ncr, R, Qhat = mj.Q0, mj.N0, mj.R0, mj.Qhat0
+    else:
+        mn = p.minors[int(bundle.type_of[agent_id - 1])]
+        track = x - x0 @ mn.Hk.T - xN @ mn.Hhatk.T
+        dev = track - mn.etak[:, 0]
+        Q, Ncr, R, Qhat = mn.Qk, mn.Nk, mn.Rk, mn.Qhatk
+    quad = np.einsum("pja,ab,pjb->pj", dev, Q, dev) \
+        + 2.0 * np.einsum("pja,ab,pjb->pj", dev, Ncr, u) \
+        + np.einsum("pja,ab,pjb->pj", u, R, u)
+    run = (quad * disc) @ w
+    # terminal weight applies to the coupled tracking error only; the
+    # constant target eta enters the running cost, matching s(T) = 0
+    term = disc[-1] * np.einsum("pa,ab,pb->p", track[:, -1], Qhat, track[:, -1])
+    J = 0.5 * (run + term)
+    value = float(J.mean())
+    if J.size > 1:
+        se = float(J.std(ddof=1) / math.sqrt(J.size))
+    else:
+        se = 0.0
+    return CostReport(agent_id=agent_id, value=value, std_error=se,
+                      method="monte_carlo", num_paths=bundle.num_paths)
+
+
+def mean_field_trajectory(sol: MfgSolution, x0_path: GridFunction,
+                          xbar0: Optional[np.ndarray] = None) -> GridFunction:
+    """Forward mean field from xbar0 (default zero), driven by a major-state
+    path on the solution's grid, by RK4."""
+    p = sol.problem
+    x0_path = _as_grid_function("x0_path", x0_path, p.grid, p.n, 1)
+    xb = _as_matrix("xbar0", xbar0, p.n * p.K, 1)
+    Ab_st = _stage_values(sol.mf_law.Abar)
+    Gb_st = _stage_values(sol.mf_law.Gbar)
+    mb_st = _stage_values(sol.mf_law.mbar)
+    # the x0 path is linear between nodes, so its midpoints are node averages
+    x0_st = _stage_values(x0_path)
+
+    def stage_rhs(q, y):
+        return Ab_st[q] @ y + Gb_st[q] @ x0_st[q] + mb_st[q]
+
+    return rk4_forward_indexed(stage_rhs, xb, p.grid)
 
 
 def _check_finite(Y: np.ndarray, node: int, t: float, what: str):
@@ -144,7 +250,7 @@ class DenseJointSystem:
     """Finite-N joint dynamics on z = (x^1..x^N, x0, xbar), dimension
     n(N+1) + nK, with every agent but the deviator closed.
 
-    The dense counterpart of nash_gap.JointSystem, with the same
+    The dense counterpart of population_sim.ReducedPopulation, with the same
     attributes, so the package's cost and best-response routines run on
     either.  Agent ids follow the simulator: 0 is the major, 1..N the
     minors.  The deviator's rows stay uncontrolled; its input enters
@@ -226,7 +332,7 @@ class DenseJointSystem:
         self.mu0 = mu0
 
         # z-space weights of the deviator's cost, control left free, under
-        # the ExtendedSystem names of nash_gap.JointSystem.weights
+        # the ExtendedSystem names of ReducedPopulation.weights
         C, eta = self.C, self.eta
         self.weights = dict(
             Q=symmetrize(C.T @ self.Q @ C),
@@ -254,7 +360,7 @@ class DenseJointSystem:
         self.Kz = np.array([K_st[q] @ self.U for q in stages])
 
     def _agent(self) -> ExtendedSystem:
-        """The deviator's agent record, as nash_gap.JointSystem._agent()
+        """The deviator's agent record, as ReducedPopulation._agent()
         builds it, from the node tables: the stage tables' even stages."""
         grid = self.p.grid
         return ExtendedSystem(
@@ -328,22 +434,6 @@ class DenseJointSystem:
         d[self.xb_off:] = self._mb[q]
         return d
 
-    def undeviated_cost(self) -> float:
-        """Equilibrium cost of the simulated chain through this assembly.
-
-        Must reproduce population_sim.expected_cost_exact; any daylight
-        between the two means the block placement is wrong.
-        """
-        K, k = self.Kz[::2], self.k_st[::2]
-        w = self.weights
-        node_cost = _policy_quadratic(w["Q"], w["N"], w["R"], w["eta"],
-                                      w["nbar"], self.c0, K, k)
-        return discrete_chain_cost(
-            self.p.grid, self.p.rho, self.mu0, self.V0,
-            self.A[::2] - self.B_full @ K, self.d[::2] + self.B_full @ k,
-            self.Sig2, node_cost, w["Qhat"],
-        )
-
     def validation_gap(self, num_paths: int = 1) -> float:
         """Sup-norm distance between this assembly, simulated with all
         agents closed, and simulate_population on the same noise."""
@@ -395,8 +485,8 @@ class DenseJointSystem:
 def best_response_perturbed_cost(js, br, eps: float, omega: np.ndarray) -> float:
     """Exact cost of u = u_br + eps * omega (constant direction omega)."""
     omega = np.asarray(omega, dtype=float).reshape(js.m, 1)
-    return _policy_cost(js, _stage_values(br.law.K),
-                        _stage_values(br.law.k) + eps * omega)
+    return policy_cost(js, _stage_values(br.law.K),
+                       _stage_values(br.law.k) + eps * omega)
 
 
 @dataclass
@@ -487,9 +577,8 @@ def solve_best_response_chain(js) -> BestResponseChain:
         + (q_lin.T @ mu0).item() + v
 
     node_cost = _policy_quadratic(W, S, R, wts["eta"], wts["nbar"], cconst, gains, -ffs)
-    cost = discrete_chain_cost(grid, p.rho, mu0, V0, js.A[::2] - js.B_full @ gains,
-                               js.d[::2] - js.B_full @ ffs, js.Sig2, node_cost,
-                               wts["Qhat"])
+    cost = one_chain_cost(grid, p.rho, mu0, V0, js.A[::2] - js.B_full @ gains,
+                          js.d[::2] - js.B_full @ ffs, js.Sig2, node_cost, wts["Qhat"])
     return BestResponseChain(
         K=gains, k=-ffs,
         cost=cost, cost_dp=cost_dp,

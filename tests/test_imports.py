@@ -12,6 +12,7 @@ the tables'.
 
 import ast
 import dataclasses
+import inspect
 import json
 import os
 import subprocess
@@ -24,6 +25,7 @@ import mmlqg
 from mmlqg import config
 from mmlqg.lqg_single import LqgProblem, field_table
 from mmlqg.mfg_model import MajorParams, MinorTypeParams, MmMfgProblem
+from mmlqg.mfg_solver import FixedPointConfig
 from test_config_cli import _lqg_cfg, _mfg_cfg
 
 SRC = str(Path(mmlqg.__file__).resolve().parent.parent)
@@ -152,3 +154,13 @@ def test_config_sections_accept_exactly_the_record_tables():
     for record in [p, p.major] + p.minors:
         for value in read(record):
             assert np.all(value == 0.25)
+
+    # $.fixed_point accepts exactly FixedPointConfig's fields, and each key
+    # reaches its field: no fixed-point knob exists in the library alone
+    accepted = next(ast.literal_eval(node.args[2])
+                    for node in ast.walk(ast.parse(inspect.getsource(config.parse_fixed_point)))
+                    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_reject_unknown")
+    assert fields(FixedPointConfig) == accepted
+    values = {"theta": 0.5, "tol": 1e-6, "max_iters": 7}
+    fp = config.parse_fixed_point({"fixed_point": values})
+    assert {name: getattr(fp, name) for name in accepted} == values

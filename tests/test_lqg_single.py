@@ -33,6 +33,7 @@ from mmlqg.lqg_single import (
     validate_convexity,
 )
 from mmlqg.numerics import GridFunction, TimeGrid
+from oracles import one_loop_costs
 
 
 def scalar_problem(**kw):
@@ -345,8 +346,8 @@ def test_several_costs_in_one_propagation_equal_their_one_cost_calls(D):
     W_T = rng.normal(size=(D, D))
     costs = [(quadratic(), W_T @ W_T.T), (quadratic(), np.zeros((D, D)))]
     args = (grid, 0.3, mu0, L0 @ L0.T, A, d, sig @ sig.swapaxes(-1, -2))
-    together = closed_loop_cost_moments(*args, costs)
-    alone = [closed_loop_cost_moments(*args, [cost]) for cost in costs]
+    together = one_loop_costs(*args, costs)
+    alone = [one_loop_costs(*args, [cost]) for cost in costs]
     assert len(together) == 2 and all(len(J) == 1 for J in alone)
     assert together == [J for (J,) in alone]
     assert together[0] != together[1]
@@ -371,7 +372,7 @@ def test_stacked_closed_loops_round_as_alone():
                 rng.normal(size=(stages, D, 1)), sig @ sig.swapaxes(-1, -2), costs)
 
     loops = [loop() for _ in range(L)]
-    alone = [closed_loop_cost_moments(grid, 0.3, *args) for args in loops]
+    alone = [one_loop_costs(grid, 0.3, *args) for args in loops]
     mu0, V0, A, d, Sig2, costs = zip(*loops)
     together = closed_loop_cost_moments(
         grid, 0.3, np.stack(mu0), np.stack(V0), np.stack(A, 1), np.stack(d, 1),

@@ -26,13 +26,14 @@ from mmlqg.mfg_solver import (
     FixedPointConfig,
     MeanFieldLaw,
     _closure_law,
-    mean_field_trajectory,
+    _consistency_map,
+    _solve_agents_stationary,
     solve_consistency_finite,
     solve_consistency_infinite,
 )
 from mmlqg.numerics import GridFunction, TimeGrid
 from mmlqg.toys import coupled_toy, decoupled_toy
-from oracles import integrate_forward
+from oracles import integrate_forward, mean_field_trajectory
 
 
 def major_standalone(p):
@@ -208,21 +209,13 @@ def test_default_solve_lands_near_the_fixed_point(coupled):
 
 
 def test_warm_start_converges_immediately(coupled):
+    # an iteration started at the solved law would stop at once: one
+    # evaluation of the consistency map there leaves a residual below tol
     p, sol = coupled
-    cfg = FixedPointConfig(theta=1.0, initial_law=sol.mf_law)
-    resolved = solve_consistency_finite(p, cfg)
-    assert resolved.report.iterations <= 5
-    assert resolved.report.residual < 1e-8
-
-
-def test_warm_start_on_another_grid_rejected(coupled):
-    p, sol = coupled
-    other = dataclasses.replace(p.major, b0=p.major.b0.values[0])
-    longer = dataclasses.replace(
-        p, grid=TimeGrid(2.0, p.grid.num_steps), major=other,
-        minors=[dataclasses.replace(mn, bk=mn.bk.values[0]) for mn in p.minors])
-    with pytest.raises(SchemaError):
-        solve_consistency_finite(longer, FixedPointConfig(initial_law=sol.mf_law))
+    x, evaluate = _consistency_map(p, sol.mf_law, lqg_single._solve_agent_finite,
+                                   p.grid.num_nodes)
+    fx, _ = evaluate(x)
+    assert np.max(np.abs(fx - x)) < FixedPointConfig().tol
 
 
 def test_stop_rule_reads_the_undamped_residual():
@@ -415,16 +408,21 @@ def test_stationary_rejects_uncontrollable_unstable():
 
 
 def test_stationary_warm_start_returns_after_one_evaluation():
-    # the shared driver reads the stationary warm start at its node 0
+    # one evaluation of the stationary map (one-step grid, node 0) at the
+    # solved law returns that law, Pi0 and s0 bit for bit, and its
+    # residual is below tol: an iteration started there would stop at once
     p = coupled_toy(M=10, rho=4.0)
-    cold = solve_consistency_infinite(p)
-    law = MeanFieldLaw(*(GridFunction.constant(p.grid, v)
-                         for v in (cold.Abar, cold.Gbar, cold.mbar)))
-    warm = solve_consistency_infinite(p, FixedPointConfig(initial_law=law))
-    assert cold.report.iterations > 1
-    assert warm.report.iterations == 1
-    for name in ("Pi0", "s0", "Abar", "Gbar", "mbar", "major_gain"):
-        assert np.array_equal(getattr(warm, name), getattr(cold, name))
+    sol = solve_consistency_infinite(p)
+    q = mfg_solver._one_step(p)
+    law = MeanFieldLaw(*(GridFunction.constant(q.grid, v)
+                         for v in (sol.Abar, sol.Gbar, sol.mbar)))
+    x, evaluate = _consistency_map(q, law, _solve_agents_stationary, 1)
+    fx, (again, _, Pi0, s0, *_) = evaluate(x)
+    assert sol.report.iterations > 1
+    assert np.max(np.abs(fx - x)) < FixedPointConfig().tol
+    assert np.array_equal(Pi0.values[0], sol.Pi0) and np.array_equal(s0.values[0], sol.s0)
+    for name in ("Abar", "Gbar", "mbar"):
+        assert np.array_equal(getattr(again, name).values[0], getattr(sol, name))
 
 
 def test_long_finite_horizon_matches_the_stationary_solution():

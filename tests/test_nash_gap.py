@@ -22,9 +22,7 @@ from mmlqg.lqg_single import LqgProblem, solve_finite_horizon
 from mmlqg.mfg_model import lift_tracking, replicate_pi
 from mmlqg.mfg_solver import solve_consistency_finite
 from mmlqg.nash_gap import (
-    JointSystem,
     NashGapReport,
-    _policy_cost,
     build_joint_closed_loop,
     epsilon_nash_gap,
     equilibrium_cost_ode,
@@ -35,14 +33,16 @@ from mmlqg.population_sim import (
     PopulationConfig,
     assign_types,
     expected_cost_exact,
-    finite_cost_monte_carlo,
     simulate_population,
 )
 from mmlqg.toys import coupled_toy, decoupled_toy
 from oracles import (
     DenseJointSystem,
     best_response_perturbed_cost,
+    finite_cost_monte_carlo,
+    policy_cost,
     solve_best_response_chain,
+    undeviated_cost,
 )
 from test_fixed_point_property import SETTINGS, random_game
 
@@ -130,7 +130,6 @@ def test_one_policy_quadratic_and_no_per_stage_joint_methods():
     names = [name for name, _ in defined]
     assert [m for name, m in defined if name == "_policy_quadratic"] == ["lqg_single"]
     assert "_deviation_quadratic" not in names
-    assert JointSystem is population_sim.ReducedPopulation
     assert joint and not joint & {"A_open", "d_open", "eq_gain", "A_closed", "d_closed"}
 
 
@@ -195,7 +194,6 @@ def test_one_law_convention():
     assert not names & {"kff", "feedforwards"}
     assert params["_policy_quadratic"][-2:] == ["K", "k"]
     assert params["_closed_loop_cost"][1:3] == ["K", "k"]
-    assert params["_policy_cost"][1:] == ["K", "k"]
 
 
 def test_one_midpoint_rule_and_a_best_response_without_loops():
@@ -249,7 +247,7 @@ def test_best_response_midpoints_are_node_means(coupled):
     K, k = br.law.K.values, br.law.k.values
     assert K.shape == (p.grid.num_nodes, p.m, js.D)
     assert k.shape == (p.grid.num_nodes, p.m, 1)
-    assert _policy_cost(js, stages(K), stages(k)) == br.cost
+    assert policy_cost(js, stages(K), stages(k)) == br.cost
 
 
 def test_grid_mismatch_rejected(coupled):
@@ -328,12 +326,15 @@ def test_wrong_length_xbar0_rejected_by_exact_routes(xbar0):
 
 
 def test_undeviated_chain_cost_reproduces_expected_cost(coupled):
+    # the assembly check: the open drift closed by B_full and the lifted
+    # gain table costs what the record's own closed drift costs
     p, sol = coupled
     cfg = PopulationConfig(N=5, master_seed=0)
     for dev in (0, 1):
         js = build_joint_closed_loop(p, sol, cfg, dev)
         ref = expected_cost_exact(p, sol, cfg, dev).value
-        assert abs(js.undeviated_cost() - ref) <= 1e-8
+        assert abs(undeviated_cost(js) - ref) <= 1e-8
+        assert epsilon_nash_gap(p, sol, cfg, dev).diagnostics["assembly_crosscheck"] <= 1e-8
 
 
 def test_reduced_dimension_does_not_grow_with_population(coupled):
@@ -427,7 +428,7 @@ def test_chain_dynamic_program_never_beats_its_own_equilibrium(coupled):
     p, sol = coupled
     js = build_joint_closed_loop(p, sol, PopulationConfig(N=4), 2)
     chain = solve_best_response_chain(js)
-    assert chain.cost <= js.undeviated_cost() + 1e-12
+    assert chain.cost <= undeviated_cost(js) + 1e-12
     assert chain.diagnostics["route_mismatch"] < 1e-9
 
 
@@ -705,5 +706,5 @@ def test_equilibrium_cost_routes_agree(coupled):
     cfg = PopulationConfig(N=4, master_seed=0)
     js = build_joint_closed_loop(p, sol, cfg, 1)
     j_ode = equilibrium_cost_ode(js)
-    j_chain = js.undeviated_cost()
+    j_chain = undeviated_cost(js)
     assert abs(j_ode - j_chain) < 0.05 * abs(j_chain)

@@ -16,7 +16,6 @@ from mmlqg.errors import (
 from mmlqg.mfg_solver import (
     FixedPointConfig,
     mean_field_step_euler,
-    mean_field_trajectory,
     solve_consistency_finite,
 )
 from mmlqg.numerics import GridFunction, TimeGrid
@@ -28,12 +27,12 @@ from mmlqg.population_sim import (
     assign_types,
     discrete_chain_cost,
     expected_cost_exact,
-    finite_cost_monte_carlo,
     mean_field_convergence_study,
     simulate_population,
 )
 from mmlqg.toys import coupled_toy
-from oracles import DenseJointSystem, _stream, empirical_mean_field
+from oracles import (DenseJointSystem, _stream, empirical_mean_field, finite_cost_monte_carlo,
+                     mean_field_trajectory, one_chain_cost, undeviated_cost)
 
 
 @pytest.fixture(scope="module")
@@ -164,15 +163,7 @@ def test_chain_cost_on_dense_node_tables_reproduces_expected_cost(coupled):
     p, sol = coupled
     cfg = PopulationConfig(N=4, master_seed=0)
     for agent in (0, 3):
-        js = DenseJointSystem(p=p, sol=sol, cfg=cfg, deviator=agent)
-        K, k = js.Kz[::2], js.k_st[::2]
-        w = js.weights
-        node_cost = _policy_quadratic(w["Q"], w["N"], w["R"], w["eta"], w["nbar"],
-                                      js.c0, K, k)
-        J = discrete_chain_cost(p.grid, p.rho, js.mu0, js.V0,
-                                js.A[::2] - js.B_full @ K,
-                                js.d[::2] + js.B_full @ k, js.Sig2,
-                                node_cost, w["Qhat"])
+        J = undeviated_cost(DenseJointSystem(p=p, sol=sol, cfg=cfg, deviator=agent))
         ref = expected_cost_exact(p, sol, cfg, agent).value
         assert J == pytest.approx(ref, rel=1e-10, abs=1e-12)
 
@@ -190,7 +181,8 @@ def test_chain_divergence_is_reported_at_its_first_non_finite_node(coupled):
         with pytest.raises(IntegrationDivergedError,
                            match="moment recursion diverged at node 2") as exc, \
                 np.errstate(over="ignore", invalid="ignore"):
-            rs.chain_cost(1e100 * A, d)
+            population_sim.chain_costs(population_sim._stacked([rs], ("Kz_nodes", "k_nodes")),
+                                       1e100 * A[:, None], d[:, None])
         assert type(exc.value) is IntegrationDivergedError
         assert (exc.value.node, exc.value.time) == (2, p.grid.nodes[2])
     # the same chain by hand, on one state: mu_1 = 1e99, V_1 = 1e198
@@ -199,8 +191,8 @@ def test_chain_divergence_is_reported_at_its_first_non_finite_node(coupled):
     zeros = np.zeros((11, 1, 1))
     cost = (zeros, zeros, np.zeros(11))
     with pytest.raises(IntegrationDivergedError) as exc, np.errstate(over="ignore"):
-        discrete_chain_cost(grid, 0.0, np.ones((1, 1)), np.ones((1, 1)), A, zeros,
-                            np.zeros((1, 1)), cost, np.zeros((1, 1)))
+        one_chain_cost(grid, 0.0, np.ones((1, 1)), np.ones((1, 1)), A, zeros,
+                       np.zeros((1, 1)), cost, np.zeros((1, 1)))
     assert (exc.value.node, exc.value.time) == (2, grid.nodes[2])
 
 
@@ -210,8 +202,8 @@ def test_stacked_chains_round_as_alone_and_name_the_first_diverging_member(coupl
     # lowest-index member that left the finite range, at its own first
     # non-finite node, after the loop has run every node
     p, sol = coupled
-    records = []
-    for N, agent in ((4, 1), (4, 2), (7, 1), (30, 2)):
+    records, keys = [], ((4, 1), (4, 2), (7, 1), (30, 2))
+    for N, agent in keys:
         _, *key = population_sim._agent_key(p, PopulationConfig(N=N), agent)
         records.append(population_sim.ReducedPopulation(p, sol, *key))
     chains = []
@@ -227,11 +219,11 @@ def test_stacked_chains_round_as_alone_and_name_the_first_diverging_member(coupl
                                    np.stack(A, 1), np.stack(d, 1), np.stack(Sig2),
                                    [np.stack(t, 1) for t in zip(*cost)], np.stack(W_T))
 
-    alone = [discrete_chain_cost(p.grid, p.rho, mu0, V0, A, d, Sig2, cost, W_T)
-             for mu0, V0, A, d, Sig2, cost, W_T in chains]
+    alone = [one_chain_cost(p.grid, p.rho, *chain) for chain in chains]
     together = stacked(chains)
     assert together.shape == (4,) and together.tolist() == alone
-    assert alone == [rs.chain_cost(*rs.drift(closed=True)) for rs in records]
+    assert alone == [expected_cost_exact(p, sol, PopulationConfig(N=N), agent).value
+                     for N, agent in keys]
     # members 1 and 3 diverge: member 3 at node 2, and member 1, its drift
     # too fast from node 2 on, at node 4 (one step of 1e100 h stays finite)
     fast = [list(chain) for chain in chains]

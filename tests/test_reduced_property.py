@@ -25,7 +25,7 @@ from mmlqg.nash_gap import (
     solve_best_response,
 )
 from mmlqg.population_sim import PopulationConfig, expected_cost_exact
-from oracles import DenseJointSystem
+from oracles import DenseJointSystem, undeviated_cost
 from test_fixed_point_property import SETTINGS, random_game
 
 AGREE = 1e-10
@@ -44,7 +44,7 @@ def costs(js):
     """J_eq, J_br, the gap and the un-deviated chain cost of one system."""
     J_eq = equilibrium_cost_ode(js)
     J_br = solve_best_response(js).cost
-    return [J_eq, J_br, J_eq - J_br, js.undeviated_cost()]
+    return [J_eq, J_br, J_eq - J_br, undeviated_cost(js)]
 
 
 def spd(rng, n):
