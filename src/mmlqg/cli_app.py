@@ -31,29 +31,42 @@ from .population_sim import (
 )
 
 
-def _write_csv(path: Path, header, columns):
-    """CSV of equal-length columns, integer ones as %d and the rest as %.17g.
+# Rows formatted and written at a time: a file's memory stays that of a block.
+CSV_BLOCK = 2 ** 13
 
-    One format string covers every row and is applied, in one call, to
-    the flat tuple of all cells in row order.
-    """
-    cols = [np.asarray(c) for c in columns]
-    rows = len(cols[0]) if cols else 0
-    line = ",".join("%d" if np.issubdtype(c.dtype, np.integer) else "%.17g"
-                    for c in cols) + "\n"
-    cells = [None] * (rows * len(cols))
-    for i, c in enumerate(cols):
-        cells[i::len(cols)] = c.tolist()
+
+def _write_blocks(path: Path, header, blocks):
+    """The header, then each block of equal-length columns, integer ones as
+    %d and the rest as %.17g: one format string covers the block's rows
+    and is applied, in one call, to the flat tuple of its cells in row
+    order."""
     with path.open("w") as fh:
         fh.write(",".join(header) + "\n")
-        fh.write((line * rows) % tuple(cells))
+        for cols in blocks:
+            line = ",".join("%d" if np.issubdtype(c.dtype, np.integer) else "%.17g"
+                            for c in cols) + "\n"
+            cells = [None] * (len(cols[0]) * len(cols))
+            for i, c in enumerate(cols):
+                cells[i::len(cols)] = c.tolist()
+            fh.write((line * len(cols[0])) % tuple(cells))
+
+
+def _write_csv(path: Path, header, columns):
+    """CSV of equal-length columns, CSV_BLOCK rows at a time."""
+    cols = [np.asarray(c) for c in columns]
+    rows = len(cols[0]) if cols else 0
+    _write_blocks(path, header, ([c[a:a + CSV_BLOCK] for c in cols]
+                                 for a in range(0, rows, CSV_BLOCK)))
 
 
 def _write_table(path: Path, header, values: np.ndarray):
-    """Long format of an n-d table: per entry its indices, then its value."""
+    """Long format of an n-d table: per entry its indices, then its value;
+    each block's indices come from its own range of flat positions."""
     values = np.asarray(values, dtype=float)
-    index = np.indices(values.shape).reshape(values.ndim, -1)
-    _write_csv(path, header, list(index) + [values.reshape(-1)])
+    flat = values.reshape(-1)
+    _write_blocks(path, header, (
+        np.unravel_index(np.arange(a, min(a + CSV_BLOCK, flat.size)), values.shape)
+        + (flat[a:a + CSV_BLOCK],) for a in range(0, flat.size, CSV_BLOCK)))
 
 
 def _write_grid_tables(out: Path, tables: dict):

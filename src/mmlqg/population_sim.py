@@ -6,8 +6,9 @@ internal mean-field state, advanced by the matching explicit Euler step
 so that the whole population is one discrete-time linear Gaussian chain.
 One stepper, _Population.advance, moves a stack of paths at once (and,
 for the convergence study, every population size at once), minors sorted
-by type with agents on the last axis; DRAW_BUDGET bounds the noise held.
-Each (master_seed, stream, path) is one Philox stream, and one call draws
+by type with agents on the last axis; DRAW_BUDGET bounds the raw draws
+held, and each step's noise is formed when the step is taken.  Each
+(master_seed, stream, path) is one Philox stream, and one call draws
 every agent's block of it (_draws).
 Expected costs come exactly, by propagating the mean and covariance of
 that same chain, so each is the precise expectation of the pathwise cost
@@ -155,25 +156,28 @@ def assign_types(pi, N: int) -> np.ndarray:
     return out
 
 
-# Bytes of noise terms sampled and held at once: paths (and study seeds)
-# are stepped in stacks of as many as fit, one at least.
-DRAW_BUDGET = 8 * 2 ** 20
+# Bytes of raw Brownian draws held at once: paths (and study seeds) are
+# stepped in stacks of as many as fit, one at least.  Two seeds of the
+# benchmark's study (4097 agents, M = 50: 3.3 MB each) would not fit.
+DRAW_BUDGET = 5 * 2 ** 20
 
 
-def _draws(master_seed: int, stream: int, path: int, count: int, shape) -> np.ndarray:
+def _draws(master_seed: int, stream: int, path: int, count: int, shape,
+           out=None) -> np.ndarray:
     """Standard normals of agents 0..count-1 on one (stream, path), stacked.
 
     Row a is the a-th consecutive block of shape draws from the one stream
     Generator(Philox(counter=[0, path, 0, 0], key=[master_seed, stream])):
     counter word 0 counts the draws, word 1 keeps paths disjoint and the
     key keeps (seed, stream) pairs apart.  The stream fills in order, so a
-    prefix of a longer draw is the draw of fewer agents.
+    prefix of a longer draw is the draw of fewer agents.  out, if given,
+    is a C-contiguous (count,) + shape array filled in place.
     """
     # uint64 arrays: a plain list holding a seed >= 2^63 would be cast to float
     counter = np.array([0, path, 0, 0], dtype=np.uint64)
     key = np.array([master_seed, stream], dtype=np.uint64)
     gen = np.random.Generator(np.random.Philox(counter=counter, key=key))
-    return gen.standard_normal((count,) + tuple(shape))
+    return gen.standard_normal((count,) + tuple(shape), out=out)
 
 
 def _cols(A: np.ndarray, X: np.ndarray, out=None) -> np.ndarray:
@@ -185,10 +189,10 @@ def _cols(A: np.ndarray, X: np.ndarray, out=None) -> np.ndarray:
     return out
 
 
-def _chunks(p: MmMfgProblem, columns: int, total: int):
-    """Ranges [a, b) of total paths whose noise, on 1 + columns agents,
-    fits DRAW_BUDGET; one path at least."""
-    per = max(1, DRAW_BUDGET // (8 * p.grid.num_steps * p.n * (columns + 1)))
+def _chunks(p: MmMfgProblem, count: int, total: int):
+    """Ranges [a, b) of total paths whose draws dW, count x M x r doubles
+    a path for agents 0..count-1, fit DRAW_BUDGET; one path at least."""
+    per = max(1, DRAW_BUDGET // (8 * count * p.grid.num_steps * p.r))
     return [(a, min(a + per, total)) for a in range(0, total, per)]
 
 
@@ -223,29 +227,35 @@ class _Population:
         self.law = [f.values for f in (sol.mf_law.Abar, sol.mf_law.Gbar, sol.mf_law.mbar)]
 
     def sample(self, streams, ids):
-        """Initial states and noise terms sqrt(h) sigma dW of the paths
-        (master_seed, path) in streams: x0 (S, n), noise0 (S, M, n) and, per
-        type on the columns of agent ids[k], X[k] (S, n, C_k) and noise[k]
-        (S, M, n, C_k).  Each value reads its own agent's draws alone."""
+        """Initial states and raw Brownian draws of the paths (master_seed,
+        path) in streams: x0 (S, n), per type on the columns of agent ids[k]
+        X[k] (S, n, C_k), and dW (S, count, M, r) of agents 0..count-1,
+        count = 1 + the largest id, filled in place.  Each value reads its
+        own agent's draws alone."""
         p = self.p
-        n, M, S = p.n, p.grid.num_steps, len(streams)
-        sqh = math.sqrt(p.grid.h)
+        S = len(streams)
         count = 1 + max(int(ix.max(initial=0)) for ix in ids)
-        x0, noise0 = np.empty((S, n)), np.empty((S, M, n))
-        X = [np.empty((S, n, ix.size)) for ix in ids]
-        noise = [np.empty((S, M, n, ix.size)) for ix in ids]
+        x0 = np.empty((S, p.n))
+        X = [np.empty((S, p.n, ix.size)) for ix in ids]
+        dW = np.empty((S, count, p.grid.num_steps, p.r))
         for s, (seed, path) in enumerate(streams):
-            xi = _draws(seed, 1, path, count, (n,))
-            dW = _draws(seed, 0, path, count, (M, p.r))
+            xi = _draws(seed, 1, path, count, (p.n,))
+            _draws(seed, 0, path, count, dW.shape[2:], out=dW[s])
             # + 0.0 turns the -0.0 of a zero product into 0.0, and so a state
             # at rest stays 0.0 whatever the sign of its zero terms
             x0[s] = matvec_rows(self.sqrt0, xi[0]) + 0.0
-            noise0[s] = sqh * matvec_rows(p.major.sigma0, dW[0])
             for k, ix in enumerate(ids):
                 X[k][s] = _cols(self.sqrtm, xi[ix].T) + 0.0
-                _cols(p.minors[k].sigmak, dW[ix].transpose(1, 2, 0), out=noise[k][s])
-                noise[k][s] *= sqh
-        return x0, noise0, X, noise
+        return x0, X, dW
+
+    def noise(self, dW, ids, j):
+        """Noise terms sqrt(h) sigma dW of step j, formed when the step is
+        taken: the major's (S, n) and, per type on the columns of agent
+        ids[k], (S, n, C_k)."""
+        sqh = math.sqrt(self.p.grid.h)
+        return (sqh * matvec_rows(self.p.major.sigma0, dW[:, 0, j]),
+                [sqh * _cols(mn.sigmak, dW[:, :, j].take(ix, 1).swapaxes(-1, -2))
+                 for mn, ix in zip(self.p.minors, ids)])
 
     def advance(self, streams, type_of: np.ndarray, sizes, record: bool = False):
         """Euler-Maruyama runs of the paths (master_seed, path) in streams,
@@ -264,7 +274,7 @@ class _Population:
         members = [1 + np.flatnonzero(type_of == k) for k in range(K)]
         ids = [np.concatenate([ix[:c] for c in counts[:, k]]) for k, ix in enumerate(members)]
         run = [np.repeat(np.arange(R), counts[:, k]) for k in range(K)]
-        x0, noise0, X, noise = self.sample(streams, ids)
+        x0, X, dW = self.sample(streams, ids)
         weights = counts / counts.sum(1, keepdims=True)
         segs = [(r, k, slice(a - c, a), c) for k in range(K) for r, c, a in zip(
             range(R), counts[:, k], np.cumsum(counts[:, k])) if c]
@@ -291,6 +301,8 @@ class _Population:
                     + self.b[j] + matvec_rows(self.on_v, v)
                 if record:
                     trace[0][:, :, j], trace[1][:, :, j] = x0, v[..., :m]
+                if j < M:
+                    noise0, noise = self.noise(dW, ids, j)
                 for k in live:
                     if record:
                         trace[2][k][:, j] = X[k]
@@ -299,10 +311,10 @@ class _Population:
                     if j < M:
                         cross = drift[:, run[k], n * (k + 1):n * (k + 2)].swapaxes(-1, -2)
                         X[k] = X[k] + h * (_cols(self.closed[k][j], X[k]) + cross) \
-                            + noise[k][:, j]
+                            + noise[k]
                 if j == M:
                     break
-                x0_next = x0 + h * drift[..., :n] + noise0[:, None, j]
+                x0_next = x0 + h * drift[..., :n] + noise0[:, None]
                 xbar = mean_field_step_euler(*self.law, j, h, xbar, x0)
                 x0 = x0_next
                 if not (np.isfinite(x0).all() and np.isfinite(xbar).all()
@@ -346,7 +358,7 @@ def simulate_population(p: MmMfgProblem, sol: MfgSolution,
     emp_types = np.empty((P, M + 1, n * K))
     emp_glob = np.empty((P, M + 1, n))
 
-    for a, b in _chunks(p, N, P):
+    for a, b in _chunks(p, N + 1, P):
         out = pop.advance([(cfg.master_seed, i) for i in range(a, b)], type_of, [N], rec)
         emp_types[a:b], emp_glob[a:b], xbar_out[a:b] = (t[:, 0] for t in out[:3])
         if rec:
@@ -658,7 +670,7 @@ def mean_field_convergence_study(p: MmMfgProblem, sol: MfgSolution,
     sizes = sorted(set(Ns))
     total = dict.fromkeys(sizes, 0.0)
     types = assign_types(p.pi, sizes[-1])
-    for a, b in _chunks(p, sum(sizes), len(seeds)):
+    for a, b in _chunks(p, sizes[-1] + 1, len(seeds)):
         emp_types, _, xbar, _ = pop.advance([(seed, 0) for seed in seeds[a:b]], types, sizes)
         for dev in emp_types - xbar:          # one seed: (R, M + 1, nK)
             for N, d in zip(sizes, dev):

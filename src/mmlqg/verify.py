@@ -13,7 +13,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .errors import AreSolveError, AssumptionViolationError, MmlqgError
+from .errors import AreSolveError, MmlqgError
 from .lqg_single import (
     LqgProblem,
     _stage_values,

@@ -13,10 +13,12 @@ simulator cross-check steps the population in agent order, the
 reference for the type-sorted simulator.  The chain best response and
 the perturbed-cost route run on either system; the block slicers read
 the minor Riccati and cross-weight blocks.  _stream (one generator per
-path, drawn one agent's block at a time) and write_csv_rows (one row at
-a time) are what the package's one-call draws and vectorised writer
-must reproduce bit for bit, and empirical_mean_field recomputes the
-simulator's per-type averages from its recorded states.
+path, drawn one agent's block at a time), held_noise (every step's
+noise terms formed up front, on every stepped column) and write_csv_rows
+(one row at a time) are what the package's one-call draws, per-step
+noise and block writer must reproduce bit for bit, and
+empirical_mean_field recomputes the simulator's per-type averages from
+its recorded states.
 finite_cost_monte_carlo averages the pathwise cost over simulated paths,
 the estimate whose expectation expected_cost_exact is, and
 mean_field_trajectory integrates the mean field along a major-state path
@@ -53,12 +55,13 @@ from mmlqg.lqg_single import (PSD_TOL, ExtendedSystem, ValidationReport,
 from mmlqg.mfg_model import MmMfgProblem
 from mmlqg.mfg_solver import MfgSolution
 from mmlqg.nash_gap import _closed_loop_cost
-from mmlqg.numerics import (GridFunction, TimeGrid, _as_count, rk4_forward_indexed,
-                            symmetrize, trapezoid_weights)
+from mmlqg.numerics import (GridFunction, TimeGrid, _as_count, matvec_rows,
+                            rk4_forward_indexed, symmetrize, trapezoid_weights)
 from mmlqg.population_sim import (
     CostReport,
     PopulationConfig,
     TrajectoryBundle,
+    _cols,
     _stacked,
     assign_types,
     discrete_chain_cost,
@@ -74,6 +77,26 @@ def _stream(master_seed: int, stream: int, path: int) -> np.random.Generator:
     key = np.array([master_seed, stream], dtype=np.uint64)
     counter = np.array([0, path, 0, 0], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(counter=counter, key=key))
+
+
+def held_noise(p: MmMfgProblem, streams, ids):
+    """Noise terms sqrt(h) sigma dW of every step, held at once, on the
+    paths (master_seed, path) in streams: the major's noise0 (S, M, n)
+    and, per type on the columns of agent ids[k], noise[k] (S, M, n, C_k).
+    The simulator once sampled them so; it now forms step j's when it
+    takes that step, and must form these values bit for bit."""
+    n, M, S = p.n, p.grid.num_steps, len(streams)
+    sqh = math.sqrt(p.grid.h)
+    count = 1 + max(int(ix.max(initial=0)) for ix in ids)
+    noise0 = np.empty((S, M, n))
+    noise = [np.empty((S, M, n, ix.size)) for ix in ids]
+    for s, (seed, path) in enumerate(streams):
+        dW = _stream(seed, 0, path).standard_normal((count, M, p.r))
+        noise0[s] = sqh * matvec_rows(p.major.sigma0, dW[0])
+        for k, ix in enumerate(ids):
+            _cols(p.minors[k].sigmak, dW[ix].transpose(1, 2, 0), out=noise[k][s])
+            noise[k][s] *= sqh
+    return noise0, noise
 
 
 def write_csv_rows(path, header, rows):

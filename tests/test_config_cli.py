@@ -2,6 +2,7 @@ import json
 import math
 import re
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -588,3 +589,33 @@ def test_column_writer_matches_the_row_loop(tmp_path):
     cli_app._write_csv(tmp_path / "new.csv", header, zip(*rows))
     write_csv_rows(tmp_path / "old.csv", header, rows)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+@pytest.mark.parametrize("rows", [0, 1, 2, 3, 4, 7])
+def test_writers_in_blocks_of_three_rows_match_the_row_loop(tmp_path, monkeypatch, rows):
+    monkeypatch.setattr(cli_app, "CSV_BLOCK", 3)
+    values = np.resize(_CELLS, rows * 2).reshape(rows, 2)
+    header = ("a", "b", "value")
+    cli_app._write_table(tmp_path / "new.csv", header, values)
+    write_csv_rows(tmp_path / "old.csv", header,
+                   [ix + (values[ix],) for ix in np.ndindex(*values.shape)])
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    table = [(10 ** 6 * i - 3, *np.resize(_CELLS[i:], 2)) for i in range(rows)]
+    header = ("N", "x", "y")
+    cli_app._write_csv(tmp_path / "new.csv", header, zip(*table))
+    write_csv_rows(tmp_path / "old.csv", header, table)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_table_writer_memory_does_not_grow_with_the_file(tmp_path):
+    def peak(rows):
+        values = np.resize(_CELLS, rows).reshape(-1, 5, 2, 4)
+        tracemalloc.start()
+        try:
+            cli_app._write_table(tmp_path / "t.csv", ("a", "b", "c", "d", "value"), values)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(5 * 10 ** 4), peak(4 * 10 ** 5)
+    assert large <= 1.5 * small, (small, large)

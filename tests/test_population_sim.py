@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -32,7 +33,7 @@ from mmlqg.population_sim import (
 )
 from mmlqg.toys import coupled_toy
 from oracles import (DenseJointSystem, _stream, empirical_mean_field, finite_cost_monte_carlo,
-                     mean_field_trajectory, one_chain_cost, undeviated_cost)
+                     held_noise, mean_field_trajectory, one_chain_cost, undeviated_cost)
 
 
 @pytest.fixture(scope="module")
@@ -416,6 +417,54 @@ def test_outputs_do_not_depend_on_how_paths_and_seeds_are_stacked(coupled, monke
     for f in fields:
         assert np.array_equal(getattr(single, f), getattr(stacked, f))
     assert mean_field_convergence_study(p, sol, [16, 64, 256], range(5)).rows == study.rows
+
+
+@pytest.mark.parametrize("budget", [None, 1], ids=["one_stack", "one_path_a_stack"])
+@pytest.mark.parametrize("types", [[1, 0, 0, 1, 1, 0], [1, 1, 1]],
+                         ids=["interleaved", "empty_type"])
+def test_each_steps_noise_is_the_held_noise_bit_for_bit(coupled, monkeypatch, types, budget):
+    """The noise formed when a step is taken equals, at every step, what
+    was once sampled for all steps up front, whatever the stacking."""
+    p, sol = coupled
+    M = p.grid.num_steps
+    if budget is not None:
+        monkeypatch.setattr(population_sim, "DRAW_BUDGET", budget)
+    formed, form = [], population_sim._Population.noise
+
+    def spy(pop, dW, ids, j):
+        out = form(pop, dW, ids, j)
+        formed.append(([ix.copy() for ix in ids], j, out))
+        return out
+
+    monkeypatch.setattr(population_sim._Population, "noise", spy)
+    simulate_population(p, sol, PopulationConfig(N=len(types), master_seed=11, num_paths=2,
+                                                  type_assignment=types))
+    ids = [1 + np.flatnonzero(np.array(types) == k) for k in range(p.K)]
+    noise0, noise = held_noise(p, [(11, 0), (11, 1)], ids)
+    assert len(formed) == (2 if budget else 1) * M
+    for i, (got_ids, j, (w0, w)) in enumerate(formed):
+        paths = slice(i // M, i // M + 1) if budget else slice(None)
+        assert j == i % M
+        assert all(np.array_equal(a, b) for a, b in zip(got_ids, ids))
+        for got, want in [(w0, noise0[paths, j])] + [(w[k], noise[k][paths, j])
+                                                      for k in range(p.K)]:
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_study_memory_stays_within_the_draw_budget():
+    """The study holds one stack's raw draws and forms each step's noise
+    when it takes the step, so its traced peak is within DRAW_BUDGET, not
+    that of every step's noise on every prefix of every population size."""
+    p = coupled_toy(M=50)
+    sol = solve_consistency_finite(p)
+    mean_field_convergence_study(p, sol, [16], [0])   # imports done before tracing
+    tracemalloc.start()
+    try:
+        mean_field_convergence_study(p, sol, [16, 64, 256, 1024, 4096], [0, 1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= population_sim.DRAW_BUDGET, peak
 
 
 def test_one_batched_stepper_and_no_loop_over_agents():
