@@ -75,9 +75,8 @@ def _write_grid_tables(out: Path, tables: dict):
         _write_table(out / name, ("node", "row", "col", "value"), values)
 
 
-def _write_summary(out: Path, payload: dict):
-    (out / "summary.json").write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n")
+def _write_json(path: Path, payload: dict):
+    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _write_manifest(out: Path, command: str, cfg_path: str, cfg: dict,
@@ -91,8 +90,7 @@ def _write_manifest(out: Path, command: str, cfg_path: str, cfg: dict,
         "out_dir": str(out),
         "timings": timings,
     }
-    (out / "manifest.json").write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _write_json(out / "manifest.json", payload)
 
 
 def _report_dict(report) -> dict:
@@ -111,7 +109,7 @@ def cmd_solve_lqg(cfg: dict, out: Path, seed):
     _write_grid_tables(out, {"pi.csv": sol.Pi.values, "s.csv": sol.s.values,
                              "gains.csv": sol.law.K.values,
                              "feedforward.csv": -sol.law.k.values})
-    _write_summary(out, {
+    _write_json(out / "summary.json", {
         "J_star": J,
         "Pi0": sol.Pi.values[0].tolist(),
         "s0": sol.s.values[0].tolist(),
@@ -140,7 +138,7 @@ def cmd_solve_mfg(cfg: dict, out: Path, seed):
         [float(np.abs(sol.Pi0.values[-1] - sol.ext_major.Qhat).max())]
         + [float(np.abs(sol.Pik[k].values[-1] - sol.ext_minors[k].Qhat).max())
            for k in range(p.K)])
-    _write_summary(out, {
+    _write_json(out / "summary.json", {
         "iterations": sol.report.iterations,
         "residual": sol.report.residual,
         "converged": sol.report.converged,
@@ -183,7 +181,7 @@ def cmd_simulate(cfg: dict, out: Path, seed):
         _write_csv(out / "convergence.csv", ("N", "rms"),
                    zip(*result.rows))       # rows to columns
         summary["convergence_slope"] = result.slope
-    _write_summary(out, summary)
+    _write_json(out / "summary.json", summary)
     return pop["master_seed"]
 
 
@@ -199,7 +197,7 @@ def cmd_nash_gap(cfg: dict, out: Path, seed):
     _write_csv(out / "gaps.csv", header,
                zip(*([row.N, row.major_gap] + list(row.type_gaps) + [row.max_gap]
                      for row in rows)))
-    _write_summary(out, {
+    _write_json(out / "summary.json", {
         "Ns": [row.N for row in rows],
         "max_gaps": [row.max_gap for row in rows],
         "identity_mismatch": [row.identity_mismatch for row in rows],
@@ -226,11 +224,11 @@ def cmd_verify(out) -> int:
     if out is not None:
         out = Path(out)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "verify_report.json").write_text(json.dumps({
+        _write_json(out / "verify_report.json", {
             "suites": [{"name": r.name, "passed": r.passed,
                         "detail": r.detail} for r in results],
             "failed": failed,
-        }, sort_keys=True, indent=2) + "\n")
+        })
     return failed
 
 

@@ -3,11 +3,11 @@
 One document describes one problem.  Its keys are the fields of the
 library records, which own every shape and zero default
 (lqg_single.field_table); this module only checks JSON types and keys
-and builds the records.  Unknown keys are rejected, sizes and seeds
-of the run sections are range-checked here, with the library's bounds,
-so a bad value stops before any solve, and every message carries a
-JSON-path location like ``$.major.A0`` so a typo is findable without
-reading this module.
+and builds the records.  Each run section (grid, fixed_point,
+population, study, nash) is a table of keys read by _section.  Unknown
+keys are rejected, sizes and seeds are range-checked here with the
+library's bounds, so a bad value stops before any solve, and every
+message carries a JSON path like ``$.major.A0``.
 """
 
 import hashlib
@@ -89,11 +89,34 @@ def _seed(v, path: str) -> int:
     return _as_seed(_integer(v, path), path)
 
 
+def _boolean(v, path: str) -> bool:
+    if not isinstance(v, bool):
+        raise SchemaError("%s: expected a boolean" % path)
+    return v
+
+
+def _list_of(read):
+    """A reader of a JSON array: entry i is read by read at path[i]."""
+    return lambda v, path: [read(x, "%s[%d]" % (path, i))
+                            for i, x in enumerate(_as_list(v, path))]
+
+
+def _section(cfg: dict, name: str, readers: dict, defaults: dict) -> dict:
+    """The object at $.name (absent reads as {}): each key present is read
+    by readers[key] at $.name.key, an absent one takes defaults[key] if it
+    has one, and a key with no reader is rejected."""
+    path = "$." + name
+    d = _as_dict(cfg.get(name, {}), path)
+    _reject_unknown(d, path, readers)
+    out = dict(defaults)
+    out.update((key, readers[key](v, "%s.%s" % (path, key))) for key, v in d.items())
+    return out
+
+
 def parse_grid(cfg: dict) -> TimeGrid:
-    g = _as_dict(_require(cfg, "grid", "$"), "$.grid")
-    _reject_unknown(g, "$.grid", {"T", "M"})
-    T = _scalar(_require(g, "T", "$.grid"), "$.grid.T")
-    M = _integer(_require(g, "M", "$.grid"), "$.grid.M")
+    _require(cfg, "grid", "$")
+    g = _section(cfg, "grid", {"T": _scalar, "M": _integer}, {})
+    T, M = [_require(g, key, "$.grid") for key in ("T", "M")]
     return _located("$.grid", lambda: TimeGrid(T, M), {"t_end": "T", "num_steps": "M"})
 
 
@@ -159,59 +182,34 @@ def parse_mfg_problem(cfg: dict) -> MmMfgProblem:
 def parse_fixed_point(cfg: dict) -> Optional[FixedPointConfig]:
     if "fixed_point" not in cfg:
         return None
-    d = _as_dict(cfg["fixed_point"], "$.fixed_point")
-    _reject_unknown(d, "$.fixed_point", {"theta", "tol", "max_iters"})
-    kwargs = {}
-    if "theta" in d:
-        kwargs["theta"] = _scalar(d["theta"], "$.fixed_point.theta")
-    if "tol" in d:
-        kwargs["tol"] = _scalar(d["tol"], "$.fixed_point.tol")
-    if "max_iters" in d:
-        kwargs["max_iters"] = _integer(d["max_iters"], "$.fixed_point.max_iters")
-    return _located("$.fixed_point", lambda: FixedPointConfig(**kwargs))
+    d = _section(cfg, "fixed_point",
+                 {"theta": _scalar, "tol": _scalar, "max_iters": _integer}, {})
+    return _located("$.fixed_point", lambda: FixedPointConfig(**d))
+
+
+def _no_sweep(v, path: str):
+    raise SchemaError("%s: population sweeps are not read here; give the RMS study sizes "
+                      "as $.study.Ns and the gap sizes as $.nash.Ns" % path)
 
 
 def parse_population(cfg: dict) -> dict:
     """Population section: sizes, paths, seed; commands pick what they use."""
-    d = _as_dict(cfg.get("population", {}), "$.population")
-    if "Ns" in d:
-        raise SchemaError(
-            "$.population.Ns: population sweeps are not read here; give the "
-            "RMS study sizes as $.study.Ns and the gap sizes as $.nash.Ns")
-    _reject_unknown(d, "$.population",
-                    {"N", "num_paths", "master_seed", "record_states"})
-    out = {}
-    if "N" in d:
-        out["N"] = _count(d["N"], "$.population.N")
-    out["num_paths"] = _count(d.get("num_paths", 1), "$.population.num_paths")
-    out["master_seed"] = _seed(d.get("master_seed", 0), "$.population.master_seed")
-    rec = d.get("record_states", True)
-    if not isinstance(rec, bool):
-        raise SchemaError("$.population.record_states: expected a boolean")
-    out["record_states"] = rec
-    return out
+    return _section(cfg, "population", {"N": _count, "num_paths": _count, "master_seed": _seed,
+                                        "record_states": _boolean, "Ns": _no_sweep},
+                    {"num_paths": 1, "master_seed": 0, "record_states": True})
 
 
 def parse_study(cfg: dict) -> Optional[dict]:
     if "study" not in cfg:
         return None
-    d = _as_dict(cfg["study"], "$.study")
-    _reject_unknown(d, "$.study", {"Ns", "seeds"})
-    Ns = [_count(v, "$.study.Ns[%d]" % i)
-          for i, v in enumerate(_as_list(_require(d, "Ns", "$.study"),
-                                         "$.study.Ns"))]
-    seeds = [_seed(v, "$.study.seeds[%d]" % i)
-             for i, v in enumerate(_as_list(_require(d, "seeds", "$.study"),
-                                            "$.study.seeds"))]
-    if Ns and not seeds:
+    d = _section(cfg, "study", {"Ns": _list_of(_count), "seeds": _list_of(_seed)}, {})
+    for key in ("Ns", "seeds"):
+        _require(d, key, "$.study")
+    if d["Ns"] and not d["seeds"]:
         raise SchemaError("$.study.seeds: the convergence study needs at least one seed")
-    return {"Ns": Ns, "seeds": seeds}
+    return d
 
 
 def parse_nash(cfg: dict) -> dict:
-    d = _as_dict(cfg.get("nash", {}), "$.nash")
-    _reject_unknown(d, "$.nash", {"Ns", "master_seed"})
-    Ns = [_count(v, "$.nash.Ns[%d]" % i)
-          for i, v in enumerate(_as_list(d.get("Ns", [2, 4, 8, 16, 32]),
-                                         "$.nash.Ns"))]
-    return {"Ns": Ns, "master_seed": _seed(d.get("master_seed", 0), "$.nash.master_seed")}
+    return _section(cfg, "nash", {"Ns": _list_of(_count), "master_seed": _seed},
+                    {"Ns": [2, 4, 8, 16, 32], "master_seed": 0})

@@ -209,22 +209,25 @@ class GapTable:
 def gap_vs_population(p: MmMfgProblem, sol: MfgSolution, Ns: Sequence[int]) -> GapTable:
     """Worst gap over the major and one deviator per type, for each N.
 
-    Every deviator of every N gets its record; each agent kind (the
-    major, a type) is screened for convexity once, and the records run
-    through _gap_reports in one stack per dimension D.  Every gap is an
-    exact moment propagation, so no seed enters.
+    Every deviator of every N gets its record, keyed by that N's type
+    counts; each agent kind (the major, a type) is screened for convexity
+    once, and the records run through _gap_reports in one stack per
+    dimension D.  Every gap is an exact moment propagation, so no seed
+    enters.
     """
     Ns = [_as_count(N, "Ns[%d]" % i, 1) for i, N in enumerate(Ns)]
     ids, records, groups, reports, rows = {}, {}, {}, {}, []
     for N in Ns:
         type_of = assign_types(p.pi, N)
-        cfg = PopulationConfig(N=N, type_assignment=type_of)
+        counts = np.bincount(type_of, minlength=p.K)
         # the major, then the first member of each type (None if it is empty)
         firsts = [int(np.argmax(type_of == k)) for k in range(p.K)]
         ids[N] = [0] + [a + 1 if type_of[a] == k else None for k, a in enumerate(firsts)]
-        for a in ids[N]:
+        for a, own in zip(ids[N], [None, *range(p.K)]):
             if a is not None and (N, a) not in records:
-                records[N, a] = js = build_joint_closed_loop(p, sol, cfg, a)
+                # the other minors: N's counts less the deviator (the major has no type)
+                records[N, a] = js = ReducedPopulation(
+                    p, sol, counts - (np.arange(p.K) == own), own, np.zeros(p.n * p.K))
                 groups.setdefault(js.D, []).append((N, a))
     for js in {js.own_type: js for js in records.values()}.values():
         _screen(js)

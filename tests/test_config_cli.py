@@ -409,6 +409,72 @@ def test_run_section_values_are_checked_before_the_solve(tmp_path, capsys, monke
     assert path in capsys.readouterr().err
 
 
+_SEED_RANGE = "must be an integer >= 0 and < 18446744073709551616, got -1"
+
+
+@pytest.mark.parametrize("section, cfg, message", [
+    ("grid", {}, "$: missing key 'grid'"),
+    ("grid", {"grid": [1]}, "$.grid: expected an object"),
+    ("grid", {"grid": {"T": 1.0, "M": 4, "h": 0.1}}, "$.grid: unknown key 'h'"),
+    ("grid", {"grid": {"T": 1.0}}, "$.grid: missing key 'M'"),
+    ("grid", {"grid": {"M": 4}}, "$.grid: missing key 'T'"),
+    ("grid", {"grid": {"T": "1", "M": 4}}, "$.grid.T: expected a number"),
+    ("grid", {"grid": {"T": 1.0, "M": 2.5}}, "$.grid.M: expected an integer"),
+    ("grid", {"grid": {"T": 1.0, "M": 0}}, "$.grid.M: must be an integer >= 1, got 0"),
+    ("grid", {"grid": {"T": -1.0, "M": 4}}, "$.grid.T: must be positive and finite"),
+    ("fixed_point", {"fixed_point": 1}, "$.fixed_point: expected an object"),
+    ("fixed_point", {"fixed_point": {"damping": 0.5}},
+     "$.fixed_point: unknown key 'damping'"),
+    ("fixed_point", {"fixed_point": {"theta": "0.5"}},
+     "$.fixed_point.theta: expected a number"),
+    ("fixed_point", {"fixed_point": {"theta": 2.0}},
+     "$.fixed_point.theta: damping must lie in (0, 1]"),
+    ("fixed_point", {"fixed_point": {"tol": None}}, "$.fixed_point.tol: expected a number"),
+    ("fixed_point", {"fixed_point": {"tol": 0}},
+     "$.fixed_point.tol: must be positive and finite"),
+    ("fixed_point", {"fixed_point": {"max_iters": 7.0}},
+     "$.fixed_point.max_iters: expected an integer"),
+    ("fixed_point", {"fixed_point": {"max_iters": 0}},
+     "$.fixed_point.max_iters: must be an integer >= 1, got 0"),
+    ("population", {"population": "N"}, "$.population: expected an object"),
+    ("population", {"population": {"n": 3}}, "$.population: unknown key 'n'"),
+    ("population", {"population": {"Ns": [2]}},
+     "$.population.Ns: population sweeps are not read here; give the RMS study "
+     "sizes as $.study.Ns and the gap sizes as $.nash.Ns"),
+    ("population", {"population": {"N": 3.5}}, "$.population.N: expected an integer"),
+    ("population", {"population": {"record_states": 1}},
+     "$.population.record_states: expected a boolean"),
+    ("study", {"study": []}, "$.study: expected an object"),
+    ("study", {"study": {"Ns": [4], "seeds": [0], "N": 4}}, "$.study: unknown key 'N'"),
+    ("study", {"study": {"Ns": [4]}}, "$.study: missing key 'seeds'"),
+    ("study", {"study": {"seeds": [0]}}, "$.study: missing key 'Ns'"),
+    ("study", {"study": {"Ns": 4, "seeds": [0]}}, "$.study.Ns: expected an array"),
+    ("study", {"study": {"Ns": [4], "seeds": 0}}, "$.study.seeds: expected an array"),
+    ("study", {"study": {"Ns": [4, 0], "seeds": [0]}},
+     "$.study.Ns[1]: must be an integer >= 1, got 0"),
+    ("study", {"study": {"Ns": [4], "seeds": []}},
+     "$.study.seeds: the convergence study needs at least one seed"),
+    ("nash", {"nash": None}, "$.nash: expected an object"),
+    ("nash", {"nash": {"seed": 0}}, "$.nash: unknown key 'seed'"),
+    ("nash", {"nash": {"Ns": 8}}, "$.nash.Ns: expected an array"),
+    ("nash", {"nash": {"Ns": [2, True]}}, "$.nash.Ns[1]: expected an integer"),
+    ("nash", {"nash": {"master_seed": -1}}, "$.nash.master_seed: " + _SEED_RANGE),
+])
+def test_each_section_fault_has_its_one_message(section, cfg, message):
+    with pytest.raises(SchemaError) as exc:
+        getattr(config, "parse_" + section)(cfg)
+    assert str(exc.value) == message
+
+
+def test_absent_run_sections_read_their_defaults():
+    assert config.parse_fixed_point({}) is None
+    assert config.parse_study({}) is None
+    assert config.parse_population({}) == {
+        "num_paths": 1, "master_seed": 0, "record_states": True}
+    assert config.parse_nash({}) == {"Ns": [2, 4, 8, 16, 32], "master_seed": 0}
+    assert config.parse_study({"study": {"Ns": [], "seeds": []}}) == {"Ns": [], "seeds": []}
+
+
 def test_simulate_writes_convergence_slope(tmp_path):
     cfg = _mfg_cfg(population={"N": 2, "num_paths": 1, "master_seed": 0},
                    study={"Ns": [16, 64], "seeds": [0, 1, 2, 3]})

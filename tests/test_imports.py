@@ -12,7 +12,6 @@ the tables'.
 
 import ast
 import dataclasses
-import inspect
 import json
 import os
 import subprocess
@@ -20,9 +19,11 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import mmlqg
 from mmlqg import config
+from mmlqg.errors import SchemaError
 from mmlqg.lqg_single import LqgProblem, field_table
 from mmlqg.mfg_model import MajorParams, MinorTypeParams, MmMfgProblem
 from mmlqg.mfg_solver import FixedPointConfig
@@ -155,12 +156,12 @@ def test_config_sections_accept_exactly_the_record_tables():
         for value in read(record):
             assert np.all(value == 0.25)
 
-    # $.fixed_point accepts exactly FixedPointConfig's fields, and each key
-    # reaches its field: no fixed-point knob exists in the library alone
-    accepted = next(ast.literal_eval(node.args[2])
-                    for node in ast.walk(ast.parse(inspect.getsource(config.parse_fixed_point)))
-                    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_reject_unknown")
-    assert fields(FixedPointConfig) == accepted
+    # $.fixed_point accepts every FixedPointConfig field, each key reaches
+    # its field, and any other key is rejected: no fixed-point knob exists
+    # in the library alone
     values = {"theta": 0.5, "tol": 1e-6, "max_iters": 7}
+    assert fields(FixedPointConfig) == set(values)
     fp = config.parse_fixed_point({"fixed_point": values})
-    assert {name: getattr(fp, name) for name in accepted} == values
+    assert dataclasses.asdict(fp) == values
+    with pytest.raises(SchemaError, match=r"^\$\.fixed_point: unknown key 'extra'$"):
+        config.parse_fixed_point({"fixed_point": dict(values, extra=1)})

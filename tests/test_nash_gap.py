@@ -565,9 +565,10 @@ def test_gap_rows_carry_their_worst_diagnostics(coupled):
 
 
 def _count_work(monkeypatch):
-    """Counts of forward and backward RK4 sweeps, chain recursions and
-    reduced records built, from here on."""
-    calls = dict.fromkeys(["forward", "backward", "chain", "record"], 0)
+    """Counts of forward and backward RK4 sweeps, chain recursions, reduced
+    records built and agent-id lookups (each walks the N-long type array),
+    from here on."""
+    calls = dict.fromkeys(["forward", "backward", "chain", "record", "agent_key"], 0)
 
     def counted(key, original):
         def wrapper(*args, **kwargs):
@@ -577,7 +578,8 @@ def _count_work(monkeypatch):
 
     for key, original in (("forward", lqg_single.rk4_forward_indexed),
                           ("backward", lqg_single.rk4_backward_indexed),
-                          ("chain", population_sim.discrete_chain_cost)):
+                          ("chain", population_sim.discrete_chain_cost),
+                          ("agent_key", population_sim._agent_key)):
         for module in (lqg_single, population_sim, nash_gap):
             if getattr(module, original.__name__, None) is original:
                 monkeypatch.setattr(module, original.__name__, counted(key, original))
@@ -593,19 +595,20 @@ def test_one_gap_builds_one_record_and_propagates_twice(coupled, monkeypatch):
     p, sol = coupled
     calls = _count_work(monkeypatch)
     epsilon_nash_gap(p, sol, PopulationConfig(N=8), 1)
-    assert calls == {"forward": 2, "backward": 2, "chain": 1, "record": 1}
+    assert calls == {"forward": 2, "backward": 2, "chain": 1, "record": 1, "agent_key": 1}
 
 
 def test_a_table_runs_one_stack_per_reduced_dimension(monkeypatch):
     # the benchmark's nash table: 12 deviators in two groups, D = 10 (the
     # majors and the N = 2 minors) and D = 12 (the other minors); each
     # group runs the agent solve's two sweeps, two forward propagations
-    # and one chain recursion, where every deviator ran 4 and 2
+    # and one chain recursion, where every deviator ran 4 and 2; the records
+    # are keyed by each N's type counts, with no per-deviator id lookup
     p = coupled_toy(M=25)
     sol = solve_consistency_finite(p)
     calls = _count_work(monkeypatch)
     gap_vs_population(p, sol, [2, 8, 32, 96])
-    assert calls == {"forward": 4, "backward": 4, "chain": 2, "record": 12}
+    assert calls == {"forward": 4, "backward": 4, "chain": 2, "record": 12, "agent_key": 0}
 
 
 def _assert_rows_are_single_gaps(p, sol, Ns):
