@@ -9,7 +9,9 @@ for the convergence study, every population size at once), minors sorted
 by type with agents on the last axis; DRAW_BUDGET bounds the raw draws
 held, and each step's noise is formed when the step is taken.  Each
 (master_seed, stream, path) is one Philox stream, and one call draws
-every agent's block of it (_draws).
+every agent's block of it (_draws).  A run keeps the states, the type
+means and the mean field; the controls and the population average each
+drift reads are functions of those and are not stored.
 Expected costs come exactly, by propagating the mean and covariance of
 that same chain, so each is the precise expectation of the pathwise cost
 of simulated paths.  Like the simulator, which reads the laws' tables at
@@ -77,24 +79,21 @@ class PopulationConfig:
 
 @dataclass
 class TrajectoryBundle:
-    """States, controls and mean-field tracks of one simulation run.
+    """States and mean-field tracks of one simulation run.
 
-    Agent axis: index 0 is the major agent, 1..N the minors.  The
-    empirical_global average combines per-type means with weights
-    counts_k / N, in ascending type order, and is the quantity fed into
-    the F-coupling of every drift.  Types without members contribute a
-    zero block to empirical_types.
+    Agent axis: index 0 is the major agent, 1..N the minors.  Types
+    without members contribute a zero block to empirical_types.  The
+    average x^(N) fed into the F-coupling of every drift is the sum of
+    the type means with weights counts_k / N, and each control is its
+    agent's law at the recorded states and xbar; neither is stored.
     """
 
     grid: object
     type_of: np.ndarray
     counts: np.ndarray
     states: Optional[np.ndarray]        # (paths, M+1, N+1, n)
-    controls: Optional[np.ndarray]      # (paths, M+1, N+1, m)
     xbar: np.ndarray                    # (paths, M+1, nK)
     empirical_types: np.ndarray         # (paths, M+1, nK)
-    empirical_global: np.ndarray        # (paths, M+1, n)
-    config: PopulationConfig
 
     @property
     def num_paths(self) -> int:
@@ -207,8 +206,8 @@ class _Population:
         self.sqrt0 = psd_sqrt(p.init_cov_major)
         self.sqrtm = psd_sqrt(p.init_cov_minor)
         self.xbar0 = _initial_mean_field(p, cfg)
-        # rows: the major, then each type; controls are ff - gain (x0, xbar)
-        # per node, but for the minors' own-state part
+        # rows: the major, then each type; v = ff - gain (x0, xbar) per node
+        # is every control but for the minors' own-state part
         self.ff = np.concatenate([sol.major_law.k.values]
                                  + [law.k.values for law in laws], axis=1)[..., 0]
         self.gain = np.concatenate([sol.major_law.K.values]
@@ -221,9 +220,8 @@ class _Population:
             self.on_v[i * n:(i + 1) * n, i * m:(i + 1) * m] = B
         self.b = np.concatenate([p.major.b0.values]
                                 + [mn.bk.values for mn in mns], axis=1)[..., 0]
-        # per type and node: the gain on a minor's own state, Ak - Bk Kx
-        self.Kx = [law.K.values[:, :, :n] for law in laws]
-        self.closed = [mn.Ak - mn.Bk @ Kx for mn, Kx in zip(mns, self.Kx)]
+        # per type and node: Ak - Bk Kx, Kx the gain on a minor's own state
+        self.closed = [mn.Ak - mn.Bk @ law.K.values[:, :, :n] for mn, law in zip(mns, laws)]
         self.law = [f.values for f in (sol.mf_law.Abar, sol.mf_law.Gbar, sol.mf_law.mbar)]
 
     def sample(self, streams, ids):
@@ -264,11 +262,11 @@ class _Population:
         Type k's minors sit on its columns, N after N, agents last.  Every
         product is a matvec_rows or _cols, so no (path, N) run depends on
         the others.  Returns node tables (S, R, M + 1, .) of the type means
-        (zero if a type is empty), their average and the mean field, and if
-        record (x0, u0, X[k], U[k]).  Raises DivergedPathError for the first
-        run, by path then N, to leave the finite range."""
+        (zero if a type is empty) and the mean field, and if record the
+        states (x0, X[k]).  Raises DivergedPathError for the first run, by
+        path then N, to leave the finite range."""
         p = self.p
-        n, m, K = p.n, p.m, p.K
+        n, K = p.n, p.K
         M, h, S, R = p.grid.num_steps, p.grid.h, len(streams), len(sizes)
         counts = np.array([np.bincount(type_of[:N], minlength=K) for N in sizes])
         members = [1 + np.flatnonzero(type_of == k) for k in range(K)]
@@ -282,10 +280,9 @@ class _Population:
         x0 = np.repeat(x0[:, None], R, axis=1)
         xbar = np.tile(self.xbar0, (S, R, 1))
         emp_types = np.zeros((S, R, M + 1, n * K))
-        emp_glob, xbar_out = np.empty((S, R, M + 1, n)), np.empty((S, R, M + 1, n * K))
-        trace = (np.empty((S, R, M + 1, n)), np.empty((S, R, M + 1, m)),
-                 [np.empty((S, M + 1, n, Xk.shape[-1])) for Xk in X],
-                 [np.empty((S, M + 1, m, Xk.shape[-1])) for Xk in X]) if record else None
+        xbar_out = np.empty((S, R, M + 1, n * K))
+        trace = (np.empty((S, R, M + 1, n)),
+                 [np.empty((S, M + 1, n, Xk.shape[-1])) for Xk in X]) if record else None
         first_bad = np.full((S, R), M + 1)
         # overflow in a diverging path is expected; the finite check reports it
         with np.errstate(over="ignore", invalid="ignore"):
@@ -294,20 +291,18 @@ class _Population:
                     emp_types[:, r, j, k * n:(k + 1) * n] = X[k][..., cols].sum(-1) / c
                 glob = sum(weights[:, k, None] * emp_types[:, :, j, k * n:(k + 1) * n]
                            for k in range(K))
-                emp_glob[:, :, j], xbar_out[:, :, j] = glob, xbar
+                xbar_out[:, :, j] = xbar
                 v = self.ff[j] - matvec_rows(self.gain[j], np.concatenate([x0, xbar], -1))
                 # every drift but the minors' own-state part, major first
                 drift = matvec_rows(self.on_x0, x0) + matvec_rows(self.on_glob, glob) \
                     + self.b[j] + matvec_rows(self.on_v, v)
                 if record:
-                    trace[0][:, :, j], trace[1][:, :, j] = x0, v[..., :m]
+                    trace[0][:, :, j] = x0
                 if j < M:
                     noise0, noise = self.noise(dW, ids, j)
                 for k in live:
                     if record:
-                        trace[2][k][:, j] = X[k]
-                        trace[3][k][:, j] = v[:, run[k], m * (k + 1):m * (k + 2)] \
-                            .swapaxes(-1, -2) - _cols(self.Kx[k][j], X[k])
+                        trace[1][k][:, j] = X[k]
                     if j < M:
                         cross = drift[:, run[k], n * (k + 1):n * (k + 2)].swapaxes(-1, -2)
                         X[k] = X[k] + h * (_cols(self.closed[k][j], X[k]) + cross) \
@@ -328,7 +323,7 @@ class _Population:
             path, node = streams[s][1], int(first_bad[s, r])
             raise DivergedPathError("simulation diverged on path %d at node %d"
                                     % (path, node), path=path, node=node)
-        return emp_types, emp_glob, xbar_out, trace
+        return emp_types, xbar_out, trace
 
 
 def simulate_population(p: MmMfgProblem, sol: MfgSolution,
@@ -345,7 +340,7 @@ def simulate_population(p: MmMfgProblem, sol: MfgSolution,
     agents last; no path depends on the stacking.
     """
     pop = _Population(p, sol, cfg)
-    n, m, K = p.n, p.m, p.K
+    n, K = p.n, p.K
     N, P = cfg.N, cfg.num_paths
     M = p.grid.num_steps
     type_of = _type_of(p, cfg)
@@ -353,25 +348,20 @@ def simulate_population(p: MmMfgProblem, sol: MfgSolution,
 
     rec = cfg.record_states
     states = np.empty((P, M + 1, N + 1, n)) if rec else None
-    controls = np.empty((P, M + 1, N + 1, m)) if rec else None
     xbar_out = np.empty((P, M + 1, n * K))
     emp_types = np.empty((P, M + 1, n * K))
-    emp_glob = np.empty((P, M + 1, n))
 
     for a, b in _chunks(p, N + 1, P):
         out = pop.advance([(cfg.master_seed, i) for i in range(a, b)], type_of, [N], rec)
-        emp_types[a:b], emp_glob[a:b], xbar_out[a:b] = (t[:, 0] for t in out[:3])
+        emp_types[a:b], xbar_out[a:b] = (t[:, 0] for t in out[:2])
         if rec:
-            x0s, u0s, Xs, Us = out[3]
-            states[a:b, :, 0], controls[a:b, :, 0] = x0s[:, 0], u0s[:, 0]
+            x0s, Xs = out[2]
+            states[a:b, :, 0] = x0s[:, 0]
             states[a:b, :, rows] = np.concatenate(Xs, axis=-1).swapaxes(-1, -2)
-            controls[a:b, :, rows] = np.concatenate(Us, axis=-1).swapaxes(-1, -2)
 
-    return TrajectoryBundle(
-        grid=p.grid, type_of=type_of, counts=np.bincount(type_of, minlength=K),
-        states=states, controls=controls, xbar=xbar_out,
-        empirical_types=emp_types, empirical_global=emp_glob, config=cfg,
-    )
+    return TrajectoryBundle(grid=p.grid, type_of=type_of,
+                            counts=np.bincount(type_of, minlength=K), states=states,
+                            xbar=xbar_out, empirical_types=emp_types)
 
 
 def _type_of(p: MmMfgProblem, cfg: PopulationConfig) -> np.ndarray:
@@ -671,7 +661,7 @@ def mean_field_convergence_study(p: MmMfgProblem, sol: MfgSolution,
     total = dict.fromkeys(sizes, 0.0)
     types = assign_types(p.pi, sizes[-1])
     for a, b in _chunks(p, sizes[-1] + 1, len(seeds)):
-        emp_types, _, xbar, _ = pop.advance([(seed, 0) for seed in seeds[a:b]], types, sizes)
+        emp_types, xbar, _ = pop.advance([(seed, 0) for seed in seeds[a:b]], types, sizes)
         for dev in emp_types - xbar:          # one seed: (R, M + 1, nK)
             for N, d in zip(sizes, dev):
                 total[N] += float(np.sum(d * d))

@@ -2,8 +2,9 @@
 
 Each suite re-derives a known answer (analytic oracle, structural
 identity, or cross-route agreement) and reports pass/fail with a one
-line detail.  Fixture factories live in FIXTURES so a damaged fixture
-shows up as the named suite failing rather than as a crash.
+line detail.  run_suites catches a suite's assertion and package errors,
+so a damaged fixture shows up as its named suite failing rather than as
+a crash.
 """
 
 import math
@@ -44,14 +45,6 @@ def _euler_problem(M: int = 300) -> LqgProblem:
     )
 
 
-FIXTURES: Dict[str, Callable] = {
-    "tanh_lqg": _tanh_problem,
-    "euler_lqg": _euler_problem,
-    "coupled": coupled_toy,
-    "decoupled": decoupled_toy,
-}
-
-
 def _open_loop_optimum(p: LqgProblem):
     sol = solve_finite_horizon(p)
     law = sol.law
@@ -68,7 +61,7 @@ def _open_loop_optimum(p: LqgProblem):
 
 
 def _suite_riccati_scalar_oracle() -> str:
-    p = FIXTURES["tanh_lqg"]()
+    p = _tanh_problem()
     sol = solve_finite_horizon(p)
     err = abs(sol.Pi.values[0].item() - math.tanh(1.0))
     s_max = float(np.abs(sol.s.values).max())
@@ -80,7 +73,7 @@ def _suite_riccati_scalar_oracle() -> str:
 
 
 def _suite_euler_equality() -> str:
-    p = FIXTURES["euler_lqg"]()
+    p = _euler_problem()
     u_star = _open_loop_optimum(p)
     rng = np.random.default_rng(7)
     worst = 0.0
@@ -94,7 +87,7 @@ def _suite_euler_equality() -> str:
 
 
 def _suite_extended_terminal_conditions() -> str:
-    p = FIXTURES["coupled"](M=50)
+    p = coupled_toy(M=50)
     sol = solve_consistency_finite(p)
     if not np.array_equal(sol.Pi0.values[-1], sol.ext_major.Qhat):
         raise AssertionError("major terminal Riccati differs from its weight")
@@ -109,7 +102,7 @@ def _suite_extended_terminal_conditions() -> str:
 
 
 def _suite_consistency_fixed_point() -> str:
-    p = FIXTURES["decoupled"](M=100)
+    p = decoupled_toy(M=100)
     sol = solve_consistency_finite(p, FixedPointConfig(theta=1.0))
     iters = sol.report.iterations
     res = sol.report.residual
@@ -149,7 +142,7 @@ def _suite_infinite_horizon() -> str:
 
 
 def _suite_nash_gap_sign() -> str:
-    p = FIXTURES["decoupled"](M=100)
+    p = decoupled_toy(M=100)
     sol = solve_consistency_finite(p)
     cfg = PopulationConfig(N=3, master_seed=0)
     worst = 0.0

@@ -145,19 +145,28 @@ def policy_cost(js, K: np.ndarray, k: np.ndarray) -> float:
     return float(_closed_loop_cost(one, K[:, None], k[:, None])[0, 0])
 
 
-def finite_cost_monte_carlo(p: MmMfgProblem, bundle: TrajectoryBundle,
+def finite_cost_monte_carlo(p: MmMfgProblem, sol: MfgSolution, bundle: TrajectoryBundle,
                             agent_id: int) -> CostReport:
-    """Pathwise trapezoid cost of one agent, averaged across paths."""
-    if bundle.states is None or bundle.controls is None:
+    """Pathwise trapezoid cost of one agent, averaged across paths.
+
+    The agent's control is its law at the recorded states,
+    u = k[j] - K[j] (x; x0; xbar), the major's acting on (x0; xbar), and
+    x^(N) is the counts-weighted sum of the recorded type means."""
+    if bundle.states is None:
         raise SchemaError("bundle was recorded without states; rerun with record_states")
     agent_id = _as_count(agent_id, "agent_id", 0, bundle.N + 1)
     grid = bundle.grid
     w = trapezoid_weights(grid)
     disc = np.exp(-p.rho * grid.nodes)
     x = bundle.states[:, :, agent_id, :]
-    u = bundle.controls[:, :, agent_id, :]
-    xN = bundle.empirical_global
     x0 = bundle.states[:, :, 0, :]
+    n = p.n
+    xN = sum((c / bundle.N) * bundle.empirical_types[..., k * n:(k + 1) * n]
+             for k, c in enumerate(bundle.counts))
+    law = sol.major_law if agent_id == 0 \
+        else sol.minor_laws[int(bundle.type_of[agent_id - 1])]
+    z = np.concatenate(([] if agent_id == 0 else [x]) + [x0, bundle.xbar], -1)
+    u = law.k.values[:, :, 0] - np.einsum("jab,pjb->pja", law.K.values, z)
     if agent_id == 0:
         mj = p.major
         track = x - xN @ mj.H0.T

@@ -608,7 +608,7 @@ def test_verify_suites_all_pass_and_exit_zero():
 def test_verify_names_a_corrupted_fixture(monkeypatch):
     # a coupled game is not decoupled: the one-shot fixed point must miss
     from mmlqg.toys import coupled_toy
-    monkeypatch.setitem(verify.FIXTURES, "decoupled", coupled_toy)
+    monkeypatch.setattr(verify, "decoupled_toy", coupled_toy)
     results = verify.run_suites(["consistency_fixed_point"])
     assert len(results) == 1
     assert not results[0].passed

@@ -294,7 +294,7 @@ def small_population():
 _AGENT_ROUTES = {
     "epsilon_nash_gap": lambda p, sol, cfg, b, a: epsilon_nash_gap(p, sol, cfg, a),
     "expected_cost_exact": lambda p, sol, cfg, b, a: expected_cost_exact(p, sol, cfg, a),
-    "finite_cost_monte_carlo": lambda p, sol, cfg, b, a: finite_cost_monte_carlo(p, b, a),
+    "finite_cost_monte_carlo": lambda p, sol, cfg, b, a: finite_cost_monte_carlo(p, sol, b, a),
 }
 
 
@@ -700,6 +700,26 @@ def test_gap_rows_at_a_thousand_and_a_million_agents():
         assert g_large < g_small
     assert elapsed < 6.0 * row_time, \
         "two rows took %.3fs, one N = 2 row %.3fs" % (elapsed, row_time)
+
+
+@pytest.fixture(scope="module")
+def gap_slopes(coupled):
+    # the paper's claim: every deviator's gap is O(1/N), so its fitted
+    # log-log slope over N = 10^2, 10^4, 10^6 is about -1
+    p, sol = coupled
+    Ns = [10 ** 2, 10 ** 4, 10 ** 6]
+    rows = gap_vs_population(p, sol, Ns).rows
+    gaps = np.array([[row.major_gap] + row.type_gaps for row in rows])
+    return np.polyfit(np.log(Ns), np.log(gaps), 1)[0]
+
+
+def test_major_gap_falls_like_one_over_n(gap_slopes):
+    assert -1.1 <= gap_slopes[0] <= -0.9, gap_slopes
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1 (b)")
+def test_minor_gaps_fall_like_one_over_n(gap_slopes):
+    assert all(-1.1 <= s <= -0.9 for s in gap_slopes[1:]), gap_slopes
 
 
 def test_equilibrium_cost_routes_agree(coupled):

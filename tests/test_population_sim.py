@@ -72,9 +72,11 @@ def test_all_zero_problem_gives_zero_states_and_controls():
     sol = solve_consistency_finite(p)
     b = simulate_population(p, sol, PopulationConfig(N=5, num_paths=2))
     assert np.array_equal(b.states, np.zeros_like(b.states))
-    assert np.array_equal(b.controls, np.zeros_like(b.controls))
+    assert np.array_equal(b.empirical_types, np.zeros_like(b.empirical_types))
     assert np.array_equal(b.xbar, np.zeros_like(b.xbar))
-    rep = finite_cost_monte_carlo(p, b, 0)
+    # the oracle forms the controls from the laws; with R > 0 the cost is
+    # zero only if every control is
+    rep = finite_cost_monte_carlo(p, sol, b, 0)
     assert rep.value == 0.0 and rep.std_error == 0.0
 
 
@@ -83,7 +85,7 @@ def test_same_master_seed_gives_bit_identical_bundles(coupled):
     cfg = PopulationConfig(N=7, master_seed=42, num_paths=3)
     a = simulate_population(p, sol, cfg)
     b = simulate_population(p, sol, cfg)
-    for f in ("states", "controls", "xbar", "empirical_types", "empirical_global"):
+    for f in ("states", "xbar", "empirical_types"):
         assert np.array_equal(getattr(a, f), getattr(b, f))
 
 
@@ -117,16 +119,6 @@ def test_trajectory_integrators_differ_at_step_scale(coupled):
     assert 1e-6 < gap < 1e-1
 
 
-def test_aggregation_of_type_means_is_exact(coupled):
-    p, sol = coupled
-    b = simulate_population(p, sol, PopulationConfig(N=9, master_seed=2, num_paths=2))
-    n, K = p.n, p.K
-    glob = np.zeros_like(b.empirical_global)
-    for k in range(K):
-        glob += (b.counts[k] / b.N) * b.empirical_types[:, :, k * n:(k + 1) * n]
-    assert np.array_equal(glob, b.empirical_global)
-
-
 def test_zero_noise_population_tracks_mean_field(zero_noise):
     # deterministic agents collapse onto the mean field whenever the
     # empirical fractions match pi exactly (N divisible by 5 here)
@@ -141,7 +133,7 @@ def test_monte_carlo_cost_zero_noise_matches_exact(zero_noise):
     cfg = PopulationConfig(N=5, master_seed=0, num_paths=2)
     b = simulate_population(p, sol, cfg)
     for agent in (0, 1, 5):
-        mc = finite_cost_monte_carlo(p, b, agent)
+        mc = finite_cost_monte_carlo(p, sol, b, agent)
         ex = expected_cost_exact(p, sol, cfg, agent)
         assert mc.std_error == 0.0
         assert abs(mc.value - ex.value) < 1e-8
@@ -153,7 +145,7 @@ def test_monte_carlo_cost_matches_exact_within_three_se(coupled):
     cfg = PopulationConfig(N=8, master_seed=11, num_paths=256)
     b = simulate_population(p, sol, cfg)
     for agent in (0, 1, 8):
-        mc = finite_cost_monte_carlo(p, b, agent)
+        mc = finite_cost_monte_carlo(p, sol, b, agent)
         ex = expected_cost_exact(p, sol, cfg, agent)
         assert mc.std_error > 0.0
         assert abs(mc.value - ex.value) <= 3.0 * mc.std_error
@@ -253,8 +245,8 @@ def test_standard_error_shrinks_like_sqrt_paths(coupled):
     bA = simulate_population(p, sol, PopulationConfig(N=4, master_seed=5, num_paths=64))
     bB = simulate_population(p, sol, PopulationConfig(N=4, master_seed=5, num_paths=128))
     for agent in (0, 1):
-        ratio = finite_cost_monte_carlo(p, bA, agent).std_error \
-            / finite_cost_monte_carlo(p, bB, agent).std_error
+        ratio = finite_cost_monte_carlo(p, sol, bA, agent).std_error \
+            / finite_cost_monte_carlo(p, sol, bB, agent).std_error
         assert 1.2 <= ratio <= 1.7
 
 
@@ -403,7 +395,7 @@ def test_diverged_path_reports_path_and_node(coupled, monkeypatch):
 def test_outputs_do_not_depend_on_how_paths_and_seeds_are_stacked(coupled, monkeypatch):
     p, sol = coupled
     cfg = PopulationConfig(N=7, master_seed=3, num_paths=3)
-    fields = ("states", "controls", "xbar", "empirical_types", "empirical_global")
+    fields = ("states", "xbar", "empirical_types")
     assert len(population_sim._chunks(p, 7, 3)) == 1
     stacked = simulate_population(p, sol, cfg)
     one = simulate_population(p, sol, dataclasses.replace(cfg, num_paths=1))
@@ -508,7 +500,7 @@ def test_agent_id_and_config_validation(coupled):
     cfg = PopulationConfig(N=3, master_seed=0)
     b = simulate_population(p, sol, cfg)
     with pytest.raises(SchemaError):
-        finite_cost_monte_carlo(p, b, 4)
+        finite_cost_monte_carlo(p, sol, b, 4)
     with pytest.raises(SchemaError):
         expected_cost_exact(p, sol, cfg, -1)
     with pytest.raises(SchemaError):
@@ -526,10 +518,10 @@ def test_record_states_false_skips_arrays_but_keeps_fields(coupled):
     p, sol = coupled
     cfg = PopulationConfig(N=4, master_seed=1, record_states=False)
     b = simulate_population(p, sol, cfg)
-    assert b.states is None and b.controls is None
+    assert b.states is None
     assert b.xbar.shape == (1, p.grid.num_nodes, p.n * p.K)
     with pytest.raises(SchemaError):
-        finite_cost_monte_carlo(p, b, 0)
+        finite_cost_monte_carlo(p, sol, b, 0)
     emf = empirical_mean_field(b)[0]
     assert np.array_equal(emf.values[:, :, 0], b.empirical_types[0])
 
@@ -639,20 +631,6 @@ def test_type_sorted_stepping_matches_the_agent_order_oracle(coupled, types):
     assert js.validation_gap(num_paths=2) < 1e-10
     b = simulate_population(p, sol, cfg)
     assert np.array_equal(b.counts, np.bincount(types, minlength=p.K))
-    # every recorded control is its own agent's law at its own state
-    for path in range(2):
-        for j in range(p.grid.num_nodes):
-            x0, xbar = b.states[path, j, 0], b.xbar[path, j]
-            law = sol.major_law
-            u0 = law.k.values[j][:, 0] - law.K.values[j] @ np.concatenate([x0, xbar])
-            np.testing.assert_allclose(b.controls[path, j, 0], u0,
-                                       rtol=1e-13, atol=1e-13)
-            for a, k in enumerate(types):
-                law = sol.minor_laws[k]
-                X = np.concatenate([b.states[path, j, 1 + a], x0, xbar])
-                u = law.k.values[j][:, 0] - law.K.values[j] @ X
-                np.testing.assert_allclose(b.controls[path, j, 1 + a], u,
-                                           rtol=1e-13, atol=1e-13)
     if 0 not in types:
         assert np.array_equal(b.empirical_types[:, :, :p.n],
                               np.zeros_like(b.empirical_types[:, :, :p.n]))

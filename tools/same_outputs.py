@@ -5,12 +5,15 @@ this one on every benchmark operation.
 
 Each workload runs on its perfbench/workloads.make_config config at the
 PINNED sizes in a fresh process, with this checkout's src/ and OTHER's.
-Per workload it prints the data files (all but manifest.json) whose
-sha256 differs and each side's largest departure from the values in
+So do two commands the benchmark does not run: solve-lqg on the pinned
+2-state config LQG below, and verify --out.  Per operation it prints the
+data files (all but manifest.json) whose sha256 differs and, for the
+workloads, each side's largest departure from the values in
 perfbench/reference.json, in tolerances.  It exits 1 on any difference.
 """
 
 import argparse
+import functools
 import math
 import sys
 import tempfile
@@ -30,6 +33,14 @@ def largest_move(w, out, ref):
                 for k, v in ref["values"].items()), default=0.0)
 
 
+# noise, discount, a cross weight, both targets, a constant b and x0
+LQG = {"kind": "lqg", "grid": {"T": 1.0, "M": 200}, "rho": 0.5,
+       "A": [[0.1, 0.4], [-0.3, -0.2]], "B": [[1.0], [0.5]], "b": [[0.1], [-0.05]],
+       "sigma": [[0.3, 0.0], [0.1, 0.2]], "Q": [[1.0, 0.2], [0.2, 0.8]],
+       "N": [[0.1], [0.0]], "R": [[1.5]], "Qhat": [[0.5, 0.0], [0.0, 0.3]],
+       "eta": [[0.2], [-0.1]], "n": [[0.05]], "x0": [[1.0], [-0.5]]}
+CLI = [sys.executable, "-m", "mmlqg.cli_app"]
+
 parser = argparse.ArgumentParser(description="compare data files with another checkout")
 parser.add_argument("other", type=Path, help="root of the other checkout")
 parser.add_argument("--seed", type=int, default=1)
@@ -38,15 +49,22 @@ args = parser.parse_args()
 failed = False
 with tempfile.TemporaryDirectory() as tmp:
     tmp = Path(tmp)
+    ops = []      # (name, argv of an output directory, reference or None)
     for w in workloads.WORKLOADS:
-        cfg = workloads.make_config(w, args.seed, workloads.PINNED)
-        cfg_path = workloads.write_config(cfg, tmp / (w + ".json"))
-        ref = gate.load_reference(w, workloads.PINNED)
+        cfg_path = workloads.write_config(workloads.make_config(w, args.seed, workloads.PINNED),
+                                          tmp / (w + ".json"))
+        ops.append((w, functools.partial(workloads.op_argv, w, cfg_path),
+                    gate.load_reference(w, workloads.PINNED)))
+    lqg_path = workloads.write_config(LQG, tmp / "lqg.json")
+    ops.append(("solve-lqg", lambda out: CLI + ["solve-lqg", "--config", str(lqg_path),
+                                                "--out", str(out)], None))
+    ops.append(("verify", lambda out: CLI + ["verify", "--out", str(out)], None))
+    for w, argv, ref in ops:
         hashes, moves = [], []
         for side, root in (("this", ROOT), ("other", args.other.resolve())):
             out, env, log = tmp / w / side, run.child_env(), tmp / "ops.log"
             env["PYTHONPATH"] = str(root / "src")
-            code, _, _ = run.run_process(workloads.op_argv(w, cfg_path, out), env, log)
+            code, _, _ = run.run_process(argv(out), env, log)
             if code != 0:
                 sys.exit("%s: %s run exited with %d:\n%s" % (w, side, code, log.read_text()))
             hashes.append(gate.data_hashes(out))
