@@ -176,8 +176,7 @@ def cmd_simulate(cfg: dict, out: Path, seed):
         "grid": {"T": p.grid.t_end, "M": p.grid.num_steps},
     }
     if study is not None:
-        result = mean_field_convergence_study(p, sol, study["Ns"],
-                                              study["seeds"])
+        result = mean_field_convergence_study(p, sol, study["Ns"])
         _write_csv(out / "convergence.csv", ("N", "rms"),
                    zip(*result.rows))       # rows to columns
         summary["convergence_slope"] = result.slope

@@ -202,11 +202,9 @@ def parse_population(cfg: dict) -> dict:
 def parse_study(cfg: dict) -> Optional[dict]:
     if "study" not in cfg:
         return None
+    # seeds is read and ignored: the study is exact and draws nothing
     d = _section(cfg, "study", {"Ns": _list_of(_count), "seeds": _list_of(_seed)}, {})
-    for key in ("Ns", "seeds"):
-        _require(d, key, "$.study")
-    if d["Ns"] and not d["seeds"]:
-        raise SchemaError("$.study.seeds: the convergence study needs at least one seed")
+    _require(d, "Ns", "$.study")
     return d
 
 

@@ -354,6 +354,8 @@ class ExtendedSystem:
             W = getattr(self, name)
             if W.shape != (d, d):
                 raise DimensionGuardError("%s %s must be %d x %d" % (self.what, name, d, d))
+            if not np.isfinite(W).all():
+                raise SchemaError("%s %s is not finite" % (self.what, name))
             w_min, w_tol = psd_margin(W, PSD_TOL)
             if not w_min >= -w_tol:
                 raise SchemaError("%s %s lost positive semidefiniteness" % (self.what, name))

@@ -4,10 +4,9 @@ The simulator runs N minor agents plus the major agent under Euler,
 Maruyama on the solver grid.  Every feedback law reads the deterministic
 internal mean-field state, advanced by the matching explicit Euler step
 so that the whole population is one discrete-time linear Gaussian chain.
-One stepper, _Population.advance, moves a stack of paths at once (and,
-for the convergence study, every population size at once), minors sorted
-by type with agents on the last axis; DRAW_BUDGET bounds the raw draws
-held, and each step's noise is formed when the step is taken.  Each
+One stepper, _Population.advance, moves a stack of paths at once, minors
+sorted by type with agents on the last axis; DRAW_BUDGET bounds the raw
+draws held, and each step's noise is formed when the step is taken.  Each
 (master_seed, stream, path) is one Philox stream, and one call draws
 every agent's block of it (_draws).  A run keeps the states, the type
 means and the mean field; the controls and the population average each
@@ -21,6 +20,8 @@ lqg_single's one policy quadratic.  One record, ReducedPopulation, serves
 that cost and nash_gap's deviator; its agent's weights come from
 mfg_model.lift_tracking, as every agent's.  Every exact cost runs on a
 stack of records of one dimension (_stacked), a single one included.
+The convergence study runs the same recursion on the population's
+aggregate record, so its RMS is exact too and nothing in it is drawn.
 """
 
 from __future__ import annotations
@@ -155,9 +156,8 @@ def assign_types(pi, N: int) -> np.ndarray:
     return out
 
 
-# Bytes of raw Brownian draws held at once: paths (and study seeds) are
-# stepped in stacks of as many as fit, one at least.  Two seeds of the
-# benchmark's study (4097 agents, M = 50: 3.3 MB each) would not fit.
+# Bytes of raw Brownian draws held at once: paths are stepped in stacks
+# of as many as fit, one at least.
 DRAW_BUDGET = 5 * 2 ** 20
 
 
@@ -197,7 +197,7 @@ def _chunks(p: MmMfgProblem, count: int, total: int):
 
 class _Population:
     """Closed-loop node tables of one (problem, solution), shared by every
-    path and every population size run on them."""
+    path run on them."""
 
     def __init__(self, p: MmMfgProblem, sol: MfgSolution, cfg: PopulationConfig):
         _check_solution(p, sol)
@@ -255,72 +255,65 @@ class _Population:
                 [sqh * _cols(mn.sigmak, dW[:, :, j].take(ix, 1).swapaxes(-1, -2))
                  for mn, ix in zip(self.p.minors, ids)])
 
-    def advance(self, streams, type_of: np.ndarray, sizes, record: bool = False):
+    def advance(self, streams, type_of: np.ndarray, record: bool = False):
         """Euler-Maruyama runs of the paths (master_seed, path) in streams,
-        stacked, each at every N in sizes with the first N agents of type_of.
+        stacked, of the minors type_of.
 
-        Type k's minors sit on its columns, N after N, agents last.  Every
-        product is a matvec_rows or _cols, so no (path, N) run depends on
-        the others.  Returns node tables (S, R, M + 1, .) of the type means
-        (zero if a type is empty) and the mean field, and if record the
-        states (x0, X[k]).  Raises DivergedPathError for the first run, by
-        path then N, to leave the finite range."""
+        Type k's minors sit on its columns, agents last.  Every product is
+        a matvec_rows or _cols, so no path depends on the others.  Returns
+        node tables (S, M + 1, .) of the type means (zero if a type is
+        empty) and the mean field, and if record the states (x0, X[k]).
+        Raises DivergedPathError for the first path to leave the finite
+        range."""
         p = self.p
         n, K = p.n, p.K
-        M, h, S, R = p.grid.num_steps, p.grid.h, len(streams), len(sizes)
-        counts = np.array([np.bincount(type_of[:N], minlength=K) for N in sizes])
-        members = [1 + np.flatnonzero(type_of == k) for k in range(K)]
-        ids = [np.concatenate([ix[:c] for c in counts[:, k]]) for k, ix in enumerate(members)]
-        run = [np.repeat(np.arange(R), counts[:, k]) for k in range(K)]
-        x0, X, dW = self.sample(streams, ids)
-        weights = counts / counts.sum(1, keepdims=True)
-        segs = [(r, k, slice(a - c, a), c) for k in range(K) for r, c, a in zip(
-            range(R), counts[:, k], np.cumsum(counts[:, k])) if c]
+        M, h, S = p.grid.num_steps, p.grid.h, len(streams)
+        ids = [1 + np.flatnonzero(type_of == k) for k in range(K)]
         live = [k for k in range(K) if ids[k].size]
-        x0 = np.repeat(x0[:, None], R, axis=1)
-        xbar = np.tile(self.xbar0, (S, R, 1))
-        emp_types = np.zeros((S, R, M + 1, n * K))
-        xbar_out = np.empty((S, R, M + 1, n * K))
-        trace = (np.empty((S, R, M + 1, n)),
-                 [np.empty((S, M + 1, n, Xk.shape[-1])) for Xk in X]) if record else None
-        first_bad = np.full((S, R), M + 1)
+        x0, X, dW = self.sample(streams, ids)
+        xbar = np.tile(self.xbar0, (S, 1))
+        emp_types = np.zeros((S, M + 1, n * K))
+        xbar_out = np.empty((S, M + 1, n * K))
+        trace = (np.empty((S, M + 1, n)),
+                 [np.empty((S, M + 1, n, ix.size)) for ix in ids]) if record else None
+        first_bad = np.full(S, M + 1)
         # overflow in a diverging path is expected; the finite check reports it
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(M + 1):
-                for r, k, cols, c in segs:
-                    emp_types[:, r, j, k * n:(k + 1) * n] = X[k][..., cols].sum(-1) / c
-                glob = sum(weights[:, k, None] * emp_types[:, :, j, k * n:(k + 1) * n]
+                for k in live:
+                    emp_types[:, j, k * n:(k + 1) * n] = X[k].sum(-1) / ids[k].size
+                glob = sum(ids[k].size / type_of.size * emp_types[:, j, k * n:(k + 1) * n]
                            for k in range(K))
-                xbar_out[:, :, j] = xbar
+                xbar_out[:, j] = xbar
                 v = self.ff[j] - matvec_rows(self.gain[j], np.concatenate([x0, xbar], -1))
                 # every drift but the minors' own-state part, major first
                 drift = matvec_rows(self.on_x0, x0) + matvec_rows(self.on_glob, glob) \
                     + self.b[j] + matvec_rows(self.on_v, v)
                 if record:
-                    trace[0][:, :, j] = x0
+                    trace[0][:, j] = x0
                 if j < M:
                     noise0, noise = self.noise(dW, ids, j)
                 for k in live:
                     if record:
                         trace[1][k][:, j] = X[k]
                     if j < M:
-                        cross = drift[:, run[k], n * (k + 1):n * (k + 2)].swapaxes(-1, -2)
+                        cross = drift[:, n * (k + 1):n * (k + 2), None]
                         X[k] = X[k] + h * (_cols(self.closed[k][j], X[k]) + cross) \
                             + noise[k]
                 if j == M:
                     break
-                x0_next = x0 + h * drift[..., :n] + noise0[:, None]
+                x0_next = x0 + h * drift[..., :n] + noise0
                 xbar = mean_field_step_euler(*self.law, j, h, xbar, x0)
                 x0 = x0_next
                 if not (np.isfinite(x0).all() and np.isfinite(xbar).all()
                         and all(np.isfinite(Xk).all() for Xk in X)):
                     fine = np.isfinite(x0).all(-1) & np.isfinite(xbar).all(-1)
-                    for r, k, cols, c in segs:
-                        fine[:, r] &= np.isfinite(X[k][..., cols]).all((1, 2))
+                    for Xk in X:
+                        fine &= np.isfinite(Xk).all((1, 2))
                     first_bad[~fine] = np.minimum(first_bad[~fine], j + 1)
         if (first_bad <= M).any():
-            s, r = np.argwhere(first_bad <= M)[0]
-            path, node = streams[s][1], int(first_bad[s, r])
+            s = int(np.argmax(first_bad <= M))
+            path, node = streams[s][1], int(first_bad[s])
             raise DivergedPathError("simulation diverged on path %d at node %d"
                                     % (path, node), path=path, node=node)
         return emp_types, xbar_out, trace
@@ -336,8 +329,9 @@ def simulate_population(p: MmMfgProblem, sol: MfgSolution,
     counter-based stream per (master_seed, stream, path), agent a taking
     its a-th consecutive block, so output is independent of scheduling
     and the first agents' draws are shared across different N.  Paths
-    step together in stacks that fit DRAW_BUDGET, minors sorted by type,
-    agents last; no path depends on the stacking.
+    step together through the one stepper in stacks that fit
+    DRAW_BUDGET, minors sorted by type, agents last; no path depends on
+    the stacking.
     """
     pop = _Population(p, sol, cfg)
     n, K = p.n, p.K
@@ -352,11 +346,11 @@ def simulate_population(p: MmMfgProblem, sol: MfgSolution,
     emp_types = np.empty((P, M + 1, n * K))
 
     for a, b in _chunks(p, N + 1, P):
-        out = pop.advance([(cfg.master_seed, i) for i in range(a, b)], type_of, [N], rec)
-        emp_types[a:b], xbar_out[a:b] = (t[:, 0] for t in out[:2])
+        out = pop.advance([(cfg.master_seed, i) for i in range(a, b)], type_of, rec)
+        emp_types[a:b], xbar_out[a:b] = out[:2]
         if rec:
             x0s, Xs = out[2]
-            states[a:b, :, 0] = x0s[:, 0]
+            states[a:b, :, 0] = x0s
             states[a:b, :, rows] = np.concatenate(Xs, axis=-1).swapaxes(-1, -2)
 
     return TrajectoryBundle(grid=p.grid, type_of=type_of,
@@ -636,37 +630,40 @@ class ConvergenceStudy:
 
 
 def mean_field_convergence_study(p: MmMfgProblem, sol: MfgSolution,
-                                 Ns: Sequence[int],
-                                 seeds: Sequence[int]) -> ConvergenceStudy:
-    """RMS distance between empirical type averages and the mean field.
+                                 Ns: Sequence[int]) -> ConvergenceStudy:
+    """RMS distance between empirical type averages and the mean field, exact.
 
-    One single-path simulation per (N, seed), equal to simulate_population's
-    path 0.  Agents take consecutive blocks of one stream per seed, so the
-    first N agents' draws are common across the N sweep: each seed draws
-    once, for the largest N, and every N steps in the same pass on a
-    prefix of each type's agents; seeds are stacked as many as fit
-    DRAW_BUDGET.  Returns rows (N, rms) in the order of Ns and the slope
-    of log rms against log N, fitted once per distinct N (0.0 for fewer
-    than two).
+    The RMS over nodes of S_k - xbar_k on simulate_population's chain,
+    with the minors assigned by assign_types and xbar0 = 0, an empty
+    type's average read as 0.  For each distinct N, ReducedPopulation's
+    state (x0, xbar, S_1..S_K) runs its closed drift through
+    discrete_chain_cost with the node weights 2 P'P / ((M + 1) w_j), P
+    selecting S - xbar and w the trapezoid weights: J is the mean over
+    nodes of E|S - xbar|^2, with no sampling error, and a diverging chain
+    raises IntegrationDivergedError.  Returns rows (N, rms) in the order
+    of Ns and the slope of log rms against log N, fitted once per distinct
+    N (0.0 for fewer than two).
     """
     Ns = [_as_count(N, "Ns[%d]" % i, 1) for i, N in enumerate(Ns)]
-    seeds = [_as_seed(seed, "seeds[%d]" % i) for i, seed in enumerate(seeds)]
-    if Ns and not seeds:
-        raise SchemaError("the convergence study needs at least one seed", field="seeds")
-    if not Ns:
-        return ConvergenceStudy(rows=[], slope=0.0)
-    pop = _Population(p, sol, PopulationConfig(N=1))
-    M = p.grid.num_steps
+    n, K, M = p.n, p.K, p.grid.num_steps
     sizes = sorted(set(Ns))
-    total = dict.fromkeys(sizes, 0.0)
-    types = assign_types(p.pi, sizes[-1])
-    for a, b in _chunks(p, sizes[-1] + 1, len(seeds)):
-        emp_types, xbar, _ = pop.advance([(seed, 0) for seed in seeds[a:b]], types, sizes)
-        for dev in emp_types - xbar:          # one seed: (R, M + 1, nK)
-            for N, d in zip(sizes, dev):
-                total[N] += float(np.sum(d * d))
-    count = len(seeds) * (M + 1)
-    rms = {N: math.sqrt(total[N] / count) for N in sizes}
+    rms = {}
+    for N in sizes:
+        rs = ReducedPopulation(p, sol, np.bincount(assign_types(p.pi, N), minlength=K),
+                               None, np.zeros(n * K))
+        A, d = rs.drift(closed=True)
+        P = np.zeros((n * K, rs.D))
+        P[:, rs.xb_off:rs.xb_off + n * K] = -np.eye(n * K)
+        for k, o in enumerate(rs.S_off):
+            if o is not None:
+                P[k * n:(k + 1) * n, o:o + n] = np.eye(n)
+        W = (2.0 / (M + 1) / trapezoid_weights(p.grid))[:, None, None, None] * (P.T @ P)
+        J = discrete_chain_cost(p.grid, 0.0, rs.mu0[None], rs.V0[None], A[:, None],
+                                d[:, None], rs.Sig2[None],
+                                (W, np.zeros((M + 1, 1, rs.D, 1)), 0.0),
+                                np.zeros((1, rs.D, rs.D)))
+        # a sum of squares, which roundoff may leave a few ulps below 0
+        rms[N] = math.sqrt(max(float(J[0]), 0.0))
     slope = 0.0
     if len(sizes) > 1:
         logr = np.log([max(rms[N], 1e-300) for N in sizes])

@@ -20,7 +20,9 @@ noise and block writer must reproduce bit for bit, and
 empirical_mean_field recomputes the simulator's per-type averages from
 its recorded states.
 finite_cost_monte_carlo averages the pathwise cost over simulated paths,
-the estimate whose expectation expected_cost_exact is, and
+the estimate whose expectation expected_cost_exact is, as
+mean_square_deviation_monte_carlo estimates what the convergence study
+computes exactly, and
 mean_field_trajectory integrates the mean field along a major-state path
 by RK4, where the simulator takes Euler steps.  one_loop_costs and
 one_chain_cost run one closed loop or chain through the stacked
@@ -192,6 +194,18 @@ def finite_cost_monte_carlo(p: MmMfgProblem, sol: MfgSolution, bundle: Trajector
         se = 0.0
     return CostReport(agent_id=agent_id, value=value, std_error=se,
                       method="monte_carlo", num_paths=bundle.num_paths)
+
+
+def mean_square_deviation_monte_carlo(p: MmMfgProblem, sol: MfgSolution, N: int,
+                                      master_seed: int, num_paths: int) -> tuple:
+    """Monte Carlo estimate of the convergence study's RMS^2 at N and its
+    standard error: one simulate_population run, each path its own Philox
+    stream, and per path the node mean of |S - xbar|^2."""
+    b = simulate_population(p, sol, PopulationConfig(
+        N=N, master_seed=master_seed, num_paths=num_paths, record_states=False))
+    dev = b.empirical_types - b.xbar
+    per_path = np.mean(np.sum(dev * dev, axis=-1), axis=-1)
+    return float(per_path.mean()), float(per_path.std(ddof=1) / math.sqrt(num_paths))
 
 
 def mean_field_trajectory(sol: MfgSolution, x0_path: GridFunction,

@@ -1,7 +1,6 @@
 import ast
 import dataclasses
 import math
-import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -33,7 +32,8 @@ from mmlqg.population_sim import (
 )
 from mmlqg.toys import coupled_toy
 from oracles import (DenseJointSystem, _stream, empirical_mean_field, finite_cost_monte_carlo,
-                     held_noise, mean_field_trajectory, one_chain_cost, undeviated_cost)
+                     held_noise, mean_field_trajectory, mean_square_deviation_monte_carlo,
+                     one_chain_cost, undeviated_cost)
 
 
 @pytest.fixture(scope="module")
@@ -123,7 +123,7 @@ def test_zero_noise_population_tracks_mean_field(zero_noise):
     # deterministic agents collapse onto the mean field whenever the
     # empirical fractions match pi exactly (N divisible by 5 here)
     p, sol = zero_noise
-    st = mean_field_convergence_study(p, sol, [5, 10], [0])
+    st = mean_field_convergence_study(p, sol, [5, 10])
     for _, rms in st.rows:
         assert rms < 1e-8
 
@@ -288,7 +288,7 @@ def test_sup_gap_shrinks_from_n16_to_n1024(coupled):
 
 def test_study_slope_is_square_root_rate(coupled):
     p, sol = coupled
-    st = mean_field_convergence_study(p, sol, [16, 64, 256, 1024], list(range(32)))
+    st = mean_field_convergence_study(p, sol, [16, 64, 256, 1024])
     assert abs(st.slope + 0.5) <= 0.15
     rms = [r for _, r in st.rows]
     assert all(rms[i + 1] < rms[i] for i in range(len(rms) - 1))
@@ -401,14 +401,12 @@ def test_outputs_do_not_depend_on_how_paths_and_seeds_are_stacked(coupled, monke
     one = simulate_population(p, sol, dataclasses.replace(cfg, num_paths=1))
     for f in fields:
         assert np.array_equal(getattr(one, f)[0], getattr(stacked, f)[0])
-    study = mean_field_convergence_study(p, sol, [16, 64, 256], range(5))
-    # a budget of one byte leaves one path, or one seed, per stack
+    # a budget of one byte leaves one path per stack
     monkeypatch.setattr(population_sim, "DRAW_BUDGET", 1)
     assert len(population_sim._chunks(p, 7, 3)) == 3
     single = simulate_population(p, sol, cfg)
     for f in fields:
         assert np.array_equal(getattr(single, f), getattr(stacked, f))
-    assert mean_field_convergence_study(p, sol, [16, 64, 256], range(5)).rows == study.rows
 
 
 @pytest.mark.parametrize("budget", [None, 1], ids=["one_stack", "one_path_a_stack"])
@@ -443,25 +441,9 @@ def test_each_steps_noise_is_the_held_noise_bit_for_bit(coupled, monkeypatch, ty
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
-def test_study_memory_stays_within_the_draw_budget():
-    """The study holds one stack's raw draws and forms each step's noise
-    when it takes the step, so its traced peak is within DRAW_BUDGET, not
-    that of every step's noise on every prefix of every population size."""
-    p = coupled_toy(M=50)
-    sol = solve_consistency_finite(p)
-    mean_field_convergence_study(p, sol, [16], [0])   # imports done before tracing
-    tracemalloc.start()
-    try:
-        mean_field_convergence_study(p, sol, [16, 64, 256, 1024, 4096], [0, 1])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= population_sim.DRAW_BUDGET, peak
-
-
 def test_one_batched_stepper_and_no_loop_over_agents():
-    """Paths and seeds advance through one stepper, called by the simulator
-    and by the study; no Python loop runs over agents, the draws' included."""
+    """Paths advance through one stepper, called by the simulator alone;
+    no Python loop runs over agents, the draws' included."""
     tree = ast.parse(Path(population_sim.__file__).read_text())
     pop = next(node for node in tree.body
                if isinstance(node, ast.ClassDef) and node.name == "_Population")
@@ -492,7 +474,7 @@ def test_one_batched_stepper_and_no_loop_over_agents():
     for f in Path(population_sim.__file__).parent.glob("*.py"):
         if f.stem != "population_sim":
             visit(ast.parse(f.read_text()), None)
-    assert sorted(callers) == ["mean_field_convergence_study", "simulate_population"]
+    assert callers == ["simulate_population"]
 
 
 def test_agent_id_and_config_validation(coupled):
@@ -636,24 +618,40 @@ def test_type_sorted_stepping_matches_the_agent_order_oracle(coupled, types):
                               np.zeros_like(b.empirical_types[:, :, :p.n]))
 
 
-def test_study_rows_equal_one_simulation_per_size_and_seed(coupled):
-    p, sol = coupled
-    Ns, seeds = [40, 1, 40, 19], [5, 2]
-    study = mean_field_convergence_study(p, sol, Ns, seeds)
-    want = []
-    for N in Ns:
-        total, count = 0.0, 0
-        for seed in seeds:
-            cfg = PopulationConfig(N=N, master_seed=seed, record_states=False)
-            b = simulate_population(p, sol, cfg)
-            dev = b.empirical_types[0] - b.xbar[0]
-            total += float(np.sum(dev * dev))
-            count += dev.shape[0]
-        want.append((N, math.sqrt(total / count)))
-    assert study.rows == want
-    assert mean_field_convergence_study(p, sol, [], [1]).rows == []
-    with pytest.raises(SchemaError):
-        mean_field_convergence_study(p, sol, [4], [])
+def test_study_is_the_node_mean_of_a_noiseless_simulation(zero_noise, coupled):
+    """Without noise one simulated path is the chain's mean, so the study's
+    mean square deviation is that path's node mean, at N = 1 with an empty
+    type too.  Compared squared: at N = 10 the exact value is 0, and the
+    simulator's roundoff leaves an RMS of order 1e-12 there."""
+    p, sol = zero_noise
+    Ns = [1, 2, 7, 10]
+    study = mean_field_convergence_study(p, sol, Ns)
+    assert [N for N, _ in study.rows] == Ns
+    assert np.bincount(assign_types(p.pi, 1), minlength=p.K).min() == 0
+    for N, rms in study.rows:
+        b = simulate_population(p, sol, PopulationConfig(N=N, record_states=False))
+        dev = b.empirical_types[0] - b.xbar[0]
+        assert abs(rms ** 2 - np.sum(dev * dev) / dev.shape[0]) <= 1e-14, N
+    assert mean_field_convergence_study(p, sol, []).rows == []
+    # a chain that leaves the finite range is a typed failure at its node
+    bad = coupled_toy(M=100)
+    bad.major.A0 = np.array([[1e6, 0.0], [0.0, 1e6]])
+    with pytest.raises(IntegrationDivergedError, match="diverged at node") as exc:
+        mean_field_convergence_study(bad, coupled[1], [4, 16])
+    assert 1 <= exc.value.node <= bad.grid.num_steps
+
+
+def test_study_agrees_with_monte_carlo_within_three_standard_errors():
+    """The exact mean square deviation against its Monte Carlo estimate
+    over 256 simulated paths, at a master seed fixed in advance."""
+    p = coupled_toy(M=50)
+    sol = solve_consistency_finite(p)
+    Ns = [16, 64, 256]
+    study = mean_field_convergence_study(p, sol, Ns)
+    for N, rms in study.rows:
+        mean, se = mean_square_deviation_monte_carlo(p, sol, N, master_seed=3, num_paths=256)
+        assert se > 0.0
+        assert abs(mean - rms ** 2) <= 3.0 * se, (N, (mean - rms ** 2) / se)
 
 
 def test_study_slope_is_fitted_once_per_distinct_size(coupled):
@@ -662,9 +660,9 @@ def test_study_slope_is_fitted_once_per_distinct_size(coupled):
     p, sol = coupled
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        repeated = mean_field_convergence_study(p, sol, [16, 16, 64, 256], [1, 2])
-        once = mean_field_convergence_study(p, sol, [16, 64, 256], [1, 2])
-        single = mean_field_convergence_study(p, sol, [16, 16], [1, 2])
+        repeated = mean_field_convergence_study(p, sol, [16, 16, 64, 256])
+        once = mean_field_convergence_study(p, sol, [16, 64, 256])
+        single = mean_field_convergence_study(p, sol, [16, 16])
     assert repeated.slope == once.slope
     assert repeated.rows == once.rows[:1] + once.rows
     assert single.slope == 0.0 and single.rows == once.rows[:1] * 2
