@@ -8,6 +8,12 @@ between reruns.  --threads is accepted and ignored.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure,
 4 assumption violation.
+
+Each command imports only what it runs.  This module loads config,
+errors, numerics, lqg_single, mfg_model and mfg_solver, all that
+solve-lqg and solve-mfg need; simulate adds population_sim, nash-gap
+adds nash_gap (which imports population_sim), and verify loads every
+module.  hashlib loads only when the manifest is written.
 """
 
 import argparse
@@ -22,13 +28,7 @@ from . import __version__, config
 from .errors import AssumptionViolationError, NumericalError, SchemaError
 from .lqg_single import expected_cost, solve_finite_horizon
 from .mfg_solver import solve_consistency_finite
-from .nash_gap import gap_vs_population
 from .numerics import _as_seed
-from .population_sim import (
-    PopulationConfig,
-    mean_field_convergence_study,
-    simulate_population,
-)
 
 
 # Rows formatted and written at a time: a file's memory stays that of a block.
@@ -150,6 +150,9 @@ def cmd_solve_mfg(cfg: dict, out: Path, seed):
 
 
 def cmd_simulate(cfg: dict, out: Path, seed):
+    from .population_sim import (PopulationConfig, mean_field_convergence_study,
+                                 simulate_population)
+
     p = config.parse_mfg_problem(cfg)
     pop = config.parse_population(cfg)
     if "N" not in pop:
@@ -185,6 +188,8 @@ def cmd_simulate(cfg: dict, out: Path, seed):
 
 
 def cmd_nash_gap(cfg: dict, out: Path, seed):
+    from .nash_gap import gap_vs_population
+
     p = config.parse_mfg_problem(cfg)
     nash = config.parse_nash(cfg)
     if seed is not None:

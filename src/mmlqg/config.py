@@ -10,7 +10,6 @@ library's bounds, so a bad value stops before any solve, and every
 message carries a JSON path like ``$.major.A0``.
 """
 
-import hashlib
 import json
 from typing import Optional
 
@@ -38,6 +37,8 @@ def load_config(path: str) -> dict:
 
 def canonical_hash(cfg: dict) -> str:
     """Hash of the canonicalized config bytes (key order irrelevant)."""
+    import hashlib      # here, not at the top: only the manifest hashes
+
     blob = json.dumps(cfg, sort_keys=True, separators=(",", ":"),
                       ensure_ascii=True).encode("ascii")
     return hashlib.sha256(blob).hexdigest()

@@ -181,11 +181,13 @@ def lift_tracking(C, Qhat, Q, N, R, eta) -> dict:
     keywords Qhat = C'Qhat C, Q = C'QC, N = C'N, R, eta = C'Q eta, nbar =
     N'eta and the Hautus factor psd_sqrt(Q) C.  The terminal weight hits
     C X alone: eta is a running-cost target, so the terminal cost has no
-    linear part.
+    linear part.  A finite C or Q can overflow here: ExtendedSystem reports
+    the non-finite weight as a config error, so numpy's warning is muted.
     """
-    return dict(Qhat=symmetrize(C.T @ Qhat @ C), Q=symmetrize(C.T @ Q @ C),
-                N=C.T @ N, R=R, eta=C.T @ Q @ eta, nbar=N.T @ eta,
-                Q_factor=psd_sqrt(Q) @ C)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return dict(Qhat=symmetrize(C.T @ Qhat @ C), Q=symmetrize(C.T @ Q @ C),
+                    N=C.T @ N, R=R, eta=C.T @ Q @ eta, nbar=N.T @ eta,
+                    Q_factor=psd_sqrt(Q) @ C)
 
 
 def build_extended_major(p: MmMfgProblem, law: MeanFieldLaw) -> ExtendedSystem:

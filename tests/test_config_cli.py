@@ -1,8 +1,12 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -323,7 +327,7 @@ def test_solve_mfg_non_finite_input_exits_2(tmp_path, capsys, where, token):
     assert "finite" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error")     # numpy's overflow warning included
 @pytest.mark.parametrize("agent,key,what", [
     ("major", "H0", "major"), (0, "Hk", "minor[0]"), (0, "Hhatk", "minor[0]")])
 def test_solve_mfg_overflowing_lifted_weight_exits_2(tmp_path, capsys, agent, key, what):
@@ -335,6 +339,19 @@ def test_solve_mfg_overflowing_lifted_weight_exits_2(tmp_path, capsys, agent, ke
     code = _run(["solve-mfg", "--config", cfg_path, "--out", str(tmp_path / "run")])
     assert code == 2
     assert capsys.readouterr().err.strip() == "config error: %s Qhat is not finite" % what
+
+
+def test_overflowing_lifted_weight_prints_one_line(tmp_path):
+    # in a fresh interpreter, so that stderr holds numpy's warnings too
+    cfg = _mfg_cfg(grid={"T": 1.0, "M": 8})
+    cfg["major"]["H0"] = [[1e300, 0.0], [0.0, 0.0]]
+    env = dict(os.environ, PYTHONPATH=str(Path(mmlqg.__file__).parent.parent))
+    done = subprocess.run(
+        [sys.executable, "-m", "mmlqg.cli_app", "solve-mfg", "--config",
+         _write(tmp_path, cfg), "--out", str(tmp_path / "run")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2
+    assert done.stderr == "config error: major Qhat is not finite\n"
 
 
 # ----------------------------------------------------------------- simulate
