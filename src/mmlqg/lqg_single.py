@@ -39,6 +39,7 @@ from .numerics import (
     cumulative_simpson,
     expm,
     psd_margin,
+    rk4_affine_backward,
     rk4_backward_indexed,
     rk4_forward_indexed,
     symmetrize,
@@ -301,7 +302,8 @@ def add_convexity_checks(rep: ValidationReport, label: str, Qhat, Q, N, R,
     rep.add(label + "R positive definite", r_ok, "" if r_ok else
             "min eigenvalue %.3e, asymmetry %.3e" % (r_min, r_asym))
     if r_ok:
-        S = Q - N @ spd_solver(R)(N.T)
+        with np.errstate(over="ignore", invalid="ignore"):   # a non-finite S fails
+            S = Q - N @ spd_solver(R)(N.T)
         s_min, s_tol = psd_margin(S, tol)
         rep.add(label + "Q - N R^{-1} N' PSD", s_min >= -s_tol,
                 "min eigenvalue %.3e" % s_min)
@@ -388,32 +390,38 @@ def _discount_stages(grid: TimeGrid, rho: float) -> np.ndarray:
 
 def _riccati_sweep(A_st, B, Q, N, Rinv, rho, terminal, grid: TimeGrid,
                    whats) -> List[GridFunction]:
-    """Backward RK4 sweep of the Riccati ODE for a stack of agents, on
-    half-step stage tables.
+    """Backward RK4 sweep of the Riccati ODE for a stack of agents on stage tables.
 
     dPi/dt = rho Pi - Pi A - A'Pi + (Pi B + N) R^{-1} (B'Pi + N') - Q with
-    A_st[q] = A(q h/2) and Rinv = R^{-1}.  Every array carries the agent
+    A_st[q] = A(q h/2), as W + W' + M22: W = Pi (B R^{-1} B' Pi / 2 + C(q)),
+    C = B R^{-1} N' - A + rho/2 I formed in A_st's memory and M22 = N R^{-1}
+    N' - Q symmetrized.  W + W' and every RK4 combination of symmetric
+    arrays are exactly symmetric, so Pi is.  Every array carries the agent
     axis in front of its matrix axes (after the stage axis of A_st), and
-    whats[k] names agent k's sweep.  A_st is overwritten.  Pi is
-    symmetrized after every step; divergence raises RiccatiBlowupError
+    whats[k] names agent k's sweep.  Divergence raises RiccatiBlowupError
     naming the lowest-index agent that diverged and its first non-finite
     node.
     """
-    # rho Pi enters as -rho/2 I
-    As_st = np.subtract(A_st, 0.5 * rho * np.eye(A_st.shape[-1]), out=A_st)
+    with np.errstate(over="ignore", invalid="ignore"):   # the sweep reports overflow
+        BR = B @ Rinv
+        BRB_2 = 0.5 * (BR @ B.swapaxes(-1, -2))
+        C = BR @ N.swapaxes(-1, -2) + 0.5 * rho * np.eye(A_st.shape[-1])
+        C_st = np.subtract(C, A_st, out=A_st)
+        M22 = symmetrize(N @ Rinv @ N.swapaxes(-1, -2) - Q)
 
     def stage_rhs(q, P):
-        PA = P @ As_st[q]
-        PBN = P @ B + N
-        return PBN @ Rinv @ PBN.swapaxes(-1, -2) - PA - PA.swapaxes(-1, -2) - Q
+        X = BRB_2 @ P
+        X += C_st[q]
+        W = P @ X
+        return W + W.swapaxes(-1, -2) + M22
 
-    return _swept(stage_rhs, terminal, grid, symmetrize, whats)
+    return _swept(whats, rk4_backward_indexed, stage_rhs, symmetrize(terminal), grid)
 
 
 def _offset_sweep(A_st, B, N, Rinv, rho, Pis, b_st, n_lin, eta, grid: TimeGrid,
                   whats) -> List[GridFunction]:
     """Backward RK4 sweep of the offset ODE, s(T) = 0, for a stack of agents
-    on stage tables (agent axes as in _riccati_sweep).
+    on stage tables (agent axes as in _riccati_sweep), by step maps.
 
     ds/dt = (rho I - Acl') s - f with Acl' = (A - B R^{-1} N')' - Pi B R^{-1} B'
     and f = Pi (b + B R^{-1} n) + N R^{-1} n - eta, both tabulated at every
@@ -435,18 +443,14 @@ def _offset_sweep(A_st, B, N, Rinv, rho, Pis, b_st, n_lin, eta, grid: TimeGrid,
             Acl_T = np.subtract(L_st[:, k].swapaxes(-1, -2), Pi_st @ BRB[k], out=Pi_st)
             L_st[:, k] = np.subtract(rho * np.eye(B.shape[-2]), Acl_T, out=Acl_T)
             del Pi_st, Acl_T   # before the next agent's table is formed
-
-    def stage_rhs(q, s):
-        return L_st[q] @ s - f_st[q]
-
-    return _swept(stage_rhs, np.zeros(f_st.shape[1:]), grid, None, whats)
+    return _swept(whats, rk4_affine_backward, L_st, f_st, grid)
 
 
-def _swept(stage_rhs, terminal, grid: TimeGrid, project, whats) -> List[GridFunction]:
-    """One stacked backward sweep; divergence is a RiccatiBlowupError that
-    names the diverged member's sweep."""
+def _swept(whats, sweep, *args) -> List[GridFunction]:
+    """sweep(*args), a stacked backward sweep; its divergence is a
+    RiccatiBlowupError that names the diverged member's sweep."""
     try:
-        return rk4_backward_indexed(stage_rhs, terminal, grid, project=project)
+        return sweep(*args)
     except IntegrationDivergedError as exc:
         raise RiccatiBlowupError(
             "%s diverged: %s" % (whats[exc.member], exc), node=exc.node, time=exc.time
@@ -471,7 +475,7 @@ def _solve_agent_finite(exts: List[ExtendedSystem], rho: float):
     Both run from half-step stage tables with the agent axis after the
     stage axis; each sweep gets its own stage table of A and forms its
     coefficients in place there, so a stack holds no whole-stack
-    temporaries.  Pi is symmetrized after every step.  numpy's stacked @
+    temporaries.  Pi is exactly symmetric by construction.  numpy's stacked @
     forms one product per agent, so each agent rounds exactly as it does
     in a one-element stack.  Returns (Pis, ss), one GridFunction of each
     per agent; divergence raises RiccatiBlowupError naming the
@@ -532,10 +536,10 @@ def closed_loop_cost_moments(grid: TimeGrid, rho: float, x0_mean: np.ndarray,
     Propagates the covariance V and mean mu of dx = (A_cl(t) x + d(t)) dt +
     noise, with Sig2 = sigma sigma', and accumulates each running cost
     J_i = (1/2) E int e^{-rho t} (x'W_i x + 2x'l_i + c_i) dt in one RK4 sweep
-    of the symmetric bordered matrix [[V, mu, 0], [mu', J_1, 0], [0, 0,
-    diag(J_2, ...)]]; no J feeds back, so each rounds as it does alone.  The
-    terminal weight W_T_i adds (1/2) e^{-rho T} E x'W_T_i x.  All tables are
-    indexed by half-step stages q = 0..2M at times q*h/2.
+    of the bordered matrix [[V, mu, 0], [mu', J_1, 0], [0, 0, diag(J_2,
+    ...)]], exactly symmetric if Sig2 is; no J feeds back, so each rounds as
+    it does alone.  The terminal weight W_T_i adds (1/2) e^{-rho T} E
+    x'W_T_i x.  All tables are indexed by half-step stages q = 0..2M at q h/2.
 
     x0_mean (L, n, 1) stacks L loops, each rounded as alone: tables carry
     a member axis after the stage axis, x0_cov and W_T one in front, and
@@ -564,7 +568,7 @@ def closed_loop_cost_moments(grid: TimeGrid, rho: float, x0_mean: np.ndarray,
     start[:, :n, :n] = symmetrize(x0_cov)
     start[:, :n, n:n + 1], start[:, n:n + 1, :n] = x0_mean, x0_mean.swapaxes(-1, -2)
     Y = np.stack([member.values[-1] for member in rk4_forward_indexed(
-        stage_rhs, start, grid, project=symmetrize)])
+        stage_rhs, start, grid)])
     second = Y[:, :n, :n] + Y[:, :n, n:n + 1] * Y[:, n:n + 1, :n]
     return Y[:, J, J] + half_disc[-1] * np.stack([_dots(W_T, second) for _, W_T in costs], 1)
 
@@ -596,15 +600,16 @@ def _policy_quadratic(Q, N, R, eta, nbar, c0, K, k):
     cost in the package, of one agent or of a finite-N deviator, passes
     its weights and law through here.
     """
-    NK = N @ K
     Kt = np.swapaxes(K, -1, -2)
-    W = Q - NK            # summed in place, in the order Q - NK - NK' + K'RK
-    W -= np.swapaxes(NK, -1, -2)
-    del NK
-    W += Kt @ R @ K
-    W = symmetrize(W)
-    l = N @ k - eta - Kt @ (R @ k - nbar)
-    c = c0 - 2.0 * np.swapaxes(nbar, -1, -2) @ k + np.swapaxes(k, -1, -2) @ R @ k
+    with np.errstate(over="ignore", invalid="ignore"):   # the cost sweep reports overflow
+        NK = N @ K
+        W = Q - NK        # summed in place, in the order Q - NK - NK' + K'RK
+        W -= np.swapaxes(NK, -1, -2)
+        del NK
+        W += Kt @ R @ K
+        W = symmetrize(W)
+        l = N @ k - eta - Kt @ (R @ k - nbar)
+        c = c0 - 2.0 * np.swapaxes(nbar, -1, -2) @ k + np.swapaxes(k, -1, -2) @ R @ k
     return W, l, c[..., 0, 0]
 
 
@@ -616,7 +621,7 @@ def expected_cost(p: LqgProblem, law) -> float:
     """
     K_tab, k_tab = _law_stage_tables(p, law)
     sig_tab = _stage_values(p.sigma)
-    Sig2 = np.einsum("qir,qjr->qij", sig_tab, sig_tab)
+    Sig2 = symmetrize(np.einsum("qir,qjr->qij", sig_tab, sig_tab))
     W, l, c = _policy_quadratic(p.Q, p.N_cross, p.R, p.eta, p.n_lin, 0.0, K_tab, k_tab)
     # the closed loop as a one-member stack
     return float(closed_loop_cost_moments(

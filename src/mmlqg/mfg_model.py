@@ -235,8 +235,9 @@ def build_extended_minor(
     if s0.shape != (d0, 1):
         raise DimensionGuardError("s0 must be %d x 1 on the grid" % d0)
     mn = p.minors[k]
-    BRN = major.B @ (major.Rinv @ major.N.T)     # Bb0 R0^{-1} N0ext'
-    BRB = major.B @ (major.Rinv @ major.B.T)     # Bb0 R0^{-1} Bb0'
+    with np.errstate(over="ignore", invalid="ignore"):   # the sweeps report overflow
+        BRN = major.B @ (major.Rinv @ major.N.T)     # Bb0 R0^{-1} N0ext'
+        BRB = major.B @ (major.Rinv @ major.B.T)     # Bb0 R0^{-1} Bb0'
 
     A = np.zeros((p.grid.num_nodes, d, d))
     A[:, :n] = np.hstack([mn.Ak, mn.Gk, replicate_pi(mn.Fk, p.pi)])

@@ -14,8 +14,8 @@ this module forms no extended weight.  One map serves both horizons; they
 differ only in the per-agent solve: backward RK4 sweeps on the grid, or
 the discounted ARE and steady offset at node 0.  The K minor types share
 one extended dimension, so the finite horizon sweeps them as one stack:
-an evaluation runs 4 RK4 sweeps for any K, the major's Riccati and offset
-sweeps and then the minors' stacked Riccati and offset sweeps.
+an evaluation runs 4 backward sweeps for any K, the major's Riccati and
+offset sweeps (an RK4 loop, then RK4 step maps) and then the minors'.
 
 One iteration serves the finite-horizon and the stationary problem: Anderson
 acceleration (Walker & Ni 2011) with a memory of ANDERSON_MEMORY past

@@ -3,13 +3,13 @@
 Uniform time grids, the classic fixed-step RK4 sweep for matrix-valued ODEs
 in both directions, linear interpolation, and symmetric/PSD utilities.
 Every solver in the package shares one discretization, so all grids are
-uniform and all sweeps land exactly on the grid nodes.  Every RK4 sweep in
-the package steps through the one loop here, _rk4_sweep, with its
-coefficients read from half-step stage tables.  Every sweep state is a
-matrix, or a stack of independent matrices, such as the minor types'
-Riccati matrices, swept as one state with a leading member axis.
-Finiteness is checked once per sweep, on the finished node table, and a
-divergence is reported at the first non-finite node in sweep order.
+uniform and all sweeps land exactly on the grid nodes.  Every RK4 sweep
+reads half-step stage tables and steps through the one loop here,
+_rk4_sweep, but the affine offset sweep, which applies each RK4 step as
+one affine map (rk4_affine_backward).  Every sweep state is a matrix, or
+a stack of independent matrices (such as the minor types' Riccati
+matrices) with a leading member axis.  Finiteness is checked once per
+sweep, on the node table, at the first non-finite node in sweep order.
 """
 
 from __future__ import annotations
@@ -248,20 +248,14 @@ def unflatten(x: np.ndarray, shapes) -> list:
     return parts
 
 
-def _rk4_sweep(stage_rhs, start, grid: TimeGrid, sign: int, project):
+def _rk4_sweep(stage_rhs, start, grid: TimeGrid, sign: int):
     """The package's one RK4 stepping loop: forward for sign +1, backward for -1.
 
     stage_rhs(q, Y) is the derivative at time q * h / 2.  start is stored
-    exactly at the first node; project, if given, is applied to the state
-    after every completed step.  A state of shape (L, rows, cols) is a
+    exactly at the first node.  A state of shape (L, rows, cols) is a
     stack of L independent members stepped together, and the sweep returns
     one GridFunction per member; any other state returns one GridFunction.
-
-    Finiteness is checked once, on the node table after the loop.  A
-    non-finite value raises IntegrationDivergedError at the first
-    non-finite node in sweep order, the node a check after every step
-    would stop at; in a stack it names the lowest-index member that left
-    the finite range (member), at that member's own first such node.
+    Finiteness is checked as _finite_tables says.
     """
     Y = np.atleast_2d(np.asarray(start, dtype=float)).copy()
     M = grid.num_steps
@@ -280,11 +274,20 @@ def _rk4_sweep(stage_rhs, start, grid: TimeGrid, sign: int, project):
             k3 = stage_rhs(a + b, Y + 0.5 * h * k2)
             k4 = stage_rhs(2 * b, Y + h * k3)
             Y = Y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if project is not None:
-                Y = project(Y)
             out[:, b] = Y
+    tables = _finite_tables(out, grid, sign)
+    return tables if Y.ndim == 3 else tables[0]
+
+
+def _finite_tables(out, grid: TimeGrid, sign: int) -> list:
+    """The members of a sweep's node table out (members, nodes, rows, cols)
+    as GridFunctions, once finite.  Else IntegrationDivergedError names the
+    lowest-index member that left the finite range (member) at its first
+    non-finite node in sweep order (direction sign), where a check after
+    every step would stop."""
+    first = 0 if sign > 0 else grid.num_steps
     stepped = out[:, 1:] if sign > 0 else out[:, -2::-1]   # the stepped nodes, in sweep order
-    finite = np.isfinite(stepped).reshape(out.shape[0], M, -1).all(-1)
+    finite = np.isfinite(stepped).reshape(stepped.shape[:2] + (-1,)).all(-1)
     if not finite.all():
         member = int(np.argmin(finite.all(1)))
         b = first + sign * (int(np.argmin(finite[member])) + 1)
@@ -293,38 +296,69 @@ def _rk4_sweep(stage_rhs, start, grid: TimeGrid, sign: int, project):
             % ("forward" if sign > 0 else "backward", b, b * grid.h),
             node=b, time=b * grid.h, member=member,
         )
-    tables = [GridFunction(grid, values) for values in out]
-    return tables if Y.ndim == 3 else tables[0]
+    return [GridFunction(grid, values) for values in out]
 
 
-def rk4_backward_indexed(stage_rhs, terminal, grid: TimeGrid, project=None):
+def rk4_backward_indexed(stage_rhs, terminal, grid: TimeGrid):
     """RK4 sweep from t_end down to 0 whose right-hand side is queried by
     half-step index.
 
     stage_rhs(q, Y) evaluates the derivative at time q * h / 2, so nodes are
     even q and interval midpoints odd q.  Lets callers with tabulated
     time-varying coefficients avoid interpolation in the hot loop.
-    terminal is stored at the last node exactly; project (used to
-    symmetrize Riccati iterates) follows every step.  A terminal of shape
+    terminal is stored at the last node exactly.  A terminal of shape
     (L, rows, cols) sweeps a stack of L members and returns a list of L
     GridFunctions (see _rk4_sweep).
     """
-    return _rk4_sweep(stage_rhs, terminal, grid, -1, project)
+    return _rk4_sweep(stage_rhs, terminal, grid, -1)
 
 
-def rk4_forward_indexed(stage_rhs, initial, grid: TimeGrid, project=None) -> GridFunction:
+def rk4_forward_indexed(stage_rhs, initial, grid: TimeGrid) -> GridFunction:
     """Forward mirror of rk4_backward_indexed; initial is stored at node 0."""
-    return _rk4_sweep(stage_rhs, initial, grid, 1, project)
+    return _rk4_sweep(stage_rhs, initial, grid, 1)
 
 
-def integrate_backward(rhs, terminal, grid: TimeGrid, project=None) -> GridFunction:
+def integrate_backward(rhs, terminal, grid: TimeGrid) -> GridFunction:
     """rk4_backward_indexed with the right-hand side rhs(t, Y) given by time.
 
     Nothing in the package calls it; the benchmark tracer
     (perfbench/spans.py) still wraps this name.
     """
     h = grid.h
-    return _rk4_sweep(lambda q, Y: rhs(0.5 * q * h, Y), terminal, grid, -1, project)
+    return _rk4_sweep(lambda q, Y: rhs(0.5 * q * h, Y), terminal, grid, -1)
+
+
+# Step maps, steps times members, that rk4_affine_backward forms at once
+MAP_BLOCK = 32
+
+
+def rk4_affine_backward(L_st: np.ndarray, f_st: np.ndarray, grid: TimeGrid) -> list:
+    """RK4 sweep of y' = L(t) y - f(t), y(t_end) = 0, down to 0 for a stack
+    on stage tables L_st (2M + 1, members, d, d) and f_st (2M + 1, members,
+    d, 1), as step maps y_j = Phi_j y_{j+1} + c_j, formed by stacked products
+    for MAP_BLOCK // members steps at a time, then applied node by node.
+    With G = [L | -f] and h = -grid.h, P1 = G_a, P2 = G_m + (h/2) L_m P1,
+    P3 = G_m + (h/2) L_m P2 and P4 = G_b + h L_b P3 at the step's upper
+    node, midpoint and lower node, and [Phi | c] = [I | 0] + (h/6)(P1 +
+    2 P2 + 2 P3 + P4).  Members round as alone; finiteness as in _rk4_sweep."""
+    M, h = grid.num_steps, -grid.h
+    _, members, d, _ = L_st.shape
+    out = np.empty((members, M + 1, d, 1))
+    out[:, M] = y = np.zeros((members, d, 1))
+    nb = min(M, max(1, MAP_BLOCK // members))
+    # overflow in a diverging sweep is expected; the finite check reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for hi in range(M, 0, -nb):
+            lo = max(hi - nb, 0)
+            G = np.concatenate([L_st[2 * lo:2 * hi + 1], -f_st[2 * lo:2 * hi + 1]], -1)
+            Gm, Gb = G[1::2], G[:-1:2]
+            P2 = Gm + 0.5 * h * (Gm[..., :d] @ G[2::2])
+            P3 = Gm + 0.5 * h * (Gm[..., :d] @ P2)
+            S = (h / 6.0) * (G[2::2] + 2.0 * P2 + 2.0 * P3 + Gb + h * (Gb[..., :d] @ P3))
+            Phi, c = S[..., :d] + np.eye(d), S[..., d:]
+            for i in range(hi - lo - 1, -1, -1):
+                out[:, lo + i] = y = Phi[i] @ y + c[i]
+    return _finite_tables(out, grid, -1)
 
 
 def cumulative_simpson(values: np.ndarray, h: float) -> np.ndarray:

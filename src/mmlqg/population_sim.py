@@ -477,7 +477,7 @@ class ReducedPopulation:
         self.V0 = np.zeros((self.D, self.D))
         for o, sig, cov, c in noise:
             r = slice(o, o + n)
-            self.Sig2[r, r] = sig @ sig.T / c
+            self.Sig2[r, r] = symmetrize(sig @ sig.T) / c   # exact, for the moment sweep
             self.V0[r, r] = cov / c
         self.mu0 = np.zeros((self.D, 1))
         self.mu0[self.xb_off:self.xb_off + n * K, 0] = xbar0

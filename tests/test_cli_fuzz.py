@@ -14,9 +14,11 @@ import copy
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -121,3 +123,25 @@ def test_every_mutated_config_ends_in_an_exit_code(case):
         code = cli_app.main([command, "--config", str(path),
                              "--out", str(Path(tmp) / "run")])
     assert code in (0, 2, 3, 4), (command, code)
+
+
+@pytest.mark.parametrize("case, code", [
+    (_mutated("solve-lqg", [(("n", 0, 0), 1e300)]), 3),
+    (_mutated("solve-mfg", [(("major", "B0", 1, 0), 1e300)]), 3),
+    (_mutated("simulate", [(("major", "B0", 1, 0), 1e300)]), 3),
+    (_mutated("solve-lqg", [(("N", 0, 0), 1e300)]), 4),
+    (_mutated("solve-mfg", [(("major", "N0", 0, 0), 1e300)]), 4),
+], ids=["solve-lqg-n", "solve-mfg-B0", "simulate-B0", "solve-lqg-N", "solve-mfg-N0"])
+def test_overflowing_weight_warns_nothing_before_its_typed_error(case, code):
+    # each overflows in a product that a typed check follows: the closed
+    # loop's constant cost, the major's B0 R0^{-1} B0' in every minor's
+    # drift, N R^{-1} N' in the convexity check
+    command, cfg = case
+    with tempfile.TemporaryDirectory() as tmp, \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert cli_app.main([command, "--config", str(path),
+                             "--out", str(Path(tmp) / "run")]) == code
+    assert [str(w.message) for w in caught] == []

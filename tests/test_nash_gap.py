@@ -207,8 +207,11 @@ def test_one_midpoint_rule_and_a_best_response_without_loops():
     strided, loops, calls, gathered = [], None, [], set()
     for f in sorted(Path(mmlqg.__file__).parent.glob("*.py")):
         tree = ast.parse(f.read_text())
+        # rk4_affine_backward reads stage tables at nodes and midpoints but
+        # forms no midpoint
         skip = {id(n) for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
-                and fn.name == "_stage_values" for n in ast.walk(fn)}
+                and fn.name in ("_stage_values", "rk4_affine_backward")
+                for n in ast.walk(fn)}
         for node in ast.walk(tree):
             if isinstance(node, ast.Slice) and id(node) not in skip \
                     and isinstance(node.step, ast.Constant) and node.step.value == 2:
@@ -225,7 +228,8 @@ def test_one_midpoint_rule_and_a_best_response_without_loops():
             names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} \
                 | {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
                    for a in n.names}
-            assert not names & {"rk4_backward_indexed", "flatten", "unflatten"}
+            assert not names & {"rk4_backward_indexed", "rk4_affine_backward",
+                                "flatten", "unflatten"}
     assert strided == []
     assert loops == []
     assert calls.count("_solve_agent_finite") == 1 and calls.count("_closed_loop_cost") == 2
@@ -565,9 +569,9 @@ def test_gap_rows_carry_their_worst_diagnostics(coupled):
 
 
 def _count_work(monkeypatch):
-    """Counts of forward and backward RK4 sweeps, chain recursions, reduced
-    records built and agent-id lookups (each walks the N-long type array),
-    from here on."""
+    """Counts of forward and backward RK4 sweeps (a backward one by the
+    RK4 loop or by step maps), chain recursions, reduced records built and
+    agent-id lookups (each walks the N-long type array), from here on."""
     calls = dict.fromkeys(["forward", "backward", "chain", "record", "agent_key"], 0)
 
     def counted(key, original):
@@ -578,6 +582,7 @@ def _count_work(monkeypatch):
 
     for key, original in (("forward", lqg_single.rk4_forward_indexed),
                           ("backward", lqg_single.rk4_backward_indexed),
+                          ("backward", lqg_single.rk4_affine_backward),
                           ("chain", population_sim.discrete_chain_cost),
                           ("agent_key", population_sim._agent_key)):
         for module in (lqg_single, population_sim, nash_gap):

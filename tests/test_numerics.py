@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from mmlqg import numerics
@@ -189,6 +189,66 @@ def test_project_hook_applied():
     )
     for j in range(g.num_nodes):
         np.testing.assert_array_equal(sol.values[j], sol.values[j].T)
+
+
+def _divergence(sweep):
+    """(member, node) of the sweep's IntegrationDivergedError, or None."""
+    try:
+        sweep()
+    except IntegrationDivergedError as exc:
+        return exc.member, exc.node
+    return None
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.fixed_dictionaries({
+    "seed": st.integers(0, 2**32 - 1),
+    "members": st.integers(1, 3),
+    "d": st.integers(1, 6),
+    "M": st.integers(1, 300),
+    "T": st.sampled_from([0.5, 1.0, 4.0]),
+    "diverging": st.sampled_from([None, None, 0, 1, 2]),
+    "growth": st.sampled_from([15, 18, 25, 33, 50]),
+}))
+@example({"seed": 1, "members": 3, "d": 6, "M": 300, "T": 1.0, "diverging": None,
+          "growth": 15})
+@example({"seed": 2, "members": 3, "d": 2, "M": 257, "T": 4.0, "diverging": 1,
+          "growth": 18})
+def test_step_map_sweep_is_the_rk4_loop(g):
+    # the affine sweep's step maps against the generic RK4 loop on the same
+    # random time-varying stage tables: equal up to roundoff, each member
+    # as in a one-member stack bit for bit, and a diverging member named
+    # at the same node.  The divergence check scales one member's L by
+    # 10^growth / h, so the node values grow like 10^(growth (3 + 4 i)) in
+    # the i-th step and, for the growths drawn, pass the overflow threshold
+    # 1e308 with at least 15 decades on either side.  Nearer to it the
+    # routes may part: the loop's last stage, about 6/h times the new node
+    # value, can overflow while the value itself is finite, so under a slow
+    # growth (h |L| near 10) the loop names a node one to five steps before
+    # the one where the step maps, which form no such stage, leave the
+    # finite range.
+    rng = np.random.default_rng(g["seed"])
+    L, d, M = g["members"], g["d"], g["M"]
+    grid = TimeGrid(g["T"], M)
+    L_st = rng.normal(size=(2 * M + 1, L, d, d))
+    f_st = rng.normal(size=(2 * M + 1, L, d, 1))
+    bad = g["diverging"]
+    if bad is not None and bad < L:
+        L_st[:, bad] *= 10.0 ** g["growth"] / grid.h
+        outcomes = [_divergence(lambda: numerics.rk4_affine_backward(L_st, f_st, grid)),
+                    _divergence(lambda: rk4_backward_indexed(
+                        lambda q, y: L_st[q] @ y - f_st[q], np.zeros((L, d, 1)), grid))]
+        event("scaled member: %s" % ("diverged" if outcomes[1] else "finite"))
+        assert outcomes[0] == outcomes[1]
+        return
+    event("one block" if M <= numerics.MAP_BLOCK // L else "several blocks")
+    maps = numerics.rk4_affine_backward(L_st, f_st, grid)
+    loop = rk4_backward_indexed(lambda q, y: L_st[q] @ y - f_st[q], np.zeros((L, d, 1)), grid)
+    for k, (a, b) in enumerate(zip(maps, loop)):
+        assert a.grid == b.grid and a.shape == b.shape == (d, 1)
+        assert np.max(np.abs(a.values - b.values)) <= 1e-12 * np.max(np.abs(b.values))
+        (alone,) = numerics.rk4_affine_backward(L_st[:, k:k + 1], f_st[:, k:k + 1], grid)
+        assert np.array_equal(alone.values, a.values)
 
 
 def test_nonfinite_raises_with_node():

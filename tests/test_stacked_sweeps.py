@@ -6,7 +6,7 @@ forms one product per agent, so the stack must reproduce each type's
 own one-element sweep bit for bit, name the diverging agent and node
 that sweeping the types one by one, minor[0] first, names in the same
 stage (Riccati or offset), and keep a consistency-map evaluation at 4
-backward sweeps for any K.
+backward sweeps for any K: 2 RK4 loops and 2 step-map sweeps.
 """
 
 import dataclasses
@@ -25,8 +25,9 @@ from mmlqg.mfg_solver import (
     _initial_law,
     solve_consistency_finite,
 )
-from mmlqg.numerics import GridFunction, TimeGrid, rk4_backward_indexed
+from mmlqg.numerics import GridFunction, TimeGrid, rk4_backward_indexed, symmetrize
 from mmlqg.toys import coupled_toy, decoupled_toy
+from oracles import integrate_backward
 from test_fixed_point_property import random_game
 
 
@@ -35,6 +36,19 @@ def minor_records(p):
     major = build_extended_major(p, _initial_law(p))
     (Pi0,), (s0,) = _solve_agent_finite([major], p.rho)
     return [build_extended_minor(p, k, major, Pi0, s0) for k in range(p.K)]
+
+
+def former_riccati_sweep(ext, rho):
+    """The Riccati sweep on the right-hand side rho Pi - Pi A - A'Pi +
+    (Pi B + N) R^{-1} (B'Pi + N') - Q, symmetrized after every step."""
+    I = np.eye(ext.dim)
+
+    def rhs(t, P):
+        A = ext.A.interp(t) - 0.5 * rho * I
+        PBN = P @ ext.B + ext.N
+        return PBN @ ext.Rinv @ PBN.T - P @ A - A.T @ P - ext.Q
+
+    return integrate_backward(rhs, ext.Qhat, ext.A.grid, project=symmetrize)
 
 
 def outcome(fn):
@@ -127,16 +141,37 @@ def test_diverging_minor_type_stops_the_fixed_point(bad_types, named):
     assert exc.value.node == node
 
 
+@pytest.mark.parametrize("game", [
+    lambda: coupled_toy(M=40),
+    *(lambda seed=seed: random_game(seed, 2, 1, 2, 40, 0.5, 0.7) for seed in range(4)),
+], ids=["coupled_toy", *("random_game%d" % seed for seed in range(4))])
+def test_riccati_nodes_are_exactly_symmetric_and_match_the_former_rhs(game):
+    # W + W' + M22 and every RK4 combination of symmetric arrays are
+    # symmetric in floating point, with no projection after each step
+    p = game()
+    for ext in [build_extended_major(p, _initial_law(p)), *minor_records(p)]:
+        (Pi,), _ = _solve_agent_finite([ext], p.rho)
+        assert all(np.array_equal(P, P.T) for P in Pi.values), ext.what
+        former = former_riccati_sweep(ext, p.rho).values
+        assert np.max(np.abs(Pi.values - former)) <= 1e-12 * np.max(np.abs(former)), ext.what
+
+
 @pytest.mark.parametrize("K", [1, 2, 3])
 def test_one_evaluation_makes_four_backward_sweeps(monkeypatch, K):
+    # two routes: the Riccati sweeps step through the RK4 loop, the offset
+    # sweeps through the step maps; each is recorded by its state's shape
     sweeps = []
-    sweep = lqg_single.rk4_backward_indexed
 
-    def counted(*args, **kwargs):
-        sweeps.append(args[1].shape)
-        return sweep(*args, **kwargs)
+    def counted(sweep, state_shape):
+        def wrapper(*args, **kwargs):
+            sweeps.append(state_shape(args[1]))
+            return sweep(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(lqg_single, "rk4_backward_indexed", counted)
+    monkeypatch.setattr(lqg_single, "rk4_backward_indexed", counted(
+        lqg_single.rk4_backward_indexed, lambda terminal: terminal.shape))
+    monkeypatch.setattr(lqg_single, "rk4_affine_backward", counted(
+        lqg_single.rk4_affine_backward, lambda f_st: f_st.shape[1:]))
     p = random_game(7, 2, 1, K, 8, 0.5, 0.0)
     x0, evaluate = _consistency_map(p, _initial_law(p), _solve_agent_finite,
                                     p.grid.num_nodes)

@@ -9,11 +9,16 @@ So do two commands the benchmark does not run: solve-lqg on the pinned
 2-state config LQG below, and verify --out.  Per operation it prints the
 data files (all but manifest.json) whose sha256 differs and, for the
 workloads, each side's largest departure from the values in
-perfbench/reference.json, in tolerances.  It exits 1 on any difference.
+perfbench/reference.json, in tolerances.  For each differing CSV or JSON
+file it also prints the largest absolute and relative difference over
+the numeric cells both sides hold, so a roundoff change shows as one.
+It exits 1 on any difference.
 """
 
 import argparse
+import csv
 import functools
+import json
 import math
 import sys
 import tempfile
@@ -31,6 +36,46 @@ def largest_move(w, out, ref):
     vals = gate.values(w, out)
     return max((abs(vals.get(k, math.inf) - v) / (ref["atol"] + ref["rtol"] * abs(v))
                 for k, v in ref["values"].items()), default=0.0)
+
+
+def numeric_cells(path: Path) -> dict:
+    """The numbers of a CSV file by (row, column), or of a JSON file by key
+    path; other cells are left out."""
+    if path.suffix == ".json":
+        cells = {}
+
+        def walk(node, key):
+            items = node.items() if isinstance(node, dict) else \
+                enumerate(node) if isinstance(node, list) else None
+            if items is not None:
+                for k, v in items:
+                    walk(v, key + (k,))
+            elif isinstance(node, (int, float)) and not isinstance(node, bool):
+                cells[key] = float(node)
+
+        walk(json.loads(path.read_text()), ())
+        return cells
+    cells = {}
+    with path.open() as fh:
+        for i, row in enumerate(csv.reader(fh)):
+            for j, v in enumerate(row):
+                try:
+                    cells[i, j] = float(v)
+                except ValueError:
+                    pass
+    return cells
+
+
+def largest_difference(a: Path, b: Path) -> str:
+    """The largest absolute and relative difference between the numeric
+    cells of two data files, and how many cells only one of them holds."""
+    x, y = numeric_cells(a), numeric_cells(b)
+    diffs = [(abs(x[k] - y[k]), abs(x[k] - y[k]) / max(abs(x[k]), abs(y[k])))
+             for k in x.keys() & y.keys() if not x[k] == y[k]]
+    size = "largest difference %.3g abs, %.3g rel" % tuple(
+        max((d[i] for d in diffs), default=0.0) for i in (0, 1))
+    unmatched = len(x.keys() ^ y.keys())
+    return size + ("; %d numeric cells on one side only" % unmatched if unmatched else "")
 
 
 # noise, discount, a cross weight, both targets, a constant b and x0
@@ -60,9 +105,10 @@ with tempfile.TemporaryDirectory() as tmp:
                                                 "--out", str(out)], None))
     ops.append(("verify", lambda out: CLI + ["verify", "--out", str(out)], None))
     for w, argv, ref in ops:
-        hashes, moves = [], []
+        hashes, moves, outs = [], [], []
         for side, root in (("this", ROOT), ("other", args.other.resolve())):
             out, env, log = tmp / w / side, run.child_env(), tmp / "ops.log"
+            outs.append(out)
             env["PYTHONPATH"] = str(root / "src")
             code, _, _ = run.run_process(argv(out), env, log)
             if code != 0:
@@ -75,4 +121,7 @@ with tempfile.TemporaryDirectory() as tmp:
         print("%-10s %d data files %s; largest move against the reference: this %s, "
               "other %s tolerances" % (w, len(hashes[0]), "differ: " + ", ".join(differ)
                                        if differ else "byte-identical", *moves))
+        for name in differ:
+            if name in hashes[0] and name in hashes[1] and Path(name).suffix in (".csv", ".json"):
+                print("    %s: %s" % (name, largest_difference(*(out / name for out in outs))))
 sys.exit(1 if failed else 0)
