@@ -17,7 +17,9 @@ module.  hashlib loads only when the manifest is written.
 """
 
 import argparse
+import itertools
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -35,38 +37,46 @@ from .numerics import _as_seed
 CSV_BLOCK = 2 ** 13
 
 
-def _write_blocks(path: Path, header, blocks):
-    """The header, then each block of equal-length columns, integer ones as
-    %d and the rest as %.17g: one format string covers the block's rows
-    and is applied, in one call, to the flat tuple of its cells in row
-    order."""
+def _write_csv(path: Path, header, columns):
+    """CSV of equal-length columns, integer ones as %d and the rest as
+    %.17g, CSV_BLOCK rows at a time: one format string covers a block's
+    rows and is applied, in one call, to its cells in row order."""
+    cols = [np.asarray(c) for c in columns]
+    line = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in cols) + "\n"
     with path.open("w") as fh:
         fh.write(",".join(header) + "\n")
-        for cols in blocks:
-            line = ",".join("%d" if np.issubdtype(c.dtype, np.integer) else "%.17g"
-                            for c in cols) + "\n"
-            cells = [None] * (len(cols[0]) * len(cols))
-            for i, c in enumerate(cols):
-                cells[i::len(cols)] = c.tolist()
-            fh.write((line * len(cols[0])) % tuple(cells))
-
-
-def _write_csv(path: Path, header, columns):
-    """CSV of equal-length columns, CSV_BLOCK rows at a time."""
-    cols = [np.asarray(c) for c in columns]
-    rows = len(cols[0]) if cols else 0
-    _write_blocks(path, header, ([c[a:a + CSV_BLOCK] for c in cols]
-                                 for a in range(0, rows, CSV_BLOCK)))
+        for a in range(0, len(cols[0]) if cols else 0, CSV_BLOCK):
+            rows = list(zip(*(c[a:a + CSV_BLOCK].tolist() for c in cols)))
+            fh.write((line * len(rows)) % tuple(itertools.chain.from_iterable(rows)))
 
 
 def _write_table(path: Path, header, values: np.ndarray):
-    """Long format of an n-d table: per entry its indices, then its value;
-    each block's indices come from its own range of flat positions."""
+    """Long format of an n-d table: per entry its indices as %d, then its
+    value as %.17g.  The trailing axes that fit in CSV_BLOCK rows, or else
+    a block of the last axis, form a group whose lines are built once as a
+    template: a marker, their indices as text, then %.17g.  A block joins a
+    copy per leading index tuple, the marker replaced by the tuple's text,
+    and applies % once to its values: memory stays one block."""
     values = np.asarray(values, dtype=float)
-    flat = values.reshape(-1)
-    _write_blocks(path, header, (
-        np.unravel_index(np.arange(a, min(a + CSV_BLOCK, flat.size)), values.shape)
-        + (flat[a:a + CSV_BLOCK],) for a in range(0, flat.size, CSV_BLOCK)))
+    shape, nd = values.shape, values.ndim             # g leading axes, G group rows
+    g = next((i for i in range(1, nd) if math.prod(shape[i:]) <= CSV_BLOCK), nd - 1)
+    G, line = math.prod(shape[g:]), "@" + "%d," * (nd - g) + "%%.17g\n"
+
+    def template(a):                    # group rows a up to a block
+        idx = np.unravel_index(np.arange(a, min(a + CSV_BLOCK, G)), shape[g:])
+        return (line * idx[0].size) % tuple(np.stack(idx, 1).ravel().tolist())
+
+    fixed = template(0) if G <= CSV_BLOCK else None
+    leads, lead, per, hi = math.prod(shape[:g]), "%d," * g, CSV_BLOCK // G if fixed else 1, 0
+    with path.open("w") as fh:
+        fh.write(",".join(header) + "\n")
+        for k in range(0, leads, per):      # the leading index tuples of a block
+            ixs = list(zip(*(i.tolist() for i in np.unravel_index(
+                np.arange(k, min(k + per, leads)), shape[:g])))) if g else [()]
+            for a in range(0, G, CSV_BLOCK):
+                text = "".join((fixed or template(a)).replace("@", lead % ix) for ix in ixs)
+                lo, hi = hi, hi + text.count("%")
+                fh.write(text % tuple(values.flat[lo:hi].tolist()))
 
 
 def _write_grid_tables(out: Path, tables: dict):
@@ -180,8 +190,7 @@ def cmd_simulate(cfg: dict, out: Path, seed):
     }
     if study is not None:
         result = mean_field_convergence_study(p, sol, study["Ns"])
-        _write_csv(out / "convergence.csv", ("N", "rms"),
-                   zip(*result.rows))       # rows to columns
+        _write_csv(out / "convergence.csv", ("N", "rms"), zip(*result.rows))  # rows to columns
         summary["convergence_slope"] = result.slope
     _write_json(out / "summary.json", summary)
     return pop["master_seed"]

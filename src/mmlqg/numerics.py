@@ -283,8 +283,9 @@ def _finite_tables(out, grid: TimeGrid, sign: int) -> list:
     """The members of a sweep's node table out (members, nodes, rows, cols)
     as GridFunctions, once finite.  Else IntegrationDivergedError names the
     lowest-index member that left the finite range (member) at its first
-    non-finite node in sweep order (direction sign), where a check after
-    every step would stop."""
+    non-finite node value in sweep order (direction sign), as a check after
+    every step would; if the last RK4 stage overflows, that node can come up
+    to 5 steps before the exact solution leaves the float range."""
     first = 0 if sign > 0 else grid.num_steps
     stepped = out[:, 1:] if sign > 0 else out[:, -2::-1]   # the stepped nodes, in sweep order
     finite = np.isfinite(stepped).reshape(stepped.shape[:2] + (-1,)).all(-1)

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from types import SimpleNamespace
 from typing import List, Optional, Sequence
 
@@ -453,17 +454,15 @@ class ReducedPopulation:
         x0_sel = eye[self.x0_off:self.x0_off + n]
         if own_type is None:
             mj, law = p.major, sol.major_law
-            C = x0_sel - mj.H0 @ avg
-            eta, self.Q, self.Ncr, self.R = mj.eta0, mj.Q0, mj.N0, mj.R0
-            self.Qhat, B_own = mj.Qhat0, mj.B0
+            self.C = x0_sel - mj.H0 @ avg
+            self.eta, self.Q, self.Ncr, self.R = mj.eta0, mj.Q0, mj.N0, mj.R0
+            self.Qhat, self.B_own = mj.Qhat0, mj.B0
         else:
             mn, law = p.minors[own_type], sol.minor_laws[own_type]
-            C = eye[:n] - mn.Hk @ x0_sel - mn.Hhatk @ avg
-            eta, self.Q, self.Ncr, self.R = mn.etak, mn.Qk, mn.Nk, mn.Rk
-            self.Qhat, B_own = mn.Qhatk, mn.Bk
-        self.C = C
-        self.weights = lift_tracking(C, self.Qhat, self.Q, self.Ncr, self.R, eta)
-        self.c0 = (eta.T @ self.Q @ eta).item()
+            self.C = eye[:n] - mn.Hk @ x0_sel - mn.Hhatk @ avg
+            self.eta, self.Q, self.Ncr, self.R = mn.etak, mn.Qk, mn.Nk, mn.Rk
+            self.Qhat, self.B_own = mn.Qhatk, mn.Bk
+        self.c0 = (self.eta.T @ self.Q @ self.eta).item()
         self.Kz_nodes = law.K.values @ eye[:self.xb_off + n * K]
         self.k_nodes = law.k.values
 
@@ -482,8 +481,14 @@ class ReducedPopulation:
         self.mu0 = np.zeros((self.D, 1))
         self.mu0[self.xb_off:self.xb_off + n * K, 0] = xbar0
 
-        self.A_nodes, self.d_nodes = self.drift(closed=False)
-        self.B_full = np.vstack([B_own, np.zeros((self.D - n, self.m))])
+    # formed on first read: the convergence study reads none of them
+    weights = cached_property(lambda self: lift_tracking(
+        self.C, self.Qhat, self.Q, self.Ncr, self.R, self.eta))
+    B_full = cached_property(lambda self: np.vstack(
+        [self.B_own, np.zeros((self.D - self.n, self.m))]))
+    _open = cached_property(lambda self: self.drift(closed=False))
+    A_nodes = cached_property(lambda self: self._open[0])
+    d_nodes = cached_property(lambda self: self._open[1])
 
     # the four node tables at the stages, formed where a sweep reads them
     A = property(lambda self: _stage_values(self.A_nodes))

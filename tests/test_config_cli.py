@@ -671,14 +671,36 @@ _CELLS = [0.0, -0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e300, -1e300,
           3.0, -7.0, 2.0 ** 53, 0.1, 1.0 / 3.0, -2.5e-7, math.inf, math.nan]
 
 
-@pytest.mark.parametrize("shape", [(14,), (2, 3, 4), (2, 3, 2, 5), (0, 3, 2)])
-def test_table_writer_matches_the_row_loop(tmp_path, shape):
-    values = np.resize(_CELLS, math.prod(shape)).reshape(shape)
-    header = tuple("abcd"[:len(shape)]) + ("value",)
+def _matches_the_row_loop(tmp_path, values):
+    header = tuple("abcd"[:values.ndim]) + ("value",)
     cli_app._write_table(tmp_path / "new.csv", header, values)
     write_csv_rows(tmp_path / "old.csv", header,
-                   [ix + (values[ix],) for ix in np.ndindex(*shape)])
-    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+                   [ix + (values[ix],) for ix in np.ndindex(*values.shape)])
+    return (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+@pytest.mark.parametrize("shape", [(14,), (2, 3, 4), (2, 3, 2, 5), (0, 3, 2)])
+def test_table_writer_matches_the_row_loop(tmp_path, shape):
+    assert _matches_the_row_loop(tmp_path, np.resize(_CELLS, math.prod(shape)).reshape(shape))
+
+
+# a trailing group larger than a block, a last axis longer than a block, a
+# 1-d table longer than a block, and a zero-length middle and last axis
+@pytest.mark.parametrize("block", [3, 4])
+@pytest.mark.parametrize("shape", [(14,), (2, 3, 4), (2, 3, 2, 5), (0, 3, 2), (2, 4, 2),
+                                   (3, 7), (11,), (2, 0, 3), (2, 3, 0), (5, 1, 1)])
+def test_table_writer_in_small_blocks_matches_the_row_loop(tmp_path, monkeypatch,
+                                                           shape, block):
+    monkeypatch.setattr(cli_app, "CSV_BLOCK", block)
+    assert _matches_the_row_loop(tmp_path, np.resize(_CELLS, math.prod(shape)).reshape(shape))
+
+
+@pytest.mark.parametrize("block", [3, 4, cli_app.CSV_BLOCK])
+def test_table_writer_reads_a_noncontiguous_view(tmp_path, monkeypatch, block):
+    monkeypatch.setattr(cli_app, "CSV_BLOCK", block)
+    values = np.resize(_CELLS, 24).reshape(2, 3, 4).transpose(2, 0, 1)
+    assert not values.flags.c_contiguous
+    assert _matches_the_row_loop(tmp_path, values)
 
 
 def test_column_writer_matches_the_row_loop(tmp_path):
@@ -720,4 +742,27 @@ def test_table_writer_memory_does_not_grow_with_the_file(tmp_path, monkeypatch):
 
     # 5 blocks against 40: a writer that held the whole table would grow 8x
     small, large = peak(5 * block), peak(40 * block)
+    assert large <= 1.5 * small, (small, large)
+
+
+@pytest.mark.parametrize("shape", [(3, -1), (-1, 1, 2)])
+def test_table_writer_memory_does_not_grow_with_a_long_axis(tmp_path, monkeypatch, shape):
+    # a last axis longer than a block, cut into pieces; many leading groups
+    # of two rows, 200 to a block
+    block = 400
+    monkeypatch.setattr(cli_app, "CSV_BLOCK", block)
+
+    def peak(rows):
+        values = np.resize(_CELLS, rows).reshape(shape)
+        tracemalloc.start()
+        try:
+            cli_app._write_table(tmp_path / "t.csv", tuple("abc"[:len(shape)]) + ("value",),
+                                 values)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # 15 blocks against 120: (3, 2000) against (3, 16000), and
+    # (3000, 1, 2) against (24000, 1, 2)
+    small, large = peak(3 * 5 * block), peak(3 * 40 * block)
     assert large <= 1.5 * small, (small, large)

@@ -371,8 +371,9 @@ def test_reduced_record_holds_nothing_that_grows_with_population(coupled):
 
     def shapes(N, dev):
         js = build_joint_closed_loop(p, sol, PopulationConfig(N=N), dev)
-        arrays = {name: np.shape(v) for name, v in vars(js).items()
-                  if isinstance(v, (np.ndarray, list, tuple))}
+        names = [*vars(js), "A_nodes", "d_nodes", "B_full"]   # formed on first read
+        arrays = {name: np.shape(getattr(js, name)) for name in names
+                  if isinstance(getattr(js, name), (np.ndarray, list, tuple))}
         return {**arrays, **{"weights." + k: np.shape(v) for k, v in js.weights.items()}}
 
     for dev in _deviators(p, 8):

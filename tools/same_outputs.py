@@ -5,8 +5,11 @@ this one on every benchmark operation.
 
 Each workload runs on its perfbench/workloads.make_config config at the
 PINNED sizes in a fresh process, with this checkout's src/ and OTHER's.
-So do two commands the benchmark does not run: solve-lqg on the pinned
-2-state config LQG below, and verify --out.  Per operation it prints the
+So do three operations the benchmark does not run: solve-lqg on the
+pinned 2-state config LQG below, verify --out, and sim-wide, simulate
+with N = 4500 minors at M = 10 and no study, whose (N + 1) x n rows per
+node exceed cli_app.CSV_BLOCK, so that states.csv takes the writer's
+branch where the trailing axes do not fit in a block.  Per operation it prints the
 data files (all but manifest.json) whose sha256 differs and, for the
 workloads, each side's largest departure from the values in
 perfbench/reference.json, in tolerances.  For each differing CSV or JSON
@@ -104,6 +107,11 @@ with tempfile.TemporaryDirectory() as tmp:
     ops.append(("solve-lqg", lambda out: CLI + ["solve-lqg", "--config", str(lqg_path),
                                                 "--out", str(out)], None))
     ops.append(("verify", lambda out: CLI + ["verify", "--out", str(out)], None))
+    wide_path = workloads.write_config(dict(workloads.game_config(10), population={
+        "N": 4500, "num_paths": 1, "master_seed": workloads.master_seed(args.seed)}),
+        tmp / "wide.json")
+    ops.append(("sim-wide", lambda out: CLI + ["simulate", "--config", str(wide_path),
+                                               "--out", str(out)], None))
     for w, argv, ref in ops:
         hashes, moves, outs = [], [], []
         for side, root in (("this", ROOT), ("other", args.other.resolve())):
