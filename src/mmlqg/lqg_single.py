@@ -36,8 +36,6 @@ from .numerics import (
     TimeGrid,
     _as_array,
     _as_real,
-    cumulative_simpson,
-    expm,
     psd_margin,
     rk4_affine_backward,
     rk4_backward_indexed,
@@ -223,15 +221,6 @@ class LqgSolution:
     s: GridFunction
     law: FeedbackLaw
     validation: Optional[ValidationReport] = None   # the checks the solver ran
-
-
-@dataclass
-class CostateOracle:
-    """Deterministic trajectory, control, and costate (sigma = 0 only)."""
-
-    x: GridFunction
-    u: GridFunction
-    p: GridFunction
 
 
 @dataclass
@@ -641,12 +630,13 @@ def _open_loop_trajectory(p: LqgProblem, u: GridFunction) -> GridFunction:
     return rk4_forward_indexed(rhs, p.x0, p.grid)
 
 
-def costate_oracle(p: LqgProblem, u: GridFunction) -> CostateOracle:
-    """Deterministic costate along the trajectory driven by u (sigma = 0).
+def costate_oracle(p: LqgProblem, u: GridFunction) -> tuple:
+    """Deterministic state and costate (x, p) along the trajectory driven
+    by u (sigma = 0), as GridFunctions.
 
-    p(t) = e^{-rho T} e^{A'(T-t)} Qhat x_T + e^{-A' t} I(t) with
-    I(t) = int_t^T e^{-rho s} e^{A' s} (Q x + N u - eta) ds, evaluated by
-    cumulative quadrature and incremental matrix-exponential powers.
+    p solves the adjoint equation p' = -A'p - e^{-rho t}(Q x + N u - eta),
+    p(T) = e^{-rho T} Qhat x_T, swept backward by RK4 with x and u read at
+    the stages through _stage_values.
     """
     if not np.allclose(p.sigma.values, 0.0):
         raise UnsupportedOracleError(
@@ -655,37 +645,14 @@ def costate_oracle(p: LqgProblem, u: GridFunction) -> CostateOracle:
     if u.shape != (p.m, 1):
         raise SchemaError("control must be m x 1 on the grid")
     x = _open_loop_trajectory(p, u)
-    grid = p.grid
-    M = grid.num_steps
-    h = grid.h
-    T = grid.t_end
-    disc = np.exp(-p.rho * grid.nodes)
+    disc = _discount_stages(p.grid, p.rho)[:, None, None]
+    forcing = disc * (p.Q @ _stage_values(x) + p.N_cross @ _stage_values(u) - p.eta)
+    At = p.A.T
 
-    E_fwd = expm(p.A.T * h)
-    E_bwd = expm(-p.A.T * h)
-    P_fwd = np.empty((M + 1, p.n, p.n))   # e^{A' t_j}
-    P_bwd = np.empty((M + 1, p.n, p.n))   # e^{-A' t_j}
-    P_fwd[0] = np.eye(p.n)
-    P_bwd[0] = np.eye(p.n)
-    for j in range(1, M + 1):
-        P_fwd[j] = P_fwd[j - 1] @ E_fwd
-        P_bwd[j] = P_bwd[j - 1] @ E_bwd
+    def rhs(q, costate):
+        return -(At @ costate) - forcing[q]
 
-    integrand = disc[:, None, None] * np.einsum(
-        "jab,jbc->jac",
-        P_fwd,
-        np.einsum("ab,jbc->jac", p.Q, x.values)
-        + np.einsum("ab,jbc->jac", p.N_cross, u.values)
-        - p.eta[None, :, :],
-    )
-    C = cumulative_simpson(integrand, h)
-    I_tail = C[-1][None, :, :] - C
-
-    QxT = p.Qhat @ x.values[-1]
-    p_vals = np.exp(-p.rho * T) * np.einsum(
-        "jab,bc->jac", P_fwd[::-1], QxT
-    ) + np.einsum("jab,jbc->jac", P_bwd, I_tail)
-    return CostateOracle(x=x, u=u.copy(), p=GridFunction(grid, p_vals))
+    return x, rk4_backward_indexed(rhs, disc[-1] * (p.Qhat @ x.values[-1]), p.grid)
 
 
 def gateaux_derivative_det(p: LqgProblem, u: GridFunction, omega: GridFunction) -> float:
@@ -695,16 +662,16 @@ def gateaux_derivative_det(p: LqgProblem, u: GridFunction, omega: GridFunction) 
     with the costate p from costate_oracle; the time integral uses the
     trapezoid rule on the grid nodes.
     """
-    oracle = costate_oracle(p, u)
+    x, costate = costate_oracle(p, u)
     if omega.shape != (p.m, 1):
         raise SchemaError("direction must be m x 1 on the grid")
     grid = p.grid
     disc = np.exp(-p.rho * grid.nodes)
     g = disc[:, None, None] * (
-        np.einsum("ab,jbc->jac", p.N_cross.T, oracle.x.values)
+        np.einsum("ab,jbc->jac", p.N_cross.T, x.values)
         + np.einsum("ab,jbc->jac", p.R, u.values)
         - p.n_lin[None, :, :]
-    ) + np.einsum("ab,jbc->jac", p.B.T, oracle.p.values)
+    ) + np.einsum("ab,jbc->jac", p.B.T, costate.values)
     w = trapezoid_weights(grid)
     vals = np.einsum("jac,jac->j", omega.values, g)
     return float(np.dot(w, vals))

@@ -179,39 +179,6 @@ def symmetrize(P: np.ndarray) -> np.ndarray:
     return S
 
 
-# Pade [13/13] coefficients of exp and the 1-norm up to which the
-# approximant is accurate to double precision (Higham 2005, Table 2.3)
-_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-           1187353796428800.0, 129060195264000.0, 10559470521600.0,
-           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
-           960960.0, 16380.0, 182.0, 1.0)
-_THETA13 = 5.371920351148152
-
-
-def expm(A: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling and squaring (Higham 2005).
-
-    A is scaled by 2^-s until its 1-norm is at most _THETA13, the [13/13]
-    Pade approximant is formed there and squared s times.
-    """
-    norm = float(np.linalg.norm(A, 1))
-    s = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
-    A = A / 2.0 ** s
-    b = _PADE13
-    I = np.eye(A.shape[0])
-    A2 = A @ A
-    A4 = A2 @ A2
-    A6 = A4 @ A2
-    U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
-             + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * I)
-    V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
-         + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * I)
-    E = np.linalg.solve(V - U, V + U)
-    for _ in range(s):
-        E = E @ E
-    return E
-
-
 def matvec_rows(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     """A x for each row x of a stack (..., L), summed row by row: a BLAS
     product of the stack may round a row unlike that row alone."""
@@ -360,30 +327,6 @@ def rk4_affine_backward(L_st: np.ndarray, f_st: np.ndarray, grid: TimeGrid) -> l
             for i in range(hi - lo - 1, -1, -1):
                 out[:, lo + i] = y = Phi[i] @ y + c[i]
     return _finite_tables(out, grid, -1)
-
-
-def cumulative_simpson(values: np.ndarray, h: float) -> np.ndarray:
-    """Cumulative integral of equally spaced samples by local parabola fits.
-
-    values has shape (M+1, ...); returns the running integral at every node
-    with out[0] = 0.  Each increment integrates the quadratic through three
-    consecutive samples, which keeps node-wise accuracy at O(h^3) where the
-    trapezoid rule gives O(h^2).
-    """
-    v = np.asarray(values, dtype=float)
-    M = v.shape[0] - 1
-    out = np.zeros_like(v)
-    if M == 0:
-        return out
-    if M == 1:
-        out[1] = 0.5 * h * (v[0] + v[1])
-        return out
-    # Increment over [t_{j-1}, t_j] from the parabola through nodes
-    # (j-2, j-1, j); the first interval uses the parabola through (0, 1, 2).
-    out[1] = h * ((5.0 / 12.0) * v[0] + (2.0 / 3.0) * v[1] - (1.0 / 12.0) * v[2])
-    inc = h * (-(1.0 / 12.0) * v[:-2] + (2.0 / 3.0) * v[1:-1] + (5.0 / 12.0) * v[2:])
-    out[2:] = out[1] + np.cumsum(inc, axis=0)
-    return out
 
 
 def trapezoid_weights(grid: TimeGrid) -> np.ndarray:

@@ -4,8 +4,7 @@ solve_discounted_are finds Pi from the matrix sign function of the
 Hamiltonian and polishes it with sign-function Lyapunov solves.  scipy
 checks it from outside the package: solve_continuous_are on the shifted
 drift, and oracles.schur_are, the Schur-method solver with the same polish
-and gates that it replaced.  numerics.expm, the costate oracle's matrix
-exponential, is checked against scipy.linalg.expm.
+and gates that it replaced.
 """
 
 import ast
@@ -24,7 +23,6 @@ import mmlqg
 from mmlqg import coupled_toy, lqg_single, solve_consistency_infinite
 from mmlqg.errors import AreSolveError, MmlqgError
 from mmlqg.lqg_single import psd_sqrt, solve_discounted_are
-from mmlqg.numerics import expm
 from oracles import schur_are
 
 
@@ -180,16 +178,3 @@ def test_sign_helper_serves_only_the_are_and_its_polish():
     others = [path.name for path in pkg.glob("*.py")
               if path.name != "lqg_single.py" and "_matrix_sign" in path.read_text()]
     assert others == []
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
-def test_expm_matches_scipy(n):
-    rng = np.random.default_rng(n)
-    for _ in range(50):
-        Ah = rng.standard_normal((n, n))
-        Ah *= rng.uniform(0.0, 10.0) / np.linalg.norm(Ah, 2)
-        # scipy's complex path: its real path strays up to 1.3e-12 from a
-        # 40-digit reference on 2 x 2 matrices of norm near 10, the complex
-        # path stays within 1e-14
-        ref = scipy.linalg.expm(Ah.astype(complex)).real
-        assert np.linalg.norm(expm(Ah) - ref) <= 1e-13 * np.linalg.norm(ref)

@@ -1,9 +1,10 @@
 """Import guards: scipy stays out of the package, numpy out of config,
 and each step loads only the modules its work runs.
 
-The package runs on numpy alone, the stationary ARE and the costate
-oracle included; scipy is a test-only oracle.  Every command and the
-stationary solve run in a fresh interpreter, since this test process has
+The package runs on numpy alone, the stationary ARE included (the
+costate is one backward RK4 sweep on numpy); scipy is a test-only
+oracle.  Every command and the stationary solve run in a fresh
+interpreter, since this test process has
 scipy loaded already, and no module of the package may import it.  The
 same interpreter records after each step which of numpy, hashlib and the
 package's submodules are loaded: `import mmlqg` loads none of them, and

@@ -531,17 +531,19 @@ def test_gateaux_matches_finite_difference():
     assert abs(deriv - fd) < 1e-5 * max(1.0, abs(fd))
 
 
-def test_costate_matches_riccati_route():
-    # p(t) = e^{-rho t} (Pi x + s) along the optimal trajectory
-    p = rich_scalar_problem(M=800)
+@pytest.mark.parametrize("problem", [rich_scalar_problem, two_state_problem])
+def test_costate_matches_riccati_route(problem):
+    # p(t) = e^{-rho t} (Pi x + s) along the optimal trajectory; the
+    # 2-state A is not symmetric, so a sweep on A in place of A' fails
+    p = problem(M=800)
     sol = solve_finite_horizon(p)
     u_star, x_star = _optimal_open_loop(p, sol)
-    oracle = costate_oracle(p, u_star)
+    _, costate = costate_oracle(p, u_star)
     disc = np.exp(-p.rho * p.grid.nodes)[:, None, None]
     pi_route = disc * (
         np.einsum("jab,jbc->jac", sol.Pi.values, x_star.values) + sol.s.values
     )
-    assert np.max(np.abs(oracle.p.values - pi_route)) < 1e-5
+    assert np.max(np.abs(costate.values - pi_route)) < 1e-5
 
 
 # -------------------------------------------------------- infinite horizon

@@ -16,7 +16,6 @@ from mmlqg.mfg_solver import FixedPointConfig
 from mmlqg.numerics import (
     GridFunction,
     TimeGrid,
-    cumulative_simpson,
     interp,
     psd_margin,
     rk4_backward_indexed,
@@ -368,28 +367,6 @@ def test_psd_check_basics():
     assert psd(np.zeros((2, 2)), 0.0)
     assert not psd(np.diag([1.0, -1.0]), 1e-9)
     assert psd(np.diag([1.0, -1e-12]), 1e-9)
-
-
-def test_cumulative_simpson_quadratic_exact():
-    # parabola fits integrate quadratics without error
-    g = TimeGrid(2.0, 16)
-    t = g.nodes
-    vals = (3.0 * t * t - 2.0 * t + 1.0)[:, None, None]
-    out = cumulative_simpson(vals, g.h)
-    exact = t**3 - t**2 + t
-    np.testing.assert_allclose(out[:, 0, 0], exact, atol=1e-12)
-
-
-def test_cumulative_simpson_sin_third_order():
-    def node_err(M):
-        g = TimeGrid(math.pi, M)
-        vals = np.sin(g.nodes)[:, None, None]
-        out = cumulative_simpson(vals, g.h)
-        return np.max(np.abs(out[:, 0, 0] - (1.0 - np.cos(g.nodes))))
-
-    e1, e2 = node_err(80), node_err(160)
-    assert e1 < 1e-5
-    assert e1 / e2 > 6.0  # at least third order
 
 
 def test_trapezoid_weights_sum():

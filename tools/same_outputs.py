@@ -14,8 +14,9 @@ data files (all but manifest.json) whose sha256 differs and, for the
 workloads, each side's largest departure from the values in
 perfbench/reference.json, in tolerances.  For each differing CSV or JSON
 file it also prints the largest absolute and relative difference over
-the numeric cells both sides hold, so a roundoff change shows as one.
-It exits 1 on any difference.
+the numeric cells both sides hold, so a roundoff change shows as one,
+and the key paths of up to five differing non-numeric cells (a changed
+string, such as a verify suite's detail).  It exits 1 on any difference.
 """
 
 import argparse
@@ -33,6 +34,8 @@ import gate  # noqa: E402
 import run  # noqa: E402
 import workloads  # noqa: E402
 
+MAX_NAMED = 5   # differing non-numeric cells named per file
+
 
 def largest_move(w, out, ref):
     """Largest |value - reference| of the recorded values, in tolerances."""
@@ -41,9 +44,9 @@ def largest_move(w, out, ref):
                 for k, v in ref["values"].items()), default=0.0)
 
 
-def numeric_cells(path: Path) -> dict:
-    """The numbers of a CSV file by (row, column), or of a JSON file by key
-    path; other cells are left out."""
+def file_cells(path: Path) -> dict:
+    """Every cell of a CSV file by (row, column), or every leaf of a JSON
+    file by key path: numbers as floats, other cells as they are."""
     if path.suffix == ".json":
         cells = {}
 
@@ -55,6 +58,8 @@ def numeric_cells(path: Path) -> dict:
                     walk(v, key + (k,))
             elif isinstance(node, (int, float)) and not isinstance(node, bool):
                 cells[key] = float(node)
+            else:
+                cells[key] = node
 
         walk(json.loads(path.read_text()), ())
         return cells
@@ -65,20 +70,32 @@ def numeric_cells(path: Path) -> dict:
                 try:
                     cells[i, j] = float(v)
                 except ValueError:
-                    pass
+                    cells[i, j] = v
     return cells
 
 
 def largest_difference(a: Path, b: Path) -> str:
     """The largest absolute and relative difference between the numeric
-    cells of two data files, and how many cells only one of them holds."""
-    x, y = numeric_cells(a), numeric_cells(b)
+    cells of two data files, the key paths (CSV: row/column) of up to
+    MAX_NAMED differing other cells, and how many cells only one of them
+    holds."""
+    x, y = file_cells(a), file_cells(b)
+    differ = [k for k in x if k in y and not x[k] == y[k]]
+
+    def numeric(k):
+        return isinstance(x[k], float) and isinstance(y[k], float)
+
     diffs = [(abs(x[k] - y[k]), abs(x[k] - y[k]) / max(abs(x[k]), abs(y[k])))
-             for k in x.keys() & y.keys() if not x[k] == y[k]]
-    size = "largest difference %.3g abs, %.3g rel" % tuple(
+             for k in differ if numeric(k)]
+    text = "largest difference %.3g abs, %.3g rel" % tuple(
         max((d[i] for d in diffs), default=0.0) for i in (0, 1))
+    other = [k for k in differ if not numeric(k)]
+    if other:
+        text += "; %d non-numeric cells differ: %s%s" % (
+            len(other), ", ".join("/".join(map(str, k)) for k in other[:MAX_NAMED]),
+            ", ..." if len(other) > MAX_NAMED else "")
     unmatched = len(x.keys() ^ y.keys())
-    return size + ("; %d numeric cells on one side only" % unmatched if unmatched else "")
+    return text + ("; %d cells on one side only" % unmatched if unmatched else "")
 
 
 # noise, discount, a cross weight, both targets, a constant b and x0
