@@ -5,8 +5,9 @@ Maruyama on the solver grid.  Every feedback law reads the deterministic
 internal mean-field state, advanced by the matching explicit Euler step
 so that the whole population is one discrete-time linear Gaussian chain.
 One stepper, _Population.advance, moves a stack of paths at once, minors
-sorted by type with agents on the last axis; DRAW_BUDGET bounds the raw
-draws held, and each step's noise is formed when the step is taken.  Each
+in agent order on the last axis, each gathering its type's coefficients;
+DRAW_BUDGET bounds the raw draws held, each step's noise is formed when
+the step is taken and the states are written in place.  Each
 (master_seed, stream, path) is one Philox stream, and one call draws
 every agent's block of it (_draws).  A run keeps the states, the type
 means and the mean field; the controls and the population average each
@@ -182,10 +183,11 @@ def _draws(master_seed: int, stream: int, path: int, count: int, shape,
 
 def _cols(A: np.ndarray, X: np.ndarray, out=None) -> np.ndarray:
     """A X on agents-last stacks X (..., L, N), one column of A at a time,
-    so every agent's value depends on its own column alone."""
-    out = np.multiply(A[:, :1], X[..., :1, :], out=out)
+    so every agent's value depends on its own column alone.  A is
+    (R, L, 1), shared, or (R, L, N), agent a's matrix A[..., a]."""
+    out = np.multiply(A[:, 0], X[..., :1, :], out=out)
     for col in range(1, A.shape[1]):
-        out += A[:, col:col + 1] * X[..., col:col + 1, :]
+        out += A[:, col] * X[..., col:col + 1, :]
     return out
 
 
@@ -205,7 +207,7 @@ class _Population:
         self.p = p
         n, m, K, laws, mns = p.n, p.m, p.K, sol.minor_laws, p.minors
         self.sqrt0 = psd_sqrt(p.init_cov_major)
-        self.sqrtm = psd_sqrt(p.init_cov_minor)
+        self.sqrtm = psd_sqrt(p.init_cov_minor)[..., None]
         self.xbar0 = _initial_mean_field(p, cfg)
         # rows: the major, then each type; v = ff - gain (x0, xbar) per node
         # is every control but for the minors' own-state part
@@ -221,103 +223,96 @@ class _Population:
             self.on_v[i * n:(i + 1) * n, i * m:(i + 1) * m] = B
         self.b = np.concatenate([p.major.b0.values]
                                 + [mn.bk.values for mn in mns], axis=1)[..., 0]
-        # per type and node: Ak - Bk Kx, Kx the gain on a minor's own state
-        self.closed = [mn.Ak - mn.Bk @ law.K.values[:, :, :n] for mn, law in zip(mns, laws)]
+        # type on the last axis: Ak - Bk Kx per node, Kx the gain on a
+        # minor's own state, and sigma_k; each agent reads its type's entry
+        self.closed = np.stack([mn.Ak - mn.Bk @ law.K.values[:, :, :n]
+                                for mn, law in zip(mns, laws)], -1)
+        self.sigma = np.stack([mn.sigmak for mn in mns], -1)
         self.law = [f.values for f in (sol.mf_law.Abar, sol.mf_law.Gbar, sol.mf_law.mbar)]
 
-    def sample(self, streams, ids):
+    def sample(self, streams, N: int):
         """Initial states and raw Brownian draws of the paths (master_seed,
-        path) in streams: x0 (S, n), per type on the columns of agent ids[k]
-        X[k] (S, n, C_k), and dW (S, count, M, r) of agents 0..count-1,
-        count = 1 + the largest id, filled in place.  Each value reads its
-        own agent's draws alone."""
+        path) in streams: x0 (S, n), the minors' X (S, n, N) in agent order,
+        and dW (S, N + 1, M, r) of agents 0..N, filled in place.  Each value
+        reads its own agent's draws alone."""
         p = self.p
         S = len(streams)
-        count = 1 + max(int(ix.max(initial=0)) for ix in ids)
         x0 = np.empty((S, p.n))
-        X = [np.empty((S, p.n, ix.size)) for ix in ids]
-        dW = np.empty((S, count, p.grid.num_steps, p.r))
+        X = np.empty((S, p.n, N))
+        dW = np.empty((S, N + 1, p.grid.num_steps, p.r))
         for s, (seed, path) in enumerate(streams):
-            xi = _draws(seed, 1, path, count, (p.n,))
-            _draws(seed, 0, path, count, dW.shape[2:], out=dW[s])
+            xi = _draws(seed, 1, path, N + 1, (p.n,))
+            _draws(seed, 0, path, N + 1, dW.shape[2:], out=dW[s])
             # + 0.0 turns the -0.0 of a zero product into 0.0, and so a state
             # at rest stays 0.0 whatever the sign of its zero terms
             x0[s] = matvec_rows(self.sqrt0, xi[0]) + 0.0
-            for k, ix in enumerate(ids):
-                X[k][s] = _cols(self.sqrtm, xi[ix].T) + 0.0
+            X[s] = _cols(self.sqrtm, xi[1:].T) + 0.0
         return x0, X, dW
 
-    def noise(self, dW, ids, j):
+    def noise(self, dW, sigma, j):
         """Noise terms sqrt(h) sigma dW of step j, formed when the step is
-        taken: the major's (S, n) and, per type on the columns of agent
-        ids[k], (S, n, C_k)."""
+        taken: the major's (S, n) and the minors' (S, n, N), sigma (n, r, N)
+        holding each minor's sigma_k."""
         sqh = math.sqrt(self.p.grid.h)
         return (sqh * matvec_rows(self.p.major.sigma0, dW[:, 0, j]),
-                [sqh * _cols(mn.sigmak, dW[:, :, j].take(ix, 1).swapaxes(-1, -2))
-                 for mn, ix in zip(self.p.minors, ids)])
+                sqh * _cols(sigma, dW[:, 1:, j].swapaxes(-1, -2)))
 
-    def advance(self, streams, type_of: np.ndarray, record: bool = False):
+    def advance(self, streams, type_of: np.ndarray, states=None):
         """Euler-Maruyama runs of the paths (master_seed, path) in streams,
         stacked, of the minors type_of.
 
-        Type k's minors sit on its columns, agents last.  Every product is
-        a matvec_rows or _cols, so no path depends on the others.  Returns
-        node tables (S, M + 1, .) of the type means (zero if a type is
-        empty) and the mean field, and if record the states (x0, X[k]).
-        Raises DivergedPathError for the first path to leave the finite
-        range."""
+        The minors sit in agent order, agents last, and each reads its
+        type's closed loop, sigma and cross drift by a gather on type_of.
+        Every product is a matvec_rows or _cols, so no path depends on the
+        others.  Returns node tables (S, M + 1, .) of the type means (zero
+        if a type is empty) and the mean field, and writes the states into
+        states (S, M + 1, N + 1, n) if given.  Raises DivergedPathError for
+        the first path to leave the finite range."""
         p = self.p
         n, K = p.n, p.K
         M, h, S = p.grid.num_steps, p.grid.h, len(streams)
-        ids = [1 + np.flatnonzero(type_of == k) for k in range(K)]
-        live = [k for k in range(K) if ids[k].size]
-        x0, X, dW = self.sample(streams, ids)
+        ids = [np.flatnonzero(type_of == k) for k in range(K)]
+        x0, X, dW = self.sample(streams, type_of.size)
+        sigma = self.sigma[..., type_of]
         xbar = np.tile(self.xbar0, (S, 1))
-        emp_types = np.zeros((S, M + 1, n * K))
+        emp_types = np.empty((S, M + 1, n * K))
+        emp = emp_types.reshape(S, M + 1, K, n)
         xbar_out = np.empty((S, M + 1, n * K))
-        trace = (np.empty((S, M + 1, n)),
-                 [np.empty((S, M + 1, n, ix.size)) for ix in ids]) if record else None
         first_bad = np.full(S, M + 1)
         # overflow in a diverging path is expected; the finite check reports it
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(M + 1):
-                for k in live:
-                    emp_types[:, j, k * n:(k + 1) * n] = X[k].sum(-1) / ids[k].size
-                glob = sum(ids[k].size / type_of.size * emp_types[:, j, k * n:(k + 1) * n]
-                           for k in range(K))
+                for k, ix in enumerate(ids):
+                    # an empty type's mean is the 0.0 of an empty sum
+                    emp[:, j, k] = X.take(ix, -1).sum(-1) / max(ix.size, 1)
                 xbar_out[:, j] = xbar
+                if states is not None:
+                    states[:, j, 0] = x0
+                    states[:, j, 1:] = X.swapaxes(-1, -2)
+                if j == M:
+                    break
+                glob = sum(ids[k].size / type_of.size * emp[:, j, k] for k in range(K))
                 v = self.ff[j] - matvec_rows(self.gain[j], np.concatenate([x0, xbar], -1))
                 # every drift but the minors' own-state part, major first
                 drift = matvec_rows(self.on_x0, x0) + matvec_rows(self.on_glob, glob) \
                     + self.b[j] + matvec_rows(self.on_v, v)
-                if record:
-                    trace[0][:, j] = x0
-                if j < M:
-                    noise0, noise = self.noise(dW, ids, j)
-                for k in live:
-                    if record:
-                        trace[1][k][:, j] = X[k]
-                    if j < M:
-                        cross = drift[:, n * (k + 1):n * (k + 2), None]
-                        X[k] = X[k] + h * (_cols(self.closed[k][j], X[k]) + cross) \
-                            + noise[k]
-                if j == M:
-                    break
+                noise0, noise = self.noise(dW, sigma, j)
+                cross = drift[:, n:].reshape(S, K, n)[:, type_of].swapaxes(-1, -2)
+                X = X + h * (_cols(self.closed[j][..., type_of], X) + cross) + noise
                 x0_next = x0 + h * drift[..., :n] + noise0
                 xbar = mean_field_step_euler(*self.law, j, h, xbar, x0)
                 x0 = x0_next
                 if not (np.isfinite(x0).all() and np.isfinite(xbar).all()
-                        and all(np.isfinite(Xk).all() for Xk in X)):
-                    fine = np.isfinite(x0).all(-1) & np.isfinite(xbar).all(-1)
-                    for Xk in X:
-                        fine &= np.isfinite(Xk).all((1, 2))
+                        and np.isfinite(X).all()):
+                    fine = np.isfinite(x0).all(-1) & np.isfinite(xbar).all(-1) \
+                        & np.isfinite(X).all((1, 2))
                     first_bad[~fine] = np.minimum(first_bad[~fine], j + 1)
         if (first_bad <= M).any():
             s = int(np.argmax(first_bad <= M))
             path, node = streams[s][1], int(first_bad[s])
             raise DivergedPathError("simulation diverged on path %d at node %d"
                                     % (path, node), path=path, node=node)
-        return emp_types, xbar_out, trace
+        return emp_types, xbar_out
 
 
 def simulate_population(p: MmMfgProblem, sol: MfgSolution,
@@ -331,29 +326,22 @@ def simulate_population(p: MmMfgProblem, sol: MfgSolution,
     its a-th consecutive block, so output is independent of scheduling
     and the first agents' draws are shared across different N.  Paths
     step together through the one stepper in stacks that fit
-    DRAW_BUDGET, minors sorted by type, agents last; no path depends on
-    the stacking.
+    DRAW_BUDGET, minors in agent order on the last axis, each reading its
+    type's coefficients; the stepper writes the states in place, and no
+    path depends on the stacking.
     """
     pop = _Population(p, sol, cfg)
     n, K = p.n, p.K
     N, P = cfg.N, cfg.num_paths
     M = p.grid.num_steps
     type_of = _type_of(p, cfg)
-    rows = 1 + np.argsort(type_of, kind="stable")   # agent ids, type by type
-
-    rec = cfg.record_states
-    states = np.empty((P, M + 1, N + 1, n)) if rec else None
+    states = np.empty((P, M + 1, N + 1, n)) if cfg.record_states else None
     xbar_out = np.empty((P, M + 1, n * K))
     emp_types = np.empty((P, M + 1, n * K))
-
     for a, b in _chunks(p, N + 1, P):
-        out = pop.advance([(cfg.master_seed, i) for i in range(a, b)], type_of, rec)
-        emp_types[a:b], xbar_out[a:b] = out[:2]
-        if rec:
-            x0s, Xs = out[2]
-            states[a:b, :, 0] = x0s
-            states[a:b, :, rows] = np.concatenate(Xs, axis=-1).swapaxes(-1, -2)
-
+        emp_types[a:b], xbar_out[a:b] = pop.advance(
+            [(cfg.master_seed, i) for i in range(a, b)], type_of,
+            None if states is None else states[a:b])
     return TrajectoryBundle(grid=p.grid, type_of=type_of,
                             counts=np.bincount(type_of, minlength=K), states=states,
                             xbar=xbar_out, empirical_types=emp_types)

@@ -9,16 +9,16 @@ their own stepping loops, so they are an independent reference for it.
 nash_gap works on the exact reduced state (x_dev, x0, xbar, S_1..S_K).
 The dense assembly here keeps every agent's state, costs O(N^3) per step
 and serves small N as the reference the reduced system must match; its
-simulator cross-check steps the population in agent order, the
-reference for the type-sorted simulator.  The chain best response and
-the perturbed-cost route run on either system; the block slicers read
-the minor Riccati and cross-weight blocks.  _stream (one generator per
-path, drawn one agent's block at a time), held_noise (every step's
-noise terms formed up front, on every stepped column) and write_csv_rows
-(one row at a time) are what the package's one-call draws, per-step
-noise and block writer must reproduce bit for bit, and
-empirical_mean_field recomputes the simulator's per-type averages from
-its recorded states.
+simulator cross-check steps the whole population by the dense joint
+matrices, the reference for the simulator's per-agent gathers.  The
+chain best response and the perturbed-cost route run on either system;
+the block slicers read the minor Riccati and cross-weight blocks.
+_stream (one generator per path, drawn one agent's block at a time),
+held_noise (every step's noise terms formed up front per type, by its
+own column loop) and write_csv_rows (one row at a time) are what the
+package's one-call draws, per-step noise and block writer must
+reproduce bit for bit, and empirical_mean_field recomputes the
+simulator's per-type averages from its recorded states.
 finite_cost_monte_carlo averages the pathwise cost over simulated paths,
 the estimate whose expectation expected_cost_exact is, as
 mean_square_deviation_monte_carlo estimates what the convergence study
@@ -63,7 +63,6 @@ from mmlqg.population_sim import (
     CostReport,
     PopulationConfig,
     TrajectoryBundle,
-    _cols,
     _stacked,
     assign_types,
     discrete_chain_cost,
@@ -85,8 +84,10 @@ def held_noise(p: MmMfgProblem, streams, ids):
     """Noise terms sqrt(h) sigma dW of every step, held at once, on the
     paths (master_seed, path) in streams: the major's noise0 (S, M, n)
     and, per type on the columns of agent ids[k], noise[k] (S, M, n, C_k).
-    The simulator once sampled them so; it now forms step j's when it
-    takes that step, and must form these values bit for bit."""
+    The simulator once sampled them so; it now forms step j's for every
+    agent when it takes that step, and must form these values bit for
+    bit.  Each is sqrt(h) times the sum over sigma_k's columns, in column
+    order, of column times draw: the order the simulator's products keep."""
     n, M, S = p.n, p.grid.num_steps, len(streams)
     sqh = math.sqrt(p.grid.h)
     count = 1 + max(int(ix.max(initial=0)) for ix in ids)
@@ -96,8 +97,11 @@ def held_noise(p: MmMfgProblem, streams, ids):
         dW = _stream(seed, 0, path).standard_normal((count, M, p.r))
         noise0[s] = sqh * matvec_rows(p.major.sigma0, dW[0])
         for k, ix in enumerate(ids):
-            _cols(p.minors[k].sigmak, dW[ix].transpose(1, 2, 0), out=noise[k][s])
-            noise[k][s] *= sqh
+            sigma, W = p.minors[k].sigmak, dW[ix].transpose(1, 2, 0)   # W (M, r, C_k)
+            term = sigma[:, :1] * W[:, :1]
+            for col in range(1, p.r):
+                term = term + sigma[:, col:col + 1] * W[:, col:col + 1]
+            noise[k][s] = sqh * term
     return noise0, noise
 
 

@@ -421,22 +421,22 @@ def test_each_steps_noise_is_the_held_noise_bit_for_bit(coupled, monkeypatch, ty
         monkeypatch.setattr(population_sim, "DRAW_BUDGET", budget)
     formed, form = [], population_sim._Population.noise
 
-    def spy(pop, dW, ids, j):
-        out = form(pop, dW, ids, j)
-        formed.append(([ix.copy() for ix in ids], j, out))
+    def spy(pop, dW, sigma, j):
+        out = form(pop, dW, sigma, j)
+        formed.append((j, out))
         return out
 
     monkeypatch.setattr(population_sim._Population, "noise", spy)
     simulate_population(p, sol, PopulationConfig(N=len(types), master_seed=11, num_paths=2,
                                                   type_assignment=types))
-    ids = [1 + np.flatnonzero(np.array(types) == k) for k in range(p.K)]
-    noise0, noise = held_noise(p, [(11, 0), (11, 1)], ids)
+    cols = [np.flatnonzero(np.array(types) == k) for k in range(p.K)]
+    noise0, noise = held_noise(p, [(11, 0), (11, 1)], [1 + c for c in cols])
     assert len(formed) == (2 if budget else 1) * M
-    for i, (got_ids, j, (w0, w)) in enumerate(formed):
+    for i, (j, (w0, w)) in enumerate(formed):
         paths = slice(i // M, i // M + 1) if budget else slice(None)
         assert j == i % M
-        assert all(np.array_equal(a, b) for a, b in zip(got_ids, ids))
-        for got, want in [(w0, noise0[paths, j])] + [(w[k], noise[k][paths, j])
+        assert w.shape == (1 if budget else 2, p.n, len(types))
+        for got, want in [(w0, noise0[paths, j])] + [(w.take(cols[k], -1), noise[k][paths, j])
                                                       for k in range(p.K)]:
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
@@ -603,9 +603,9 @@ def test_only_draws_builds_a_generator():
                              ("_suite_euler_equality", "default_rng", 0)]
 
 
-@pytest.mark.parametrize("types", [[1, 0, 0, 1, 1, 0], [1, 1, 1]],
-                         ids=["interleaved", "empty_type"])
-def test_type_sorted_stepping_matches_the_agent_order_oracle(coupled, types):
+@pytest.mark.parametrize("types", [[1, 0, 0, 1, 1, 0], [1, 1, 1], [1], [0, 0, 0, 0]],
+                         ids=["interleaved", "empty_type", "one_minor", "one_type_only"])
+def test_agents_last_stepping_matches_the_dense_joint_oracle(coupled, types):
     p, sol = coupled
     cfg = PopulationConfig(N=len(types), master_seed=11, num_paths=2,
                            type_assignment=types)
@@ -613,9 +613,8 @@ def test_type_sorted_stepping_matches_the_agent_order_oracle(coupled, types):
     assert js.validation_gap(num_paths=2) < 1e-10
     b = simulate_population(p, sol, cfg)
     assert np.array_equal(b.counts, np.bincount(types, minlength=p.K))
-    if 0 not in types:
-        assert np.array_equal(b.empirical_types[:, :, :p.n],
-                              np.zeros_like(b.empirical_types[:, :, :p.n]))
+    for k in set(range(p.K)) - set(types):
+        assert not b.empirical_types[:, :, k * p.n:(k + 1) * p.n].any()
 
 
 def test_study_is_the_node_mean_of_a_noiseless_simulation(zero_noise, coupled):

@@ -5,18 +5,23 @@ this one on every benchmark operation.
 
 Each workload runs on its perfbench/workloads.make_config config at the
 PINNED sizes in a fresh process, with this checkout's src/ and OTHER's.
-So do three operations the benchmark does not run: solve-lqg on the
-pinned 2-state config LQG below, verify --out, and sim-wide, simulate
-with N = 4500 minors at M = 10 and no study, whose (N + 1) x n rows per
-node exceed cli_app.CSV_BLOCK, so that states.csv takes the writer's
-branch where the trailing axes do not fit in a block.  Per operation it prints the
-data files (all but manifest.json) whose sha256 differs and, for the
-workloads, each side's largest departure from the values in
-perfbench/reference.json, in tolerances.  For each differing CSV or JSON
-file it also prints the largest absolute and relative difference over
-the numeric cells both sides hold, so a roundoff change shows as one,
-and the key paths of up to five differing non-numeric cells (a changed
-string, such as a verify suite's detail).  It exits 1 on any difference.
+So do four operations the benchmark does not run:
+- solve-lqg on the pinned 2-state config LQG below;
+- verify --out;
+- sim-wide, simulate with N = 4500 minors at M = 10 and no study, whose
+  (N + 1) x n rows per node exceed cli_app.CSV_BLOCK, so that states.csv
+  takes the writer's branch where the trailing axes do not fit in a block;
+- sim-empty, simulate on the pinned game with pi = [1, 0], N = 3, 2 paths
+  and study Ns [1, 2, 4], so that type 1 has no minors and an empty type
+  is covered end to end.
+Per operation it prints the data files (all but manifest.json) whose
+sha256 differs and, for the workloads, each side's largest departure
+from the values in perfbench/reference.json, in tolerances.  For each
+differing CSV or JSON file it also prints the largest absolute and
+relative difference over the numeric cells both sides hold, so a
+roundoff change shows as one, and the key paths of up to five
+differing non-numeric cells (a changed string, such as a verify suite's
+detail).  It exits 1 on any difference.
 """
 
 import argparse
@@ -129,6 +134,12 @@ with tempfile.TemporaryDirectory() as tmp:
         tmp / "wide.json")
     ops.append(("sim-wide", lambda out: CLI + ["simulate", "--config", str(wide_path),
                                                "--out", str(out)], None))
+    empty = workloads.make_config("simulate", args.seed, workloads.PINNED)
+    empty.update(pi=[1.0, 0.0], study={"Ns": [1, 2, 4]})
+    empty["population"].update(N=3, num_paths=2)
+    empty_path = workloads.write_config(empty, tmp / "empty.json")
+    ops.append(("sim-empty", lambda out: CLI + ["simulate", "--config", str(empty_path),
+                                                "--out", str(out)], None))
     for w, argv, ref in ops:
         hashes, moves, outs = [], [], []
         for side, root in (("this", ROOT), ("other", args.other.resolve())):
