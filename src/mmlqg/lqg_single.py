@@ -9,9 +9,9 @@ u* = -R^{-1}(N'x - n + B'(Pi x + s)).  Infinite horizon: the discounted
 algebraic Riccati equation solved with numpy alone, by the matrix sign
 function of its Hamiltonian (Byers) plus Newton-Kleinman polish through
 sign-function Lyapunov solves (Roberts), after Hautus tests of the
-shifted drift.  Also provides exact closed-loop cost evaluation by moment
-propagation and a deterministic Gateaux-derivative oracle used to certify
-optimality.
+shifted drift.  Also provides exact closed-loop costs on z = (y; 1), one
+weight and one second moment per affine law, and a deterministic
+Gateaux-derivative oracle used to certify optimality.
 """
 
 from __future__ import annotations
@@ -412,27 +412,18 @@ def _offset_sweep(A_st, B, N, Rinv, rho, Pis, b_st, n_lin, eta, grid: TimeGrid,
     """Backward RK4 sweep of the offset ODE, s(T) = 0, for a stack of agents
     on stage tables (agent axes as in _riccati_sweep), by step maps.
 
-    ds/dt = (rho I - Acl') s - f with Acl' = (A - B R^{-1} N')' - Pi B R^{-1} B'
-    and f = Pi (b + B R^{-1} n) + N R^{-1} n - eta, both tabulated at every
-    stage before the sweep from the agents' Riccati node tables Pis.
-    rho I - Acl' is formed in A_st's memory, one agent at a time, so only
-    one agent's Pi stage table exists at once.
+    The generator and forcing of every stage come from _offset_terms and
+    are written into A_st's memory and one forcing table, one agent at a
+    time, so only one agent's Pi stage table exists at once.
     """
-    BR = B @ Rinv
-    BRB = BR @ B.swapaxes(-1, -2)
-    bn_st = b_st + BR @ n_lin
-    f_0 = N @ Rinv @ n_lin - eta
-    f_st = np.empty(bn_st.shape)
+    f_st = np.empty(b_st.shape)
     # an overflowing Pi is reported by the sweep's finite check, not here
     with np.errstate(over="ignore", invalid="ignore"):
-        L_st = np.subtract(A_st, BR @ N.swapaxes(-1, -2), out=A_st)
         for k, Pi in enumerate(Pis):
-            Pi_st = _stage_values(Pi)
-            f_st[:, k] = Pi_st @ bn_st[:, k] + f_0[k]
-            Acl_T = np.subtract(L_st[:, k].swapaxes(-1, -2), Pi_st @ BRB[k], out=Pi_st)
-            L_st[:, k] = np.subtract(rho * np.eye(B.shape[-2]), Acl_T, out=Acl_T)
-            del Pi_st, Acl_T   # before the next agent's table is formed
-    return _swept(whats, rk4_affine_backward, L_st, f_st, grid)
+            A_st[:, k], f_st[:, k] = _offset_terms(
+                A_st[:, k], B[k], N[k], Rinv[k], rho, _stage_values(Pi), b_st[:, k],
+                n_lin[k], eta[k])
+    return _swept(whats, rk4_affine_backward, A_st, f_st, grid)
 
 
 def _swept(whats, sweep, *args) -> List[GridFunction]:
@@ -446,15 +437,20 @@ def _swept(whats, sweep, *args) -> List[GridFunction]:
         ) from exc
 
 
-def _steady_offset(A, B, N, Rinv, rho, Pi, b, n_lin, eta) -> np.ndarray:
-    """Stationary point of the offset ODE: (rho I - Acl') s = f.
-
-    Acl' and f as in _offset_sweep, with constant A, Pi and b.
-    """
+def _offset_terms(A, B, N, Rinv, rho, Pi, b, n_lin, eta) -> tuple:
+    """Generator rho I - Acl' and forcing f of the offset ODE ds/dt =
+    (rho I - Acl') s - f, with Acl' = (A - B R^{-1} N')' - Pi B R^{-1} B' and
+    f = Pi (b + B R^{-1} n) + N R^{-1} n - eta; A, Pi and b may be tables."""
     BR = B @ Rinv
-    Acl_T = (A - BR @ N.T).T - Pi @ (BR @ B.T)
     f = Pi @ (b + BR @ n_lin) + (N @ Rinv @ n_lin - eta)
-    return np.linalg.solve(rho * np.eye(A.shape[0]) - Acl_T, f)
+    Acl_T = np.swapaxes(A - BR @ N.T, -1, -2) - Pi @ (BR @ B.T)
+    return rho * np.eye(A.shape[-1]) - Acl_T, f
+
+
+def _steady_offset(A, B, N, Rinv, rho, Pi, b, n_lin, eta) -> np.ndarray:
+    """Stationary point of the offset ODE: (rho I - Acl') s = f (see
+    _offset_terms), with constant A, Pi and b."""
+    return np.linalg.solve(*_offset_terms(A, B, N, Rinv, rho, Pi, b, n_lin, eta))
 
 
 def _solve_agent_finite(exts: List[ExtendedSystem], rho: float):
@@ -516,54 +512,57 @@ def _dots(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return (X.reshape(X.shape[:-2] + (1, -1)) @ Y.reshape(Y.shape[:-2] + (-1, 1)))[..., 0, 0]
 
 
-def closed_loop_cost_moments(grid: TimeGrid, rho: float, x0_mean: np.ndarray,
-                             x0_cov: np.ndarray, A_cl: np.ndarray, d: np.ndarray,
-                             Sig2: np.ndarray, costs: list):
-    """Exact discounted quadratic costs of a linear closed loop, one per
-    entry ((W, l, c), W_T) of costs.
+def _homogeneous(A, b) -> np.ndarray:
+    """[[A, b], [0, 0]]: A acting on y and b on the constant of the
+    homogeneous state z = (y; 1), over the broadcast leading axes of A and
+    b (b may be a scalar): a drift, noise or weight of an exact cost."""
+    A, b = np.asarray(A), np.asarray(b)
+    r, c = A.shape[-2:]
+    out = np.zeros(np.broadcast_shapes(A.shape[:-2], b.shape[:-2]) + (r + 1, c + 1))
+    out[..., :r, :c] = A
+    out[..., :r, c:] = b
+    return out
 
-    Propagates the covariance V and mean mu of dx = (A_cl(t) x + d(t)) dt +
-    noise, with Sig2 = sigma sigma', and accumulates each running cost
-    J_i = (1/2) E int e^{-rho t} (x'W_i x + 2x'l_i + c_i) dt in one RK4 sweep
-    of the bordered matrix [[V, mu, 0], [mu', J_1, 0], [0, 0, diag(J_2,
-    ...)]], exactly symmetric if Sig2 is; no J feeds back, so each rounds as
-    it does alone.  The terminal weight W_T_i adds (1/2) e^{-rho T} E
-    x'W_T_i x.  All tables are indexed by half-step stages q = 0..2M at q h/2.
 
-    x0_mean (L, n, 1) stacks L loops, each rounded as alone: tables carry
-    a member axis after the stage axis, x0_cov and W_T one in front, and
-    the result is (L, len(costs)).  One loop is a one-member stack.
+def closed_loop_cost_moments(grid: TimeGrid, rho: float, Z0: np.ndarray, F: np.ndarray,
+                             S: np.ndarray, costs: list):
+    """Exact discounted quadratic costs of a linear closed loop dz = F(t) z
+    dt + noise on z = (y; 1), F = [[A_cl, d], [0, 0]], noise S = [[sigma
+    sigma', 0], [0, 0]] per unit time, one per entry (W, W_T) of costs.
+
+    One RK4 sweep carries the second moment Z = E zz', Z' = F Z + Z F' + S
+    from Z0, and each J_i = (1/2) int e^{-rho t} tr(W_i Z) dt on the
+    diagonal of [[Z, 0], [0, diag(J_1, ...)]], exactly symmetric if S is; no
+    J feeds back, so each rounds as it does alone.  W_T_i adds (1/2)
+    e^{-rho T} tr(W_T_i Z(T)).  Tables are indexed by half-step stages.
+
+    Z0 (L, D + 1, D + 1) stacks L loops, each rounded as alone: tables carry
+    a member axis after the stage axis, W_T one in front, and the result is
+    (L, len(costs)).  One loop is a one-member stack.
     """
-    L, n, _ = x0_mean.shape
-    J = np.arange(n, n + len(costs))       # the J entries on the diagonal
+    L, E, _ = Z0.shape
+    J = np.arange(E, E + len(costs))       # the J entries on the diagonal
     half_disc = 0.5 * _discount_stages(grid, rho)
 
     def stage_rhs(q, Y):
-        # contiguous copies: a strided view may round a product differently
-        V, mu = Y[:, :n, :n].copy(), Y[:, :n, n:n + 1].copy()
-        AV = A_cl[q] @ V
+        Z = Y[:, :E, :E]
+        FZ = F[q] @ Z
         dY = np.zeros(Y.shape)
-        dY[:, :n, :n] = AV + AV.swapaxes(-1, -2) + Sig2[q]
-        dY[:, :n, n:n + 1] = A_cl[q] @ mu + d[q]
-        dY[:, n:n + 1, :n] = dY[:, :n, n:n + 1].swapaxes(-1, -2)
-        # mu mu' elementwise: the products numpy's @ forms for a column
-        # times a row, up to the sign of a zero
-        second = V + mu * mu.swapaxes(-1, -2)
-        for i, ((W, l, c), _) in enumerate(costs, n):
-            dY[:, i, i] = half_disc[q] * (_dots(W[q], second) + 2.0 * _dots(l[q], mu) + c[q])
+        dY[:, :E, :E] = FZ + FZ.swapaxes(-1, -2) + S[q]
+        for i, (W, _) in enumerate(costs, E):
+            dY[:, i, i] = half_disc[q] * _dots(W[q], Z)
         return dY
 
-    start = np.zeros((L, n + len(costs), n + len(costs)))
-    start[:, :n, :n] = symmetrize(x0_cov)
-    start[:, :n, n:n + 1], start[:, n:n + 1, :n] = x0_mean, x0_mean.swapaxes(-1, -2)
+    start = np.zeros((L, E + len(costs), E + len(costs)))
+    start[:, :E, :E] = Z0
     Y = np.stack([member.values[-1] for member in rk4_forward_indexed(
         stage_rhs, start, grid)])
-    second = Y[:, :n, :n] + Y[:, :n, n:n + 1] * Y[:, n:n + 1, :n]
-    return Y[:, J, J] + half_disc[-1] * np.stack([_dots(W_T, second) for _, W_T in costs], 1)
+    return Y[:, J, J] + half_disc[-1] * np.stack(
+        [_dots(W_T, Y[:, :E, :E]) for _, W_T in costs], 1)
 
 
-def _law_stage_tables(p: LqgProblem, law) -> tuple:
-    """Half-step tables (K[q], k[q]) for u = -Kx + k from any accepted law.
+def _law_stage_table(p: LqgProblem, law) -> np.ndarray:
+    """Half-step table Kz[q] = [K, -k] of u = -Kx + k from any accepted law.
 
     Accepts FeedbackLaw, LqgSolution or an open-loop GridFunction
     (treated as u(t) with linear interpolation), each sampled on p's grid.
@@ -571,52 +570,50 @@ def _law_stage_tables(p: LqgProblem, law) -> tuple:
     if isinstance(law, LqgSolution):
         law = law.law
     if isinstance(law, FeedbackLaw):
-        return (_stage_values(_as_grid_function("law.K", law.K, p.grid, p.m, p.n)),
-                _stage_values(_as_grid_function("law.k", law.k, p.grid, p.m, 1)))
-    if isinstance(law, GridFunction):
-        return (np.zeros((2 * p.grid.num_steps + 1, p.m, p.n)),
-                _stage_values(_as_grid_function("law", law, p.grid, p.m, 1)))
-    raise SchemaError("unsupported control law type %r" % type(law).__name__)
+        K = _as_grid_function("law.K", law.K, p.grid, p.m, p.n).values
+        k = _as_grid_function("law.k", law.k, p.grid, p.m, 1).values
+    elif isinstance(law, GridFunction):
+        k = _as_grid_function("law", law, p.grid, p.m, 1).values
+        K = np.zeros(k.shape[:2] + (p.n,))
+    else:
+        raise SchemaError("unsupported control law type %r" % type(law).__name__)
+    return _stage_values(np.concatenate([K, -k], -1))
 
 
-def _policy_quadratic(Q, N, R, eta, nbar, c0, K, k):
-    """Running cost of one agent under the affine law u = -K X + k.
-
-    Returns (W, l, c) with X'WX + 2X'l + c = X'QX + 2X'Nu + u'Ru - 2X'eta
-    - 2u'nbar + c0 for every X.  K and k may be stage tables, with a
-    leading stage axis, and W, l and c are then tables too (for a stack,
-    weights and c0 carry a member axis in front, tables after).  Every exact
-    cost in the package, of one agent or of a finite-N deviator, passes
-    its weights and law through here.
+def _policy_quadratic(Q, N, R, eta, nbar, c0, Kz):
+    """Running cost weight W of one agent under u = -K X + k = -Kz z on
+    z = (X; 1), Kz = [K, -k]: W = Qz - Nz Kz - Kz'Nz' + Kz'R Kz, symmetrized,
+    Qz = [[Q, -eta], [-eta', c0]] and Nz = [N; -nbar'], so z'Wz = X'QX +
+    2X'Nu + u'Ru - 2X'eta - 2u'nbar + c0.  Kz may be a stage table and W is
+    then one too (a stack's weights and c0 carry a member axis in front,
+    tables after).  Every exact cost in the package passes through here.
     """
-    Kt = np.swapaxes(K, -1, -2)
+    Qz = _homogeneous(Q, -eta)
+    Qz[..., -1, :-1] = Qz[..., :-1, -1]
+    Qz[..., -1:, -1:] = c0
+    Nz = np.concatenate([N, -np.swapaxes(nbar, -1, -2)], -2)
     with np.errstate(over="ignore", invalid="ignore"):   # the cost sweep reports overflow
-        NK = N @ K
-        W = Q - NK        # summed in place, in the order Q - NK - NK' + K'RK
+        NK = Nz @ Kz
+        W = Qz - NK        # summed in place, in the order Qz - NK - NK' + Kz'RKz
         W -= np.swapaxes(NK, -1, -2)
         del NK
-        W += Kt @ R @ K
-        W = symmetrize(W)
-        l = N @ k - eta - Kt @ (R @ k - nbar)
-        c = c0 - 2.0 * np.swapaxes(nbar, -1, -2) @ k + np.swapaxes(k, -1, -2) @ R @ k
-    return W, l, c[..., 0, 0]
+        W += np.swapaxes(Kz, -1, -2) @ R @ Kz
+        return symmetrize(W)
 
 
 def expected_cost(p: LqgProblem, law) -> float:
-    """Exact J under a linear law u = -Kx + k: no sampling.
-
-    Mean and covariance of the closed loop are propagated and the quadratic
-    running cost is integrated through trace identities.
-    """
-    K_tab, k_tab = _law_stage_tables(p, law)
-    sig_tab = _stage_values(p.sigma)
-    Sig2 = symmetrize(np.einsum("qir,qjr->qij", sig_tab, sig_tab))
-    W, l, c = _policy_quadratic(p.Q, p.N_cross, p.R, p.eta, p.n_lin, 0.0, K_tab, k_tab)
+    """Exact J under a linear law u = -Kx + k, from the second moment of
+    z = (x; 1) under the closed loop: no sampling."""
+    Kz = _law_stage_table(p, law)
+    sig = _stage_values(p.sigma)
+    S = _homogeneous(symmetrize(np.einsum("qir,qjr->qij", sig, sig)), 0.0)
+    F = _homogeneous(p.A, _stage_values(p.b)) - np.vstack([p.B, np.zeros((1, p.m))]) @ Kz
+    z0 = np.vstack([p.x0, [[1.0]]])
+    W = _policy_quadratic(p.Q, p.N_cross, p.R, p.eta, p.n_lin, 0.0, Kz)
     # the closed loop as a one-member stack
     return float(closed_loop_cost_moments(
-        p.grid, p.rho, p.x0[None], np.zeros((1, p.n, p.n)), (p.A - p.B @ K_tab)[:, None],
-        (p.B @ k_tab + _stage_values(p.b))[:, None], Sig2[:, None],
-        [((W[:, None], l[:, None], c[:, None]), p.Qhat[None])])[0, 0])
+        p.grid, p.rho, (z0 @ z0.T)[None], F[:, None], S[:, None],
+        [(W[:, None], _homogeneous(p.Qhat, 0.0)[None])])[0, 0])
 
 
 def _open_loop_trajectory(p: LqgProblem, u: GridFunction) -> GridFunction:
@@ -828,21 +825,19 @@ def solve_discounted_are(
         raise AreSolveError("stable subspace of the Hamiltonian: %s" % exc) from exc
     Pi = symmetrize(Pi)
 
-    for _ in range(3):
+    for newton in range(4):   # the last pass only gates the third step's Pi
         F = _are_residual(Pi, A, B, Q, N, rinv, rho)
-        if float(np.linalg.norm(F)) < 1e-13:
-            break
         A_c = A - B @ rinv(B.T @ Pi + N.T) - 0.5 * rho * np.eye(n)
-        if np.max(np.linalg.eigvals(A_c).real) >= 0:
-            break  # Newton step not defined off the stabilizing branch
+        stable = bool(np.max(np.linalg.eigvals(A_c).real) < 0)
+        # a Newton step is not defined off the stabilizing branch
+        if newton == 3 or float(np.linalg.norm(F)) < 1e-13 or not stable:
+            break
         S = _matrix_sign(np.block([[A_c.T, F], [np.zeros((n, n)), -A_c]]))
         Pi = symmetrize(Pi + 0.5 * S[:n, n:])
 
-    terms = _are_terms(Pi, A, B, Q, N, rinv, rho)
-    res = float(np.linalg.norm(_are_residual(Pi, A, B, Q, N, rinv, rho)))
-    roundoff = ARE_ROUNDOFF * np.finfo(float).eps * sum(map(np.linalg.norm, terms))
-    A_c = A - B @ rinv(B.T @ Pi + N.T) - 0.5 * rho * np.eye(n)
-    stable = bool(np.max(np.linalg.eigvals(A_c).real) < 0)
+    res = float(np.linalg.norm(F))
+    roundoff = ARE_ROUNDOFF * np.finfo(float).eps * sum(
+        map(np.linalg.norm, _are_terms(Pi, A, B, Q, N, rinv, rho)))
     if res >= max(ARE_RESIDUAL_TOL, roundoff) or not stable:
         raise AreSolveError(
             "no stabilizing Riccati solution found (residual %.3e, closed loop %s)"

@@ -10,24 +10,25 @@ convex single-agent LQG problem, built like every agent of the game:
 mfg_model.lift_tracking forms its weights, ReducedPopulation._agent()
 states it as an ExtendedSystem, and the Riccati/offset sweeps and gain
 expression of every agent solve it (lqg_single._solve_agent_finite,
-_gain_tables).  Every cost here is one affine policy on stage tables of
-the reduced system, turned into a running quadratic by lqg_single's one
-policy quadratic and costed by exact moment propagation, so the gap
-carries no sampling noise.  Every cost runs on records of one dimension
-D stacked by population_sim._stacked.  A gap table stacks every N's
-records alike: per stack one agent solve, one propagation of the
-equilibrium closed loops (which carry J_eq and the identity below), one
-of the best responses' loops, and one chain recursion of the assembly
-checks.  A single gap, and equilibrium_cost_ode, run a one-member stack,
-bit for bit.  In the uncoupled case the equilibrium law is already
-optimal and the gap vanishes.
+_gain_tables).  Every cost here is one affine policy, u = -Kz z on
+z = (y; 1), turned into one running weight by lqg_single's one policy
+quadratic and costed by exact propagation of E zz' under the closed loop
+F - Bz Kz, so the gap carries no sampling noise.  Every cost runs on
+records of one dimension D stacked by population_sim._stacked.  A gap
+table stacks every N's records alike: per stack one agent solve, one
+propagation of the equilibrium closed loops (which carry J_eq and the
+identity below), one of the best responses' loops, and one chain
+recursion of the assembly checks.  A single gap, and
+equilibrium_cost_ode, run a one-member stack, bit for bit.  In the
+uncoupled case the equilibrium law is already optimal and the gap
+vanishes.
 
 Two checks ride along with every gap.  Completing the square gives
 J(u) - J(u_br) = 1/2 E int e^{-rho t} (u - u_br)' R (u - u_br) dt for
 any policy u; identity_mismatch is the distance of that integral, along
 the equilibrium closed loop, from J_eq - J_br: the time error, second
-order in h.  The un-deviated chain cost, built from the open drift
-tables plus the lifted equilibrium gain table, must agree with the chain
+order in h.  The un-deviated chain cost, the open drift closed by Bz
+and the lifted equilibrium gain table, must agree with the chain
 on the record's own closed drift, expected_cost_exact's value
 (assembly_crosscheck).
 """
@@ -41,8 +42,8 @@ import numpy as np
 
 from .errors import AssumptionViolationError
 from .lqg_single import (PSD_TOL, FeedbackLaw, ValidationReport, _gain_tables,
-                          _policy_quadratic, _solve_agent_finite, _stage_values,
-                          add_convexity_checks, closed_loop_cost_moments)
+                          _homogeneous, _policy_quadratic, _solve_agent_finite,
+                          _stage_values, add_convexity_checks, closed_loop_cost_moments)
 from .mfg_model import MmMfgProblem
 from .mfg_solver import MfgSolution
 from .numerics import _as_count
@@ -56,27 +57,26 @@ def build_joint_closed_loop(p: MmMfgProblem, sol: MfgSolution,
     return ReducedPopulation(p, sol, *key)
 
 
-def _closed_loop_cost(js, K: np.ndarray, k: np.ndarray, extra=()) -> np.ndarray:
-    """Exact deviator costs of u = -K[q] y + k[q] (stage tables), then the
-    cost of each extra ((W, l, c), W_T), along the closed loops
-    dy = ((A - B K) y + d + B k) dt + noise of the stacked records js, in
-    one propagation by the package's one moment-and-cost propagator: an
+def _closed_loop_cost(js, Kz: np.ndarray, extra=()) -> np.ndarray:
+    """Exact deviator costs of u = -Kz[q] z (a stage table on z = (y; 1)),
+    then the cost of each extra (W, W_T), along the closed loops
+    dz = (F - Bz Kz) z dt + noise of the stacked records js, in one
+    propagation by the package's one moment-and-cost propagator: an
     (L, costs) array."""
     p, w = js.p, js.weights
-    own = _policy_quadratic(w["Q"], w["N"], w["R"], w["eta"], w["nbar"], js.c0, K, k)
-    B = js.B_full
-    A = js.A - B @ K
+    own = _policy_quadratic(w["Q"], w["N"], w["R"], w["eta"], w["nbar"], js.c0, Kz)
+    F = js.F - js.Bz @ Kz
     return closed_loop_cost_moments(
-        p.grid, p.rho, js.mu0, js.V0, A, js.d + B @ k,
-        np.broadcast_to(js.Sig2, A.shape), [(own, w["Qhat"]), *extra],
+        p.grid, p.rho, js.Z0, F, np.broadcast_to(js.S, F.shape),
+        [(own, _homogeneous(w["Qhat"], 0.0)), *extra],
     )
 
 
 def equilibrium_cost_ode(js: ReducedPopulation) -> float:
     """Deviator's cost with everyone, deviator included, on the MFG law:
     the record as a one-member stack."""
-    one = _stacked([js], ("A", "d", "Kz", "k_st"))
-    return float(_closed_loop_cost(one, one.Kz, one.k_st)[0, 0])
+    one = _stacked([js], ("F", "Kz"))
+    return float(_closed_loop_cost(one, one.Kz)[0, 0])
 
 
 @dataclass
@@ -114,19 +114,21 @@ def _best_responses(records: List[ReducedPopulation]) -> List[BestResponse]:
     """Exact full-information best responses of records of one D: one
     stacked agent solve, then two stacked moment propagations, the
     equilibrium closed loops, each carrying both J_eq and gap_identity (the
-    deviation u_eq - u_br = -(Kz - K) y + (k_st - k) weighted by R), and
-    the best responses' own closed loops."""
+    deviation u_eq - u_br = -dK z, dK = Kz_eq - Kz_br, weighted by dK'R dK),
+    and the best responses' own closed loops."""
     agents = [js._agent() for js in records]
     Pis, ss = _solve_agent_finite(agents, records[0].p.rho)
     laws = [_gain_tables(*solved) for solved in zip(agents, Pis, ss)]
-    K = _stage_values(np.stack([law.K.values for law in laws], 1))
-    k = _stage_values(np.stack([law.k.values for law in laws], 1))
-    js = _stacked(records, ("A", "d", "Kz", "k_st"))
-    w = js.weights
-    deviation = _policy_quadratic(0.0, np.zeros_like(w["N"]), w["R"], 0.0,
-                                  np.zeros_like(w["nbar"]), 0.0, js.Kz - K, js.k_st - k)
-    J_eq = _closed_loop_cost(js, js.Kz, js.k_st, [(deviation, np.zeros_like(w["Q"]))])
-    J_br = _closed_loop_cost(js, K, k)[:, 0]
+    del agents   # their A and b are contiguous copies of slices of F_nodes
+    K = np.stack([law.K.values for law in laws], 1)
+    k = np.stack([law.k.values for law in laws], 1)
+    Kz = _stage_values(np.concatenate([K, -k], -1))
+    js = _stacked(records, ("F", "Kz"))
+    dK = js.Kz - Kz
+    with np.errstate(over="ignore", invalid="ignore"):   # the cost sweep reports overflow
+        deviation = dK.swapaxes(-1, -2) @ js.weights["R"] @ dK
+    J_eq = _closed_loop_cost(js, js.Kz, [(deviation, np.zeros_like(js.Z0))])
+    J_br = _closed_loop_cost(js, Kz)[:, 0]
     return [BestResponse(law, Pi.values, s.values, float(cost), float(identity), float(eq))
             for law, Pi, s, (eq, identity), cost in zip(laws, Pis, ss, J_eq, J_br)]
 
@@ -160,13 +162,13 @@ def _gap_reports(records: List[ReducedPopulation], keys) -> List[NashGapReport]:
     """Reports of screened records of one D, keyed (N, agent_id): stacked
     best responses, then one chain recursion of each record's chain on its
     own closed drift, then of its un-deviated chain, the open drift closed
-    by B_full and the lifted gain table."""
+    by Bz and the lifted gain table."""
     L, reports = len(records), []
     brs = _best_responses(records)
-    js = _stacked(records + records, ("A_nodes", "d_nodes", "Kz_nodes", "k_nodes"))
-    A, d = js.A_nodes - js.B_full @ js.Kz_nodes, js.d_nodes + js.B_full @ js.k_nodes
-    A[:, :L], d[:, :L] = (np.stack(t, 1) for t in zip(*[r.drift(closed=True) for r in records]))
-    J = chain_costs(js, A, d)
+    js = _stacked(records + records, ("F_nodes", "Kz_nodes"))
+    F = js.F_nodes - js.Bz @ js.Kz_nodes
+    F[:, :L] = np.stack([r.drift(closed=True) for r in records], 1)
+    J = chain_costs(js, F)
     for (N, agent_id), br, check in zip(keys, brs, np.abs(J[L:] - J[:L])):
         gap = br.equilibrium_cost - br.cost
         reports.append(NashGapReport(agent_id, N, br.equilibrium_cost, br.cost, gap, {

@@ -12,14 +12,14 @@ the step is taken and the states are written in place.  Each
 every agent's block of it (_draws).  A run keeps the states, the type
 means and the mean field; the controls and the population average each
 drift reads are functions of those and are not stored.
-Expected costs come exactly, by propagating the mean and covariance of
-that same chain, so each is the precise expectation of the pathwise cost
+Expected costs come exactly, by propagating the second moment of that
+same chain on z = (y; 1), the precise expectation of the pathwise cost
 of simulated paths.  Like the simulator, which reads the laws' tables at
 node j, the exact route reads node tables only: the reduced state's
-drift and the agent's law at the nodes, with its running cost formed by
-lqg_single's one policy quadratic.  One record, ReducedPopulation, serves
-that cost and nash_gap's deviator; its agent's weights come from
-mfg_model.lift_tracking, as every agent's.  Every exact cost runs on a
+drift F = [[A, d], [0, 0]] and the agent's law Kz = [K, -k], with its
+running cost weight from lqg_single's one policy quadratic.  One
+record, ReducedPopulation, serves that cost and nash_gap's deviator; its
+agent's weights come from mfg_model.lift_tracking, as every agent's.  Every exact cost runs on a
 stack of records of one dimension (_stacked), a single one included.
 The convergence study runs the same recursion on the population's
 aggregate record, so its RMS is exact too and nothing in it is drawn.
@@ -36,8 +36,8 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .errors import DivergedPathError, IntegrationDivergedError, SchemaError
-from .lqg_single import (ExtendedSystem, _as_matrix, _dots, _policy_quadratic,
-                          _stage_values, psd_sqrt)
+from .lqg_single import (ExtendedSystem, _as_matrix, _dots, _homogeneous,
+                          _policy_quadratic, _stage_values, psd_sqrt)
 from .mfg_model import MmMfgProblem, lift_tracking
 from .mfg_solver import MfgSolution, mean_field_step_euler
 from .numerics import (GridFunction, _as_array, _as_count, _as_seed, matvec_rows,
@@ -132,7 +132,11 @@ def assign_types(pi, N: int) -> np.ndarray:
     """
     pi = np.asarray(pi, dtype=float)
     K = pi.shape[0]
-    out = np.empty(N, dtype=np.int64)
+    try:
+        out = np.empty(N, dtype=np.int64)
+    except MemoryError:
+        raise SchemaError("N = %d minors: their %d bytes of type indices do not fit in "
+                          "memory" % (N, 8 * N)) from None
     counts = np.zeros(K)
     a = 0
     while a < N:
@@ -400,13 +404,13 @@ class ReducedPopulation:
     roundoff, discretization included.
 
     The agent's running cost tracks C y - eta, and weights is
-    mfg_model.lift_tracking of C, as for every agent of the game.  A_nodes
-    and d_nodes tabulate the drift with the agent's rows uncontrolled; its
-    input enters through B_full, which is zero outside its own block rows
-    (the first n).  Kz_nodes and k_nodes tabulate the agent's own
-    equilibrium law lifted to y, u = -Kz_nodes[j] y + k_nodes[j].  A, d, Kz
-    and k_st are those four at the stages q = 0..2M the RK4 sweeps read,
-    formed on each read.  The tables are shared: treat them as read-only.
+    mfg_model.lift_tracking of C, as for every agent of the game.  Costs
+    run on z = (y; 1): F_nodes tabulates dz = F z dt with the agent's rows
+    uncontrolled, its input entering through Bz, zero outside its own
+    rows (the first n); Kz_nodes, its own law lifted, u = -Kz_nodes[j] z;
+    Z0 = E z(0)z(0)'; S, the noise of z.  F and Kz are those tables at the
+    stages, formed on each read.  The tables are shared: treat them as
+    read-only.
     """
 
     def __init__(self, p: MmMfgProblem, sol: MfgSolution, counts: Sequence[int],
@@ -451,8 +455,8 @@ class ReducedPopulation:
             self.eta, self.Q, self.Ncr, self.R = mn.etak, mn.Qk, mn.Nk, mn.Rk
             self.Qhat, self.B_own = mn.Qhatk, mn.Bk
         self.c0 = (self.eta.T @ self.Q @ self.eta).item()
-        self.Kz_nodes = law.K.values @ eye[:self.xb_off + n * K]
-        self.k_nodes = law.k.values
+        self.Kz_nodes = np.concatenate([law.K.values @ eye[:self.xb_off + n * K],
+                                        -law.k.values], -1)
 
         covm = p.init_cov_minor
         noise = [(self.x0_off, p.major.sigma0, p.init_cov_major, 1)]
@@ -460,40 +464,39 @@ class ReducedPopulation:
             noise.append((0, p.minors[own_type].sigmak, covm, 1))
         noise += [(o, p.minors[k].sigmak, covm, counts[k])
                   for k, o in enumerate(self.S_off) if o is not None]
-        self.Sig2 = np.zeros((self.D, self.D))
-        self.V0 = np.zeros((self.D, self.D))
+        # E z is nonzero on xbar and 1 alone, off the covariance blocks
+        self.S = np.zeros((self.D + 1, self.D + 1))
+        zbar = np.zeros((self.D + 1, 1))
+        zbar[self.xb_off:self.xb_off + n * K, 0], zbar[-1] = xbar0, 1.0
+        self.Z0 = zbar @ zbar.T
         for o, sig, cov, c in noise:
             r = slice(o, o + n)
-            self.Sig2[r, r] = symmetrize(sig @ sig.T) / c   # exact, for the moment sweep
-            self.V0[r, r] = cov / c
-        self.mu0 = np.zeros((self.D, 1))
-        self.mu0[self.xb_off:self.xb_off + n * K, 0] = xbar0
+            self.S[r, r] = symmetrize(sig @ sig.T) / c   # exact, for the moment sweep
+            self.Z0[r, r] = cov / c
 
     # formed on first read: the convergence study reads none of them
     weights = cached_property(lambda self: lift_tracking(
         self.C, self.Qhat, self.Q, self.Ncr, self.R, self.eta))
-    B_full = cached_property(lambda self: np.vstack(
-        [self.B_own, np.zeros((self.D - self.n, self.m))]))
-    _open = cached_property(lambda self: self.drift(closed=False))
-    A_nodes = cached_property(lambda self: self._open[0])
-    d_nodes = cached_property(lambda self: self._open[1])
+    Bz = cached_property(lambda self: np.vstack(
+        [self.B_own, np.zeros((self.D + 1 - self.n, self.m))]))
+    F_nodes = cached_property(lambda self: self.drift(closed=False))
 
-    # the four node tables at the stages, formed where a sweep reads them
-    A = property(lambda self: _stage_values(self.A_nodes))
-    d = property(lambda self: _stage_values(self.d_nodes))
+    # the node tables at the stages, formed where a sweep reads them
+    F = property(lambda self: _stage_values(self.F_nodes))
     Kz = property(lambda self: _stage_values(self.Kz_nodes))
-    k_st = property(lambda self: _stage_values(self.k_nodes))
 
     def _agent(self) -> ExtendedSystem:
         """The agent as the record every solver reads, the same as
-        LqgProblem._agent(): open drift, B_full and its lifted weights."""
-        grid = self.p.grid
-        return ExtendedSystem(what="deviator", A=GridFunction(grid, self.A_nodes),
-                              B=self.B_full, b=GridFunction(grid, self.d_nodes),
+        LqgProblem._agent(): A and b sliced out of the open drift F_nodes,
+        B out of Bz, and its lifted weights."""
+        grid, D = self.p.grid, self.D
+        return ExtendedSystem(what="deviator", A=GridFunction(grid, self.F_nodes[:, :D, :D]),
+                              B=self.Bz[:D], b=GridFunction(grid, self.F_nodes[:, :D, D:]),
                               **self.weights)
 
     def drift(self, closed: bool):
-        """Node tables (A, d) of dy = (A y + d) dt, j = 0..M.
+        """Node table F = [[A, d], [0, 0]] of dz = F z dt on z = (y; 1),
+        j = 0..M, for dy = (A y + d) dt.
 
         Every minor average, and the major unless it is the agent, runs on
         its equilibrium law.  The agent's own rows run on theirs when
@@ -535,73 +538,66 @@ class ReducedPopulation:
         A[:, xb, x0] = mf.Gbar.values
         A[:, xb, xb] = mf.Abar.values
         d[:, xb] = mf.mbar.values
-        return A, d
+        return _homogeneous(A, d)
 
 
 def _stacked(records: Sequence[ReducedPopulation], tables: Sequence[str]) -> SimpleNamespace:
     """The arrays of records of one dimension D as one record's: the named
-    stage or node tables with a member axis after their first axis,
-    B_full, mu0, V0, Sig2 and the weights with one in front, and c0 as an
-    (L, 1, 1) column.  The cost routines read it as they read one record."""
+    stage or node tables with a member axis after their first axis, Bz, Z0,
+    S and the weights with one in front, and c0 as an (L, 1, 1) column.
+    The cost routines read it as they read one record."""
     return SimpleNamespace(
         p=records[0].p, c0=np.reshape([r.c0 for r in records], (-1, 1, 1)),
         weights={key: np.stack([r.weights[key] for r in records]) for key in records[0].weights},
         **{name: np.stack([getattr(r, name) for r in records], int(name in tables))
-           for name in [*tables, "B_full", "mu0", "V0", "Sig2"]})
+           for name in [*tables, "Bz", "Z0", "S"]})
 
 
-def chain_costs(js: SimpleNamespace, A, d) -> np.ndarray:
+def chain_costs(js: SimpleNamespace, F) -> np.ndarray:
     """Expected costs of the stacked records' own equilibrium laws on the
-    Euler chains of node drift tables (A, d), by one discrete_chain_cost;
-    js stacks Kz_nodes and k_nodes."""
+    Euler chains of the node drift table F, by one discrete_chain_cost; js
+    stacks Kz_nodes."""
     w = js.weights
-    node_cost = _policy_quadratic(w["Q"], w["N"], w["R"], w["eta"], w["nbar"],
-                                  js.c0, js.Kz_nodes, js.k_nodes)
-    return discrete_chain_cost(js.p.grid, js.p.rho, js.mu0, js.V0, A, d,
-                               js.Sig2, node_cost, w["Qhat"])
+    W = _policy_quadratic(w["Q"], w["N"], w["R"], w["eta"], w["nbar"], js.c0, js.Kz_nodes)
+    return discrete_chain_cost(js.p.grid, js.p.rho, js.Z0, F, js.S, W,
+                               _homogeneous(w["Qhat"], 0.0))
 
 
-def discrete_chain_cost(grid, rho, mu0, V0, A, d, Sig2, node_cost, W_T):
-    """Expected cost of the Euler-Maruyama chain, by moment recursion.
+def discrete_chain_cost(grid, rho, Z0, F, S, W, W_T):
+    """Expected cost of the Euler-Maruyama chain z_{j+1} = P_j z_j +
+    sqrt(h) noise on z = (y; 1), P_j = I + h F[j], F = [[A, d], [0, 0]].
 
-    The chain is z_{j+1} = (I + h A[j]) z_j + h d[j] + sqrt(h) noise with
-    stationary covariance Sig2 per unit time; the running cost is the
-    trapezoid sum of the discounted quadratic forms node_cost = (W, l, c),
-    and the terminal cost is the discounted form of the weight W_T.  A, d,
-    W, l and c are tables over the M + 1 nodes.  This is the exact
-    expectation of the simulated pathwise cost, so it carries the same
-    O(h) discretization bias and no sampling error.
+    Its second moment Z = E zz' steps Z <- P Z P' + h S from Z0; the
+    running cost is the trapezoid sum of the discounted (1/2) tr(W[j] Z_j),
+    and the terminal cost the discounted form of W_T.  F and W are tables
+    over the M + 1 nodes.  This is the exact expectation of the simulated
+    pathwise cost, with its O(h) discretization bias and no sampling error.
 
-    mu0 (L, D, 1) stacks L chains, each rounded as alone: tables carry a
-    member axis after the node axis, V0, Sig2 and W_T one in front, and L
-    costs return; one chain is a one-member stack.  Finiteness is checked
-    once, on the node tables after the loop; a divergence names the
-    lowest-index member that left the finite range, at its first
+    Z0 (L, D + 1, D + 1) stacks L chains, each rounded as alone: tables
+    carry a member axis after the node axis, S and W_T one in front, and
+    L costs return; one chain is a one-member stack.  Finiteness is
+    checked once, on the node tables after the loop; a divergence names
+    the lowest-index member that left the finite range, at its first
     non-finite node.
     """
-    W, l, c = node_cost
-    M, h, eye = grid.num_steps, grid.h, np.eye(mu0.shape[1])
-    mu, V = np.empty((M + 1,) + mu0.shape), np.empty((M + 1,) + V0.shape)
-    mu[0], V[0] = mu0, V0
+    M, h, eye = grid.num_steps, grid.h, np.eye(Z0.shape[-1])
+    Z = np.empty((M + 1,) + Z0.shape)
+    Z[0] = Z0
     # overflow in a diverging chain is expected; the finite check reports it
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(M):
-            P = eye + h * A[j]
-            mu[j + 1] = P @ mu[j] + h * d[j]
-            V[j + 1] = symmetrize(P @ V[j] @ P.swapaxes(-1, -2) + h * Sig2)
-    finite = np.isfinite(mu[1:]).all((2, 3)) & np.isfinite(V[1:]).all((2, 3))
+            P = eye + h * F[j]
+            Z[j + 1] = symmetrize(P @ Z[j] @ P.swapaxes(-1, -2) + h * S)
+    finite = np.isfinite(Z[1:]).all((2, 3))
     if not finite.all():
         member = int(np.argmin(finite.all(0)))
         j = int(np.argmin(finite[:, member])) + 1
         raise IntegrationDivergedError("moment recursion diverged at node %d" % j,
                                        node=j, time=grid.nodes[j], member=member)
     disc = np.exp(-rho * grid.nodes)
-    # V + mu mu' in V's memory, mu mu' formed as in closed_loop_cost_moments
-    S = np.add(V, mu * mu.swapaxes(-1, -2), out=V)
-    running = (0.5 * trapezoid_weights(grid) * disc)[:, None] * (
-        _dots(W, S) + 2.0 * _dots(l, mu) + c)
+    running = (0.5 * trapezoid_weights(grid) * disc)[:, None] * _dots(W, Z)
     # summed node by node, in order
-    return np.add.accumulate(running)[-1] + 0.5 * disc[M] * _dots(W_T, S[M])
+    return np.add.accumulate(running)[-1] + 0.5 * disc[M] * _dots(W_T, Z[M])
 
 
 def expected_cost_exact(p: MmMfgProblem, sol: MfgSolution, cfg: PopulationConfig,
@@ -610,8 +606,7 @@ def expected_cost_exact(p: MmMfgProblem, sol: MfgSolution, cfg: PopulationConfig
     state, every block, the agent's own included, closed directly."""
     agent_id, *key = _agent_key(p, cfg, agent_id)
     rs = ReducedPopulation(p, sol, *key)
-    A, d = rs.drift(closed=True)
-    J = chain_costs(_stacked([rs], ("Kz_nodes", "k_nodes")), A[:, None], d[:, None])
+    J = chain_costs(_stacked([rs], ("Kz_nodes",)), rs.drift(closed=True)[:, None])
     return CostReport(agent_id=agent_id, value=float(J[0]), std_error=0.0,
                       method="moment_recursion", num_paths=0)
 
@@ -644,17 +639,14 @@ def mean_field_convergence_study(p: MmMfgProblem, sol: MfgSolution,
     for N in sizes:
         rs = ReducedPopulation(p, sol, np.bincount(assign_types(p.pi, N), minlength=K),
                                None, np.zeros(n * K))
-        A, d = rs.drift(closed=True)
-        P = np.zeros((n * K, rs.D))
+        P = np.zeros((n * K, rs.D + 1))
         P[:, rs.xb_off:rs.xb_off + n * K] = -np.eye(n * K)
         for k, o in enumerate(rs.S_off):
             if o is not None:
                 P[k * n:(k + 1) * n, o:o + n] = np.eye(n)
         W = (2.0 / (M + 1) / trapezoid_weights(p.grid))[:, None, None, None] * (P.T @ P)
-        J = discrete_chain_cost(p.grid, 0.0, rs.mu0[None], rs.V0[None], A[:, None],
-                                d[:, None], rs.Sig2[None],
-                                (W, np.zeros((M + 1, 1, rs.D, 1)), 0.0),
-                                np.zeros((1, rs.D, rs.D)))
+        J = discrete_chain_cost(p.grid, 0.0, rs.Z0[None], rs.drift(closed=True)[:, None],
+                                rs.S[None], W, np.zeros((1, rs.D + 1, rs.D + 1)))
         # a sum of squares, which roundoff may leave a few ulps below 0
         rms[N] = math.sqrt(max(float(J[0]), 0.0))
     slope = 0.0

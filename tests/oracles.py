@@ -51,7 +51,7 @@ from mmlqg.errors import (
     SchemaError,
 )
 from mmlqg.lqg_single import (PSD_TOL, ExtendedSystem, ValidationReport,
-                              _are_residual, _as_grid_function, _as_matrix,
+                              _are_residual, _as_grid_function, _as_matrix, _homogeneous,
                               _policy_quadratic, _stage_values, add_convexity_checks,
                               closed_loop_cost_moments, psd_sqrt, spd_solver)
 from mmlqg.mfg_model import MmMfgProblem
@@ -116,39 +116,36 @@ def write_csv_rows(path, header, rows):
     path.write_text("\n".join(lines) + "\n")
 
 
-def one_loop_costs(grid, rho, x0_mean, x0_cov, A_cl, d, Sig2, costs) -> list:
+def one_loop_costs(grid, rho, Z0, F, S, costs) -> list:
     """closed_loop_cost_moments of one closed loop as a one-member stack:
     the list of its costs."""
     return closed_loop_cost_moments(
-        grid, rho, x0_mean[None], x0_cov[None], A_cl[:, None], d[:, None], Sig2[:, None],
-        [((W[:, None], l[:, None], c[:, None]), W_T[None]) for (W, l, c), W_T in costs],
-    )[0].tolist()
+        grid, rho, Z0[None], F[:, None], S[:, None],
+        [(W[:, None], W_T[None]) for W, W_T in costs])[0].tolist()
 
 
-def one_chain_cost(grid, rho, mu0, V0, A, d, Sig2, node_cost, W_T) -> float:
+def one_chain_cost(grid, rho, Z0, F, S, W, W_T) -> float:
     """discrete_chain_cost of one chain as a one-member stack."""
     return float(discrete_chain_cost(
-        grid, rho, mu0[None], V0[None], A[:, None], d[:, None], Sig2[None],
-        tuple(t[:, None] for t in node_cost), W_T[None])[0])
+        grid, rho, Z0[None], F[:, None], S[None], W[:, None], W_T[None])[0])
 
 
 def undeviated_cost(js) -> float:
     """Equilibrium chain cost of one record, reduced or dense, through its
-    assembly: the open drift closed by B_full and the lifted gain table at
-    the nodes.  nash_gap's assembly check compares this chain with the
-    one on the record's own closed drift, expected_cost_exact's."""
-    K, k = js.Kz[::2], js.k_st[::2]
-    w = js.weights
-    node_cost = _policy_quadratic(w["Q"], w["N"], w["R"], w["eta"], w["nbar"], js.c0, K, k)
-    return one_chain_cost(js.p.grid, js.p.rho, js.mu0, js.V0, js.A[::2] - js.B_full @ K,
-                          js.d[::2] + js.B_full @ k, js.Sig2, node_cost, w["Qhat"])
+    assembly: the open drift closed by Bz and the lifted gain table at the
+    nodes.  nash_gap's assembly check compares this chain with the one on
+    the record's own closed drift, expected_cost_exact's."""
+    Kz, w = js.Kz[::2], js.weights
+    W = _policy_quadratic(w["Q"], w["N"], w["R"], w["eta"], w["nbar"], js.c0, Kz)
+    return one_chain_cost(js.p.grid, js.p.rho, js.Z0, js.F[::2] - js.Bz @ Kz, js.S, W,
+                          _homogeneous(w["Qhat"], 0.0))
 
 
-def policy_cost(js, K: np.ndarray, k: np.ndarray) -> float:
-    """Exact deviator cost of u = -K[q] y + k[q] (stage tables) on one
-    record, reduced or dense, as a one-member stack."""
-    one = _stacked([js], ("A", "d"))
-    return float(_closed_loop_cost(one, K[:, None], k[:, None])[0, 0])
+def policy_cost(js, Kz: np.ndarray) -> float:
+    """Exact deviator cost of u = -Kz[q] z (a stage table on z = (y; 1))
+    on one record, reduced or dense, as a one-member stack."""
+    one = _stacked([js], ("F",))
+    return float(_closed_loop_cost(one, Kz[:, None])[0, 0])
 
 
 def finite_cost_monte_carlo(p: MmMfgProblem, sol: MfgSolution, bundle: TrajectoryBundle,
@@ -304,10 +301,12 @@ class DenseJointSystem:
     attributes, so the package's cost and best-response routines run on
     either.  Agent ids follow the simulator: 0 is the major, 1..N the
     minors.  The deviator's rows stay uncontrolled; its input enters
-    through B_full, which is zero outside the deviator's own block rows.
-    The open drift (A, d) and the deviator's lifted equilibrium law
-    (Kz, k_st) are tables over half-step stages q = 0..2M, assembled one
-    stage at a time.  Meant for N <= 8.
+    through Bz, which is zero outside the deviator's own block rows.  As
+    there, costs run on the homogeneous state (z; 1): the open drift F =
+    [[A, d], [0, 0]] and the deviator's lifted equilibrium law Kz = [K, -k]
+    are tables over half-step stages q = 0..2M, assembled one stage at a
+    time, Z0 is the initial second moment and S the noise.  Meant for
+    N <= 8.
     """
 
     p: MmMfgProblem
@@ -359,7 +358,7 @@ class DenseJointSystem:
             self.Ncr, self.R, self.Qhat = mn.Nk, mn.Rk, mn.Qhatk
             self.U = np.vstack([self._own(row), self._own(self.x0_off),
                                 self._own(self.xb_off, n * K)])
-        self.B_full = B_full
+        self.Bz = np.vstack([B_full, np.zeros((1, self.m))])
 
         Sig2 = np.zeros((self.D, self.D))
         for a in range(N):
@@ -368,18 +367,18 @@ class DenseJointSystem:
             Sig2[r, r] = blk @ blk.T
         x0r = slice(self.x0_off, self.x0_off + n)
         Sig2[x0r, x0r] = p.major.sigma0 @ p.major.sigma0.T
-        self.Sig2 = Sig2
+        self.S = _homogeneous(Sig2, 0.0)
 
         V0 = np.zeros((self.D, self.D))
         for a in range(N):
             r = slice(a * n, (a + 1) * n)
             V0[r, r] = p.init_cov_minor
         V0[x0r, x0r] = p.init_cov_major
-        self.V0 = V0
-        mu0 = np.zeros((self.D, 1))
+        mean = np.zeros((self.D + 1, 1))
+        mean[-1] = 1.0
         if cfg.xbar0 is not None:
-            mu0[self.xb_off:, 0] = cfg.xbar0
-        self.mu0 = mu0
+            mean[self.xb_off:-1, 0] = cfg.xbar0
+        self.Z0 = _homogeneous(V0, 0.0) + mean @ mean.T
 
         # z-space weights of the deviator's cost, control left free, under
         # the ExtendedSystem names of ReducedPopulation.weights
@@ -400,22 +399,22 @@ class DenseJointSystem:
         self.c0 = (eta.T @ self.Q @ eta).item()
 
         stages = range(2 * p.grid.num_steps + 1)
-        self.A = np.array([self._open_drift(q) for q in stages])
-        self.d = np.array([self._open_offset(q) for q in stages])
+        self.F = _homogeneous(np.array([self._open_drift(q) for q in stages]),
+                              np.array([self._open_offset(q) for q in stages]))
         if self.deviator == 0:
-            K_st, self.k_st = self._K0, self._k0
+            K_st, k_st = self._K0, self._k0
         else:
             k = int(self.type_of[self.deviator - 1])
-            K_st, self.k_st = self._Kk[k], self._kk[k]
-        self.Kz = np.array([K_st[q] @ self.U for q in stages])
+            K_st, k_st = self._Kk[k], self._kk[k]
+        self.Kz = np.concatenate([K_st @ self.U, -k_st], -1)
 
     def _agent(self) -> ExtendedSystem:
         """The deviator's agent record, as ReducedPopulation._agent()
         builds it, from the node tables: the stage tables' even stages."""
-        grid = self.p.grid
+        grid, D = self.p.grid, self.D
         return ExtendedSystem(
-            what="deviator", A=GridFunction(grid, self.A[::2]), B=self.B_full,
-            b=GridFunction(grid, self.d[::2]), **self.weights,
+            what="deviator", A=GridFunction(grid, self.F[::2, :D, :D]), B=self.Bz[:D],
+            b=GridFunction(grid, self.F[::2, :D, D:]), **self.weights,
         )
 
     def _own(self, off: int, width: Optional[int] = None) -> np.ndarray:
@@ -499,16 +498,17 @@ class DenseJointSystem:
         bundle = simulate_population(p, self.sol, rcfg)
         sqrt0, sqrtm = psd_sqrt(p.init_cov_major), psd_sqrt(p.init_cov_minor)
         gap = 0.0
-        eye = np.eye(self.D)
+        eye = np.eye(self.D + 1)
         for path in range(num_paths):
             # agent by agent, in agent order: the major's block, then minors 1..N
-            z = np.zeros((self.D, 1))
+            z = np.zeros((self.D + 1, 1))
+            z[-1] = 1.0
             init = _stream(cfg.master_seed, 1, path)
             z[self.x0_off:self.x0_off + n, 0] = sqrt0 @ init.standard_normal(n)
             for a in range(N):
                 z[a * n:(a + 1) * n, 0] = sqrtm @ init.standard_normal(n)
             if cfg.xbar0 is not None:
-                z[self.xb_off:, 0] = cfg.xbar0
+                z[self.xb_off:-1, 0] = cfg.xbar0
             incr = _stream(cfg.master_seed, 0, path)
             dW0 = incr.standard_normal((M, p.r))
             dWm = [incr.standard_normal((M, p.r)) for _ in range(N)]
@@ -518,12 +518,11 @@ class DenseJointSystem:
                     bundle.states[path, j, 0],
                     bundle.xbar[path, j],
                 ])
-                gap = max(gap, float(np.max(np.abs(z[:, 0] - ref))))
+                gap = max(gap, float(np.max(np.abs(z[:-1, 0] - ref))))
                 if j == M:
                     break
                 q = 2 * j
-                P = eye + h * (self.A[q] - self.B_full @ self.Kz[q])
-                z = P @ z + h * (self.d[q] + self.B_full @ self.k_st[q])
+                z = (eye + h * (self.F[q] - self.Bz @ self.Kz[q])) @ z
                 for a in range(N):
                     sig = self.p.minors[int(self.type_of[a])].sigmak
                     z[a * n:(a + 1) * n, 0] += sqh * (sig @ dWm[a][j])
@@ -535,8 +534,8 @@ class DenseJointSystem:
 def best_response_perturbed_cost(js, br, eps: float, omega: np.ndarray) -> float:
     """Exact cost of u = u_br + eps * omega (constant direction omega)."""
     omega = np.asarray(omega, dtype=float).reshape(js.m, 1)
-    return policy_cost(js, _stage_values(br.law.K),
-                       _stage_values(br.law.k) + eps * omega)
+    k = br.law.k.values + eps * omega
+    return policy_cost(js, _stage_values(np.concatenate([br.law.K.values, -k], -1)))
 
 
 @dataclass
@@ -566,6 +565,7 @@ def solve_best_response_chain(js) -> BestResponseChain:
     w = trapezoid_weights(grid)
     disc = np.exp(-p.rho * grid.nodes)
     D, m = js.D, js.m
+    F, Bt, Sig2 = js.F, h * js.Bz[:D], js.S[:D, :D]
     wts = js.weights
     W, S, R = wts["Q"], wts["N"], wts["R"]
     lvec, rvec, cconst = -wts["eta"], -wts["nbar"], js.c0
@@ -588,9 +588,8 @@ def solve_best_response_chain(js) -> BestResponseChain:
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(M - 1, -1, -1):
             a_j = w[j] * disc[j]
-            Ptr = np.eye(D) + h * js.A[2 * j]
-            cj = h * js.d[2 * j]
-            Bt = h * js.B_full
+            Ptr = np.eye(D) + h * F[2 * j, :D, :D]
+            cj = h * F[2 * j, :D, D:]
             BtP = Bt.T @ P
             H = a_j * R + BtP @ Bt
             try:
@@ -612,7 +611,7 @@ def solve_best_response_chain(js) -> BestResponseChain:
 
             Pc_q = P @ cj + q_lin
             v = v + 0.5 * a_j * cconst + 0.5 * (cj.T @ P @ cj).item() \
-                + (q_lin.T @ cj).item() + 0.5 * h * np.tensordot(P, js.Sig2) \
+                + (q_lin.T @ cj).item() + 0.5 * h * np.tensordot(P, Sig2) \
                 - 0.5 * (g.T @ fj).item()
             q_lin = a_j * lvec + Ptr.T @ Pc_q - Gz.T @ fj
             P = symmetrize(a_j * W + Ptr.T @ P @ Ptr - Gz.T @ Fj)
@@ -622,13 +621,13 @@ def solve_best_response_chain(js) -> BestResponseChain:
                     node=j, time=grid.nodes[j],
                 )
 
-    mu0, V0 = js.mu0, js.V0
-    cost_dp = 0.5 * (np.tensordot(P, V0) + (mu0.T @ P @ mu0).item()) \
-        + (q_lin.T @ mu0).item() + v
+    # E y y' = V0 + mu0 mu0' is the leading block of Z0
+    cost_dp = 0.5 * np.tensordot(P, js.Z0[:D, :D]) + (q_lin.T @ js.Z0[:D, D:]).item() + v
 
-    node_cost = _policy_quadratic(W, S, R, wts["eta"], wts["nbar"], cconst, gains, -ffs)
-    cost = one_chain_cost(grid, p.rho, mu0, V0, js.A[::2] - js.B_full @ gains,
-                          js.d[::2] - js.B_full @ ffs, js.Sig2, node_cost, wts["Qhat"])
+    Kz = np.concatenate([gains, ffs], -1)   # u = -gains z - ffs
+    W_run = _policy_quadratic(W, S, R, wts["eta"], wts["nbar"], cconst, Kz)
+    cost = one_chain_cost(grid, p.rho, js.Z0, F[::2] - js.Bz @ Kz, js.S, W_run,
+                          _homogeneous(wts["Qhat"], 0.0))
     return BestResponseChain(
         K=gains, k=-ffs,
         cost=cost, cost_dp=cost_dp,

@@ -357,6 +357,21 @@ def test_overflowing_lifted_weight_prints_one_line(tmp_path):
 # ----------------------------------------------------------------- simulate
 
 
+@pytest.mark.parametrize("command, section", [
+    ("simulate", {"population": {"N": 10 ** 18}}),
+    ("nash-gap", {"nash": {"Ns": [10 ** 18]}}),
+])
+def test_a_population_too_large_to_hold_exits_2_naming_its_size(tmp_path, capsys, command,
+                                                               section):
+    # the type indices of 10^18 minors cannot be allocated, and the
+    # allocation fails at once, before any memory is touched
+    cfg_path = _write(tmp_path, _mfg_cfg(grid={"T": 1.0, "M": 4}, **section))
+    assert _run([command, "--config", cfg_path, "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("config error: N = %d minors: " % 10 ** 18)
+
+
 def test_simulate_zero_noise_states_are_zero(tmp_path):
     cfg = _mfg_cfg(population={"N": 3, "num_paths": 2, "master_seed": 5})
     cfg_path = _write(tmp_path, cfg)

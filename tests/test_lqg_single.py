@@ -19,6 +19,7 @@ from mmlqg.lqg_single import (
     FeedbackLaw,
     LqgProblem,
     LqgSolution,
+    _homogeneous,
     _policy_quadratic,
     closed_loop_cost_moments,
     costate_oracle,
@@ -270,17 +271,16 @@ def test_policy_quadratic_matches_direct_running_cost():
     R = G @ G.T + np.eye(m)
     eta, nbar, c0 = rng.normal(size=(n, 1)), rng.normal(size=(m, 1)), 0.7
     K, k = rng.normal(size=(stages, m, n)), rng.normal(size=(stages, m, 1))
-    W, l, c = _policy_quadratic(Q, N, R, eta, nbar, c0, K, k)
-    assert W.shape == (stages, n, n) and l.shape == (stages, n, 1)
-    assert c.shape == (stages,)
+    W = _policy_quadratic(Q, N, R, eta, nbar, c0, np.concatenate([K, -k], -1))
+    assert W.shape == (stages, n + 1, n + 1)
     assert np.array_equal(W, np.swapaxes(W, 1, 2))
     for q in range(stages):
         for X in rng.normal(size=(3, n, 1)):
             u = -K[q] @ X + k[q]
             direct = (X.T @ Q @ X + 2.0 * X.T @ N @ u + u.T @ R @ u
                       - 2.0 * X.T @ eta - 2.0 * u.T @ nbar).item() + c0
-            form = (X.T @ W[q] @ X + 2.0 * X.T @ l[q]).item() + c[q]
-            assert form == pytest.approx(direct, rel=1e-12, abs=1e-12)
+            z = np.vstack([X, [[1.0]]])
+            assert (z.T @ W[q] @ z).item() == pytest.approx(direct, rel=1e-12, abs=1e-12)
 
 
 def test_cost_zero_weights():
@@ -326,6 +326,23 @@ def test_cost_rejects_an_open_loop_control_of_the_wrong_shape():
     assert err.value.field == "law"
 
 
+def _random_loop(rng, D, stages):
+    """A random closed loop on z = (y; 1): Z0, F = [[A, d], [0, 0]] and
+    S = [[sigma sigma', 0], [0, 0]], as stage tables."""
+    mu0, L0 = rng.normal(size=(D, 1)), rng.normal(size=(D, D))
+    z0 = np.vstack([mu0, [[1.0]]])
+    sig = rng.normal(scale=0.3, size=(stages, D, D))
+    return (_homogeneous(L0 @ L0.T, 0.0) + z0 @ z0.T,
+            _homogeneous(rng.normal(scale=0.4, size=(stages, D, D)),
+                         rng.normal(size=(stages, D, 1))),
+            _homogeneous(sig @ sig.swapaxes(-1, -2), 0.0))
+
+
+def _random_weight(rng, *shape):
+    W = rng.normal(size=shape)
+    return W + W.swapaxes(-1, -2)
+
+
 @pytest.mark.parametrize("D", [1, 12])
 def test_several_costs_in_one_propagation_equal_their_one_cost_calls(D):
     # each cost's J entry rides the one bordered sweep without feeding back,
@@ -333,19 +350,10 @@ def test_several_costs_in_one_propagation_equal_their_one_cost_calls(D):
     rng = np.random.default_rng(D)
     grid = TimeGrid(1.5, 30)
     stages = 2 * grid.num_steps + 1
-    A = rng.normal(scale=0.4, size=(stages, D, D))
-    d = rng.normal(size=(stages, D, 1))
-    sig = rng.normal(scale=0.3, size=(stages, D, D))
-    mu0, L0 = rng.normal(size=(D, 1)), rng.normal(size=(D, D))
-
-    def quadratic():
-        W = rng.normal(size=(stages, D, D))
-        return (W + W.swapaxes(-1, -2), rng.normal(size=(stages, D, 1)),
-                rng.normal(size=stages))
-
-    W_T = rng.normal(size=(D, D))
-    costs = [(quadratic(), W_T @ W_T.T), (quadratic(), np.zeros((D, D)))]
-    args = (grid, 0.3, mu0, L0 @ L0.T, A, d, sig @ sig.swapaxes(-1, -2))
+    args = (grid, 0.3, *_random_loop(rng, D, stages))
+    W_T = rng.normal(size=(D + 1, D + 1))
+    costs = [(_random_weight(rng, stages, D + 1, D + 1), W_T @ W_T.T),
+             (_random_weight(rng, stages, D + 1, D + 1), np.zeros((D + 1, D + 1)))]
     together = one_loop_costs(*args, costs)
     alone = [one_loop_costs(*args, [cost]) for cost in costs]
     assert len(together) == 2 and all(len(J) == 1 for J in alone)
@@ -363,53 +371,60 @@ def test_stacked_closed_loops_round_as_alone():
     stages = 2 * grid.num_steps + 1
 
     def loop():
-        W = rng.normal(size=(2, stages, D, D))
-        W_T, L0 = rng.normal(size=(2, D, D))
-        sig = rng.normal(scale=0.3, size=(stages, D, D))
-        costs = [((W[i] + W[i].swapaxes(-1, -2), rng.normal(size=(stages, D, 1)),
-                   rng.normal(size=stages)), W_T @ W_T.T * i) for i in (0, 1)]
-        return (rng.normal(size=(D, 1)), L0 @ L0.T, rng.normal(scale=0.4, size=(stages, D, D)),
-                rng.normal(size=(stages, D, 1)), sig @ sig.swapaxes(-1, -2), costs)
+        W_T = rng.normal(size=(D + 1, D + 1))
+        return (*_random_loop(rng, D, stages),
+                [(_random_weight(rng, stages, D + 1, D + 1), W_T @ W_T.T * i) for i in (0, 1)])
 
     loops = [loop() for _ in range(L)]
     alone = [one_loop_costs(grid, 0.3, *args) for args in loops]
-    mu0, V0, A, d, Sig2, costs = zip(*loops)
+    Z0, F, S, costs = zip(*loops)
     together = closed_loop_cost_moments(
-        grid, 0.3, np.stack(mu0), np.stack(V0), np.stack(A, 1), np.stack(d, 1),
-        np.stack(Sig2, 1),
-        [((np.stack([c[i][0][0] for c in costs], 1), np.stack([c[i][0][1] for c in costs], 1),
-           np.stack([c[i][0][2] for c in costs], 1)), np.stack([c[i][1] for c in costs]))
+        grid, 0.3, np.stack(Z0), np.stack(F, 1), np.stack(S, 1),
+        [(np.stack([c[i][0] for c in costs], 1), np.stack([c[i][1] for c in costs]))
          for i in (0, 1)])
     assert together.shape == (L, 2)
     assert together.tolist() == alone
 
 
-def test_cost_ornstein_uhlenbeck_closed_form():
-    # dx = (a x + b) dt + sigma dW, no control: the mean is
-    # m = (x0 + beta) e^{at} - beta with beta = b / a, the variance is
-    # c (e^{2at} - 1) with c = sigma^2 / (2a), and the discounted cost of
-    # q E x^2 - 2 eta m integrates in closed form through
-    # E(lam) = int_0^T e^{lam t} dt.  The case b, eta != 0 pins the mean's
-    # row and column of the sweep and the l'mu term.
-    a, sigma, x0, rho, q, qhat, T = -0.7, 0.4, 1.3, 0.5, 2.0, 0.8, 1.5
-    c = sigma ** 2 / (2.0 * a)
-
+def _ou_cost(a, b, sigma, x0, rho, q, l, c, qhat, T):
+    """Closed-form cost of the scalar loop dx = (a x + b) dt + sigma dW:
+    (1/2) int_0^T e^{-rho t} (q E x^2 + 2 l E x + c) dt + (1/2) e^{-rho T}
+    qhat E x_T^2.  The mean is m = (x0 + beta) e^{at} - beta with
+    beta = b / a, the variance v (e^{2at} - 1) with v = sigma^2 / (2a), and
+    every integral is E(lam) = int_0^T e^{lam t} dt of an exponential."""
     def E(lam):
         return math.expm1(lam * T) / lam
 
-    for b, eta in [(0.0, 0.0), (0.6, 0.9)]:
-        p = scalar_problem(A=[[a]], B=[[0.0]], b=[[b]], sigma=[[sigma]], Q=[[q]],
-                           Qhat=[[qhat]], eta=[[eta]], rho=rho,
-                           grid=TimeGrid(T, 400), x0=[[x0]])
-        beta = b / a
-        z = x0 + beta
-        second = c * (E(2.0 * a - rho) - E(-rho)) + z ** 2 * E(2.0 * a - rho) \
-            - 2.0 * beta * z * E(a - rho) + beta ** 2 * E(-rho)
-        mean = z * E(a - rho) - beta * E(-rho)
-        terminal = math.exp(-rho * T) * (
-            c * math.expm1(2.0 * a * T) + (z * math.exp(a * T) - beta) ** 2)
-        J = 0.5 * (q * second - 2.0 * eta * mean) + 0.5 * qhat * terminal
-        got = expected_cost(p, GridFunction.zeros(p.grid, 1))
+    beta, v = b / a, sigma ** 2 / (2.0 * a)
+    z = x0 + beta
+    second = v * (E(2.0 * a - rho) - E(-rho)) + z ** 2 * E(2.0 * a - rho) \
+        - 2.0 * beta * z * E(a - rho) + beta ** 2 * E(-rho)
+    mean = z * E(a - rho) - beta * E(-rho)
+    terminal = math.exp(-rho * T) * (
+        v * math.expm1(2.0 * a * T) + (z * math.exp(a * T) - beta) ** 2)
+    return 0.5 * (q * second + 2.0 * l * mean + c * E(-rho)) + 0.5 * qhat * terminal
+
+
+def test_cost_ornstein_uhlenbeck_closed_form():
+    # u = -K x + k closes dx = (A x + B u + b) dt + sigma dW into the OU
+    # loop of _ou_cost with a = A - B K and drift b + B k; the running cost
+    # is then q x^2 + 2 l x + c with q = Q - 2 N K + R K^2,
+    # l = N k - eta - K (R k - nbar) and c = R k^2 - 2 nbar k.  The cases
+    # b, eta != 0 pin the drift's and the target's borders of z = (x; 1);
+    # the law (B, K, k, N, R, nbar), with feedback and a constant term,
+    # pins B k, c0 and the borders -nbar of Nz and -k of Kz
+    A, sigma, x0, rho, Q, qhat, T = -0.7, 0.4, 1.3, 0.5, 2.0, 0.8, 1.5
+    for b, eta, law in [(0.0, 0.0, None), (0.6, 0.9, None),
+                        (0.6, 0.9, (0.5, 0.4, -0.8, 0.3, 1.7, 0.2))]:
+        B, K, k, N, R, nbar = law or (0.0, 0.0, 0.0, 0.0, 1.0, 0.0)
+        p = scalar_problem(A=[[A]], B=[[B]], b=[[b]], sigma=[[sigma]], Q=[[Q]],
+                           N_cross=[[N]], R=[[R]], Qhat=[[qhat]], eta=[[eta]],
+                           n_lin=[[nbar]], rho=rho, grid=TimeGrid(T, 400), x0=[[x0]])
+        J = _ou_cost(A - B * K, b + B * k, sigma, x0, rho, Q - 2.0 * N * K + R * K ** 2,
+                     N * k - eta - K * (R * k - nbar), R * k ** 2 - 2.0 * nbar * k, qhat, T)
+        # no law is the open-loop control u = 0
+        got = expected_cost(p, GridFunction.zeros(p.grid, 1) if law is None else FeedbackLaw(
+            GridFunction.constant(p.grid, [[K]]), GridFunction.constant(p.grid, [[k]])))
         assert got == pytest.approx(J, rel=1e-9, abs=0.0)
 
 

@@ -100,8 +100,8 @@ def test_deviator_input_matrix_zero_outside_own_rows(coupled):
         off = js.x0_off if dev == 0 else (dev - 1) * n
         mask = np.ones(js.D, dtype=bool)
         mask[off:off + n] = False
-        assert np.all(js.B_full[mask] == 0.0)
-        assert np.any(js.B_full[off:off + n] != 0.0)
+        assert np.all(js.Bz[:-1][mask] == 0.0) and np.all(js.Bz[-1] == 0.0)
+        assert np.any(js.Bz[off:off + n] != 0.0)
 
 
 def test_single_minor_joint_system_is_block_diagonal(single_minor):
@@ -110,7 +110,7 @@ def test_single_minor_joint_system_is_block_diagonal(single_minor):
     n = p.n
     blocks = [slice(0, n), slice(n, 2 * n), slice(2 * n, 3 * n)]
     for q in (0, p.grid.num_steps, 2 * p.grid.num_steps):
-        A = js.A[q] - js.B_full @ js.Kz[q]
+        A = js.F[q] - js.Bz @ js.Kz[q]
         for i, bi in enumerate(blocks):
             for j, bj in enumerate(blocks):
                 if i != j:
@@ -174,9 +174,9 @@ def test_no_game_agent_forms_its_own_weights():
 
 
 def test_one_law_convention():
-    # every law the package stores, passes or costs is u = -K x + k: no
-    # name carries the opposite feedforward, and the cost routines take
-    # the law as (K, k)
+    # every law the package stores or passes is u = -K x + k: no name
+    # carries the opposite feedforward, and the cost routines take the law
+    # as Kz = [K, -k] on z = (x; 1), u = -Kz z
     names, params = set(), {}
     for f in sorted(Path(mmlqg.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(f.read_text())):
@@ -192,8 +192,8 @@ def test_one_law_convention():
                 names.add(node.name)
                 params[node.name] = [a.arg for a in node.args.args]
     assert not names & {"kff", "feedforwards"}
-    assert params["_policy_quadratic"][-2:] == ["K", "k"]
-    assert params["_closed_loop_cost"][1:3] == ["K", "k"]
+    assert params["_policy_quadratic"][-1:] == ["Kz"]
+    assert params["_closed_loop_cost"][1:2] == ["Kz"]
 
 
 def test_one_midpoint_rule_and_a_best_response_without_loops():
@@ -251,7 +251,7 @@ def test_best_response_midpoints_are_node_means(coupled):
     K, k = br.law.K.values, br.law.k.values
     assert K.shape == (p.grid.num_nodes, p.m, js.D)
     assert k.shape == (p.grid.num_nodes, p.m, 1)
-    assert policy_cost(js, stages(K), stages(k)) == br.cost
+    assert policy_cost(js, stages(np.concatenate([K, -k], -1))) == br.cost
 
 
 def test_grid_mismatch_rejected(coupled):
@@ -371,7 +371,7 @@ def test_reduced_record_holds_nothing_that_grows_with_population(coupled):
 
     def shapes(N, dev):
         js = build_joint_closed_loop(p, sol, PopulationConfig(N=N), dev)
-        names = [*vars(js), "A_nodes", "d_nodes", "B_full"]   # formed on first read
+        names = [*vars(js), "F_nodes", "Bz"]   # formed on first read
         arrays = {name: np.shape(getattr(js, name)) for name in names
                   if isinstance(getattr(js, name), (np.ndarray, list, tuple))}
         return {**arrays, **{"weights." + k: np.shape(v) for k, v in js.weights.items()}}
@@ -465,7 +465,7 @@ def test_backward_sweep_blowup_is_reported(coupled):
     js = build_joint_closed_loop(p, sol, PopulationConfig(N=3), 1)
     # a drift far too fast for the grid: the sweep must detect the
     # divergence rather than return garbage
-    js.A_nodes = 1e3 * js.A_nodes
+    js.F_nodes = 1e3 * js.F_nodes
     with pytest.raises(RiccatiBlowupError, match="deviator Riccati sweep"):
         solve_best_response(js)
     # a concave running weight past the screen on the primitive weights is

@@ -19,7 +19,7 @@ from mmlqg.mfg_solver import (
     solve_consistency_finite,
 )
 from mmlqg.numerics import GridFunction, TimeGrid
-from mmlqg.lqg_single import _policy_quadratic
+from mmlqg.lqg_single import _homogeneous, _policy_quadratic
 from mmlqg.population_sim import (
     CostReport,
     PopulationConfig,
@@ -163,30 +163,59 @@ def test_chain_cost_on_dense_node_tables_reproduces_expected_cost(coupled):
 
 def test_chain_divergence_is_reported_at_its_first_non_finite_node(coupled):
     # a drift far too fast for h: each Euler step scales the chain's
-    # covariance by about (h 1e100)^2 = 1e196, so V stays finite after the
-    # first step and overflows in the second; the recursion must name
+    # second moment by about (h 1e100)^2 = 1e196, so it stays finite after
+    # the first step and overflows in the second; the recursion must name
     # node 2 rather than return garbage
     p, sol = coupled
     for agent in (0, 1):
         _, *key = population_sim._agent_key(p, PopulationConfig(N=4), agent)
         rs = population_sim.ReducedPopulation(p, sol, *key)
-        A, d = rs.drift(closed=True)
         with pytest.raises(IntegrationDivergedError,
                            match="moment recursion diverged at node 2") as exc, \
                 np.errstate(over="ignore", invalid="ignore"):
-            population_sim.chain_costs(population_sim._stacked([rs], ("Kz_nodes", "k_nodes")),
-                                       1e100 * A[:, None], d[:, None])
+            population_sim.chain_costs(population_sim._stacked([rs], ("Kz_nodes",)),
+                                       1e100 * rs.drift(closed=True)[:, None])
         assert type(exc.value) is IntegrationDivergedError
         assert (exc.value.node, exc.value.time) == (2, p.grid.nodes[2])
-    # the same chain by hand, on one state: mu_1 = 1e99, V_1 = 1e198
+    # the same chain by hand, on one state with mean 1 and variance 1:
+    # E x_1^2 = 2e198
     grid = TimeGrid(1.0, 10)
-    A = np.full((11, 1, 1), 1e100)
-    zeros = np.zeros((11, 1, 1))
-    cost = (zeros, zeros, np.zeros(11))
+    F = _homogeneous(np.full((11, 1, 1), 1e100), 0.0)
+    zeros = np.zeros((2, 2))
     with pytest.raises(IntegrationDivergedError) as exc, np.errstate(over="ignore"):
-        one_chain_cost(grid, 0.0, np.ones((1, 1)), np.ones((1, 1)), A, zeros,
-                       np.zeros((1, 1)), cost, np.zeros((1, 1)))
+        one_chain_cost(grid, 0.0, np.array([[2.0, 1.0], [1.0, 1.0]]), F, zeros,
+                       np.zeros((11, 2, 2)), zeros)
     assert (exc.value.node, exc.value.time) == (2, grid.nodes[2])
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.5])
+def test_chain_cost_matches_the_scalar_mean_variance_recursion(rho):
+    # the Euler chain x_{j+1} = (1 + h a) x_j + h b + sqrt(h) sigma xi of
+    # the scalar affine OU loop, costed by hand from its mean and variance
+    # recursions: the trapezoid sum of (1/2) e^{-rho t} (q E x^2 + 2 l E x
+    # + c) and (1/2) e^{-rho T} qhat E x_T^2.  discrete_chain_cost reads
+    # the same loop as F = [[a, b], [0, 0]] and W = [[q, l], [l, c]] on
+    # z = (x; 1), and must match to roundoff
+    a, b, sigma, x0, v0, q, l, c, qhat = -0.7, 0.6, 0.4, 1.3, 0.2, 2.0, -0.9, 0.5, 0.8
+    grid = TimeGrid(1.5, 40)
+    h, M = grid.h, grid.num_steps
+    mean, var = [x0], [v0]
+    for _ in range(M):
+        mean.append((1.0 + h * a) * mean[-1] + h * b)
+        var.append((1.0 + h * a) ** 2 * var[-1] + h * sigma ** 2)
+    mean, var = np.array(mean), np.array(var)
+    disc = np.exp(-rho * grid.nodes)
+    weights = np.full(M + 1, h)
+    weights[[0, M]] = 0.5 * h
+    second = var + mean ** 2
+    J = 0.5 * np.sum(weights * disc * (q * second + 2.0 * l * mean + c)) \
+        + 0.5 * disc[M] * qhat * second[M]
+    got = one_chain_cost(grid, rho, np.array([[v0 + x0 ** 2, x0], [x0, 1.0]]),
+                         _homogeneous(np.full((M + 1, 1, 1), a), np.full((M + 1, 1, 1), b)),
+                         _homogeneous([[sigma ** 2]], 0.0),
+                         np.broadcast_to([[q, l], [l, c]], (M + 1, 2, 2)),
+                         _homogeneous([[qhat]], 0.0))
+    assert got == pytest.approx(J, rel=1e-13, abs=0.0)
 
 
 def test_stacked_chains_round_as_alone_and_name_the_first_diverging_member(coupled):
@@ -202,15 +231,13 @@ def test_stacked_chains_round_as_alone_and_name_the_first_diverging_member(coupl
     chains = []
     for rs in records:
         w = rs.weights
-        cost = _policy_quadratic(w["Q"], w["N"], w["R"], w["eta"], w["nbar"], rs.c0,
-                                 rs.Kz_nodes, rs.k_nodes)
-        chains.append((rs.mu0, rs.V0, *rs.drift(closed=True), rs.Sig2, cost, w["Qhat"]))
+        W = _policy_quadratic(w["Q"], w["N"], w["R"], w["eta"], w["nbar"], rs.c0, rs.Kz_nodes)
+        chains.append((rs.Z0, rs.drift(closed=True), rs.S, W, _homogeneous(w["Qhat"], 0.0)))
 
     def stacked(chains):
-        mu0, V0, A, d, Sig2, cost, W_T = zip(*chains)
-        return discrete_chain_cost(p.grid, p.rho, np.stack(mu0), np.stack(V0),
-                                   np.stack(A, 1), np.stack(d, 1), np.stack(Sig2),
-                                   [np.stack(t, 1) for t in zip(*cost)], np.stack(W_T))
+        Z0, F, S, W, W_T = zip(*chains)
+        return discrete_chain_cost(p.grid, p.rho, np.stack(Z0), np.stack(F, 1), np.stack(S),
+                                   np.stack(W, 1), np.stack(W_T))
 
     alone = [one_chain_cost(p.grid, p.rho, *chain) for chain in chains]
     together = stacked(chains)
@@ -220,9 +247,9 @@ def test_stacked_chains_round_as_alone_and_name_the_first_diverging_member(coupl
     # members 1 and 3 diverge: member 3 at node 2, and member 1, its drift
     # too fast from node 2 on, at node 4 (one step of 1e100 h stays finite)
     fast = [list(chain) for chain in chains]
-    fast[1][2] = fast[1][2].copy()
-    fast[1][2][2:] *= 1e100
-    fast[3][2] = 1e100 * fast[3][2]
+    fast[1][1] = fast[1][1].copy()
+    fast[1][1][2:] *= 1e100
+    fast[3][1] = 1e100 * fast[3][1]
     with pytest.raises(IntegrationDivergedError,
                        match="moment recursion diverged at node 4") as exc, \
             np.errstate(over="ignore", invalid="ignore"):

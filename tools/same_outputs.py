@@ -5,7 +5,7 @@ this one on every benchmark operation.
 
 Each workload runs on its perfbench/workloads.make_config config at the
 PINNED sizes in a fresh process, with this checkout's src/ and OTHER's.
-So do four operations the benchmark does not run:
+So do five operations the benchmark does not run:
 - solve-lqg on the pinned 2-state config LQG below;
 - verify --out;
 - sim-wide, simulate with N = 4500 minors at M = 10 and no study, whose
@@ -13,7 +13,10 @@ So do four operations the benchmark does not run:
   takes the writer's branch where the trailing axes do not fit in a block;
 - sim-empty, simulate on the pinned game with pi = [1, 0], N = 3, 2 paths
   and study Ns [1, 2, 4], so that type 1 has no minors and an empty type
-  is covered end to end.
+  is covered end to end;
+- nash-large, nash-gap on the pinned game at M = 100 with Ns [100, 10^4,
+  10^6], whose gaps lie nearest roundoff: a change in how the exact costs
+  round shows there first.
 Per operation it prints the data files (all but manifest.json) whose
 sha256 differs and, for the workloads, each side's largest departure
 from the values in perfbench/reference.json, in tolerances.  For each
@@ -140,6 +143,11 @@ with tempfile.TemporaryDirectory() as tmp:
     empty_path = workloads.write_config(empty, tmp / "empty.json")
     ops.append(("sim-empty", lambda out: CLI + ["simulate", "--config", str(empty_path),
                                                 "--out", str(out)], None))
+    large_path = workloads.write_config(dict(workloads.game_config(100), nash={
+        "Ns": [100, 10 ** 4, 10 ** 6], "master_seed": workloads.master_seed(args.seed)}),
+        tmp / "large.json")
+    ops.append(("nash-large", lambda out: CLI + ["nash-gap", "--config", str(large_path),
+                                                 "--out", str(out)], None))
     for w, argv, ref in ops:
         hashes, moves, outs = [], [], []
         for side, root in (("this", ROOT), ("other", args.other.resolve())):
