@@ -287,6 +287,9 @@ def main(argv=None) -> int:
     except SchemaError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
+    except MemoryError as exc:   # numpy names the shape a config size asked for
+        print("config error: too large to hold in memory: %s" % exc, file=sys.stderr)
+        return 2
     except NumericalError as exc:
         print("numerical failure: %s" % exc, file=sys.stderr)
         return 3

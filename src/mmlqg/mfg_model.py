@@ -4,7 +4,8 @@ Minor agents of K types couple to one major agent through the average
 minor state; in the infinite-population limit that average is the
 stacked per-type mean field, whose dynamics are a MeanFieldLaw: the open
 loop of the primitive coefficients, or the closed loop of the minors'
-laws.  Each agent is built here as lqg_single's ExtendedSystem, with its
+laws, whose blocks for one type minor_closed_loop alone forms.  Each
+agent is built here as lqg_single's ExtendedSystem, with its
 Hautus weight factor and R^{-1}: the major on (x0; xbar) against a law,
 each minor type on (x_i; x0; xbar) against that major record, so the
 major is built once per law.  Each agent's cost tracks C X - eta, and
@@ -24,6 +25,7 @@ from .errors import DimensionGuardError, SchemaError
 from .lqg_single import (
     PSD_TOL,
     ExtendedSystem,
+    FeedbackLaw,
     ValidationReport,
     _as_fields,
     _as_rate,
@@ -172,6 +174,18 @@ def build_mean_field_matrices(p: MmMfgProblem) -> MeanFieldLaw:
     return MeanFieldLaw(GridFunction.constant(p.grid, Abreve),
                         GridFunction.constant(p.grid, Gbreve),
                         GridFunction(p.grid, mvals))
+
+
+def minor_closed_loop(mn: MinorTypeParams, law: FeedbackLaw) -> tuple:
+    """Node tables of a type-mn minor's drift under its law u = -K X + k
+    on X = (x_i; x0; xbar), K = [K_own K_x0 K_xbar]: the blocks on x_i,
+    x0 and xbar and the offset,
+      A_k - B_k K_own,  G_k - B_k K_x0,  -B_k K_xbar,  b_k + B_k k,
+    with the F_k coupling to the population average left to the caller."""
+    n = mn.Ak.shape[0]
+    BK = mn.Bk @ law.K.values
+    return (mn.Ak - BK[:, :, :n], mn.Gk - BK[:, :, n:2 * n], -BK[:, :, 2 * n:],
+            mn.bk.values + mn.Bk @ law.k.values)
 
 
 def lift_tracking(C, Qhat, Q, N, R, eta) -> dict:

@@ -10,7 +10,9 @@ its own Hautus factor and R^{-1}: each evaluation builds the major once,
 against the law x, and each minor type against that major record.  Each
 agent is solved and turned into a law by the same lqg_single routines as
 a standalone LQG problem, and the closure reads only the minors' laws, so
-this module forms no extended weight.  One map serves both horizons; they
+this module forms no extended weight.  It reads each type's closed-loop
+blocks from mfg_model.minor_closed_loop, as the finite population's
+record and simulator do.  One map serves both horizons; they
 differ only in the per-agent solve: backward RK4 sweeps on the grid, or
 the discounted ARE and steady offset at node 0.  The K minor types share
 one extended dimension, so the finite horizon sweeps them as one stack:
@@ -53,6 +55,7 @@ from .mfg_model import (
     build_extended_major,
     build_extended_minor,
     build_mean_field_matrices,
+    minor_closed_loop,
     replicate_pi,
     selector,
     validate_problem,
@@ -63,7 +66,6 @@ from .numerics import (
     _as_count,
     _as_real,
     flatten,
-    matvec_rows,
     unflatten,
 )
 
@@ -119,13 +121,12 @@ def _solve_agents_stationary(exts: List[ExtendedSystem], rho: float):
             [GridFunction.constant(grid, s) for grid, (_, s, _) in solved])
 
 
-def _closure_law(p: MmMfgProblem, minor_laws, mbreve, nodes: int):
-    """New (Abar, Gbar, mbar) tables from the minors' equilibrium laws.
+def _closure_law(p: MmMfgProblem, minor_laws, nodes: int):
+    """New (Abar, Gbar, mbar) tables from the minors' equilibrium laws,
+    read at their first `nodes` nodes.
 
-    minor_laws[k] is type k's law u = -K X + k on its state (x_i; x0;
-    xbar) and mbreve the stacked minor drift offsets, both read at their
-    first `nodes` nodes.  With [K_own K_x0 K_xbar] the column blocks of
-    K, row block k is
+    Row block k is type k's closed loop (mfg_model.minor_closed_loop),
+    its own-state block placed by e_k and the F_k coupling added:
       Abar_k = (A_k - B_k K_own) e_k + F_k^pi - B_k K_xbar
       Gbar_k = G_k - B_k K_x0
       mbar_k = b_k + B_k k
@@ -135,12 +136,12 @@ def _closure_law(p: MmMfgProblem, minor_laws, mbreve, nodes: int):
     Gbar = np.empty((nodes, n * K, n))
     mbar = np.empty((nodes, n * K, 1))
     for k, (mn, law) in enumerate(zip(p.minors, minor_laws)):
-        BK = mn.Bk @ law.K.values[:nodes]
+        own, on_x0, on_xbar, offset = minor_closed_loop(mn, law)
         rows = slice(k * n, (k + 1) * n)
-        Abar[:, rows] = (mn.Ak - BK[:, :, :n]) @ selector(k, n, K) \
-            + replicate_pi(mn.Fk, p.pi) - BK[:, :, 2 * n:]
-        Gbar[:, rows] = mn.Gk - BK[:, :, n:2 * n]
-        mbar[:, rows] = mbreve[:nodes, rows] + mn.Bk @ law.k.values[:nodes]
+        Abar[:, rows] = own[:nodes] @ selector(k, n, K) + replicate_pi(mn.Fk, p.pi) \
+            + on_xbar[:nodes]
+        Gbar[:, rows] = on_x0[:nodes]
+        mbar[:, rows] = offset[:nodes]
     return Abar, Gbar, mbar
 
 
@@ -170,7 +171,7 @@ def _initial_law(p: MmMfgProblem) -> MeanFieldLaw:
     major = build_extended_major(p, open_loop)
     minors = [build_extended_minor(p, k, major, *zero(major.dim)) for k in range(p.K)]
     laws = [_gain_tables(ext, *zero(ext.dim)) for ext in minors]
-    tables = _closure_law(p, laws, open_loop.mbar.values, p.grid.num_nodes)
+    tables = _closure_law(p, laws, p.grid.num_nodes)
     return MeanFieldLaw(*(GridFunction(p.grid, v) for v in tables))
 
 
@@ -191,7 +192,6 @@ def _consistency_map(p: MmMfgProblem, law0: MeanFieldLaw, solve_agent, nodes: in
     tables = [gf.values[:nodes] for gf in (law0.Abar, law0.Gbar, law0.mbar)]
     shapes = [v.shape for v in tables]
     full = p.grid.num_nodes
-    mbreve = build_mean_field_matrices(p).mbar.values
 
     def evaluate(x):
         law = MeanFieldLaw(*(
@@ -203,7 +203,7 @@ def _consistency_map(p: MmMfgProblem, law0: MeanFieldLaw, solve_agent, nodes: in
         ext_minors = [build_extended_minor(p, k, ext_major, Pi0, s0) for k in range(p.K)]
         Piks, sks = solve_agent(ext_minors, p.rho)
         minor_laws = [_gain_tables(*agent) for agent in zip(ext_minors, Piks, sks)]
-        fx = flatten(*_closure_law(p, minor_laws, mbreve, nodes))
+        fx = flatten(*_closure_law(p, minor_laws, nodes))
         return fx, (law, ext_major, Pi0, s0, ext_minors, Piks, sks, minor_laws)
 
     return flatten(*tables), evaluate
@@ -277,18 +277,6 @@ def solve_consistency_finite(p: MmMfgProblem, cfg: Optional[FixedPointConfig] = 
     """
     return _solve_fixed_point(p, cfg or FixedPointConfig(), _solve_agent_finite,
                               p.grid.num_nodes, "consistency iteration")
-
-
-def mean_field_step_euler(Ab, Gb, mb, j: int, h: float, xbar, x0_now):
-    """One explicit Euler step; the step the population simulator takes.
-
-    Ab, Gb and mb are the law's node tables, and the step reads node j
-    alone, so the update matches the Euler-Maruyama drift of the
-    simulated agents term for term.  xbar and x0 are rows, one path or a
-    stack of paths, and each row steps on its own.
-    """
-    return xbar + h * (matvec_rows(Ab[j], xbar) + matvec_rows(Gb[j], x0_now)
-                       + mb[j][:, 0])
 
 
 # ----------------------------------------------------------------- infinite

@@ -4,8 +4,13 @@ The simulator runs N minor agents plus the major agent under Euler,
 Maruyama on the solver grid.  Every feedback law reads the deterministic
 internal mean-field state, advanced by the matching explicit Euler step
 so that the whole population is one discrete-time linear Gaussian chain.
-One stepper, _Population.advance, moves a stack of paths at once, minors
-in agent order on the last axis, each gathering its type's coefficients;
+The simulator steps that chain on the drift of the population's
+aggregate record (ReducedPopulation, below): x0 and the mean field on
+their rows, and each minor on its type's mean's rows plus its own
+closed loop on its deviation from that mean, the closed-loop blocks
+coming from mfg_model.minor_closed_loop as the record's do.  One stepper,
+_Population.advance, moves a stack of paths at once, minors in agent
+order on the last axis, each gathering its type's coefficients;
 DRAW_BUDGET bounds the raw draws held, each step's noise is formed when
 the step is taken and the states are written in place.  Each
 (master_seed, stream, path) is one Philox stream, and one call draws
@@ -14,8 +19,8 @@ means and the mean field; the controls and the population average each
 drift reads are functions of those and are not stored.
 Expected costs come exactly, by propagating the second moment of that
 same chain on z = (y; 1), the precise expectation of the pathwise cost
-of simulated paths.  Like the simulator, which reads the laws' tables at
-node j, the exact route reads node tables only: the reduced state's
+of simulated paths.  Like the simulator, which reads the record's drift
+at node j, the exact route reads node tables only: the reduced state's
 drift F = [[A, d], [0, 0]] and the agent's law Kz = [K, -k], with its
 running cost weight from lqg_single's one policy quadratic.  One
 record, ReducedPopulation, serves that cost and nash_gap's deviator; its
@@ -38,8 +43,8 @@ import numpy as np
 from .errors import DivergedPathError, IntegrationDivergedError, SchemaError
 from .lqg_single import (ExtendedSystem, _as_matrix, _dots, _homogeneous,
                           _policy_quadratic, _stage_values, psd_sqrt)
-from .mfg_model import MmMfgProblem, lift_tracking
-from .mfg_solver import MfgSolution, mean_field_step_euler
+from .mfg_model import MmMfgProblem, lift_tracking, minor_closed_loop
+from .mfg_solver import MfgSolution
 from .numerics import (GridFunction, _as_array, _as_count, _as_seed, matvec_rows,
                        symmetrize, trapezoid_weights)
 
@@ -203,36 +208,21 @@ def _chunks(p: MmMfgProblem, count: int, total: int):
 
 
 class _Population:
-    """Closed-loop node tables of one (problem, solution), shared by every
-    path run on them."""
+    """Closed-loop node tables of one (problem, solution, type counts),
+    shared by every path run on them: the drift F of the population's
+    aggregate record y = (x0, xbar, S_k of each non-empty type; 1), and
+    per type on the last axis each minor's own closed loop and sigma_k."""
 
-    def __init__(self, p: MmMfgProblem, sol: MfgSolution, cfg: PopulationConfig):
-        _check_solution(p, sol)
+    def __init__(self, p: MmMfgProblem, sol: MfgSolution, counts, xbar0: np.ndarray):
         self.p = p
-        n, m, K, laws, mns = p.n, p.m, p.K, sol.minor_laws, p.minors
         self.sqrt0 = psd_sqrt(p.init_cov_major)
         self.sqrtm = psd_sqrt(p.init_cov_minor)[..., None]
-        self.xbar0 = _initial_mean_field(p, cfg)
-        # rows: the major, then each type; v = ff - gain (x0, xbar) per node
-        # is every control but for the minors' own-state part
-        self.ff = np.concatenate([sol.major_law.k.values]
-                                 + [law.k.values for law in laws], axis=1)[..., 0]
-        self.gain = np.concatenate([sol.major_law.K.values]
-                                   + [law.K.values[:, :, n:] for law in laws], axis=1)
-        # drift rows on x0, the empirical average and those control parts
-        self.on_x0 = np.vstack([p.major.A0] + [mn.Gk for mn in mns])
-        self.on_glob = np.vstack([p.major.F0] + [mn.Fk for mn in mns])
-        self.on_v = np.zeros((n * (K + 1), m * (K + 1)))
-        for i, B in enumerate([p.major.B0] + [mn.Bk for mn in mns]):
-            self.on_v[i * n:(i + 1) * n, i * m:(i + 1) * m] = B
-        self.b = np.concatenate([p.major.b0.values]
-                                + [mn.bk.values for mn in mns], axis=1)[..., 0]
-        # type on the last axis: Ak - Bk Kx per node, Kx the gain on a
-        # minor's own state, and sigma_k; each agent reads its type's entry
-        self.closed = np.stack([mn.Ak - mn.Bk @ law.K.values[:, :, :n]
-                                for mn, law in zip(mns, laws)], -1)
-        self.sigma = np.stack([mn.sigmak for mn in mns], -1)
-        self.law = [f.values for f in (sol.mf_law.Abar, sol.mf_law.Gbar, sol.mf_law.mbar)]
+        self.xbar0 = xbar0
+        self.record = ReducedPopulation(p, sol, counts, None, xbar0)
+        self.F = self.record.drift(closed=True)
+        self.closed = np.stack([minor_closed_loop(mn, law)[0]
+                                for mn, law in zip(p.minors, sol.minor_laws)], -1)
+        self.sigma = np.stack([mn.sigmak for mn in p.minors], -1)
 
     def sample(self, streams, N: int):
         """Initial states and raw Brownian draws of the paths (master_seed,
@@ -265,20 +255,29 @@ class _Population:
         """Euler-Maruyama runs of the paths (master_seed, path) in streams,
         stacked, of the minors type_of.
 
-        The minors sit in agent order, agents last, and each reads its
-        type's closed loop, sigma and cross drift by a gather on type_of.
-        Every product is a matvec_rows or _cols, so no path depends on the
-        others.  Returns node tables (S, M + 1, .) of the type means (zero
-        if a type is empty) and the mean field, and writes the states into
-        states (S, M + 1, N + 1, n) if given.  Raises DivergedPathError for
-        the first path to leave the finite range."""
-        p = self.p
+        Each step forms the record's state y from x0, xbar and the type
+        means S_k, and takes its drift F[j] y once: x0 and xbar step on
+        their rows, and each minor on its type's S_k rows plus its own
+        closed loop on x_i - S_k.  The minors sit in agent order, agents
+        last, and each reads its type's rows, closed loop and sigma by a
+        gather on type_of.  Every product is a matvec_rows or _cols, so no
+        path depends on the others.  Returns node tables (S, M + 1, .) of
+        the type means (zero if a type is empty) and the mean field, and
+        writes the states into states (S, M + 1, N + 1, n) if given.
+        Raises DivergedPathError for the first path to leave the finite
+        range."""
+        p, rec = self.p, self.record
         n, K = p.n, p.K
         M, h, S = p.grid.num_steps, p.grid.h, len(streams)
         ids = [np.flatnonzero(type_of == k) for k in range(K)]
-        x0, X, dW = self.sample(streams, type_of.size)
+        y = np.zeros((S, rec.D + 1))
+        y[:, :n], X, dW = self.sample(streams, type_of.size)
+        y[:, rec.xb_off:rec.xb_off + n * K] = self.xbar0
+        y[:, -1] = 1.0
         sigma = self.sigma[..., type_of]
-        xbar = np.tile(self.xbar0, (S, 1))
+        # y's rows of each minor's type mean, (n, N); an empty type has none
+        rows = np.array([o or 0 for o in rec.S_off])[type_of] + np.arange(n)[:, None]
+        top = rec.xb_off + n * K      # the rows of x0 and xbar
         emp_types = np.empty((S, M + 1, n * K))
         emp = emp_types.reshape(S, M + 1, K, n)
         xbar_out = np.empty((S, M + 1, n * K))
@@ -289,27 +288,22 @@ class _Population:
                 for k, ix in enumerate(ids):
                     # an empty type's mean is the 0.0 of an empty sum
                     emp[:, j, k] = X.take(ix, -1).sum(-1) / max(ix.size, 1)
-                xbar_out[:, j] = xbar
+                    if ix.size:
+                        y[:, rec.S_off[k]:rec.S_off[k] + n] = emp[:, j, k]
+                xbar_out[:, j] = y[:, rec.xb_off:top]
                 if states is not None:
-                    states[:, j, 0] = x0
+                    states[:, j, 0] = y[:, :n]
                     states[:, j, 1:] = X.swapaxes(-1, -2)
                 if j == M:
                     break
-                glob = sum(ids[k].size / type_of.size * emp[:, j, k] for k in range(K))
-                v = self.ff[j] - matvec_rows(self.gain[j], np.concatenate([x0, xbar], -1))
-                # every drift but the minors' own-state part, major first
-                drift = matvec_rows(self.on_x0, x0) + matvec_rows(self.on_glob, glob) \
-                    + self.b[j] + matvec_rows(self.on_v, v)
+                Fy = matvec_rows(self.F[j], y)
                 noise0, noise = self.noise(dW, sigma, j)
-                cross = drift[:, n:].reshape(S, K, n)[:, type_of].swapaxes(-1, -2)
-                X = X + h * (_cols(self.closed[j][..., type_of], X) + cross) + noise
-                x0_next = x0 + h * drift[..., :n] + noise0
-                xbar = mean_field_step_euler(*self.law, j, h, xbar, x0)
-                x0 = x0_next
-                if not (np.isfinite(x0).all() and np.isfinite(xbar).all()
-                        and np.isfinite(X).all()):
-                    fine = np.isfinite(x0).all(-1) & np.isfinite(xbar).all(-1) \
-                        & np.isfinite(X).all((1, 2))
+                X = X + h * (Fy[:, rows] + _cols(self.closed[j][..., type_of], X - y[:, rows])) \
+                    + noise
+                y[:, :top] += h * Fy[:, :top]
+                y[:, :n] += noise0
+                if not (np.isfinite(y).all() and np.isfinite(X).all()):
+                    fine = np.isfinite(y).all(-1) & np.isfinite(X).all((1, 2))
                     first_bad[~fine] = np.minimum(first_bad[~fine], j + 1)
         if (first_bad <= M).any():
             s = int(np.argmax(first_bad <= M))
@@ -323,9 +317,9 @@ def simulate_population(p: MmMfgProblem, sol: MfgSolution,
                         cfg: PopulationConfig) -> TrajectoryBundle:
     """Euler-Maruyama run of the closed-loop population.
 
-    Per step: empirical averages and controls are formed at the current
-    node, then agents, major and the internal mean field all move by one
-    explicit Euler step on node-j coefficients.  Noise comes from one
+    Per step: the type means are formed at the current node, then agents,
+    major and the internal mean field all move by one explicit Euler step
+    on the aggregate record's node-j drift.  Noise comes from one
     counter-based stream per (master_seed, stream, path), agent a taking
     its a-th consecutive block, so output is independent of scheduling
     and the first agents' draws are shared across different N.  Paths
@@ -334,11 +328,12 @@ def simulate_population(p: MmMfgProblem, sol: MfgSolution,
     type's coefficients; the stepper writes the states in place, and no
     path depends on the stacking.
     """
-    pop = _Population(p, sol, cfg)
     n, K = p.n, p.K
     N, P = cfg.N, cfg.num_paths
     M = p.grid.num_steps
     type_of = _type_of(p, cfg)
+    counts = np.bincount(type_of, minlength=K)
+    pop = _Population(p, sol, counts, _initial_mean_field(p, cfg))
     states = np.empty((P, M + 1, N + 1, n)) if cfg.record_states else None
     xbar_out = np.empty((P, M + 1, n * K))
     emp_types = np.empty((P, M + 1, n * K))
@@ -346,8 +341,7 @@ def simulate_population(p: MmMfgProblem, sol: MfgSolution,
         emp_types[a:b], xbar_out[a:b] = pop.advance(
             [(cfg.master_seed, i) for i in range(a, b)], type_of,
             None if states is None else states[a:b])
-    return TrajectoryBundle(grid=p.grid, type_of=type_of,
-                            counts=np.bincount(type_of, minlength=K), states=states,
+    return TrajectoryBundle(grid=p.grid, type_of=type_of, counts=counts, states=states,
                             xbar=xbar_out, empirical_types=emp_types)
 
 
@@ -515,16 +509,13 @@ class ReducedPopulation:
         for o, k, on_law in minors:
             mn = p.minors[k]
             r = slice(o, o + n)
+            own, on_x0, on_xbar, offset = minor_closed_loop(mn, laws[k]) if on_law \
+                else (mn.Ak, mn.Gk, 0.0, mn.bk.values)
             A[:, r] += mn.Fk @ self.avg
-            A[:, r, r] += mn.Ak
-            A[:, r, x0] += mn.Gk
-            d[:, r] = mn.bk.values
-            if on_law:
-                BK = mn.Bk @ laws[k].K.values
-                A[:, r, r] -= BK[:, :, :n]
-                A[:, r, x0] -= BK[:, :, n:2 * n]
-                A[:, r, xb] -= BK[:, :, 2 * n:]
-                d[:, r] += mn.Bk @ laws[k].k.values
+            A[:, r, r] += own
+            A[:, r, x0] += on_x0
+            A[:, r, xb] += on_xbar
+            d[:, r] = offset
         mj = p.major
         A[:, x0] += mj.F0 @ self.avg
         A[:, x0, x0] += mj.A0

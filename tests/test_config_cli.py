@@ -357,19 +357,25 @@ def test_overflowing_lifted_weight_prints_one_line(tmp_path):
 # ----------------------------------------------------------------- simulate
 
 
-@pytest.mark.parametrize("command, section", [
-    ("simulate", {"population": {"N": 10 ** 18}}),
-    ("nash-gap", {"nash": {"Ns": [10 ** 18]}}),
-])
-def test_a_population_too_large_to_hold_exits_2_naming_its_size(tmp_path, capsys, command,
-                                                               section):
-    # the type indices of 10^18 minors cannot be allocated, and the
-    # allocation fails at once, before any memory is touched
-    cfg_path = _write(tmp_path, _mfg_cfg(grid={"T": 1.0, "M": 4}, **section))
+_MINORS = "N = %d minors: " % 10 ** 18
+
+
+@pytest.mark.parametrize("command, cfg, named", [
+    ("simulate", _mfg_cfg(grid={"T": 1.0, "M": 4}, population={"N": 10 ** 18}), _MINORS),
+    ("nash-gap", _mfg_cfg(grid={"T": 1.0, "M": 4}, nash={"Ns": [10 ** 18]}), _MINORS),
+    ("solve-lqg", _lqg_cfg(grid={"T": 1.0, "M": 10 ** 12}), "shape (%d," % (10 ** 12 + 1)),
+    ("solve-mfg", _mfg_cfg(grid={"T": 1.0, "M": 10 ** 12}), "shape (%d," % (10 ** 12 + 1)),
+    ("simulate", _mfg_cfg(grid={"T": 1.0, "M": 4}, population={"N": 3, "num_paths": 10 ** 12}),
+     "shape (%d," % 10 ** 12),
+], ids=["simulate-N", "nash-gap-Ns", "solve-lqg-M", "solve-mfg-M", "simulate-num_paths"])
+def test_a_size_too_large_to_hold_exits_2_in_one_line(tmp_path, capsys, command, cfg, named):
+    # these allocations fail at once, before any memory is touched: the
+    # type indices of 10^18 minors name N, the others numpy's shape
+    cfg_path = _write(tmp_path, cfg)
     assert _run([command, "--config", cfg_path, "--out", str(tmp_path / "run")]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1
-    assert err.startswith("config error: N = %d minors: " % 10 ** 18)
+    assert err.startswith("config error: ") and named in err
 
 
 def test_simulate_zero_noise_states_are_zero(tmp_path):

@@ -164,7 +164,7 @@ def test_aggregation_identity_random_riccati_data():
             sks.append(GridFunction(p.grid, rng.normal(size=(p.grid.num_nodes, d, 1))))
         law = MeanFieldLaw(*(GridFunction(p.grid, v) for v in _closure_law(
             p, [lqg_single._gain_tables(*agent) for agent in zip(ext_minors, Piks, sks)],
-            mf.mbar.values, p.grid.num_nodes)))
+            p.grid.num_nodes)))
         for k in range(K):
             mn = p.minors[k]
             Rinv = np.linalg.inv(mn.Rk)

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import functools
 import math
 import warnings
 from pathlib import Path
@@ -15,14 +16,14 @@ from mmlqg.errors import (
 )
 from mmlqg.mfg_solver import (
     FixedPointConfig,
-    mean_field_step_euler,
     solve_consistency_finite,
 )
-from mmlqg.numerics import GridFunction, TimeGrid
+from mmlqg.numerics import GridFunction, TimeGrid, matvec_rows
 from mmlqg.lqg_single import _homogeneous, _policy_quadratic
 from mmlqg.population_sim import (
     CostReport,
     PopulationConfig,
+    ReducedPopulation,
     _draws,
     assign_types,
     discrete_chain_cost,
@@ -34,6 +35,7 @@ from mmlqg.toys import coupled_toy
 from oracles import (DenseJointSystem, _stream, empirical_mean_field, finite_cost_monte_carlo,
                      held_noise, mean_field_trajectory, mean_square_deviation_monte_carlo,
                      one_chain_cost, undeviated_cost)
+from test_fixed_point_property import random_game
 
 
 @pytest.fixture(scope="module")
@@ -98,16 +100,30 @@ def test_different_master_seed_changes_paths(coupled):
 
 def test_internal_mean_field_equals_trajectory_same_integrator(coupled):
     # the x bar consumed by the laws is exactly the trajectory recomputed
-    # from the simulated major path with the simulator's own integrator
+    # from the simulated major path and type means on the aggregate
+    # record's xbar rows, the simulator's own integrator; and it is the
+    # explicit Euler step of the mean-field law up to roundoff
     p, sol = coupled
+    n, K, h = p.n, p.K, p.grid.h
     b = simulate_population(p, sol, PopulationConfig(N=6, master_seed=9))
-    law = [f.values for f in (sol.mf_law.Abar, sol.mf_law.Gbar, sol.mf_law.mbar)]
-    xb = np.zeros(p.n * p.K)
-    euler = [xb]
+    rs = ReducedPopulation(p, sol, b.counts, None, np.zeros(n * K))
+    F = rs.drift(closed=True)
+    xb = slice(rs.xb_off, rs.xb_off + n * K)
+    Ab, Gb, mb = (f.values for f in (sol.mf_law.Abar, sol.mf_law.Gbar, sol.mf_law.mbar))
+    y = np.zeros(rs.D + 1)
+    y[-1] = 1.0
+    record, law = [y[xb].copy()], [y[xb].copy()]
     for j in range(p.grid.num_steps):
-        xb = mean_field_step_euler(*law, j, p.grid.h, xb, b.states[0][j, 0])
-        euler.append(xb)
-    assert np.max(np.abs(np.array(euler) - b.xbar[0])) == 0.0
+        x0 = b.states[0][j, 0]
+        y[:n] = x0
+        for k, o in enumerate(rs.S_off):
+            if o is not None:
+                y[o:o + n] = b.empirical_types[0, j, k * n:(k + 1) * n]
+        y[xb] += h * matvec_rows(F[j], y)[xb]
+        record.append(y[xb].copy())
+        law.append(law[-1] + h * (Ab[j] @ law[-1] + Gb[j] @ x0 + mb[j][:, 0]))
+    assert np.max(np.abs(np.array(record) - b.xbar[0])) == 0.0
+    assert np.max(np.abs(np.array(law) - b.xbar[0])) <= 1e-15
 
 
 def test_trajectory_integrators_differ_at_step_scale(coupled):
@@ -630,10 +646,26 @@ def test_only_draws_builds_a_generator():
                              ("_suite_euler_equality", "default_rng", 0)]
 
 
-@pytest.mark.parametrize("types", [[1, 0, 0, 1, 1, 0], [1, 1, 1], [1], [0, 0, 0, 0]],
-                         ids=["interleaved", "empty_type", "one_minor", "one_type_only"])
-def test_agents_last_stepping_matches_the_dense_joint_oracle(coupled, types):
-    p, sol = coupled
+@functools.lru_cache(maxsize=None)
+def _noisy_random_game(seed, n, m, K):
+    """random_game with noise and random initial states, solved."""
+    p = random_game(seed, n, m, K, 12, 1.0, 0.0)
+    p.major.sigma0 = 0.3 * np.eye(n)
+    for mn in p.minors:
+        mn.sigmak = 0.3 * np.eye(n)
+    p.init_cov_major = p.init_cov_minor = 0.2 * np.eye(n)
+    return p, solve_consistency_finite(p)
+
+
+@pytest.mark.parametrize("game, types", [
+    (None, [1, 0, 0, 1, 1, 0]), (None, [1, 1, 1]), (None, [1]), (None, [0, 0, 0, 0]),
+    # the aggregate record's S offsets shift: an empty middle type at n = 3,
+    # and n = 1
+    ((0, 3, 2, 3), [2, 0, 2, 0, 2]), ((1, 1, 1, 2), [1, 0, 1]),
+], ids=["interleaved", "empty_type", "one_minor", "one_type_only", "n3_empty_middle_type",
+        "n1"])
+def test_agents_last_stepping_matches_the_dense_joint_oracle(coupled, game, types):
+    p, sol = coupled if game is None else _noisy_random_game(*game)
     cfg = PopulationConfig(N=len(types), master_seed=11, num_paths=2,
                            type_assignment=types)
     js = DenseJointSystem(p=p, sol=sol, cfg=cfg, deviator=0)

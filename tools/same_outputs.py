@@ -5,7 +5,7 @@ this one on every benchmark operation.
 
 Each workload runs on its perfbench/workloads.make_config config at the
 PINNED sizes in a fresh process, with this checkout's src/ and OTHER's.
-So do five operations the benchmark does not run:
+So do six operations the benchmark does not run:
 - solve-lqg on the pinned 2-state config LQG below;
 - verify --out;
 - sim-wide, simulate with N = 4500 minors at M = 10 and no study, whose
@@ -16,7 +16,10 @@ So do five operations the benchmark does not run:
   is covered end to end;
 - nash-large, nash-gap on the pinned game at M = 100 with Ns [100, 10^4,
   10^6], whose gaps lie nearest roundoff: a change in how the exact costs
-  round shows there first.
+  round shows there first;
+- sim-n3, simulate on n3_game(), 3 states and 3 types with pi = [0.5, 0,
+  0.5], N = 5, 2 paths and study Ns [1, 3, 8], so that an empty middle
+  type and n != 2 are covered end to end.
 Per operation it prints the data files (all but manifest.json) whose
 sha256 differs and, for the workloads, each side's largest departure
 from the values in perfbench/reference.json, in tolerances.  For each
@@ -35,6 +38,8 @@ import math
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "src")]
@@ -114,6 +119,36 @@ LQG = {"kind": "lqg", "grid": {"T": 1.0, "M": 200}, "rho": 0.5,
        "eta": [[0.2], [-0.1]], "n": [[0.05]], "x0": [[1.0], [-0.5]]}
 CLI = [sys.executable, "-m", "mmlqg.cli_app"]
 
+
+def n3_game() -> dict:
+    """A 3-state, 2-input game of 3 minor types, the middle one empty:
+    stable drifts, positive definite weights and moderate couplings, drawn
+    once from a fixed seed and rounded to 3 decimals."""
+    rng = np.random.default_rng(0)
+    n, m = 3, 2
+
+    def mat(rows, cols, scale):
+        return rng.normal(scale=scale, size=(rows, cols))
+
+    def spd(d, floor):
+        L = mat(d, d, 0.5)
+        return L @ L.T + floor * np.eye(d)
+
+    def agent(suffix, extra):
+        values = dict(A=-0.5 * np.eye(n) + mat(n, n, 0.2), B=mat(n, m, 1.0), b=mat(n, 1, 0.2),
+                      sigma=0.2 * np.eye(n), Qhat=spd(n, 0.1), Q=spd(n, 0.5),
+                      N=mat(n, m, 0.05), R=spd(m, 0.5), H=mat(n, n, 0.2), eta=mat(n, 1, 0.3),
+                      **extra)
+        return {key + suffix: np.round(values[key], 3).tolist() for key in values}
+
+    return {"kind": "mfg", "grid": {"T": 1.0, "M": 20}, "pi": [0.5, 0.0, 0.5],
+            "major": agent("0", dict(F=mat(n, n, 0.2))),
+            "minors": [agent("k", dict(F=mat(n, n, 0.2), G=mat(n, n, 0.2),
+                                       Hhat=mat(n, n, 0.2))) for _ in range(3)],
+            "init_cov_major": (0.2 * np.eye(n)).tolist(),
+            "init_cov_minor": (0.2 * np.eye(n)).tolist()}
+
+
 parser = argparse.ArgumentParser(description="compare data files with another checkout")
 parser.add_argument("other", type=Path, help="root of the other checkout")
 parser.add_argument("--seed", type=int, default=1)
@@ -148,6 +183,11 @@ with tempfile.TemporaryDirectory() as tmp:
         tmp / "large.json")
     ops.append(("nash-large", lambda out: CLI + ["nash-gap", "--config", str(large_path),
                                                  "--out", str(out)], None))
+    n3_path = workloads.write_config(dict(n3_game(), study={"Ns": [1, 3, 8]}, population={
+        "N": 5, "num_paths": 2, "master_seed": workloads.master_seed(args.seed)}),
+        tmp / "n3.json")
+    ops.append(("sim-n3", lambda out: CLI + ["simulate", "--config", str(n3_path),
+                                             "--out", str(out)], None))
     for w, argv, ref in ops:
         hashes, moves, outs = [], [], []
         for side, root in (("this", ROOT), ("other", args.other.resolve())):
