@@ -160,8 +160,8 @@ def cmd_solve_mfg(cfg: dict, out: Path, seed):
 
 
 def cmd_simulate(cfg: dict, out: Path, seed):
-    from .population_sim import (PopulationConfig, mean_field_convergence_study,
-                                 simulate_population)
+    from .population_sim import (PopulationConfig, empty_trajectories,
+                                 mean_field_convergence_study, simulate_population)
 
     p = config.parse_mfg_problem(cfg)
     pop = config.parse_population(cfg)
@@ -170,11 +170,12 @@ def cmd_simulate(cfg: dict, out: Path, seed):
     if seed is not None:
         pop["master_seed"] = seed
     study = config.parse_study(cfg)
-    sol = solve_consistency_finite(p, config.parse_fixed_point(cfg))
     pcfg = PopulationConfig(N=pop["N"], num_paths=pop["num_paths"],
                             master_seed=pop["master_seed"],
                             record_states=pop["record_states"])
-    bundle = simulate_population(p, sol, pcfg)
+    bundle = empty_trajectories(p, pcfg)   # sizes that cannot be held fail before the solve
+    sol = solve_consistency_finite(p, config.parse_fixed_point(cfg))
+    simulate_population(p, sol, pcfg, bundle)
     if pcfg.record_states:
         _write_table(out / "states.csv", ("path", "node", "agent", "row", "value"),
                      bundle.states)

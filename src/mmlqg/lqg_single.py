@@ -3,13 +3,17 @@
 Every LQG agent, a standalone LqgProblem or a game agent on its extended
 state, is one ExtendedSystem, and this module is the one place that
 checks, solves and tabulates it: the convexity checks on its primitive
-weights, one agent solve per horizon and one gain table.  Finite horizon:
-backward Riccati and offset sweeps yielding the optimal linear feedback
-u* = -R^{-1}(N'x - n + B'(Pi x + s)).  Infinite horizon: the discounted
-algebraic Riccati equation solved with numpy alone, by the matrix sign
-function of its Hamiltonian (Byers) plus Newton-Kleinman polish through
-sign-function Lyapunov solves (Roberts), after Hautus tests of the
-shifted drift.  Also provides exact closed-loop costs on z = (y; 1), one
+weights, one agent solve per horizon and one gain table.  Each agent
+solve takes a stack of agents and returns their (Pi, s) tables, for the
+game's consistency map and the standalone front ends alike, which solve a
+one-member stack.  Finite horizon (_solve_agent_finite): backward
+Riccati and offset sweeps yielding the optimal linear feedback
+u* = -R^{-1}(N'x - n + B'(Pi x + s)).  Infinite horizon
+(_solve_agent_stationary): the discounted algebraic Riccati equation
+solved with numpy alone, by the matrix sign function of its Hamiltonian
+(Byers) plus Newton-Kleinman polish through sign-function Lyapunov
+solves (Roberts), after Hautus tests of the shifted drift, and the
+steady offset.  Also provides exact closed-loop costs on z = (y; 1), one
 weight and one second moment per affine law, and a deterministic
 Gateaux-derivative oracle used to certify optimality.
 """
@@ -182,19 +186,11 @@ class LqgProblem:
     def m(self) -> int:
         return self.B.shape[1]
 
-    def _agent(self, stationary: bool = False) -> "ExtendedSystem":
-        """This problem as the agent record every solver reads.
-
-        The stationary record sits on a one-step grid with b frozen at
-        t = 0, since the stationary solve reads node 0 only.
-        """
-        grid, b = self.grid, self.b
-        if stationary:
-            grid = TimeGrid(grid.t_end, 1)
-            b = GridFunction.constant(grid, b.values[0])
+    def _agent(self) -> "ExtendedSystem":
+        """This problem as the agent record every solver reads."""
         return ExtendedSystem(
-            what="LQG", A=GridFunction.constant(grid, self.A), B=self.B,
-            b=b, Qhat=self.Qhat, Q=self.Q, N=self.N_cross, R=self.R,
+            what="LQG", A=GridFunction.constant(self.grid, self.A), B=self.B,
+            b=self.b, Qhat=self.Qhat, Q=self.Q, N=self.N_cross, R=self.R,
             eta=self.eta, nbar=self.n_lin, Q_factor=psd_sqrt(self.Q),
         )
 
@@ -846,20 +842,39 @@ def solve_discounted_are(
     return Pi
 
 
-def _solve_agent_stationary(ext: ExtendedSystem, rho: float):
-    """Infinite horizon: one agent's discounted ARE and steady offset at node 0.
+def _constant_value(gf: GridFunction, name: str) -> np.ndarray:
+    """gf's one value: a drift of the stationary problem must not vary."""
+    if not np.all(gf.values == gf.values[0]):
+        raise SchemaError("must be constant for the stationary problem", field=name)
+    return gf.values[0]
 
-    The drift shifted by -rho/2 must first pass the Hautus tests with the
-    record's weight factor.  Returns (Pi, s, Hautus report).
+
+def _solve_agent_stationary(exts: List[ExtendedSystem], rho: float,
+                            reports: Optional[list] = None):
+    """Infinite horizon: each agent of a stack's discounted ARE and steady
+    offset, from its drift and offset at node 0.
+
+    Each agent's drift shifted by -rho/2 must first pass the Hautus tests
+    with the record's weight factor; reports, if given, receives each
+    agent's Hautus report.  Returns (Pis, ss) as _solve_agent_finite does,
+    each table constant on its agent's grid (one step for every caller, as
+    nothing else is read).  Every agent is solved alone, so a stack member
+    rounds as a one-member stack does.
     """
-    A = ext.A.values[0]
-    shifted = A - 0.5 * rho * np.eye(ext.dim)
-    rep = _require_hautus(hautus_report(shifted, ext.B, ext.Q_factor, tol=1e-9),
-                          "%s system" % ext.what)
-    Pi = solve_discounted_are(A, ext.B, ext.Q, ext.N, ext.R, rho, what=ext.what + " R")
-    s = _steady_offset(A, ext.B, ext.N, ext.Rinv, rho, Pi,
-                       ext.b.values[0], ext.nbar, ext.eta)
-    return Pi, s, rep
+    Pis, ss = [], []
+    for ext in exts:
+        A = ext.A.values[0]
+        shifted = A - 0.5 * rho * np.eye(ext.dim)
+        rep = _require_hautus(hautus_report(shifted, ext.B, ext.Q_factor, tol=1e-9),
+                              "%s system" % ext.what)
+        Pi = solve_discounted_are(A, ext.B, ext.Q, ext.N, ext.R, rho, what=ext.what + " R")
+        s = _steady_offset(A, ext.B, ext.N, ext.Rinv, rho, Pi,
+                           ext.b.values[0], ext.nbar, ext.eta)
+        Pis.append(GridFunction.constant(ext.A.grid, Pi))
+        ss.append(GridFunction.constant(ext.A.grid, s))
+        if reports is not None:
+            reports.append(rep)
+    return Pis, ss
 
 
 @dataclass
@@ -875,21 +890,23 @@ class StationarySolution:
 
 
 def solve_infinite_horizon(p: LqgProblem) -> StationarySolution:
-    """Discounted ARE and steady offset for constant coefficients.
+    """Convexity checks, the stationary agent solve, then the gain table.
 
-    Requires constant b; detectability and stabilizability of the shifted
-    pair are checked first and violations are rejected.
+    Requires constant b.  The problem is solved on a one-step grid with b
+    and sigma frozen at t = 0, since the stationary solve reads node 0
+    only; detectability and stabilizability of the shifted pair are
+    checked first and violations are rejected.
     """
-    if not np.all(p.b.values == p.b.values[0]):
-        raise SchemaError("infinite-horizon solver requires a constant drift offset b")
-    validate_convexity(p).require()
-    agent = p._agent(stationary=True)
-    Pi, s, ds = _solve_agent_stationary(agent, p.rho)
-    res = float(np.linalg.norm(_are_residual(Pi, p.A, p.B, p.Q, p.N_cross,
-                                             spd_solver(p.R), p.rho)))
-    law = _gain_tables(agent, GridFunction.constant(agent.A.grid, Pi),
-                       GridFunction.constant(agent.A.grid, s))
+    q = dataclasses.replace(p, grid=TimeGrid(p.grid.t_end, 1), b=_constant_value(p.b, "b"),
+                            sigma=p.sigma.values[0])
+    validate_convexity(q).require()
+    agent, hautus = q._agent(), []
+    (Pi,), (s,) = _solve_agent_stationary([agent], q.rho, hautus)
+    law = _gain_tables(agent, Pi, s)
+    Pi, s = Pi.values[0], s.values[0]
+    res = float(np.linalg.norm(_are_residual(Pi, q.A, q.B, q.Q, q.N_cross,
+                                             spd_solver(q.R), q.rho)))
     return StationarySolution(
         Pi=Pi, s=s, K=law.K.values[0], k=law.k.values[0], are_residual=res,
-        report=ds,
+        report=hautus[0],
     )

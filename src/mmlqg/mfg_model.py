@@ -2,9 +2,10 @@
 
 Minor agents of K types couple to one major agent through the average
 minor state; in the infinite-population limit that average is the
-stacked per-type mean field, whose dynamics are a MeanFieldLaw: the open
-loop of the primitive coefficients, or the closed loop of the minors'
-laws, whose blocks for one type minor_closed_loop alone forms.  Each
+stacked per-type mean field, whose dynamics are a MeanFieldLaw.
+mean_field_law is its one former: the closed loop of the minors' laws,
+whose blocks for one type minor_closed_loop alone forms, and at the zero
+law the open loop of the primitive coefficients.  Each
 agent is built here as lqg_single's ExtendedSystem, with its
 Hautus weight factor and R^{-1}: the major on (x0; xbar) against a law,
 each minor type on (x_i; x0; xbar) against that major record, so the
@@ -162,20 +163,6 @@ def validate_problem(p: MmMfgProblem) -> ValidationReport:
     return rep
 
 
-def build_mean_field_matrices(p: MmMfgProblem) -> MeanFieldLaw:
-    """The open-loop law: row block k is A_k e_k + F_k^pi, G_k and b_k."""
-    n, K = p.n, p.K
-    Abreve = np.vstack(
-        [mn.Ak @ selector(k, n, K) + replicate_pi(mn.Fk, p.pi)
-         for k, mn in enumerate(p.minors)]
-    )
-    Gbreve = np.vstack([mn.Gk for mn in p.minors])
-    mvals = np.concatenate([mn.bk.values for mn in p.minors], axis=1)
-    return MeanFieldLaw(GridFunction.constant(p.grid, Abreve),
-                        GridFunction.constant(p.grid, Gbreve),
-                        GridFunction(p.grid, mvals))
-
-
 def minor_closed_loop(mn: MinorTypeParams, law: FeedbackLaw) -> tuple:
     """Node tables of a type-mn minor's drift under its law u = -K X + k
     on X = (x_i; x0; xbar), K = [K_own K_x0 K_xbar]: the blocks on x_i,
@@ -186,6 +173,36 @@ def minor_closed_loop(mn: MinorTypeParams, law: FeedbackLaw) -> tuple:
     BK = mn.Bk @ law.K.values
     return (mn.Ak - BK[:, :, :n], mn.Gk - BK[:, :, n:2 * n], -BK[:, :, 2 * n:],
             mn.bk.values + mn.Bk @ law.k.values)
+
+
+def mean_field_law(p: MmMfgProblem, minor_laws: List[FeedbackLaw]) -> MeanFieldLaw:
+    """The mean-field law the minors' laws close, on p's grid.
+
+    Row block k is type k's closed loop (minor_closed_loop), its own-state
+    block placed by e_k and the F_k coupling added:
+      Abar_k = (A_k - B_k K_own) e_k + F_k^pi - B_k K_xbar
+      Gbar_k = G_k - B_k K_x0
+      mbar_k = b_k + B_k k
+    """
+    n, K, nodes = p.n, p.K, p.grid.num_nodes
+    Abar = np.empty((nodes, n * K, n * K))
+    Gbar = np.empty((nodes, n * K, n))
+    mbar = np.empty((nodes, n * K, 1))
+    for k, (mn, law) in enumerate(zip(p.minors, minor_laws)):
+        own, on_x0, on_xbar, offset = minor_closed_loop(mn, law)
+        rows = slice(k * n, (k + 1) * n)
+        Abar[:, rows] = own @ selector(k, n, K) + replicate_pi(mn.Fk, p.pi) + on_xbar
+        Gbar[:, rows] = on_x0
+        mbar[:, rows] = offset
+    return MeanFieldLaw(*(GridFunction(p.grid, v) for v in (Abar, Gbar, mbar)))
+
+
+def build_mean_field_matrices(p: MmMfgProblem) -> MeanFieldLaw:
+    """The open-loop law, the closure at the zero law u = 0: row block k
+    is A_k e_k + F_k^pi, G_k and b_k."""
+    d = 2 * p.n + p.n * p.K
+    zero = FeedbackLaw(GridFunction.zeros(p.grid, p.m, d), GridFunction.zeros(p.grid, p.m))
+    return mean_field_law(p, [zero] * p.K)
 
 
 def lift_tracking(C, Qhat, Q, N, R, eta) -> dict:

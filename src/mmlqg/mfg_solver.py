@@ -5,19 +5,21 @@ mbar): given a triple x, the major solves its extended LQG problem, each
 minor type solves its extended problem against the major's solution, and
 the minors' equilibrium feedback closes the loop into a new triple F(x).
 The resulting Riccati/offset functions define the equilibrium feedback
-laws.  mfg_model assembles every agent, as one ExtendedSystem carrying
+laws.  This module holds only that map, its iteration and the two front
+ends.  mfg_model assembles every agent, as one ExtendedSystem carrying
 its own Hautus factor and R^{-1}: each evaluation builds the major once,
 against the law x, and each minor type against that major record.  Each
-agent is solved and turned into a law by the same lqg_single routines as
-a standalone LQG problem, and the closure reads only the minors' laws, so
-this module forms no extended weight.  It reads each type's closed-loop
-blocks from mfg_model.minor_closed_loop, as the finite population's
-record and simulator do.  One map serves both horizons; they
-differ only in the per-agent solve: backward RK4 sweeps on the grid, or
-the discounted ARE and steady offset at node 0.  The K minor types share
-one extended dimension, so the finite horizon sweeps them as one stack:
-an evaluation runs 4 backward sweeps for any K, the major's Riccati and
-offset sweeps (an RK4 loop, then RK4 step maps) and then the minors'.
+stack of agents is solved by lqg_single's agent solve of the horizon, as
+a standalone LQG problem is, and turned into laws by its gain table;
+mfg_model.mean_field_law closes the minors' laws into F(x), so this
+module forms no extended weight and no closed-loop block.  One map
+serves both horizons; they differ only in the agent solve:
+_solve_agent_finite's backward RK4 sweeps on the grid, or
+_solve_agent_stationary's discounted ARE and steady offset at node 0.
+The K minor types share one extended dimension, so the finite horizon
+sweeps them as one stack: an evaluation runs 4 backward sweeps for any
+K, the major's Riccati and offset sweeps (an RK4 loop, then RK4 step
+maps) and then the minors'.
 
 One iteration serves the finite-horizon and the stationary problem: Anderson
 acceleration (Walker & Ni 2011) with a memory of ANDERSON_MEMORY past
@@ -45,6 +47,7 @@ from .lqg_single import (
     ExtendedSystem,
     FeedbackLaw,
     ValidationReport,
+    _constant_value,
     _gain_tables,
     _solve_agent_finite,
     _solve_agent_stationary,
@@ -55,9 +58,7 @@ from .mfg_model import (
     build_extended_major,
     build_extended_minor,
     build_mean_field_matrices,
-    minor_closed_loop,
-    replicate_pi,
-    selector,
+    mean_field_law,
     validate_problem,
 )
 from .numerics import (
@@ -113,48 +114,18 @@ class MfgSolution:
     validation: ValidationReport       # the game checks the solver ran
 
 
-def _solve_agents_stationary(exts: List[ExtendedSystem], rho: float):
-    """Infinite horizon: each agent's discounted ARE and steady offset at
-    node 0 (Hautus tests first), as constant tables on its own grid."""
-    solved = [(ext.A.grid, _solve_agent_stationary(ext, rho)) for ext in exts]
-    return ([GridFunction.constant(grid, Pi) for grid, (Pi, _, _) in solved],
-            [GridFunction.constant(grid, s) for grid, (_, s, _) in solved])
-
-
-def _closure_law(p: MmMfgProblem, minor_laws, nodes: int):
-    """New (Abar, Gbar, mbar) tables from the minors' equilibrium laws,
-    read at their first `nodes` nodes.
-
-    Row block k is type k's closed loop (mfg_model.minor_closed_loop),
-    its own-state block placed by e_k and the F_k coupling added:
-      Abar_k = (A_k - B_k K_own) e_k + F_k^pi - B_k K_xbar
-      Gbar_k = G_k - B_k K_x0
-      mbar_k = b_k + B_k k
-    """
-    n, K = p.n, p.K
-    Abar = np.empty((nodes, n * K, n * K))
-    Gbar = np.empty((nodes, n * K, n))
-    mbar = np.empty((nodes, n * K, 1))
-    for k, (mn, law) in enumerate(zip(p.minors, minor_laws)):
-        own, on_x0, on_xbar, offset = minor_closed_loop(mn, law)
-        rows = slice(k * n, (k + 1) * n)
-        Abar[:, rows] = own[:nodes] @ selector(k, n, K) + replicate_pi(mn.Fk, p.pi) \
-            + on_xbar[:nodes]
-        Gbar[:, rows] = on_x0[:nodes]
-        mbar[:, rows] = offset[:nodes]
-    return Abar, Gbar, mbar
-
-
 def _one_step(p: MmMfgProblem) -> MmMfgProblem:
-    """p on a one-step grid, drifts frozen at t = 0.
+    """The stationary problem of p: p on a one-step grid, with the constant
+    values of its drifts (SchemaError if one varies).
 
     For blocks read at node 0 only, or not at the nodes at all: every
     table built on it has two nodes instead of M + 1.
     """
     return replace(
         p, grid=TimeGrid(p.grid.t_end, 1),
-        major=replace(p.major, b0=p.major.b0.values[0]),
-        minors=[replace(mn, bk=mn.bk.values[0]) for mn in p.minors],
+        major=replace(p.major, b0=_constant_value(p.major.b0, "major.b0")),
+        minors=[replace(mn, bk=_constant_value(mn.bk, "minors[%d].bk" % k))
+                for k, mn in enumerate(p.minors)],
     )
 
 
@@ -167,12 +138,9 @@ def _initial_law(p: MmMfgProblem) -> MeanFieldLaw:
     def zero(d):
         return GridFunction.zeros(p.grid, d, d), GridFunction.zeros(p.grid, d)
 
-    open_loop = build_mean_field_matrices(p)
-    major = build_extended_major(p, open_loop)
+    major = build_extended_major(p, build_mean_field_matrices(p))
     minors = [build_extended_minor(p, k, major, *zero(major.dim)) for k in range(p.K)]
-    laws = [_gain_tables(ext, *zero(ext.dim)) for ext in minors]
-    tables = _closure_law(p, laws, p.grid.num_nodes)
-    return MeanFieldLaw(*(GridFunction(p.grid, v) for v in tables))
+    return mean_field_law(p, [_gain_tables(ext, *zero(ext.dim)) for ext in minors])
 
 
 def _consistency_map(p: MmMfgProblem, law0: MeanFieldLaw, solve_agent, nodes: int):
@@ -181,7 +149,7 @@ def _consistency_map(p: MmMfgProblem, law0: MeanFieldLaw, solve_agent, nodes: in
     solve_agent(exts, rho) returns the lists (Pis, ss) of a stack of
     agents on p's grid.  The finite horizon passes _solve_agent_finite and
     iterates on every node; the stationary problem, on a one-step grid,
-    passes _solve_agents_stationary and iterates on node 0, which the law
+    passes _solve_agent_stationary and iterates on node 0, which the law
     repeats at every node.  Returns (x0, evaluate): x0 flattens law0 and
     evaluate(x) returns (F(x), (law, ext_major, Pi0, s0, ext_minors, Piks,
     sks, minor_laws)) with law the MeanFieldLaw that x encodes.  Each
@@ -189,8 +157,10 @@ def _consistency_map(p: MmMfgProblem, law0: MeanFieldLaw, solve_agent, nodes: in
     then the K minor types as one stack: 4 backward RK4 sweeps for any K
     on the finite horizon.
     """
-    tables = [gf.values[:nodes] for gf in (law0.Abar, law0.Gbar, law0.mbar)]
-    shapes = [v.shape for v in tables]
+    def tables(law):
+        return [gf.values[:nodes] for gf in (law.Abar, law.Gbar, law.mbar)]
+
+    shapes = [v.shape for v in tables(law0)]
     full = p.grid.num_nodes
 
     def evaluate(x):
@@ -203,10 +173,10 @@ def _consistency_map(p: MmMfgProblem, law0: MeanFieldLaw, solve_agent, nodes: in
         ext_minors = [build_extended_minor(p, k, ext_major, Pi0, s0) for k in range(p.K)]
         Piks, sks = solve_agent(ext_minors, p.rho)
         minor_laws = [_gain_tables(*agent) for agent in zip(ext_minors, Piks, sks)]
-        fx = flatten(*_closure_law(p, minor_laws, nodes))
+        fx = flatten(*tables(mean_field_law(p, minor_laws)))
         return fx, (law, ext_major, Pi0, s0, ext_minors, Piks, sks, minor_laws)
 
-    return flatten(*tables), evaluate
+    return flatten(*tables(law0)), evaluate
 
 
 def _anderson(evaluate, x: np.ndarray, cfg: FixedPointConfig, what: str):
@@ -301,12 +271,6 @@ class StationaryMfgSolution:
     problem: MmMfgProblem
 
 
-def _require_constant(gf: GridFunction, name: str) -> np.ndarray:
-    if not np.all(gf.values == gf.values[0]):
-        raise SchemaError("%s must be constant for the stationary problem" % name)
-    return gf.values[0]
-
-
 def solve_consistency_infinite(p: MmMfgProblem, cfg: Optional[FixedPointConfig] = None) -> StationaryMfgSolution:
     """Stationary fixed point: discounted AREs and steady offsets.
 
@@ -320,12 +284,8 @@ def solve_consistency_infinite(p: MmMfgProblem, cfg: Optional[FixedPointConfig] 
     cfg = cfg or FixedPointConfig()
     if p.rho <= 0.0:
         raise SchemaError("stationary problem requires rho > 0")
-    _require_constant(p.major.b0, "b0")
-    for k in range(p.K):
-        _require_constant(p.minors[k].bk, "minor[%d].bk" % k)
     # every table of the stationary problem is read at node 0 only
-    q = _one_step(p)
-    sol = _solve_fixed_point(q, cfg, _solve_agents_stationary, 1,
+    sol = _solve_fixed_point(_one_step(p), cfg, _solve_agent_stationary, 1,
                              "stationary consistency iteration")
 
     law = sol.mf_law

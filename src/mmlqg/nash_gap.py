@@ -36,7 +36,7 @@ on the record's own closed drift, expected_cost_exact's value
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -143,7 +143,7 @@ def solve_best_response(js: ReducedPopulation) -> BestResponse:
 
 @dataclass
 class NashGapReport:
-    agent_id: int
+    agent_id: Optional[int]      # None for a gap table's deviator, keyed by its type
     N: int
     J_equilibrium: float
     J_best_response: float
@@ -158,18 +158,19 @@ class NashGapReport:
             )
 
 
-def _gap_reports(records: List[ReducedPopulation], keys) -> List[NashGapReport]:
-    """Reports of screened records of one D, keyed (N, agent_id): stacked
-    best responses, then one chain recursion of each record's chain on its
-    own closed drift, then of its un-deviated chain, the open drift closed
-    by Bz and the lifted gain table."""
+def _gap_reports(records: List[ReducedPopulation], Ns: Sequence[int],
+                 agent_id: Optional[int] = None) -> List[NashGapReport]:
+    """Reports of screened records of one D, each at its N in Ns and
+    naming agent_id: stacked best responses, then one chain recursion of
+    each record's chain on its own closed drift, then of its un-deviated
+    chain, the open drift closed by Bz and the lifted gain table."""
     L, reports = len(records), []
     brs = _best_responses(records)
     js = _stacked(records + records, ("F_nodes", "Kz_nodes"))
     F = js.F_nodes - js.Bz @ js.Kz_nodes
     F[:, :L] = np.stack([r.drift(closed=True) for r in records], 1)
     J = chain_costs(js, F)
-    for (N, agent_id), br, check in zip(keys, brs, np.abs(J[L:] - J[:L])):
+    for N, br, check in zip(Ns, brs, np.abs(J[L:] - J[:L])):
         gap = br.equilibrium_cost - br.cost
         reports.append(NashGapReport(agent_id, N, br.equilibrium_cost, br.cost, gap, {
             "identity_mismatch": abs(br.gap_identity - gap), "assembly_crosscheck": float(check)}))
@@ -190,7 +191,7 @@ def epsilon_nash_gap(p: MmMfgProblem, sol: MfgSolution, cfg: PopulationConfig,
     agent_id = _as_count(deviator, "agent_id", 0, cfg.N + 1)
     js = build_joint_closed_loop(p, sol, cfg, agent_id)
     _screen(js)
-    return _gap_reports([js], [(cfg.N, agent_id)])[0]
+    return _gap_reports([js], [cfg.N], agent_id)[0]
 
 
 @dataclass
@@ -211,32 +212,30 @@ class GapTable:
 def gap_vs_population(p: MmMfgProblem, sol: MfgSolution, Ns: Sequence[int]) -> GapTable:
     """Worst gap over the major and one deviator per type, for each N.
 
-    Every deviator of every N gets its record, keyed by that N's type
-    counts; each agent kind (the major, a type) is screened for convexity
-    once, and the records run through _gap_reports in one stack per
-    dimension D.  Every gap is an exact moment propagation, so no seed
-    enters.
+    Every deviator of every N gets its record, keyed by its kind (the
+    major, or a non-empty type) and that N's type counts; each kind is
+    screened for convexity once, and the records run through _gap_reports
+    in one stack per dimension D.  Every gap is an exact moment
+    propagation, so no seed enters.
     """
     Ns = [_as_count(N, "Ns[%d]" % i, 1) for i, N in enumerate(Ns)]
-    ids, records, groups, reports, rows = {}, {}, {}, {}, []
+    kinds = [None, *range(p.K)]     # the major, then each type
+    records, groups, reports, rows = {}, {}, {}, []
     for N in Ns:
-        type_of = assign_types(p.pi, N)
-        counts = np.bincount(type_of, minlength=p.K)
-        # the major, then the first member of each type (None if it is empty)
-        firsts = [int(np.argmax(type_of == k)) for k in range(p.K)]
-        ids[N] = [0] + [a + 1 if type_of[a] == k else None for k, a in enumerate(firsts)]
-        for a, own in zip(ids[N], [None, *range(p.K)]):
-            if a is not None and (N, a) not in records:
+        counts = np.bincount(assign_types(p.pi, N), minlength=p.K)
+        for own in kinds:
+            if (own is None or counts[own]) and (N, own) not in records:
                 # the other minors: N's counts less the deviator (the major has no type)
-                records[N, a] = js = ReducedPopulation(
+                records[N, own] = js = ReducedPopulation(
                     p, sol, counts - (np.arange(p.K) == own), own, np.zeros(p.n * p.K))
-                groups.setdefault(js.D, []).append((N, a))
+                groups.setdefault(js.D, []).append((N, own))
     for js in {js.own_type: js for js in records.values()}.values():
         _screen(js)
     for keys in groups.values():
-        reports.update(zip(keys, _gap_reports([records.pop(key) for key in keys], keys)))
+        reports.update(zip(keys, _gap_reports([records.pop(key) for key in keys],
+                                              [N for N, _ in keys])))
     for N in Ns:
-        row = [reports.get((N, a)) for a in ids[N]]
+        row = [reports.get((N, own)) for own in kinds]
         gaps = [0.0 if r is None else r.gap for r in row]
         worst = {key: max(r.diagnostics[key] for r in row if r is not None)
                  for key in ("identity_mismatch", "assembly_crosscheck")}

@@ -313,9 +313,22 @@ class _Population:
         return emp_types, xbar_out
 
 
-def simulate_population(p: MmMfgProblem, sol: MfgSolution,
-                        cfg: PopulationConfig) -> TrajectoryBundle:
-    """Euler-Maruyama run of the closed-loop population.
+def empty_trajectories(p: MmMfgProblem, cfg: PopulationConfig) -> TrajectoryBundle:
+    """The type assignment and the unfilled arrays of a simulate_population
+    run: a size that cannot be held fails here, before any solve."""
+    n, K = p.n, p.K
+    P, M = cfg.num_paths, p.grid.num_steps
+    type_of = _type_of(p, cfg)
+    return TrajectoryBundle(
+        grid=p.grid, type_of=type_of, counts=np.bincount(type_of, minlength=K),
+        states=np.empty((P, M + 1, cfg.N + 1, n)) if cfg.record_states else None,
+        xbar=np.empty((P, M + 1, n * K)), empirical_types=np.empty((P, M + 1, n * K)))
+
+
+def simulate_population(p: MmMfgProblem, sol: MfgSolution, cfg: PopulationConfig,
+                        out: Optional[TrajectoryBundle] = None) -> TrajectoryBundle:
+    """Euler-Maruyama run of the closed-loop population, written into out,
+    empty_trajectories(p, cfg) by default, and returned.
 
     Per step: the type means are formed at the current node, then agents,
     major and the internal mean field all move by one explicit Euler step
@@ -328,21 +341,13 @@ def simulate_population(p: MmMfgProblem, sol: MfgSolution,
     type's coefficients; the stepper writes the states in place, and no
     path depends on the stacking.
     """
-    n, K = p.n, p.K
-    N, P = cfg.N, cfg.num_paths
-    M = p.grid.num_steps
-    type_of = _type_of(p, cfg)
-    counts = np.bincount(type_of, minlength=K)
-    pop = _Population(p, sol, counts, _initial_mean_field(p, cfg))
-    states = np.empty((P, M + 1, N + 1, n)) if cfg.record_states else None
-    xbar_out = np.empty((P, M + 1, n * K))
-    emp_types = np.empty((P, M + 1, n * K))
-    for a, b in _chunks(p, N + 1, P):
-        emp_types[a:b], xbar_out[a:b] = pop.advance(
-            [(cfg.master_seed, i) for i in range(a, b)], type_of,
-            None if states is None else states[a:b])
-    return TrajectoryBundle(grid=p.grid, type_of=type_of, counts=counts, states=states,
-                            xbar=xbar_out, empirical_types=emp_types)
+    run = empty_trajectories(p, cfg) if out is None else out
+    pop = _Population(p, sol, run.counts, _initial_mean_field(p, cfg))
+    for a, b in _chunks(p, cfg.N + 1, cfg.num_paths):
+        run.empirical_types[a:b], run.xbar[a:b] = pop.advance(
+            [(cfg.master_seed, i) for i in range(a, b)], run.type_of,
+            None if run.states is None else run.states[a:b])
+    return run
 
 
 def _type_of(p: MmMfgProblem, cfg: PopulationConfig) -> np.ndarray:

@@ -368,14 +368,25 @@ _MINORS = "N = %d minors: " % 10 ** 18
     ("simulate", _mfg_cfg(grid={"T": 1.0, "M": 4}, population={"N": 3, "num_paths": 10 ** 12}),
      "shape (%d," % 10 ** 12),
 ], ids=["simulate-N", "nash-gap-Ns", "solve-lqg-M", "solve-mfg-M", "simulate-num_paths"])
-def test_a_size_too_large_to_hold_exits_2_in_one_line(tmp_path, capsys, command, cfg, named):
+def test_a_size_too_large_to_hold_exits_2_in_one_line(tmp_path, capsys, monkeypatch,
+                                                     command, cfg, named):
     # these allocations fail at once, before any memory is touched: the
-    # type indices of 10^18 minors name N, the others numpy's shape
+    # type indices of 10^18 minors name N, the others numpy's shape.
+    # simulate allocates its run before it solves the game
+    solves = []
+
+    def solve(*args):
+        solves.append(args)
+        return mfg_solver.solve_consistency_finite(*args)
+
+    monkeypatch.setattr(cli_app, "solve_consistency_finite", solve)
     cfg_path = _write(tmp_path, cfg)
     assert _run([command, "--config", cfg_path, "--out", str(tmp_path / "run")]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith("config error: ") and named in err
+    if command == "simulate":
+        assert solves == []
 
 
 def test_simulate_zero_noise_states_are_zero(tmp_path):

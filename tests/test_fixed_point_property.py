@@ -15,14 +15,13 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from mmlqg.errors import FixedPointError, MmlqgError
-from mmlqg.lqg_single import _solve_agent_finite
+from mmlqg.lqg_single import _solve_agent_finite, _solve_agent_stationary
 from mmlqg.mfg_model import MajorParams, MinorTypeParams, MmMfgProblem
 from mmlqg.mfg_solver import (
     FixedPointConfig,
     _consistency_map,
     _initial_law,
     _one_step,
-    _solve_agents_stationary,
     solve_consistency_finite,
     solve_consistency_infinite,
 )
@@ -75,7 +74,7 @@ def _stationary_agent(q):
     # the stationary map's per-agent solve; the records it solves carry
     # q's one-step grid.  Kept as a call on q so that the source of the
     # stationary test below, which seeds its examples, stays as it was.
-    return _solve_agents_stationary
+    return _solve_agent_stationary
 
 
 def picard(x0, evaluate, max_iters):

@@ -1,5 +1,6 @@
 """Single-agent LQG: Riccati oracles, cost and derivative cross-checks."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,8 +20,10 @@ from mmlqg.lqg_single import (
     FeedbackLaw,
     LqgProblem,
     LqgSolution,
+    _gain_tables,
     _homogeneous,
     _policy_quadratic,
+    _solve_agent_stationary,
     closed_loop_cost_moments,
     costate_oracle,
     expected_cost,
@@ -639,6 +642,22 @@ def test_turnpike_long_horizon():
     # both laws read u = -K x + k
     assert abs(sol.law.K.values[0][0, 0] - st.K[0, 0]) < 1e-6
     assert abs(sol.law.k.values[0][0, 0] - st.k[0, 0]) < 1e-6
+
+
+@pytest.mark.parametrize("problem", [rich_scalar_problem, two_state_problem])
+def test_infinite_horizon_is_the_one_member_stack_of_its_agent(problem):
+    # the front end is the stationary agent solve of its one-step problem,
+    # then the gain table: bit for bit, Hautus report included
+    p = problem(M=40)
+    one_step = dataclasses.replace(p, grid=TimeGrid(p.grid.t_end, 1), b=p.b.values[0],
+                                   sigma=p.sigma.values[0])
+    agent, reports = one_step._agent(), []
+    (Pi,), (s,) = _solve_agent_stationary([agent], p.rho, reports)
+    law = _gain_tables(agent, Pi, s)
+    st = solve_infinite_horizon(p)
+    for got, want in ((st.Pi, Pi), (st.s, s), (st.K, law.K), (st.k, law.k)):
+        assert np.array_equal(got, want.values[0])
+    assert st.report == reports[0]
 
 
 def test_infinite_horizon_rejects_unstabilizable():

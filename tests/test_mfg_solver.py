@@ -14,20 +14,24 @@ from mmlqg.errors import (
     RiccatiBlowupError,
     SchemaError,
 )
-from mmlqg.lqg_single import LqgProblem, solve_finite_horizon, solve_infinite_horizon
+from mmlqg.lqg_single import (
+    LqgProblem,
+    _solve_agent_stationary,
+    solve_finite_horizon,
+    solve_infinite_horizon,
+)
 from mmlqg.mfg_model import (
+    MeanFieldLaw,
     build_extended_major,
     build_extended_minor,
     build_mean_field_matrices,
+    mean_field_law,
     replicate_pi,
     selector,
 )
 from mmlqg.mfg_solver import (
     FixedPointConfig,
-    MeanFieldLaw,
-    _closure_law,
     _consistency_map,
-    _solve_agents_stationary,
     solve_consistency_finite,
     solve_consistency_infinite,
 )
@@ -162,9 +166,8 @@ def test_aggregation_identity_random_riccati_data():
             raw = rng.normal(scale=0.5, size=(p.grid.num_nodes, d, d))
             Piks.append(GridFunction(p.grid, 0.5 * (raw + np.transpose(raw, (0, 2, 1)))))
             sks.append(GridFunction(p.grid, rng.normal(size=(p.grid.num_nodes, d, 1))))
-        law = MeanFieldLaw(*(GridFunction(p.grid, v) for v in _closure_law(
-            p, [lqg_single._gain_tables(*agent) for agent in zip(ext_minors, Piks, sks)],
-            p.grid.num_nodes)))
+        law = mean_field_law(
+            p, [lqg_single._gain_tables(*agent) for agent in zip(ext_minors, Piks, sks)])
         for k in range(K):
             mn = p.minors[k]
             Rinv = np.linalg.inv(mn.Rk)
@@ -416,7 +419,7 @@ def test_stationary_warm_start_returns_after_one_evaluation():
     q = mfg_solver._one_step(p)
     law = MeanFieldLaw(*(GridFunction.constant(q.grid, v)
                          for v in (sol.Abar, sol.Gbar, sol.mbar)))
-    x, evaluate = _consistency_map(q, law, _solve_agents_stationary, 1)
+    x, evaluate = _consistency_map(q, law, _solve_agent_stationary, 1)
     fx, (again, _, Pi0, s0, *_) = evaluate(x)
     assert sol.report.iterations > 1
     assert np.max(np.abs(fx - x)) < FixedPointConfig().tol
@@ -509,6 +512,52 @@ def test_the_solver_forms_no_extended_weight():
     names |= {alias.name for node in ast.walk(tree)
               if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert "psd_sqrt" not in names
+
+
+def test_the_solver_holds_no_agent_solve_and_no_law_former():
+    # the agent solves live in lqg_single and the mean-field law's one
+    # former in mfg_model: the solver only iterates
+    tree = ast.parse(Path(mfg_solver.__file__).read_text())
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {alias.name for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) for alias in node.names}
+    names |= {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert not names & {"minor_closed_loop", "replicate_pi", "selector",
+                        "solve_discounted_are", "hautus_report", "_steady_offset",
+                        "_solve_agents_stationary", "_closure_law"}
+
+
+def test_a_stationary_stack_rounds_each_member_as_alone():
+    # the minors of one evaluation of the stationary map, at the initial
+    # law, solved as one stack and each as a one-member stack
+    q = mfg_solver._one_step(coupled_toy(M=10, rho=4.0))
+    major = build_extended_major(q, mfg_solver._initial_law(q))
+    (Pi0,), (s0,) = _solve_agent_stationary([major], q.rho)
+    minors = [build_extended_minor(q, k, major, Pi0, s0) for k in range(q.K)]
+    assert len(minors) > 1
+    reports = []
+    Piks, sks = _solve_agent_stationary(minors, q.rho, reports)
+    for ext, Pi, s, report in zip(minors, Piks, sks, reports):
+        alone = []
+        (Pi1,), (s1,) = _solve_agent_stationary([ext], q.rho, alone)
+        assert Pi.grid is s.grid is q.grid
+        assert np.array_equal(Pi.values, Pi1.values) and np.array_equal(s.values, s1.values)
+        assert report == alone[0]
+
+
+def test_both_stationary_front_ends_share_the_drift_check():
+    p = coupled_toy(M=4, rho=4.0)
+    varying = dataclasses.replace(p, minors=[p.minors[0], dataclasses.replace(
+        p.minors[1], bk=np.linspace(0.0, 1.0, 10).reshape(5, 2))])
+    with pytest.raises(SchemaError) as err:
+        solve_consistency_infinite(varying)
+    assert err.value.field == "minors[1].bk"
+    with pytest.raises(SchemaError) as err:
+        solve_infinite_horizon(dataclasses.replace(major_standalone(varying), b=np.linspace(
+            0.0, 1.0, 10).reshape(5, 2)))
+    assert err.value.field == "b"
+    assert err.value.detail == "must be constant for the stationary problem"
 
 
 def test_stationary_cross_weight_game_solves_with_a_stable_closed_loop():

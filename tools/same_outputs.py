@@ -5,8 +5,11 @@ this one on every benchmark operation.
 
 Each workload runs on its perfbench/workloads.make_config config at the
 PINNED sizes in a fresh process, with this checkout's src/ and OTHER's.
-So do six operations the benchmark does not run:
+So do seven operations the benchmark does not run:
 - solve-lqg on the pinned 2-state config LQG below;
+- lqg-inf, solve_infinite_horizon on that config (rho = 0.5, constant
+  b), which no command reaches: LQG_INF writes its Pi, s, K, k and
+  are_residual to stationary.json;
 - verify --out;
 - sim-wide, simulate with N = 4500 minors at M = 10 and no study, whose
   (N + 1) x n rows per node exceed cli_app.CSV_BLOCK, so that states.csv
@@ -118,6 +121,18 @@ LQG = {"kind": "lqg", "grid": {"T": 1.0, "M": 200}, "rho": 0.5,
        "N": [[0.1], [0.0]], "R": [[1.5]], "Qhat": [[0.5, 0.0], [0.0, 0.3]],
        "eta": [[0.2], [-0.1]], "n": [[0.05]], "x0": [[1.0], [-0.5]]}
 CLI = [sys.executable, "-m", "mmlqg.cli_app"]
+# python -c LQG_INF CONFIG OUT: the standalone stationary front end's data file
+LQG_INF = """import json, sys
+from pathlib import Path
+from mmlqg import config
+from mmlqg.lqg_single import solve_infinite_horizon
+st = solve_infinite_horizon(config.parse_lqg_problem(config.load_config(sys.argv[1])))
+out = Path(sys.argv[2])
+out.mkdir(parents=True, exist_ok=True)
+(out / "stationary.json").write_text(json.dumps(dict(
+    Pi=st.Pi.tolist(), s=st.s.tolist(), K=st.K.tolist(), k=st.k.tolist(),
+    are_residual=st.are_residual), sort_keys=True) + "\\n")
+"""
 
 
 def n3_game() -> dict:
@@ -166,6 +181,8 @@ with tempfile.TemporaryDirectory() as tmp:
     lqg_path = workloads.write_config(LQG, tmp / "lqg.json")
     ops.append(("solve-lqg", lambda out: CLI + ["solve-lqg", "--config", str(lqg_path),
                                                 "--out", str(out)], None))
+    ops.append(("lqg-inf", lambda out: [sys.executable, "-c", LQG_INF, str(lqg_path),
+                                        str(out)], None))
     ops.append(("verify", lambda out: CLI + ["verify", "--out", str(out)], None))
     wide_path = workloads.write_config(dict(workloads.game_config(10), population={
         "N": 4500, "num_paths": 1, "master_seed": workloads.master_seed(args.seed)}),
