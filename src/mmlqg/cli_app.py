@@ -161,7 +161,8 @@ def cmd_solve_mfg(cfg: dict, out: Path, seed):
 
 def cmd_simulate(cfg: dict, out: Path, seed):
     from .population_sim import (PopulationConfig, empty_trajectories,
-                                 mean_field_convergence_study, simulate_population)
+                                 mean_field_convergence_study, simulate_population,
+                                 type_array)
 
     p = config.parse_mfg_problem(cfg)
     pop = config.parse_population(cfg)
@@ -174,6 +175,8 @@ def cmd_simulate(cfg: dict, out: Path, seed):
                             master_seed=pop["master_seed"],
                             record_states=pop["record_states"])
     bundle = empty_trajectories(p, pcfg)   # sizes that cannot be held fail before the solve
+    if study is not None:
+        type_array(max(study["Ns"], default=0))
     sol = solve_consistency_finite(p, config.parse_fixed_point(cfg))
     simulate_population(p, sol, pcfg, bundle)
     if pcfg.record_states:
@@ -199,11 +202,13 @@ def cmd_simulate(cfg: dict, out: Path, seed):
 
 def cmd_nash_gap(cfg: dict, out: Path, seed):
     from .nash_gap import gap_vs_population
+    from .population_sim import type_array
 
     p = config.parse_mfg_problem(cfg)
     nash = config.parse_nash(cfg)
     if seed is not None:
         nash["master_seed"] = seed
+    type_array(max(nash["Ns"], default=0))   # a size that cannot be held fails before the solve
     sol = solve_consistency_finite(p, config.parse_fixed_point(cfg))
     rows = gap_vs_population(p, sol, nash["Ns"]).rows
     header = (["N", "major_gap"]

@@ -13,15 +13,17 @@ u* = -R^{-1}(N'x - n + B'(Pi x + s)).  Infinite horizon
 solved with numpy alone, by the matrix sign function of its Hamiltonian
 (Byers) plus Newton-Kleinman polish through sign-function Lyapunov
 solves (Roberts), after Hautus tests of the shifted drift, and the
-steady offset.  Also provides exact closed-loop costs on z = (y; 1), one
-weight and one second moment per affine law, and a deterministic
-Gateaux-derivative oracle used to certify optimality.
+steady offset.  Also provides the one former of exact closed-loop costs
+on z = (y; 1), _closed_loop_cost, one weight and one second moment per
+affine law on a stack (expected_cost is a one-member stack), and a
+deterministic Gateaux-derivative oracle used to certify optimality.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -597,19 +599,35 @@ def _policy_quadratic(Q, N, R, eta, nbar, c0, Kz):
         return symmetrize(W)
 
 
+def _closed_loop_cost(js, Kz: np.ndarray, extra=()) -> np.ndarray:
+    """Exact costs of u = -Kz[q] z (a stage table on z = (y; 1)), then of
+    each extra (W, W_T), along the closed loops dz = (F - Bz Kz) z dt +
+    noise of the stacked records js, in one closed_loop_cost_moments
+    propagation: an (L, costs) array.  js holds p (grid, rho), the weights
+    (Q, N, R, eta, nbar, Qhat), c0, the open stage drift F (member axis
+    after the stage axis, as Kz), Bz, Z0 and the noise S."""
+    p, w = js.p, js.weights
+    own = _policy_quadratic(w["Q"], w["N"], w["R"], w["eta"], w["nbar"], js.c0, Kz)
+    F = js.F - js.Bz @ Kz
+    return closed_loop_cost_moments(
+        p.grid, p.rho, js.Z0, F, np.broadcast_to(js.S, F.shape),
+        [(own, _homogeneous(w["Qhat"], 0.0)), *extra],
+    )
+
+
 def expected_cost(p: LqgProblem, law) -> float:
     """Exact J under a linear law u = -Kx + k, from the second moment of
-    z = (x; 1) under the closed loop: no sampling."""
+    z = (x; 1) under the closed loop, no sampling: the problem as a
+    one-member stack of _closed_loop_cost."""
     Kz = _law_stage_table(p, law)
     sig = _stage_values(p.sigma)
-    S = _homogeneous(symmetrize(np.einsum("qir,qjr->qij", sig, sig)), 0.0)
-    F = _homogeneous(p.A, _stage_values(p.b)) - np.vstack([p.B, np.zeros((1, p.m))]) @ Kz
     z0 = np.vstack([p.x0, [[1.0]]])
-    W = _policy_quadratic(p.Q, p.N_cross, p.R, p.eta, p.n_lin, 0.0, Kz)
-    # the closed loop as a one-member stack
-    return float(closed_loop_cost_moments(
-        p.grid, p.rho, (z0 @ z0.T)[None], F[:, None], S[:, None],
-        [(W[:, None], _homogeneous(p.Qhat, 0.0)[None])])[0, 0])
+    one = SimpleNamespace(
+        p=p, c0=0.0, Z0=(z0 @ z0.T)[None], Bz=np.vstack([p.B, np.zeros((1, p.m))]),
+        F=_homogeneous(p.A, _stage_values(p.b))[:, None],
+        S=_homogeneous(symmetrize(np.einsum("qir,qjr->qij", sig, sig)), 0.0)[:, None],
+        weights=dict(Q=p.Q, N=p.N_cross, R=p.R, eta=p.eta, nbar=p.n_lin, Qhat=p.Qhat))
+    return float(_closed_loop_cost(one, Kz[:, None])[0, 0])
 
 
 def _open_loop_trajectory(p: LqgProblem, u: GridFunction) -> GridFunction:

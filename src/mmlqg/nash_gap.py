@@ -10,12 +10,14 @@ convex single-agent LQG problem, built like every agent of the game:
 mfg_model.lift_tracking forms its weights, ReducedPopulation._agent()
 states it as an ExtendedSystem, and the Riccati/offset sweeps and gain
 expression of every agent solve it (lqg_single._solve_agent_finite,
-_gain_tables).  Every cost here is one affine policy, u = -Kz z on
-z = (y; 1), turned into one running weight by lqg_single's one policy
-quadratic and costed by exact propagation of E zz' under the closed loop
-F - Bz Kz, so the gap carries no sampling noise.  Every cost runs on
-records of one dimension D stacked by population_sim._stacked.  A gap
-table stacks every N's records alike: per stack one agent solve, one
+_gain_tables).  This module only solves best responses and compares
+costs: population_sim.type_counts splits each N's minors into types,
+ReducedPopulation takes the deviator out of its type's count, and every
+cost, one affine policy u = -Kz z on z = (y; 1), comes from
+lqg_single._closed_loop_cost, exact propagation of E zz' under the
+closed loop F - Bz Kz, so the gap carries no sampling noise.  Every cost
+runs on records of one dimension D stacked by population_sim._stacked.
+A gap table stacks every N's records alike: per stack one agent solve, one
 propagation of the equilibrium closed loops (which carry J_eq and the
 identity below), one of the best responses' loops, and one chain
 recursion of the assembly checks.  A single gap, and
@@ -41,35 +43,20 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from .errors import AssumptionViolationError
-from .lqg_single import (PSD_TOL, FeedbackLaw, ValidationReport, _gain_tables,
-                          _homogeneous, _policy_quadratic, _solve_agent_finite,
-                          _stage_values, add_convexity_checks, closed_loop_cost_moments)
+from .lqg_single import (PSD_TOL, FeedbackLaw, ValidationReport, _closed_loop_cost,
+                          _gain_tables, _solve_agent_finite, _stage_values,
+                          add_convexity_checks)
 from .mfg_model import MmMfgProblem
 from .mfg_solver import MfgSolution
 from .numerics import _as_count
 from .population_sim import (PopulationConfig, ReducedPopulation, _agent_key, _stacked,
-                             assign_types, chain_costs)
+                             chain_costs, type_counts)
 
 
 def build_joint_closed_loop(p: MmMfgProblem, sol: MfgSolution,
                             cfg: PopulationConfig, deviator: int) -> ReducedPopulation:
     _, *key = _agent_key(p, cfg, deviator)
     return ReducedPopulation(p, sol, *key)
-
-
-def _closed_loop_cost(js, Kz: np.ndarray, extra=()) -> np.ndarray:
-    """Exact deviator costs of u = -Kz[q] z (a stage table on z = (y; 1)),
-    then the cost of each extra (W, W_T), along the closed loops
-    dz = (F - Bz Kz) z dt + noise of the stacked records js, in one
-    propagation by the package's one moment-and-cost propagator: an
-    (L, costs) array."""
-    p, w = js.p, js.weights
-    own = _policy_quadratic(w["Q"], w["N"], w["R"], w["eta"], w["nbar"], js.c0, Kz)
-    F = js.F - js.Bz @ Kz
-    return closed_loop_cost_moments(
-        p.grid, p.rho, js.Z0, F, np.broadcast_to(js.S, F.shape),
-        [(own, _homogeneous(w["Qhat"], 0.0)), *extra],
-    )
 
 
 def equilibrium_cost_ode(js: ReducedPopulation) -> float:
@@ -212,22 +199,20 @@ class GapTable:
 def gap_vs_population(p: MmMfgProblem, sol: MfgSolution, Ns: Sequence[int]) -> GapTable:
     """Worst gap over the major and one deviator per type, for each N.
 
-    Every deviator of every N gets its record, keyed by its kind (the
-    major, or a non-empty type) and that N's type counts; each kind is
+    Every deviator of every distinct N gets its record, keyed by its kind
+    (the major, or a non-empty type) and that N's type counts, read off
+    type_counts' one assignment; each kind is
     screened for convexity once, and the records run through _gap_reports
     in one stack per dimension D.  Every gap is an exact moment
     propagation, so no seed enters.
     """
-    Ns = [_as_count(N, "Ns[%d]" % i, 1) for i, N in enumerate(Ns)]
+    Ns, counts = type_counts(p.pi, Ns)
     kinds = [None, *range(p.K)]     # the major, then each type
     records, groups, reports, rows = {}, {}, {}, []
-    for N in Ns:
-        counts = np.bincount(assign_types(p.pi, N), minlength=p.K)
+    for N, c in counts.items():     # each distinct N once
         for own in kinds:
-            if (own is None or counts[own]) and (N, own) not in records:
-                # the other minors: N's counts less the deviator (the major has no type)
-                records[N, own] = js = ReducedPopulation(
-                    p, sol, counts - (np.arange(p.K) == own), own, np.zeros(p.n * p.K))
+            if own is None or c[own]:
+                records[N, own] = js = ReducedPopulation(p, sol, c, own, np.zeros(p.n * p.K))
                 groups.setdefault(js.D, []).append((N, own))
     for js in {js.own_type: js for js in records.values()}.values():
         _screen(js)

@@ -28,6 +28,9 @@ agent's weights come from mfg_model.lift_tracking, as every agent's.  Every exac
 stack of records of one dimension (_stacked), a single one included.
 The convergence study runs the same recursion on the population's
 aggregate record, so its RMS is exact too and nothing in it is drawn.
+The gap table and the study read their sizes' type counts from
+type_counts: one assign_types per table, at the largest N, whose
+prefixes are the smaller populations.
 """
 
 from __future__ import annotations
@@ -125,6 +128,16 @@ class CostReport:
             raise SchemaError("standard error must be nonnegative")
 
 
+def type_array(N: int) -> np.ndarray:
+    """An unfilled array for the type indices of N minors: a size that
+    cannot be held fails here, as a SchemaError naming N."""
+    try:
+        return np.empty(N, dtype=np.int64)
+    except MemoryError:
+        raise SchemaError("N = %d minors: their %d bytes of type indices do not fit in "
+                          "memory" % (N, 8 * N)) from None
+
+
 def assign_types(pi, N: int) -> np.ndarray:
     """Deterministic assignment keeping the prefix fractions closest to pi.
 
@@ -137,11 +150,7 @@ def assign_types(pi, N: int) -> np.ndarray:
     """
     pi = np.asarray(pi, dtype=float)
     K = pi.shape[0]
-    try:
-        out = np.empty(N, dtype=np.int64)
-    except MemoryError:
-        raise SchemaError("N = %d minors: their %d bytes of type indices do not fit in "
-                          "memory" % (N, 8 * N)) from None
+    out = type_array(N)
     counts = np.zeros(K)
     a = 0
     while a < N:
@@ -167,6 +176,15 @@ def assign_types(pi, N: int) -> np.ndarray:
     return out
 
 
+def type_counts(pi, Ns: Sequence[int]) -> tuple:
+    """The population sizes Ns as counts, and by each distinct N its
+    minors per type under assign_types: one assignment, at the largest N,
+    whose prefixes are the smaller populations."""
+    Ns = [_as_count(N, "Ns[%d]" % i, 1) for i, N in enumerate(Ns)]
+    type_of = assign_types(pi, max(Ns, default=0))
+    return Ns, {N: np.bincount(type_of[:N], minlength=len(pi)) for N in Ns}
+
+
 # Bytes of raw Brownian draws held at once: paths are stepped in stacks
 # of as many as fit, one at least.
 DRAW_BUDGET = 5 * 2 ** 20
@@ -190,11 +208,11 @@ def _draws(master_seed: int, stream: int, path: int, count: int, shape,
     return gen.standard_normal((count,) + tuple(shape), out=out)
 
 
-def _cols(A: np.ndarray, X: np.ndarray, out=None) -> np.ndarray:
+def _cols(A: np.ndarray, X: np.ndarray) -> np.ndarray:
     """A X on agents-last stacks X (..., L, N), one column of A at a time,
     so every agent's value depends on its own column alone.  A is
     (R, L, 1), shared, or (R, L, N), agent a's matrix A[..., a]."""
-    out = np.multiply(A[:, 0], X[..., :1, :], out=out)
+    out = A[:, 0] * X[..., :1, :]
     for col in range(1, A.shape[1]):
         out += A[:, col] * X[..., col:col + 1, :]
     return out
@@ -372,15 +390,12 @@ def _check_solution(p: MmMfgProblem, sol: MfgSolution):
 
 
 def _agent_key(p: MmMfgProblem, cfg: PopulationConfig, agent_id) -> tuple:
-    """agent_id as a count, then its ReducedPopulation key: the other minors'
+    """agent_id as a count, then its ReducedPopulation key: the population's
     counts per type, the agent's type (None for the major) and xbar0."""
     agent_id = _as_count(agent_id, "agent_id", 0, cfg.N + 1)
     type_of = _type_of(p, cfg)
     own_type = None if agent_id == 0 else int(type_of[agent_id - 1])
-    counts = np.bincount(type_of, minlength=p.K)
-    if own_type is not None:
-        counts[own_type] -= 1
-    return agent_id, counts, own_type, _initial_mean_field(p, cfg)
+    return agent_id, np.bincount(type_of, minlength=p.K), own_type, _initial_mean_field(p, cfg)
 
 
 class ReducedPopulation:
@@ -389,8 +404,10 @@ class ReducedPopulation:
     finite-N deviator.
 
     Keyed by counts, not agent ids (_agent_key maps one to the other): the
-    agent's type own_type (None for the major), counts[k] = c_k other
-    minors of type k and the initial mean field xbar0.  The state is
+    population's minors per type, counts, the agent among them, the
+    agent's type own_type (None for the major) and the initial mean field
+    xbar0.  The record takes its agent out of its type's count itself,
+    leaving c_k other minors of type k.  The state is
     y = (x_a, x0, xbar, S_1..S_K), with S_k the average of those c_k
     minors.  They share one closed-loop law and enter every drift and cost
     only through x^(N) = (x_a + sum_k c_k S_k) / N, so y is Markov on its
@@ -416,7 +433,9 @@ class ReducedPopulation:
                  own_type: Optional[int], xbar0: np.ndarray):
         _check_solution(p, sol)
         n, K = p.n, p.K
-        N = int(np.sum(counts)) + (own_type is not None)
+        N = int(np.sum(counts))
+        # the other minors: the agent leaves its own type's count (the major has no type)
+        counts = np.subtract(counts, np.arange(K) == own_type)
         self.p, self.sol = p, sol
         self.n, self.m, self.K = n, p.m, K
         self.own_type = own_type
@@ -618,7 +637,7 @@ def mean_field_convergence_study(p: MmMfgProblem, sol: MfgSolution,
     """RMS distance between empirical type averages and the mean field, exact.
 
     The RMS over nodes of S_k - xbar_k on simulate_population's chain,
-    with the minors assigned by assign_types and xbar0 = 0, an empty
+    with the minors assigned by type_counts and xbar0 = 0, an empty
     type's average read as 0.  For each distinct N, ReducedPopulation's
     state (x0, xbar, S_1..S_K) runs its closed drift through
     discrete_chain_cost with the node weights 2 P'P / ((M + 1) w_j), P
@@ -628,13 +647,12 @@ def mean_field_convergence_study(p: MmMfgProblem, sol: MfgSolution,
     of Ns and the slope of log rms against log N, fitted once per distinct
     N (0.0 for fewer than two).
     """
-    Ns = [_as_count(N, "Ns[%d]" % i, 1) for i, N in enumerate(Ns)]
+    Ns, counts = type_counts(p.pi, Ns)
     n, K, M = p.n, p.K, p.grid.num_steps
-    sizes = sorted(set(Ns))
+    sizes = sorted(counts)
     rms = {}
     for N in sizes:
-        rs = ReducedPopulation(p, sol, np.bincount(assign_types(p.pi, N), minlength=K),
-                               None, np.zeros(n * K))
+        rs = ReducedPopulation(p, sol, counts[N], None, np.zeros(n * K))
         P = np.zeros((n * K, rs.D + 1))
         P[:, rs.xb_off:rs.xb_off + n * K] = -np.eye(n * K)
         for k, o in enumerate(rs.S_off):

@@ -51,12 +51,12 @@ from mmlqg.errors import (
     SchemaError,
 )
 from mmlqg.lqg_single import (PSD_TOL, ExtendedSystem, ValidationReport,
-                              _are_residual, _as_grid_function, _as_matrix, _homogeneous,
-                              _policy_quadratic, _stage_values, add_convexity_checks,
+                              _are_residual, _as_grid_function, _as_matrix,
+                              _closed_loop_cost, _homogeneous, _policy_quadratic,
+                              _stage_values, add_convexity_checks,
                               closed_loop_cost_moments, psd_sqrt, spd_solver)
 from mmlqg.mfg_model import MmMfgProblem
 from mmlqg.mfg_solver import MfgSolution
-from mmlqg.nash_gap import _closed_loop_cost
 from mmlqg.numerics import (GridFunction, TimeGrid, _as_count, matvec_rows,
                             rk4_forward_indexed, symmetrize, trapezoid_weights)
 from mmlqg.population_sim import (

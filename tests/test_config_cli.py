@@ -367,12 +367,17 @@ _MINORS = "N = %d minors: " % 10 ** 18
     ("solve-mfg", _mfg_cfg(grid={"T": 1.0, "M": 10 ** 12}), "shape (%d," % (10 ** 12 + 1)),
     ("simulate", _mfg_cfg(grid={"T": 1.0, "M": 4}, population={"N": 3, "num_paths": 10 ** 12}),
      "shape (%d," % 10 ** 12),
-], ids=["simulate-N", "nash-gap-Ns", "solve-lqg-M", "solve-mfg-M", "simulate-num_paths"])
+    ("simulate", _mfg_cfg(grid={"T": 1.0, "M": 4}, population={"N": 3},
+                          study={"Ns": [10 ** 18]}), _MINORS),
+], ids=["simulate-N", "nash-gap-Ns", "solve-lqg-M", "solve-mfg-M", "simulate-num_paths",
+        "simulate-study-Ns"])
 def test_a_size_too_large_to_hold_exits_2_in_one_line(tmp_path, capsys, monkeypatch,
                                                      command, cfg, named):
     # these allocations fail at once, before any memory is touched: the
     # type indices of 10^18 minors name N, the others numpy's shape.
-    # simulate allocates its run before it solves the game
+    # simulate allocates its run, and simulate and nash-gap the type
+    # indices of their largest population, before they solve the game, so
+    # no data file is written
     solves = []
 
     def solve(*args):
@@ -385,8 +390,9 @@ def test_a_size_too_large_to_hold_exits_2_in_one_line(tmp_path, capsys, monkeypa
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith("config error: ") and named in err
-    if command == "simulate":
+    if command in ("simulate", "nash-gap"):
         assert solves == []
+        assert not [f for f in (tmp_path / "run").iterdir() if f.suffix in (".csv", ".json")]
 
 
 def test_simulate_zero_noise_states_are_zero(tmp_path):

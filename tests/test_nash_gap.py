@@ -196,6 +196,30 @@ def test_one_law_convention():
     assert params["_closed_loop_cost"][1:2] == ["Kz"]
 
 
+def test_one_closed_loop_cost_former_and_a_gap_module_that_only_compares():
+    # lqg_single._closed_loop_cost forms every continuous closed-loop cost,
+    # expected_cost's as a one-member stack; nash_gap forms neither a type
+    # assignment nor an exact cost: it solves best responses and compares
+    homes, expected_calls, gap_names = [], set(), set()
+    for f in sorted(Path(mmlqg.__file__).parent.glob("*.py")):
+        tree = ast.parse(f.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "_closed_loop_cost":
+                homes.append(f.stem)
+            if isinstance(node, ast.FunctionDef) and node.name == "expected_cost":
+                expected_calls = {n.func.id for n in ast.walk(node) if isinstance(n, ast.Call)
+                                  and isinstance(n.func, ast.Name)}
+        if f.stem == "nash_gap":
+            gap_names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} \
+                | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)} \
+                | {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+                   for a in n.names}
+    assert homes == ["lqg_single"]
+    assert "_closed_loop_cost" in expected_calls
+    assert not gap_names & {"assign_types", "bincount", "_policy_quadratic", "_homogeneous",
+                            "closed_loop_cost_moments"}
+
+
 def test_one_midpoint_rule_and_a_best_response_without_loops():
     # only _stage_values forms midpoints, so no other code strides stage
     # tables back to nodes; the stacked best responses have no loop of
@@ -615,6 +639,26 @@ def test_a_table_runs_one_stack_per_reduced_dimension(monkeypatch):
     calls = _count_work(monkeypatch)
     gap_vs_population(p, sol, [2, 8, 32, 96])
     assert calls == {"forward": 4, "backward": 4, "chain": 2, "record": 12, "agent_key": 0}
+
+
+def test_one_type_assignment_per_table(monkeypatch):
+    # the gap table and the convergence study each assign types once, at
+    # their largest N, and read every smaller population off its prefix
+    p = coupled_toy(M=25)
+    sol = solve_consistency_finite(p)
+    sizes = []
+
+    def spy(pi, N):
+        sizes.append(N)
+        return assign_types(pi, N)
+
+    for module in (population_sim, nash_gap):
+        if getattr(module, "assign_types", None) is assign_types:
+            monkeypatch.setattr(module, "assign_types", spy)
+    gap_vs_population(p, sol, [2, 8, 32, 96])
+    assert sizes == [96]
+    population_sim.mean_field_convergence_study(p, sol, [16, 64, 256])
+    assert sizes == [96, 256]
 
 
 def _assert_rows_are_single_gaps(p, sol, Ns):
