@@ -171,9 +171,7 @@ def cmd_simulate(cfg: dict, out: Path, seed):
     if seed is not None:
         pop["master_seed"] = seed
     study = config.parse_study(cfg)
-    pcfg = PopulationConfig(N=pop["N"], num_paths=pop["num_paths"],
-                            master_seed=pop["master_seed"],
-                            record_states=pop["record_states"])
+    pcfg = PopulationConfig(**pop)
     bundle = empty_trajectories(p, pcfg)   # sizes that cannot be held fail before the solve
     if study is not None:
         type_array(max(study["Ns"], default=0))

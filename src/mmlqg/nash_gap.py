@@ -212,7 +212,7 @@ def gap_vs_population(p: MmMfgProblem, sol: MfgSolution, Ns: Sequence[int]) -> G
     for N, c in counts.items():     # each distinct N once
         for own in kinds:
             if own is None or c[own]:
-                records[N, own] = js = ReducedPopulation(p, sol, c, own, np.zeros(p.n * p.K))
+                records[N, own] = js = ReducedPopulation(p, sol, c, own)
                 groups.setdefault(js.D, []).append((N, own))
     for js in {js.own_type: js for js in records.values()}.values():
         _screen(js)

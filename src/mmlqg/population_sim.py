@@ -28,9 +28,12 @@ agent's weights come from mfg_model.lift_tracking, as every agent's.  Every exac
 stack of records of one dimension (_stacked), a single one included.
 The convergence study runs the same recursion on the population's
 aggregate record, so its RMS is exact too and nothing in it is drawn.
-The gap table and the study read their sizes' type counts from
-type_counts: one assign_types per table, at the largest N, whose
-prefixes are the smaller populations.
+Every population of N minors is assign_types(pi, N), the game's own
+fractions, and starts at its mean: zero for every state, the internal
+mean field included, so a PopulationConfig holds only sizes, a seed and
+whether states are kept.  The gap table and the study read their sizes'
+type counts from type_counts: one assign_types per table, at the largest
+N, whose prefixes are the smaller populations.
 """
 
 from __future__ import annotations
@@ -44,26 +47,12 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .errors import DivergedPathError, IntegrationDivergedError, SchemaError
-from .lqg_single import (ExtendedSystem, _as_matrix, _dots, _homogeneous,
-                          _policy_quadratic, _stage_values, psd_sqrt)
+from .lqg_single import (ExtendedSystem, _dots, _homogeneous, _policy_quadratic,
+                          _stage_values, psd_sqrt)
 from .mfg_model import MmMfgProblem, lift_tracking, minor_closed_loop
 from .mfg_solver import MfgSolution
-from .numerics import (GridFunction, _as_array, _as_count, _as_seed, matvec_rows,
-                       symmetrize, trapezoid_weights)
-
-
-def _type_indices(values, N: int) -> np.ndarray:
-    """N type indices as int64: integers, or floats with integral values."""
-    try:
-        ta = np.asarray(values)
-    except (TypeError, ValueError, OverflowError) as exc:  # ragged or huge
-        raise SchemaError("type_assignment must be a list of integers") from exc
-    if ta.shape != (N,):
-        raise SchemaError("type_assignment must list one type per agent")
-    if not (ta.dtype.kind in "biu" or ta.dtype.kind == "f" and np.all(
-            np.isfinite(ta) & (ta == np.floor(ta)))):
-        raise SchemaError("type_assignment must list integer type indices")
-    return ta.astype(np.int64, copy=False)
+from .numerics import (GridFunction, _as_count, _as_seed, matvec_rows, symmetrize,
+                       trapezoid_weights)
 
 
 @dataclass
@@ -71,18 +60,12 @@ class PopulationConfig:
     N: int
     master_seed: int = 0
     num_paths: int = 1
-    type_assignment: Optional[Sequence[int]] = None
-    xbar0: Optional[np.ndarray] = None
     record_states: bool = True
 
     def __post_init__(self):
         self.N = _as_count(self.N, "N", 1)
         self.num_paths = _as_count(self.num_paths, "num_paths", 1)
         self.master_seed = _as_seed(self.master_seed, "master_seed")
-        if self.type_assignment is not None:
-            self.type_assignment = _type_indices(self.type_assignment, self.N)
-        if self.xbar0 is not None:
-            self.xbar0 = _as_array("xbar0", self.xbar0)
         if not isinstance(self.record_states, (bool, np.bool_)):
             raise SchemaError("expected a boolean, got %r" % (self.record_states,),
                               field="record_states")
@@ -92,11 +75,13 @@ class PopulationConfig:
 class TrajectoryBundle:
     """States and mean-field tracks of one simulation run.
 
-    Agent axis: index 0 is the major agent, 1..N the minors.  Types
-    without members contribute a zero block to empirical_types.  The
-    average x^(N) fed into the F-coupling of every drift is the sum of
-    the type means with weights counts_k / N, and each control is its
-    agent's law at the recorded states and xbar; neither is stored.
+    Agent axis: index 0 is the major agent, 1..N the minors, of the types
+    type_of = assign_types(pi, N).  Types without members contribute a
+    zero block to empirical_types, and xbar starts at zero, the mean of
+    every minor's initial state.  The average x^(N) fed into the
+    F-coupling of every drift is the sum of the type means with weights
+    counts_k / N, and each control is its agent's law at the recorded
+    states and xbar; neither is stored.
     """
 
     grid: object
@@ -146,12 +131,13 @@ def assign_types(pi, N: int) -> np.ndarray:
     With at most two types the rule hands type 0 its rounded share
     floor(pi_0 i + 1/2) of the first i agents.  That guess is checked
     against the rule for a block of agents at once, and agents are taken
-    one by one only where floating point makes the two disagree.
+    one by one only where floating point makes the two disagree.  One by
+    one, the K scores are Python floats, the same doubles numpy forms.
     """
     pi = np.asarray(pi, dtype=float)
-    K = pi.shape[0]
+    K, weights = pi.shape[0], pi.tolist()
     out = type_array(N)
-    counts = np.zeros(K)
+    counts = [0.0] * K
     a = 0
     while a < N:
         if K <= 2:
@@ -165,11 +151,13 @@ def assign_types(pi, N: int) -> np.ndarray:
             good = ok.size if ok.all() else int(np.argmin(ok))
             out[a:a + good] = guess[:good]
             taken = int(np.count_nonzero(guess[:good]))     # by type 1
-            counts += [good - taken, taken][:K]
+            counts[0] += good - taken
+            counts[-1] += taken if K == 2 else 0
             a += good
             if a == N:
                 break
-        k = int(np.argmax(pi * (a + 1) - counts))
+        scores = [w * (a + 1) - c for w, c in zip(weights, counts)]
+        k = scores.index(max(scores))     # the first maximum, as np.argmax takes
         out[a] = k
         counts[k] += 1.0
         a += 1
@@ -231,12 +219,11 @@ class _Population:
     aggregate record y = (x0, xbar, S_k of each non-empty type; 1), and
     per type on the last axis each minor's own closed loop and sigma_k."""
 
-    def __init__(self, p: MmMfgProblem, sol: MfgSolution, counts, xbar0: np.ndarray):
+    def __init__(self, p: MmMfgProblem, sol: MfgSolution, counts):
         self.p = p
         self.sqrt0 = psd_sqrt(p.init_cov_major)
         self.sqrtm = psd_sqrt(p.init_cov_minor)[..., None]
-        self.xbar0 = xbar0
-        self.record = ReducedPopulation(p, sol, counts, None, xbar0)
+        self.record = ReducedPopulation(p, sol, counts, None)
         self.F = self.record.drift(closed=True)
         self.closed = np.stack([minor_closed_loop(mn, law)[0]
                                 for mn, law in zip(p.minors, sol.minor_laws)], -1)
@@ -290,7 +277,6 @@ class _Population:
         ids = [np.flatnonzero(type_of == k) for k in range(K)]
         y = np.zeros((S, rec.D + 1))
         y[:, :n], X, dW = self.sample(streams, type_of.size)
-        y[:, rec.xb_off:rec.xb_off + n * K] = self.xbar0
         y[:, -1] = 1.0
         sigma = self.sigma[..., type_of]
         # y's rows of each minor's type mean, (n, N); an empty type has none
@@ -336,7 +322,7 @@ def empty_trajectories(p: MmMfgProblem, cfg: PopulationConfig) -> TrajectoryBund
     run: a size that cannot be held fails here, before any solve."""
     n, K = p.n, p.K
     P, M = cfg.num_paths, p.grid.num_steps
-    type_of = _type_of(p, cfg)
+    type_of = assign_types(p.pi, cfg.N)
     return TrajectoryBundle(
         grid=p.grid, type_of=type_of, counts=np.bincount(type_of, minlength=K),
         states=np.empty((P, M + 1, cfg.N + 1, n)) if cfg.record_states else None,
@@ -360,7 +346,7 @@ def simulate_population(p: MmMfgProblem, sol: MfgSolution, cfg: PopulationConfig
     path depends on the stacking.
     """
     run = empty_trajectories(p, cfg) if out is None else out
-    pop = _Population(p, sol, run.counts, _initial_mean_field(p, cfg))
+    pop = _Population(p, sol, run.counts)
     for a, b in _chunks(p, cfg.N + 1, cfg.num_paths):
         run.empirical_types[a:b], run.xbar[a:b] = pop.advance(
             [(cfg.master_seed, i) for i in range(a, b)], run.type_of,
@@ -368,34 +354,22 @@ def simulate_population(p: MmMfgProblem, sol: MfgSolution, cfg: PopulationConfig
     return run
 
 
-def _type_of(p: MmMfgProblem, cfg: PopulationConfig) -> np.ndarray:
-    type_of = cfg.type_assignment if cfg.type_assignment is not None \
-        else assign_types(p.pi, cfg.N)
-    if type_of.min() < 0 or type_of.max() >= p.K:
-        raise SchemaError("type_assignment contains an unknown type index")
-    return type_of
-
-
-def _initial_mean_field(p: MmMfgProblem, cfg: PopulationConfig) -> np.ndarray:
-    """cfg.xbar0 (zero when unset) as a length n*K vector; a flat list or
-    an (n*K, 1) column."""
-    return _as_matrix("xbar0", cfg.xbar0, p.n * p.K, 1)[:, 0]
-
-
 def _check_solution(p: MmMfgProblem, sol: MfgSolution):
-    """A solution is run only on a game of its own grid and dimensions."""
+    """A solution is run only on a game of its own grid, dimensions and
+    type fractions pi, which enter the solve."""
     q = sol.problem
-    if (q.grid, q.n, q.m, q.K) != (p.grid, p.n, p.m, p.K):
-        raise SchemaError("the solution's grid, n, m or K does not match the problem's")
+    if (q.grid, q.n, q.m, q.K) != (p.grid, p.n, p.m, p.K) or not np.array_equal(q.pi, p.pi):
+        raise SchemaError("the solution's grid, n, m, K or pi does not match the problem's")
 
 
 def _agent_key(p: MmMfgProblem, cfg: PopulationConfig, agent_id) -> tuple:
     """agent_id as a count, then its ReducedPopulation key: the population's
-    counts per type, the agent's type (None for the major) and xbar0."""
+    counts per type under assign_types and the agent's type (None for the
+    major)."""
     agent_id = _as_count(agent_id, "agent_id", 0, cfg.N + 1)
-    type_of = _type_of(p, cfg)
+    type_of = assign_types(p.pi, cfg.N)
     own_type = None if agent_id == 0 else int(type_of[agent_id - 1])
-    return agent_id, np.bincount(type_of, minlength=p.K), own_type, _initial_mean_field(p, cfg)
+    return agent_id, np.bincount(type_of, minlength=p.K), own_type
 
 
 class ReducedPopulation:
@@ -404,20 +378,21 @@ class ReducedPopulation:
     finite-N deviator.
 
     Keyed by counts, not agent ids (_agent_key maps one to the other): the
-    population's minors per type, counts, the agent among them, the
-    agent's type own_type (None for the major) and the initial mean field
-    xbar0.  The record takes its agent out of its type's count itself,
-    leaving c_k other minors of type k.  The state is
-    y = (x_a, x0, xbar, S_1..S_K), with S_k the average of those c_k
-    minors.  They share one closed-loop law and enter every drift and cost
+    population's minors per type, counts, the agent among them, and the
+    agent's type own_type (None for the major).  The record takes its
+    agent out of its type's count itself, leaving c_k other minors of
+    type k.  The state is y = (x_a, x0, xbar, S_1..S_K), with S_k the
+    average of those c_k minors.  They share one closed-loop law and enter every drift and cost
     only through x^(N) = (x_a + sum_k c_k S_k) / N, so y is Markov on its
     own: S_k carries noise sigma_k sigma_k' / c_k, starts with covariance
-    Sigma_minor / c_k, and no block starts correlated with another.  x_a
-    is left out for the major and S_k when c_k = 0, so D <= 2n + 2nK and
-    no array grows with N.  y is a fixed linear image of the full N-agent
-    state, and that projection commutes with every moment, Riccati and
-    chain step taken on it: costs on y equal costs on the full state up to
-    roundoff, discretization included.
+    Sigma_minor / c_k, and no block starts correlated with another.  Every
+    block starts at mean zero, the mean field included, as the game's
+    initial states do (mfg_model.MmMfgProblem).  x_a is left out for the
+    major and S_k when c_k = 0, so D <= 2n + 2nK and no array grows
+    with N.  y is a fixed linear image of the full N-agent state, and
+    that projection commutes with every moment, Riccati and chain step
+    taken on it: costs on y equal costs on the full state up to roundoff,
+    discretization included.
 
     The agent's running cost tracks C y - eta, and weights is
     mfg_model.lift_tracking of C, as for every agent of the game.  Costs
@@ -430,7 +405,7 @@ class ReducedPopulation:
     """
 
     def __init__(self, p: MmMfgProblem, sol: MfgSolution, counts: Sequence[int],
-                 own_type: Optional[int], xbar0: np.ndarray):
+                 own_type: Optional[int]):
         _check_solution(p, sol)
         n, K = p.n, p.K
         N = int(np.sum(counts))
@@ -482,11 +457,10 @@ class ReducedPopulation:
             noise.append((0, p.minors[own_type].sigmak, covm, 1))
         noise += [(o, p.minors[k].sigmak, covm, counts[k])
                   for k, o in enumerate(self.S_off) if o is not None]
-        # E z is nonzero on xbar and 1 alone, off the covariance blocks
+        # every state starts at mean zero: E z is the constant 1 alone
         self.S = np.zeros((self.D + 1, self.D + 1))
-        zbar = np.zeros((self.D + 1, 1))
-        zbar[self.xb_off:self.xb_off + n * K, 0], zbar[-1] = xbar0, 1.0
-        self.Z0 = zbar @ zbar.T
+        self.Z0 = np.zeros((self.D + 1, self.D + 1))
+        self.Z0[-1, -1] = 1.0
         for o, sig, cov, c in noise:
             r = slice(o, o + n)
             self.S[r, r] = symmetrize(sig @ sig.T) / c   # exact, for the moment sweep
@@ -637,9 +611,9 @@ def mean_field_convergence_study(p: MmMfgProblem, sol: MfgSolution,
     """RMS distance between empirical type averages and the mean field, exact.
 
     The RMS over nodes of S_k - xbar_k on simulate_population's chain,
-    with the minors assigned by type_counts and xbar0 = 0, an empty
-    type's average read as 0.  For each distinct N, ReducedPopulation's
-    state (x0, xbar, S_1..S_K) runs its closed drift through
+    with the minors assigned by type_counts, an empty type's average read
+    as 0.  For each distinct N, ReducedPopulation's state
+    (x0, xbar, S_1..S_K) runs its closed drift through
     discrete_chain_cost with the node weights 2 P'P / ((M + 1) w_j), P
     selecting S - xbar and w the trapezoid weights: J is the mean over
     nodes of E|S - xbar|^2, with no sampling error, and a diverging chain
@@ -652,7 +626,7 @@ def mean_field_convergence_study(p: MmMfgProblem, sol: MfgSolution,
     sizes = sorted(counts)
     rms = {}
     for N in sizes:
-        rs = ReducedPopulation(p, sol, counts[N], None, np.zeros(n * K))
+        rs = ReducedPopulation(p, sol, counts[N], None)
         P = np.zeros((n * K, rs.D + 1))
         P[:, rs.xb_off:rs.xb_off + n * K] = -np.eye(n * K)
         for k, o in enumerate(rs.S_off):

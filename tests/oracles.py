@@ -300,7 +300,8 @@ class DenseJointSystem:
     The dense counterpart of population_sim.ReducedPopulation, with the same
     attributes, so the package's cost and best-response routines run on
     either.  Agent ids follow the simulator: 0 is the major, 1..N the
-    minors.  The deviator's rows stay uncontrolled; its input enters
+    minors, of the types assign_types(pi, N), every state starting at
+    mean zero.  The deviator's rows stay uncontrolled; its input enters
     through Bz, which is zero outside the deviator's own block rows.  As
     there, costs run on the homogeneous state (z; 1): the open drift F =
     [[A, d], [0, 0]] and the deviator's lifted equilibrium law Kz = [K, -k]
@@ -323,8 +324,7 @@ class DenseJointSystem:
         n, K, N = p.n, p.K, cfg.N
         self.n, self.m, self.K, self.N = n, p.m, K, N
         self.D = n * (N + 1) + n * K
-        self.type_of = cfg.type_assignment if cfg.type_assignment is not None \
-            else assign_types(p.pi, N)
+        self.type_of = assign_types(p.pi, N)
         self.x0_off = n * N
         self.xb_off = n * (N + 1)
 
@@ -374,11 +374,9 @@ class DenseJointSystem:
             r = slice(a * n, (a + 1) * n)
             V0[r, r] = p.init_cov_minor
         V0[x0r, x0r] = p.init_cov_major
-        mean = np.zeros((self.D + 1, 1))
-        mean[-1] = 1.0
-        if cfg.xbar0 is not None:
-            mean[self.xb_off:-1, 0] = cfg.xbar0
-        self.Z0 = _homogeneous(V0, 0.0) + mean @ mean.T
+        # every state starts at mean zero: E z is the constant 1 alone
+        self.Z0 = _homogeneous(V0, 0.0)
+        self.Z0[-1, -1] = 1.0
 
         # z-space weights of the deviator's cost, control left free, under
         # the ExtendedSystem names of ReducedPopulation.weights
@@ -490,11 +488,7 @@ class DenseJointSystem:
         n, N, M = self.n, self.N, p.grid.num_steps
         h = p.grid.h
         sqh = math.sqrt(h)
-        rcfg = PopulationConfig(
-            N=N, master_seed=cfg.master_seed, num_paths=num_paths,
-            type_assignment=np.array(self.type_of),
-            xbar0=cfg.xbar0, record_states=True,
-        )
+        rcfg = PopulationConfig(N=N, master_seed=cfg.master_seed, num_paths=num_paths)
         bundle = simulate_population(p, self.sol, rcfg)
         sqrt0, sqrtm = psd_sqrt(p.init_cov_major), psd_sqrt(p.init_cov_minor)
         gap = 0.0
@@ -507,8 +501,6 @@ class DenseJointSystem:
             z[self.x0_off:self.x0_off + n, 0] = sqrt0 @ init.standard_normal(n)
             for a in range(N):
                 z[a * n:(a + 1) * n, 0] = sqrtm @ init.standard_normal(n)
-            if cfg.xbar0 is not None:
-                z[self.xb_off:-1, 0] = cfg.xbar0
             incr = _stream(cfg.master_seed, 0, path)
             dW0 = incr.standard_normal((M, p.r))
             dWm = [incr.standard_normal((M, p.r)) for _ in range(N)]

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import json
 import math
 import os
@@ -12,7 +14,8 @@ import numpy as np
 import pytest
 
 import mmlqg
-from mmlqg import cli_app, config, lqg_single, mfg_model, mfg_solver, verify
+from mmlqg import (cli_app, config, lqg_single, mfg_model, mfg_solver, population_sim,
+                   verify)
 from mmlqg.errors import SchemaError
 from mmlqg.lqg_single import LqgProblem, field_table
 from mmlqg.mfg_model import MajorParams, MinorTypeParams, MmMfgProblem
@@ -145,7 +148,6 @@ _FIELDS = (
     + [("mfg", "t_end", "$.grid.T"), ("mfg", "num_steps", "$.grid.M")]
     + [("mfg", name, "$.fixed_point." + name)
        for name in ("theta", "tol", "max_iters")]
-    + [("population", "xbar0", None)]
 )
 
 
@@ -173,16 +175,10 @@ def _records(cfg: dict):
 @pytest.mark.parametrize("kind, field, json_path, bad", [
     pytest.param(kind, field, json_path, bad, id="-".join((kind, field, bad)))
     for kind, field, json_path in _FIELDS for bad in _BAD_MATRIX
-    if not (field == "xbar0" and bad == "wrong-shape")   # its shape is n*K
 ])
 def test_malformed_field_is_a_schema_error_naming_it(tmp_path, capsys, kind,
                                                      field, json_path, bad):
     value = (_BAD_SCALAR if field in _SCALARS else _BAD_MATRIX)[bad]
-    if kind == "population":
-        with pytest.raises(SchemaError) as exc:
-            PopulationConfig(N=2, xbar0=value)
-        assert exc.value.field == field
-        return
     cfg = _lqg_cfg() if kind == "lqg" else _mfg_cfg()
     _put(cfg, json_path, value)
     with pytest.raises(SchemaError) as exc:
@@ -543,6 +539,29 @@ def test_absent_run_sections_read_their_defaults():
     assert config.parse_study({"study": {"Ns": [], "seeds": []}}) == {"Ns": [], "seeds": []}
     # the study is exact: seeds is optional, and read only to reject a bad value
     assert config.parse_study({"study": {"Ns": [4]}}) == {"Ns": [4]}
+
+
+def test_population_config_holds_what_the_population_section_sets(monkeypatch):
+    # the library record's fields are the keys parse_population reads, less
+    # the rejected sweep Ns: every population is assign_types(pi, N) and
+    # starts at mean zero, so neither a type list nor an initial mean field
+    # is settable
+    readers = {}
+
+    def spy(cfg, name, reader_table, defaults):
+        readers[name] = set(reader_table)
+        return section(cfg, name, reader_table, defaults)
+
+    section = config._section
+    monkeypatch.setattr(config, "_section", spy)
+    config.parse_population({})
+    fields = {f.name for f in dataclasses.fields(PopulationConfig)}
+    assert fields == readers["population"] - {"Ns"} == {
+        "N", "num_paths", "master_seed", "record_states"}
+    params = inspect.signature(population_sim.ReducedPopulation).parameters
+    assert list(params) == ["p", "sol", "counts", "own_type"]
+    for gone in ("_type_indices", "_type_of", "_initial_mean_field"):
+        assert not hasattr(population_sim, gone)
 
 
 def test_simulate_writes_convergence_slope(tmp_path):

@@ -305,6 +305,17 @@ def test_solution_of_another_game_rejected(coupled, single_minor, route):
             _SOLUTION_ROUTES[route](p, sol)
 
 
+def test_solution_of_a_game_with_another_pi_rejected():
+    # pi enters the solve (F^pi, H^pi) and decides the population, so a
+    # solution at pi = [0.6, 0.4] must not run on the game at [0.9, 0.1]
+    p = coupled_toy(M=20)
+    sol = solve_consistency_finite(p)
+    other = dataclasses.replace(p, pi=[0.9, 0.1])
+    for route in ("simulate_population", "expected_cost_exact", "gap_vs_population"):
+        with pytest.raises(SchemaError, match="pi does not match"):
+            _SOLUTION_ROUTES[route](other, sol)
+
+
 def test_deviator_out_of_range_rejected(coupled):
     p, sol = coupled
     with pytest.raises(SchemaError):
@@ -341,18 +352,6 @@ def test_agent_id_is_read_as_a_count(small_population, route):
         assert err.value.field == "agent_id"
 
 
-@pytest.mark.parametrize("xbar0", [[0.3], [0.3, -0.1, 0.2],
-                                   [[0.1, 0.2], [0.3, 0.4]]])
-def test_wrong_length_xbar0_rejected_by_exact_routes(xbar0):
-    p = coupled_toy(M=20)
-    sol = solve_consistency_finite(p)
-    cfg = PopulationConfig(N=3, xbar0=xbar0)
-    with pytest.raises(SchemaError):
-        expected_cost_exact(p, sol, cfg, 1)
-    with pytest.raises(SchemaError):
-        epsilon_nash_gap(p, sol, cfg, 1)
-
-
 def test_undeviated_chain_cost_reproduces_expected_cost(coupled):
     # the assembly check: the open drift closed by B_full and the lifted
     # gain table costs what the record's own closed drift costs
@@ -377,13 +376,13 @@ def test_reduced_dimension_does_not_grow_with_population(coupled):
 
 
 def test_gap_is_keyed_by_type_counts(coupled):
-    # two assignments with the same counts per type and the deviator in the
-    # same type are one reduced system: the same gap, bit for bit
+    # two minors of one type in one population are one reduced system:
+    # the same gap, bit for bit
     p, sol = coupled
-    types = ([0, 1, 0, 1, 1, 0], [1, 1, 0, 0, 0, 1])
-    for picks in ((0, 0), (1, 3), (2, 1)):
-        reps = [epsilon_nash_gap(p, sol, PopulationConfig(N=6, type_assignment=t), a)
-                for t, a in zip(types, picks)]
+    cfg = PopulationConfig(N=6)
+    assert assign_types(p.pi, 6).tolist() == [0, 1, 0, 1, 0, 0]
+    for picks in ((1, 3), (3, 6), (2, 4)):
+        reps = [epsilon_nash_gap(p, sol, cfg, a) for a in picks]
         assert [r.agent_id for r in reps] == list(picks)
         for r in reps:
             r.agent_id = None
@@ -665,7 +664,7 @@ def _assert_rows_are_single_gaps(p, sol, Ns):
     # every row's gaps and worst diagnostics, from one-member stacks
     for row in gap_vs_population(p, sol, Ns).rows:
         type_of = assign_types(p.pi, row.N)
-        cfg = PopulationConfig(N=row.N, type_assignment=type_of)
+        cfg = PopulationConfig(N=row.N)
         firsts = [0] + [int(ix[0]) + 1 if ix.size else None
                         for ix in (np.flatnonzero(type_of == k) for k in range(p.K))]
         reps = [epsilon_nash_gap(p, sol, cfg, a) for a in firsts if a is not None]

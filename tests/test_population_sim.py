@@ -40,7 +40,13 @@ from test_fixed_point_property import random_game
 
 @pytest.fixture(scope="module")
 def coupled():
-    p = coupled_toy(M=100)
+    return _coupled_at((0.6, 0.4))
+
+
+@functools.lru_cache(maxsize=None)
+def _coupled_at(pi):
+    """coupled_toy at M = 100 with the type fractions pi, solved."""
+    p = dataclasses.replace(coupled_toy(M=100), pi=list(pi))
     return p, solve_consistency_finite(p)
 
 
@@ -106,7 +112,7 @@ def test_internal_mean_field_equals_trajectory_same_integrator(coupled):
     p, sol = coupled
     n, K, h = p.n, p.K, p.grid.h
     b = simulate_population(p, sol, PopulationConfig(N=6, master_seed=9))
-    rs = ReducedPopulation(p, sol, b.counts, None, np.zeros(n * K))
+    rs = ReducedPopulation(p, sol, b.counts, None)
     F = rs.drift(closed=True)
     xb = slice(rs.xb_off, rs.xb_off + n * K)
     Ab, Gb, mb = (f.values for f in (sol.mf_law.Abar, sol.mf_law.Gbar, sol.mf_law.mbar))
@@ -340,15 +346,18 @@ def test_study_slope_is_square_root_rate(coupled):
 def test_empirical_mean_field_aggregation_properties(zero_noise):
     p, sol = zero_noise
     # one agent per type: the average is that agent's own path
-    cfg = PopulationConfig(N=2, master_seed=0, type_assignment=[0, 1])
+    cfg = PopulationConfig(N=2, master_seed=0)
     b = simulate_population(p, sol, cfg)
+    assert b.type_of.tolist() == [0, 1]
     emf = empirical_mean_field(b)[0]
     n = p.n
     assert np.array_equal(emf.values[:, :n, 0], b.states[0][:, 1, :])
     assert np.array_equal(emf.values[:, n:, 0], b.states[0][:, 2, :])
-    # two identical deterministic agents: the average equals either one
-    cfg2 = PopulationConfig(N=2, master_seed=0, type_assignment=[0, 0])
-    b2 = simulate_population(p, sol, cfg2)
+    # two identical deterministic agents: the average equals either one;
+    # pi = [0.8, 0.2] puts both minors of N = 2 in type 0
+    p2 = dataclasses.replace(_zero_noise(), pi=[0.8, 0.2])
+    b2 = simulate_population(p2, solve_consistency_finite(p2), cfg)
+    assert b2.type_of.tolist() == [0, 0]
     emf2 = empirical_mean_field(b2)[0]
     assert np.array_equal(b2.states[0][:, 1, :], b2.states[0][:, 2, :])
     assert np.array_equal(emf2.values[:, :n, 0], b2.states[0][:, 1, :])
@@ -403,18 +412,6 @@ def test_type_assignment_matches_the_one_by_one_rule():
                                   _assign_types_one_by_one(pi, N)), (pi, N)
 
 
-def test_explicit_type_assignment_respected(coupled):
-    p, sol = coupled
-    cfg = PopulationConfig(N=3, type_assignment=[1, 1, 0])
-    b = simulate_population(p, sol, cfg)
-    assert np.array_equal(b.type_of, [1, 1, 0])
-    assert np.array_equal(b.counts, [1, 2])
-    with pytest.raises(SchemaError):
-        simulate_population(p, sol, PopulationConfig(N=2, type_assignment=[0, 5]))
-    with pytest.raises(SchemaError):
-        PopulationConfig(N=3, type_assignment=[0, 1])
-
-
 def test_diverged_path_reports_path_and_node(coupled, monkeypatch):
     p, sol = coupled
     bad = coupled_toy(M=100)
@@ -453,12 +450,14 @@ def test_outputs_do_not_depend_on_how_paths_and_seeds_are_stacked(coupled, monke
 
 
 @pytest.mark.parametrize("budget", [None, 1], ids=["one_stack", "one_path_a_stack"])
-@pytest.mark.parametrize("types", [[1, 0, 0, 1, 1, 0], [1, 1, 1]],
+@pytest.mark.parametrize("pi, types", [((0.6, 0.4), [0, 1, 0, 1, 0, 0]),
+                                       ((0.0, 1.0), [1, 1, 1])],
                          ids=["interleaved", "empty_type"])
-def test_each_steps_noise_is_the_held_noise_bit_for_bit(coupled, monkeypatch, types, budget):
+def test_each_steps_noise_is_the_held_noise_bit_for_bit(monkeypatch, pi, types, budget):
     """The noise formed when a step is taken equals, at every step, what
     was once sampled for all steps up front, whatever the stacking."""
-    p, sol = coupled
+    p, sol = _coupled_at(pi)
+    assert assign_types(p.pi, len(types)).tolist() == types
     M = p.grid.num_steps
     if budget is not None:
         monkeypatch.setattr(population_sim, "DRAW_BUDGET", budget)
@@ -470,8 +469,7 @@ def test_each_steps_noise_is_the_held_noise_bit_for_bit(coupled, monkeypatch, ty
         return out
 
     monkeypatch.setattr(population_sim._Population, "noise", spy)
-    simulate_population(p, sol, PopulationConfig(N=len(types), master_seed=11, num_paths=2,
-                                                  type_assignment=types))
+    simulate_population(p, sol, PopulationConfig(N=len(types), master_seed=11, num_paths=2))
     cols = [np.flatnonzero(np.array(types) == k) for k in range(p.K)]
     noise0, noise = held_noise(p, [(11, 0), (11, 1)], [1 + c for c in cols])
     assert len(formed) == (2 if budget else 1) * M
@@ -533,8 +531,6 @@ def test_agent_id_and_config_validation(coupled):
     with pytest.raises(SchemaError):
         PopulationConfig(N=2, num_paths=0)
     with pytest.raises(SchemaError):
-        simulate_population(p, sol, PopulationConfig(N=2, xbar0=np.zeros(3)))
-    with pytest.raises(SchemaError):
         CostReport(agent_id=0, value=1.0, std_error=-1.0,
                    method="monte_carlo", num_paths=1)
 
@@ -549,14 +545,6 @@ def test_record_states_false_skips_arrays_but_keeps_fields(coupled):
         finite_cost_monte_carlo(p, sol, b, 0)
     emf = empirical_mean_field(b)[0]
     assert np.array_equal(emf.values[:, :, 0], b.empirical_types[0])
-
-
-def test_xbar0_override_propagates(coupled):
-    p, sol = coupled
-    xb0 = np.array([0.1, -0.2, 0.3, 0.05])
-    cfg = PopulationConfig(N=3, master_seed=0, xbar0=xb0)
-    b = simulate_population(p, sol, cfg)
-    assert np.array_equal(b.xbar[0, 0], xb0)
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 2.5])
@@ -580,22 +568,6 @@ def test_counts_keep_integral_floats_and_every_64_bit_seed():
     assert FixedPointConfig(max_iters=4.0).max_iters == 4
     with pytest.raises(SchemaError):
         PopulationConfig(N=2, master_seed=2 ** 64)
-
-
-@pytest.mark.parametrize("bad", [[0.7, 1.9], [0, math.nan], [0, math.inf],
-                                 [0, "1"], [0, None], [0, [1]]])
-def test_type_assignment_rejects_non_integral_entries(bad):
-    # np.asarray(..., dtype=int64) would truncate 0.7 and raise on NaN
-    with pytest.raises(SchemaError):
-        PopulationConfig(N=2, type_assignment=bad)
-
-
-def test_type_assignment_keeps_integral_floats_and_numpy_integers():
-    cfg = PopulationConfig(N=3, type_assignment=[1.0, np.int32(0), np.uint8(1)])
-    assert cfg.type_assignment.dtype == np.int64
-    assert cfg.type_assignment.tolist() == [1, 0, 1]
-    cfg = PopulationConfig(N=2, type_assignment=np.array([1.0, 0.0]))
-    assert cfg.type_assignment.tolist() == [1, 0]
 
 
 @pytest.mark.parametrize("shape", [(2,), (7, 3)])
@@ -647,9 +619,10 @@ def test_only_draws_builds_a_generator():
 
 
 @functools.lru_cache(maxsize=None)
-def _noisy_random_game(seed, n, m, K):
-    """random_game with noise and random initial states, solved."""
-    p = random_game(seed, n, m, K, 12, 1.0, 0.0)
+def _noisy_random_game(seed, n, m, K, pi):
+    """random_game with the type fractions pi, noise and random initial
+    states, solved."""
+    p = dataclasses.replace(random_game(seed, n, m, K, 12, 1.0, 0.0), pi=list(pi))
     p.major.sigma0 = 0.3 * np.eye(n)
     for mn in p.minors:
         mn.sigmak = 0.3 * np.eye(n)
@@ -657,17 +630,19 @@ def _noisy_random_game(seed, n, m, K):
     return p, solve_consistency_finite(p)
 
 
-@pytest.mark.parametrize("game, types", [
-    (None, [1, 0, 0, 1, 1, 0]), (None, [1, 1, 1]), (None, [1]), (None, [0, 0, 0, 0]),
+@pytest.mark.parametrize("game, pi, types", [
+    (None, (0.6, 0.4), [0, 1, 0, 1, 0, 0]), (None, (0.0, 1.0), [1, 1, 1]),
+    (None, (0.6, 0.4), [0]), (None, (1.0, 0.0), [0, 0, 0, 0]),
     # the aggregate record's S offsets shift: an empty middle type at n = 3,
     # and n = 1
-    ((0, 3, 2, 3), [2, 0, 2, 0, 2]), ((1, 1, 1, 2), [1, 0, 1]),
+    ((0, 3, 2, 3), (0.4, 0.0, 0.6), [2, 0, 2, 0, 2]), ((1, 1, 1, 2), (0.2, 0.8), [1, 1, 0]),
 ], ids=["interleaved", "empty_type", "one_minor", "one_type_only", "n3_empty_middle_type",
         "n1"])
-def test_agents_last_stepping_matches_the_dense_joint_oracle(coupled, game, types):
-    p, sol = coupled if game is None else _noisy_random_game(*game)
-    cfg = PopulationConfig(N=len(types), master_seed=11, num_paths=2,
-                           type_assignment=types)
+def test_agents_last_stepping_matches_the_dense_joint_oracle(game, pi, types):
+    # the types are the game's own pi, set before the solve
+    p, sol = _coupled_at(pi) if game is None else _noisy_random_game(*game, pi)
+    assert assign_types(p.pi, len(types)).tolist() == types
+    cfg = PopulationConfig(N=len(types), master_seed=11, num_paths=2)
     js = DenseJointSystem(p=p, sol=sol, cfg=cfg, deviator=0)
     assert js.validation_gap(num_paths=2) < 1e-10
     b = simulate_population(p, sol, cfg)

@@ -1,9 +1,10 @@
 """The reduced finite-N system against the dense joint assembly.
 
 Random small stable games from the fixed-point property test's generator,
-given noise, with random type assignments (empty types and deviators
-alone in their type included), a nonzero initial mean field and custom
-initial covariances.  For every deviator the equilibrium cost, the best
+given noise, with random population sizes N, the minors split by the
+game's own pi (empty types and deviators alone in their type included,
+as N is small), and custom initial covariances.  Every state starts at
+mean zero, as in the game.  For every deviator the equilibrium cost, the best
 response, the gap, expected_cost_exact and the un-deviated chain cost on
 the reduced state must match the dense oracle within 1e-10 max(1, |J|),
 with |J| the larger of the two costs for the gap.  Where a coarse grid
@@ -59,30 +60,25 @@ cases = st.fixed_dictionaries({
     "K": st.integers(1, 3),
     "M": st.integers(4, 12),
     "coupling": st.sampled_from([0.1, 0.5, 1.5]),
-    "types": st.lists(st.integers(0, 2), min_size=1, max_size=8),
+    "N": st.integers(1, 8),
 })
 
 
 @settings(max_examples=25, **SETTINGS)
 @given(cases)
-# type 1 empty, agent 3 alone in type 2
-@example({"seed": 7, "n": 2, "m": 1, "K": 3, "M": 8, "coupling": 0.5,
-          "types": [0, 0, 2]})
+# types [2, 0]: type 1 empty, each minor alone in its type
+@example({"seed": 7, "n": 2, "m": 1, "K": 3, "M": 8, "coupling": 0.5, "N": 2})
 # a grid too coarse for the best-response sweep of the major
-@example({"seed": 1, "n": 2, "m": 2, "K": 2, "M": 4, "coupling": 0.5,
-          "types": [1]})
+@example({"seed": 5, "n": 2, "m": 1, "K": 2, "M": 4, "coupling": 0.5, "N": 1})
 def test_reduced_system_matches_dense_oracle(g):
     p = noisy_game(g["seed"], g["n"], g["m"], g["K"], g["M"], g["coupling"])
     try:
         sol = solve_consistency_finite(p)
     except MmlqgError:
         assume(False)
-    n, K = g["n"], g["K"]
+    n = g["n"]
     rng = np.random.default_rng(g["seed"] + 2)
-    cfg = PopulationConfig(
-        N=len(g["types"]), type_assignment=[t % K for t in g["types"]],
-        xbar0=rng.normal(size=n * K),
-    )
+    cfg = PopulationConfig(N=g["N"])
     p = dataclasses.replace(p, init_cov_major=spd(rng, n),
                             init_cov_minor=spd(rng, n))
     for dev in range(cfg.N + 1):

@@ -5,7 +5,7 @@ this one on every benchmark operation.
 
 Each workload runs on its perfbench/workloads.make_config config at the
 PINNED sizes in a fresh process, with this checkout's src/ and OTHER's.
-So do seven operations the benchmark does not run:
+So do eight operations the benchmark does not run:
 - solve-lqg on the pinned 2-state config LQG below;
 - lqg-inf, solve_infinite_horizon on that config (rho = 0.5, constant
   b), which no command reaches: LQG_INF writes its Pi, s, K, k and
@@ -22,7 +22,10 @@ So do seven operations the benchmark does not run:
   round shows there first;
 - sim-n3, simulate on n3_game(), 3 states and 3 types with pi = [0.5, 0,
   0.5], N = 5, 2 paths and study Ns [1, 3, 8], so that an empty middle
-  type and n != 2 are covered end to end.
+  type and n != 2 are covered end to end;
+- nash-n3, nash-gap on n3_game() with pi = [0.3, 0.3, 0.4] and Ns [10,
+  1000, 10^5], so that the per-agent steps of the type assignment with
+  K >= 3 types, at scale, and a 3-type gap table are covered.
 Per operation it prints the data files (all but manifest.json) whose
 sha256 differs and, for the workloads, each side's largest departure
 from the values in perfbench/reference.json, in tolerances.  For each
@@ -205,6 +208,11 @@ with tempfile.TemporaryDirectory() as tmp:
         tmp / "n3.json")
     ops.append(("sim-n3", lambda out: CLI + ["simulate", "--config", str(n3_path),
                                              "--out", str(out)], None))
+    n3_nash_path = workloads.write_config(dict(n3_game(), pi=[0.3, 0.3, 0.4], nash={
+        "Ns": [10, 1000, 10 ** 5], "master_seed": workloads.master_seed(args.seed)}),
+        tmp / "n3_nash.json")
+    ops.append(("nash-n3", lambda out: CLI + ["nash-gap", "--config", str(n3_nash_path),
+                                              "--out", str(out)], None))
     for w, argv, ref in ops:
         hashes, moves, outs = [], [], []
         for side, root in (("this", ROOT), ("other", args.other.resolve())):
